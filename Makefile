@@ -103,14 +103,16 @@ examples:
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 
-# Wire-format fuzzers. `go test -fuzz` accepts exactly one target per
-# invocation, so each runs separately; FUZZTIME bounds each target.
+# Wire-format and WAL-segment fuzzers. `go test -fuzz` accepts exactly one
+# target per invocation, so each runs separately; FUZZTIME bounds each
+# target.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVec$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVecDelta$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzVecDeltaRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/stable
 
 clean:
 	$(GO) clean ./...

@@ -38,9 +38,9 @@ type Checkpoint struct {
 	// Empty when LogExternal is set.
 	Log []proto.LogItem
 	// LogExternal marks an incremental checkpoint: the sender log is
-	// not in the image because every item is already durable under its
-	// own stable-store key (the harness's slog/ keyspace) and the
-	// restorer rebuilds it from there. This keeps the checkpoint blob
+	// not in the image because every item is already in the stable
+	// store (the harness's slog/ streams) and the restorer rebuilds it
+	// from there. This keeps the checkpoint blob
 	// O(app state) instead of O(app state + retained log).
 	LogExternal bool
 }
@@ -137,6 +137,12 @@ func (m *Manager) Store() *stable.Store { return m.store }
 
 func key(rank int) string { return fmt.Sprintf("ckpt/%08d", rank) }
 
+// tmpKey is where Save stages rank's image before publishing it. It
+// shares key(rank)'s shard scope on the disk backend (a name is hashed up
+// to its second '/'), so the publishing Rename is two records in one log
+// file and needs no barrier between them.
+func tmpKey(rank int) string { return key(rank) + "/tmp" }
+
 // Stage records c as rank c.Rank's newest checkpoint without touching
 // stable storage. The caller must treat c as immutable afterwards.
 func (m *Manager) Stage(c *Checkpoint) {
@@ -176,7 +182,7 @@ func (m *Manager) Save(c *Checkpoint) error {
 		return err
 	}
 	framed := Frame(data)
-	tmp := key(c.Rank) + ".tmp"
+	tmp := tmpKey(c.Rank)
 	if err := m.store.Put(tmp, framed); err != nil {
 		return fmt.Errorf("ckpt: save rank %d: %w", c.Rank, err)
 	}

@@ -150,7 +150,7 @@ func TestSaveCrashBeforePublishKeepsOld(t *testing.T) {
 	c2 := sampleCheckpoint()
 	c2.Step = 99
 	data, _ := Encode(c2)
-	m.Store().Put(key(2)+".tmp", Frame(data)) // simulated crash: temp written, never renamed
+	m.Store().Put(tmpKey(2), Frame(data)) // simulated crash: temp written, never renamed
 	got, ok, err := m.LoadDurable(2)
 	if err != nil || !ok || got.Step != c1.Step {
 		t.Fatalf("old checkpoint lost: %v %v %+v", ok, err, got)

@@ -75,11 +75,14 @@ type WalReport struct {
 	CkptStall obs.HistStat `json:"ckpt_stall_ns"`
 
 	// GroupCommits counts WAL fsync batches; LiveKeys and DiskBytes
-	// describe the directory the run left behind (compaction keeps both
-	// bounded).
+	// describe the directory the run left behind (log release, which
+	// lets emptied segments be unlinked, keeps both bounded).
 	GroupCommits int64 `json:"group_commits"`
 	LiveKeys     int   `json:"live_keys"`
 	DiskBytes    int64 `json:"disk_bytes"`
+	// Disk is what the backend did to get there: fsyncs, segment
+	// rotations and unlinks, bytes of records appended.
+	Disk stable.DiskStats `json:"disk"`
 
 	// Replay* measure a cold OpenDisk of the populated directory — the
 	// recovery path a restarted process pays before any rank starts.
@@ -154,6 +157,7 @@ func RunWal(o WalOptions) (WalReport, error) {
 	// backend (the cluster owns it), so read the backend counters first.
 	rep.GroupCommits = disk.Commits()
 	rep.LiveKeys = disk.Len()
+	rep.Disk = disk.Stats()
 	c.Close()
 	if rep.CkptStall.Count == 0 {
 		return WalReport{}, fmt.Errorf("experiments: wal bench recorded no checkpoint stalls")
@@ -204,13 +208,19 @@ func WalTable(r WalReport) *metrics.Table {
 	t := &metrics.Table{
 		Title: "Durable WAL — checkpoint stall and recovery replay (disk backend)",
 		Header: []string{"procs", "steps", "stall_p50_us", "stall_p99_us", "fsync_ms",
-			"commits", "disk_KiB", "replay_ms", "replay_keys"},
+			"commits", "fsyncs", "appended_KiB", "rotations", "segs_live", "segs_unlinked",
+			"disk_KiB", "replay_ms", "replay_keys"},
 	}
 	t.AddRow(fmt.Sprint(r.Procs), fmt.Sprint(r.Steps),
 		metrics.F(float64(r.CkptStall.P50)/float64(time.Microsecond)),
 		metrics.F(float64(r.CkptStall.P99)/float64(time.Microsecond)),
 		metrics.F(float64(r.FsyncEveryNS)/float64(time.Millisecond)),
 		fmt.Sprint(r.GroupCommits),
+		fmt.Sprint(r.Disk.Fsyncs),
+		metrics.F(float64(r.Disk.BytesAppended)/1024),
+		fmt.Sprint(r.Disk.Rotations),
+		fmt.Sprint(r.Disk.LiveSegments),
+		fmt.Sprint(r.Disk.UnlinkedSegments),
 		metrics.F(float64(r.DiskBytes)/1024),
 		metrics.F(float64(r.ReplayNS)/float64(time.Millisecond)),
 		fmt.Sprint(r.ReplayKeys))

@@ -9,11 +9,14 @@ package harness
 
 import (
 	"io"
+	"os"
 	"testing"
 
 	"windar/internal/app"
 	"windar/internal/core"
 	"windar/internal/obs"
+	"windar/internal/proto"
+	"windar/internal/stable"
 	"windar/internal/wire"
 	"windar/layer"
 )
@@ -42,6 +45,8 @@ func AllocProbes() []AllocProbe {
 		{Name: "hist_record", F: probeHistRecord},
 		{Name: "frame_append", F: probeFrameAppend},
 		{Name: "frame_read", F: probeFrameRead},
+		{Name: "slog_append", F: probeSlogAppend},
+		{Name: "slog_release", F: probeSlogRelease},
 	}
 }
 
@@ -144,6 +149,63 @@ func deliveryScanAllocs(interceptors []layer.Interceptor, traced bool) float64 {
 		}
 		r.deliverLocked(env)
 		r.mu.Unlock()
+	})
+}
+
+// slogProbe builds an un-started two-rank cluster with durable logs over
+// a disk backend in a scratch directory, and returns rank 0's runtime
+// and an LU-line-sized item for rank 1. cleanup closes and removes it.
+func slogProbe() (r *rankRuntime, it proto.LogItem, cleanup func()) {
+	dir, err := os.MkdirTemp("", "windar-slogprobe-*")
+	if err != nil {
+		panic(err)
+	}
+	disk, err := stable.OpenDisk(stable.DiskOptions{Dir: dir})
+	if err != nil {
+		panic(err)
+	}
+	c, err := NewCluster(Config{N: 2, Stable: disk, DurableLogs: true},
+		func(rank, n int) app.App { return probeApp{} })
+	if err != nil {
+		panic(err)
+	}
+	if r, err = c.newRuntime(0, 0); err != nil {
+		panic(err)
+	}
+	it = proto.LogItem{Dest: 1, Piggyback: make([]byte, 6), Payload: make([]byte, 320)}
+	return r, it, func() {
+		c.Close() // also closes the backend the cluster owns
+		os.RemoveAll(dir)
+	}
+}
+
+// probeSlogAppend measures mirroring one logged item into its durable
+// stream: encode into the rank's scratch, one record framed in place in
+// the shard's write buffer, one cached entry. The chunk the cache and
+// the write buffer's flush cost per ~190 items amortise to zero.
+func probeSlogAppend() float64 {
+	r, it, cleanup := slogProbe()
+	defer cleanup()
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		it.SendIndex++
+		r.slogAppend(&it)
+	})
+}
+
+// probeSlogRelease measures the durable half of a CHECKPOINT_ADVANCE
+// that releases four items: one Truncate, one record.
+func probeSlogRelease() float64 {
+	r, it, cleanup := slogProbe()
+	defer cleanup()
+	const batch = 4
+	for i := 0; i < (allocProbeRuns+2)*batch; i++ {
+		it.SendIndex++
+		r.slogAppend(&it)
+	}
+	upTo := int64(0)
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		upTo += batch
+		r.c.slogRelease(0, 1, upTo)
 	})
 }
 

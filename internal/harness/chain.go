@@ -191,8 +191,11 @@ func (h coreHandler) Send(m *layer.Msg) {
 		Piggyback: m.Piggyback, Payload: m.Payload, Span: m.Span,
 	}
 	r.log.Append(it)
-	if r.c.durableLogs {
-		r.c.slogAppend(r.id, &it)
+	// A killed incarnation must not append behind its successor's rewind:
+	// Kill takes the rank lock after marking the rank dead, so a send that
+	// still holds it finishes first and any later one sees the mark.
+	if r.c.durableLogs && !r.isKilled() {
+		r.slogAppend(&it)
 	}
 	r.sendSuppressed = m.SendIndex <= r.rollbackLastSendIndex[m.Peer]
 }

@@ -298,10 +298,10 @@ func (r *rankRuntime) handleCkptAdvance(env *wire.Envelope) {
 	r.prot.OnPeerCheckpoint(env.From, total)
 	r.mu.Unlock()
 	if released > 0 && r.c.durableLogs {
-		// Outside the rank lock: each tombstone pays the store's write
-		// latency. Deleting released keys is what keeps the durable
-		// keyspace bounded by the same CHECKPOINT_ADVANCE rule that
-		// bounds the in-memory log.
+		// Outside the rank lock: the release pays the store's write
+		// latency. Truncating the stream is what keeps the durable log
+		// bounded by the same CHECKPOINT_ADVANCE rule that bounds the
+		// in-memory log.
 		r.c.slogRelease(r.id, env.From, count)
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 
 	"windar/internal/ckpt"
 	"windar/internal/proto"
@@ -11,29 +10,33 @@ import (
 )
 
 // Durable sender logs (Config.DurableLogs): every log append is mirrored
-// into the stable store under slog/<rank>/<dest>/<index>, so a process
-// that dies with SIGKILL can rebuild its retained sender log from the
-// keyspace. The keys ride the WAL's lazy append path (PutLazy — no fsync
-// wait on the send path); the next checkpoint Save is the group-commit
-// barrier that makes them durable, which is exactly the coverage the
-// checkpoint's LogExternal restore relies on: items with
+// into the stable store's stream slog/<rank>/<dest>/, one stream per
+// channel, so a process that dies with SIGKILL can rebuild its retained
+// sender log from them. The store numbers a stream's entries from 1 as
+// they are appended, exactly as the rank numbers its sends to one
+// destination, so an entry's number is its send index: the release that
+// CHECKPOINT_ADVANCE triggers is one Truncate to the peer's delivered
+// index and recovery is one Scan up to the checkpoint's send frontier.
+// Appends ride the WAL's lazy path (PutLazy — no fsync wait on the send
+// path); the next checkpoint Save is the group-commit barrier that makes
+// them durable, which is exactly the coverage the checkpoint's
+// LogExternal restore relies on: items with
 // SendIndex <= cp.LastSendIndex[dest] were appended before the snapshot
 // and are therefore durable once the Save that published cp completed.
 // Items appended after the checkpoint may be lost with the process; a
 // full-cluster restart regenerates them by replaying from the
-// checkpointed step. Released items are deleted when CHECKPOINT_ADVANCE
-// arrives, which bounds the keyspace exactly like the in-memory log.
+// checkpointed step, which is why every incarnation first rewinds its
+// streams to the frontier it starts from.
 
-// slogKey is the stable-store key for one mirrored log item. The
-// fixed-width hex index keeps the backend's lexicographic Keys order
-// equal to send-index order.
-func slogKey(rank, dest int, idx int64) string {
-	return fmt.Sprintf("slog/%03d/%03d/%016x", rank, dest, uint64(idx))
-}
-
-// slogPrefix scopes one (rank, dest) channel's mirrored items.
-func slogPrefix(rank, dest int) string {
-	return fmt.Sprintf("slog/%03d/%03d/", rank, dest)
+// slogStreams names rank's streams once, at cluster construction: the
+// send path must not build a string per message. The entry for rank
+// itself is unused.
+func slogStreams(rank, n int) []string {
+	names := make([]string, n)
+	for dest := range names {
+		names[dest] = fmt.Sprintf("slog/%03d/%03d/", rank, dest)
+	}
+	return names
 }
 
 // appendLogItem serializes it (a deterministic varint codec rather than
@@ -106,65 +109,85 @@ func decodeLogItem(b []byte) (proto.LogItem, error) {
 	return it, nil
 }
 
-// slogAppend mirrors one just-logged item into the stable keyspace.
-// Called under the rank lock on the send path; PutLazy never sleeps, so
-// the lock is safe to hold across it.
-func (c *Cluster) slogAppend(rank int, it *proto.LogItem) {
-	if err := c.store.PutLazy(slogKey(rank, it.Dest, it.SendIndex), appendLogItem(nil, it)); err != nil {
-		panic(fmt.Sprintf("harness: rank %d slog append: %v", rank, err))
+// slogAppend mirrors one just-logged item into its channel's stream,
+// encoded into the rank's scratch buffer. Called under the rank lock on
+// the send path; PutLazy never sleeps, so the lock is safe to hold
+// across it.
+//
+//windar:hotpath
+func (r *rankRuntime) slogAppend(it *proto.LogItem) {
+	r.slogBuf = appendLogItem(r.slogBuf[:0], it) //windar:allow hotpath — the scratch buffer keeps its capacity
+	if err := r.c.store.PutLazy(r.c.slogNames[r.id][it.Dest], r.slogBuf); err != nil {
+		panicSlog(r.id, "append", err)
 	}
 }
 
-// slogRelease deletes rank's mirrored items for dest up to and including
-// upTo — the stable-store half of the CHECKPOINT_ADVANCE log release.
-// Runs outside the rank lock: Delete charges the store's write latency.
+// panicSlog keeps the fmt boxing out of the hot callers.
+//
+//go:noinline
+func panicSlog(rank int, op string, err error) {
+	panic(fmt.Sprintf("harness: rank %d slog %s: %v", rank, op, err))
+}
+
+// slogRelease drops rank's mirrored items for dest up to and including
+// upTo — the stable-store half of the CHECKPOINT_ADVANCE log release,
+// one record whatever the number of items. Runs outside the rank lock:
+// Truncate charges the store's write latency.
 func (c *Cluster) slogRelease(rank, dest int, upTo int64) {
-	prefix := slogPrefix(rank, dest)
-	for _, k := range c.store.Keys(prefix) {
-		idx, err := strconv.ParseUint(k[len(prefix):], 16, 64)
-		if err != nil || int64(idx) > upTo {
-			break
+	if err := c.store.Truncate(c.slogNames[rank][dest], upTo); err != nil {
+		panicSlog(rank, "release", err)
+	}
+}
+
+// slogRewind positions every stream of r at the send frontier the
+// incarnation starts from, discarding what a previous incarnation (or a
+// previous process) appended beyond it: r re-executes those sends and
+// appends them afresh under the same numbers.
+func (r *rankRuntime) slogRewind() error {
+	for dest, name := range r.c.slogNames[r.id] {
+		if dest == r.id {
+			continue
 		}
-		if err := c.store.Delete(k); err != nil {
-			panic(fmt.Sprintf("harness: rank %d slog release: %v", rank, err))
+		if err := r.c.store.Rewind(name, r.lastSendIndex[dest]); err != nil {
+			return fmt.Errorf("harness: rank %d: durable sender log for rank %d: %w", r.id, dest, err)
 		}
 	}
+	return nil
 }
 
 // restoreLog rebuilds r's sender log from checkpoint cp: the inline
-// items, or — for an incremental (LogExternal) checkpoint — the slog
-// keyspace, filtered to the checkpoint's send frontier. Keys beyond the
-// frontier belong to sends after the snapshot: a same-process recovery
-// regenerates them deterministically, and a process restart may have
-// lost them anyway (they were lazy), so they are ignored either way.
+// items, or — for an incremental (LogExternal) checkpoint — the rank's
+// streams, filtered to the checkpoint's send frontier. Entries beyond
+// the frontier belong to sends after the snapshot: a same-process
+// recovery regenerates them deterministically, and a process restart may
+// have lost them anyway (they were lazy), so start rewinds them away.
 func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 	if !cp.LogExternal {
 		r.log.RestoreAll(cp.Log)
 		return nil
 	}
 	var items []proto.LogItem
-	for dest := 0; dest < r.n; dest++ {
+	for dest, name := range r.c.slogNames[r.id] {
 		if dest == r.id {
 			continue
 		}
-		prefix := slogPrefix(r.id, dest)
-		for _, k := range r.c.store.Keys(prefix) {
-			idx, err := strconv.ParseUint(k[len(prefix):], 16, 64)
-			if err != nil {
-				return fmt.Errorf("harness: rank %d: malformed slog key %q", r.id, k)
-			}
-			if int64(idx) > cp.LastSendIndex[dest] {
-				break
-			}
-			data, ok := r.c.store.Get(k)
-			if !ok {
-				continue // released concurrently; the peer no longer needs it
+		frontier := cp.LastSendIndex[dest]
+		err := r.c.store.Scan(name, func(seq int64, data []byte) error {
+			if seq > frontier {
+				return nil
 			}
 			it, err := decodeLogItem(data)
+			if err == nil && (it.SendIndex != seq || it.Dest != dest) {
+				err = fmt.Errorf("holds send %d to rank %d", it.SendIndex, it.Dest)
+			}
 			if err != nil {
-				return fmt.Errorf("harness: rank %d: slog key %q: %w", r.id, k, err)
+				return fmt.Errorf("harness: rank %d: stream %s entry %d: %w", r.id, name, seq, err)
 			}
 			items = append(items, it)
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	r.log.RestoreAll(items)

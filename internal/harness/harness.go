@@ -183,12 +183,12 @@ type Config struct {
 	// and enables Cluster.StartFromStable. The cluster owns the backend
 	// and closes it in Close.
 	Stable stable.Backend
-	// DurableLogs mirrors every sender-log append into the stable store
-	// under its own slog/ key (deleted again when CHECKPOINT_ADVANCE
-	// releases the item) and, under TEL, every event-logger determinant
+	// DurableLogs mirrors every sender-log append into the stable store,
+	// one slog/ stream per channel (truncated when CHECKPOINT_ADVANCE
+	// releases items) and, under TEL, every event-logger determinant
 	// under a tel/ key (deleted when the logger prunes). Checkpoints then
 	// become incremental: the blob omits the sender log (LogExternal) and
-	// recovery rebuilds it from the keyspace, so the checkpoint write is
+	// recovery rebuilds it from the streams, so the checkpoint write is
 	// O(app state) instead of O(app state + retained log).
 	DurableLogs bool
 	// Clock defaults to the real clock.
@@ -260,6 +260,9 @@ type Cluster struct {
 	// durableLogs is Config.DurableLogs resolved once: the hot send path
 	// and the advance handler branch on it.
 	durableLogs bool
+	// slogNames[rank][dest] is the stable-store stream mirroring rank's
+	// sender log for dest; nil unless durableLogs.
+	slogNames [][]string
 
 	// ckptWG counts the per-rank checkpoint writer goroutines; Close
 	// waits for them (they drain queued saves) before closing the store.
@@ -359,6 +362,12 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	}
 	c.ckpts = ckpt.NewManager(c.store)
 	c.durableLogs = cfg.DurableLogs
+	if c.durableLogs {
+		c.slogNames = make([][]string, cfg.N)
+		for rank := range c.slogNames {
+			c.slogNames[rank] = slogStreams(rank, cfg.N)
+		}
+	}
 	c.finished = make([]bool, cfg.N)
 	c.failedAt = make([]int64, cfg.N)
 	for i := range c.failedAt {

@@ -59,6 +59,9 @@ type rankRuntime struct {
 	// released, which merely rounds the log's retention up to chunk
 	// granularity.
 	payArena []byte
+	// slogBuf is the scratch the durable log mirror encodes each item
+	// into, reused under mu (see slogAppend).
+	slogBuf []byte
 	// sendSuppressed is coreHandler.Send's verdict for the message just
 	// pushed through the chain (valid until the next Send).
 	sendSuppressed bool
@@ -227,6 +230,11 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 // ROLLBACK payload to broadcast before the application resumes.
 func (r *rankRuntime) start(fromStep int, rollback []byte) {
 	r.startStep = fromStep
+	if r.c.durableLogs {
+		if err := r.slogRewind(); err != nil {
+			panic(err.Error())
+		}
+	}
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
 	go r.receiverLoop(r.c.tr.Inbox(r.id))
@@ -751,8 +759,9 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	}
 	if r.c.durableLogs {
 		// Incremental checkpoint: every retained log item is already
-		// durable under its own slog/ key, so the blob omits the log and
-		// recovery rebuilds it from the keyspace.
+		// in its channel's slog/ stream, durable by the time the Save
+		// completes, so the blob omits the log and recovery rebuilds it
+		// from the streams.
 		cp.LogExternal = true
 	} else {
 		cp.Log = r.log.All()

@@ -83,6 +83,12 @@ func (c *Cluster) Recover(rank int) error {
 		return fmt.Errorf("harness: rank %d is still alive", rank)
 	}
 
+	// The dead incarnation may still be inside a send it began before
+	// the kill; wait it out so its last durable-log append cannot land
+	// behind this incarnation's rewind.
+	old.mu.Lock()
+	old.mu.Unlock()
+
 	r, err := c.newRuntime(rank, old.incarnation+1)
 	if err != nil {
 		return err
@@ -163,7 +169,7 @@ func (c *Cluster) Recover(rank int) error {
 
 // restoreCheckpoint applies checkpoint cp to a not-yet-started runtime:
 // application image, protocol state, counter vectors, sender log (inline
-// or rebuilt from the slog keyspace for incremental checkpoints), and
+// or rebuilt from the slog streams for incremental checkpoints), and
 // the delivery shards' ingest-side duplicate bound — the shard mirror is
 // what the receiver consults, and a zero mirror would re-admit messages
 // the checkpoint already covers. No locks are needed: the runtime's

@@ -1,67 +1,80 @@
 package stable
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"windar/internal/clock"
 )
 
-// Disk is the real durable backend: a set of parallel write-ahead log
-// files (shirakami-style P-WAL — each rank's keys hash to one shard, so
-// ranks append to disjoint files and never contend on a single log)
-// with group commit. Mutations append a checksummed, length-prefixed
-// record to their shard's log; a committer goroutine batches
-// neighbouring appends into one fsync per shard (the group-commit
-// window is FsyncInterval). Values at or above BlobThreshold — in
-// practice, checkpoint images — are written as standalone blob files
-// via the write-temp-rename-fsync dance and the WAL record stores only
-// the file name, so a multi-megabyte checkpoint never sits torn inside
-// a log.
+// Disk is the real durable backend: a set of parallel write-ahead logs
+// (shirakami-style P-WAL — each rank's names hash to one shard, so ranks
+// append to disjoint files and never contend on a single log) with group
+// commit. Every mutation appends one checksummed, length-prefixed record
+// (see walrecord.go) to its shard's write buffer; a lazy mutation does
+// nothing more, and a durable one then waits for the committer goroutine,
+// which batches neighbouring writes into one fsync per shard (the
+// group-commit window is FsyncInterval). Values at or above
+// BlobThreshold — in practice, checkpoint images — are written as
+// standalone blob files via the write-temp-rename-fsync dance and the
+// WAL record stores only the file name, so a multi-megabyte checkpoint
+// never sits torn inside a log.
+//
+// Each shard's log is a sequence of segment files. Records go to the
+// newest, the head; once it holds segmentBytes of them the shard rotates:
+// a fresh head opens with a restatement of the shard's keys — every live
+// key record, and a count that tells replay to forget any other key — and
+// the window of every stream, so older segments matter only for the
+// stream entries in them that are still live. A segment no live entry points at is
+// unlinked — never rewritten — and only after the records that emptied it
+// are durable. Nothing on a lazy path fsyncs, renames or unlinks: the
+// committer flushes a shard's buffer under the shard lock and does all
+// durable I/O after releasing it.
 //
 // Atomicity falls out of the record format: a crash mid-append leaves a
-// torn tail whose length or CRC cannot verify, and Open truncates the
-// file at the last whole record. The shard count is pinned in a meta
-// file at creation, so a key's records always live in exactly one file
-// and per-shard compaction can never strand another shard's state.
-//
-// A shard whose dead bytes (overwritten or deleted records) exceed both
-// a floor and its live bytes is compacted: the live entries are
-// rewritten to a fresh file which atomically replaces the log. Callers
-// hook this to the protocol's log-release phase by deleting released
-// keys; the shard reclaims the space on its own.
+// torn tail whose length or CRC cannot verify. Open replays a shard's
+// segments in order, cuts the first torn one at its last whole record and
+// drops the segments after it, so the recovered state is always a prefix
+// of the shard's history that includes everything up to the last
+// completed barrier. The shard count is pinned in a meta file at
+// creation, so a name's records always live in exactly one shard.
 type Disk struct {
 	dir           string
 	clk           clock.Clock
 	interval      time.Duration
 	blobThreshold int
 	shards        []*walShard
+	blobSeq       atomic.Uint64 // names blob files
 
-	lsnMu   sync.Mutex
-	nextLSN uint64
-
-	gmu         sync.Mutex
-	gcond       *sync.Cond
-	seqAppended uint64
-	seqSynced   uint64
-	commits     int64
-	commitErr   error
-	closed      bool
+	// Group commit: a barrier takes the next ticket and waits until the
+	// committer has finished a round that began after the ticket was
+	// taken, which therefore covers every record buffered before it.
+	gmu       sync.Mutex
+	gcond     *sync.Cond
+	requested uint64
+	committed uint64
+	commits   int64
+	commitErr error
+	closed    bool
 
 	kick chan struct{}
 	done chan struct{}
 	wg   sync.WaitGroup
+
+	fsyncs, rotations, unlinked, bytesAppended atomic.Int64
+
+	// ioHook, when a test sets it, is called before every fsync, rename
+	// and unlink with the operation's name, possibly from several
+	// goroutines at once.
+	ioHook func(op string)
 }
 
 // DiskOptions configures OpenDisk.
@@ -69,9 +82,9 @@ type DiskOptions struct {
 	// Dir is the directory holding the log and blob files; created if
 	// missing. Required.
 	Dir string
-	// Shards is the parallel WAL file count for a fresh directory.
-	// Defaults to 8. An existing directory keeps the count it was
-	// created with (recorded in its meta file); Shards is then ignored.
+	// Shards is the parallel WAL count for a fresh directory. Defaults
+	// to 8. An existing directory keeps the count it was created with
+	// (recorded in its meta file); Shards is then ignored.
 	Shards int
 	// FsyncInterval is the group-commit window: durable writes wait at
 	// most about this long while neighbouring writes pile into the same
@@ -85,46 +98,78 @@ type DiskOptions struct {
 	Clock clock.Clock
 }
 
-// WAL record format: u32 little-endian payload length, u32 CRC-32
-// (IEEE) of the payload, payload. Payload: one op byte, then uvarint
-// LSN, uvarint key length, key bytes, uvarint value length, value
-// bytes.
-const (
-	opPut    = 1 // value inline in the record
-	opBlob   = 2 // value bytes live in the named blob file
-	opDelete = 3 // tombstone; no value
-)
+// DiskStats are the backend's cumulative I/O counters and its current
+// segment population.
+type DiskStats struct {
+	// Fsyncs counts file and directory fsyncs: commit rounds, blob
+	// writes and the meta file.
+	Fsyncs int64 `json:"fsyncs"`
+	// Rotations counts segment files opened after a shard's first.
+	Rotations int64 `json:"rotations"`
+	// LiveSegments is the number of segment files currently on disk;
+	// UnlinkedSegments counts those removed since Open.
+	LiveSegments     int64 `json:"live_segments"`
+	UnlinkedSegments int64 `json:"unlinked_segments"`
+	// BytesAppended is the framed size of every record written,
+	// including the ones rotation carries forward.
+	BytesAppended int64 `json:"bytes_appended"`
+}
 
 const (
-	walRecordHeader  = 8
 	defaultShards    = 8
 	defaultBlobLimit = 4096
-	compactFloor     = 64 << 10
 	metaName         = "meta"
+	metaVersion      = "windar-wal v2"
+
+	// segmentBytes is how many bytes of records, beyond what rotation
+	// carried in, a head segment takes before the shard rotates.
+	segmentBytes = 1 << 20
+	// flushBytes is the write-buffer fill at which a shard hands its
+	// records to the kernel: one write per ~190 LU-line log items.
+	flushBytes = 64 << 10
+	// arenaBytes sizes the chunks cached stream entries are cut from.
+	arenaBytes = 64 << 10
 )
 
 var errClosed = errors.New("stable: disk backend is closed")
 
-// walEntry is one live key in a shard's index. The value bytes are
-// cached in memory (mirroring the sim backend's behaviour); the disk
-// copy exists so a restarted process can rebuild this cache.
-type walEntry struct {
-	val      []byte
-	blob     string // blob file name when the value lives out of line
-	lsn      uint64
-	recBytes int64 // on-disk footprint of the authoritative record
+// kvEntry is one live key in a shard's index. The value bytes are cached
+// in memory (mirroring the sim backend's behaviour); the disk copy
+// exists so a restarted process can rebuild this cache.
+type kvEntry struct {
+	val  []byte
+	blob string // blob file name when the value lives out of line
+}
+
+// segment is one file of a shard's log.
+type segment struct {
+	path string
+	live int // cached stream entries whose record is in this file
 }
 
 type walShard struct {
-	mu        sync.Mutex
-	path      string
-	f         *os.File
-	w         *bufio.Writer
-	index     map[string]*walEntry
-	liveBytes int64
-	deadBytes int64
-	dirty     bool
-	blobGC    []string // blob files to unlink once the next fsync lands
+	mu  sync.Mutex
+	id  int
+	f   *os.File // the head segment; nil once closed
+	buf []byte   // records not yet handed to the kernel
+
+	head      *segment
+	sealed    []*segment // older segments still on disk, oldest first
+	nextSeg   uint64
+	headBytes int64 // record bytes in the head, carried ones included
+	carried   int64 // of which rotation wrote
+
+	index   map[string]*kvEntry
+	streams streamSet
+	arena   []byte // tail of the chunk new stream entries are cached in
+
+	// Work for the next commit round, which takes it under mu and does
+	// it after unlocking.
+	dirty   bool
+	newFile bool       // a segment was created: the directory needs an fsync
+	retired []*os.File // rotated-out heads to fsync and close
+	emptied []*segment // segments to unlink once what emptied them is durable
+	blobGC  []string   // blob files to unlink on the same condition
 }
 
 // OpenDisk opens (creating or recovering) a disk backend rooted at
@@ -155,6 +200,7 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 	}
 	d.gcond = sync.NewCond(&d.gmu)
 	if err := d.recover(opts.Shards); err != nil {
+		d.closeFiles()
 		return nil, err
 	}
 	d.wg.Add(1)
@@ -168,108 +214,201 @@ func (d *Disk) Kind() string { return "disk" }
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// shardFor hashes the key's rank-scoped prefix (up to the second '/',
-// e.g. "slog/003") so one rank's log keys land in one WAL file — the
-// per-rank parallel log layout.
-func (d *Disk) shardFor(key string) *walShard {
-	scope := key
-	if i := strings.IndexByte(key, '/'); i >= 0 {
-		if j := strings.IndexByte(key[i+1:], '/'); j >= 0 {
-			scope = key[:i+1+j]
+// Stats reports the I/O counters and the segment population.
+func (d *Disk) Stats() DiskStats {
+	st := DiskStats{
+		Fsyncs:           d.fsyncs.Load(),
+		Rotations:        d.rotations.Load(),
+		UnlinkedSegments: d.unlinked.Load(),
+		BytesAppended:    d.bytesAppended.Load(),
+	}
+	for _, s := range d.shards {
+		s.mu.Lock()
+		st.LiveSegments += int64(len(s.sealed) + len(s.emptied))
+		if s.head != nil {
+			st.LiveSegments++
+		}
+		s.mu.Unlock()
+	}
+	return st
+}
+
+// shardFor hashes the name's rank-scoped prefix (up to the second '/',
+// e.g. "slog/003") so one rank's streams and keys land in one shard —
+// the per-rank parallel log layout.
+//
+//windar:hotpath
+func (d *Disk) shardFor(name string) *walShard {
+	scope := name
+	if i := strings.IndexByte(name, '/'); i >= 0 {
+		if j := strings.IndexByte(name[i+1:], '/'); j >= 0 {
+			scope = name[:i+1+j]
 		}
 	}
-	h := fnv.New32a()
-	h.Write([]byte(scope))
-	return d.shards[h.Sum32()%uint32(len(d.shards))]
-}
-
-func (d *Disk) allocLSN() uint64 {
-	d.lsnMu.Lock()
-	defer d.lsnMu.Unlock()
-	d.nextLSN++
-	return d.nextLSN
-}
-
-// encodeRecord appends the framed record for (op, lsn, key, val) to buf.
-func encodeRecord(buf []byte, op byte, lsn uint64, key string, val []byte) []byte {
-	payload := make([]byte, 0, 1+3*binary.MaxVarintLen64+len(key)+len(val))
-	payload = append(payload, op)
-	payload = binary.AppendUvarint(payload, lsn)
-	payload = binary.AppendUvarint(payload, uint64(len(key)))
-	payload = append(payload, key...)
-	payload = binary.AppendUvarint(payload, uint64(len(val)))
-	payload = append(payload, val...)
-	var hdr [walRecordHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
-
-// appendRecord writes a framed record to s's log and returns its size.
-// Caller holds s.mu.
-func (d *Disk) appendRecord(s *walShard, op byte, lsn uint64, key string, val []byte) (int64, error) {
-	rec := encodeRecord(nil, op, lsn, key, val)
-	if _, err := s.w.Write(rec); err != nil {
-		return 0, err
+	h := uint32(2166136261) // FNV-1a
+	for i := 0; i < len(scope); i++ {
+		h = (h ^ uint32(scope[i])) * 16777619
 	}
-	s.dirty = true
-	return int64(len(rec)), nil
+	return d.shards[h%uint32(len(d.shards))]
 }
 
-// put is the shared Put/PutLazy implementation.
-func (d *Disk) put(key string, data []byte, durable bool) error {
-	val := make([]byte, len(data))
-	copy(val, data)
-	lsn := d.allocLSN()
+// begin starts a record for (op, name) in the write buffer and returns
+// its offset; the caller appends the rest of the payload and calls end.
+// Caller holds s.mu.
+//
+//windar:hotpath
+func (s *walShard) begin(op byte, name string) int {
+	start := len(s.buf)
+	s.buf = appendRecordStart(s.buf, op, name) //windar:allow hotpath — the buffer keeps its capacity across flushes
+	return start
+}
 
-	op := byte(opPut)
-	recVal := val
+// end frames the record begun at start — the checksum is taken over the
+// payload where it lies — and hands the buffer to the kernel once it is
+// full. Caller holds s.mu.
+//
+//windar:hotpath
+func (d *Disk) end(s *walShard, start int) error {
+	sealRecord(s.buf[start:])
+	n := int64(len(s.buf) - start)
+	s.headBytes += n
+	s.dirty = true
+	d.bytesAppended.Add(n)
+	if len(s.buf) < flushBytes {
+		return nil
+	}
+	return s.flush()
+}
+
+// flush writes the buffered records to the head segment. Caller holds
+// s.mu.
+func (s *walShard) flush() error {
+	if len(s.buf) == 0 {
+		return nil
+	}
+	_, err := s.f.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
+
+// cache copies data into the shard's arena and returns the copy, so that
+// recovery inside this process reads no file. Chunks are shared by the
+// shard's streams and freed by the collector when no live entry points
+// into them.
+//
+//windar:hotpath
+func (s *walShard) cache(data []byte) []byte {
+	if cap(s.arena)-len(s.arena) < len(data) {
+		s.arena = make([]byte, 0, max(arenaBytes, len(data))) //windar:allow hotpath — amortised: one chunk per arenaBytes of entries
+	}
+	n := len(s.arena)
+	s.arena = append(s.arena, data...) //windar:allow hotpath — capacity was reserved above
+	return s.arena[n:len(s.arena):len(s.arena)]
+}
+
+// appendEntry is Put and PutLazy on a stream: one record in the buffer,
+// one cached entry, under the shard lock alone.
+//
+//windar:hotpath
+func (d *Disk) appendEntry(s *walShard, name string, data []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.f == nil {
+		return errClosed
+	}
+	st := s.streams.get(name) //windar:allow hotpath — once per stream, not per entry
+	seq := st.tail + 1
+	start := s.begin(opAppend, name)
+	s.buf = binary.AppendUvarint(s.buf, uint64(seq)) //windar:allow hotpath — the buffer keeps its capacity across flushes
+	s.buf = append(s.buf, data...)                   //windar:allow hotpath — the buffer keeps its capacity across flushes
+	if seq > st.lo {
+		st.push(seq, s.head, s.cache(data)) //windar:allow hotpath — amortised: the cache's next chunk
+	} else {
+		st.tail = seq
+	}
+	if err := d.end(s, start); err != nil {
+		return err
+	}
+	return d.maybeRotate(s)
+}
+
+// putKey is Put and PutLazy on a key.
+func (d *Disk) putKey(s *walShard, key string, data []byte) error {
 	blob := ""
-	if len(val) >= d.blobThreshold {
+	if len(data) >= d.blobThreshold {
 		// Out-of-line value: blob file first (temp, fsync, rename), WAL
 		// pointer second. A crash between the two leaves an orphan blob
 		// that the next Open garbage-collects.
-		blob = fmt.Sprintf("blob-%016x.bin", lsn)
-		if err := d.writeBlob(blob, val); err != nil {
+		blob = fmt.Sprintf("blob-%016x.bin", d.blobSeq.Add(1))
+		if err := d.publish(blob, data); err != nil {
 			return err
 		}
-		op = opBlob
-		recVal = []byte(blob)
 	}
-
-	s := d.shardFor(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.f == nil {
-		s.mu.Unlock()
 		return errClosed
 	}
-	n, err := d.appendRecord(s, op, lsn, key, recVal)
-	if err != nil {
-		s.mu.Unlock()
+	e := s.bind(key, blob)
+	e.val = append(e.val[:0], data...)
+	if err := d.logKey(s, key, e); err != nil {
 		return err
 	}
-	if old := s.index[key]; old != nil {
-		s.deadBytes += old.recBytes
-		s.liveBytes -= old.recBytes
-		if old.blob != "" {
-			s.blobGC = append(s.blobGC, old.blob)
-		}
+	return d.maybeRotate(s)
+}
+
+// logKey writes the record binding key to e: the value, or the name of
+// the blob file holding it. Caller holds s.mu.
+func (d *Disk) logKey(s *walShard, key string, e *kvEntry) error {
+	op, rest := byte(opPut), e.val
+	if e.blob != "" {
+		op, rest = opBlob, []byte(e.blob)
 	}
-	s.index[key] = &walEntry{val: val, blob: blob, lsn: lsn, recBytes: n}
-	s.liveBytes += n
-	err = d.maybeCompact(s)
-	s.mu.Unlock()
-	if err != nil {
+	start := s.begin(op, key)
+	s.buf = append(s.buf, rest...)
+	return d.end(s, start)
+}
+
+// bind returns key's index entry, created if absent, now naming blob as
+// its out-of-line file; a blob the entry named before is queued for
+// collection. Caller holds s.mu.
+func (s *walShard) bind(key, blob string) *kvEntry {
+	e := s.index[key]
+	if e == nil {
+		e = &kvEntry{}
+		s.index[key] = e
+	} else if e.blob != "" {
+		s.blobGC = append(s.blobGC, e.blob)
+	}
+	if blob != "" || e.blob != "" {
+		// A blob-backed value may be shared with the key it was renamed
+		// from, so it is never overwritten in place.
+		e.val = nil
+	}
+	e.blob = blob
+	return e
+}
+
+func (d *Disk) put(name string, data []byte, durable bool) error {
+	s := d.shardFor(name)
+	var err error
+	if IsStream(name) {
+		err = d.appendEntry(s, name, data)
+	} else {
+		err = d.putKey(s, name, data)
+	}
+	if err != nil || !durable {
 		return err
 	}
-	return d.await(d.noteAppend(), durable)
+	return d.Sync()
 }
 
 // Put implements Backend.
 func (d *Disk) Put(key string, data []byte) error { return d.put(key, data, true) }
 
 // PutLazy implements Backend.
+//
+//windar:hotpath
 func (d *Disk) PutLazy(key string, data []byte) error { return d.put(key, data, false) }
 
 // Get implements Backend.
@@ -290,54 +429,85 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 func (d *Disk) Delete(key string) error {
 	s := d.shardFor(key)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return d.unbind(s, key, true)
+}
+
+// unbind tombstones key if it is bound; collect says whether its blob,
+// if any, is garbage now (Rename passes false: the blob moved to the new
+// key). Caller holds s.mu.
+func (d *Disk) unbind(s *walShard, key string, collect bool) error {
 	if s.f == nil {
-		s.mu.Unlock()
 		return errClosed
 	}
 	e, ok := s.index[key]
 	if !ok {
-		s.mu.Unlock()
 		return nil
 	}
-	n, err := d.appendRecord(s, opDelete, d.allocLSN(), key, nil)
-	if err != nil {
-		s.mu.Unlock()
-		return err
-	}
 	delete(s.index, key)
-	s.liveBytes -= e.recBytes
-	s.deadBytes += e.recBytes + n
-	if e.blob != "" {
+	if collect && e.blob != "" {
 		s.blobGC = append(s.blobGC, e.blob)
 	}
-	err = d.maybeCompact(s)
-	s.mu.Unlock()
+	if err := d.end(s, s.begin(opDelete, key)); err != nil {
+		return err
+	}
+	return d.maybeRotate(s)
+}
+
+// Rename implements Backend as a record binding newKey to oldKey's value
+// followed by a tombstone on oldKey, the first durable before the second
+// is written. A blob-backed value is not rewritten: the new binding names
+// the blob file oldKey named. Crash atomicity: a crash leaves the old
+// binding, both bindings, or only the new one — never a torn value and
+// never neither. (It is not isolated: a concurrent reader can observe the
+// intermediate state.)
+func (d *Disk) Rename(oldKey, newKey string) error {
+	if IsStream(newKey) {
+		return errRenameToStream(newKey)
+	}
+	from, to := d.shardFor(oldKey), d.shardFor(newKey)
+	from.mu.Lock()
+	e, ok := from.index[oldKey]
+	var val []byte
+	var blob string
+	if ok {
+		val, blob = e.val, e.blob
+		if blob == "" {
+			val = append([]byte(nil), val...) // inline values are overwritten in place
+		}
+	}
+	from.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("stable: rename %q: no such key", oldKey)
+	}
+	if oldKey == newKey {
+		return d.Sync()
+	}
+
+	to.mu.Lock()
+	err := errClosed
+	if to.f != nil {
+		e := to.bind(newKey, blob)
+		e.val = val
+		if err = d.logKey(to, newKey, e); err == nil {
+			err = d.maybeRotate(to)
+		}
+	}
+	to.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	d.noteAppend()
-	return nil
-}
-
-// Rename implements Backend as a tombstone on oldKey plus a re-put of
-// the value at newKey, both covered by the closing durable barrier.
-// Crash atomicity: a crash leaves the old binding, both bindings, or
-// only the new one — never a torn value and never neither. (It is not
-// isolated: a concurrent reader can observe the intermediate state.)
-func (d *Disk) Rename(oldKey, newKey string) error {
-	old := d.shardFor(oldKey)
-	old.mu.Lock()
-	e, ok := old.index[oldKey]
-	if !ok {
-		old.mu.Unlock()
-		return fmt.Errorf("stable: rename %q: no such key", oldKey)
+	if from != to {
+		// The two records lie in different files, which a commit round
+		// syncs one after the other.
+		if err := d.Sync(); err != nil {
+			return err
+		}
 	}
-	val := e.val
-	old.mu.Unlock()
-	if err := d.put(newKey, val, false); err != nil {
-		return err
-	}
-	if err := d.Delete(oldKey); err != nil {
+	from.mu.Lock()
+	err = d.unbind(from, oldKey, false)
+	from.mu.Unlock()
+	if err != nil {
 		return err
 	}
 	return d.Sync()
@@ -369,6 +539,157 @@ func (d *Disk) Len() int {
 	return n
 }
 
+// Truncate implements Backend.
+func (d *Disk) Truncate(name string, upTo int64) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s := d.shardFor(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.streams.get(name)
+	if upTo <= st.lo {
+		return nil
+	}
+	st.trim(upTo, st.tail)
+	return d.logWindow(s, name, st)
+}
+
+// Rewind implements Backend.
+func (d *Disk) Rewind(name string, tail int64) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s := d.shardFor(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.streams.get(name)
+	if changed, err := st.rewind(name, tail); !changed {
+		return err
+	}
+	return d.logWindow(s, name, st)
+}
+
+// logWindow records st's just narrowed window — one record, whatever was
+// dropped — and queues the segments that emptied. Caller holds s.mu.
+func (d *Disk) logWindow(s *walShard, name string, st *stream) error {
+	if s.f == nil {
+		return errClosed
+	}
+	s.sweep()
+	start := s.begin(opTrim, name)
+	s.buf = appendWindow(s.buf, st.lo, st.tail)
+	if err := d.end(s, start); err != nil {
+		return err
+	}
+	return d.maybeRotate(s)
+}
+
+// sweep moves the sealed segments no live entry points at to the unlink
+// queue. Caller holds s.mu.
+func (s *walShard) sweep() {
+	kept := s.sealed[:0]
+	for _, seg := range s.sealed {
+		if seg.live == 0 {
+			s.emptied = append(s.emptied, seg)
+		} else {
+			kept = append(kept, seg)
+		}
+	}
+	clear(s.sealed[len(kept):])
+	s.sealed = kept
+}
+
+// Scan implements Backend.
+func (d *Disk) Scan(name string, fn func(seq int64, data []byte) error) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s := d.shardFor(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.streams[name]; st != nil {
+		return st.scan(fn)
+	}
+	return nil
+}
+
+// maybeRotate starts a new head segment once the current one has taken
+// segmentBytes of records beyond what it was opened with — or, if more
+// than that was carried in, as much again, so that carrying stays under
+// half of all bytes written. Caller holds s.mu.
+//
+//windar:hotpath
+func (d *Disk) maybeRotate(s *walShard) error {
+	if s.headBytes-s.carried < max(segmentBytes, s.carried) {
+		return nil
+	}
+	return d.rotate(s)
+}
+
+// rotate seals the head and opens the next segment with everything that
+// is not a stream entry: every live key record and every stream's window.
+// From then on the older segments are needed only for their live entries.
+// The sealed file stays open until the committer has fsynced it. Caller
+// holds s.mu; nothing here waits for the disk.
+func (d *Disk) rotate(s *walShard) error {
+	if s.f != nil {
+		if err := s.flush(); err != nil {
+			return err
+		}
+		s.retired = append(s.retired, s.f)
+		s.sealed = append(s.sealed, s.head)
+		d.rotations.Add(1)
+	}
+	seg := &segment{path: filepath.Join(d.dir, segmentName(s.id, s.nextSeg))}
+	s.nextSeg++
+	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
+	if err != nil {
+		s.f = nil
+		return err
+	}
+	s.f, s.head = f, seg
+	s.dirty, s.newFile = true, true
+	s.headBytes = 0
+	start := s.begin(opCarry, "")
+	s.buf = binary.AppendUvarint(s.buf, uint64(len(s.index)))
+	if err := d.end(s, start); err != nil {
+		return err
+	}
+	for key, e := range s.index {
+		if err := d.logKey(s, key, e); err != nil {
+			return err
+		}
+	}
+	for name, st := range s.streams {
+		start := s.begin(opTrim, name)
+		s.buf = appendWindow(s.buf, st.lo, st.tail)
+		if err := d.end(s, start); err != nil {
+			return err
+		}
+	}
+	s.carried = s.headBytes
+	s.sweep()
+	return nil
+}
+
+func segmentName(shard int, n uint64) string {
+	return fmt.Sprintf("wal-%03d-%010d.seg", shard, n)
+}
+
+// parseSegmentName is segmentName's inverse.
+func parseSegmentName(base string) (shard int, n uint64, ok bool) {
+	rest, found := strings.CutPrefix(base, "wal-")
+	rest, isSeg := strings.CutSuffix(rest, ".seg")
+	a, b, dash := strings.Cut(rest, "-")
+	if !found || !isSeg || !dash {
+		return 0, 0, false
+	}
+	shard, err1 := strconv.Atoi(a)
+	n, err2 := strconv.ParseUint(b, 10, 64)
+	return shard, n, err1 == nil && err2 == nil && shard >= 0
+}
+
 // Commits returns how many group-commit fsync rounds have run.
 func (d *Disk) Commits() int64 {
 	d.gmu.Lock()
@@ -376,56 +697,33 @@ func (d *Disk) Commits() int64 {
 	return d.commits
 }
 
-// noteAppend counts a new record into the group-commit sequence and
-// wakes the committer; it returns the sequence number to wait on.
-func (d *Disk) noteAppend() uint64 {
+// Sync implements Backend: the group-commit barrier. It blocks until the
+// committer has completed a round that started after the call, and
+// surfaces a failed round's error to every later barrier.
+func (d *Disk) Sync() error {
 	d.gmu.Lock()
-	d.seqAppended++
-	seq := d.seqAppended
-	d.gmu.Unlock()
+	defer d.gmu.Unlock()
+	d.requested++
+	ticket := d.requested
 	select {
 	case d.kick <- struct{}{}:
 	default:
 	}
-	return seq
-}
-
-// await blocks until the committer has made seq durable (when durable),
-// surfacing any sticky commit error either way.
-func (d *Disk) await(seq uint64, durable bool) error {
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	if !durable {
-		return d.commitErr
-	}
-	for d.seqSynced < seq && d.commitErr == nil && !d.closed {
+	for d.committed < ticket && d.commitErr == nil && !d.closed {
 		d.gcond.Wait()
 	}
 	if d.commitErr != nil {
 		return d.commitErr
 	}
-	if d.seqSynced < seq {
+	if d.committed < ticket {
 		return errClosed
 	}
 	return nil
 }
 
-// Sync implements Backend: the group-commit barrier.
-func (d *Disk) Sync() error {
-	d.gmu.Lock()
-	seq := d.seqAppended
-	d.gmu.Unlock()
-	select {
-	case d.kick <- struct{}{}:
-	default:
-	}
-	return d.await(seq, true)
-}
-
-// committer is the group-commit loop: it parks until a write kicks it,
+// committer is the group-commit loop: it parks until a barrier kicks it,
 // optionally lingers one FsyncInterval so neighbouring writes join the
-// batch, then flushes and fsyncs every dirty shard and releases the
-// waiters.
+// batch, then commits every dirty shard and releases the waiters.
 func (d *Disk) committer() {
 	defer d.wg.Done()
 	for {
@@ -445,50 +743,83 @@ func (d *Disk) committer() {
 	}
 }
 
-// commit flushes and fsyncs every dirty shard, advances the synced
-// sequence, and unlinks blob files whose replacing records just became
-// durable.
+// commit makes every record buffered so far durable. First, per dirty
+// shard and under its lock, it flushes the buffer and takes the shard's
+// pending work. Then — holding no lock, and all shards at once, so that a
+// barrier waits for the slowest file rather than for their sum — it
+// fsyncs the shards' files, and finally it unlinks the segments and blobs
+// whose superseding records this round covered. Only the committer
+// goroutine (and Open, before it starts) runs it.
 func (d *Disk) commit() {
 	d.gmu.Lock()
-	target := d.seqAppended
+	ticket := d.requested
 	d.gmu.Unlock()
 
-	var firstErr error
-	var gc []string
+	type shardFiles struct {
+		head    *os.File
+		retired []*os.File
+		err     error
+	}
+	var work []*shardFiles
+	var unlink []string
+	newFile := false
 	for _, s := range d.shards {
 		s.mu.Lock()
 		if s.f == nil || !s.dirty {
 			s.mu.Unlock()
 			continue
 		}
-		err := s.w.Flush()
-		if err == nil {
-			err = s.f.Sync()
+		work = append(work, &shardFiles{head: s.f, retired: s.retired, err: s.flush()})
+		for _, seg := range s.emptied {
+			unlink = append(unlink, seg.path)
 		}
-		if err == nil {
-			s.dirty = false
-			gc = append(gc, s.blobGC...)
-			s.blobGC = nil
-		} else if firstErr == nil {
-			firstErr = err
+		for _, name := range s.blobGC {
+			unlink = append(unlink, filepath.Join(d.dir, name))
 		}
+		newFile = newFile || s.newFile
+		s.retired, s.emptied, s.blobGC = nil, nil, nil
+		s.dirty, s.newFile = false, false
 		s.mu.Unlock()
 	}
 
-	d.gmu.Lock()
-	if firstErr != nil && d.commitErr == nil {
-		d.commitErr = firstErr
+	var syncs sync.WaitGroup
+	for _, w := range work {
+		syncs.Add(1)
+		go func(w *shardFiles) {
+			defer syncs.Done()
+			for _, f := range w.retired {
+				w.err = errors.Join(w.err, d.fsync(f), f.Close())
+			}
+			w.err = errors.Join(w.err, d.fsync(w.head))
+		}(w)
 	}
-	if firstErr == nil && target > d.seqSynced {
-		d.seqSynced = target
+	syncs.Wait()
+	var err error
+	for _, w := range work {
+		err = errors.Join(err, w.err)
+	}
+	if newFile {
+		err = errors.Join(err, d.syncDir())
+	}
+	if err == nil {
+		for _, p := range unlink {
+			d.hook("unlink")
+			if os.Remove(p) == nil && strings.HasSuffix(p, ".seg") {
+				d.unlinked.Add(1)
+			}
+		}
+	}
+
+	d.gmu.Lock()
+	if err != nil && d.commitErr == nil {
+		d.commitErr = err
+	}
+	if err == nil {
+		d.committed = ticket
 	}
 	d.commits++
 	d.gcond.Broadcast()
 	d.gmu.Unlock()
-
-	for _, name := range gc {
-		os.Remove(filepath.Join(d.dir, name))
-	}
 }
 
 // Close implements Backend: final commit, then release the files.
@@ -501,38 +832,67 @@ func (d *Disk) Close() error {
 	d.closed = true
 	d.gmu.Unlock()
 	close(d.done)
-	d.wg.Wait()
+	d.wg.Wait() // the committer's last round flushed and fsynced everything
 
-	var firstErr error
-	for _, s := range d.shards {
-		s.mu.Lock()
-		if s.f != nil {
-			if err := s.w.Flush(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := s.f.Sync(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if err := s.f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			s.f = nil
-			s.w = nil
-		}
-		s.mu.Unlock()
-	}
+	err := d.closeFiles()
 	d.gmu.Lock()
 	if d.commitErr == nil {
 		d.commitErr = errClosed
+	} else if err == nil && d.commitErr != errClosed {
+		err = d.commitErr
 	}
 	d.gcond.Broadcast()
 	d.gmu.Unlock()
-	return firstErr
+	return err
 }
 
-// writeBlob writes a standalone value file crash-atomically: temp file,
-// fsync, rename into place, fsync the directory.
-func (d *Disk) writeBlob(name string, data []byte) error {
+// closeFiles flushes and closes every shard's files; used by Close and by
+// a failed Open.
+func (d *Disk) closeFiles() error {
+	var err error
+	for _, s := range d.shards {
+		s.mu.Lock()
+		files := s.retired
+		if s.f != nil {
+			err = errors.Join(err, s.flush())
+			files = append(files, s.f)
+		}
+		for _, f := range files {
+			// The fsync covers records a writer slipped in behind the last
+			// commit round.
+			err = errors.Join(err, d.fsync(f), f.Close())
+		}
+		s.f, s.retired = nil, nil
+		s.mu.Unlock()
+	}
+	return err
+}
+
+func (d *Disk) hook(op string) {
+	if d.ioHook != nil {
+		d.ioHook(op)
+	}
+}
+
+func (d *Disk) fsync(f *os.File) error {
+	d.hook("fsync")
+	d.fsyncs.Add(1)
+	return f.Sync()
+}
+
+func (d *Disk) syncDir() error {
+	f, err := os.Open(d.dir)
+	if err != nil {
+		return err
+	}
+	err = d.fsync(f)
+	f.Close()
+	return err
+}
+
+// publish writes a standalone file crash-atomically: temp file, fsync,
+// rename into place, fsync the directory.
+func (d *Disk) publish(name string, data []byte) error {
 	tmp := filepath.Join(d.dir, "tmp-"+name)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
 	if err != nil {
@@ -542,112 +902,23 @@ func (d *Disk) writeBlob(name string, data []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := d.fsync(f); err != nil {
 		f.Close()
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
+	d.hook("rename")
 	if err := os.Rename(tmp, filepath.Join(d.dir, name)); err != nil {
 		return err
 	}
-	return syncDir(d.dir)
-}
-
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = f.Sync()
-	f.Close()
-	return err
-}
-
-// maybeCompact rewrites s's log from its live index when the dead bytes
-// dominate: fresh temp file, fsync, atomic rename over the log. Caller
-// holds s.mu. Other shards keep appending throughout — compaction
-// stalls only the one file. The pinned shard count guarantees every
-// record for this shard's keys lives in this file, so dropping the old
-// file can never lose another shard's state.
-func (d *Disk) maybeCompact(s *walShard) error {
-	if s.deadBytes < compactFloor || s.deadBytes < s.liveBytes {
-		return nil
-	}
-	return d.compactLocked(s)
-}
-
-func (d *Disk) compactLocked(s *walShard) error {
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	keys := make([]string, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var live int64
-	for _, k := range keys {
-		e := s.index[k]
-		op := byte(opPut)
-		val := e.val
-		if e.blob != "" {
-			op = opBlob
-			val = []byte(e.blob)
-		}
-		rec := encodeRecord(nil, op, e.lsn, k, val)
-		if _, err := w.Write(rec); err != nil {
-			f.Close()
-			return err
-		}
-		e.recBytes = int64(len(rec))
-		live += e.recBytes
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(d.dir); err != nil {
-		f.Close()
-		return err
-	}
-	// The compacted file replaces the log. Any bytes still buffered in
-	// the old writer describe index state we just rewrote, so both the
-	// buffer and the old handle are dropped.
-	s.f.Close()
-	s.f = f
-	s.w = bufio.NewWriter(f)
-	s.liveBytes = live
-	s.deadBytes = 0
-	s.dirty = false
-	return nil
-}
-
-// walRecord is one decoded record during replay.
-type walRecord struct {
-	op  byte
-	lsn uint64
-	key string
-	val []byte
-	n   int64 // framed size on disk
+	return d.syncDir()
 }
 
 // recover reads (or pins) the shard count from the meta file, replays
-// every shard's WAL in record order (truncating torn tails), rebuilds
-// the in-memory indexes, and garbage-collects temp files and orphan
-// blobs.
+// every shard's segments, rebuilds the in-memory state, garbage-collects
+// temp files and orphan blobs, and opens a fresh head segment per shard.
 func (d *Disk) recover(wantShards int) error {
 	nShards, err := d.loadOrInitMeta(wantShards)
 	if err != nil {
@@ -656,8 +927,10 @@ func (d *Disk) recover(wantShards int) error {
 	d.shards = make([]*walShard, nShards)
 	for i := range d.shards {
 		d.shards[i] = &walShard{
-			path:  filepath.Join(d.dir, fmt.Sprintf("wal-%03d.log", i)),
-			index: make(map[string]*walEntry),
+			id:      i,
+			buf:     make([]byte, 0, flushBytes+4096),
+			index:   make(map[string]*kvEntry),
+			streams: make(streamSet),
 		}
 	}
 
@@ -665,94 +938,131 @@ func (d *Disk) recover(wantShards int) error {
 	if err != nil {
 		return err
 	}
-	for _, p := range names {
+	var blobs []string
+	for _, p := range names { // Glob sorts, so each shard's segments come oldest first
 		base := filepath.Base(p)
-		if strings.HasPrefix(base, "tmp-") || strings.HasSuffix(base, ".tmp") {
+		switch {
+		case strings.HasPrefix(base, "tmp-") || strings.HasSuffix(base, ".tmp"):
 			os.Remove(p)
+		case strings.HasPrefix(base, "blob-"):
+			blobs = append(blobs, base)
+			if n, err := strconv.ParseUint(strings.TrimSuffix(base[len("blob-"):], ".bin"), 16, 64); err == nil && n > d.blobSeq.Load() {
+				d.blobSeq.Store(n)
+			}
+		default:
+			if shard, n, ok := parseSegmentName(base); ok && shard < nShards {
+				s := d.shards[shard]
+				s.sealed = append(s.sealed, &segment{path: p})
+				s.nextSeg = n + 1
+			}
 		}
 	}
 
 	referenced := map[string]bool{}
-	var maxLSN uint64
 	for _, s := range d.shards {
-		recs, err := replayFile(s.path)
-		if err != nil {
+		if err := s.replay(); err != nil {
 			return err
 		}
-		for _, r := range recs {
-			if r.lsn > maxLSN {
-				maxLSN = r.lsn
+		for key, e := range s.index {
+			if e.blob == "" {
+				continue
 			}
-			old := s.index[r.key]
-			switch r.op {
-			case opDelete:
-				if old != nil {
-					delete(s.index, r.key)
-					s.liveBytes -= old.recBytes
-				}
-			case opPut:
-				s.index[r.key] = &walEntry{val: r.val, lsn: r.lsn, recBytes: r.n}
-				if old != nil {
-					s.liveBytes -= old.recBytes
-				}
-				s.liveBytes += r.n
-			case opBlob:
-				blob := string(r.val)
-				data, err := os.ReadFile(filepath.Join(d.dir, blob))
-				if err != nil {
-					// The record promises the blob exists (it is written
-					// and fsynced first); a missing file means outside
-					// interference. Drop the key rather than fail the
-					// open.
-					if old != nil {
-						delete(s.index, r.key)
-						s.liveBytes -= old.recBytes
-					}
-					continue
-				}
-				s.index[r.key] = &walEntry{val: data, blob: blob, lsn: r.lsn, recBytes: r.n}
-				if old != nil {
-					s.liveBytes -= old.recBytes
-				}
-				s.liveBytes += r.n
+			data, err := os.ReadFile(filepath.Join(d.dir, e.blob))
+			if err != nil {
+				// The record promises the blob exists (it is written and
+				// fsynced first); a missing file means outside
+				// interference. Drop the key rather than fail the open.
+				delete(s.index, key)
+				continue
 			}
-		}
-		for _, e := range s.index {
-			if e.blob != "" {
-				referenced[e.blob] = true
-			}
+			e.val = data
+			referenced[e.blob] = true
 		}
 	}
-	d.nextLSN = maxLSN
-
-	for _, p := range names {
-		base := filepath.Base(p)
-		if strings.HasPrefix(base, "blob-") && !referenced[base] {
-			os.Remove(p)
+	for _, base := range blobs {
+		if !referenced[base] {
+			os.Remove(filepath.Join(d.dir, base))
 		}
 	}
 
-	// Open the shard files for appending; the gap between the file size
-	// and the live bytes is dead weight for the compaction heuristic.
+	// A fresh head per shard restates what the replayed segments said, so
+	// those are kept only for their live entries; the commit makes the
+	// heads durable and unlinks the rest.
 	for _, s := range d.shards {
-		f, err := os.OpenFile(s.path, os.O_CREATE|os.O_RDWR, 0o666)
+		if err := d.rotate(s); err != nil {
+			return err
+		}
+	}
+	d.commit()
+	return d.commitErr
+}
+
+// replay rebuilds s's index and streams from its segment files, oldest
+// first. The first segment with a torn or corrupt record is cut at its
+// last whole record and every later segment is removed: what they hold
+// was written after the torn bytes, so after the last completed barrier.
+func (s *walShard) replay() error {
+	// A segment's opening restatement of the keys replaces the index only
+	// once all of it has been read: staged collects it until then.
+	var staged map[string]*kvEntry
+	pending := int64(0)
+	apply := func(seg *segment, r walRecord) {
+		if pending > 0 && r.op != opPut && r.op != opBlob {
+			staged, pending = nil, 0 // not a restatement this build wrote: ignore its header
+		}
+		switch r.op {
+		case opCarry:
+			staged, pending = make(map[string]*kvEntry), r.a
+		case opPut, opBlob:
+			e := &kvEntry{}
+			if r.op == opPut {
+				e.val = append(e.val, r.rest...)
+			} else {
+				e.blob = string(r.rest)
+			}
+			if pending == 0 {
+				s.index[string(r.name)] = e
+				return
+			}
+			staged[string(r.name)] = e
+			pending--
+		case opDelete:
+			delete(s.index, string(r.name))
+		case opAppend:
+			st := s.streams[string(r.name)] // a lookup converts without allocating
+			if st == nil {
+				st = s.streams.get(string(r.name))
+			}
+			if st.push(r.a, seg, nil) {
+				st.entries[len(st.entries)-1].data = s.cache(r.rest)
+			}
+		case opTrim:
+			s.streams.get(string(r.name)).trim(r.a, r.b)
+		}
+		if pending == 0 && staged != nil {
+			s.index, staged = staged, nil
+		}
+	}
+	for i, seg := range s.sealed {
+		data, err := os.ReadFile(seg.path)
 		if err != nil {
 			return err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
+		staged, pending = nil, 0 // a restatement never spans segments
+		good := replayRecords(data, func(r walRecord) { apply(seg, r) })
+		if good == len(data) {
+			continue
+		}
+		if err := os.Truncate(seg.path, int64(good)); err != nil {
 			return err
 		}
-		if _, err := f.Seek(0, 2); err != nil {
-			f.Close()
-			return err
+		for _, later := range s.sealed[i+1:] {
+			if err := os.Remove(later.path); err != nil {
+				return err
+			}
 		}
-		if dead := st.Size() - s.liveBytes; dead > 0 {
-			s.deadBytes = dead
-		}
-		s.f = f
-		s.w = bufio.NewWriter(f)
+		s.sealed = s.sealed[:i+1]
+		break
 	}
 	return nil
 }
@@ -763,9 +1073,13 @@ func (d *Disk) loadOrInitMeta(wantShards int) (int, error) {
 	path := filepath.Join(d.dir, metaName)
 	data, err := os.ReadFile(path)
 	if err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if rest, ok := strings.CutPrefix(line, "shards "); ok {
-				n, err := strconv.Atoi(strings.TrimSpace(rest))
+		version, rest, _ := strings.Cut(string(data), "\n")
+		if version != metaVersion {
+			return 0, fmt.Errorf("stable: %s holds a %q directory; this build reads only %q — remove the directory to start afresh", d.dir, version, metaVersion)
+		}
+		for _, line := range strings.Split(rest, "\n") {
+			if count, ok := strings.CutPrefix(line, "shards "); ok {
+				n, err := strconv.Atoi(strings.TrimSpace(count))
 				if err != nil || n <= 0 {
 					return 0, fmt.Errorf("stable: corrupt meta file %s: %q", path, line)
 				}
@@ -777,89 +1091,9 @@ func (d *Disk) loadOrInitMeta(wantShards int) (int, error) {
 	if !os.IsNotExist(err) {
 		return 0, err
 	}
-	body := fmt.Sprintf("windar-wal v1\nshards %d\n", wantShards)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, []byte(body), 0o666); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return 0, err
-	}
-	if err := syncDir(d.dir); err != nil {
+	body := fmt.Sprintf("%s\nshards %d\n", metaVersion, wantShards)
+	if err := d.publish(metaName, []byte(body)); err != nil {
 		return 0, err
 	}
 	return wantShards, nil
-}
-
-// replayFile reads p's records in order, truncating the file at the
-// first torn or corrupt record (the crash-atomicity contract: a record
-// either verifies whole or never happened). A missing file replays
-// empty.
-func replayFile(p string) ([]walRecord, error) {
-	data, err := os.ReadFile(p)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var recs []walRecord
-	off := 0
-	good := 0
-	for off+walRecordHeader <= len(data) {
-		plen := int(binary.LittleEndian.Uint32(data[off : off+4]))
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if plen <= 0 || off+walRecordHeader+plen > len(data) {
-			break
-		}
-		payload := data[off+walRecordHeader : off+walRecordHeader+plen]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		r, ok := decodePayload(payload)
-		if !ok {
-			break
-		}
-		r.n = int64(walRecordHeader + plen)
-		recs = append(recs, r)
-		off += walRecordHeader + plen
-		good = off
-	}
-	if good < len(data) {
-		if err := os.Truncate(p, int64(good)); err != nil {
-			return nil, err
-		}
-	}
-	return recs, nil
-}
-
-func decodePayload(p []byte) (walRecord, bool) {
-	var r walRecord
-	if len(p) < 1 {
-		return r, false
-	}
-	r.op = p[0]
-	if r.op != opPut && r.op != opBlob && r.op != opDelete {
-		return r, false
-	}
-	rest := p[1:]
-	lsn, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return r, false
-	}
-	rest = rest[n:]
-	klen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest[n:])) < klen {
-		return r, false
-	}
-	rest = rest[n:]
-	r.lsn = lsn
-	r.key = string(rest[:klen])
-	rest = rest[klen:]
-	vlen, n := binary.Uvarint(rest)
-	if n <= 0 || uint64(len(rest[n:])) != vlen {
-		return r, false
-	}
-	r.val = append([]byte(nil), rest[n:]...)
-	return r, true
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 )
 
-// Sim is the simulated in-memory backend: a plain map whose contents
+// Sim is the simulated in-memory backend: plain maps whose contents
 // survive simulated rank failures (only volatile rank state is dropped
 // on a goroutine kill) but not death of the hosting process. Every
 // mutation is trivially atomic and immediately "durable" within that
@@ -14,11 +14,12 @@ import (
 type Sim struct {
 	mu      sync.Mutex
 	objects map[string][]byte
+	streams streamSet
 }
 
 // NewSim returns an empty simulated backend.
 func NewSim() *Sim {
-	return &Sim{objects: make(map[string][]byte)}
+	return &Sim{objects: make(map[string][]byte), streams: make(streamSet)}
 }
 
 // Kind implements Backend.
@@ -29,7 +30,12 @@ func (s *Sim) Put(key string, data []byte) error {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.mu.Lock()
-	s.objects[key] = cp
+	if IsStream(key) {
+		st := s.streams.get(key)
+		st.push(st.tail+1, nil, cp)
+	} else {
+		s.objects[key] = cp
+	}
 	s.mu.Unlock()
 	return nil
 }
@@ -60,6 +66,9 @@ func (s *Sim) Delete(key string) error {
 
 // Rename implements Backend.
 func (s *Sim) Rename(oldKey, newKey string) error {
+	if IsStream(newKey) {
+		return errRenameToStream(newKey)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v, ok := s.objects[oldKey]
@@ -89,6 +98,42 @@ func (s *Sim) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.objects)
+}
+
+// Truncate implements Backend.
+func (s *Sim) Truncate(name string, upTo int64) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.streams.get(name)
+	st.trim(upTo, st.tail)
+	return nil
+}
+
+// Rewind implements Backend.
+func (s *Sim) Rewind(name string, tail int64) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := s.streams.get(name).rewind(name, tail)
+	return err
+}
+
+// Scan implements Backend.
+func (s *Sim) Scan(name string, fn func(seq int64, data []byte) error) error {
+	if err := checkStream(name); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if st := s.streams[name]; st != nil {
+		return st.scan(fn)
+	}
+	return nil
 }
 
 // Sync implements Backend; in-memory writes are already "durable".

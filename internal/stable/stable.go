@@ -17,13 +17,18 @@ package stable
 
 import (
 	"sort"
-	"sync"
+	"strings"
+	"sync/atomic"
 	"time"
 
 	"windar/internal/clock"
 )
 
-// Backend is a pluggable durable key/value medium.
+// Backend is a pluggable durable medium holding two kinds of object:
+// keys, each bound to one value, and streams, each a FIFO of numbered
+// entries that is appended at the tail and released as a prefix (the
+// shape of a sender log). A name ending in '/' names a stream, any
+// other name a key; the two namespaces do not overlap.
 //
 // Contract:
 //
@@ -41,6 +46,15 @@ import (
 //   - Sync is the group-commit barrier: when it returns, every mutation
 //     that returned before Sync was called is durable.
 //   - Get and Keys observe all completed mutations, durable or not.
+//
+// Streams: Put and PutLazy on a stream name append data as the entry
+// numbered one past the stream's tail (the first entry of a fresh stream
+// is 1) instead of replacing a value. Truncate releases a prefix and
+// Rewind discards a suffix and repositions the tail; both are lazy like
+// Delete, and each costs one log record however many entries it drops.
+// An entry appended at or below the truncation point is dead on arrival.
+// Scan reads the live entries back in order. Get, Delete, Rename, Keys
+// and Len see keys only.
 //
 // All methods are safe for concurrent use.
 type Backend interface {
@@ -63,16 +77,33 @@ type Backend interface {
 	Keys(prefix string) []string
 	// Len returns the number of stored keys.
 	Len() int
+	// Truncate releases every entry of stream numbered upTo or below;
+	// durable at next Sync. Releasing an already released prefix is a
+	// no-op; upTo may lie past the tail.
+	Truncate(stream string, upTo int64) error
+	// Rewind discards every entry of stream numbered above tail and makes
+	// tail the number the next append counts on from; durable at next
+	// Sync. Rewinding to beyond the current tail is an error. A rank that
+	// rolls back to a checkpoint rewinds its streams to the checkpoint's
+	// send frontier before it re-executes the sends.
+	Rewind(stream string, tail int64) error
+	// Scan calls fn for every live entry of stream in ascending order and
+	// stops at fn's first error, which it returns. data is only valid
+	// during the call, and fn must not call back into the backend.
+	Scan(stream string, fn func(seq int64, data []byte) error) error
 	// Sync flushes: on return every prior mutation is durable.
 	Sync() error
 	// Close flushes and releases resources. Idempotent.
 	Close() error
 }
 
+// IsStream reports whether name names a stream rather than a key.
+func IsStream(name string) bool { return strings.HasSuffix(name, "/") }
+
 // Stats reports a Store's cumulative usage counters. Writes counts
-// Put+PutLazy+Rename, Deletes counts Delete (charged like a write since
-// a real log must durably record the tombstone), Syncs counts explicit
-// Sync barriers.
+// Put+PutLazy+Rename, Deletes counts Delete+Truncate+Rewind (charged like
+// a write since a real log must durably record the tombstone), Syncs
+// counts explicit Sync barriers.
 type Stats struct {
 	Writes       int64
 	Reads        int64
@@ -89,8 +120,7 @@ type Store struct {
 	readLatency  time.Duration
 	backend      Backend
 
-	mu    sync.Mutex
-	stats Stats
+	writes, reads, deletes, syncs, bytesWritten atomic.Int64
 }
 
 // Options configures a Store.
@@ -136,39 +166,40 @@ func (s *Store) chargeWrite() {
 	}
 }
 
+func (s *Store) chargeRead() {
+	if s.readLatency > 0 {
+		s.clk.Sleep(s.readLatency)
+	}
+}
+
 // Put durably stores data under key, overwriting any previous value.
 // The stored bytes are copied, so the caller may reuse its buffer.
 func (s *Store) Put(key string, data []byte) error {
 	s.chargeWrite()
 	err := s.backend.Put(key, data)
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(len(data))
-	s.mu.Unlock()
+	s.writes.Add(1)
+	s.bytesWritten.Add(int64(len(data)))
 	return err
 }
 
-// PutLazy stores data under key without waiting for durability (or
-// charging write latency): the write is durable at the next Sync, Put,
-// or Rename. Hot paths use it for log appends that a checkpoint's Sync
-// barrier later makes durable in one batch.
+// PutLazy stores data under key — or appends it to the stream key names
+// — without waiting for durability (or charging write latency): the
+// write is durable at the next Sync, Put, or Rename. Hot paths use it
+// for log appends that a checkpoint's Sync barrier later makes durable
+// in one batch.
+//
+//windar:hotpath
 func (s *Store) PutLazy(key string, data []byte) error {
 	err := s.backend.PutLazy(key, data)
-	s.mu.Lock()
-	s.stats.Writes++
-	s.stats.BytesWritten += int64(len(data))
-	s.mu.Unlock()
+	s.writes.Add(1)
+	s.bytesWritten.Add(int64(len(data)))
 	return err
 }
 
 // Get returns a copy of the value stored under key.
 func (s *Store) Get(key string) ([]byte, bool) {
-	if s.readLatency > 0 {
-		s.clk.Sleep(s.readLatency)
-	}
-	s.mu.Lock()
-	s.stats.Reads++
-	s.mu.Unlock()
+	s.chargeRead()
+	s.reads.Add(1)
 	return s.backend.Get(key)
 }
 
@@ -178,19 +209,42 @@ func (s *Store) Get(key string) ([]byte, bool) {
 func (s *Store) Delete(key string) error {
 	s.chargeWrite()
 	err := s.backend.Delete(key)
-	s.mu.Lock()
-	s.stats.Deletes++
-	s.mu.Unlock()
+	s.deletes.Add(1)
 	return err
+}
+
+// Truncate releases stream's entries numbered upTo or below. Like Delete
+// it pays the write latency once and is counted once, however many
+// entries it releases.
+func (s *Store) Truncate(stream string, upTo int64) error {
+	s.chargeWrite()
+	err := s.backend.Truncate(stream, upTo)
+	s.deletes.Add(1)
+	return err
+}
+
+// Rewind discards stream's entries numbered above tail and repositions
+// the stream there; charged and counted like Truncate.
+func (s *Store) Rewind(stream string, tail int64) error {
+	s.chargeWrite()
+	err := s.backend.Rewind(stream, tail)
+	s.deletes.Add(1)
+	return err
+}
+
+// Scan reads stream's live entries in order, paying the read latency
+// once.
+func (s *Store) Scan(stream string, fn func(seq int64, data []byte) error) error {
+	s.chargeRead()
+	s.reads.Add(1)
+	return s.backend.Scan(stream, fn)
 }
 
 // Rename atomically and durably moves oldKey to newKey.
 func (s *Store) Rename(oldKey, newKey string) error {
 	s.chargeWrite()
 	err := s.backend.Rename(oldKey, newKey)
-	s.mu.Lock()
-	s.stats.Writes++
-	s.mu.Unlock()
+	s.writes.Add(1)
 	return err
 }
 
@@ -202,9 +256,7 @@ func (s *Store) Keys(prefix string) []string { return s.backend.Keys(prefix) }
 func (s *Store) Sync() error {
 	s.chargeWrite()
 	err := s.backend.Sync()
-	s.mu.Lock()
-	s.stats.Syncs++
-	s.mu.Unlock()
+	s.syncs.Add(1)
 	return err
 }
 
@@ -213,9 +265,13 @@ func (s *Store) Close() error { return s.backend.Close() }
 
 // Stats reports cumulative usage counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Writes:       s.writes.Load(),
+		Reads:        s.reads.Load(),
+		Deletes:      s.deletes.Load(),
+		Syncs:        s.syncs.Load(),
+		BytesWritten: s.bytesWritten.Load(),
+	}
 }
 
 // Len returns the number of stored objects.

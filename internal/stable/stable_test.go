@@ -97,6 +97,21 @@ func TestStats(t *testing.T) {
 	}
 }
 
+func TestStreamOpsCounted(t *testing.T) {
+	// A release is one durable mutation however many entries it drops.
+	s := newTestStore()
+	for i := 0; i < 5; i++ {
+		s.PutLazy("log/0/", make([]byte, 3))
+	}
+	s.Truncate("log/0/", 4)
+	s.Rewind("log/0/", 4)
+	n := 0
+	s.Scan("log/0/", func(int64, []byte) error { n++; return nil })
+	if st := s.Stats(); n != 0 || st.Writes != 5 || st.BytesWritten != 15 || st.Deletes != 2 || st.Reads != 1 {
+		t.Fatalf("%d entries left, Stats = %+v", n, st)
+	}
+}
+
 func TestDeleteCountedAndCharged(t *testing.T) {
 	// The paper's stable-storage model charges every durable mutation;
 	// a tombstone is a write like any other, so Delete must appear in
