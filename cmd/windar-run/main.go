@@ -40,7 +40,6 @@ func main() {
 		tracing   = flag.Bool("tracing", false, "stamp causal span contexts on every message (reconstruct lineage with windar-trace)")
 		flightDir = flag.String("flight-dir", "", "arm the crash flight recorder: dump the trace ring there on SIGINT/SIGTERM or a failed run")
 		pigEvery  = flag.Int("pig-refresh-every", 0, "TDI delta piggyback full-vector cadence (0 = default 32, 1 = full vector every send)")
-		batch     = flag.Int64("batch-bytes", 0, "send-side frame batching budget in bytes (0 = transport default, negative = off)")
 		serve     = flag.String("serve", "", "serve live telemetry on this address (/metrics, /debug/vars, /healthz, /cluster, /debug/flight, /debug/pprof)")
 		linger    = flag.Duration("serve-linger", 0, "keep the telemetry server up this long after the run completes")
 		stableK   = flag.String("stable", "sim", "stable-storage backend: sim (in-memory, modeled latency), disk (parallel WAL in -stable-dir; state survives SIGKILL)")
@@ -74,7 +73,6 @@ func main() {
 		StallTimeout:    2 * time.Minute,
 
 		PiggybackRefreshEvery: *pigEvery,
-		SendBatchBytes:        *batch,
 		Tracing:               *tracing,
 
 		Stable:      *stableK,

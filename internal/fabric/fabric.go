@@ -51,15 +51,10 @@ type Config struct {
 	LinkBufferBytes int64
 	// Seed makes jitter reproducible. Each link derives its own RNG.
 	Seed int64
-	// BatchBytes, when positive, lets a link coalesce consecutive queued
-	// messages up to this many bytes into one serviced transfer (one
-	// latency charge for the whole batch — the simulated analogue of the
-	// TCP transport's batched write). 0 or negative services messages
-	// one at a time, preserving the per-message timing the figure
-	// experiments are calibrated against.
-	BatchBytes int64
 	// Batch, if non-nil, records per-sender batch occupancy (frames per
-	// serviced transfer).
+	// serviced transfer; always 1 here — the fabric services messages one
+	// at a time, the per-message timing the figure experiments are
+	// calibrated against).
 	Batch *obs.Family
 	// Clock defaults to the real clock.
 	Clock clock.Clock
@@ -81,7 +76,7 @@ type Fabric struct {
 	ranks []*rankState // destination-side state
 
 	// instant is true when the configured network model never delays a
-	// message (zero latency, infinite bandwidth, no batch coalescing):
+	// message (zero latency, infinite bandwidth):
 	// Send may then bypass the link goroutine entirely and deliver
 	// inline, saving two goroutine hand-offs per message.
 	instant bool
@@ -109,7 +104,7 @@ func New(cfg Config) *Fabric {
 		ranks:  make([]*rankState, cfg.N),
 		closed: make(chan struct{}),
 	}
-	f.instant = cfg.BaseLatency == 0 && cfg.BytesPerSecond <= 0 && cfg.BatchBytes <= 0
+	f.instant = cfg.BaseLatency == 0 && cfg.BytesPerSecond <= 0
 	for i := range f.ranks {
 		f.ranks[i] = newRankState()
 	}
@@ -334,9 +329,9 @@ type link struct {
 	cond    *sync.Cond
 	queue   []*item
 	queued  int64 // bytes waiting
-	busy    int   // messages in service (the current batch)
+	busy    int   // messages in service (0 or 1)
 	rng     *rand.Rand
-	batch   *obs.Hist // occupancy of each serviced batch (nil-safe)
+	batch   *obs.Hist // occupancy of each serviced transfer (nil-safe)
 	dropped int64
 }
 
@@ -410,27 +405,15 @@ func (l *link) run() {
 			}
 			l.cond.Wait()
 		}
-		// Serve the head, plus — when batching is on — as many queued
-		// followers as fit under BatchBytes. The whole batch pays one
-		// latency charge, like one coalesced write on a real link; FIFO
-		// order within the batch is preserved at delivery.
-		batch := []*item{l.queue[0]}
-		total := l.queue[0].size
+		it := l.queue[0]
 		l.queue = l.queue[1:]
-		if max := l.f.cfg.BatchBytes; max > 0 {
-			for len(l.queue) > 0 && total+l.queue[0].size <= max {
-				batch = append(batch, l.queue[0])
-				total += l.queue[0].size
-				l.queue = l.queue[1:]
-			}
-		}
-		l.queued -= total
-		l.busy = len(batch)
-		delay := l.delayFor(total)
+		l.queued -= it.size
+		l.busy = 1
+		delay := l.delayFor(it.size)
 		l.cond.Broadcast()
 		l.mu.Unlock()
 
-		l.batch.Record(int64(len(batch)))
+		l.batch.Record(1)
 		if delay > 0 {
 			select {
 			case <-l.f.clk.After(delay):
@@ -438,10 +421,8 @@ func (l *link) run() {
 				return
 			}
 		}
-		for _, it := range batch {
-			if !l.deliver(it) {
-				return
-			}
+		if !l.deliver(it) {
+			return
 		}
 		l.mu.Lock()
 		l.busy = 0

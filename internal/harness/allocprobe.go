@@ -17,6 +17,8 @@ import (
 	"windar/internal/obs"
 	"windar/internal/proto"
 	"windar/internal/stable"
+	"windar/internal/transport"
+	"windar/internal/transport/tcp"
 	"windar/internal/wire"
 	"windar/layer"
 )
@@ -45,6 +47,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "hist_record", F: probeHistRecord},
 		{Name: "frame_append", F: probeFrameAppend},
 		{Name: "frame_read", F: probeFrameRead},
+		{Name: "tcp_hop", F: probeTCPHop},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
 	}
@@ -310,3 +313,47 @@ func probeFrameRead() float64 {
 }
 
 var _ io.Reader = (*loopReader)(nil)
+
+// probeTCPHop measures one message crossing the socket path, per
+// message: bursts of 16 flood-shaped envelopes go rank 0 → rank 1 over a
+// loopback tcp transport the way the harness sends and receives them
+// (TrySend, Send when refused; RecvBatch; Recycle). The budget is the
+// fresh payload the receiver keeps (see wire.DecodeInto) — the chunk,
+// the read buffer and the envelope are all reused.
+func probeTCPHop() float64 {
+	tr, err := tcp.New(tcp.Config{N: 2})
+	if err != nil {
+		panic(err)
+	}
+	defer tr.Close()
+	in := tr.Inbox(1).(transport.BatchInbox)
+	const burst = 16
+	buf := make([]*wire.Envelope, 0, 64)
+	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	idx := int64(0)
+	perBurst := testing.AllocsPerRun(allocProbeRuns, func() {
+		for i := 0; i < burst; i++ {
+			idx++
+			env := wire.GetEnvelope()
+			env.Kind, env.From, env.To, env.SendIndex = wire.KindApp, 0, 1, idx
+			env.Piggyback, env.Payload = pig, payload
+			if !tr.TrySend(env) {
+				if err := tr.Send(env, transport.SendOpts{}); err != nil {
+					panic(err)
+				}
+			}
+			wire.Recycle(env)
+		}
+		for got := 0; got < burst; {
+			var ok bool
+			if buf, ok = in.RecvBatch(buf[:0]); !ok {
+				panic("allocprobe: tcp inbox closed mid-probe")
+			}
+			got += len(buf)
+			for _, e := range buf {
+				wire.Recycle(e)
+			}
+		}
+	})
+	return perBurst / burst
+}

@@ -208,10 +208,6 @@ type Config struct {
 	// vector instead of a delta. 1 disables delta encoding (the
 	// full-vector baseline); 0 uses the protocol default.
 	PiggybackRefreshEvery int
-	// SendBatchBytes caps the bytes a transport link coalesces into one
-	// batched write (TCP) or one serviced transfer (mem). 0 selects the
-	// transport default; negative disables batching.
-	SendBatchBytes int64
 	// RecvBatch caps how many envelopes the receiver loop drains from
 	// the transport inbox in one chunk before dispatching them (one
 	// wakeup per chunk instead of per message). 0 selects the default
@@ -238,8 +234,9 @@ type Cluster struct {
 	clk clock.Clock
 	tr  transport.Transport
 	// trInline is tr's InlineSender capability, nil when absent. The
-	// transmit path feature-tests it to hand instant deliveries to the
-	// destination without waking the sender goroutine.
+	// transmit path feature-tests it to hand a send the transport can
+	// accept without blocking straight to the link, without waking the
+	// sender goroutine.
 	trInline transport.InlineSender
 	store    *stable.Store
 	ckpts    *ckpt.Manager
@@ -417,20 +414,18 @@ func (c *Cluster) recvBatch() int {
 // newTransport builds the configured communication substrate.
 func newTransport(cfg Config) (transport.Transport, error) {
 	batchFam := cfg.Obs.Family("send_batch_frames",
-		"Frames coalesced into one batched link write.", "frames")
+		"Frames carried by one link write.", "frames")
 	switch cfg.Transport {
 	case "", transport.Mem:
 		fcfg := cfg.Fabric
 		fcfg.N = cfg.N
 		fcfg.Clock = cfg.Clock
-		fcfg.BatchBytes = cfg.SendBatchBytes
 		fcfg.Batch = batchFam
 		return mem.New(fcfg), nil
 	case transport.TCP:
 		return tcp.New(tcp.Config{
 			N:               cfg.N,
 			LinkBufferBytes: cfg.Fabric.LinkBufferBytes,
-			BatchBytes:      cfg.SendBatchBytes,
 			Seed:            cfg.Fabric.Seed,
 			Clock:           cfg.Clock,
 			Backoff: cfg.Obs.Family("tcp_reconnect_backoff_ns",

@@ -188,14 +188,12 @@ func TestKillCapturesPostStopDeliveredCount(t *testing.T) {
 	}
 }
 
-// TestSendBatchingKnob runs a cluster with send-side batching enabled on
-// the configured transport and checks the batch-occupancy histogram
-// recorded — the knob reaches the link layer and the run still
-// completes correctly.
-func TestSendBatchingKnob(t *testing.T) {
+// TestSendBatchFramesRecorded runs a cluster under the defaults on the
+// configured transport and checks the link layer recorded its
+// batch-occupancy histogram (frames per link write).
+func TestSendBatchFramesRecorded(t *testing.T) {
 	reg := obs.NewRegistry(4)
 	cfg := testConfig(4, TDI)
-	cfg.SendBatchBytes = 16 << 10
 	cfg.Obs = reg
 	run(t, cfg, ringFactory(20), nil)
 	for _, f := range reg.Snapshot() {

@@ -397,9 +397,11 @@ func (r *rankRuntime) transmit(env *wire.Envelope) {
 		return
 	}
 	r.sendMu.Lock()
-	// Instant-transport fast path: when queue A is empty and the sender
-	// goroutine idle, a TrySend that lands skips the queue hand-off
-	// entirely. FIFO holds because any send that cannot go inline is
+	// Inline fast path: when queue A is empty and the sender goroutine
+	// idle, a TrySend the transport accepts (a buffered Send that did not
+	// have to block) skips the queue hand-off entirely — the link owns
+	// the frame, as after senderLoop's Send, which is all drainSends
+	// relies on. FIFO holds because any send that cannot go inline is
 	// appended under this same lock, and once one is queued every later
 	// send sees len(sendQ) > 0 and queues behind it.
 	if r.c.trInline != nil && len(r.sendQ) == 0 && !r.sendBusy && r.c.trInline.TrySend(env) {

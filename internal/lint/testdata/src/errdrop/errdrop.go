@@ -15,6 +15,10 @@ func badFrameDrop(fr *wire.FrameReader) {
 	fr.Read() // want "result of wire.FrameReader.Read dropped"
 }
 
+func badStreamDrop(e *wire.Envelope, b []byte) {
+	wire.DecodeFrameInto(e, b) // want "result of wire.DecodeFrameInto dropped"
+}
+
 func badBlank(b []byte) {
 	_, _, _ = wire.ReadVec(b) // want "error of wire.ReadVec assigned to _"
 }

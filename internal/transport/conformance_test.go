@@ -18,29 +18,24 @@ import (
 	"windar/internal/wire"
 )
 
-// each runs fn once per implementation on a fresh n-rank transport with
-// default batching (on for tcp, off for mem).
+// each runs fn once per implementation on a fresh n-rank transport.
 func each(t *testing.T, n int, fn func(t *testing.T, tr transport.Transport)) {
-	eachWith(t, n, 0, fn)
+	t.Run("mem", func(t *testing.T) {
+		tr := mem.New(fabric.Config{N: n, BaseLatency: 50 * time.Microsecond, Seed: 7})
+		defer tr.Close()
+		fn(t, tr)
+	})
+	t.Run("tcp", func(t *testing.T) { fn(t, newTCP(t, n)) })
 }
 
-// eachWith is each with an explicit send-batching budget: positive
-// enables frame batching on both implementations, negative disables it.
-func eachWith(t *testing.T, n int, batchBytes int64, fn func(t *testing.T, tr transport.Transport)) {
-	t.Run("mem", func(t *testing.T) {
-		tr := mem.New(fabric.Config{N: n, BaseLatency: 50 * time.Microsecond, Seed: 7,
-			BatchBytes: batchBytes})
-		defer tr.Close()
-		fn(t, tr)
-	})
-	t.Run("tcp", func(t *testing.T) {
-		tr, err := tcp.New(tcp.Config{N: n, BatchBytes: batchBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		fn(t, tr)
-	})
+// newTCP builds an n-rank tcp transport closed when the test ends.
+func newTCP(t *testing.T, n int) *tcp.Transport {
+	tr, err := tcp.New(tcp.Config{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	return tr
 }
 
 func appEnv(from, to, index int) *wire.Envelope {
@@ -114,42 +109,6 @@ func checkFIFOPerPair(t *testing.T, tr transport.Transport) {
 
 func TestFIFOPerPair(t *testing.T) {
 	each(t, 2, checkFIFOPerPair)
-}
-
-// TestBatchedFIFOPerPair re-runs the ordering contract with send-side
-// frame batching explicitly enabled on both implementations (the mem
-// fabric defaults it off); coalescing frames into one link write must
-// not reorder or drop anything.
-func TestBatchedFIFOPerPair(t *testing.T) {
-	eachWith(t, 2, 4<<10, checkFIFOPerPair)
-}
-
-// TestBatchedKillSemantics: with batching enabled, a kill still drops
-// everything the inbox accepted and the revived incarnation sees only
-// later traffic — batched frames must not resurrect across the window.
-func TestBatchedKillSemantics(t *testing.T) {
-	eachWith(t, 2, 4<<10, func(t *testing.T, tr transport.Transport) {
-		for i := 0; i < 5; i++ {
-			mustSend(t, tr, appEnv(0, 1, i), transport.SendOpts{})
-		}
-		waitDrained(t, tr)
-		tr.Kill(1)
-		tr.Revive(1)
-		mustSend(t, tr, appEnv(0, 1, 100), transport.SendOpts{})
-		env, ok := tr.Inbox(1).Recv()
-		if !ok {
-			t.Fatal("revived inbox closed")
-		}
-		if env.SendIndex != 100 {
-			t.Fatalf("revived rank received pre-kill message %d", env.SendIndex)
-		}
-	})
-}
-
-// TestBatchingDisabled: a negative budget turns batching off on both
-// implementations without changing the delivery contract.
-func TestBatchingDisabled(t *testing.T) {
-	eachWith(t, 2, -1, checkFIFOPerPair)
 }
 
 // TestKillUnblocksReceiver: a Recv blocked on the killed incarnation's
@@ -472,8 +431,10 @@ func TestStallParksDelivery(t *testing.T) {
 }
 
 // TestStallSurvivesKill: a kill during a stall loses only inboxed
-// state; stalled-parked messages reach the next incarnation after
-// Unstall, and the stall itself is independent of Revive.
+// state; stalled-parked messages — on tcp a batch already decoded but
+// not yet pushed — stay in flight across the kill, reach the next
+// incarnation after Unstall, and the stall itself is independent of
+// Revive.
 func TestStallSurvivesKill(t *testing.T) {
 	each(t, 2, func(t *testing.T, tr transport.Transport) {
 		st := tr.(transport.Staller)
@@ -483,6 +444,9 @@ func TestStallSurvivesKill(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond) // let the messages park at the stall
 		tr.Kill(1)
+		if n := tr.InFlight(); n != 3 {
+			t.Fatalf("%d messages in flight after the kill, want the 3 parked at the stall", n)
+		}
 		tr.Revive(1)
 		in := tr.Inbox(1)
 		got := make(chan *wire.Envelope, 3)
@@ -530,9 +494,9 @@ func batchInbox(t *testing.T, in transport.Inbox) transport.BatchInbox {
 // TestRecvBatchFIFOAcrossBoundaries: chunked draining is invisible to
 // ordering — concatenating batches of capacity 8 over a 200-message
 // stream yields exactly the per-pair send order, no matter where the
-// chunk boundaries land relative to sender-side frame batching.
+// chunk boundaries land relative to the sender side's link writes.
 func TestRecvBatchFIFOAcrossBoundaries(t *testing.T) {
-	eachWith(t, 2, 4<<10, func(t *testing.T, tr transport.Transport) {
+	each(t, 2, func(t *testing.T, tr transport.Transport) {
 		in := batchInbox(t, tr.Inbox(1))
 		const count = 200
 		done := make(chan error, 1)
@@ -643,5 +607,80 @@ func TestRecvBatchKillUnblocks(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("RecvBatch did not unblock on Kill")
 		}
+	})
+}
+
+// --- inline send ---
+
+// eachInline runs fn on the transports that implement InlineSender, the
+// mem fabric configured instant (the only model it sends inline on).
+func eachInline(t *testing.T, n int, fn func(t *testing.T, tr transport.Transport, in transport.InlineSender)) {
+	t.Run("mem", func(t *testing.T) {
+		tr := mem.New(fabric.Config{N: n, Seed: 7})
+		defer tr.Close()
+		fn(t, tr, tr)
+	})
+	t.Run("tcp", func(t *testing.T) {
+		tr := newTCP(t, n)
+		fn(t, tr, tr)
+	})
+}
+
+// TestInlineSendKeepsFIFO: a stream sent the way the harness sends —
+// TrySend first, Send when it is refused, and every third message by
+// Send outright — arrives in per-pair order with nothing lost, and the
+// inline path is actually taken.
+func TestInlineSendKeepsFIFO(t *testing.T) {
+	eachInline(t, 2, func(t *testing.T, tr transport.Transport, in transport.InlineSender) {
+		const count = 600
+		inline := 0
+		for i := 0; i < count; i++ {
+			if i%3 != 0 && in.TrySend(appEnv(0, 1, i)) {
+				inline++
+				continue
+			}
+			mustSend(t, tr, appEnv(0, 1, i), transport.SendOpts{})
+		}
+		if inline == 0 {
+			t.Fatal("TrySend never accepted a message on an idle link")
+		}
+		box := tr.Inbox(1)
+		for i := 0; i < count; i++ {
+			env, ok := box.Recv()
+			if !ok || env.SendIndex != int64(i) {
+				t.Fatalf("delivery %d: ok=%v env=%+v", i, ok, env)
+			}
+		}
+	})
+}
+
+// TestInlineSendIsABufferedSend: what TrySend accepts has a buffered
+// Send's guarantees. The link owns the message — the sender's kill right
+// after does not take it back — and toward a dead destination TrySend
+// either refuses (the caller's Send then parks it) or parks it itself;
+// both ways it reaches the next incarnation, once.
+func TestInlineSendIsABufferedSend(t *testing.T) {
+	eachInline(t, 2, func(t *testing.T, tr transport.Transport, in transport.InlineSender) {
+		if !in.TrySend(appEnv(0, 1, 0)) {
+			t.Fatal("TrySend refused on an idle link to a live rank")
+		}
+		tr.Kill(0)
+		if env, ok := tr.Inbox(1).Recv(); !ok || env.SendIndex != 0 {
+			t.Fatalf("message accepted before the sender's kill not delivered: ok=%v env=%+v", ok, env)
+		}
+		tr.Revive(0)
+
+		tr.Kill(1)
+		if !in.TrySend(appEnv(0, 1, 1)) {
+			mustSend(t, tr, appEnv(0, 1, 1), transport.SendOpts{})
+		}
+		if n := tr.InFlight(); n != 1 {
+			t.Fatalf("%d messages in flight toward the dead rank, want 1", n)
+		}
+		tr.Revive(1)
+		if env, ok := tr.Inbox(1).Recv(); !ok || env.SendIndex != 1 {
+			t.Fatalf("message sent across the dead window not delivered: ok=%v env=%+v", ok, env)
+		}
+		waitDrained(t, tr)
 	})
 }

@@ -1,19 +1,27 @@
 // Package tcp implements transport.Transport over real TCP loopback
 // connections: every ordered rank pair (from, to) gets its own TCP
 // stream, so the kernel's byte-stream ordering is the per-link FIFO
-// guarantee, and envelopes travel in the framed wire format
-// (wire.AppendFrame / wire.FrameReader) rather than as in-process
-// pointers.
+// guarantee, and envelopes travel in the framed wire format rather than
+// as in-process pointers. A message is framed once, by Send, straight
+// into memory the link owns (wire.AppendFrame into a chunk of whole
+// frames), and decoded once, from whatever a socket read returned, into
+// a pooled envelope the harness recycles (wire.DecodeFrameInto); the
+// frame-at-a-time wire.FrameReader is not used here.
 //
 // # Link protocol
 //
 // A connection starts with a hello (uvarint sender rank, uvarint
 // connection generation) and then carries frames in the from→to
 // direction. The sender keeps every frame buffered until the
-// destination inbox accepts it. Acknowledgements do not travel back
-// over the socket: the transport simulates a cluster inside one
-// process, so the receive loop acknowledges in-process, atomically
-// with the inbox push, making the accounting exact:
+// destination inbox accepts it: Send appends it to the link's tail
+// chunk, the writer moves one whole chunk into the unacked window and
+// then sends it with one Write, and acknowledgements — counted in
+// frames — trim the window, so a connection that dies with a chunk half
+// acknowledged is resumed from that chunk's first unacknowledged frame
+// boundary. Acknowledgements do not travel back over the socket: the
+// transport simulates a cluster inside one process, so the receive loop
+// acknowledges in-process, atomically with the inbox push, making the
+// accounting exact:
 //
 //   - an acknowledged frame was accepted by an inbox — if the rank is
 //     later killed, the frame is lost with the inbox, exactly the
@@ -25,9 +33,10 @@
 //     sender side and reaches the incarnation after Revive, exactly
 //     the fabric's parked-delivery observable.
 //
-// Kill serializes with the push+ack critical section on the rank lock,
-// so after Kill returns every frame the dead incarnation inboxed is
-// acked and every other frame is still queued for retransmission: the
+// The receive loop pushes and acknowledges once per socket read, not per
+// frame. Kill serializes with that push+ack critical section on the rank
+// lock, so after Kill returns every frame the dead incarnation inboxed
+// is acked and every other frame is still queued for retransmission: the
 // loss window equals the inbox contents, never more, never less.
 //
 // # Crash semantics
@@ -46,6 +55,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +76,6 @@ type Config struct {
 	LinkBufferBytes int64
 	// DialBackoffMax caps the reconnect backoff. 0 means 100ms.
 	DialBackoffMax time.Duration
-	// BatchBytes caps the bytes the link writer coalesces from its queue
-	// into one vectored write. 0 means DefaultBatchBytes; negative
-	// disables batching (one frame per write).
-	BatchBytes int64
 	// Seed makes the reconnect-backoff jitter reproducible. Each link
 	// derives its own RNG.
 	Seed int64
@@ -81,7 +87,7 @@ type Config struct {
 	// value includes jitter: it is the delay actually slept.
 	Backoff *obs.Family
 	// Batch, if non-nil, records per-sender batch occupancy (frames per
-	// vectored write).
+	// link write).
 	Batch *obs.Family
 }
 
@@ -90,19 +96,24 @@ type Config struct {
 // send-side backpressure.
 const DefaultLinkBuffer = 1 << 20
 
-// DefaultBatchBytes is the batched-write cap when Config.BatchBytes is
-// zero: enough to coalesce a burst of small protocol frames without
-// holding a large payload hostage behind the batch.
-const DefaultBatchBytes = 64 << 10
+const (
+	// chunkCap bounds the frames one link write carries: whatever Send
+	// queued while the writer was busy, up to this many bytes — enough to
+	// coalesce a burst of small protocol frames without holding a large
+	// payload hostage behind the batch. A larger frame travels alone.
+	chunkCap = 64 << 10
+	// readBufMin is a connection's first read buffer; it doubles while
+	// reads fill it, up to chunkCap, and beyond only to fit one frame.
+	readBufMin = 4 << 10
+)
 
 // Transport is the TCP loopback transport. Create with New, release
 // with Close.
 type Transport struct {
-	cfg        Config
-	clk        clock.Clock
-	n          int
-	maxBuf     int64
-	batchBytes int64 // effective batched-write cap; 0 = one frame per write
+	cfg    Config
+	clk    clock.Clock
+	n      int
+	maxBuf int64
 
 	listeners []net.Listener
 	addrs     []string
@@ -115,8 +126,9 @@ type Transport struct {
 }
 
 var (
-	_ transport.Transport = (*Transport)(nil)
-	_ transport.Staller   = (*Transport)(nil)
+	_ transport.Transport    = (*Transport)(nil)
+	_ transport.Staller      = (*Transport)(nil)
+	_ transport.InlineSender = (*Transport)(nil)
 )
 
 // New builds the transport: one loopback listener per rank, links
@@ -134,23 +146,16 @@ func New(cfg Config) (*Transport, error) {
 	if cfg.DialBackoffMax == 0 {
 		cfg.DialBackoffMax = 100 * time.Millisecond
 	}
-	batchBytes := cfg.BatchBytes
-	if batchBytes == 0 {
-		batchBytes = DefaultBatchBytes
-	} else if batchBytes < 0 {
-		batchBytes = 0
-	}
 	t := &Transport{
-		cfg:        cfg,
-		clk:        cfg.Clock,
-		n:          cfg.N,
-		maxBuf:     cfg.LinkBufferBytes,
-		batchBytes: batchBytes,
-		listeners:  make([]net.Listener, cfg.N),
-		addrs:      make([]string, cfg.N),
-		links:      make([]*link, cfg.N*cfg.N),
-		ranks:      make([]*rankState, cfg.N),
-		closed:     make(chan struct{}),
+		cfg:       cfg,
+		clk:       cfg.Clock,
+		n:         cfg.N,
+		maxBuf:    cfg.LinkBufferBytes,
+		listeners: make([]net.Listener, cfg.N),
+		addrs:     make([]string, cfg.N),
+		links:     make([]*link, cfg.N*cfg.N),
+		ranks:     make([]*rankState, cfg.N),
+		closed:    make(chan struct{}),
 	}
 	for rank := 0; rank < cfg.N; rank++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -170,7 +175,8 @@ func New(cfg Config) (*Transport, error) {
 				rng:   rand.New(rand.NewSource(cfg.Seed ^ int64(from*cfg.N+to)*0x5851F42D4C957F2D ^ 0x5DEECE66D)),
 				batch: cfg.Batch.Rank(from),
 			}
-			l.cond = sync.NewCond(&l.mu)
+			l.work = sync.NewCond(&l.mu)
+			l.space = sync.NewCond(&l.mu)
 			t.links[from*cfg.N+to] = l
 		}
 	}
@@ -192,25 +198,49 @@ func (t *Transport) isClosed() bool {
 	}
 }
 
-// Send implements transport.Transport: the envelope is framed once into
-// a pooled buffer and queued on the (From, To) link.
-func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
+// linkFor returns env's (From, To) link, nil for endpoints out of range.
+func (t *Transport) linkFor(env *wire.Envelope) *link {
 	if env.From < 0 || env.From >= t.n || env.To < 0 || env.To >= t.n {
+		return nil
+	}
+	return t.links[env.From*t.n+env.To]
+}
+
+// Send implements transport.Transport: the envelope is framed once,
+// straight into the (From, To) link's tail chunk.
+func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
+	l := t.linkFor(env)
+	if l == nil {
 		return fmt.Errorf("tcp: bad endpoints %d->%d", env.From, env.To)
 	}
-	buf := getBuf()
-	*buf = wire.AppendFrame((*buf)[:0], env)
-	p := &pending{buf: buf, size: int64(len(*buf))}
-	if opts.Rendezvous {
-		p.done = make(chan struct{})
-	}
-	l := t.links[env.From*t.n+env.To]
-	if err := l.enqueue(p, opts.Abort); err != nil {
-		return err
-	}
-	if p.done != nil {
+	size := wire.FrameSize(env)
+	l.mu.Lock()
+	// The bounded buffer is the limited communication-subsystem memory
+	// the paper blames for send-side blocking on large messages. The
+	// abort channel is polled around cond waits — as in the fabric, it is
+	// the sender's own kill, and Kill broadcasts every link.
+	for !l.hasRoomLocked(size) {
 		select {
-		case <-p.done:
+		case <-opts.Abort:
+			l.mu.Unlock()
+			return transport.ErrAborted
+		case <-t.closed:
+			l.mu.Unlock()
+			return transport.ErrAborted
+		default:
+		}
+		l.space.Wait()
+	}
+	c := l.appendLocked(env, size)
+	var done chan struct{}
+	if opts.Rendezvous {
+		done = make(chan struct{})
+		c.waits = append(c.waits, waiter{frame: len(c.ends) - 1, done: done})
+	}
+	l.mu.Unlock()
+	if done != nil {
+		select {
+		case <-done:
 		case <-opts.Abort:
 			return transport.ErrAborted
 		case <-t.closed:
@@ -218,6 +248,24 @@ func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
 		}
 	}
 	return nil
+}
+
+// TrySend implements transport.InlineSender as a buffered Send that
+// never blocks: false when the link's bounded buffer has no room (or the
+// endpoints are bad — Send reports that).
+func (t *Transport) TrySend(env *wire.Envelope) bool {
+	l := t.linkFor(env)
+	if l == nil {
+		return false
+	}
+	size := wire.FrameSize(env)
+	l.mu.Lock()
+	ok := l.hasRoomLocked(size)
+	if ok {
+		l.appendLocked(env, size)
+	}
+	l.mu.Unlock()
+	return ok
 }
 
 // Inbox implements transport.Transport.
@@ -234,9 +282,7 @@ func (t *Transport) Kill(rank int) {
 	r.mu.Lock()
 	old := r.box
 	r.box = newInbox()
-	conns := r.conns
-	r.conns = map[net.Conn]struct{}{}
-	r.stallCond.Broadcast() // stalled receive loops re-check box identity
+	conns := r.retireConnsLocked()
 	r.mu.Unlock()
 	old.dropBox()
 	for conn := range conns {
@@ -245,9 +291,7 @@ func (t *Transport) Kill(rank int) {
 	// Kills are rare: a global broadcast lets writers targeting the dead
 	// rank park and blocked Sends poll their abort channels.
 	for _, l := range t.links {
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
+		l.wake()
 	}
 }
 
@@ -255,13 +299,9 @@ func (t *Transport) Kill(rank int) {
 // feed the incarnation's fresh inbox (installed at Kill), and parked
 // links re-dial.
 func (t *Transport) Revive(rank int) {
-	r := t.ranks[rank]
-	r.alive.Store(true)
+	t.ranks[rank].alive.Store(true)
 	for from := 0; from < t.n; from++ {
-		l := t.links[from*t.n+rank]
-		l.mu.Lock()
-		l.cond.Broadcast()
-		l.mu.Unlock()
+		t.links[from*t.n+rank].wake()
 	}
 }
 
@@ -298,7 +338,7 @@ func (t *Transport) InFlight() int {
 			continue
 		}
 		l.mu.Lock()
-		total += len(l.queue) + len(l.unacked)
+		total += l.frames
 		l.mu.Unlock()
 	}
 	return total
@@ -318,10 +358,8 @@ func (t *Transport) Close() {
 				continue
 			}
 			r.mu.Lock()
-			conns := r.conns
-			r.conns = map[net.Conn]struct{}{}
+			conns := r.retireConnsLocked()
 			box := r.box
-			r.stallCond.Broadcast()
 			r.mu.Unlock()
 			box.closeBox()
 			for conn := range conns {
@@ -336,8 +374,8 @@ func (t *Transport) Close() {
 			if l.conn != nil {
 				l.conn.Close()
 			}
-			l.cond.Broadcast()
 			l.mu.Unlock()
+			l.wake()
 		}
 	})
 }
@@ -355,10 +393,11 @@ func (t *Transport) acceptLoop(rank int, ln net.Listener) {
 
 // serveConn is the receiver side of one link connection. It pins the
 // rank's current inbox (incarnation isolation) and then, for every
-// frame, pushes to the inbox and acknowledges the sender's link
-// in-process — both under the rank lock, so a Kill observes either the
-// full push+ack or neither. A connection accepted while the rank is
-// dead is refused; the dialer parks until Revive.
+// socket read, decodes the complete frames in it, pushes them to the
+// inbox and acknowledges them on the sender's link in-process — push and
+// ack under the rank lock, so a Kill observes either the whole batch
+// pushed and acked or none of it. A connection accepted while the rank
+// is dead is refused; the dialer parks until Revive.
 func (t *Transport) serveConn(rank int, conn net.Conn) {
 	from, gen, err := readHello(conn)
 	if err != nil || from < 0 || int(from) >= t.n {
@@ -384,38 +423,82 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 		r.mu.Unlock()
 	}()
 
-	fr := wire.NewFrameReader(conn)
-	var count int64
+	var (
+		buf    []byte           // buf[:have] is read but not yet decoded
+		have   int              //
+		filled bool             // the last read filled buf: more was waiting in the socket
+		batch  []*wire.Envelope // decoded from the last read
+		count  int64            // frames pushed over this connection
+	)
 	for {
-		env, err := fr.Read()
-		if err != nil {
-			return
+		// Grow when the frame at the front does not fit, and — up to
+		// chunkCap — while reads keep filling the buffer.
+		if have == len(buf) || filled && len(buf) < chunkCap {
+			grown := make([]byte, max(readBufMin, 2*len(buf)))
+			copy(grown, buf[:have])
+			buf = grown
 		}
-		r.mu.Lock()
-		// A stalled rank parks the frame unacked: the receive loop holds
-		// it here, so InFlight counts it and Unstall releases it in
-		// stream order. Box identity is re-checked after every wake — a
-		// Kill during the stall closes this connection's incarnation.
-		for r.stalled && r.box == box && !t.isClosed() {
-			r.stallCond.Wait()
-		}
-		if r.box != box || t.isClosed() {
-			// The incarnation this connection fed was killed; the frame
-			// stays unacked and reaches the next incarnation via
-			// retransmission on a fresh connection.
+		n, rerr := conn.Read(buf[have:])
+		have += n
+		filled = have == len(buf)
+		var used int
+		var derr error
+		batch, used, derr = decodeFrames(batch[:0], buf[:have])
+		have = copy(buf, buf[used:have])
+		if len(batch) > 0 {
+			r.mu.Lock()
+			// A stalled rank parks the batch here, unacked, so InFlight
+			// counts it and Unstall releases it in stream order. Kill and
+			// Close retire the connection: re-checked after every wake.
+			for r.stalled && r.servingLocked(conn) {
+				r.stallCond.Wait()
+			}
+			if !r.servingLocked(conn) {
+				// The incarnation this connection fed was killed: the
+				// batch stays unacked and reaches the next one by
+				// retransmission on a fresh connection.
+				r.mu.Unlock()
+				for _, env := range batch {
+					wire.Recycle(env)
+				}
+				return
+			}
+			box.pushBatch(batch)
+			count += int64(len(batch))
+			l.ack(gen, count)
 			r.mu.Unlock()
-			return
+			clear(batch) // the inbox owns the envelopes now
 		}
-		box.push(env)
-		count++
-		l.ack(gen, count)
-		r.mu.Unlock()
+		if rerr != nil || derr != nil {
+			return // EOF, a severed socket, or a corrupt stream
+		}
 	}
 }
 
+// decodeFrames decodes every complete frame in b into a pooled envelope
+// appended to batch, and returns the bytes those frames took; the rest
+// of b is the prefix of a frame still in the socket. A non-nil error
+// means the stream is corrupt after the frames returned.
+//
+//windar:hotpath
+func decodeFrames(batch []*wire.Envelope, b []byte) ([]*wire.Envelope, int, error) {
+	used := 0
+	for used < len(b) {
+		env := wire.GetEnvelope()
+		n, err := wire.DecodeFrameInto(env, b[used:])
+		if n == 0 {
+			wire.Recycle(env)
+			return batch, used, err
+		}
+		batch = append(batch, env) //windar:allow hotpath (amortized: grows to the largest batch once, then reused)
+		used += n
+	}
+	return batch, used, nil
+}
+
 // readHello reads the dial-time preamble (sender rank, connection
-// generation) byte-by-byte so no stream bytes are over-buffered before
-// the frame reader takes over.
+// generation) byte-by-byte so no stream bytes are consumed before the
+// frame decoder takes over.
 func readHello(conn net.Conn) (from, gen int64, err error) {
 	u := func() (int64, error) {
 		var x uint64
@@ -443,19 +526,32 @@ func readHello(conn net.Conn) (from, gen int64, err error) {
 	return from, gen, nil
 }
 
-// pending is one frame accepted by Send and not yet acknowledged.
-type pending struct {
-	buf  *[]byte       // pooled framed bytes
-	size int64         // len(*buf)
-	done chan struct{} // non-nil for rendezvous sends; closed on ack
+// chunk is a run of whole frames back to back in one buffer: what Send
+// queued while the link's writer was busy, and what one Write carries.
+// Send appends to it while it is the tail of the queue; the writer pops
+// it into the unacked window, then writes it; frame-counted acks consume
+// it front to back; fully acked, it waits for the writer goroutine — the
+// only one that knows no Write still reads buf — to make it reusable.
+type chunk struct {
+	buf   []byte
+	ends  []int    // ends[i] is the offset in buf just past frame i
+	acked int      // leading frames the destination inbox has accepted
+	waits []waiter // rendezvous senders, in frame order
 }
 
-// Frame buffers come from the wire package's shared scratch pool
-// (wire.GetBuf/PutBuf). Buffers are only returned by the link writer
-// goroutine, after the frame is acked and no Write can still reference
-// it.
-func getBuf() *[]byte  { return wire.GetBuf() }
-func putBuf(b *[]byte) { wire.PutBuf(b) }
+// waiter is a rendezvous Send blocked until its frame is acknowledged.
+type waiter struct {
+	frame int // index into the chunk's ends
+	done  chan struct{}
+}
+
+// unackedFrom is the offset of the chunk's first unacknowledged frame.
+func (c *chunk) unackedFrom() int {
+	if c.acked == 0 {
+		return 0
+	}
+	return c.ends[c.acked-1]
+}
 
 // link is the sender side of one ordered-pair TCP stream. A single
 // writer goroutine preserves FIFO across dials; the in-process ack path
@@ -464,17 +560,21 @@ type link struct {
 	t        *Transport
 	from, to int
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	queue        []*pending      // accepted, not yet written to the current conn
-	unacked      []*pending      // written, awaiting ack from the inbox
-	recycle      []*pending      // acked; buffers await pool return by the writer
-	pendingBytes int64           // bytes across queue+unacked (bounded buffer)
+	mu    sync.Mutex
+	work  *sync.Cond // the writer parks here: nothing to write, or the destination is dead
+	space *sync.Cond // buffered Sends park here while the link is over its byte bound
+
+	queue   []*chunk // accepted, not yet handed to a Write; Send appends to the last
+	unacked []*chunk // handed to a Write, awaiting acks from the inbox
+	done    []*chunk // fully acked; the writer moves them to free between Writes
+	free    []*chunk // reusable by Send
+
+	frames       int             // frames across queue+unacked not yet acked
+	pendingBytes int64           // their bytes (the bounded buffer)
 	conn         net.Conn        // current connection, nil while down
 	gen          int64           // generation of the current connection
 	base         map[int64]int64 // lifetime ack total at each generation's birth
 	acked        int64           // frames acked over the link's lifetime
-	ackSeen      int64           // highest lifetime ack total observed
 	started      bool            // writer goroutine launched
 
 	// rng (backoff jitter) and batch (occupancy histogram, nil-safe)
@@ -483,56 +583,93 @@ type link struct {
 	batch *obs.Hist
 }
 
-// enqueue adds p to the link, blocking while the bounded buffer is full
-// (the limited communication-subsystem memory the paper blames for
-// send-side blocking on large messages). The abort channel is polled
-// around cond waits — as in the fabric, it is the sender's own kill,
-// and Kill broadcasts every link.
-func (l *link) enqueue(p *pending, abort <-chan struct{}) error {
-	l.mu.Lock()
+// hasRoomLocked applies the bounded-buffer rule: a frame is admitted
+// while the link stays within LinkBufferBytes, and an empty link never
+// rejects (so a frame larger than the bound still travels).
+func (l *link) hasRoomLocked(size int) bool {
+	return l.pendingBytes+int64(size) <= l.t.maxBuf || l.pendingBytes == 0
+}
+
+// appendLocked frames env (size = wire.FrameSize) into the tail chunk,
+// opening a new one when the frame would take the tail past chunkCap,
+// and returns the chunk. The writer is woken only when the queue was
+// empty: otherwise it is mid-Write and will find the frame, or parked on
+// a dead destination, where no frame helps.
+//
+//windar:hotpath
+func (l *link) appendLocked(env *wire.Envelope, size int) *chunk {
+	var c *chunk
+	if n := len(l.queue); n > 0 && len(l.queue[n-1].buf)+size <= chunkCap {
+		c = l.queue[n-1]
+	} else {
+		c = l.newChunkLocked()
+		l.queue = append(l.queue, c) //windar:allow hotpath (amortized: a handful of chunk pointers, grown once)
+		if n == 0 {
+			l.work.Signal()
+		}
+	}
+	c.buf = wire.AppendFrame(slices.Grow(c.buf, size), env) //windar:allow hotpath (amortized: a chunk grows to its link's burst size once, then is reused)
+	c.ends = append(c.ends, len(c.buf))                     //windar:allow hotpath (amortized with buf)
+	l.frames++
+	l.pendingBytes += int64(size)
+	return c
+}
+
+// newChunkLocked returns an empty chunk, recycled when one is free, and
+// makes sure the link has its writer.
+func (l *link) newChunkLocked() *chunk {
 	if !l.started {
 		l.started = true
 		go l.run()
 	}
-	for l.pendingBytes+p.size > l.t.maxBuf && l.pendingBytes > 0 {
-		select {
-		case <-abort:
-			l.mu.Unlock()
-			return transport.ErrAborted
-		case <-l.t.closed:
-			l.mu.Unlock()
-			return transport.ErrAborted
-		default:
-		}
-		l.cond.Wait()
+	if n := len(l.free); n > 0 {
+		c := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		return c
 	}
-	l.queue = append(l.queue, p)
-	l.pendingBytes += p.size
-	l.cond.Broadcast()
+	return new(chunk)
+}
+
+// wake makes the link's writer and its blocked senders re-check the
+// world (Kill, Revive, Close).
+func (l *link) wake() {
+	l.mu.Lock()
+	l.work.Broadcast()
+	l.space.Broadcast()
 	l.mu.Unlock()
-	return nil
 }
 
 // run is the link's writer: it dials when there is work and the
 // destination is alive, retransmits the unacked window on every fresh
-// connection, then streams the queue. Exits on transport Close.
+// connection, then streams the queue a chunk at a time. Exits on
+// transport Close.
 func (l *link) run() {
 	for {
 		l.mu.Lock()
-		l.recycleLocked()
+		// No Write is in progress here, so nothing still reads the
+		// buffers of fully acked chunks: only now may Send reuse them.
+		for i, c := range l.done {
+			if len(c.buf) <= chunkCap { // a lone oversized frame's buffer is not worth keeping
+				c.buf, c.ends, c.waits, c.acked = c.buf[:0], c.ends[:0], c.waits[:0], 0
+				l.free = append(l.free, c)
+			}
+			l.done[i] = nil
+		}
+		l.done = l.done[:0]
 		for {
 			if l.t.isClosed() {
 				l.mu.Unlock()
 				return
 			}
 			if l.conn == nil {
-				if (len(l.queue) > 0 || len(l.unacked) > 0) && l.t.Alive(l.to) {
+				if l.frames > 0 && l.t.Alive(l.to) {
 					break
 				}
 			} else if len(l.queue) > 0 {
 				break
 			}
-			l.cond.Wait()
+			l.work.Wait()
 		}
 
 		if l.conn == nil {
@@ -546,7 +683,12 @@ func (l *link) run() {
 			l.gen++
 			gen := l.gen
 			l.base[gen] = l.acked
-			retrans := append([]*pending(nil), l.unacked...)
+			// The unacked window restarts at its first unacknowledged
+			// frame boundary, which may be inside the head chunk.
+			retrans := make([][]byte, len(l.unacked))
+			for i, c := range l.unacked {
+				retrans[i] = c.buf[c.unackedFrom():]
+			}
 			l.mu.Unlock()
 			// The receiver writes nothing back; a watchdog read detects
 			// the connection dying (destination kill) even while this
@@ -555,40 +697,24 @@ func (l *link) run() {
 			if !l.writeHello(conn, gen) {
 				continue
 			}
-			for _, p := range retrans {
-				if !l.write(conn, p) {
+			for _, b := range retrans {
+				if !l.write(conn, b) {
 					break
 				}
 			}
 			continue
 		}
 
-		// Pop a batch of queued frames — head plus followers up to the
-		// batched-write cap — into the unacked window BEFORE writing: a
-		// write error then leaves every popped frame queued for
+		// Pop one whole chunk into the unacked window BEFORE writing it:
+		// a write error then leaves every frame of it queued for
 		// retransmission on the next connection.
-		batch := []*pending{l.queue[0]}
-		total := l.queue[0].size
-		l.queue = l.queue[1:]
-		if max := l.t.batchBytes; max > 0 {
-			for len(l.queue) > 0 && total+l.queue[0].size <= max {
-				batch = append(batch, l.queue[0])
-				total += l.queue[0].size
-				l.queue = l.queue[1:]
-			}
-		}
-		l.unacked = append(l.unacked, batch...)
+		c := l.queue[0]
+		l.queue = popFront(l.queue)
+		l.unacked = append(l.unacked, c)
 		conn := l.conn
 		l.mu.Unlock()
-		l.batch.Record(int64(len(batch)))
-		if !l.writeBatch(conn, batch) {
-			continue
-		}
-		// Frames may have been pushed and acked before they entered
-		// the unacked window above; settle any ack total seen meanwhile.
-		l.mu.Lock()
-		l.drainAcksLocked()
-		l.mu.Unlock()
+		l.batch.Record(int64(len(c.ends)))
+		l.write(conn, c.buf)
 	}
 }
 
@@ -598,36 +724,13 @@ func (l *link) writeHello(conn net.Conn, gen int64) bool {
 	var buf [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(l.from))
 	n += binary.PutUvarint(buf[n:], uint64(gen))
-	if _, err := conn.Write(buf[:n]); err != nil {
-		l.dropConn(conn)
-		return false
-	}
-	return true
+	return l.write(conn, buf[:n])
 }
 
-// write sends one frame; on error the connection is torn down and the
-// frame stays in the unacked window for retransmission.
-func (l *link) write(conn net.Conn, p *pending) bool {
-	if _, err := conn.Write(*p.buf); err != nil {
-		l.dropConn(conn)
-		return false
-	}
-	return true
-}
-
-// writeBatch coalesces the batch into one vectored write (writev via
-// net.Buffers; a plain Write when the batch is a single frame). On
-// error the connection is torn down and every frame stays in the
-// unacked window for retransmission.
-func (l *link) writeBatch(conn net.Conn, batch []*pending) bool {
-	if len(batch) == 1 {
-		return l.write(conn, batch[0])
-	}
-	bufs := make(net.Buffers, len(batch))
-	for i, p := range batch {
-		bufs[i] = *p.buf
-	}
-	if _, err := bufs.WriteTo(conn); err != nil {
+// write sends b; on error the connection is torn down and whatever b
+// carried stays in the unacked window for retransmission.
+func (l *link) write(conn net.Conn, b []byte) bool {
+	if _, err := conn.Write(b); err != nil {
 		l.dropConn(conn)
 		return false
 	}
@@ -682,49 +785,46 @@ func (l *link) dropConn(conn net.Conn) {
 	if l.conn == conn {
 		l.conn = nil
 	}
-	l.cond.Broadcast()
+	l.work.Broadcast()
 	l.mu.Unlock()
 }
 
-// ack records that the destination inbox accepted the count-th frame of
-// connection generation gen. Called in-process by the receive loop,
-// under the destination's rank lock.
+// ack records that the destination inbox has accepted the first count
+// frames of connection generation gen. Called in-process by the receive
+// loop, under the destination's rank lock. The newly acknowledged frames
+// leave the unacked window front to back — a chunk may be left partly
+// acked — freeing their buffer space and completing their rendezvous.
 func (l *link) ack(gen, count int64) {
 	l.mu.Lock()
-	if total := l.base[gen] + count; total > l.ackSeen {
-		l.ackSeen = total
+	n := int(l.base[gen] + count - l.acked)
+	for n > 0 && len(l.unacked) > 0 {
+		c := l.unacked[0]
+		k := min(n, len(c.ends)-c.acked)
+		from := c.unackedFrom()
+		c.acked += k
+		l.pendingBytes -= int64(c.unackedFrom() - from)
+		l.frames -= k
+		l.acked += int64(k)
+		n -= k
+		for len(c.waits) > 0 && c.waits[0].frame < c.acked {
+			close(c.waits[0].done)
+			c.waits = c.waits[1:]
+		}
+		if c.acked == len(c.ends) {
+			l.unacked = popFront(l.unacked)
+			l.done = append(l.done, c)
+		}
 	}
-	l.drainAcksLocked()
+	l.space.Broadcast()
 	l.mu.Unlock()
 }
 
-// drainAcksLocked settles the unacked window against the highest ack
-// total seen: acked frames complete their rendezvous, free buffer
-// space, and move to the recycle list (the writer returns buffers to
-// the pool once no Write can reference them).
-func (l *link) drainAcksLocked() {
-	for l.acked < l.ackSeen && len(l.unacked) > 0 {
-		p := l.unacked[0]
-		l.unacked = l.unacked[1:]
-		l.acked++
-		l.pendingBytes -= p.size
-		if p.done != nil {
-			close(p.done)
-		}
-		l.recycle = append(l.recycle, p)
-	}
-	l.cond.Broadcast()
-}
-
-// recycleLocked returns acked frame buffers to the pool. Called only by
-// the writer goroutine between writes, so no in-progress Write can
-// still reference a recycled buffer.
-func (l *link) recycleLocked() {
-	for _, p := range l.recycle {
-		putBuf(p.buf)
-		p.buf = nil
-	}
-	l.recycle = l.recycle[:0]
+// popFront removes q's head by sliding the rest down, so the backing
+// array is reused instead of regrown by the next append.
+func popFront(q []*chunk) []*chunk {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // rankState is the destination-side view of one rank.
@@ -750,6 +850,23 @@ func (r *rankState) inbox() *inbox {
 	return r.box
 }
 
+// servingLocked reports whether conn still feeds the rank's current
+// incarnation: Kill and Close retire every inbound connection.
+func (r *rankState) servingLocked(conn net.Conn) bool {
+	_, ok := r.conns[conn]
+	return ok
+}
+
+// retireConnsLocked detaches every inbound connection — from here on
+// none of them pushes or acknowledges another frame — and returns them
+// for the caller to close outside the lock.
+func (r *rankState) retireConnsLocked() map[net.Conn]struct{} {
+	conns := r.conns
+	r.conns = map[net.Conn]struct{}{}
+	r.stallCond.Broadcast() // stalled receive loops re-check servingLocked
+	return conns
+}
+
 // inbox is an unbounded closable FIFO of envelopes, the same shape as
 // the fabric's: push after close silently discards (the message is lost
 // with the incarnation's volatile state).
@@ -766,14 +883,13 @@ func newInbox() *inbox {
 	return b
 }
 
-func (b *inbox) push(env *wire.Envelope) {
+// pushBatch appends envs in order under one lock round and one wakeup.
+func (b *inbox) pushBatch(envs []*wire.Envelope) {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		return
+	if !b.closed {
+		b.queue = append(b.queue, envs...)
+		b.cond.Broadcast()
 	}
-	b.queue = append(b.queue, env)
-	b.cond.Signal()
 	b.mu.Unlock()
 }
 

@@ -92,17 +92,16 @@ type BatchInbox interface {
 	RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool)
 }
 
-// InlineSender is an optional Transport capability: a non-blocking
-// synchronous send. TrySend returns true only when the envelope was
-// accepted AND delivered to the destination's inbox before returning —
-// possible when the transport's network model is instant (the in-memory
-// fabric with zero latency and infinite bandwidth). ok=false carries no
-// verdict about the destination; the caller falls back to Send, which
-// owns the blocking, parking, and abort semantics. Because acceptance
-// equals delivery, a successful TrySend satisfies a rendezvous send's
-// contract too.
+// InlineSender is an optional Transport capability: a buffered send
+// that never blocks. TrySend returns true only when the envelope was
+// accepted now under the guarantees of a buffered Send (the link owns
+// the frame; it survives the sender's kill); on an instant fabric (the
+// in-memory one with zero latency and infinite bandwidth) acceptance is
+// also delivery. ok=false carries no verdict about the destination; the
+// caller falls back to Send, which owns the blocking, parking, and abort
+// semantics, and whose message is ordered after every accepted one.
 type InlineSender interface {
-	// TrySend delivers env now or not at all.
+	// TrySend accepts env now or not at all.
 	TrySend(env *wire.Envelope) bool
 }
 

@@ -31,7 +31,7 @@ const (
 )
 
 // Framing errors. ErrTruncated (shared with Decode) reports a frame cut
-// short.
+// short; a length prefix that overflows 64 bits is ErrFrameTooLarge.
 var (
 	ErrFrameMagic    = errors.New("wire: bad frame magic")
 	ErrFrameVersion  = errors.New("wire: unsupported frame version")
@@ -57,35 +57,70 @@ func FrameSize(e *Envelope) int {
 	return 2 + uvarintLen(uint64(n)) + n
 }
 
-// DecodeFrame parses one frame from the front of b, returning the
-// envelope and the number of bytes consumed. It is the slice-based dual
-// of FrameReader.Read, used by tests and fuzzing.
-func DecodeFrame(b []byte) (*Envelope, int, error) {
-	if len(b) < 2 {
-		return nil, 0, ErrTruncated
+// parseFrameHeader parses the frame header at the front of b: hdr is
+// the header's length and body the body length it announces. hdr == 0
+// with a nil error means b ends inside the header — incomplete, not
+// corrupt. A wrong magic or version byte is an error as soon as that
+// byte is present, so a misaligned stream never waits for more input.
+// Every frame decoder (DecodeFrame, DecodeFrameInto, FrameReader.Read)
+// goes through this one parse.
+func parseFrameHeader(b []byte) (hdr, body int, err error) {
+	if len(b) > 0 && b[0] != FrameMagic {
+		return 0, 0, ErrFrameMagic
 	}
-	if b[0] != FrameMagic {
-		return nil, 0, ErrFrameMagic
+	if len(b) > 1 && b[1] != FrameVersion {
+		return 0, 0, errFrameVersion(b[1])
 	}
-	if b[1] != FrameVersion {
-		return nil, 0, fmt.Errorf("%w: %d", ErrFrameVersion, b[1])
+	if len(b) < 3 {
+		return 0, 0, nil
 	}
 	l, n := binary.Uvarint(b[2:])
-	if n <= 0 {
-		return nil, 0, ErrTruncated
+	switch {
+	case n == 0: // length varint cut short (it overflows at ten bytes)
+		return 0, 0, nil
+	case n < 0:
+		return 0, 0, ErrFrameTooLarge
+	case l > MaxFrameBody:
+		return 0, 0, errFrameTooLarge(l)
 	}
-	if l > MaxFrameBody {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, l)
+	return 2 + n, int(l), nil
+}
+
+// DecodeFrameInto is the incremental frame decoder: b is whatever a
+// byte stream has delivered so far and may end anywhere. A complete
+// frame at the front of b is decoded into e (see DecodeInto for the
+// ownership of its slices) and its length returned. n == 0 with a nil
+// error means b holds only a prefix of a frame: e is untouched, and the
+// caller keeps the bytes and reads more. An error means the stream is
+// corrupt — bad magic or version, a length over MaxFrameBody, or a
+// complete body that does not decode — and cannot be resynchronized.
+//
+//windar:hotpath
+func DecodeFrameInto(e *Envelope, b []byte) (n int, err error) {
+	hdr, body, err := parseFrameHeader(b)
+	if err != nil || hdr == 0 || len(b)-hdr < body {
+		return 0, err
 	}
-	body := b[2+n:]
-	if uint64(len(body)) < l {
-		return nil, 0, ErrTruncated
+	if err := DecodeInto(e, b[hdr:hdr+body]); err != nil {
+		return 0, err
 	}
-	env, err := Decode(body[:l])
+	return hdr + body, nil
+}
+
+// DecodeFrame parses one frame from the front of b into a fresh
+// envelope, returning it and the number of bytes consumed. b must hold
+// the whole frame: a prefix is ErrTruncated.
+func DecodeFrame(b []byte) (*Envelope, int, error) {
+	e := new(Envelope)
+	n, err := DecodeFrameInto(e, b)
 	if err != nil {
 		return nil, 0, err
 	}
-	return env, 2 + n + int(l), nil
+	if n == 0 {
+		return nil, 0, ErrTruncated
+	}
+	e.pigBuf = nil
+	return e, n, nil
 }
 
 // FrameWriter writes framed envelopes to an underlying stream, reusing
@@ -131,28 +166,24 @@ func NewFrameReader(r io.Reader) *FrameReader {
 //
 //windar:hotpath
 func (fr *FrameReader) Read() (*Envelope, error) {
-	magic, err := fr.r.ReadByte()
-	if err != nil {
-		return nil, err
+	// Peek the header one byte further at a time, so the reader never
+	// waits for bytes past the frame it is parsing.
+	hdr, l := 0, 0
+	for want := 3; hdr == 0; want++ {
+		b, rerr := fr.r.Peek(want)
+		var err error
+		if hdr, l, err = parseFrameHeader(b); err != nil {
+			return nil, err
+		}
+		if hdr == 0 && rerr != nil {
+			if len(b) > 0 {
+				rerr = eofIsUnexpected(rerr)
+			}
+			return nil, rerr
+		}
 	}
-	if magic != FrameMagic {
-		return nil, ErrFrameMagic
-	}
-	version, err := fr.r.ReadByte()
-	if err != nil {
-		return nil, eofIsUnexpected(err)
-	}
-	if version != FrameVersion {
-		return nil, errFrameVersion(version)
-	}
-	l, err := binary.ReadUvarint(fr.r)
-	if err != nil {
-		return nil, eofIsUnexpected(err)
-	}
-	if l > MaxFrameBody {
-		return nil, errFrameTooLarge(l)
-	}
-	if uint64(cap(fr.buf)) < l {
+	_, _ = fr.r.Discard(hdr) // cannot fail: the bytes were just peeked
+	if cap(fr.buf) < l {
 		fr.buf = make([]byte, l) //windar:allow hotpath (amortized: grows to the stream's largest frame once, then reused)
 	}
 	body := fr.buf[:l]

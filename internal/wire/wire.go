@@ -151,88 +151,15 @@ func AppendEncode(buf []byte, e *Envelope) []byte {
 // ErrTruncated reports a decode that ran out of bytes.
 var ErrTruncated = errors.New("wire: truncated envelope")
 
-// Decode parses an envelope previously produced by Encode.
+// Decode parses an envelope previously produced by Encode into a fresh
+// envelope that owns every byte it references. Empty piggybacks and
+// payloads decode to nil.
 func Decode(b []byte) (*Envelope, error) {
-	if len(b) < 2 {
-		return nil, ErrTruncated
-	}
-	flags := b[1]
-	e := &Envelope{Kind: Kind(b[0]), Resent: flags&flagResent != 0}
-	i := 2
-	readInt := func() (int64, error) {
-		v, n := binary.Varint(b[i:])
-		if n <= 0 {
-			return 0, ErrTruncated
-		}
-		i += n
-		return v, nil
-	}
-	readBytes := func() ([]byte, error) {
-		l, n := binary.Uvarint(b[i:])
-		if n <= 0 {
-			return nil, ErrTruncated
-		}
-		i += n
-		if uint64(len(b)-i) < l {
-			return nil, ErrTruncated
-		}
-		out := make([]byte, l)
-		copy(out, b[i:i+int(l)])
-		i += int(l)
-		return out, nil
-	}
-
-	v, err := readInt()
-	if err != nil {
+	e := new(Envelope)
+	if err := DecodeInto(e, b); err != nil {
 		return nil, err
 	}
-	e.From = int(v)
-	if v, err = readInt(); err != nil {
-		return nil, err
-	}
-	e.To = int(v)
-	if v, err = readInt(); err != nil {
-		return nil, err
-	}
-	e.Incarnation = int32(v)
-	if v, err = readInt(); err != nil {
-		return nil, err
-	}
-	e.Tag = int32(v)
-	if e.SendIndex, err = readInt(); err != nil {
-		return nil, err
-	}
-	if e.Piggyback, err = readBytes(); err != nil {
-		return nil, err
-	}
-	if e.Payload, err = readBytes(); err != nil {
-		return nil, err
-	}
-	if flags&flagSpan != 0 {
-		readUint := func() (uint64, error) {
-			v, n := binary.Uvarint(b[i:])
-			if n <= 0 {
-				return 0, ErrTruncated
-			}
-			i += n
-			return v, nil
-		}
-		if e.Span.Trace, err = readUint(); err != nil {
-			return nil, err
-		}
-		if e.Span.Span, err = readUint(); err != nil {
-			return nil, err
-		}
-		if e.Span.Parent, err = readUint(); err != nil {
-			return nil, err
-		}
-	}
-	if len(e.Piggyback) == 0 {
-		e.Piggyback = nil
-	}
-	if len(e.Payload) == 0 {
-		e.Payload = nil
-	}
+	e.pigBuf = nil // never recycled: Piggyback alone keeps the bytes
 	return e, nil
 }
 

@@ -316,12 +316,6 @@ type Config struct {
 	// (every 32nd send is full); 1 disables deltas entirely — every send
 	// carries the full vector, the paper's published protocol.
 	PiggybackRefreshEvery int
-	// SendBatchBytes bounds send-side frame batching: the transport
-	// coalesces queued envelopes into one link write up to this many
-	// bytes. 0 selects the transport default (64 KiB for TCP, no batching
-	// for the mem fabric, whose timing model the figures depend on);
-	// negative disables batching.
-	SendBatchBytes int64
 	// RecvBatch bounds recv-side batch ingest: each rank's receiver
 	// drains up to this many envelopes from its transport inbox per
 	// wakeup and delivers them with one scheduler notification. 0
@@ -398,7 +392,6 @@ func (c Config) internal() harness.Config {
 			Seed:           c.Seed,
 		},
 		PiggybackRefreshEvery: c.PiggybackRefreshEvery,
-		SendBatchBytes:        c.SendBatchBytes,
 		RecvBatch:             c.RecvBatch,
 		EventLoggerLatency:    c.EventLoggerLatency,
 		StableWriteLatency:    c.StableWriteLatency,
