@@ -103,7 +103,7 @@ examples:
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 
-# Wire-format and WAL-segment fuzzers. `go test -fuzz` accepts exactly one
+# Wire-format, WAL-segment and checkpoint-blob fuzzers. `go test -fuzz` accepts exactly one
 # target per invocation, so each runs separately; FUZZTIME bounds each
 # target.
 fuzz:
@@ -114,6 +114,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadVecDelta$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzVecDeltaRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/stable
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 
 clean:
 	$(GO) clean ./...

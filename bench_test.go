@@ -39,7 +39,7 @@ func benchConfig(procs int, p windar.Protocol, mode windar.Mode) windar.Config {
 	}
 }
 
-func benchFactory(b *testing.B, bench string, procs int) windar.Factory {
+func benchFactory(b testing.TB, bench string, procs int) windar.Factory {
 	b.Helper()
 	iters := 4
 	if bench == "sp" {
@@ -53,7 +53,7 @@ func benchFactory(b *testing.B, bench string, procs int) windar.Factory {
 }
 
 // runBenchCluster executes one full run and returns its stats.
-func runBenchCluster(b *testing.B, cfg windar.Config, f windar.Factory, chaos func(*windar.Cluster)) windar.Stats {
+func runBenchCluster(b testing.TB, cfg windar.Config, f windar.Factory, chaos func(*windar.Cluster)) windar.Stats {
 	b.Helper()
 	c, err := windar.NewCluster(cfg, f)
 	if err != nil {
@@ -112,6 +112,27 @@ func BenchmarkFig7Tracking(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestFig7OrderingUnderSampling pins the figure's qualitative result at
+// its lu/p16 cell: tracking time is sampled 1-in-k (metrics.Tracker),
+// the same rule for all three protocols, and the paper's ordering
+// TDI < TEL < TAG must survive the estimator. The gaps are 20x and 10x
+// (EXPERIMENTS.md), far outside sampling and scheduling noise.
+func TestFig7OrderingUnderSampling(t *testing.T) {
+	f := benchFactory(t, "lu", 16)
+	perMsg := map[windar.Protocol]float64{}
+	for _, p := range benchProtocols {
+		s := runBenchCluster(t, benchConfig(16, p, windar.NonBlocking), f, nil)
+		if s.MsgsSent == 0 || s.TrackingTime() <= 0 {
+			t.Fatalf("%s: %d messages, tracking time %v: nothing was sampled", p, s.MsgsSent, s.TrackingTime())
+		}
+		perMsg[p] = float64(s.TrackingTime().Nanoseconds()) / float64(s.MsgsSent)
+	}
+	if !(perMsg[windar.TDI] < perMsg[windar.TEL] && perMsg[windar.TEL] < perMsg[windar.TAG]) {
+		t.Fatalf("tracking ns/msg at lu/p16: TDI %.0f, TEL %.0f, TAG %.0f; want TDI < TEL < TAG",
+			perMsg[windar.TDI], perMsg[windar.TEL], perMsg[windar.TAG])
 	}
 }
 

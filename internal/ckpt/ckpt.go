@@ -6,16 +6,16 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/vclock"
+	"windar/internal/wire"
 )
 
 // Checkpoint is one rank's durable recovery point.
@@ -45,59 +45,131 @@ type Checkpoint struct {
 	LogExternal bool
 }
 
-// Encode serializes c.
+// A checkpoint blob is one buffer, written once:
+//
+//	"WCKP" · version 0x02 · u32le len(body) · u32le CRC-32/IEEE(body) · body
+//
+//	body = varint Rank · varint Step · varint DeliveredCount ·
+//	       flags (bit 0: LogExternal) ·
+//	       uvarint len · AppImage · uvarint len · ProtoState ·
+//	       wire.AppendVec LastSendIndex · wire.AppendVec LastDeliverIndex ·
+//	       uvarint len(Log) · proto.AppendLogItem × len(Log)
+//
+// The length and checksum make a torn write detectable rather than
+// silently wrong. The version byte sits where the gob-era format
+// ("WCKP1" + gob stream) had '1', so such a blob is refused by name
+// instead of misparsed. It also covers the slog/ streams a LogExternal
+// checkpoint points at: they use the same LogItem encoding and are only
+// ever read after their checkpoint decoded.
+const (
+	blobMagic   = "WCKP"
+	blobVersion = 0x02
+	blobHeader  = len(blobMagic) + 1 + 4 + 4
+
+	flagLogExternal = 1 << 0
+)
+
+// Encode serializes c into a framed blob. The body is sized first, so
+// header and body are written into a single allocation with no growth
+// and no second copy.
 func Encode(c *Checkpoint) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(c); err != nil {
-		return nil, fmt.Errorf("ckpt: encode rank %d: %w", c.Rank, err)
+	size := wire.VarintLen(int64(c.Rank)) + wire.VarintLen(int64(c.Step)) + wire.VarintLen(c.DeliveredCount) + 1 +
+		wire.UvarintLen(uint64(len(c.AppImage))) + len(c.AppImage) +
+		wire.UvarintLen(uint64(len(c.ProtoState))) + len(c.ProtoState) +
+		wire.VecSize(c.LastSendIndex) + wire.VecSize(c.LastDeliverIndex) +
+		wire.UvarintLen(uint64(len(c.Log)))
+	for i := range c.Log {
+		size += proto.LogItemSize(&c.Log[i])
 	}
-	return buf.Bytes(), nil
+	if uint64(size) > math.MaxUint32 {
+		return nil, fmt.Errorf("ckpt: encode rank %d: %d-byte body exceeds the frame's 32-bit length", c.Rank, size)
+	}
+	buf := make([]byte, blobHeader, blobHeader+size)
+	copy(buf, blobMagic)
+	buf[len(blobMagic)] = blobVersion
+
+	buf = binary.AppendVarint(buf, int64(c.Rank))
+	buf = binary.AppendVarint(buf, int64(c.Step))
+	buf = binary.AppendVarint(buf, c.DeliveredCount)
+	var flags byte
+	if c.LogExternal {
+		flags |= flagLogExternal
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(len(c.AppImage)))
+	buf = append(buf, c.AppImage...)
+	buf = binary.AppendUvarint(buf, uint64(len(c.ProtoState)))
+	buf = append(buf, c.ProtoState...)
+	buf = wire.AppendVec(buf, c.LastSendIndex)
+	buf = wire.AppendVec(buf, c.LastDeliverIndex)
+	buf = binary.AppendUvarint(buf, uint64(len(c.Log)))
+	for i := range c.Log {
+		buf = proto.AppendLogItem(buf, &c.Log[i])
+	}
+
+	body := buf[blobHeader:]
+	binary.LittleEndian.PutUint32(buf[blobHeader-8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(buf[blobHeader-4:], crc32.ChecksumIEEE(body))
+	return buf, nil
 }
 
-// Decode parses a checkpoint produced by Encode.
+// Decode parses a blob produced by Encode, rejecting anything torn,
+// corrupt or of another format version. The body is copied once and the
+// checkpoint's byte fields — images, every log item's piggyback and
+// payload — are views into that copy, so data may be reused afterwards.
 func Decode(data []byte) (*Checkpoint, error) {
-	var c Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&c); err != nil {
-		return nil, fmt.Errorf("ckpt: decode: %w", err)
-	}
-	return &c, nil
-}
-
-// Checkpoint blobs are framed so a torn write is detectable rather than
-// silently wrong: magic, u32 little-endian payload length, u32 CRC-32
-// (IEEE) of the payload, payload. gob alone will happily decode many
-// truncations of a valid stream, so the frame carries the truth about
-// the intended length.
-var frameMagic = []byte("WCKP1")
-
-const frameHeader = 5 + 4 + 4
-
-// Frame wraps an encoded checkpoint with the length + checksum header.
-func Frame(payload []byte) []byte {
-	out := make([]byte, 0, frameHeader+len(payload))
-	out = append(out, frameMagic...)
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	out = append(out, hdr[:]...)
-	return append(out, payload...)
-}
-
-// Unframe verifies the header and returns the payload.
-func Unframe(data []byte) ([]byte, error) {
-	if len(data) < frameHeader || !bytes.Equal(data[:5], frameMagic) {
+	if len(data) < blobHeader || string(data[:len(blobMagic)]) != blobMagic {
 		return nil, fmt.Errorf("ckpt: blob missing frame header (%d bytes)", len(data))
 	}
-	plen := int(binary.LittleEndian.Uint32(data[5:9]))
-	sum := binary.LittleEndian.Uint32(data[9:13])
-	payload := data[frameHeader:]
-	if len(payload) != plen {
-		return nil, fmt.Errorf("ckpt: torn blob: frame promises %d payload bytes, have %d", plen, len(payload))
+	if v := data[len(blobMagic)]; v != blobVersion {
+		return nil, fmt.Errorf("ckpt: blob format version %#02x, this build reads %#02x (gob-era checkpoints are version '1' and must be retaken)", v, blobVersion)
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
+	body := data[blobHeader:]
+	if want := binary.LittleEndian.Uint32(data[blobHeader-8:]); uint64(len(body)) != uint64(want) {
+		return nil, fmt.Errorf("ckpt: torn blob: frame promises %d body bytes, have %d", want, len(body))
+	}
+	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(data[blobHeader-4:]) {
 		return nil, fmt.Errorf("ckpt: blob checksum mismatch")
 	}
-	return payload, nil
+	return decodeBody(append([]byte(nil), body...))
+}
+
+// decodeBody parses a checkpoint body, taking ownership of it.
+func decodeBody(body []byte) (*Checkpoint, error) {
+	r := wire.NewCursor(body)
+	rank, step := r.Varint(), r.Varint()
+	c := &Checkpoint{Rank: int(rank), Step: int(step), DeliveredCount: r.Varint()}
+	flags := r.Byte()
+	c.LogExternal = flags&flagLogExternal != 0
+	c.AppImage, c.ProtoState = r.Bytes(), r.Bytes()
+	c.LastSendIndex, c.LastDeliverIndex = r.Vec(), r.Vec()
+	items := r.Uvarint()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("ckpt: decode: %w", err)
+	}
+	if int64(c.Rank) != rank || int64(c.Step) != step || flags&^flagLogExternal != 0 {
+		return nil, fmt.Errorf("ckpt: decode: header fields out of range")
+	}
+	// The count is checked against the bytes that are there before it
+	// sizes anything.
+	if items > uint64(r.Len()/proto.MinLogItemSize) {
+		return nil, fmt.Errorf("ckpt: decode: %d log items claimed in %d bytes", items, r.Len())
+	}
+	rest := body[r.Offset():]
+	if items > 0 {
+		c.Log = make([]proto.LogItem, items)
+	}
+	for i := range c.Log {
+		n, err := proto.DecodeLogItem(&c.Log[i], rest)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: decode: log item %d of %d: %w", i, items, err)
+		}
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("ckpt: decode: %d trailing bytes", len(rest))
+	}
+	return c, nil
 }
 
 // Manager stores one current checkpoint per rank on stable storage.
@@ -177,11 +249,10 @@ func (m *Manager) Save(c *Checkpoint) error {
 		return nil
 	}
 
-	data, err := Encode(c)
+	framed, err := Encode(c)
 	if err != nil {
 		return err
 	}
-	framed := Frame(data)
 	tmp := tmpKey(c.Rank)
 	if err := m.store.Put(tmp, framed); err != nil {
 		return fmt.Errorf("ckpt: save rank %d: %w", c.Rank, err)
@@ -217,11 +288,7 @@ func (m *Manager) LoadDurable(rank int) (*Checkpoint, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	payload, err := Unframe(data)
-	if err != nil {
-		return nil, false, err
-	}
-	c, err := Decode(payload)
+	c, err := Decode(data)
 	if err != nil {
 		return nil, false, err
 	}

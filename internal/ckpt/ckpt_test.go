@@ -1,12 +1,19 @@
 package ckpt
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"hash/crc32"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/vclock"
+	"windar/layer"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -20,6 +27,9 @@ func sampleCheckpoint() *Checkpoint {
 		DeliveredCount:   6,
 		Log: []proto.LogItem{
 			{Dest: 1, SendIndex: 3, Tag: 7, Piggyback: []byte{9}, Payload: []byte("pay")},
+			{Dest: 1, SendIndex: 4, Tag: -2, Payload: []byte("untraced, no piggyback")},
+			{Dest: 3, SendIndex: 1, Tag: 7, Piggyback: []byte{0xff, 0},
+				Span: layer.SpanContext{Trace: 1 << 60, Span: 2<<48 | 9, Parent: 1<<48 | 4}},
 		},
 	}
 }
@@ -113,15 +123,13 @@ func TestManagerPerRankIsolation(t *testing.T) {
 func TestSaveTornBlobAtEveryOffset(t *testing.T) {
 	// Regression for the crash-atomicity bug: Save used to overwrite
 	// key(rank) in place, so a torn Put on a real backend could leave a
-	// prefix of the new blob — which gob will often decode into a
-	// silently wrong checkpoint. Load must reject every truncation of a
-	// framed blob instead of surfacing one.
+	// prefix of the new blob. Load must reject every truncation of a
+	// blob instead of surfacing one.
 	c := sampleCheckpoint()
-	data, err := Encode(c)
+	framed, err := Encode(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := Frame(data)
 	store := stable.NewStore(stable.Options{})
 	m := NewManager(store)
 	for cut := 0; cut < len(framed); cut++ {
@@ -150,7 +158,7 @@ func TestSaveCrashBeforePublishKeepsOld(t *testing.T) {
 	c2 := sampleCheckpoint()
 	c2.Step = 99
 	data, _ := Encode(c2)
-	m.Store().Put(tmpKey(2), Frame(data)) // simulated crash: temp written, never renamed
+	m.Store().Put(tmpKey(2), data) // simulated crash: temp written, never renamed
 	got, ok, err := m.LoadDurable(2)
 	if err != nil || !ok || got.Step != c1.Step {
 		t.Fatalf("old checkpoint lost: %v %v %+v", ok, err, got)
@@ -207,4 +215,136 @@ func TestEmptyCheckpointRoundTrip(t *testing.T) {
 	if got.Rank != 0 || got.Step != 0 || len(got.Log) != 0 {
 		t.Fatalf("empty round trip: %+v", got)
 	}
+}
+
+func TestLogExternalRoundTrip(t *testing.T) {
+	c := sampleCheckpoint()
+	c.Log, c.LogExternal = nil, true
+	data, err := Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
+	if err != nil || !reflect.DeepEqual(c, got) {
+		t.Fatalf("round trip: %v\n got %+v\nwant %+v", err, got, c)
+	}
+}
+
+func TestDecodeDoesNotAliasItsInput(t *testing.T) {
+	c := sampleCheckpoint()
+	data, err := Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xAA // the store reuses its buffer
+	}
+	if !reflect.DeepEqual(c, got) {
+		t.Fatalf("decoded checkpoint changed with its input:\n got %+v\nwant %+v", got, c)
+	}
+	// Its byte fields are views into one shared copy; growing one must
+	// not write into its neighbour.
+	_ = append(got.Log[0].Piggyback, 0xEE)
+	if !reflect.DeepEqual(c, got) {
+		t.Fatalf("append to a decoded field scribbled on another:\n got %+v\nwant %+v", got, c)
+	}
+}
+
+// gobEraBlob frames payload the way the pre-v2 format did.
+func gobEraBlob(t testing.TB, c *Checkpoint) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	blob := append([]byte("WCKP1"), make([]byte, 8)...)
+	binary.LittleEndian.PutUint32(blob[5:], uint32(payload.Len()))
+	binary.LittleEndian.PutUint32(blob[9:], crc32.ChecksumIEEE(payload.Bytes()))
+	return append(blob, payload.Bytes()...)
+}
+
+func TestDecodeRejectsGobEraBlobByVersion(t *testing.T) {
+	_, err := Decode(gobEraBlob(t, sampleCheckpoint()))
+	if err == nil || !strings.Contains(err.Error(), "version") {
+		t.Fatalf("gob-era blob: err = %v, want a format-version error", err)
+	}
+}
+
+// reframe wraps body in a valid header, so the parser behind the
+// checksum is reachable.
+func reframe(body []byte) []byte {
+	blob := make([]byte, blobHeader, blobHeader+len(body))
+	copy(blob, blobMagic)
+	blob[len(blobMagic)] = blobVersion
+	binary.LittleEndian.PutUint32(blob[blobHeader-8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(blob[blobHeader-4:], crc32.ChecksumIEEE(body))
+	return append(blob, body...)
+}
+
+func TestDecodeHostileLengthFields(t *testing.T) {
+	data, err := Encode(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[blobHeader:]
+	huge := binary.AppendUvarint(nil, math.MaxUint64-1)
+	// Replace each single-byte field of the body in turn with a length
+	// near MaxUint64: whichever of them is a length or a count, decoding
+	// must fail cleanly rather than allocate or index by it.
+	for i := range body {
+		hostile := append(append(append([]byte(nil), body[:i]...), huge...), body[i+1:]...)
+		if c, err := Decode(reframe(hostile)); err == nil && len(c.Log) > len(hostile) {
+			t.Fatalf("offset %d: decoded %d log items from %d bytes", i, len(c.Log), len(hostile))
+		}
+	}
+	// An item count larger than the remaining bytes could hold.
+	c := &Checkpoint{Rank: 1}
+	data, _ = Encode(c)
+	body = append([]byte(nil), data[blobHeader:]...)
+	body = append(body[:len(body)-1], binary.AppendUvarint(nil, 1<<40)...)
+	if _, err := Decode(reframe(body)); err == nil {
+		t.Fatal("2^40 log items in an empty body accepted")
+	}
+}
+
+func FuzzCheckpointDecode(f *testing.F) {
+	data, err := Encode(sampleCheckpoint())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for cut := 0; cut <= len(data); cut++ {
+		f.Add(data[:cut])
+	}
+	body := data[blobHeader:]
+	for cut := 0; cut < len(body); cut++ {
+		f.Add(reframe(body[:cut]))
+		f.Add(reframe(append(append([]byte(nil), body[:cut]...), binary.AppendUvarint(nil, math.MaxUint64-uint64(cut))...)))
+	}
+	f.Add(gobEraBlob(f, sampleCheckpoint()))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		// As found (almost always refused at the header) and as a body
+		// behind a valid header, which is what reaches the field parser.
+		for _, blob := range [][]byte{b, reframe(b)} {
+			c, err := Decode(blob)
+			if err != nil {
+				continue
+			}
+			if len(c.Log) > len(blob) || len(c.AppImage) > len(blob) || len(c.LastSendIndex) > len(blob) {
+				t.Fatalf("decoded more than the input holds: %d items from %d bytes", len(c.Log), len(blob))
+			}
+			// Whatever decodes re-encodes to something that decodes equal.
+			again, err := Encode(c)
+			if err != nil {
+				t.Fatalf("re-encode: %v", err)
+			}
+			c2, err := Decode(again)
+			if err != nil || !reflect.DeepEqual(c, c2) {
+				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, c2, c)
+			}
+		}
+	})
 }

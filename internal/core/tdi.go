@@ -51,7 +51,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"windar/internal/clock"
 	"windar/internal/metrics"
@@ -77,13 +76,9 @@ type TDI struct {
 	// dependInterval is the vector of Algorithm 1 line 3.
 	dependInterval vclock.Vec
 	m              *metrics.Rank
-	clk            clock.Clock
-	// timeTracking controls the clock reads bracketing every piggyback
-	// encode and delivery merge (the Fig. 7 tracking-time metric). On by
-	// default; throughput measurements turn it off because on hosts with
-	// a slow clocksource the two reads cost more than the tracked
-	// operation itself.
-	timeTracking bool
+	// track samples the time of piggyback encodes and delivery merges
+	// (the Fig. 7 tracking-time metric).
+	track metrics.Tracker
 
 	// refreshEvery is the per-destination full-vector cadence: at most
 	// refreshEvery-1 consecutive deltas before a full resend. 1 disables
@@ -130,16 +125,12 @@ func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TDI {
 	if m == nil {
 		m = &metrics.Rank{}
 	}
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	t := &TDI{
 		rank:           rank,
 		n:              n,
 		dependInterval: vclock.New(n),
 		m:              m,
-		clk:            clk,
-		timeTracking:   true,
+		track:          metrics.NewTracker(m, clk),
 		refreshEvery:   DefaultRefreshEvery,
 		sent:           make([]vclock.Vec, n),
 		sinceFull:      make([]int, n),
@@ -164,11 +155,6 @@ func (t *TDI) SetRefreshEvery(k int) {
 	}
 	t.refreshEvery = k
 }
-
-// SetTimeTracking toggles the clock reads that charge tracking time to
-// the metrics rank (on by default). The tracked work itself always runs;
-// only its measurement is skipped, so tracking-time totals read zero.
-func (t *TDI) SetTimeTracking(on bool) { t.timeTracking = on }
 
 // Name implements proto.Protocol.
 func (t *TDI) Name() string { return "tdi" }
@@ -208,13 +194,9 @@ var emptyDeltaPig = []byte{wire.VecDeltaMarker, 0}
 //
 //windar:hotpath
 func (t *TDI) recordEmptyDelta(dest int) {
-	if t.timeTracking {
-		start := t.clk.Now()
-		t.sinceFull[dest]++
-		t.m.SendTracking(t.clk.Now().Sub(start))
-	} else {
-		t.sinceFull[dest]++
-	}
+	start, w := t.track.BeginSend()
+	t.sinceFull[dest]++
+	t.track.EndSend(start, w)
 	t.m.PigDelta(2)
 }
 
@@ -239,17 +221,12 @@ func (t *TDI) emptyDeltaEligible(dest int) bool {
 //
 //windar:hotpath
 func (t *TDI) AppendPiggybackForSend(buf []byte, dest int) ([]byte, int) {
-	var start time.Time
-	if t.timeTracking {
-		start = t.clk.Now()
-	}
+	start, w := t.track.BeginSend()
 	if t.emptyDeltaEligible(dest) {
 		// Nothing delivered since the last piggyback to dest: the delta
 		// is the constant empty encoding. Skips the O(n) size probes and
 		// the sent-cache copy-back (which would be a self-copy).
-		if t.timeTracking {
-			t.m.SendTracking(t.clk.Now().Sub(start))
-		}
+		t.track.EndSend(start, w)
 		buf = append(buf, wire.VecDeltaMarker, 0)
 		t.m.PigDelta(2)
 		t.sinceFull[dest]++
@@ -280,9 +257,7 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int) ([]byte, int) {
 		t.sent[dest].CopyFrom(t.dependInterval)
 	}
 	t.sentVersion[dest] = t.depVersion
-	if t.timeTracking {
-		t.m.SendTracking(t.clk.Now().Sub(start))
-	}
+	t.track.EndSend(start, w)
 	if delta {
 		t.m.PigDelta(len(buf) - mark)
 	} else {
@@ -367,10 +342,7 @@ func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 //
 //windar:hotpath
 func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
-	var start time.Time
-	if t.timeTracking {
-		start = t.clk.Now()
-	}
+	start, w := t.track.BeginDeliver()
 	pig, err := t.decodePig(env)
 	if err != nil {
 		return err
@@ -387,9 +359,7 @@ func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	} else {
 		t.recv[src].CopyFrom(pig)
 	}
-	if t.timeTracking {
-		t.m.DeliverTracking(t.clk.Now().Sub(start))
-	}
+	t.track.EndDeliver(start, w)
 	return nil
 }
 

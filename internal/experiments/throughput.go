@@ -102,10 +102,7 @@ func runThroughputOnce(o ThroughputOptions, tr string) (ThroughputRow, error) {
 		// No checkpoints: the figure isolates steady-state delivery,
 		// and the unsharded baseline was measured the same way. The run
 		// is short enough that unreleased sender logs stay small.
-		// The figure is msgs/sec, not tracking time; skip the clock
-		// reads bracketing every piggyback encode and delivery merge.
-		DisableTrackTiming: true,
-		Transport:          transport.Kind(tr),
+		Transport: transport.Kind(tr),
 		Fabric: fabric.Config{
 			// Zero latency and unbounded bandwidth: messages appear at
 			// the destination inbox as fast as the sender can encode

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"windar/internal/app"
+	"windar/internal/ckpt"
 	"windar/internal/core"
 	"windar/internal/obs"
 	"windar/internal/proto"
@@ -50,6 +51,8 @@ func AllocProbes() []AllocProbe {
 		{Name: "tcp_hop", F: probeTCPHop},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
+		{Name: "log_all", F: probeLogAll},
+		{Name: "ckpt_encode", F: probeCkptEncode},
 	}
 }
 
@@ -209,6 +212,41 @@ func probeSlogRelease() float64 {
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		upTo += batch
 		r.c.slogRelease(0, 1, upTo)
+	})
+}
+
+// probeLog fills a sender log with 1000 flood-shaped items to three
+// destinations — a checkpoint interval's worth.
+func probeLog() *proto.Log {
+	l := proto.NewLog()
+	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	for i := 1; i <= 1000; i++ {
+		l.Append(proto.LogItem{Dest: 1 + i%3, SendIndex: int64(i), Tag: 6, Piggyback: pig, Payload: payload})
+	}
+	return l
+}
+
+// probeLogAll measures the checkpoint's copy of the sender log, taken
+// under the rank lock on the application goroutine. Contract: exactly
+// one allocation, the result at its final size.
+func probeLogAll() float64 {
+	l := probeLog()
+	return testing.AllocsPerRun(allocProbeRuns, func() { _ = l.All() })
+}
+
+// probeCkptEncode measures turning one 1000-item checkpoint into its
+// framed blob on the checkpoint writer. Contract: at most 2 allocations;
+// the encoder sizes the blob first, so today it is the blob alone.
+func probeCkptEncode() float64 {
+	cp := &ckpt.Checkpoint{
+		Rank: 1, Step: 200, AppImage: make([]byte, 4096), ProtoState: make([]byte, 64),
+		LastSendIndex: make([]int64, 4), LastDeliverIndex: make([]int64, 4), DeliveredCount: 3200,
+		Log: probeLog().All(),
+	}
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		if _, err := ckpt.Encode(cp); err != nil {
+			panic(err)
+		}
 	})
 }
 

@@ -1,0 +1,187 @@
+package harness
+
+import (
+	"reflect"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"windar/internal/app"
+	"windar/internal/stable"
+	"windar/internal/wire"
+)
+
+// gatedBackend holds every checkpoint-image Put at a gate: entered
+// reports that a Save has reached the store, and the Save proceeds only
+// once the test sends on release.
+type gatedBackend struct {
+	stable.Backend
+	entered, release chan struct{}
+	// lifted is closed at test end so a failed test's writer can drain.
+	lifted    chan struct{}
+	imagePuts atomic.Int64
+}
+
+func (g *gatedBackend) Put(key string, data []byte) error {
+	if strings.HasPrefix(key, "ckpt/") {
+		g.imagePuts.Add(1)
+		select {
+		case g.entered <- struct{}{}:
+			select {
+			case <-g.release:
+			case <-g.lifted:
+			}
+		case <-g.lifted:
+		}
+	}
+	return g.Backend.Put(key, data)
+}
+
+// TestCheckpointWriterSkipsSupersededSnapshots drives one rank's real
+// doCheckpoint and checkpoint writer against a blocked store. A first
+// checkpoint's Save is held inside the store; three more checkpoints
+// queue behind it. Once the store unblocks, the three cost exactly one
+// Save — of the newest — and its announcement carries every skipped
+// checkpoint's advances at their maximum, never before that Save landed.
+func TestCheckpointWriterSkipsSupersededSnapshots(t *testing.T) {
+	gate := &gatedBackend{
+		Backend: stable.NewSim(),
+		entered: make(chan struct{}), release: make(chan struct{}), lifted: make(chan struct{}),
+	}
+	c, err := NewCluster(Config{N: 3, Stable: gate}, func(rank, n int) app.App { return probeApp{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.newRuntime(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ckptWG.Add(1)
+	go r.ckptWriterLoop()
+	defer func() { // runs before Close, which waits for the writer
+		close(gate.lifted)
+		r.kill()
+	}()
+
+	type advance struct {
+		to           int
+		count, total int64
+	}
+	got := make(chan advance, 16) // roomy: the peers' readers must never block the test
+	for peer := 1; peer <= 2; peer++ {
+		in := c.tr.Inbox(peer)
+		go func() {
+			for {
+				env, ok := in.Recv()
+				if !ok {
+					return
+				}
+				if env.Kind != wire.KindCkptAdvance {
+					t.Errorf("peer %d received %v", env.To, env.Kind)
+					continue
+				}
+				count, total, err := decodeCkptAdvance(env.Payload)
+				if err != nil {
+					t.Error(err)
+				}
+				got <- advance{env.To, count, total}
+			}
+		}()
+	}
+	checkpoint := func(step int, delivered map[int]int64) {
+		r.mu.Lock()
+		for src, idx := range delivered {
+			r.deliveredCount += idx - r.lastDeliverIndex[src]
+			r.lastDeliverIndex[src] = idx
+		}
+		r.mu.Unlock()
+		r.doCheckpoint(step)
+	}
+	await := func(what string, ch <-chan struct{}) {
+		t.Helper()
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+	receive := func(n int) []advance {
+		t.Helper()
+		var out []advance
+		for len(out) < n {
+			select {
+			case a := <-got:
+				out = append(out, a)
+			case <-time.After(10 * time.Second):
+				t.Fatalf("timed out after %d of %d advances: %+v", len(out), n, out)
+			}
+		}
+		return out
+	}
+	noneYet := func(when string) {
+		t.Helper()
+		select {
+		case a := <-got:
+			t.Fatalf("%s: advance %+v announced before its covering Save returned", when, a)
+		default:
+		}
+	}
+
+	checkpoint(1, map[int]int64{1: 2})
+	await("the first Save to reach the store", gate.entered)
+	checkpoint(2, map[int]int64{1: 5, 2: 3}) // superseded
+	checkpoint(3, map[int]int64{1: 9})       // superseded
+	checkpoint(4, nil)                       // the newest: nothing new to announce on its own
+	noneYet("store blocked")
+
+	gate.release <- struct{}{}
+	if first := receive(1); first[0] != (advance{to: 1, count: 2, total: 2}) {
+		t.Fatalf("first checkpoint announced %+v", first[0])
+	}
+	await("the merged Save to reach the store", gate.entered)
+	noneYet("merged Save in flight")
+	if cp, ok, err := c.ckpts.LoadDurable(0); err != nil || !ok || cp.Step != 1 {
+		t.Fatalf("durable checkpoint while the merged Save is held: %+v %v %v", cp, ok, err)
+	}
+
+	gate.release <- struct{}{}
+	merged := receive(2)
+	if merged[0].to > merged[1].to {
+		merged[0], merged[1] = merged[1], merged[0]
+	}
+	want := []advance{{to: 1, count: 9, total: 12}, {to: 2, count: 3, total: 12}}
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merged announcement %+v, want %+v", merged, want)
+	}
+	if cp, ok, err := c.ckpts.LoadDurable(0); err != nil || !ok || cp.Step != 4 {
+		t.Fatalf("durable checkpoint after the merged Save: %+v %v %v", cp, ok, err)
+	}
+	if n := gate.imagePuts.Load(); n != 2 {
+		t.Fatalf("%d Saves reached the store for 4 checkpoints, want 2 (the held one, then one for the three queued)", n)
+	}
+	noneYet("after the merged announcement")
+}
+
+func TestSupersedeKeepsPerDestinationMaximum(t *testing.T) {
+	jobs := []ckptJob{
+		{total: 10, advances: []ckptAdvance{{dest: 1, count: 7}, {dest: 3, count: 4}}},
+		{total: 20, advances: []ckptAdvance{{dest: 2, count: 6}}},
+		{total: 30, advances: []ckptAdvance{{dest: 1, count: 5}}}, // lower than the older 7: max wins
+	}
+	got := supersede(jobs)
+	byDest := map[int]int64{}
+	for _, a := range got.advances {
+		if _, dup := byDest[a.dest]; dup {
+			t.Fatalf("destination %d announced twice: %+v", a.dest, got.advances)
+		}
+		byDest[a.dest] = a.count
+	}
+	if want := map[int]int64{1: 7, 2: 6, 3: 4}; got.total != 30 || !reflect.DeepEqual(byDest, want) {
+		t.Fatalf("supersede = total %d advances %v, want total 30 advances %v", got.total, byDest, want)
+	}
+	if one := supersede(jobs[:1]); !reflect.DeepEqual(one, jobs[0]) {
+		t.Fatalf("a single job must pass through unchanged: %+v", one)
+	}
+}

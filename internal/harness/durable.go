@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"windar/internal/ckpt"
 	"windar/internal/proto"
-	"windar/layer"
 )
 
 // Durable sender logs (Config.DurableLogs): every log append is mirrored
@@ -39,76 +37,6 @@ func slogStreams(rank, n int) []string {
 	return names
 }
 
-// appendLogItem serializes it (a deterministic varint codec rather than
-// gob: one mirrored append per message must not pay per-call encoder
-// setup).
-func appendLogItem(buf []byte, it *proto.LogItem) []byte {
-	buf = binary.AppendUvarint(buf, uint64(it.Dest))
-	buf = binary.AppendVarint(buf, it.SendIndex)
-	buf = binary.AppendVarint(buf, int64(it.Tag))
-	buf = binary.AppendUvarint(buf, it.Span.Trace)
-	buf = binary.AppendUvarint(buf, it.Span.Span)
-	buf = binary.AppendUvarint(buf, uint64(len(it.Piggyback)))
-	buf = append(buf, it.Piggyback...)
-	buf = binary.AppendUvarint(buf, uint64(len(it.Payload)))
-	return append(buf, it.Payload...)
-}
-
-// decodeLogItem parses appendLogItem's encoding.
-func decodeLogItem(b []byte) (proto.LogItem, error) {
-	var it proto.LogItem
-	fail := func() (proto.LogItem, error) {
-		return it, fmt.Errorf("harness: corrupt slog item (%d bytes)", len(b))
-	}
-	dest, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	idx, n := binary.Varint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	tag, n := binary.Varint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	trace, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	span, n := binary.Uvarint(b)
-	if n <= 0 {
-		return fail()
-	}
-	b = b[n:]
-	plen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) < plen {
-		return fail()
-	}
-	b = b[n:]
-	pig := b[:plen]
-	b = b[plen:]
-	vlen, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b[n:])) != vlen {
-		return fail()
-	}
-	it.Dest = int(dest)
-	it.SendIndex = idx
-	it.Tag = int32(tag)
-	it.Span = layer.SpanContext{Trace: trace, Span: span}
-	if plen > 0 {
-		it.Piggyback = append([]byte(nil), pig...)
-	}
-	if vlen > 0 {
-		it.Payload = append([]byte(nil), b[n:]...)
-	}
-	return it, nil
-}
-
 // slogAppend mirrors one just-logged item into its channel's stream,
 // encoded into the rank's scratch buffer. Called under the rank lock on
 // the send path; PutLazy never sleeps, so the lock is safe to hold
@@ -116,7 +44,7 @@ func decodeLogItem(b []byte) (proto.LogItem, error) {
 //
 //windar:hotpath
 func (r *rankRuntime) slogAppend(it *proto.LogItem) {
-	r.slogBuf = appendLogItem(r.slogBuf[:0], it) //windar:allow hotpath — the scratch buffer keeps its capacity
+	r.slogBuf = proto.AppendLogItem(r.slogBuf[:0], it) //windar:allow hotpath — the scratch buffer keeps its capacity
 	if err := r.c.store.PutLazy(r.c.slogNames[r.id][it.Dest], r.slogBuf); err != nil {
 		panicSlog(r.id, "append", err)
 	}
@@ -176,7 +104,12 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 			if seq > frontier {
 				return nil
 			}
-			it, err := decodeLogItem(data)
+			// Scan lends data for the call only; the item keeps the copy.
+			var it proto.LogItem
+			n, err := proto.DecodeLogItem(&it, append([]byte(nil), data...))
+			if err == nil && n != len(data) {
+				err = proto.ErrCorruptLogItem
+			}
 			if err == nil && (it.SendIndex != seq || it.Dest != dest) {
 				err = fmt.Errorf("holds send %d to rank %d", it.SendIndex, it.Dest)
 			}

@@ -3,12 +3,14 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/trace"
+	"windar/layer"
 )
 
 func diskBackend(t *testing.T, dir string) *stable.Disk {
@@ -242,7 +244,7 @@ func durableLogsFollowRollbacks(t *testing.T, backend stable.Backend, want [][]b
 				i := 0
 				diff := ""
 				err := c.Store().Scan(name, func(seq int64, data []byte) error {
-					if i < len(mem) && diff == "" && (mem[i].SendIndex != seq || !bytes.Equal(appendLogItem(nil, &mem[i]), data)) {
+					if i < len(mem) && diff == "" && (mem[i].SendIndex != seq || !bytes.Equal(proto.AppendLogItem(nil, &mem[i]), data)) {
 						diff = fmt.Sprintf("%s entry %d differs from the logged send %d", name, seq, mem[i].SendIndex)
 					}
 					i++
@@ -267,41 +269,107 @@ func durableLogsFollowRollbacks(t *testing.T, backend stable.Backend, want [][]b
 	}
 }
 
-// TestSlogCodecRoundTrip pins the mirrored log-item encoding.
-func TestSlogCodecRoundTrip(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		it := testLogItem(i)
-		got, err := decodeLogItem(appendLogItem(nil, &it))
-		if err != nil {
-			t.Fatalf("item %d: decode: %v", i, err)
-		}
-		if got.Dest != it.Dest || got.SendIndex != it.SendIndex || got.Tag != it.Tag ||
-			got.Span != it.Span || !bytes.Equal(got.Piggyback, it.Piggyback) ||
-			!bytes.Equal(got.Payload, it.Payload) {
-			t.Fatalf("item %d: round-trip mismatch: %+v != %+v", i, got, it)
-		}
-	}
-	// Truncations at every byte offset must error, never panic.
-	it := testLogItem(7)
-	full := appendLogItem(nil, &it)
-	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeLogItem(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
-		}
+// sendSpanLog is a SpanObserver keeping every send's span context,
+// original sends and log resends apart.
+type sendSpanLog struct {
+	nopObserver
+	mu     sync.Mutex
+	sent   map[[3]int64]layer.SpanContext // (rank, dest, send index)
+	resent map[[3]int64]layer.SpanContext
+}
+
+func newSendSpanLog() *sendSpanLog {
+	return &sendSpanLog{sent: map[[3]int64]layer.SpanContext{}, resent: map[[3]int64]layer.SpanContext{}}
+}
+
+func (l *sendSpanLog) OnSendSpan(rank, dest int, idx int64, resent bool, span layer.SpanContext) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if resent {
+		l.resent[[3]int64{int64(rank), int64(dest), idx}] = span
+	} else {
+		l.sent[[3]int64{int64(rank), int64(dest), idx}] = span
 	}
 }
 
-func testLogItem(i int) (it proto.LogItem) {
-	it.Dest = i % 5
-	it.SendIndex = int64(i) * 1000003
-	it.Tag = int32(i % 3)
-	it.Span.Trace = uint64(i) * 7
-	it.Span.Span = uint64(i) * 13
-	if i%2 == 0 {
-		it.Piggyback = bytes.Repeat([]byte{byte(i)}, i%17)
+func (*sendSpanLog) OnDeliverSpan(int, int, int64, int64, int64, layer.SpanContext) {}
+
+// lateRankZero checkpoints rank 0 once before step 20 and every other
+// rank once before step 10, so after a restart rank 0's restored sender
+// log holds sends 11..20 that rank 1's restored state has not delivered.
+type lateRankZero struct{}
+
+func (lateRankZero) ShouldCheckpoint(rank, step int) bool {
+	return (rank == 0 && step == 20) || (rank != 0 && step == 10)
+}
+
+// TestRestartResendKeepsCausalIdentity: a sender log rebuilt from the
+// slog/ streams by a new process must resend each message under the
+// span context the original send carried — trace, span and causal
+// parent. (The stream codec once dropped Parent.)
+func TestRestartResendKeepsCausalIdentity(t *testing.T) {
+	const n, steps = 3, 30
+	want := run(t, testConfig(n, TDI), ringFactory(steps), nil)
+	dir := t.TempDir()
+	runOnce := func(resume bool) *sendSpanLog {
+		spans := newSendSpanLog()
+		cfg := testConfig(n, TDI)
+		cfg.CheckpointPolicy = lateRankZero{}
+		cfg.Stable = diskBackend(t, dir)
+		cfg.DurableLogs = true
+		cfg.SpanTracing = true
+		cfg.Observer = spans
+		c, err := NewCluster(cfg, ringFactory(steps))
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		defer c.Close() // waits for the checkpoint writers: what was taken is durable
+		start := c.Start
+		if resume {
+			start = c.StartFromStable
+		}
+		if err := start(); err != nil {
+			t.Fatalf("start (resume=%v): %v", resume, err)
+		}
+		done := make(chan struct{})
+		go func() { c.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("cluster (resume=%v) did not complete", resume)
+		}
+		for rank := 0; rank < n; rank++ {
+			if got := c.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
+				t.Errorf("resume=%v rank %d: state %x, fault-free %x", resume, rank, got, want[rank])
+			}
+		}
+		return spans
 	}
-	if i%3 != 0 {
-		it.Payload = []byte(fmt.Sprintf("payload-%d", i))
+	first := runOnce(false)
+	second := runOnce(true)
+
+	fromStreams, withParent := 0, 0
+	for key, got := range second.resent {
+		if _, regenerated := second.sent[key]; regenerated {
+			continue // sent anew by the second process and resent from memory
+		}
+		// The second process never made this send: the resent item can
+		// only have been rebuilt from the first process's streams.
+		fromStreams++
+		orig, ok := first.sent[key]
+		if !ok {
+			t.Errorf("resend %v has no original send in the first process", key)
+			continue
+		}
+		if got != orig {
+			t.Errorf("resend %v carries span %+v, the original send carried %+v", key, got, orig)
+		}
+		if got.Parent != 0 {
+			withParent++
+		}
 	}
-	return it
+	// Rank 0's sends 11..20 to rank 1, each caused by a delivery.
+	if fromStreams < 10 || withParent < 10 {
+		t.Fatalf("%d resends rebuilt from the streams, %d with a causal parent; want at least 10 of each", fromStreams, withParent)
+	}
 }

@@ -214,12 +214,6 @@ type Config struct {
 	// (defaultRecvBatch); negative disables batch ingest — every
 	// envelope is received and dispatched individually.
 	RecvBatch int
-	// DisableTrackTiming skips the per-operation clock reads that feed
-	// the tracking-time metrics (Fig. 7). The dependency tracking work
-	// itself still runs; only its timing is dropped. Throughput
-	// measurements set this: on hosts with a slow clocksource the two
-	// clock reads around a sub-microsecond merge dominate the figure.
-	DisableTrackTiming bool
 	// SpanTracing stamps every application message with a causal span
 	// context (see span.go) carried in the wire envelope. Off by default;
 	// when off the wire encoding is byte-identical to a build without the
@@ -451,7 +445,6 @@ func (c *Cluster) newProtocol(r *rankRuntime) (proto.Protocol, error) {
 	case TDI:
 		p := core.New(r.id, c.cfg.N, m, c.clk)
 		p.SetRefreshEvery(c.cfg.PiggybackRefreshEvery)
-		p.SetTimeTracking(!c.cfg.DisableTrackTiming)
 		return p, nil
 	case TAG:
 		return tag.New(r.id, c.cfg.N, m, c.clk), nil

@@ -803,12 +803,14 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	r.ckptMu.Unlock()
 }
 
-// ckptWriterLoop is the rank's checkpoint writer: it works queued
-// snapshots in order — durable Save, then the CHECKPOINT_ADVANCE
-// fan-out — off the application's critical path. On kill it drains the
-// queue (a clean Close never abandons a taken checkpoint's durable
-// write; the advance sends abort on the killed channel instead) and
-// exits.
+// ckptWriterLoop is the rank's checkpoint writer: durable Save, then
+// the CHECKPOINT_ADVANCE fan-out, off the application's critical path.
+// Each round takes everything queued and saves only the newest snapshot
+// (see supersede), so the writer is never more than one Save behind the
+// application however slow stable storage is. On kill it drains the
+// queue (a clean Close never abandons the newest taken checkpoint's
+// durable write; the advance sends abort on the killed channel instead)
+// and exits.
 func (r *rankRuntime) ckptWriterLoop() {
 	defer r.c.ckptWG.Done()
 	for {
@@ -820,11 +822,37 @@ func (r *rankRuntime) ckptWriterLoop() {
 			r.ckptMu.Unlock()
 			return
 		}
-		job := r.ckptQ[0]
-		r.ckptQ = r.ckptQ[1:]
+		jobs := r.ckptQ
+		r.ckptQ = nil
 		r.ckptMu.Unlock()
-		r.saveCheckpoint(job)
+		r.saveCheckpoint(supersede(jobs))
 	}
+}
+
+// supersede folds a run of queued checkpoints, oldest first, into the
+// one job worth doing: the newest snapshot and total, with every older
+// job's advances merged in at the per-destination maximum. A rank's
+// newest checkpoint covers all that its earlier ones covered, so the
+// older Saves are skipped outright — but a peer whose deliveries an
+// older checkpoint was first to cover, and from which nothing was
+// delivered since, appears only in that older job's advances and must
+// still be told. The merged job announces after the one covering Save,
+// which keeps the release invariant.
+func supersede(jobs []ckptJob) ckptJob {
+	newest := jobs[len(jobs)-1]
+	for _, old := range jobs[:len(jobs)-1] {
+	merge:
+		for _, a := range old.advances {
+			for i := range newest.advances {
+				if newest.advances[i].dest == a.dest {
+					newest.advances[i].count = max(newest.advances[i].count, a.count)
+					continue merge
+				}
+			}
+			newest.advances = append(newest.advances, a)
+		}
+	}
+	return newest
 }
 
 // saveCheckpoint durably writes one staged checkpoint and announces the

@@ -73,23 +73,6 @@ func (r *Rank) MsgSent(piggybackIDs int, piggybackBytes, payloadBytes int) {
 // MsgDelivered records one application message delivered to the app.
 func (r *Rank) MsgDelivered() { r.msgsDelivered.Add(1) }
 
-// SendTracking charges d to send-side dependency tracking (piggyback
-// construction, graph increment computation).
-func (r *Rank) SendTracking(d time.Duration) {
-	r.sendTrackNanos.Add(int64(d))
-	if h := r.hists.Load(); h != nil {
-		h.SendTracking.RecordDuration(d)
-	}
-}
-
-// DeliverTracking charges d to deliver-side dependency tracking (merge).
-func (r *Rank) DeliverTracking(d time.Duration) {
-	r.deliverTrackNanos.Add(int64(d))
-	if h := r.hists.Load(); h != nil {
-		h.DeliverTracking.RecordDuration(d)
-	}
-}
-
 // PigDelta records one outgoing piggyback emitted in the delta encoding
 // (wire format v2) at the given encoded size.
 func (r *Rank) PigDelta(bytes int) {

@@ -12,8 +12,8 @@ func TestRankCountersAccumulate(t *testing.T) {
 	r.MsgSent(4, 10, 100)
 	r.MsgSent(4, 12, 200)
 	r.MsgDelivered()
-	r.SendTracking(3 * time.Microsecond)
-	r.DeliverTracking(2 * time.Microsecond)
+	r.sendTrackNanos.Add(3000)
+	r.deliverTrackNanos.Add(2000)
 	r.ControlMsg()
 	r.RepetitiveDiscarded()
 	r.Resent()

@@ -13,8 +13,8 @@ import (
 // message during a peer's recovery ("every resent message should be
 // piggybacked with the logged vector ... as in normal execution mode").
 // The span context rides along for the same reason: a resend must carry
-// the original send's causal identity, not a fresh one (checkpoints are
-// gob-encoded, which tolerates the field's absence in old snapshots).
+// the original send's causal identity, not a fresh one. Checkpoints and
+// the durable slog/ streams share one encoding of it (logcodec.go).
 type LogItem struct {
 	Dest      int
 	SendIndex int64
@@ -162,14 +162,18 @@ func (l *Log) Len() int {
 func (l *Log) Bytes() int64 { return l.bytes }
 
 // All returns every retained item ordered by (Dest, SendIndex), for
-// checkpointing.
+// checkpointing. The result is allocated once at its final size and
+// filled chunk by chunk; it is the call's only allocation up to 16
+// destinations.
 func (l *Log) All() []LogItem {
-	dests := make([]int, 0, len(l.perDest))
-	for d := range l.perDest {
+	dests := make([]int, 0, 16)
+	total := 0
+	for d, dl := range l.perDest {
 		dests = append(dests, d)
+		total += dl.count
 	}
 	sort.Ints(dests)
-	var out []LogItem
+	out := make([]LogItem, 0, total)
 	for _, dst := range dests {
 		for _, c := range l.perDest[dst].chunks {
 			out = append(out, c...)

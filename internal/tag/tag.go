@@ -56,8 +56,8 @@ type TAG struct {
 	valErr  []error
 	valSeen []bool
 
-	m   *metrics.Rank
-	clk clock.Clock
+	// track samples the send- and deliver-side tracking time (Fig. 7).
+	track metrics.Tracker
 }
 
 var _ proto.Protocol = (*TAG)(nil)
@@ -66,12 +66,6 @@ var _ proto.Protocol = (*TAG)(nil)
 // metrics rank may be nil; clk times the tracking overhead charged to it
 // and defaults to the wall clock.
 func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TAG {
-	if m == nil {
-		m = &metrics.Rank{}
-	}
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	t := &TAG{
 		rank:    rank,
 		n:       n,
@@ -80,8 +74,7 @@ func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TAG {
 		valIdx:  make([]int64, n),
 		valErr:  make([]error, n),
 		valSeen: make([]bool, n),
-		m:       m,
-		clk:     clk,
+		track:   metrics.NewTracker(m, clk),
 	}
 	for i := range t.knownTo {
 		t.knownTo[i] = make(map[agraph.NodeID]struct{})
@@ -101,7 +94,7 @@ func (t *TAG) GraphLen() int { return t.graph.Len() }
 // dest. The increment computation — the graph traversal Manetho pays on
 // every send — is charged to send-side tracking time.
 func (t *TAG) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
-	start := t.clk.Now()
+	start, w := t.track.BeginSend()
 	diff := t.graph.DiffAgainst(t.knownTo[dest])
 	buf := binary.AppendVarint(make([]byte, 0, 16+24*len(diff)), t.ownDelivered)
 	buf = agraph.AppendNodes(buf, diff)
@@ -111,7 +104,7 @@ func (t *TAG) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	for _, nd := range diff {
 		t.knownTo[dest][nd.ID()] = struct{}{}
 	}
-	t.m.SendTracking(t.clk.Now().Sub(start))
+	t.track.EndSend(start, w)
 	return buf, determinant.IdentifierCount*len(diff) + 1
 }
 
@@ -168,7 +161,7 @@ func (t *TAG) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 // record this delivery as a new graph node, and advance the known-set
 // estimate for the sender.
 func (t *TAG) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
-	start := t.clk.Now()
+	start, w := t.track.BeginDeliver()
 	senderInterval, off := binary.Varint(env.Piggyback)
 	if off <= 0 {
 		return fmt.Errorf("tag: rank %d: bad piggyback header from %d", t.rank, env.From)
@@ -195,7 +188,7 @@ func (t *TAG) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	}
 	t.ownDelivered = deliverIndex
 	delete(t.recorded, deliverIndex)
-	t.m.DeliverTracking(t.clk.Now().Sub(start))
+	t.track.EndDeliver(start, w)
 	return nil
 }
 

@@ -56,8 +56,9 @@ type TEL struct {
 	valErr  []error
 	valSeen []bool
 
-	m   *metrics.Rank
-	clk clock.Clock
+	m *metrics.Rank
+	// track samples the send- and deliver-side tracking time (Fig. 7).
+	track metrics.Tracker
 }
 
 var _ proto.Protocol = (*TEL)(nil)
@@ -73,9 +74,6 @@ func New(rank, n int, logger *Logger, locker sync.Locker, m *metrics.Rank, clk c
 	if locker == nil {
 		locker = &sync.Mutex{}
 	}
-	if clk == nil {
-		clk = clock.Real{}
-	}
 	return &TEL{
 		rank:        rank,
 		n:           n,
@@ -87,7 +85,7 @@ func New(rank, n int, logger *Logger, locker sync.Locker, m *metrics.Rank, clk c
 		valErr:      make([]error, n),
 		valSeen:     make([]bool, n),
 		m:           m,
-		clk:         clk,
+		track:       metrics.NewTracker(m, clk),
 	}
 }
 
@@ -117,10 +115,10 @@ func (t *TEL) unstable() []determinant.D {
 // PiggybackForSend implements proto.Protocol: every determinant not yet
 // known stable rides along, 4 identifiers each.
 func (t *TEL) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
-	start := t.clk.Now()
+	start, w := t.track.BeginSend()
 	ds := t.unstable()
 	pig := determinant.AppendSlice(make([]byte, 0, 8+16*len(ds)), ds)
-	t.m.SendTracking(t.clk.Now().Sub(start))
+	t.track.EndSend(start, w)
 	return pig, determinant.IdentifierCount * len(ds)
 }
 
@@ -171,7 +169,7 @@ func (t *TEL) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 // determinants, create this delivery's determinant, and ship it to the
 // event logger asynchronously.
 func (t *TEL) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
-	start := t.clk.Now()
+	start, w := t.track.BeginDeliver()
 	ds, _, err := determinant.ReadSlice(env.Piggyback)
 	if err != nil {
 		return fmt.Errorf("tel: rank %d: bad piggyback from %d: %w", t.rank, env.From, err)
@@ -193,7 +191,7 @@ func (t *TEL) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	t.ownDelivered = deliverIndex
 	delete(t.recorded, deliverIndex)
 	t.flushLocked([]determinant.D{own})
-	t.m.DeliverTracking(t.clk.Now().Sub(start))
+	t.track.EndDeliver(start, w)
 	return nil
 }
 

@@ -54,7 +54,7 @@ func AppendFrame(buf []byte, e *Envelope) []byte {
 //windar:hotpath
 func FrameSize(e *Envelope) int {
 	n := EncodedSize(e)
-	return 2 + uvarintLen(uint64(n)) + n
+	return 2 + UvarintLen(uint64(n)) + n
 }
 
 // parseFrameHeader parses the frame header at the front of b: hdr is

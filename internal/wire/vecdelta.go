@@ -83,9 +83,9 @@ func panicDeltaLen(base, cur int) {
 //
 //windar:hotpath
 func VecSize(v vclock.Vec) int {
-	n := uvarintLen(uint64(len(v)))
+	n := UvarintLen(uint64(len(v)))
 	for _, x := range v {
-		n += varintLen(x)
+		n += VarintLen(x)
 	}
 	return n
 }
@@ -103,10 +103,10 @@ func VecDeltaSize(base, cur vclock.Vec) int {
 	for i := range cur {
 		if cur[i] != base[i] {
 			changed++
-			n += uvarintLen(uint64(i)) + varintLen(cur[i])
+			n += UvarintLen(uint64(i)) + VarintLen(cur[i])
 		}
 	}
-	return n + uvarintLen(uint64(changed))
+	return n + UvarintLen(uint64(changed))
 }
 
 // VecChanged counts the elements that differ between base and cur — the

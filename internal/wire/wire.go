@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"windar/internal/vclock"
 	"windar/layer"
@@ -170,28 +171,25 @@ func Decode(b []byte) (*Envelope, error) {
 //windar:hotpath
 func EncodedSize(e *Envelope) int {
 	n := 2
-	n += varintLen(int64(e.From))
-	n += varintLen(int64(e.To))
-	n += varintLen(int64(e.Incarnation))
-	n += varintLen(int64(e.Tag))
-	n += varintLen(e.SendIndex)
-	n += uvarintLen(uint64(len(e.Piggyback))) + len(e.Piggyback)
-	n += uvarintLen(uint64(len(e.Payload))) + len(e.Payload)
+	n += VarintLen(int64(e.From))
+	n += VarintLen(int64(e.To))
+	n += VarintLen(int64(e.Incarnation))
+	n += VarintLen(int64(e.Tag))
+	n += VarintLen(e.SendIndex)
+	n += UvarintLen(uint64(len(e.Piggyback))) + len(e.Piggyback)
+	n += UvarintLen(uint64(len(e.Payload))) + len(e.Payload)
 	if !e.Span.IsZero() {
-		n += uvarintLen(e.Span.Trace) + uvarintLen(e.Span.Span) + uvarintLen(e.Span.Parent)
+		n += UvarintLen(e.Span.Trace) + UvarintLen(e.Span.Span) + UvarintLen(e.Span.Parent)
 	}
 	return n
 }
 
-func varintLen(v int64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutVarint(tmp[:], v)
-}
+// VarintLen returns the number of bytes binary.AppendVarint emits for v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 
-func uvarintLen(v uint64) int {
-	var tmp [binary.MaxVarintLen64]byte
-	return binary.PutUvarint(tmp[:], v)
-}
+// UvarintLen returns the number of bytes binary.AppendUvarint emits for
+// v: seven value bits per byte.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendVec appends a length-prefixed varint encoding of v to buf and
 // returns the extended slice. It is the shared piggyback primitive: TDI's
