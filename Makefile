@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race lint alloc-gate throughput-gate wal-gate restart-check verify verify-tcp chaos trace-export fuzz vet examples clean
+.PHONY: all build test race race-stress lint alloc-gate throughput-gate wal-gate restart-check verify verify-tcp chaos trace-export fuzz vet examples clean
 
 all: build vet lint test
 
@@ -15,6 +15,15 @@ test:
 # gate, not an optional extra.
 race:
 	$(GO) test -race ./...
+
+# Kill/Recover interleavings are decided by scheduling luck: one pass of
+# the race matrix meets a given window about once in hundreds of runs.
+# This target looks for that class on purpose — the concurrent
+# kill/recover tests fifty times over, on both transports.
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery'
+race-stress:
+	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
+	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 
 vet:
 	$(GO) vet ./...

@@ -301,13 +301,17 @@ const allocTolerance = 0.5
 // runAllocGate measures the hot-path allocation probes. Without check it
 // writes the baseline to path; with check it loads the committed
 // baseline from path and fails on any probe measuring above baseline
-// plus allocTolerance, or on a probe-set mismatch (a renamed or removed
-// probe must be re-baselined deliberately).
+// plus allocTolerance — or above its own absolute budget, for the
+// fractional end-to-end probes (AllocProbe.Max) — or on a probe-set
+// mismatch (a renamed or removed probe must be re-baselined
+// deliberately).
 func runAllocGate(check bool, path string) error {
 	rep := allocReport{AllocsPerOp: map[string]float64{}}
+	budget := map[string]float64{}
 	for _, p := range harness.AllocProbes() {
 		rep.AllocsPerOp[p.Name] = p.F()
-		fmt.Printf("alloc %-20s %.2f allocs/op\n", p.Name, rep.AllocsPerOp[p.Name])
+		budget[p.Name] = p.Max
+		fmt.Printf("alloc %-20s %.3f allocs/op\n", p.Name, rep.AllocsPerOp[p.Name])
 	}
 	if !check {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -335,7 +339,11 @@ func runAllocGate(check bool, path string) error {
 			failures = append(failures, fmt.Sprintf("probe %s missing from baseline %s (re-run windar-bench -fig alloc to re-baseline)", name, path))
 			continue
 		}
-		if got > want+allocTolerance {
+		if max := budget[name]; max > 0 {
+			if got > max {
+				failures = append(failures, fmt.Sprintf("probe %s over budget: %.3f allocs/op, budget %.3f (baseline %.3f)", name, got, max, want))
+			}
+		} else if got > want+allocTolerance {
 			failures = append(failures, fmt.Sprintf("probe %s regressed: %.2f allocs/op, baseline %.2f", name, got, want))
 		}
 	}

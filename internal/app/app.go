@@ -43,6 +43,15 @@ type Env interface {
 	// under the logging protocol's constraints, delivers it, and returns
 	// its payload and actual source. source may be AnySource, tag may be
 	// AnyTag.
+	//
+	// data is the receiver's own deep copy — it never aliases the
+	// sender's logged bytes or any other delivery — so the application
+	// may keep it, overwrite it or append to it (its capacity is clipped
+	// to its length, so an append copies out). It is not necessarily an
+	// allocation of its own: payloads up to wire.ArenaMax are cut from a
+	// chunk shared with neighbouring deliveries that is never rewritten,
+	// so holding on to one small payload keeps up to wire.ArenaChunk
+	// bytes reachable. Copy what must outlive the step by much.
 	Recv(source int, tag int32) (data []byte, from int)
 }
 

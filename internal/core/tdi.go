@@ -90,6 +90,11 @@ type TDI struct {
 	// can be proven shared with any receiver after a rollback.
 	pinFull bool
 
+	// pigArena backs every non-constant piggyback PiggybackForSend
+	// returns: the sender log retains them, read-only, until the
+	// destination's CHECKPOINT_ADVANCE releases them.
+	pigArena wire.Arena
+
 	// Send side: last vector sent per destination and deltas since the
 	// last full vector.
 	sent      []vclock.Vec
@@ -167,9 +172,12 @@ func (t *TDI) DependInterval() vclock.Vec { return t.dependInterval.Clone() }
 // current depend_interval vector (Algorithm 1 line 11) — delta-encoded
 // against the last vector sent to dest when that is smaller and the
 // refresh cadence permits, the full n-element vector otherwise. The
-// result is retained by the sender log, so it is a fresh allocation;
-// callers that own a reusable buffer (the allocation probes, a future
-// log-owned arena) use AppendPiggybackForSend directly.
+// result is retained by the sender log, so it is the caller's to keep:
+// an immutable slice appended at the tail of the instance's arena (see
+// wire.Arena). Callers that own a reusable buffer (the allocation
+// probes) use AppendPiggybackForSend directly.
+//
+//windar:hotpath
 func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	if t.emptyDeltaEligible(dest) {
 		// The empty delta is two constant bytes that every holder —
@@ -180,7 +188,10 @@ func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 		t.recordEmptyDelta(dest)
 		return emptyDeltaPig, 1
 	}
-	return t.AppendPiggybackForSend(make([]byte, 0, wire.VecSize(t.dependInterval)), dest)
+	// The full vector bounds the encoding: a delta is chosen only when
+	// it is smaller.
+	pig, ids := t.AppendPiggybackForSend(t.pigArena.Tail(wire.VecSize(t.dependInterval)), dest)
+	return t.pigArena.Commit(pig), ids
 }
 
 // emptyDeltaPig is the shared empty-delta encoding (see

@@ -333,6 +333,13 @@ type link struct {
 	rng     *rand.Rand
 	batch   *obs.Hist // occupancy of each serviced transfer (nil-safe)
 	dropped int64
+
+	// payloads backs the receiver's deep copy of every application
+	// payload this link delivers. It belongs to the link's delivery turn:
+	// tryInline copies with mu held and the link idle, run's deliver
+	// while busy — which mu orders against each other — so the two never
+	// touch it at once.
+	payloads wire.Arena
 }
 
 func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) error {
@@ -366,9 +373,10 @@ func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) er
 // any message that cannot go right now takes the queued path, and once
 // one is queued every later send queues behind it until the link drains.
 // l.mu is held across the inbox push so a racing send on the same link
-// cannot overtake the delivery. The receiver gets a deep copy with the
-// same ownership contract a decode would produce, never the sender's
-// envelope; the queued path still wire-round-trips every message.
+// cannot overtake the delivery — and so the link's payload arena has one
+// user. The receiver gets a deep copy with the same ownership contract a
+// decode would produce, never the sender's envelope or its logged bytes;
+// the queued path still wire-round-trips every message.
 func (l *link) tryInline(env *wire.Envelope) bool {
 	r := l.f.ranks[l.to]
 	l.mu.Lock()
@@ -386,7 +394,7 @@ func (l *link) tryInline(env *wire.Envelope) bool {
 	r.mu.Unlock()
 
 	denv := wire.GetEnvelope()
-	wire.CopyInto(denv, env)
+	wire.CopyIntoArena(denv, env, &l.payloads)
 	l.batch.Record(1)
 	box.push(denv)
 	l.mu.Unlock()
@@ -461,7 +469,7 @@ func (l *link) deliver(it *item) bool {
 	r.mu.Unlock()
 
 	env := wire.GetEnvelope()
-	if err := wire.DecodeInto(env, it.bytes); err != nil {
+	if err := wire.DecodeInto(env, it.bytes, &l.payloads); err != nil {
 		// An encode/decode mismatch is a bug in this repository, not a
 		// runtime condition: fail loudly.
 		panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))

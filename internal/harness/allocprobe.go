@@ -9,16 +9,20 @@ package harness
 
 import (
 	"io"
+	"math"
 	"os"
+	"runtime"
 	"testing"
 
 	"windar/internal/app"
 	"windar/internal/ckpt"
 	"windar/internal/core"
+	"windar/internal/fabric"
 	"windar/internal/obs"
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/transport"
+	"windar/internal/transport/mem"
 	"windar/internal/transport/tcp"
 	"windar/internal/wire"
 	"windar/layer"
@@ -28,8 +32,15 @@ import (
 type AllocProbe struct {
 	// Name keys the path in BENCH_alloc.json.
 	Name string
-	// F returns allocations per operation (testing.AllocsPerRun).
+	// F returns allocations per operation (testing.AllocsPerRun, which
+	// reports whole allocations: an amortised chunk reads as zero).
 	F func() float64
+	// Max, when positive, is an absolute budget the gate holds the
+	// measurement to instead of baseline plus tolerance. The end-to-end
+	// probes use it: their figure is a fraction — the amortised chunks of
+	// the arenas and the sender log — so a whole-allocation tolerance
+	// would hide a regression of the very thing they gate.
+	Max float64
 }
 
 // allocProbeRuns amortizes one-time warm-up allocations (decode scratch,
@@ -48,7 +59,12 @@ func AllocProbes() []AllocProbe {
 		{Name: "hist_record", F: probeHistRecord},
 		{Name: "frame_append", F: probeFrameAppend},
 		{Name: "frame_read", F: probeFrameRead},
+		{Name: "mem_hop", F: probeMemHop},
 		{Name: "tcp_hop", F: probeTCPHop},
+		{Name: "pig_full_retained", F: probePigFullRetained},
+		{Name: "shard_fifo", F: probeShardFIFO},
+		{Name: "msg_roundtrip_mem", F: func() float64 { return msgRoundtripAllocs(transport.Mem) }, Max: msgRoundtripMax},
+		{Name: "msg_roundtrip_tcp", F: func() float64 { return msgRoundtripAllocs(transport.TCP) }, Max: msgRoundtripMax},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
 		{Name: "log_all", F: probeLogAll},
@@ -144,7 +160,7 @@ func deliveryScanAllocs(interceptors []layer.Interceptor, traced bool) float64 {
 			id := spanID(1, 0, uint32(i))
 			env.Span = layer.SpanContext{Trace: id, Span: id}
 		}
-		r.shards[1].q = append(r.shards[1].q, env)
+		r.shards[1].insert(env)
 	}
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		r.mu.Lock()
@@ -355,15 +371,29 @@ var _ io.Reader = (*loopReader)(nil)
 // probeTCPHop measures one message crossing the socket path, per
 // message: bursts of 16 flood-shaped envelopes go rank 0 → rank 1 over a
 // loopback tcp transport the way the harness sends and receives them
-// (TrySend, Send when refused; RecvBatch; Recycle). The budget is the
-// fresh payload the receiver keeps (see wire.DecodeInto) — the chunk,
-// the read buffer and the envelope are all reused.
+// (TrySend, Send when refused; RecvBatch; Recycle). The budget is zero:
+// the chunk, the read buffer and the envelope are reused, and the
+// payload the receiver keeps is cut from the connection's arena (see
+// wire.DecodeInto).
 func probeTCPHop() float64 {
 	tr, err := tcp.New(tcp.Config{N: 2})
 	if err != nil {
 		panic(err)
 	}
 	defer tr.Close()
+	return hopAllocs(tr)
+}
+
+// probeMemHop is probeTCPHop over the instant mem fabric: the inline
+// delivery's deep copy (wire.CopyIntoArena into the link's arena).
+func probeMemHop() float64 {
+	tr := mem.New(fabric.Config{N: 2})
+	defer tr.Close()
+	return hopAllocs(tr)
+}
+
+func hopAllocs(tr transport.Transport) float64 {
+	inline := tr.(transport.InlineSender)
 	in := tr.Inbox(1).(transport.BatchInbox)
 	const burst = 16
 	buf := make([]*wire.Envelope, 0, 64)
@@ -375,7 +405,7 @@ func probeTCPHop() float64 {
 			env := wire.GetEnvelope()
 			env.Kind, env.From, env.To, env.SendIndex = wire.KindApp, 0, 1, idx
 			env.Piggyback, env.Payload = pig, payload
-			if !tr.TrySend(env) {
+			if !inline.TrySend(env) {
 				if err := tr.Send(env, transport.SendOpts{}); err != nil {
 					panic(err)
 				}
@@ -385,7 +415,7 @@ func probeTCPHop() float64 {
 		for got := 0; got < burst; {
 			var ok bool
 			if buf, ok = in.RecvBatch(buf[:0]); !ok {
-				panic("allocprobe: tcp inbox closed mid-probe")
+				panic("allocprobe: inbox closed mid-probe")
 			}
 			got += len(buf)
 			for _, e := range buf {
@@ -394,4 +424,106 @@ func probeTCPHop() float64 {
 		}
 	})
 	return perBurst / burst
+}
+
+// probePigFullRetained measures PiggybackForSend on the path a recovered
+// rank is pinned to: a full 32-element vector per message, retained by
+// the sender log — appended at the tail of the instance's arena.
+func probePigFullRetained() float64 {
+	t := core.New(0, 32, nil, nil)
+	t.SetRefreshEvery(1)
+	idx := int64(0)
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		idx++
+		t.PiggybackForSend(1, idx)
+	})
+}
+
+// probeShardFIFO measures one ingest/deliver round on a delivery shard
+// holding a standing backlog: the sorted insert and the pop, with the
+// backing array kept.
+func probeShardFIFO() float64 {
+	var sh deliveryShard
+	envs := make([]wire.Envelope, 32)
+	idx := int64(0)
+	push := func() {
+		idx++
+		env := &envs[idx%int64(len(envs))]
+		env.SendIndex = idx
+		sh.insert(env)
+	}
+	for sh.pending() < 16 {
+		push()
+	}
+	return testing.AllocsPerRun(allocProbeRuns, func() {
+		push()
+		sh.delivered = sh.front().SendIndex
+		sh.pop()
+	})
+}
+
+// msgRoundtripMax is the end-to-end budget, allocations per delivered
+// message. What is left under it is amortised: an arena chunk per ~2 000
+// payloads or piggybacks, a sender-log chunk per 256 items.
+const msgRoundtripMax = 0.05
+
+// pingApp is the end-to-end probe's application: ranks 0 and 1 bounce an
+// 8-byte message, allocating nothing themselves. Rank 0 counts the
+// process's mallocs from the end of the warm-up to its last step.
+type pingApp struct {
+	rank    int
+	payload [8]byte
+	mallocs uint64
+}
+
+const (
+	pingSteps  = 60_000
+	pingWarmup = 10_000
+)
+
+func (a *pingApp) Steps() int { return pingSteps }
+
+func (a *pingApp) Step(env app.Env, s int) {
+	if a.rank == 0 {
+		if s == pingWarmup {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			a.mallocs = ms.Mallocs
+		}
+		env.Send(1, 0, a.payload[:])
+		env.Recv(1, 0)
+		if s == pingSteps-1 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			a.mallocs = ms.Mallocs - a.mallocs
+		}
+		return
+	}
+	env.Recv(0, 0)
+	env.Send(0, 0, a.payload[:])
+}
+
+func (a *pingApp) Snapshot() []byte     { return nil }
+func (a *pingApp) Restore([]byte) error { return nil }
+
+// msgRoundtripAllocs runs a started two-rank cluster — send chain, TDI,
+// sender log, transport, receiver loop, shards, delivery — and returns
+// heap allocations per delivered message after warm-up, every goroutine
+// of the process included.
+func msgRoundtripAllocs(tk transport.Kind) float64 {
+	apps := make([]*pingApp, 2)
+	c, err := NewCluster(Config{N: 2, Transport: tk}, func(rank, n int) app.App {
+		apps[rank] = &pingApp{rank: rank}
+		return apps[rank]
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+	if err := c.Start(); err != nil {
+		panic(err)
+	}
+	c.Wait()
+	perMsg := float64(apps[0].mallocs) / float64(2*(pingSteps-pingWarmup))
+	return math.Round(perMsg*1000) / 1000
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"windar/internal/proto"
 	"windar/internal/transport"
 	"windar/internal/vclock"
 	"windar/internal/wire"
@@ -207,9 +206,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	r.prot.OnPeerRollback(failed, ckptDelivered)
 	deliveredFromFailed := r.lastDeliverIndex[failed]
 	recData := r.prot.RecoveryData(failed, ckptDelivered)
-	items := r.log.ItemsFor(failed, lastDeliver[r.id])
-	resend := make([]proto.LogItem, len(items))
-	copy(resend, items)
+	resend := r.log.ItemsFor(failed, lastDeliver[r.id]) // a copy: safe to walk unlocked
 	r.mu.Unlock()
 
 	m := r.c.coll.Rank(r.id)
@@ -223,8 +220,12 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	}
 	m.ControlMsg()
 
-	for _, it := range resend {
-		renv := &wire.Envelope{
+	// One envelope serves the whole resend: neither transport retains it
+	// past Send (both encode or deep-copy synchronously).
+	renv := new(wire.Envelope)
+	for i := range resend {
+		it := &resend[i]
+		*renv = wire.Envelope{
 			Kind: wire.KindApp, From: r.id, To: failed,
 			Incarnation: r.incarnation, Tag: it.Tag,
 			SendIndex: it.SendIndex, Resent: true,

@@ -64,7 +64,7 @@ func TestEnqueueDiscardsRepetitive(t *testing.T) {
 	r.enqueueApp(tdiEnv(1, 0, 6, zero, 0)) // fresh
 
 	r.shards[1].mu.Lock()
-	q := append([]*wire.Envelope(nil), r.shards[1].q...)
+	q := append([]*wire.Envelope(nil), r.shards[1].q[r.shards[1].head:]...)
 	r.shards[1].mu.Unlock()
 	if len(q) != 1 || q[0].SendIndex != 6 {
 		t.Fatalf("queue = %v", q)
@@ -86,7 +86,7 @@ func TestEnqueueSortsAndDedupesInQueue(t *testing.T) {
 	r.enqueueApp(tdiEnv(1, 0, 2, zero, 0)) // duplicate copy
 
 	r.shards[1].mu.Lock()
-	q := append([]*wire.Envelope(nil), r.shards[1].q...)
+	q := append([]*wire.Envelope(nil), r.shards[1].q[r.shards[1].head:]...)
 	r.shards[1].mu.Unlock()
 	if len(q) != 3 {
 		t.Fatalf("queue length = %d", len(q))
@@ -222,7 +222,7 @@ func TestFig3RepetitiveScenario(t *testing.T) {
 	r.enqueueApp(resent)
 
 	r.shards[1].mu.Lock()
-	queued := len(r.shards[1].q)
+	queued := r.shards[1].pending()
 	r.shards[1].mu.Unlock()
 	if queued != 0 {
 		t.Fatalf("repetitive m3 still queued (%d entries)", queued)

@@ -191,8 +191,7 @@ func TestChainOrderingGuarantees(t *testing.T) {
 
 // xorInterceptor is the mutating test layer: it XOR-masks payloads on
 // the way out and unmasks them on delivery, replacing the slice (never
-// mutating in place — the deliver-side payload aliases the sender's
-// logged copy). Because the mask is applied after the app and removed
+// mutating in place — the layer contract). Because the mask is applied after the app and removed
 // before the app, the application is oblivious; because the sender log
 // stores the masked bytes, recovery resends replay them and the unmask
 // on redelivery stays correct.

@@ -51,14 +51,12 @@ type rankRuntime struct {
 	delivMsg  layer.Msg
 	delivEnv  *wire.Envelope
 	recvStart time.Time
-	// payArena is the bump allocator for outgoing payload copies,
-	// touched only by the app goroutine inside Send. The copies are
-	// retained read-only by the sender log (and shared with the
-	// in-flight envelope), so carving them out of a shared chunk is
-	// safe; a chunk stays reachable until every payload cut from it is
-	// released, which merely rounds the log's retention up to chunk
-	// granularity.
-	payArena []byte
+	// sendArena backs the outgoing payload copies, touched only by the
+	// app goroutine inside Send. The copies are retained read-only by
+	// the sender log (and shared with the in-flight envelope); a chunk
+	// stays reachable until every payload cut from it is released, which
+	// merely rounds the log's retention up to chunk granularity.
+	sendArena wire.Arena
 	// slogBuf is the scratch the durable log mirror encodes each item
 	// into, reused under mu (see slogAppend).
 	slogBuf []byte
@@ -164,13 +162,69 @@ type ckptAdvance struct {
 // deliveryShard is one source's slice of queue B.
 type deliveryShard struct {
 	mu sync.Mutex
-	// q is the source's pending FIFO, sorted by SendIndex.
-	q []*wire.Envelope
+	// q[head:] is the source's pending FIFO, sorted by SendIndex; q[:head]
+	// is the slack pops leave behind (nil slots). The backing array is
+	// kept: a drained queue restarts at its front, and an insert that
+	// finds the array full slides the FIFO down into the slack before it
+	// would grow (see insert) — so in a steady state ingest never
+	// allocates.
+	q    []*wire.Envelope
+	head int
 	// delivered mirrors lastDeliverIndex[src] for the ingest-side
 	// duplicate check, so an insert needs only the shard lock. It is
 	// written with both mu and shard.mu held (delivery commit, recovery
 	// restore) and read under either.
 	delivered int64
+}
+
+// front returns the FIFO head, or nil when nothing is pending.
+func (sh *deliveryShard) front() *wire.Envelope {
+	if sh.head == len(sh.q) {
+		return nil
+	}
+	return sh.q[sh.head]
+}
+
+// pending is the number of queued messages.
+func (sh *deliveryShard) pending() int { return len(sh.q) - sh.head }
+
+// pop removes the FIFO head.
+//
+//windar:hotpath
+func (sh *deliveryShard) pop() {
+	sh.q[sh.head] = nil // the array outlives the envelope
+	sh.head++
+	if sh.head == len(sh.q) {
+		sh.q, sh.head = sh.q[:0], 0
+	}
+}
+
+// insert places env at its SendIndex position and reports whether it was
+// queued: a copy of a message already delivered or already pending is
+// repetitive (false). When the array is full the FIFO slides down only
+// if the slack is at least half of it, and grows otherwise, so a slide's
+// copy is always paid for by as many pops.
+//
+//windar:hotpath
+func (sh *deliveryShard) insert(env *wire.Envelope) bool {
+	if env.SendIndex <= sh.delivered {
+		return false
+	}
+	q := sh.q[sh.head:]
+	i := sort.Search(len(q), func(i int) bool { return q[i].SendIndex >= env.SendIndex })
+	if i < len(q) && q[i].SendIndex == env.SendIndex {
+		return false // a resent copy raced the parked original
+	}
+	if h := sh.head; h > 0 && 2*h >= len(sh.q) && len(sh.q) == cap(sh.q) {
+		n := copy(sh.q, q)
+		clear(sh.q[n:])
+		sh.q, sh.head = sh.q[:n], 0
+	}
+	sh.q = append(sh.q, nil) //windar:allow hotpath — amortised: grows to the channel's deepest backlog, then the array is kept
+	q = sh.q[sh.head:]
+	copy(q[i+1:], q[i:])
+	q[i] = env
+	return true
 }
 
 // lockShard acquires sh.mu, counting the acquisitions that actually
@@ -329,7 +383,7 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	if dest < 0 || dest >= r.n {
 		panic(fmt.Sprintf("harness: rank %d Send to invalid destination %d", r.id, dest))
 	}
-	payload := r.copyPayload(data)
+	payload := r.sendArena.Copy(data)
 
 	r.mu.Lock()
 	r.lastSendIndex[dest]++
@@ -358,30 +412,6 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	env.Incarnation, env.Tag, env.SendIndex = r.incarnation, tag, idx
 	env.Piggyback, env.Payload, env.Span = pig, payload, span
 	r.transmit(env)
-}
-
-// payArenaChunk sizes the send-payload arena. Small payloads dominate
-// the workloads this harness runs, so one chunk serves thousands of
-// sends; payloads bigger than a chunk get their own allocation.
-const payArenaChunk = 16 << 10
-
-// copyPayload returns a stable copy of data for the log and the wire,
-// cut from the per-rank arena when it fits (see payArena).
-func (r *rankRuntime) copyPayload(data []byte) []byte {
-	if len(data) == 0 {
-		return nil
-	}
-	if len(data) > payArenaChunk/4 {
-		p := make([]byte, len(data))
-		copy(p, data)
-		return p
-	}
-	if cap(r.payArena)-len(r.payArena) < len(data) {
-		r.payArena = make([]byte, 0, payArenaChunk)
-	}
-	n := len(r.payArena)
-	r.payArena = append(r.payArena, data...)
-	return r.payArena[n : n+len(data) : n+len(data)]
 }
 
 // transmit hands env to the transport according to the configured mode.
@@ -543,10 +573,7 @@ func (r *rankRuntime) findDeliverableLocked(source int, tag int32) *wire.Envelop
 func (r *rankRuntime) scanShard(src int, tag int32) *wire.Envelope {
 	sh := &r.shards[src]
 	r.lockShard(sh)
-	var head *wire.Envelope
-	if len(sh.q) > 0 {
-		head = sh.q[0]
-	}
+	head := sh.front()
 	sh.mu.Unlock()
 	if head == nil {
 		return nil
@@ -609,7 +636,7 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	src := env.From
 	sh := &r.shards[src]
 	r.lockShard(sh)
-	sh.q = sh.q[1:]
+	sh.pop()
 	sh.delivered = r.lastDeliverIndex[src] + 1
 	sh.mu.Unlock()
 	r.lastDeliverIndex[src]++
@@ -667,7 +694,8 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	// The delivery is committed and every reader of the envelope — the
 	// chain, the recovery bookkeeping above — is done with it. Pooled
 	// envelopes (transport decode scratch) go back for reuse; the
-	// payload survives because decode allocates it fresh.
+	// payload survives because its bytes are the receiver's own copy,
+	// never part of the scratch.
 	wire.Recycle(env)
 	return payload
 }
@@ -716,26 +744,13 @@ func (r *rankRuntime) enqueueApp(env *wire.Envelope) {
 func (r *rankRuntime) insertShard(env *wire.Envelope) bool {
 	sh := &r.shards[env.From]
 	r.lockShard(sh)
-	if env.SendIndex <= sh.delivered {
-		sh.mu.Unlock()
+	queued := sh.insert(env)
+	sh.mu.Unlock()
+	if !queued {
 		r.c.coll.Rank(r.id).RepetitiveDiscarded()
 		wire.Recycle(env)
-		return false
 	}
-	q := sh.q
-	i := sort.Search(len(q), func(i int) bool { return q[i].SendIndex >= env.SendIndex })
-	if i < len(q) && q[i].SendIndex == env.SendIndex {
-		sh.mu.Unlock()
-		r.c.coll.Rank(r.id).RepetitiveDiscarded() // a resent copy raced the parked original
-		wire.Recycle(env)
-		return false
-	}
-	q = append(q, nil)
-	copy(q[i+1:], q[i:])
-	q[i] = env
-	sh.q = q
-	sh.mu.Unlock()
-	return true
+	return queued
 }
 
 // doCheckpoint snapshots the rank and queues the durable write
@@ -894,11 +909,7 @@ func (r *rankRuntime) stallReportLocked(source int, tag int32) string {
 	for src := range r.shards {
 		sh := &r.shards[src]
 		sh.mu.Lock()
-		n := len(sh.q)
-		var head *wire.Envelope
-		if n > 0 {
-			head = sh.q[0]
-		}
+		n, head := sh.pending(), sh.front()
 		sh.mu.Unlock()
 		if head == nil {
 			continue

@@ -110,36 +110,38 @@ func (c *Cluster) Recover(rank int) error {
 	// before the application resumes) to the last peer RESPONSE.
 	r.collectStart = r.recoveryStart
 
+	payload := encodeRollback(r.deliveredCount, r.lastDeliverIndex.Clone())
+
 	// Only peers live right now can answer the ROLLBACK; a dead peer's
 	// RESPONSE arrives late — after it revives and serves the replayed
 	// ROLLBACK — and must not be waited for (the old N-1 count hung the
-	// collection phase forever whenever a peer was down).
+	// collection phase forever whenever a peer was down). The live-peer
+	// snapshot and the publication are one ranksMu section: Kill takes its
+	// snapshot of the runtimes under the same lock after stopping its
+	// victim, so a peer that dies around now is either seen dead here and
+	// not counted, or counted here and reported to this runtime by
+	// noteResponderLost — never counted and then lost.
 	c.ranksMu.Lock()
-	target := c.failedAt[rank]
+	r.recoveryTarget = c.failedAt[rank]
 	r.respAwait = make([]bool, c.cfg.N)
-	r.respExpect = 0
 	for p, o := range c.ranks {
 		if p != rank && o != nil && !o.isKilled() {
 			r.respAwait[p] = true
 			r.respExpect++
 		}
 	}
-	c.ranksMu.Unlock()
-	r.recoveryTarget = target
-	r.recovering = target > r.deliveredCount
-	r.collectPending = r.recovering
-	r.prot.BeginRecovery(r.respExpect)
-
-	c.ranksMu.Lock()
+	expect := r.respExpect
+	recovering := r.recoveryTarget > r.deliveredCount
+	r.recovering, r.collectPending = recovering, recovering
+	r.prot.BeginRecovery(expect)
 	c.ranks[rank] = r
 	c.ranksMu.Unlock()
 
-	payload := encodeRollback(r.deliveredCount, r.lastDeliverIndex.Clone())
-	if r.recovering {
+	if recovering {
 		c.registerRollback(rank, r.incarnation, payload)
 	}
-	c.observer().OnRollback(rank, r.respExpect)
-	if !r.recovering {
+	c.observer().OnRollback(rank, expect)
+	if !recovering {
 		// The failure lost no deliveries (it struck right after a
 		// checkpoint): rolling forward is trivially complete. All four
 		// phase spans are emitted at zero duration so phase summaries
@@ -149,21 +151,35 @@ func (c *Cluster) Recover(rank int) error {
 		for _, phase := range RecoveryPhases {
 			c.emitPhase(rank, phase, 0)
 		}
-	} else if r.respExpect == 0 {
+	} else {
 		// No live peer to collect from (every other rank is down): the
 		// collection phase is empty and the roll proceeds on replayed
-		// ROLLBACKs alone.
-		r.collectPending = false
-		c.emitPhase(rank, PhaseCollectDemands, 0)
+		// ROLLBACKs alone. The runtime is published, so a concurrent Kill
+		// of its last awaited peer may already have closed the phase from
+		// noteResponderLost: decide under the rank lock, and only while
+		// the span is still owed.
+		r.mu.Lock()
+		empty := r.collectPending && r.respExpect == 0
+		if empty {
+			r.collectPending = false
+		}
+		r.mu.Unlock()
+		if empty {
+			c.emitPhase(rank, PhaseCollectDemands, 0)
+		}
 	}
 
+	// The restore notification precedes start: once the application
+	// runs, its first deliveries must already belong to an incarnation
+	// the observers know about (the trace checker ignores a dead rank's
+	// events until it sees the recover).
+	info := layer.RestoreInfo{Rank: rank, FromStep: fromStep, Incarnation: int(r.incarnation)}
+	r.chain.Restore(&info)
 	c.tr.Revive(rank)
 	r.start(fromStep, payload)
 	// Serve this incarnation any ROLLBACK it slept through: peers still
 	// collecting demands get their late RESPONSE and log resends.
 	c.replayPendingRollbacks(rank)
-	info := layer.RestoreInfo{Rank: rank, FromStep: fromStep, Incarnation: int(r.incarnation)}
-	r.chain.Restore(&info)
 	return nil
 }
 
@@ -269,9 +285,10 @@ func (c *Cluster) StartFromStable() error {
 			}
 			r.prot.BeginRecovery(r.respExpect)
 		}
-		r.start(b.fromStep, b.rollback)
+		// Before start, as in Recover: no delivery may precede it.
 		info := layer.RestoreInfo{Rank: rank, FromStep: b.fromStep, Incarnation: int(r.incarnation)}
 		r.chain.Restore(&info)
+		r.start(b.fromStep, b.rollback)
 	}
 	if c.cfg.StallTimeout > 0 {
 		go c.stallWatchdog()

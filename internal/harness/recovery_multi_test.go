@@ -292,3 +292,93 @@ func TestKillRecovererMidRecovery(t *testing.T) {
 	})
 	assertSameStates(t, clean, faulty, "kill-recoverer")
 }
+
+// killInRecoverObs runs a hook from inside Cluster.Recover: OnRollback
+// fires after the new runtime is published and before Recover decides
+// whether its collection phase is empty — the window a concurrent Kill
+// of a peer can land in. It also signals rank 1's first delivery.
+type killInRecoverObs struct {
+	*captureObs
+	delivered  chan struct{}
+	once       sync.Once
+	onRollback func(rank int)
+}
+
+func (o *killInRecoverObs) OnDeliver(rank, from int, sendIndex, deliverIndex, demand int64) {
+	if rank == 1 {
+		o.once.Do(func() { close(o.delivered) })
+	}
+}
+
+func (o *killInRecoverObs) OnRollback(rank, expect int) {
+	o.mu.Lock()
+	hook := o.onRollback
+	o.mu.Unlock()
+	if hook != nil {
+		hook(rank)
+	}
+}
+
+func (o *killInRecoverObs) setHook(f func(rank int)) {
+	o.mu.Lock()
+	o.onRollback = f
+	o.mu.Unlock()
+}
+
+// TestKillLastResponderInsideRecover is the deterministic form of the
+// Recover/Kill race: rank 1 recovers with rank 3 its only live peer, and
+// rank 3 is killed from inside Recover(1), between the runtime's
+// publication and the empty-collection check. noteResponderLost closes
+// the collection phase; Recover must not close it a second time (it used
+// to read respExpect unlocked and emit collect-demands again).
+func TestKillLastResponderInsideRecover(t *testing.T) {
+	cfg := testConfig(4, TDI)
+	cfg.CheckpointEvery = 0 // any delivery makes the recovery non-trivial
+	clean := run(t, cfg, ringFactory(40), nil)
+
+	obs := &killInRecoverObs{captureObs: newCaptureObs(), delivered: make(chan struct{})}
+	cfg.Observer = obs
+	faulty := run(t, cfg, ringFactory(40), func(c *Cluster) {
+		select {
+		case <-obs.delivered:
+		case <-time.After(30 * time.Second):
+			t.Error("rank 1 never delivered")
+			return
+		}
+		for _, victim := range []int{1, 0, 2} {
+			if err := c.Kill(victim); err != nil {
+				t.Errorf("Kill(%d): %v", victim, err)
+			}
+		}
+		obs.setHook(func(rank int) {
+			if rank != 1 {
+				return
+			}
+			if err := c.Kill(3); err != nil {
+				t.Errorf("Kill(3) inside Recover(1): %v", err)
+			}
+		})
+		if err := c.Recover(1); err != nil {
+			t.Errorf("Recover(1): %v", err)
+		}
+		obs.setHook(nil)
+		for _, rank := range []int{0, 2, 3} {
+			if err := c.Recover(rank); err != nil {
+				t.Errorf("Recover(%d): %v", rank, err)
+			}
+		}
+	})
+	assertSameStates(t, clean, faulty, "kill-inside-recover")
+
+	obs.mu.Lock()
+	defer obs.mu.Unlock()
+	collects := 0
+	for _, phase := range obs.phases[1] {
+		if phase == PhaseCollectDemands {
+			collects++
+		}
+	}
+	if collects != 1 {
+		t.Errorf("rank 1 emitted %d collect-demands spans, want exactly 1 (phases: %v)", collects, obs.phases[1])
+	}
+}

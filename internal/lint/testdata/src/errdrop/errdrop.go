@@ -16,7 +16,7 @@ func badFrameDrop(fr *wire.FrameReader) {
 }
 
 func badStreamDrop(e *wire.Envelope, b []byte) {
-	wire.DecodeFrameInto(e, b) // want "result of wire.DecodeFrameInto dropped"
+	wire.DecodeFrameInto(e, b, nil) // want "result of wire.DecodeFrameInto dropped"
 }
 
 func badBlank(b []byte) {

@@ -429,6 +429,7 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 		filled bool             // the last read filled buf: more was waiting in the socket
 		batch  []*wire.Envelope // decoded from the last read
 		count  int64            // frames pushed over this connection
+		arena  wire.Arena       // backs the application payloads decoded here
 	)
 	for {
 		// Grow when the frame at the front does not fit, and — up to
@@ -443,7 +444,7 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 		filled = have == len(buf)
 		var used int
 		var derr error
-		batch, used, derr = decodeFrames(batch[:0], buf[:have])
+		batch, used, derr = decodeFrames(batch[:0], buf[:have], &arena)
 		have = copy(buf, buf[used:have])
 		if len(batch) > 0 {
 			r.mu.Lock()
@@ -476,16 +477,17 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 }
 
 // decodeFrames decodes every complete frame in b into a pooled envelope
-// appended to batch, and returns the bytes those frames took; the rest
-// of b is the prefix of a frame still in the socket. A non-nil error
-// means the stream is corrupt after the frames returned.
+// appended to batch (application payloads copied into a), and returns
+// the bytes those frames took; the rest of b is the prefix of a frame
+// still in the socket. A non-nil error means the stream is corrupt after
+// the frames returned.
 //
 //windar:hotpath
-func decodeFrames(batch []*wire.Envelope, b []byte) ([]*wire.Envelope, int, error) {
+func decodeFrames(batch []*wire.Envelope, b []byte, a *wire.Arena) ([]*wire.Envelope, int, error) {
 	used := 0
 	for used < len(b) {
 		env := wire.GetEnvelope()
-		n, err := wire.DecodeFrameInto(env, b[used:])
+		n, err := wire.DecodeFrameInto(env, b[used:], a)
 		if n == 0 {
 			wire.Recycle(env)
 			return batch, used, err

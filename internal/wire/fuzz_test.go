@@ -2,14 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
 // FuzzDecode feeds arbitrary bytes to the envelope decoder. Decode must
 // never panic, and any envelope it accepts must re-encode to a form that
 // decodes to the identical envelope (the codec is stable after one
-// round).
+// round). The arena-backed DecodeInto — one arena across every input, as
+// on a connection — must accept exactly what Decode accepts and yield
+// the same envelope.
 func FuzzDecode(f *testing.F) {
+	var arena Arena
 	for _, env := range frameCorpus() {
 		f.Add(Encode(env))
 	}
@@ -18,8 +22,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := Decode(b)
+		var inArena Envelope
+		if aerr := DecodeInto(&inArena, b, &arena); (aerr == nil) != (err == nil) {
+			t.Fatalf("Decode said %v, arena-backed DecodeInto %v", err, aerr)
+		}
 		if err != nil {
 			return
+		}
+		inArena.pigBuf = nil
+		if !reflect.DeepEqual(&inArena, env) {
+			t.Fatalf("arena-backed decode differs:\narena %+v\nplain %+v", &inArena, env)
 		}
 		re := Encode(env)
 		env2, err := Decode(re)

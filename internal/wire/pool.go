@@ -2,8 +2,8 @@
 // reused buffers (AppendEncode, the framed writers); this file extends
 // that discipline through decode, so a transport can encode into a
 // pooled buffer, decode into a pooled envelope, and hand both back once
-// the message is delivered — the steady state allocates only the payload
-// the application keeps.
+// the message is delivered — and with an Arena behind the payload copy
+// the steady state allocates nothing per message.
 package wire
 
 import (
@@ -38,7 +38,37 @@ func PutBuf(b *[]byte) {
 // into a pooled envelope with DecodeInto, the harness recycles it after
 // the delivery commits. The piggyback scratch rides along (pigBuf), so a
 // recycled envelope decodes its next piggyback without allocating.
-var envPool = sync.Pool{New: func() any { return new(Envelope) }}
+var envPool sync.Pool
+
+func init() { envPool.New = newEnvelopeSlab }
+
+// Pool misses come in bursts — a recovery resend fills an inbox far
+// faster than the recovering rank drains it, and the garbage collector
+// empties the pool between bursts — so a miss allocates a slab: envSlab
+// envelopes, each with an inline piggyback scratch that holds a full
+// vector for up to a dozen ranks, in one allocation. One is returned, the
+// rest are banked in the pool. An envelope still referenced keeps its
+// slab (6 KiB) alive.
+const (
+	envSlab      = 32
+	envPigInline = 32
+)
+
+type envSlot struct {
+	env Envelope
+	pig [envPigInline]byte
+}
+
+func newEnvelopeSlab() any {
+	slab := make([]envSlot, envSlab)
+	for i := range slab {
+		slab[i].env.pigBuf = slab[i].pig[:0]
+		if i > 0 {
+			envPool.Put(&slab[i].env)
+		}
+	}
+	return &slab[0].env
+}
 
 // GetEnvelope returns a zeroed envelope from the pool, marked so that
 // Recycle will accept it back. Envelopes constructed with a literal are
@@ -50,16 +80,20 @@ func GetEnvelope() *Envelope {
 	return e
 }
 
-// CopyInto deep-copies src into dst, giving the receiver its own
+// CopyInto is CopyIntoArena without an arena: the payload copy is an
+// allocation of its own.
+func CopyInto(dst, src *Envelope) { CopyIntoArena(dst, src, nil) }
+
+// CopyIntoArena deep-copies src into dst, giving the receiver its own
 // envelope with no slice shared with the sender: the piggyback lands in
-// dst's reusable scratch, the payload is a fresh allocation (the same
-// ownership contract as DecodeInto). It is the inline-delivery
-// equivalent of an encode/decode round trip, minus the varint work; the
-// queued fabric path and the TCP transport still round-trip every
-// message through the wire format.
+// dst's reusable scratch, the payload is copied under DecodeInto's
+// ownership contract (into a, when the message is a KindApp). It is the
+// inline-delivery equivalent of an encode/decode round trip, minus the
+// varint work; the queued fabric path and the TCP transport still
+// round-trip every message through the wire format.
 //
 //windar:hotpath
-func CopyInto(dst, src *Envelope) {
+func CopyIntoArena(dst, src *Envelope, a *Arena) {
 	pig, pooled := dst.pigBuf, dst.pooled
 	*dst = *src
 	dst.pigBuf, dst.pooled = pig, pooled
@@ -69,21 +103,28 @@ func CopyInto(dst, src *Envelope) {
 	} else {
 		dst.Piggyback = nil
 	}
-	if len(src.Payload) > 0 {
-		p := make([]byte, len(src.Payload)) //windar:allow hotpath — payload is fresh by contract; receivers retain it past Recycle
-		copy(p, src.Payload)
-		dst.Payload = p
-	} else {
-		dst.Payload = nil
+	dst.Payload = payloadArena(src.Kind, a).Copy(src.Payload)
+}
+
+// payloadArena is the one place the payload-ownership rule is decided:
+// only application payloads are cut from an arena. Protocols slice
+// control payloads (ROLLBACK vectors, RESPONSE recovery data) into state
+// that outlives the recovery, and a few retained bytes must not pin a
+// chunk of delivered application data, so those stay allocations of
+// their own.
+func payloadArena(k Kind, a *Arena) *Arena {
+	if k != KindApp {
+		return nil
 	}
+	return a
 }
 
 // Recycle returns an envelope obtained from GetEnvelope to the pool,
-// dropping every reference it holds (the payload is never reused — see
-// DecodeInto). Safe to call on nil, on envelopes that did not come from
-// the pool, and at most once per GetEnvelope: the pooled mark is cleared
-// on the way in, so a double recycle is a no-op rather than a double
-// free.
+// dropping every reference it holds (the payload's bytes are never
+// reused — see DecodeInto). Safe to call on nil, on envelopes that did
+// not come from the pool, and at most once per GetEnvelope: the pooled
+// mark is cleared on the way in, so a double recycle is a no-op rather
+// than a double free.
 func Recycle(e *Envelope) {
 	if e == nil || !e.pooled {
 		return
@@ -94,14 +135,18 @@ func Recycle(e *Envelope) {
 }
 
 // DecodeInto parses an envelope previously produced by Encode into e,
-// reusing e's piggyback scratch capacity. The payload is always a fresh
-// allocation: receivers hand it to the application (or slice control
-// payloads into long-lived protocol state), so its lifetime is unbounded
-// while the envelope's ends at Recycle. On error e's contents are
-// unspecified.
+// reusing e's piggyback scratch capacity. The payload is always a deep
+// copy the receiver owns: it is handed to the application (or, for a
+// control message, sliced into long-lived protocol state), so its
+// lifetime is unbounded while the envelope's ends at Recycle. A KindApp
+// payload is cut from a when a is non-nil — an immutable,
+// capacity-clipped slice of a chunk that is never rewritten, so
+// retaining it pins at most ArenaChunk bytes; every other payload, and
+// every payload over ArenaMax, is an allocation of its own. On error e's
+// contents are unspecified.
 //
 //windar:hotpath
-func DecodeInto(e *Envelope, b []byte) error {
+func DecodeInto(e *Envelope, b []byte, a *Arena) error {
 	if len(b) < 2 {
 		return ErrTruncated
 	}
@@ -153,7 +198,7 @@ func DecodeInto(e *Envelope, b []byte) error {
 		e.Piggyback = e.pigBuf
 		i += int(l)
 	}
-	// Payload: always fresh (see above).
+	// Payload: always the receiver's own copy (see above).
 	l, n = binary.Uvarint(b[i:])
 	if n <= 0 {
 		return ErrTruncated
@@ -162,11 +207,8 @@ func DecodeInto(e *Envelope, b []byte) error {
 	if uint64(len(b)-i) < l {
 		return ErrTruncated
 	}
-	if l > 0 {
-		e.Payload = make([]byte, l) //windar:allow hotpath — payload is fresh by contract; receivers retain it past Recycle
-		copy(e.Payload, b[i:i+int(l)])
-		i += int(l)
-	}
+	e.Payload = payloadArena(e.Kind, a).Copy(b[i : i+int(l)])
+	i += int(l)
 	if flags&flagSpan != 0 {
 		readUint := func() (uint64, error) {
 			v, n := binary.Uvarint(b[i:])

@@ -27,17 +27,21 @@ func decodeStream(b []byte) ([]*Envelope, error) {
 // decodePieces feeds b to DecodeFrameInto the way a transport does: the
 // stream arrives in pieces of cut() bytes, every complete frame is
 // decoded as soon as it is there, the tail is kept. It returns the
-// frames, the undecoded tail and the corruption error, if any.
+// frames, the undecoded tail and the corruption error, if any. Like a
+// transport's connection it decodes application payloads into one arena,
+// so the differential below also holds DecodeFrame (own allocations)
+// against the arena-backed path.
 func decodePieces(b []byte, cut func() int) ([]*Envelope, []byte, error) {
 	var out []*Envelope
 	var buf []byte
+	var arena Arena
 	for len(b) > 0 {
 		k := min(max(cut(), 1), len(b))
 		buf = append(buf, b[:k]...)
 		b = b[k:]
 		for {
 			env := GetEnvelope()
-			n, err := DecodeFrameInto(env, buf)
+			n, err := DecodeFrameInto(env, buf, &arena)
 			if err != nil {
 				return out, buf, err
 			}

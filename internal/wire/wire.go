@@ -157,7 +157,7 @@ var ErrTruncated = errors.New("wire: truncated envelope")
 // payloads decode to nil.
 func Decode(b []byte) (*Envelope, error) {
 	e := new(Envelope)
-	if err := DecodeInto(e, b); err != nil {
+	if err := DecodeInto(e, b, nil); err != nil {
 		return nil, err
 	}
 	e.pigBuf = nil // never recycled: Piggyback alone keeps the bytes
