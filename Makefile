@@ -19,11 +19,14 @@ race:
 # Kill/Recover interleavings are decided by scheduling luck: one pass of
 # the race matrix meets a given window about once in hundreds of runs.
 # This target looks for that class on purpose — the concurrent
-# kill/recover tests fifty times over, on both transports.
+# kill/recover tests fifty times over, on both transports, and the
+# traced chaos schedule whose trace checker catches a kill landing inside
+# a checkpoint.
 RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
+	$(GO) test -race -count=50 -run TestLineageAcrossRecovery ./internal/chaos/
 
 vet:
 	$(GO) vet ./...

@@ -63,6 +63,15 @@ type Config struct {
 // DefaultLinkBuffer is used when Config.LinkBufferBytes is zero.
 const DefaultLinkBuffer = 1 << 20
 
+// ringChunk is the queued path's unit of encode memory: a link's ring
+// grows from one of it by doubling, and holds at most one of it more than
+// the link's byte bound (see ring). ringMax is the largest encoding the
+// ring takes; a larger envelope is encoded into an allocation of its own.
+const (
+	ringChunk = 32 << 10
+	ringMax   = ringChunk / 2
+)
+
 // ErrAborted is returned by Send when the caller's abort channel fires
 // while the send is blocked (its own rank was killed).
 var ErrAborted = errors.New("fabric: send aborted")
@@ -170,18 +179,16 @@ func (f *Fabric) Send(env *wire.Envelope, opts SendOpts) error {
 		// condition (destination inbox took the message) already holds.
 		return nil
 	}
-	buf := wire.GetBuf()
-	*buf = wire.AppendEncode((*buf)[:0], env)
-	it := &item{bytes: *buf, size: int64(len(*buf)), buf: buf}
+	var done chan struct{}
 	if opts.Rendezvous {
-		it.done = make(chan struct{})
+		done = make(chan struct{})
 	}
-	if err := l.enqueue(it, opts.Abort, f.closed); err != nil {
+	if err := l.enqueue(env, done, opts.Abort, f.closed); err != nil {
 		return err
 	}
-	if it.done != nil {
+	if done != nil {
 		select {
-		case <-it.done:
+		case <-done:
 		case <-opts.Abort:
 			return ErrAborted
 		case <-f.closed:
@@ -303,18 +310,60 @@ func (f *Fabric) InFlight() int {
 	total := 0
 	for _, l := range f.links {
 		l.mu.Lock()
-		total += len(l.queue) + l.busy
+		total += l.pending() + l.busy
 		l.mu.Unlock()
 	}
 	return total
 }
 
-// item is one in-flight message.
+// item is one queued message: its encoding — n bytes of the link's ring
+// at off, or an allocation of its own when n exceeds ringMax — and, for
+// a rendezvous send, the channel closed once the destination accepted it.
 type item struct {
-	bytes []byte
-	size  int64
-	buf   *[]byte       // pooled backing of bytes, returned after decode
-	done  chan struct{} // non-nil for rendezvous sends
+	off, n int
+	own    []byte
+	done   chan struct{}
+}
+
+// ring is a link's encode memory: the queued envelopes' encodings back to
+// back, oldest first, in one or two runs. A record is written once at the
+// tail and freed from the head once its message is decoded. A record
+// never straddles the end of the buffer: one that does not fit there
+// starts a second run at offset 0 if the head has left room; otherwise
+// the ring grows (reserveLocked). With the bounded-buffer rule this keeps
+// a link's ring within LinkBufferBytes plus one ringChunk (DESIGN.md,
+// "Transport layer").
+type ring struct {
+	buf  []byte
+	head int // oldest record
+	end  int // just past the first run [head, end)
+	tail int // just past the second run [0, tail); 0 while there is none
+}
+
+// alloc claims n bytes after the newest record; ok is false when they do
+// not fit.
+func (r *ring) alloc(n int) (off int, ok bool) {
+	switch {
+	case r.tail > 0: // two runs: the free space is [tail, head)
+		if r.head-r.tail < n {
+			return 0, false
+		}
+	case len(r.buf)-r.end >= n:
+		r.end += n
+		return r.end - n, true
+	case r.head < n:
+		return 0, false
+	}
+	r.tail += n
+	return r.tail - n, true
+}
+
+// free releases the oldest record, n bytes long. When the first run is
+// used up, the second becomes the first.
+func (r *ring) free(n int) {
+	if r.head += n; r.head == r.end {
+		r.head, r.end, r.tail = 0, r.tail, 0
+	}
 }
 
 // link is one ordered-pair FIFO channel with a serial service model: a
@@ -325,14 +374,21 @@ type link struct {
 	to     int
 	maxBuf int64
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []*item
-	queued  int64 // bytes waiting
-	busy    int   // messages in service (0 or 1)
-	rng     *rand.Rand
-	batch   *obs.Hist // occupancy of each serviced transfer (nil-safe)
-	dropped int64
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[qhead:] is the FIFO of messages waiting for service. Like a
+	// delivery shard's queue it keeps its backing array: a pop zeroes its
+	// slot and advances qhead, a drained queue restarts at the front, and
+	// an append that finds the array full slides the FIFO down when the
+	// slack is at least half the array. Together with the ring, the queued
+	// path allocates nothing per message in a steady state.
+	queue  []item
+	qhead  int
+	ring   ring
+	queued int64 // bytes waiting
+	busy   int   // messages in service (0 or 1)
+	rng    *rand.Rand
+	batch  *obs.Hist // occupancy of each serviced transfer (nil-safe)
 
 	// payloads backs the receiver's deep copy of every application
 	// payload this link delivers. It belongs to the link's delivery turn:
@@ -342,9 +398,18 @@ type link struct {
 	payloads wire.Arena
 }
 
-func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) error {
+// pending is the number of queued messages. Callers hold l.mu.
+func (l *link) pending() int { return len(l.queue) - l.qhead }
+
+// enqueue applies the bounded-buffer rule, then encodes env into the
+// link's memory and queues it; done, when non-nil, is closed once the
+// destination accepts the message. env is not retained.
+//
+//windar:hotpath
+func (l *link) enqueue(env *wire.Envelope, done chan struct{}, abort <-chan struct{}, closed chan struct{}) error {
+	n := wire.EncodedSize(env)
 	l.mu.Lock()
-	for l.queued+it.size > l.maxBuf && l.queued > 0 {
+	for l.queued+int64(n) > l.maxBuf && l.queued > 0 {
 		// Buffer full: wait for drain, abort, or shutdown. Poll the
 		// abort channel around cond waits; the delivery goroutine
 		// broadcasts on every dequeue.
@@ -359,11 +424,56 @@ func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) er
 		}
 		l.cond.Wait()
 	}
-	l.queue = append(l.queue, it)
-	l.queued += it.size
+	it := item{n: n, done: done}
+	if n <= ringMax {
+		it.off = l.reserveLocked(n)
+		wire.AppendEncode(l.ring.buf[it.off:it.off:it.off+n], env)
+	} else {
+		it.own = wire.AppendEncode(make([]byte, 0, n), env) //windar:allow hotpath — oversize: too large for the ring, the encoding owns its allocation
+	}
+	if h := l.qhead; h > 0 && 2*h >= len(l.queue) && len(l.queue) == cap(l.queue) {
+		k := copy(l.queue, l.queue[h:])
+		clear(l.queue[k:])
+		l.queue, l.qhead = l.queue[:k], 0
+	}
+	l.queue = append(l.queue, it) //windar:allow hotpath — amortised: grows to the link's deepest backlog, then the array is kept
+	l.queued += int64(n)
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	return nil
+}
+
+// reserveLocked returns the ring offset of n free bytes. When they do not
+// fit, the ring grows: the live records move, oldest first, to the front
+// of a buffer twice the size (capped at the bound, never smaller than
+// what must fit) and the queued items are re-pointed. A record in service
+// keeps reading the old buffer, which is never written again; its free
+// lands on its copy, the first record of the new one.
+//
+//windar:hotpath
+//go:noinline
+func (l *link) reserveLocked(n int) int {
+	if off, ok := l.ring.alloc(n); ok {
+		return off
+	}
+	r := &l.ring
+	first, second := r.buf[r.head:r.end], r.buf[:r.tail]
+	live := len(first) + len(second)
+	bound := int(max(l.maxBuf, ringMax)) + ringChunk
+	buf := make([]byte, max(min(max(2*len(r.buf), ringChunk), bound), live+n)) //windar:allow hotpath — amortised: the ring doubles up to its bound, then is reused
+	copy(buf[copy(buf, first):], second)
+	for i := l.qhead; i < len(l.queue); i++ {
+		switch it := &l.queue[i]; {
+		case it.own != nil:
+		case it.off >= r.head: // first run
+			it.off -= r.head
+		default: // second run
+			it.off += len(first)
+		}
+	}
+	*r = ring{buf: buf, end: live}
+	off, _ := r.alloc(n)
+	return off
 }
 
 // tryInline delivers env synchronously on an instant network, bypassing
@@ -380,7 +490,7 @@ func (l *link) enqueue(it *item, abort <-chan struct{}, closed chan struct{}) er
 func (l *link) tryInline(env *wire.Envelope) bool {
 	r := l.f.ranks[l.to]
 	l.mu.Lock()
-	if len(l.queue) > 0 || l.busy > 0 {
+	if l.pending() > 0 || l.busy > 0 {
 		l.mu.Unlock()
 		return false
 	}
@@ -404,7 +514,7 @@ func (l *link) tryInline(env *wire.Envelope) bool {
 func (l *link) run() {
 	for {
 		l.mu.Lock()
-		for len(l.queue) == 0 {
+		for l.pending() == 0 {
 			select {
 			case <-l.f.closed:
 				l.mu.Unlock()
@@ -413,11 +523,20 @@ func (l *link) run() {
 			}
 			l.cond.Wait()
 		}
-		it := l.queue[0]
-		l.queue = l.queue[1:]
-		l.queued -= it.size
+		it := l.queue[l.qhead]
+		l.queue[l.qhead] = item{}
+		if l.qhead++; l.qhead == len(l.queue) {
+			l.queue, l.qhead = l.queue[:0], 0
+		}
+		l.queued -= int64(it.n)
 		l.busy = 1
-		delay := l.delayFor(it.size)
+		b := it.own
+		if b == nil {
+			// The record stays claimed until the free below, so no send
+			// writes over it while it is decoded outside the lock.
+			b = l.ring.buf[it.off : it.off+it.n]
+		}
+		delay := l.delayFor(int64(it.n))
 		l.cond.Broadcast()
 		l.mu.Unlock()
 
@@ -429,10 +548,13 @@ func (l *link) run() {
 				return
 			}
 		}
-		if !l.deliver(it) {
+		if !l.deliver(b, it.done) {
 			return
 		}
 		l.mu.Lock()
+		if it.own == nil {
+			l.ring.free(it.n)
+		}
 		l.busy = 0
 		l.mu.Unlock()
 	}
@@ -451,9 +573,11 @@ func (l *link) delayFor(size int64) time.Duration {
 	return d
 }
 
-// deliver hands it to the destination, parking while the destination is
-// dead or stalled. Returns false when the fabric shut down.
-func (l *link) deliver(it *item) bool {
+// deliver decodes the encoded message b and hands it to the destination,
+// parking while the destination is dead or stalled, then closes done (a
+// rendezvous send's acceptance) when non-nil. Returns false when the
+// fabric shut down.
+func (l *link) deliver(b []byte, done chan struct{}) bool {
 	r := l.f.ranks[l.to]
 	r.mu.Lock()
 	for !r.alive || r.stalled {
@@ -469,16 +593,14 @@ func (l *link) deliver(it *item) bool {
 	r.mu.Unlock()
 
 	env := wire.GetEnvelope()
-	if err := wire.DecodeInto(env, it.bytes, &l.payloads); err != nil {
+	if err := wire.DecodeInto(env, b, &l.payloads); err != nil {
 		// An encode/decode mismatch is a bug in this repository, not a
 		// runtime condition: fail loudly.
 		panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))
 	}
-	wire.PutBuf(it.buf)
-	it.bytes, it.buf = nil, nil
 	box.push(env)
-	if it.done != nil {
-		close(it.done)
+	if done != nil {
+		close(done)
 	}
 	return true
 }

@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -374,5 +376,157 @@ func TestBadEndpointsRejected(t *testing.T) {
 	}
 	if err := f.Send(appEnv(-1, 1, 1, "x"), SendOpts{}); err == nil {
 		t.Fatal("negative source accepted")
+	}
+}
+
+// ringBytes is the link's encode memory: what the queued path holds on to.
+func ringBytes(f *Fabric, from, to int) int {
+	l := f.links[from*f.cfg.N+to]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return cap(l.ring.buf)
+}
+
+// TestQueuedPathFIFOAndBoundedMemory drives 10⁵ sustained sends of mixed
+// sizes — a few larger than the ring takes — through a latency fabric's
+// queued path while a receiver drains them: every message arrives once,
+// in order and intact, and the link's encode memory never exceeds its
+// byte bound plus one ring chunk, however often the ring wraps.
+func TestQueuedPathFIFOAndBoundedMemory(t *testing.T) {
+	const linkBuf, msgs = 64 << 10, 100_000
+	f := newTestFabric(t, 2, Config{BaseLatency: time.Nanosecond, LinkBufferBytes: linkBuf})
+	size := func(i int64) int {
+		if i%9973 == 0 {
+			return ringMax + 100 // its own allocation, between ring records
+		}
+		return 8 + int(i*7919%1500)
+	}
+	errs := make(chan string, 1)
+	go func() {
+		for want := int64(1); want <= msgs; want++ {
+			got, ok := f.Recv(1)
+			switch {
+			case !ok:
+				errs <- "inbox closed"
+				return
+			case got.SendIndex != want:
+				errs <- fmt.Sprintf("FIFO violated: got index %d, want %d", got.SendIndex, want)
+				return
+			case len(got.Payload) != size(want) || got.Payload[0] != byte(want) || got.Payload[len(got.Payload)-1] != byte(want>>8):
+				errs <- fmt.Sprintf("message %d corrupted", want)
+				return
+			}
+			wire.Recycle(got)
+		}
+		errs <- ""
+	}()
+	payload := make([]byte, ringMax+100)
+	peak := 0
+	for i := int64(1); i <= msgs; i++ {
+		p := payload[:size(i)]
+		p[0], p[len(p)-1] = byte(i), byte(i>>8)
+		mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: i, Payload: p}, SendOpts{})
+		if i%64 == 0 {
+			peak = max(peak, ringBytes(f, 0, 1))
+		}
+	}
+	select {
+	case msg := <-errs:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("receiver stalled")
+	}
+	if bound := linkBuf + ringChunk; peak > bound || ringBytes(f, 0, 1) > bound {
+		t.Fatalf("link encode memory peaked at %d bytes, bound %d", peak, bound)
+	}
+	t.Logf("ring peak %d bytes (bound %d)", peak, linkBuf+ringChunk)
+}
+
+// TestQueuedPathKillParksInFIFOOrder kills the destination while the
+// queued path holds a backlog and keeps sending into the dead window:
+// whatever the dead incarnation's inbox held is lost, everything still
+// on the link parks, and the next incarnation receives a contiguous
+// in-order suffix that ends with the last message sent. A rendezvous
+// send queued behind the backlog completes only after the revival.
+func TestQueuedPathKillParksInFIFOOrder(t *testing.T) {
+	const msgs = 400
+	f := newTestFabric(t, 2, Config{BaseLatency: 50 * time.Microsecond, LinkBufferBytes: 64 << 10})
+	for i := int64(1); i <= msgs/2; i++ {
+		mustSend(t, f, appEnv(0, 1, i, "backlog"), SendOpts{})
+	}
+	for i := 0; i < 10; i++ {
+		recvOne(t, f, 1)
+	}
+	f.Kill(1)
+	for i := int64(msgs/2 + 1); i < msgs; i++ {
+		mustSend(t, f, appEnv(0, 1, i, "dead window"), SendOpts{})
+	}
+	done := make(chan error, 1)
+	go func() { done <- f.Send(appEnv(0, 1, msgs, "rendezvous"), SendOpts{Rendezvous: true}) }()
+	select {
+	case err := <-done:
+		t.Fatalf("rendezvous to a dead rank returned before revival: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	f.Revive(1)
+	first := recvOne(t, f, 1).SendIndex
+	if first <= 10 {
+		t.Fatalf("first message after revival is %d: the dead incarnation's deliveries came back", first)
+	}
+	for want := first + 1; want <= msgs; want++ {
+		if got := recvOne(t, f, 1); got.SendIndex != want {
+			t.Fatalf("after revival: got index %d, want %d", got.SendIndex, want)
+		}
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("rendezvous send: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("rendezvous send never completed after revival")
+	}
+}
+
+// TestRingWrapsAndGrowsKeepingRecords replays the ring's bookkeeping
+// against a model at the bounded-buffer limit: records claimed and freed
+// in FIFO order keep their bytes across wraps and growths (a growth
+// re-points every queued record), and the ring never grows past its cap.
+func TestRingWrapsAndGrowsKeepingRecords(t *testing.T) {
+	const linkBuf = 3 * ringChunk
+	l := &link{maxBuf: linkBuf}
+	r := rand.New(rand.NewSource(5))
+	var fills []byte // one per live record, oldest first
+	live := 0
+	for step := 0; step < 50000; step++ {
+		if n := 1 + r.Intn(ringMax); r.Intn(2) == 0 && live+n <= linkBuf {
+			off := l.reserveLocked(n)
+			for i := off; i < off+n; i++ {
+				l.ring.buf[i] = byte(step)
+			}
+			l.queue = append(l.queue, item{off: off, n: n})
+			fills = append(fills, byte(step))
+			live += n
+			continue
+		}
+		if l.pending() == 0 {
+			continue
+		}
+		it := l.queue[l.qhead]
+		if l.qhead++; l.qhead == len(l.queue) {
+			l.queue, l.qhead = l.queue[:0], 0
+		}
+		for _, b := range l.ring.buf[it.off : it.off+it.n] {
+			if b != fills[0] {
+				t.Fatalf("step %d: record corrupted", step)
+			}
+		}
+		l.ring.free(it.n)
+		fills, live = fills[1:], live-it.n
+		if cap(l.ring.buf) > linkBuf+ringChunk {
+			t.Fatalf("step %d: ring grew to %d, bound %d", step, cap(l.ring.buf), linkBuf+ringChunk)
+		}
 	}
 }

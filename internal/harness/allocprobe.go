@@ -60,6 +60,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "frame_append", F: probeFrameAppend},
 		{Name: "frame_read", F: probeFrameRead},
 		{Name: "mem_hop", F: probeMemHop},
+		{Name: "fabric_queued_hop", F: probeFabricQueuedHop},
 		{Name: "tcp_hop", F: probeTCPHop},
 		{Name: "pig_full_retained", F: probePigFullRetained},
 		{Name: "shard_fifo", F: probeShardFIFO},
@@ -68,6 +69,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
 		{Name: "log_all", F: probeLogAll},
+		{Name: "log_restore", F: probeLogRestore, Max: logRestoreMax},
 		{Name: "ckpt_encode", F: probeCkptEncode},
 	}
 }
@@ -250,6 +252,26 @@ func probeLogAll() float64 {
 	return testing.AllocsPerRun(allocProbeRuns, func() { _ = l.All() })
 }
 
+// logRestoreMax is log_restore's budget, allocations per destination:
+// the destination's bookkeeping and its list of chunk views.
+const logRestoreMax = 2
+
+// probeLogRestore measures a recovery's restore of the sender log from a
+// checkpoint of 32 768 items to four destinations, the recovery workload's
+// roll-forward length, and reports allocations per destination.
+// Contract: at most logRestoreMax, whatever the item count — the items
+// are adopted in place, never regrouped, sorted or copied.
+func probeLogRestore() float64 {
+	const items, dests = 32768, 4
+	l := proto.NewLog()
+	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	for i := 1; i <= items; i++ {
+		l.Append(proto.LogItem{Dest: i % dests, SendIndex: int64(i), Tag: 6, Piggyback: pig, Payload: payload})
+	}
+	cp := l.All()
+	return testing.AllocsPerRun(allocProbeRuns, func() { l.RestoreAll(cp) }) / dests
+}
+
 // probeCkptEncode measures turning one 1000-item checkpoint into its
 // framed blob on the checkpoint writer. Contract: at most 2 allocations;
 // the encoder sizes the blob first, so today it is the blob alone.
@@ -412,6 +434,48 @@ func hopAllocs(tr transport.Transport) float64 {
 			}
 			wire.Recycle(env)
 		}
+		for got := 0; got < burst; {
+			var ok bool
+			if buf, ok = in.RecvBatch(buf[:0]); !ok {
+				panic("allocprobe: inbox closed mid-probe")
+			}
+			got += len(buf)
+			for _, e := range buf {
+				wire.Recycle(e)
+			}
+		}
+	})
+	return perBurst / burst
+}
+
+// probeFabricQueuedHop measures one message across the mem fabric's
+// queued path, the one a recovery's resend burst takes once a message is
+// parked on its link: encode into the link's ring, the link goroutine's
+// hop, decode into a pooled envelope. Each round stalls the destination,
+// so a burst of 16 queues behind the first, then unstalls and drains it.
+// The budget is zero: the item array, the ring and the envelope are
+// reused.
+func probeFabricQueuedHop() float64 {
+	f := fabric.New(fabric.Config{N: 2})
+	defer f.Close()
+	in := f.Inbox(1)
+	const burst = 16
+	buf := make([]*wire.Envelope, 0, 64)
+	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	idx := int64(0)
+	perBurst := testing.AllocsPerRun(allocProbeRuns, func() {
+		f.Stall(1)
+		for i := 0; i < burst; i++ {
+			idx++
+			env := wire.GetEnvelope()
+			env.Kind, env.From, env.To, env.SendIndex = wire.KindApp, 0, 1, idx
+			env.Piggyback, env.Payload = pig, payload
+			if err := f.Send(env, fabric.SendOpts{}); err != nil {
+				panic(err)
+			}
+			wire.Recycle(env)
+		}
+		f.Unstall(1)
 		for got := 0; got < burst; {
 			var ok bool
 			if buf, ok = in.RecvBatch(buf[:0]); !ok {

@@ -5,6 +5,7 @@ import (
 
 	"windar/internal/ckpt"
 	"windar/internal/proto"
+	"windar/internal/wire"
 )
 
 // Durable sender logs (Config.DurableLogs): every log append is mirrored
@@ -94,7 +95,11 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 		r.log.RestoreAll(cp.Log)
 		return nil
 	}
+	// The streams are scanned destination by destination, each in entry
+	// (= send index) order, so items come out in the order RestoreAll
+	// adopts in place, and one arena holds every entry's bytes.
 	var items []proto.LogItem
+	var arena wire.Arena
 	for dest, name := range r.c.slogNames[r.id] {
 		if dest == r.id {
 			continue
@@ -106,7 +111,7 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 			}
 			// Scan lends data for the call only; the item keeps the copy.
 			var it proto.LogItem
-			n, err := proto.DecodeLogItem(&it, append([]byte(nil), data...))
+			n, err := proto.DecodeLogItem(&it, arena.Copy(data))
 			if err == nil && n != len(data) {
 				err = proto.ErrCorruptLogItem
 			}

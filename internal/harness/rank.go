@@ -765,6 +765,16 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	start := r.c.clk.Now()
 	r.drainSends()
 	r.mu.Lock()
+	// Stage and report in one critical section, behind the kill check:
+	// Kill marks the rank dead before it takes this lock, and Recover
+	// waits the lock out before it loads the staged checkpoint, so a kill
+	// either preempts the whole checkpoint or follows all of it. It never
+	// lands between the two, where recovery would restore a checkpoint
+	// the observers (the trace checker among them) never saw.
+	if r.isKilled() {
+		r.mu.Unlock()
+		return
+	}
 	cp := &ckpt.Checkpoint{
 		Rank:             r.id,
 		Step:             step,
@@ -794,13 +804,11 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	r.prot.OnPeerCheckpoint(r.id, total) // prune own replay-dead history
 	recoveredAt := r.recoveredAt
 	r.recoveredAt = time.Time{}
+	r.c.ckpts.Stage(cp)
+	info := layer.CheckpointInfo{Rank: r.id, Step: step, DeliveredCount: total}
+	r.chain.Checkpoint(&info)
 	r.mu.Unlock()
 
-	// Stage before anything can observe the checkpoint event: from here
-	// on, a kill + same-process recovery restores this snapshot even
-	// while its durable write is still in flight, matching the trace
-	// recorder (which logs the checkpoint at snapshot time).
-	r.c.ckpts.Stage(cp)
 	if !recoveredAt.IsZero() {
 		// First checkpoint after a recovery: its CHECKPOINT_ADVANCE lets
 		// peers release the logs the replay consumed.
@@ -809,8 +817,6 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	if r.ckptStall != nil {
 		r.ckptStall.RecordDuration(r.c.clk.Now().Sub(start))
 	}
-	info := layer.CheckpointInfo{Rank: r.id, Step: step, DeliveredCount: total}
-	r.chain.Checkpoint(&info)
 
 	r.ckptMu.Lock()
 	r.ckptQ = append(r.ckptQ, ckptJob{cp: cp, advances: advances, total: total})

@@ -1,7 +1,9 @@
 package proto
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"windar/layer"
@@ -32,8 +34,10 @@ type LogItem struct {
 const logChunkItems = 256
 
 // destLog is one destination's items, in send-index order, stored as a
-// list of fixed-capacity chunks. Only the last chunk ever has spare
-// capacity; Append fills it and starts a new one when it is full.
+// list of chunks of at most logChunkItems items: ones Append filled, or
+// views of a checkpoint's items that RestoreAll adopted. Only the last
+// chunk ever has spare capacity; Append fills it and starts a new one
+// when it is full.
 type destLog struct {
 	chunks [][]LogItem
 	count  int
@@ -131,19 +135,29 @@ func (l *Log) Release(dest int, upto int64) int {
 // ItemsFor returns the logged items for dest with SendIndex > after, in
 // send-index order. This is the resend set for a ROLLBACK whose
 // last_deliver_index entry for this rank is after (Algorithm 1 lines
-// 49-51). The returned slice is a fresh copy; later appends or releases
-// do not disturb it.
+// 49-51). The returned slice is a fresh copy, sized first and allocated
+// once; later appends or releases do not disturb it.
 func (l *Log) ItemsFor(dest int, after int64) []LogItem {
 	d := l.perDest[dest]
 	if d == nil {
 		return nil
 	}
-	var out []LogItem
-	for _, c := range d.chunks {
-		cut := sort.Search(len(c), func(i int) bool { return c[i].SendIndex > after })
-		if cut < len(c) {
-			out = append(out, c[cut:]...)
-		}
+	// Chunks are in send-index order: skip those wholly at or below
+	// after, then cut into the first one that is not.
+	chunks, skipped := d.chunks, 0
+	for len(chunks) > 0 && chunks[0][len(chunks[0])-1].SendIndex <= after {
+		skipped += len(chunks[0])
+		chunks = chunks[1:]
+	}
+	if len(chunks) == 0 {
+		return nil
+	}
+	c := chunks[0]
+	cut := sort.Search(len(c), func(i int) bool { return c[i].SendIndex > after })
+	out := make([]LogItem, 0, d.count-skipped-cut)
+	out = append(out, c[cut:]...)
+	for _, c := range chunks[1:] {
+		out = append(out, c...)
 	}
 	return out
 }
@@ -182,20 +196,66 @@ func (l *Log) All() []LogItem {
 	return out
 }
 
-// RestoreAll replaces the log contents with items (from a checkpoint).
+// RestoreAll replaces the log contents with items — a checkpoint's log,
+// which All emitted in (Dest, SendIndex) order. Ordered input is adopted
+// in place: each destination's run is cut into capacity-clipped
+// logChunkItems-item views of items, so a restore copies no item and
+// allocates two objects per destination whatever the item count.
+//
+// Adopted items are immutable. The log never writes into a view —
+// Append opens a fresh chunk behind a full one, and Release copies a
+// partial chunk's survivors into a fresh chunk — and the caller must not
+// write into items either. The same slice may back any number of logs:
+// a staged checkpoint restored by repeated recoveries is adopted each
+// time and never changes.
+//
+// Unordered input is sorted on a copy first. A duplicate (Dest,
+// SendIndex) panics, as Append does.
 func (l *Log) RestoreAll(items []LogItem) {
-	l.perDest = make(map[int]*destLog)
-	l.bytes = 0
-	byDest := make(map[int][]LogItem)
-	for _, it := range items {
-		byDest[it.Dest] = append(byDest[it.Dest], it)
+	if !inLogOrder(items) {
+		items = slices.Clone(items)
+		slices.SortFunc(items, func(a, b LogItem) int {
+			if c := cmp.Compare(a.Dest, b.Dest); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.SendIndex, b.SendIndex)
+		})
+		inLogOrder(items) // panics on a duplicate
 	}
-	// Re-append in per-destination send-index order so the chunked
-	// layout is rebuilt exactly as a live log would have grown it.
-	for _, its := range byDest {
-		sort.Slice(its, func(i, j int) bool { return its[i].SendIndex < its[j].SendIndex })
-		for _, it := range its {
-			l.Append(it)
+	clear(l.perDest)
+	l.bytes = 0
+	for len(items) > 0 {
+		n := 1
+		for n < len(items) && items[n].Dest == items[0].Dest {
+			n++
+		}
+		run := items[:n]
+		d := &destLog{chunks: make([][]LogItem, 0, (n+logChunkItems-1)/logChunkItems), count: n}
+		for _, it := range run {
+			l.bytes += int64(len(it.Payload) + len(it.Piggyback))
+		}
+		for len(run) > 0 {
+			k := min(len(run), logChunkItems)
+			d.chunks = append(d.chunks, run[:k:k])
+			run = run[k:]
+		}
+		l.perDest[items[0].Dest] = d
+		items = items[n:]
+	}
+}
+
+// inLogOrder reports whether items are in strictly increasing (Dest,
+// SendIndex) order, in one pass. An adjacent duplicate panics.
+func inLogOrder(items []LogItem) bool {
+	for i := 1; i < len(items); i++ {
+		a, b := &items[i-1], &items[i]
+		switch {
+		case a.Dest < b.Dest:
+		case a.Dest > b.Dest, a.SendIndex > b.SendIndex:
+			return false
+		case a.SendIndex == b.SendIndex:
+			panicAppendOrder(b.Dest, b.SendIndex, a.SendIndex)
 		}
 	}
+	return true
 }

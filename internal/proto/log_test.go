@@ -1,8 +1,10 @@
 package proto
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +120,148 @@ func TestRestoreAllSortsUnorderedInput(t *testing.T) {
 		if it.SendIndex != int64(i+1) {
 			t.Fatalf("unsorted after restore: %v", got)
 		}
+	}
+}
+
+// referenceRestore is the restore RestoreAll replaced: regroup by
+// destination, sort, and Append every item into fresh chunks.
+func referenceRestore(items []LogItem) *Log {
+	sorted := append([]LogItem(nil), items...)
+	sort.Slice(sorted, func(i, j int) bool {
+		if sorted[i].Dest != sorted[j].Dest {
+			return sorted[i].Dest < sorted[j].Dest
+		}
+		return sorted[i].SendIndex < sorted[j].SendIndex
+	})
+	l := NewLog()
+	for _, it := range sorted {
+		l.Append(it)
+	}
+	return l
+}
+
+// randomLogItems draws a checkpoint-shaped log: up to four destinations,
+// each a run of increasing send indices long enough to span several
+// chunks, with payloads and piggybacks of varying length. Unless
+// shuffled, the items come in (Dest, SendIndex) order, as All emits them.
+func randomLogItems(r *rand.Rand, shuffled bool) []LogItem {
+	var items []LogItem
+	for dest := 0; dest < 4; dest++ {
+		if r.Intn(4) == 0 {
+			continue
+		}
+		idx := int64(r.Intn(50))
+		for n := r.Intn(3 * logChunkItems); n > 0; n-- {
+			idx += 1 + int64(r.Intn(3))
+			items = append(items, LogItem{
+				Dest: dest, SendIndex: idx, Tag: int32(r.Intn(9)),
+				Piggyback: make([]byte, r.Intn(6)), Payload: []byte{byte(idx), byte(dest), byte(r.Intn(256))},
+			})
+		}
+	}
+	if shuffled {
+		r.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+	}
+	return items
+}
+
+// Property: RestoreAll of any checkpoint log, ordered or not, reads back
+// exactly like the regroup-sort-Append rebuild it replaced: the same Len,
+// Bytes and All, and the same ItemsFor at every cut of every destination.
+func TestRestoreAllMatchesReferenceRebuild(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		items := randomLogItems(r, round%2 == 1)
+		got, want := NewLog(), referenceRestore(items)
+		got.Append(item(7, 1, "replaced by the restore"))
+		got.RestoreAll(items)
+		if got.Len() != want.Len() || got.Bytes() != want.Bytes() {
+			t.Fatalf("round %d: Len/Bytes %d/%d, reference %d/%d", round, got.Len(), got.Bytes(), want.Len(), want.Bytes())
+		}
+		if !reflect.DeepEqual(got.All(), want.All()) {
+			t.Fatalf("round %d: All differs from the reference rebuild", round)
+		}
+		for dest := 0; dest <= 7; dest++ {
+			cuts := []int64{-1, 1 << 40}
+			if all := want.ItemsFor(dest, -1); len(all) > 0 {
+				for k := 0; k < 8; k++ {
+					cuts = append(cuts, all[r.Intn(len(all))].SendIndex+int64(r.Intn(3)-1))
+				}
+			}
+			for _, after := range cuts {
+				if g, w := got.ItemsFor(dest, after), want.ItemsFor(dest, after); !reflect.DeepEqual(g, w) {
+					t.Fatalf("round %d: ItemsFor(%d, %d) has %d items, reference %d", round, dest, after, len(g), len(w))
+				}
+			}
+		}
+	}
+}
+
+// Ordered input is adopted, not copied: the restored log's items are the
+// input's own elements.
+func TestRestoreAllAdoptsOrderedInput(t *testing.T) {
+	items := randomLogItems(rand.New(rand.NewSource(2)), false)
+	l := NewLog()
+	l.RestoreAll(items)
+	d := l.perDest[items[0].Dest]
+	if &d.chunks[0][0] != &items[0] {
+		t.Fatal("ordered input was copied, not adopted")
+	}
+	for _, c := range d.chunks {
+		if len(c) != cap(c) || len(c) > logChunkItems {
+			t.Fatalf("adopted chunk has len %d cap %d; want clipped views of at most %d", len(c), cap(c), logChunkItems)
+		}
+	}
+}
+
+// Mutation check of the adoption rule: appends behind the adopted items
+// and releases into the middle of them — partial chunks included — never
+// write into the input, so a staged checkpoint survives any number of
+// incarnations restoring it.
+func TestRestoreAllLeavesAdoptedInputUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for round := 0; round < 50; round++ {
+		items := randomLogItems(r, false)
+		want := append([]LogItem(nil), items...)
+		for i := range want {
+			want[i].Piggyback = bytes.Clone(want[i].Piggyback)
+			want[i].Payload = bytes.Clone(want[i].Payload)
+		}
+		for restore := 0; restore < 2; restore++ {
+			l := NewLog()
+			l.RestoreAll(items)
+			for dest := 0; dest < 4; dest++ {
+				tail := l.ItemsFor(dest, -1)
+				next := int64(1)
+				if len(tail) > 0 {
+					next = tail[len(tail)-1].SendIndex + 1
+					l.Release(dest, tail[r.Intn(len(tail))].SendIndex) // mid-chunk
+				}
+				for k := 0; k < logChunkItems+3; k++ {
+					l.Append(item(dest, next+int64(k), "after the restore"))
+				}
+				l.Release(dest, next+int64(r.Intn(logChunkItems)))
+			}
+		}
+		if !reflect.DeepEqual(items, want) {
+			t.Fatalf("round %d: Append/Release wrote into the adopted input", round)
+		}
+	}
+}
+
+func TestRestoreAllDuplicatePanics(t *testing.T) {
+	for name, items := range map[string][]LogItem{
+		"ordered":   {item(1, 1, "a"), item(1, 2, "b"), item(1, 2, "dup")},
+		"unordered": {item(1, 2, "b"), item(1, 1, "a"), item(1, 2, "dup")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic on a duplicate send index")
+				}
+			}()
+			NewLog().RestoreAll(items)
+		})
 	}
 }
 

@@ -1,38 +1,15 @@
-// Scratch pooling for the encode/decode paths. The send side has always
-// reused buffers (AppendEncode, the framed writers); this file extends
-// that discipline through decode, so a transport can encode into a
-// pooled buffer, decode into a pooled envelope, and hand both back once
-// the message is delivered — and with an Arena behind the payload copy
-// the steady state allocates nothing per message.
+// Envelope pooling for the decode paths. A transport decodes into a
+// pooled envelope, the harness hands it back once the message is
+// delivered, and with an Arena behind the payload copy the steady state
+// allocates nothing per message. The encode side needs no pool: every
+// transport encodes into memory its link owns (the fabric's ring, the tcp
+// link's chunks).
 package wire
 
 import (
 	"encoding/binary"
 	"sync"
 )
-
-// bufPool recycles encode scratch. Buffers grow to the largest envelope
-// they ever carried and keep that capacity across uses.
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
-
-// GetBuf returns a pooled byte buffer of length 0. Return it with
-// PutBuf once the encoded bytes are no longer referenced.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf returns a buffer obtained from GetBuf to the pool. Passing nil
-// is a no-op.
-func PutBuf(b *[]byte) {
-	if b == nil {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
 
 // envPool recycles envelopes for the receive path: a transport decodes
 // into a pooled envelope with DecodeInto, the harness recycles it after

@@ -117,7 +117,7 @@ func Encode(e *Envelope) []byte {
 
 // AppendEncode appends e's encoding to buf and returns the extended
 // slice. It is the allocation-free core of Encode: callers that reuse a
-// buffer (the framed stream writers, the transport retransmission pool)
+// buffer (the framed stream writers, the fabric's per-link ring)
 // pay no per-message allocation once the buffer has grown to a steady
 // size.
 //
