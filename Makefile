@@ -21,8 +21,9 @@ race:
 # This target looks for that class on purpose — the concurrent
 # kill/recover tests fifty times over, on both transports, and the
 # traced chaos schedule whose trace checker catches a kill landing inside
-# a checkpoint.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery'
+# a checkpoint. TestMasterRecoveryResync is there for the recovered
+# master's resync floors: its roll-forward reorders AnySource deliveries.
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
@@ -115,7 +116,7 @@ examples:
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 
-# Wire-format, WAL-segment and checkpoint-blob fuzzers. `go test -fuzz` accepts exactly one
+# Wire-format, WAL-segment, checkpoint-blob and control-message fuzzers. `go test -fuzz` accepts exactly one
 # target per invocation, so each runs separately; FUZZTIME bounds each
 # target.
 fuzz:
@@ -127,6 +128,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzVecDeltaRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/stable
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) ./internal/harness
 
 clean:
 	$(GO) clean ./...

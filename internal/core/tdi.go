@@ -34,11 +34,15 @@
 // the full v1 vector every refreshEvery-th message so a fresh receiver
 // incarnation can always resynchronize. The receiver reconstructs the
 // full vector from a per-source cache committed on each delivery; the
-// per-channel FIFO the harness enforces makes the chain exact. Because
-// regenerated sends after a rollback could diverge from in-flight
-// originals at the same send index, an incarnation that restored a
-// checkpoint or began recovery pins itself to full vectors — failures
-// are rare, so the failure-free hot path keeps the whole delta win.
+// per-channel FIFO the harness enforces makes the chain exact.
+//
+// Regenerated sends after a rollback may diverge from the dead
+// incarnation's originals at the same send index, so a restored or
+// recovering incarnation keeps a per-destination delta floor: the highest
+// send index of its that the destination had ingested when it answered
+// the ROLLBACK (OnPeerResync; unknown until then). sent[dest] serves as a
+// delta base only when cached above floor[dest], so the first send above
+// the floor is full and every later delta chains onto it.
 //
 // The division of labour with the harness: the harness owns per-channel
 // FIFO/duplicate control (lines 19, 21, 28), the sender log and its
@@ -51,6 +55,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"windar/internal/clock"
 	"windar/internal/metrics"
@@ -64,10 +69,14 @@ import (
 // vector even if a delta would be smaller.
 const DefaultRefreshEvery = 32
 
-// snapshotV2Marker is the first byte of the v2 Snapshot layout. A v1
-// snapshot was a bare AppendVec whose first byte is uvarint(n) >= 1, so
-// 0x00 is unambiguous.
+// snapshotV2Marker is the first byte of the Snapshot layout. The older
+// bare-vector layout starts with uvarint(n) >= 1 and is rejected, as
+// nothing writes it any more.
 const snapshotV2Marker = 0x00
+
+// floorUnknown is a delta floor no RESPONSE has reported yet: no cached
+// vector can serve as a base.
+const floorUnknown = math.MaxInt64
 
 // TDI is one rank's protocol instance. It implements proto.Protocol.
 type TDI struct {
@@ -84,11 +93,11 @@ type TDI struct {
 	// refreshEvery-1 consecutive deltas before a full resend. 1 disables
 	// deltas entirely (the Fig. 6 full-vector baseline).
 	refreshEvery int
-	// pinFull forces full vectors forever once this instance restored a
-	// checkpoint or began rolling forward: regenerated sends may diverge
-	// from in-flight originals at the same send index, so no delta base
-	// can be proven shared with any receiver after a rollback.
-	pinFull bool
+	// floor and sentIdx, nil until a Restore or BeginRecovery, are the
+	// per-destination delta floors and the send index each sent[dest] was
+	// cached at (see the package doc).
+	floor   []int64
+	sentIdx []int64
 
 	// pigArena backs every non-constant piggyback PiggybackForSend
 	// returns: the sender log retains them, read-only, until the
@@ -122,6 +131,7 @@ type TDI struct {
 
 var _ proto.Protocol = (*TDI)(nil)
 var _ proto.Demander = (*TDI)(nil)
+var _ proto.Resyncer = (*TDI)(nil)
 
 // New returns a TDI instance for rank in an n-process system. The metrics
 // rank may be nil (e.g. in unit tests); clk times the tracking overhead
@@ -190,7 +200,7 @@ func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	}
 	// The full vector bounds the encoding: a delta is chosen only when
 	// it is smaller.
-	pig, ids := t.AppendPiggybackForSend(t.pigArena.Tail(wire.VecSize(t.dependInterval)), dest)
+	pig, ids := t.AppendPiggybackForSend(t.pigArena.Tail(wire.VecSize(t.dependInterval)), dest, sendIndex)
 	return t.pigArena.Commit(pig), ids
 }
 
@@ -213,17 +223,23 @@ func (t *TDI) recordEmptyDelta(dest int) {
 
 // emptyDeltaEligible reports whether the next piggyback to dest is
 // provably the constant empty delta: delta encoding is permitted by the
-// cadence, the sent-cache is exactly the current vector (version match),
-// and the two-byte delta beats the full vector (any n >= 2 full vector
-// is at least three bytes; n == 1 takes the scanning path so the
-// size comparison stays exact).
+// cadence and the floor, the sent-cache is exactly the current vector
+// (version match), and the two-byte delta beats the full vector (any
+// n >= 2 full vector is at least three bytes; n == 1 takes the scanning
+// path so the size comparison stays exact).
 func (t *TDI) emptyDeltaEligible(dest int) bool {
-	return !t.pinFull && t.refreshEvery > 1 && t.n >= 2 &&
-		t.sent[dest] != nil && t.sinceFull[dest] < t.refreshEvery-1 &&
-		t.sentVersion[dest] == t.depVersion
+	return t.n >= 2 && t.deltaBase(dest) && t.sentVersion[dest] == t.depVersion
 }
 
-// AppendPiggybackForSend appends the piggyback for the next message to
+// deltaBase reports whether sent[dest] may serve as the base of the next
+// send's delta: the cadence permits one and, after a rollback, the base
+// was cached above the destination's floor.
+func (t *TDI) deltaBase(dest int) bool {
+	return t.refreshEvery > 1 && t.sent[dest] != nil && t.sinceFull[dest] < t.refreshEvery-1 &&
+		(t.floor == nil || t.sentIdx[dest] > t.floor[dest])
+}
+
+// AppendPiggybackForSend appends the piggyback for message sendIndex to
 // dest onto buf and returns the extended slice plus the piggybacked
 // integer count (the Fig. 5 unit). It is the allocation-free core of
 // PiggybackForSend: with a buffer of steady-state capacity the whole
@@ -231,7 +247,7 @@ func (t *TDI) emptyDeltaEligible(dest int) bool {
 // performs zero heap allocations.
 //
 //windar:hotpath
-func (t *TDI) AppendPiggybackForSend(buf []byte, dest int) ([]byte, int) {
+func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]byte, int) {
 	start, w := t.track.BeginSend()
 	if t.emptyDeltaEligible(dest) {
 		// Nothing delivered since the last piggyback to dest: the delta
@@ -246,8 +262,7 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int) ([]byte, int) {
 	mark := len(buf)
 	ids := t.n
 	delta := false
-	if !t.pinFull && t.refreshEvery > 1 &&
-		t.sent[dest] != nil && t.sinceFull[dest] < t.refreshEvery-1 {
+	if t.deltaBase(dest) {
 		if ds := wire.VecDeltaSize(t.sent[dest], t.dependInterval); ds < wire.VecSize(t.dependInterval) {
 			buf = wire.AppendVecDelta(buf, t.sent[dest], t.dependInterval)
 			ids = 2*wire.VecChanged(t.sent[dest], t.dependInterval) + 1
@@ -268,6 +283,9 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int) ([]byte, int) {
 		t.sent[dest].CopyFrom(t.dependInterval)
 	}
 	t.sentVersion[dest] = t.depVersion
+	if t.floor != nil {
+		t.sentIdx[dest] = sendIndex
+	}
 	t.track.EndSend(start, w)
 	if delta {
 		t.m.PigDelta(len(buf) - mark)
@@ -417,47 +435,40 @@ func (t *TDI) Snapshot() []byte {
 	return buf
 }
 
-// Restore implements proto.Protocol (line 42). It accepts the v2 layout
-// of Snapshot and the legacy bare-vector v1 layout (no delta bases).
-// Restoring pins the instance to full-vector sends: its regenerated
-// sends may diverge from in-flight originals, so no per-destination
-// delta base is trustworthy anymore.
+// Restore implements proto.Protocol (line 42): it accepts the layout of
+// Snapshot only. Restoring resets every delta floor to unknown: the
+// regenerated sends may diverge from the dead incarnation's originals,
+// so no per-destination delta base is trustworthy until the
+// destination reports what it ingested (OnPeerResync).
 func (t *TDI) Restore(data []byte) error {
+	if len(data) == 0 || data[0] != snapshotV2Marker {
+		return fmt.Errorf("core: restore: no snapshot marker")
+	}
 	recv := make([]vclock.Vec, t.n)
-	var di vclock.Vec
-	if len(data) > 0 && data[0] == snapshotV2Marker {
-		i := 1
-		v, n, err := wire.ReadVec(data[i:])
+	i := 1
+	di, n, err := wire.ReadVec(data[i:])
+	if err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
+	i += n
+	for src := 0; src < t.n; src++ {
+		if i >= len(data) {
+			return fmt.Errorf("core: restore: truncated delta bases")
+		}
+		present := data[i]
+		i++
+		if present == 0 {
+			continue
+		}
+		base, n, err := wire.ReadVec(data[i:])
 		if err != nil {
-			return fmt.Errorf("core: restore: %w", err)
+			return fmt.Errorf("core: restore: base for %d: %w", src, err)
+		}
+		if len(base) != t.n {
+			return fmt.Errorf("core: restore: base length %d for %d, want %d", len(base), src, t.n)
 		}
 		i += n
-		di = v
-		for src := 0; src < t.n; src++ {
-			if i >= len(data) {
-				return fmt.Errorf("core: restore: truncated delta bases")
-			}
-			present := data[i]
-			i++
-			if present == 0 {
-				continue
-			}
-			base, n, err := wire.ReadVec(data[i:])
-			if err != nil {
-				return fmt.Errorf("core: restore: base for %d: %w", src, err)
-			}
-			if len(base) != t.n {
-				return fmt.Errorf("core: restore: base length %d for %d, want %d", len(base), src, t.n)
-			}
-			i += n
-			recv[src] = base
-		}
-	} else {
-		v, _, err := wire.ReadVec(data)
-		if err != nil {
-			return fmt.Errorf("core: restore: %w", err)
-		}
-		di = v
+		recv[src] = base
 	}
 	if len(di) != t.n {
 		return fmt.Errorf("core: restore: vector length %d, want %d", len(di), t.n)
@@ -473,8 +484,18 @@ func (t *TDI) Restore(data []byte) error {
 	t.sinceFull = make([]int, t.n)
 	t.sentVersion = make([]uint64, t.n)
 	t.depVersion++
-	t.pinFull = true
+	t.resetFloors()
 	return nil
+}
+
+// resetFloors marks every destination's delta floor unknown.
+func (t *TDI) resetFloors() {
+	if t.floor == nil {
+		t.floor, t.sentIdx = make([]int64, t.n), make([]int64, t.n)
+	}
+	for i := range t.floor {
+		t.floor[i] = floorUnknown
+	}
 }
 
 // RecoveryData implements proto.Protocol. TDI contributes nothing beyond
@@ -485,9 +506,23 @@ func (t *TDI) RecoveryData(failed int, ckptDeliveredCount int64) []byte { return
 
 // BeginRecovery implements proto.Protocol. TDI rolling forward imposes no
 // collection phase: delivery can begin the moment messages arrive. The
-// incarnation does pin itself to full-vector sends (see Restore) — this
-// also covers a recovery with no checkpoint, where Restore never ran.
-func (t *TDI) BeginRecovery(expectResponses int) { t.pinFull = true }
+// delta floors are reset as in Restore — this also covers a recovery
+// with no checkpoint, where Restore never ran.
+func (t *TDI) BeginRecovery(expectResponses int) { t.resetFloors() }
+
+// OnPeerResync implements proto.Resyncer: peer had ingested this rank's
+// messages up to send index highWater when it answered this
+// incarnation's ROLLBACK, so no original of a dead incarnation can be
+// delivered there above it. Floors only rise: a second answer (from the
+// peer's next incarnation) never lowers one.
+func (t *TDI) OnPeerResync(peer int, highWater int64) {
+	if t.floor == nil || peer < 0 || peer >= t.n {
+		return
+	}
+	if f := t.floor[peer]; f == floorUnknown || highWater > f {
+		t.floor[peer] = highWater
+	}
+}
 
 // OnRecoveryData implements proto.Protocol.
 func (t *TDI) OnRecoveryData(from int, data []byte) error { return nil }

@@ -118,12 +118,19 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsWrongLength(t *testing.T) {
 	tdi := New(0, 3, nil, nil)
-	bad := wire.AppendVec(nil, vclock.New(5))
-	if err := tdi.Restore(bad); err == nil {
+	wrong := New(0, 5, nil, nil).Snapshot()
+	if err := tdi.Restore(wrong); err == nil {
 		t.Fatal("Restore accepted wrong-length vector")
 	}
-	if err := tdi.Restore([]byte{0xFF}); err == nil {
-		t.Fatal("Restore accepted garbage")
+	// The bare-vector layout that predates the snapshot marker is
+	// rejected even at the right length: nothing writes it.
+	if err := tdi.Restore(wire.AppendVec(nil, vclock.New(3))); err == nil {
+		t.Fatal("Restore accepted a bare vector")
+	}
+	for _, garbage := range [][]byte{nil, {0xFF}, {snapshotV2Marker}} {
+		if err := tdi.Restore(garbage); err == nil {
+			t.Fatalf("Restore accepted garbage %x", garbage)
+		}
 	}
 }
 
@@ -147,6 +154,9 @@ func TestOnDeliverDetectsIndexDivergence(t *testing.T) {
 	}
 }
 
+// TestRecoveryHooksAreNoOps: TDI collects no recovery data. The one
+// recovery hook with an effect is BeginRecovery, which leaves the
+// incarnation sending full vectors until OnPeerResync sets a floor.
 func TestRecoveryHooksAreNoOps(t *testing.T) {
 	tdi := New(0, 2, nil, nil)
 	if data := tdi.RecoveryData(1, 0); data != nil {
@@ -159,6 +169,15 @@ func TestRecoveryHooksAreNoOps(t *testing.T) {
 	tdi.OnPeerCheckpoint(1, 10)
 	if tdi.Name() != "tdi" {
 		t.Fatal("name")
+	}
+	for idx := int64(1); idx <= 3; idx++ {
+		if pig, _ := tdi.PiggybackForSend(1, idx); pig[0] == wire.VecDeltaMarker {
+			t.Fatalf("send %d before any floor is a delta", idx)
+		}
+	}
+	tdi.OnPeerResync(1, 0)
+	if pig, _ := tdi.PiggybackForSend(1, 4); pig[0] != wire.VecDeltaMarker {
+		t.Fatal("send above the floor, on a base cached above it, is not a delta")
 	}
 }
 

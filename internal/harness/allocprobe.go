@@ -294,7 +294,7 @@ func probePigEncodeDelta() float64 {
 	t := core.New(0, 32, nil, nil)
 	buf := make([]byte, 0, 256)
 	return testing.AllocsPerRun(allocProbeRuns, func() {
-		buf, _ = t.AppendPiggybackForSend(buf[:0], 1)
+		buf, _ = t.AppendPiggybackForSend(buf[:0], 1, 1)
 	})
 }
 
@@ -305,7 +305,7 @@ func probePigEncodeFull() float64 {
 	t.SetRefreshEvery(1)
 	buf := make([]byte, 0, 256)
 	return testing.AllocsPerRun(allocProbeRuns, func() {
-		buf, _ = t.AppendPiggybackForSend(buf[:0], 1)
+		buf, _ = t.AppendPiggybackForSend(buf[:0], 1, 1)
 	})
 }
 
@@ -490,9 +490,11 @@ func probeFabricQueuedHop() float64 {
 	return perBurst / burst
 }
 
-// probePigFullRetained measures PiggybackForSend on the path a recovered
-// rank is pinned to: a full 32-element vector per message, retained by
-// the sender log — appended at the tail of the instance's arena.
+// probePigFullRetained measures PiggybackForSend on the full-vector path
+// — a recovered rank's sends at or below a destination's resync floor,
+// every refresh, and every send at cadence 1: a full 32-element vector
+// per message, retained by the sender log — appended at the tail of the
+// instance's arena.
 func probePigFullRetained() float64 {
 	t := core.New(0, 32, nil, nil)
 	t.SetRefreshEvery(1)

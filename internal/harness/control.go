@@ -34,35 +34,46 @@ func decodeRollback(b []byte) (int64, vclock.Vec, error) {
 	return count, vec, nil
 }
 
-// encodeResponse packs a RESPONSE payload: which incarnation's ROLLBACK
-// it answers, how many of the failed rank's messages this responder has
-// delivered (for repetitive-send suppression, line 48), plus the
-// protocol's recovery contribution. The echoed incarnation lets the
-// recoverer tell a fresh answer from a stale one addressed to a
-// predecessor that died mid-collection.
-func encodeResponse(ackIncarnation int32, deliveredFromFailed int64, recoveryData []byte) []byte {
-	buf := binary.AppendVarint(nil, int64(ackIncarnation))
-	buf = binary.AppendVarint(buf, deliveredFromFailed)
-	buf = binary.AppendUvarint(buf, uint64(len(recoveryData)))
-	return append(buf, recoveryData...)
+// response is a RESPONSE payload: which incarnation's ROLLBACK it
+// answers (so the recoverer can tell a fresh answer from a stale one
+// addressed to a predecessor that died mid-collection), how many of the
+// failed rank's messages the responder has delivered (the repetitive-send
+// suppression bound, line 48), the highest send index of the failed
+// rank's it has ingested, delivered or still queued (the resync floor,
+// proto.Resyncer), and the protocol's recovery contribution.
+type response struct {
+	ackInc              int32
+	delivered, ingested int64
+	data                []byte
+}
+
+// encodeResponse packs a RESPONSE payload.
+func encodeResponse(r response) []byte {
+	buf := binary.AppendVarint(nil, int64(r.ackInc))
+	buf = binary.AppendVarint(buf, r.delivered)
+	buf = binary.AppendVarint(buf, r.ingested)
+	buf = binary.AppendUvarint(buf, uint64(len(r.data)))
+	return append(buf, r.data...)
 }
 
 // decodeResponse unpacks encodeResponse.
-func decodeResponse(b []byte) (int32, int64, []byte, error) {
-	ack, k := binary.Varint(b)
-	if k <= 0 {
-		return 0, 0, nil, fmt.Errorf("harness: bad RESPONSE incarnation")
+func decodeResponse(b []byte) (response, error) {
+	var r response
+	var fields [3]int64
+	for i := range fields {
+		v, k := binary.Varint(b)
+		if k <= 0 {
+			return r, fmt.Errorf("harness: bad RESPONSE field %d", i)
+		}
+		fields[i], b = v, b[k:]
 	}
-	b = b[k:]
-	count, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("harness: bad RESPONSE payload")
+	l, m := binary.Uvarint(b)
+	if m <= 0 || uint64(len(b)-m) < l {
+		return r, fmt.Errorf("harness: bad RESPONSE recovery data")
 	}
-	l, m := binary.Uvarint(b[n:])
-	if m <= 0 || uint64(len(b)-n-m) < l {
-		return 0, 0, nil, fmt.Errorf("harness: bad RESPONSE recovery data")
-	}
-	return int32(ack), count, b[n+m : n+m+int(l)], nil
+	r.ackInc, r.delivered, r.ingested = int32(fields[0]), fields[1], fields[2]
+	r.data = b[m : m+int(l)]
+	return r, nil
 }
 
 // encodeCkptAdvance packs a CHECKPOINT_ADVANCE payload: the number of the
@@ -97,6 +108,7 @@ func decodeCkptAdvance(b []byte) (int64, int64, error) {
 // rank id — or an unknown kind — is dropped and counted here rather
 // than crashing the rank.
 func (r *rankRuntime) receiverLoop(in transport.Inbox) {
+	defer r.senders.Done()
 	if batch := r.c.recvBatch(); batch > 0 {
 		if bi, ok := in.(transport.BatchInbox); ok {
 			r.receiverLoopBatched(bi, batch)
@@ -204,8 +216,13 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 		r.rollbackLastSendIndex[failed] = lastDeliver[r.id]
 	}
 	r.prot.OnPeerRollback(failed, ckptDelivered)
-	deliveredFromFailed := r.lastDeliverIndex[failed]
-	recData := r.prot.RecoveryData(failed, ckptDelivered)
+	// Every envelope that arrived ahead of this ROLLBACK is in the shard
+	// by now (the receiver ingests in arrival order), and none of a dead
+	// incarnation's can follow it (Recover waits out its senders before
+	// the successor broadcasts): no original above the ingest high-water
+	// will ever be delivered here.
+	ans := response{ackInc: env.Incarnation, delivered: r.lastDeliverIndex[failed],
+		ingested: r.shards[failed].highWater(), data: r.prot.RecoveryData(failed, ckptDelivered)}
 	resend := r.log.ItemsFor(failed, lastDeliver[r.id]) // a copy: safe to walk unlocked
 	r.mu.Unlock()
 
@@ -213,7 +230,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	resp := &wire.Envelope{
 		Kind: wire.KindResponse, From: r.id, To: failed,
 		Incarnation: r.incarnation,
-		Payload:     encodeResponse(env.Incarnation, deliveredFromFailed, recData),
+		Payload:     encodeResponse(ans),
 	}
 	if err := r.c.tr.Send(resp, transportSendOpts(false, r.killed)); err != nil {
 		return
@@ -250,17 +267,17 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 // revived peer, or stale toward a dead predecessor incarnation — but only
 // the first from each awaited live peer decrements the expectation.
 func (r *rankRuntime) handleResponse(env *wire.Envelope) {
-	ackInc, count, recData, err := decodeResponse(env.Payload)
+	ans, err := decodeResponse(env.Payload)
 	if err != nil {
 		r.c.coll.Rank(r.id).IngestRejected()
 		r.c.observer().OnIngestRejected(r.id, "response")
 		return
 	}
 	r.mu.Lock()
-	if count > r.rollbackLastSendIndex[env.From] {
-		r.rollbackLastSendIndex[env.From] = count
+	if ans.delivered > r.rollbackLastSendIndex[env.From] {
+		r.rollbackLastSendIndex[env.From] = ans.delivered
 	}
-	if err := r.prot.OnRecoveryData(env.From, recData); err != nil {
+	if err := r.prot.OnRecoveryData(env.From, ans.data); err != nil {
 		r.c.coll.Rank(r.id).IngestRejected()
 		r.c.observer().OnIngestRejected(r.id, "response")
 		r.mu.Unlock()
@@ -274,10 +291,15 @@ func (r *rankRuntime) handleResponse(env *wire.Envelope) {
 			r.c.emitPhase(r.id, PhaseCollectDemands, r.c.clk.Now().Sub(r.collectStart))
 		}
 	}
-	if ackInc == r.incarnation {
+	if ans.ackInc == r.incarnation {
 		// This incarnation's own ROLLBACK was served: a revival of the
-		// responder no longer needs the replay.
+		// responder no longer needs the replay. Only such an answer may
+		// set a resync floor: one to a dead predecessor was read before
+		// the predecessor's later sends and can be too low.
 		r.c.rollbackServed(r.id, env.From, r.incarnation)
+		if r.resyncer != nil {
+			r.resyncer.OnPeerResync(env.From, ans.ingested)
+		}
 	}
 	r.cond.Broadcast() // replay constraints may have been relaxed
 	r.mu.Unlock()

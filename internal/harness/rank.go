@@ -39,10 +39,11 @@ type rankRuntime struct {
 	log  *proto.Log
 
 	// chain is the handler/interceptor stack built once per incarnation
-	// (see chain.go); demander caches the protocol's optional Demander
-	// view so the deliver path never repeats the type assertion.
+	// (see chain.go); demander and resyncer cache the protocol's optional
+	// views so no path repeats the type assertion.
 	chain    layer.Handler
 	demander proto.Demander
+	resyncer proto.Resyncer
 
 	// Per-message chain scratch. sendMsg is touched only by the app
 	// goroutine inside Send; delivMsg, delivEnv and recvStart only under
@@ -137,6 +138,10 @@ type rankRuntime struct {
 
 	killed   chan struct{}
 	killOnce sync.Once
+	// senders counts this incarnation's goroutines that hand envelopes to
+	// the transport — receiver (RESPONSEs, resends), sender loop and
+	// application. Recover waits it out (see there).
+	senders sync.WaitGroup
 
 	theApp    app.App
 	startStep int
@@ -187,6 +192,17 @@ func (sh *deliveryShard) front() *wire.Envelope {
 
 // pending is the number of queued messages.
 func (sh *deliveryShard) pending() int { return len(sh.q) - sh.head }
+
+// highWater is the highest send index ingested from the source, delivered
+// or still queued: the FIFO's tail, which is sorted above delivered.
+func (sh *deliveryShard) highWater() int64 {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if sh.pending() > 0 {
+		return sh.q[len(sh.q)-1].SendIndex
+	}
+	return sh.delivered
+}
 
 // pop removes the FIFO head.
 //
@@ -272,6 +288,7 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 	}
 	r.prot = p
 	r.demander, _ = p.(proto.Demander)
+	r.resyncer, _ = p.(proto.Resyncer)
 	r.chain = r.buildChain(c.cfg.Interceptors)
 	r.theApp = c.factory(rank, c.cfg.N)
 	if r.theApp == nil {
@@ -289,10 +306,12 @@ func (r *rankRuntime) start(fromStep int, rollback []byte) {
 			panic(err.Error())
 		}
 	}
+	r.senders.Add(2) // the receiver and the application
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
 	go r.receiverLoop(r.c.tr.Inbox(r.id))
 	if r.c.cfg.Mode == NonBlocking {
+		r.senders.Add(1)
 		go r.senderLoop()
 	}
 	r.c.ckptWG.Add(1)
@@ -336,6 +355,7 @@ func (r *rankRuntime) checkKilled() {
 
 // appLoop runs the application from fromStep to completion.
 func (r *rankRuntime) appLoop(fromStep int) {
+	defer r.senders.Done()
 	defer func() {
 		if p := recover(); p != nil {
 			if _, ok := p.(killedPanic); ok {
@@ -448,6 +468,7 @@ func (r *rankRuntime) transmit(env *wire.Envelope) {
 
 // senderLoop drains queue A (non-blocking mode).
 func (r *rankRuntime) senderLoop() {
+	defer r.senders.Done()
 	for {
 		r.sendMu.Lock()
 		for len(r.sendQ) == 0 {

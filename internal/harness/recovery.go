@@ -26,8 +26,12 @@ func (c *Cluster) Kill(rank int) error {
 	if r.isKilled() {
 		return fmt.Errorf("harness: rank %d is already dead", rank)
 	}
-	c.tr.Kill(rank) // stop deliveries first: the inbox content is lost
+	// The abort channel closes before the transport kill wakes every
+	// sender blocked on a full link: woken before the close, a sender of
+	// this rank would sleep on until the link drained — never, toward a
+	// dead destination — and Recover would wait on it forever.
 	r.kill()
+	c.tr.Kill(rank) // the inbox content is lost
 
 	// The failure point is read only after the rank is stopped: the app
 	// goroutine may deliver between an earlier read and the kill, and an
@@ -84,10 +88,12 @@ func (c *Cluster) Recover(rank int) error {
 	}
 
 	// The dead incarnation may still be inside a send it began before
-	// the kill; wait it out so its last durable-log append cannot land
-	// behind this incarnation's rewind.
-	old.mu.Lock()
-	old.mu.Unlock()
+	// the kill, and its sender loop and resends may still be draining
+	// into links that have room. Wait them all out: its last durable-log
+	// append must not land behind this incarnation's rewind, and nothing
+	// it sends may follow this incarnation's ROLLBACK, which a peer's
+	// resync floor (handleRollback) relies on.
+	old.senders.Wait()
 
 	r, err := c.newRuntime(rank, old.incarnation+1)
 	if err != nil {

@@ -128,3 +128,14 @@ type Protocol interface {
 type Demander interface {
 	DeliveryDemand(env *wire.Envelope) (demand int64, ok bool)
 }
+
+// Resyncer is optionally implemented by protocols whose per-destination
+// send state must be re-established after their own rank rolled back
+// (TDI's delta bases). OnPeerResync passes on peer's RESPONSE to this
+// incarnation's ROLLBACK: highWater is the highest send index of this
+// rank's that peer had ingested — delivered or still queued — when it
+// answered. The harness calls it only for answers to this incarnation;
+// an answer to a dead predecessor may predate its later sends.
+type Resyncer interface {
+	OnPeerResync(peer int, highWater int64)
+}

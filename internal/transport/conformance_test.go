@@ -111,6 +111,82 @@ func TestFIFOPerPair(t *testing.T) {
 	each(t, 2, checkFIFOPerPair)
 }
 
+// TestFIFOPerPairAcrossSenderIncarnations: a (from, to) link outlives
+// the sender's incarnations. Nothing incarnation I of rank 0 handed the
+// transport reaches rank 1 after an envelope rank 0 sent after Revive —
+// whether the old stream was mid-flight at the sender's kill, parked at
+// a dead destination, or both. The harness's resync floors rest on it.
+func TestFIFOPerPairAcrossSenderIncarnations(t *testing.T) {
+	const newCount = 50
+	each(t, 2, func(t *testing.T, tr transport.Transport) {
+		for round, destDead := range []bool{false, true, false, true} {
+			oldInc, newInc := int32(2*round), int32(2*round+1)
+			if destDead {
+				tr.Kill(1)
+			}
+			abort := make(chan struct{})
+			oldDone := make(chan struct{})
+			go func() {
+				// The old incarnation streams until its kill, so the kill
+				// always lands mid-stream.
+				defer close(oldDone)
+				for i := 0; ; i++ {
+					select {
+					case <-abort:
+						return
+					default:
+					}
+					env := appEnv(0, 1, i)
+					env.Incarnation = oldInc
+					if tr.Send(env, transport.SendOpts{Abort: abort}) != nil {
+						return
+					}
+					if i%10 == 0 {
+						time.Sleep(20 * time.Microsecond)
+					}
+				}
+			}()
+			time.Sleep(time.Millisecond)
+			close(abort) // the sender's kill, as the harness orders it
+			tr.Kill(0)
+			<-oldDone
+			tr.Revive(0)
+			for i := 0; i < newCount; i++ {
+				env := appEnv(0, 1, i)
+				env.Incarnation = newInc
+				mustSend(t, tr, env, transport.SendOpts{})
+			}
+			if destDead {
+				tr.Revive(1)
+			}
+			in := tr.Inbox(1)
+			next, oldSeen := 0, 0
+			for next < newCount {
+				env, ok := in.Recv()
+				if !ok {
+					t.Fatalf("round %d: inbox closed", round)
+				}
+				switch env.Incarnation {
+				case oldInc:
+					if next > 0 {
+						t.Fatalf("round %d: incarnation %d's message %d arrived after incarnation %d's %d",
+							round, oldInc, env.SendIndex, newInc, next-1)
+					}
+					oldSeen++
+				case newInc:
+					if env.SendIndex != int64(next) {
+						t.Fatalf("round %d: new incarnation's message %d arrived as #%d", round, env.SendIndex, next)
+					}
+					next++
+				default:
+					t.Fatalf("round %d: message from incarnation %d", round, env.Incarnation)
+				}
+			}
+			t.Logf("round %d (destination dead: %v): %d old-incarnation messages, then %d new", round, destDead, oldSeen, newCount)
+		}
+	})
+}
+
 // TestKillUnblocksReceiver: a Recv blocked on the killed incarnation's
 // inbox returns ok=false, and the stale handle stays dead after Revive.
 func TestKillUnblocksReceiver(t *testing.T) {

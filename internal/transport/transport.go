@@ -18,6 +18,10 @@
 //
 //   - per ordered pair (from, to), accepted messages are delivered in
 //     FIFO order; across pairs, arrival order is unconstrained;
+//   - that FIFO spans the sender's incarnations: Kill(from) and
+//     Revive(from) neither reset nor reorder the link, so nothing
+//     accepted from an earlier incarnation reaches to after a message
+//     accepted from a later one;
 //   - Kill(rank) drops the rank's volatile receive state: messages
 //     already handed to its inbox are lost, and receivers blocked on
 //     the old incarnation's inbox unblock with ok=false;

@@ -18,7 +18,7 @@
 // FIFO channel; ReadVecDelta takes that base explicitly and fails with
 // ErrNoDeltaBase when the caller has none (a fresh incarnation before
 // the sender's next full refresh, handled by core.TDI's refresh
-// cadence and pinned-full recovery mode).
+// cadence and its post-recovery resync floors).
 package wire
 
 import (
