@@ -23,10 +23,15 @@ race:
 # traced chaos schedule whose trace checker catches a kill landing inside
 # a checkpoint. TestMasterRecoveryResync is there for the recovered
 # master's resync floors: its roll-forward reorders AnySource deliveries.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync'
+# TestCountersExactAtQuiescence holds the app goroutine's batched
+# counters exact at every publication point, across a kill;
+# TestInlineSendIsABufferedSend races the fabric's lock-free inline
+# admission against Kill/Stall/Revive/Unstall.
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
+	$(GO) test -race -count=50 -run 'TestInlineSendIsABufferedSend' ./internal/transport/
 	$(GO) test -race -count=50 -run TestLineageAcrossRecovery ./internal/chaos/
 
 vet:

@@ -37,7 +37,8 @@ type Env interface {
 	// Send transmits data to dest with the given tag. In the harness's
 	// non-blocking mode it returns immediately (Fig. 4(b)); in blocking
 	// mode it returns when the destination has accepted the message
-	// (Fig. 4(a)).
+	// (Fig. 4(a)). Either way data is copied before Send returns, so the
+	// application may reuse the buffer for its next message.
 	Send(dest int, tag int32, data []byte)
 	// Recv blocks until a message matching (source, tag) is deliverable
 	// under the logging protocol's constraints, delivers it, and returns

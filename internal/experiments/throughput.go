@@ -51,9 +51,6 @@ type ThroughputOptions struct {
 	Window int
 	// Transports to measure; default mem then tcp.
 	Transports []string
-	// RecvBatch is the receive-side batch-ingest window handed to the
-	// harness; 0 selects the harness default.
-	RecvBatch int
 	// Seed for the (latency-free) mem fabric.
 	Seed int64
 }
@@ -109,7 +106,6 @@ func runThroughputOnce(o ThroughputOptions, tr string) (ThroughputRow, error) {
 			// them, so the delivery manager is the measured bottleneck.
 			Seed: o.Seed,
 		},
-		RecvBatch:    o.RecvBatch,
 		StallTimeout: 60 * time.Second,
 	}
 	factory := workload.NewFlood(o.Steps, o.Window)

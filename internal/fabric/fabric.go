@@ -25,10 +25,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"windar/internal/clock"
 	"windar/internal/obs"
+	"windar/internal/transport"
 	"windar/internal/wire"
 )
 
@@ -150,7 +152,7 @@ func (f *Fabric) Close() {
 			r.mu.Lock()
 			r.aliveCond.Broadcast()
 			r.mu.Unlock()
-			r.inbox().closeBox()
+			r.inbox().Close()
 		}
 	})
 }
@@ -217,31 +219,14 @@ func (f *Fabric) TrySend(env *wire.Envelope) bool {
 // after a Kill/Revive would silently attach the old receiver to the new
 // incarnation's inbox.
 func (f *Fabric) Recv(rank int) (*wire.Envelope, bool) {
-	return f.ranks[rank].inbox().recv()
+	return f.ranks[rank].inbox().Recv()
 }
 
-// Inbox is a receiver handle pinned to one incarnation's message queue.
-// Once the rank is killed, Recv on the old handle returns ok=false
-// forever; the incarnation must obtain a fresh handle.
-type Inbox struct{ box *inboxT }
-
-// Recv blocks for the next envelope on this handle's queue; ok=false
-// means the queue was closed (rank killed or fabric shut down).
-func (in Inbox) Recv() (*wire.Envelope, bool) { return in.box.recv() }
-
-// RecvBatch implements transport.BatchInbox: it blocks like Recv for the
-// first envelope, then drains whatever else is already queued — up to
-// buf's capacity — without blocking again. Like Recv, a killed rank's
-// handle returns ok=false immediately (its queue died with the
-// incarnation); only a fabric-shutdown close still drains what was
-// queued before it.
-func (in Inbox) RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool) {
-	return in.box.recvBatch(buf)
-}
-
-// Inbox returns a handle pinned to rank's current inbox.
-func (f *Fabric) Inbox(rank int) Inbox {
-	return Inbox{box: f.ranks[rank].inbox()}
+// Inbox returns a handle pinned to rank's current inbox: once the rank
+// is killed, the old handle returns ok=false forever and the incarnation
+// must obtain a fresh one.
+func (f *Fabric) Inbox(rank int) *transport.Queue {
+	return f.ranks[rank].inbox()
 }
 
 // Kill marks rank dead, dropping its inbox contents and unblocking its
@@ -252,9 +237,10 @@ func (f *Fabric) Kill(rank int) {
 	r.mu.Lock()
 	r.alive = false
 	old := r.box
-	r.box = newInbox()
+	r.box = transport.NewQueue()
+	r.admitLocked()
 	r.mu.Unlock()
-	old.dropBox()
+	old.Drop()
 	// Senders blocked on full link buffers may hold this rank's abort
 	// channel; wake them so they can observe it. Kills are rare, so a
 	// global broadcast is fine.
@@ -271,6 +257,7 @@ func (f *Fabric) Revive(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
 	r.alive = true
+	r.admitLocked()
 	r.aliveCond.Broadcast()
 	r.mu.Unlock()
 }
@@ -283,6 +270,7 @@ func (f *Fabric) Stall(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
 	r.stalled = true
+	r.admitLocked()
 	r.mu.Unlock()
 }
 
@@ -292,6 +280,7 @@ func (f *Fabric) Unstall(rank int) {
 	r := f.ranks[rank]
 	r.mu.Lock()
 	r.stalled = false
+	r.admitLocked()
 	r.aliveCond.Broadcast()
 	r.mu.Unlock()
 }
@@ -478,35 +467,31 @@ func (l *link) reserveLocked(n int) int {
 
 // tryInline delivers env synchronously on an instant network, bypassing
 // the link goroutine. It only fires while the link is idle (nothing
-// queued or in service) and the destination is alive and unstalled, so
-// per-link FIFO order and the park-while-dead semantics are untouched:
-// any message that cannot go right now takes the queued path, and once
-// one is queued every later send queues behind it until the link drains.
-// l.mu is held across the inbox push so a racing send on the same link
-// cannot overtake the delivery — and so the link's payload arena has one
-// user. The receiver gets a deep copy with the same ownership contract a
-// decode would produce, never the sender's envelope or its logged bytes;
-// the queued path still wire-round-trips every message.
+// queued or in service) and the destination admits inline delivery
+// (alive and unstalled: rankState.admit), so per-link FIFO order and the
+// park-while-dead semantics are untouched: any message that cannot go
+// right now takes the queued path, and once one is queued every later
+// send queues behind it until the link drains. A Kill landing between
+// the admission read and the push loses the message with the dropped
+// inbox, exactly as a kill right after the push would. l.mu is held
+// across the inbox push so a racing send on the same link cannot
+// overtake the delivery — and so the link's payload arena has one user.
+// The receiver gets a deep copy with the same ownership contract a decode
+// would produce, never the sender's envelope or its logged bytes; the
+// queued path still wire-round-trips every message.
+//
+//windar:hotpath
 func (l *link) tryInline(env *wire.Envelope) bool {
-	r := l.f.ranks[l.to]
 	l.mu.Lock()
-	if l.pending() > 0 || l.busy > 0 {
+	box := l.f.ranks[l.to].admit.Load()
+	if box == nil || l.pending() > 0 || l.busy > 0 {
 		l.mu.Unlock()
 		return false
 	}
-	r.mu.Lock()
-	if !r.alive || r.stalled {
-		r.mu.Unlock()
-		l.mu.Unlock()
-		return false
-	}
-	box := r.box
-	r.mu.Unlock()
-
 	denv := wire.GetEnvelope()
 	wire.CopyIntoArena(denv, env, &l.payloads)
 	l.batch.Record(1)
-	box.push(denv)
+	box.Push(denv)
 	l.mu.Unlock()
 	return true
 }
@@ -598,7 +583,7 @@ func (l *link) deliver(b []byte, done chan struct{}) bool {
 		// runtime condition: fail loudly.
 		panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))
 	}
-	box.push(env)
+	box.Push(env)
 	if done != nil {
 		close(done)
 	}
@@ -611,112 +596,32 @@ type rankState struct {
 	alive     bool
 	stalled   bool // delivery suspended (Stall), independent of alive
 	aliveCond *sync.Cond
-	box       *inboxT
+	box       *transport.Queue
+	// admit is box while the rank is alive and not stalled, nil
+	// otherwise: the inline path's whole admission check, one atomic
+	// load instead of a round on mu. Written under mu by every
+	// transition of alive, stalled and box (admitLocked).
+	admit atomic.Pointer[transport.Queue]
 }
 
 func newRankState() *rankState {
-	r := &rankState{alive: true, box: newInbox()}
+	r := &rankState{alive: true, box: transport.NewQueue()}
 	r.aliveCond = sync.NewCond(&r.mu)
+	r.admitLocked()
 	return r
 }
 
-func (r *rankState) inbox() *inboxT {
+// admitLocked republishes the admission pointer after a transition.
+func (r *rankState) admitLocked() {
+	if r.alive && !r.stalled {
+		r.admit.Store(r.box)
+	} else {
+		r.admit.Store(nil)
+	}
+}
+
+func (r *rankState) inbox() *transport.Queue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.box
-}
-
-// inboxT is an unbounded closable FIFO of envelopes.
-type inboxT struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*wire.Envelope
-	closed bool
-}
-
-func newInbox() *inboxT {
-	b := &inboxT{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *inboxT) push(env *wire.Envelope) {
-	b.mu.Lock()
-	if b.closed {
-		// The rank died between the alive check and the push; the
-		// message is lost with the rank's volatile state. The recovery
-		// protocol regenerates it from sender logs.
-		b.mu.Unlock()
-		return
-	}
-	b.queue = append(b.queue, env)
-	b.cond.Signal()
-	b.mu.Unlock()
-}
-
-func (b *inboxT) recv() (*wire.Envelope, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.queue) == 0 {
-		return nil, false
-	}
-	env := b.queue[0]
-	b.queue = b.queue[1:]
-	return env, true
-}
-
-// recvBatch is recv draining up to cap(buf)-len(buf) queued envelopes in
-// one critical section: one lock round and one receiver wakeup however
-// many messages arrived while the receiver was busy.
-func (b *inboxT) recvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.queue) == 0 {
-		return buf, false
-	}
-	n := cap(buf) - len(buf)
-	if n < 1 {
-		n = 1
-	}
-	if n > len(b.queue) {
-		n = len(b.queue)
-	}
-	buf = append(buf, b.queue[:n]...)
-	rest := copy(b.queue, b.queue[n:])
-	for i := rest; i < len(b.queue); i++ {
-		b.queue[i] = nil // release delivered refs for the GC
-	}
-	b.queue = b.queue[:rest]
-	return buf, true
-}
-
-// closeBox marks the box closed for fabric shutdown: receivers drain
-// whatever is already queued, then see ok=false.
-func (b *inboxT) closeBox() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// dropBox closes the box and discards everything queued. Kill uses this
-// instead of closeBox: the dead incarnation's undelivered messages are
-// part of its volatile state and must be lost with it — a receiver
-// thread racing the kill would otherwise hand stale envelopes to the
-// next incarnation's delivery path.
-func (b *inboxT) dropBox() {
-	b.mu.Lock()
-	for i := range b.queue {
-		b.queue[i] = nil
-	}
-	b.queue = nil
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

@@ -83,8 +83,8 @@ func (probeApp) Step(app.Env, int)    {}
 func (probeApp) Snapshot() []byte     { return nil }
 func (probeApp) Restore([]byte) error { return nil }
 
-// probeDeliveryScan measures one full delivery: the FIFO-head scan
-// (findDeliverableLocked, including the TDI Deliverable probe and
+// probeDeliveryScan measures one full delivery: the FIFO-head scan and
+// take (takeDeliverableLocked, including the TDI Deliverable probe and
 // piggyback decode) plus deliverLocked committing the message through
 // the handler chain (protocol ingest, counters, observer fan-out). The
 // cluster is never started, so the runtime's queues are driven directly
@@ -166,7 +166,7 @@ func deliveryScanAllocs(interceptors []layer.Interceptor, traced bool) float64 {
 	}
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		r.mu.Lock()
-		env := r.findDeliverableLocked(app.AnySource, app.AnyTag)
+		env := r.takeDeliverableLocked(app.AnySource, app.AnyTag)
 		if env == nil {
 			r.mu.Unlock()
 			panic("allocprobe: queued message not deliverable")

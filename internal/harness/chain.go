@@ -83,17 +83,17 @@ func (h protoHandler) Checkpoint(info *layer.CheckpointInfo) { h.next.Checkpoint
 func (h protoHandler) Restore(info *layer.RestoreInfo) { h.next.Restore(info) }
 
 // obsHandler is the observability layer: overhead counters on both paths
-// and the deliver-latency histogram.
+// and the deliver-latency histogram. The counters go into the runtime's
+// tally, which the app goroutine — the only one that runs either path —
+// publishes where it stops running (see rankRuntime.tally).
 type obsHandler struct {
 	r    *rankRuntime
 	next layer.Handler
 }
 
-// Send counts the outgoing message and its log append.
+// Send counts the outgoing message (and so its log append).
 func (h obsHandler) Send(m *layer.Msg) {
-	mt := h.r.c.coll.Rank(h.r.id)
-	mt.LogAppended()
-	mt.MsgSent(m.PiggybackIDs, len(m.Piggyback), len(m.Payload))
+	h.r.tally.MsgSent(m.PiggybackIDs, len(m.Piggyback), len(m.Payload))
 	h.next.Send(m)
 }
 
@@ -104,7 +104,7 @@ func (h obsHandler) Send(m *layer.Msg) {
 //windar:hotpath
 func (h obsHandler) Deliver(m *layer.Msg) {
 	r := h.r
-	r.c.coll.Rank(r.id).MsgDelivered()
+	r.tally.MsgDelivered()
 	if r.deliverLat != nil {
 		if r.recvStart.IsZero() {
 			// The receiver never blocked; its wait was zero and the

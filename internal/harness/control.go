@@ -98,54 +98,27 @@ func decodeCkptAdvance(b []byte) (int64, int64, error) {
 	return count, total, nil
 }
 
+// recvBatch is the receiver loop's inbox drain window: large enough to
+// amortize the wakeup and lock round under load, small enough that a
+// drained chunk is dispatched before the queue grows unfairly long.
+const recvBatch = 64
+
 // receiverLoop drains the rank's transport inbox until the rank dies or the
-// transport closes. The inbox handle is pinned to this incarnation: after a
-// kill the handle closes, so a lingering receiver can never steal the
-// successor incarnation's messages.
+// transport closes, in chunks: one blocking wait per chunk, per-shard
+// inserts without the rank lock, and a single delivery wakeup per chunk
+// instead of per message. Control messages are dispatched in arrival
+// position, so their ordering relative to the application messages
+// around them is what the inbox held. The inbox handle is pinned to this
+// incarnation: after a kill the handle closes, so a lingering receiver
+// can never steal the successor incarnation's messages.
 //
 // Envelopes straight off a real transport are hostile input: every
 // handler below indexes per-rank vectors by From, so an out-of-range
 // rank id — or an unknown kind — is dropped and counted here rather
 // than crashing the rank.
-func (r *rankRuntime) receiverLoop(in transport.Inbox) {
+func (r *rankRuntime) receiverLoop(in transport.BatchInbox) {
 	defer r.senders.Done()
-	if batch := r.c.recvBatch(); batch > 0 {
-		if bi, ok := in.(transport.BatchInbox); ok {
-			r.receiverLoopBatched(bi, batch)
-			return
-		}
-	}
-	for {
-		env, ok := in.Recv()
-		if !ok {
-			return
-		}
-		if env.From < 0 || env.From >= r.n || env.To != r.id {
-			r.rejectEnvelope(env)
-			continue
-		}
-		switch env.Kind {
-		case wire.KindApp:
-			r.enqueueApp(env)
-		case wire.KindRollback:
-			r.handleRollback(env)
-		case wire.KindResponse:
-			r.handleResponse(env)
-		case wire.KindCkptAdvance:
-			r.handleCkptAdvance(env)
-		default:
-			r.rejectEnvelope(env)
-		}
-	}
-}
-
-// receiverLoopBatched is receiverLoop draining the inbox in chunks: one
-// blocking wait per chunk, per-shard inserts without the rank lock, and
-// a single delivery wakeup per chunk instead of per message. Control
-// messages are dispatched in arrival position, so their ordering
-// relative to the application messages around them is unchanged.
-func (r *rankRuntime) receiverLoopBatched(in transport.BatchInbox, batch int) {
-	buf := make([]*wire.Envelope, 0, batch)
+	buf := make([]*wire.Envelope, 0, recvBatch)
 	hist := r.c.recvBatchFam.Rank(r.id)
 	for {
 		var ok bool

@@ -38,6 +38,16 @@ func (idleApp) Step(app.Env, int)      {}
 func (idleApp) Snapshot() []byte       { return nil }
 func (idleApp) Restore(b []byte) error { return nil }
 
+// enqueueApp is one envelope's worth of the receiver loop's ingest:
+// insert into queue B, then wake the delivery scan.
+func (r *rankRuntime) enqueueApp(env *wire.Envelope) {
+	if r.insertShard(env) {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+	}
+}
+
 // tdiEnv crafts an app envelope with a TDI piggyback.
 func tdiEnv(from, to int, sendIndex int64, pig vclock.Vec, tag int32) *wire.Envelope {
 	return &wire.Envelope{
@@ -105,7 +115,7 @@ func TestFindDeliverableRespectsFIFOGap(t *testing.T) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if env := r.findDeliverableLocked(1, app.AnyTag); env != nil {
+	if env := r.takeDeliverableLocked(1, app.AnyTag); env != nil {
 		t.Fatalf("delivered across FIFO gap: %+v", env)
 	}
 }
@@ -114,17 +124,59 @@ func TestFindDeliverableTagMatching(t *testing.T) {
 	r := newIdleRuntime(t, 3, TDI)
 	zero := vclock.New(3)
 	r.enqueueApp(tdiEnv(1, 0, 1, zero, 7))
+	r.enqueueApp(tdiEnv(1, 0, 2, zero, 8))
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if env := r.findDeliverableLocked(1, 9); env != nil {
+	if env := r.takeDeliverableLocked(1, 9); env != nil {
 		t.Fatal("delivered mismatched tag")
 	}
-	if env := r.findDeliverableLocked(1, 7); env == nil {
+	env := r.takeDeliverableLocked(1, 7)
+	if env == nil {
 		t.Fatal("matching tag held")
 	}
-	if env := r.findDeliverableLocked(1, app.AnyTag); env == nil {
+	r.deliverLocked(env)
+	if env := r.takeDeliverableLocked(1, app.AnyTag); env == nil {
 		t.Fatal("AnyTag held")
+	}
+}
+
+// TestTakeDeliverablePopsUnderTheShardLock: a taken head leaves the FIFO
+// and raises the ingest-side duplicate bound at once, so a copy arriving
+// between the take and the commit is discarded as repetitive; a held
+// head stays queued.
+func TestTakeDeliverablePopsUnderTheShardLock(t *testing.T) {
+	r := newIdleRuntime(t, 3, TDI)
+	zero := vclock.New(3)
+	r.enqueueApp(tdiEnv(1, 0, 1, zero, 0))
+	r.enqueueApp(tdiEnv(1, 0, 2, vclock.Vec{5, 0, 0}, 0)) // held: demands 5 deliveries
+
+	r.mu.Lock()
+	env := r.takeDeliverableLocked(1, app.AnyTag)
+	r.mu.Unlock()
+	if env == nil || env.SendIndex != 1 {
+		t.Fatalf("take = %+v, want index 1", env)
+	}
+	r.enqueueApp(tdiEnv(1, 0, 1, zero, 0)) // a resent copy racing the commit
+	r.shards[1].mu.Lock()
+	pending, delivered := r.shards[1].pending(), r.shards[1].delivered
+	r.shards[1].mu.Unlock()
+	if pending != 1 || delivered != 1 {
+		t.Fatalf("after take: %d pending, bound %d; want 1 and 1", pending, delivered)
+	}
+	if got := r.c.coll.Rank(0).Snapshot().RepetitiveDiscarded; got != 1 {
+		t.Fatalf("RepetitiveDiscarded = %d, want the racing copy", got)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.deliverLocked(env)
+	if held := r.takeDeliverableLocked(1, app.AnyTag); held != nil {
+		t.Fatalf("took a held head: %+v", held)
+	}
+	r.shards[1].mu.Lock()
+	defer r.shards[1].mu.Unlock()
+	if r.shards[1].pending() != 1 {
+		t.Fatal("a held head left the FIFO")
 	}
 }
 
@@ -137,7 +189,7 @@ func TestFindDeliverableAnySourceScansAll(t *testing.T) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	env := r.findDeliverableLocked(app.AnySource, app.AnyTag)
+	env := r.takeDeliverableLocked(app.AnySource, app.AnyTag)
 	if env == nil || env.From != 2 {
 		t.Fatalf("AnySource pick = %+v, want from 2", env)
 	}
@@ -160,7 +212,7 @@ func TestAnySourceRotatesAcrossSources(t *testing.T) {
 	var order []int
 	r.mu.Lock()
 	for i := 0; i < 4; i++ {
-		env := r.findDeliverableLocked(app.AnySource, app.AnyTag)
+		env := r.takeDeliverableLocked(app.AnySource, app.AnyTag)
 		if env == nil {
 			r.mu.Unlock()
 			t.Fatalf("no deliverable message on iteration %d (order so far %v)", i, order)
@@ -187,12 +239,12 @@ func TestFindDeliverableHonoursProtocolHold(t *testing.T) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if env := r.findDeliverableLocked(1, app.AnyTag); env != nil {
+	if env := r.takeDeliverableLocked(1, app.AnyTag); env != nil {
 		t.Fatal("protocol Hold ignored")
 	}
 	// Satisfy the dependency count artificially.
 	r.deliveredCount = 2
-	if env := r.findDeliverableLocked(1, app.AnyTag); env == nil {
+	if env := r.takeDeliverableLocked(1, app.AnyTag); env == nil {
 		t.Fatal("held although dependency count satisfied")
 	}
 }
@@ -208,7 +260,7 @@ func TestFig3RepetitiveScenario(t *testing.T) {
 	// P3 delivers m3 from P1 normally.
 	r.enqueueApp(tdiEnv(1, 0, 1, zero, 0))
 	r.mu.Lock()
-	env := r.findDeliverableLocked(1, app.AnyTag)
+	env := r.takeDeliverableLocked(1, app.AnyTag)
 	if env == nil {
 		r.mu.Unlock()
 		t.Fatal("m3 not deliverable")

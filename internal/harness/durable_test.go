@@ -10,6 +10,7 @@ import (
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/trace"
+	"windar/internal/vclock"
 	"windar/layer"
 )
 
@@ -146,7 +147,10 @@ func TestStartFromStableFreshDir(t *testing.T) {
 // what the stable store holds (mirrored sender-log items, TEL
 // determinants, checkpoint blobs) must stay bounded by the checkpoint
 // interval — log release must truncate the slog/ streams and delete the
-// tel/ keys — rather than grow with run length.
+// tel/ keys — rather than grow with run length. The store is measured
+// once every release the final checkpoints owe has landed (see
+// settleReleases), so the bound does not depend on how many
+// CHECKPOINT_ADVANCEs were still in flight when Wait returned.
 func TestDurableLogsBoundStore(t *testing.T) {
 	for _, p := range []ProtocolKind{TDI, TEL} {
 		t.Run(string(p), func(t *testing.T) {
@@ -168,6 +172,7 @@ func TestDurableLogsBoundStore(t *testing.T) {
 				case <-time.After(60 * time.Second):
 					t.Fatal("cluster did not complete")
 				}
+				settleReleases(t, c)
 				lens[steps] = c.Store().Len()
 				for _, names := range c.slogNames {
 					for _, name := range names {
@@ -179,9 +184,10 @@ func TestDurableLogsBoundStore(t *testing.T) {
 				}
 				c.Close()
 			}
-			// The 4x-longer run may retain a little more (advances in
-			// flight at completion differ), but anything near-linear in
-			// steps means release is broken.
+			// The 4x-longer run may retain a little more (the final
+			// checkpoints land at different points of the cycle), but
+			// anything near-linear in steps means release is broken.
+			t.Logf("stable store: %d objects at 40 steps, %d at 160", lens[40], lens[160])
 			if lens[160] > 2*lens[40]+16 {
 				t.Errorf("stable store grew with run length: %d objects at 40 steps, %d at 160", lens[40], lens[160])
 			}
@@ -190,6 +196,61 @@ func TestDurableLogsBoundStore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settleReleases waits, after Wait, until every rank's newest staged
+// checkpoint is durable and every channel's slog/ stream is truncated to
+// what its destination's newest checkpoint covers — the last step of
+// handling a CHECKPOINT_ADVANCE, after the log release and the protocol's
+// pruning — and then until the TEL event logger has served every request
+// queued before, so no determinant lands after the count.
+func settleReleases(t *testing.T, c *Cluster) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second) //windar:allow directclock — test deadline
+	for !releasesSettled(t, c) {
+		if time.Now().After(deadline) { //windar:allow directclock — test deadline
+			t.Fatal("checkpoint releases never settled")
+		}
+		time.Sleep(time.Millisecond) //windar:allow directclock — polling interval
+	}
+	if c.telLog != nil {
+		served := make(chan struct{})
+		c.telLog.LogAsync(nil, func(vclock.Vec) { close(served) })
+		<-served
+	}
+}
+
+func releasesSettled(t *testing.T, c *Cluster) bool {
+	for dest := 0; dest < c.cfg.N; dest++ {
+		staged, ok, err := c.ckpts.Load(dest)
+		if err != nil {
+			t.Fatalf("rank %d checkpoint: %v", dest, err)
+		}
+		if !ok {
+			continue
+		}
+		durable, _, err := c.ckpts.LoadDurable(dest)
+		if err != nil {
+			t.Fatalf("rank %d durable checkpoint: %v", dest, err)
+		}
+		if durable == nil || durable.Step != staged.Step {
+			return false
+		}
+		for src := 0; src < c.cfg.N; src++ {
+			if src == dest {
+				continue
+			}
+			covered, settled := staged.LastDeliverIndex[src], true
+			c.Store().Scan(c.slogNames[src][dest], func(seq int64, _ []byte) error {
+				settled = settled && seq > covered
+				return nil
+			})
+			if !settled {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestDurableLogsFollowRollbacks runs kill/recover cycles with durable

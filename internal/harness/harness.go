@@ -208,12 +208,6 @@ type Config struct {
 	// vector instead of a delta. 1 disables delta encoding (the
 	// full-vector baseline); 0 uses the protocol default.
 	PiggybackRefreshEvery int
-	// RecvBatch caps how many envelopes the receiver loop drains from
-	// the transport inbox in one chunk before dispatching them (one
-	// wakeup per chunk instead of per message). 0 selects the default
-	// (defaultRecvBatch); negative disables batch ingest — every
-	// envelope is received and dispatched individually.
-	RecvBatch int
 	// SpanTracing stamps every application message with a causal span
 	// context (see span.go) carried in the wire envelope. Off by default;
 	// when off the wire encoding is byte-identical to a build without the
@@ -319,6 +313,10 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := tr.Inbox(0).(transport.BatchInbox); !ok {
+		tr.Close()
+		return nil, fmt.Errorf("harness: %s transport's inbox does not drain in batches (transport.BatchInbox)", tr.Kind())
+	}
 	c := &Cluster{
 		cfg: cfg,
 		clk: cfg.Clock,
@@ -384,25 +382,6 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	}
 	c.spanObs, _ = cfg.Observer.(SpanObserver)
 	return c, nil
-}
-
-// defaultRecvBatch is the receiver loop's inbox drain window when
-// Config.RecvBatch is zero: large enough to amortize the wakeup and lock
-// round under load, small enough that a drained chunk is dispatched
-// before the queue grows unfairly long.
-const defaultRecvBatch = 64
-
-// recvBatch resolves the configured batch-ingest window; 0 means batch
-// ingest is off.
-func (c *Cluster) recvBatch() int {
-	switch {
-	case c.cfg.RecvBatch > 0:
-		return c.cfg.RecvBatch
-	case c.cfg.RecvBatch < 0:
-		return 0
-	default:
-		return defaultRecvBatch
-	}
 }
 
 // newTransport builds the configured communication substrate.

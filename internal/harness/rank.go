@@ -5,12 +5,15 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"windar/internal/app"
 	"windar/internal/ckpt"
+	"windar/internal/metrics"
 	"windar/internal/obs"
 	"windar/internal/proto"
+	"windar/internal/transport"
 	"windar/internal/vclock"
 	"windar/internal/wire"
 	"windar/layer"
@@ -64,6 +67,17 @@ type rankRuntime struct {
 	// sendSuppressed is coreHandler.Send's verdict for the message just
 	// pushed through the chain (valid until the next Send).
 	sendSuppressed bool
+	// sendEnv is the envelope every Send hands the transport: both
+	// transports encode or copy it before Send or TrySend returns, so it
+	// is reused; only a message that must wait in queue A takes a pooled
+	// copy. Touched only by the app goroutine.
+	sendEnv wire.Envelope
+	// tally holds this incarnation's per-message counters until the app
+	// goroutine publishes them — before Recv parks, at each step
+	// boundary, in doCheckpoint, and when appLoop exits. It is written on
+	// the send and deliver paths, which only the app goroutine runs, so no
+	// other goroutine ever touches it.
+	tally metrics.Tally
 
 	// Span-tracing state (Config.SpanTracing; see span.go). spanSeq is
 	// the per-incarnation send counter packed into span IDs; it is
@@ -129,12 +143,16 @@ type rankRuntime struct {
 	ckptCond *sync.Cond
 	ckptQ    []ckptJob
 
-	// Queue A (non-blocking mode). sendBusy marks a message popped from
-	// the queue but not yet handed to the transport.
+	// Queue A (non-blocking mode). owed counts the messages queued or
+	// mid-hand-off to the transport: only the app goroutine raises it and
+	// senderLoop lowers it after each hand-off, so a zero the app reads
+	// stays zero until the app queues again — the inline path's FIFO check
+	// costs one atomic load and no lock. sendMu and sendCond serve the
+	// queued path and drainSends.
+	owed     atomic.Int32
 	sendMu   sync.Mutex
 	sendCond *sync.Cond
 	sendQ    []*wire.Envelope
-	sendBusy bool
 
 	killed   chan struct{}
 	killOnce sync.Once
@@ -177,7 +195,7 @@ type deliveryShard struct {
 	head int
 	// delivered mirrors lastDeliverIndex[src] for the ingest-side
 	// duplicate check, so an insert needs only the shard lock. It is
-	// written with both mu and shard.mu held (delivery commit, recovery
+	// written with both mu and shard.mu held (the delivery take, recovery
 	// restore) and read under either.
 	delivered int64
 }
@@ -273,6 +291,7 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 		shards:                make([]deliveryShard, c.cfg.N),
 		lastPigErrIdx:         make([]int64, c.cfg.N),
 		killed:                make(chan struct{}),
+		tally:                 c.coll.Rank(rank).Tally(),
 		deliverLat:            c.deliverLat.Rank(rank),
 		ckptStall:             c.ckptStallFam.Rank(rank),
 	}
@@ -309,7 +328,7 @@ func (r *rankRuntime) start(fromStep int, rollback []byte) {
 	r.senders.Add(2) // the receiver and the application
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
-	go r.receiverLoop(r.c.tr.Inbox(r.id))
+	go r.receiverLoop(r.c.tr.Inbox(r.id).(transport.BatchInbox))
 	if r.c.cfg.Mode == NonBlocking {
 		r.senders.Add(1)
 		go r.senderLoop()
@@ -353,11 +372,16 @@ func (r *rankRuntime) checkKilled() {
 	}
 }
 
-// appLoop runs the application from fromStep to completion.
+// appLoop runs the application from fromStep to completion. It publishes
+// the incarnation's counter tally at every step boundary and before it
+// reports completion; a killed incarnation publishes on the way out, so
+// its traffic is counted too — before senders.Done, which Recover waits
+// on before the successor counts anything.
 func (r *rankRuntime) appLoop(fromStep int) {
 	defer r.senders.Done()
 	defer func() {
 		if p := recover(); p != nil {
+			r.tally.Publish()
 			if _, ok := p.(killedPanic); ok {
 				return // the rank died; the incarnation takes over
 			}
@@ -369,8 +393,10 @@ func (r *rankRuntime) appLoop(fromStep int) {
 		if pol := r.c.ckptPolicy; pol != nil && s > 0 && s != fromStep && pol.ShouldCheckpoint(r.id, s) {
 			r.doCheckpoint(s)
 		}
+		r.tally.Publish()
 		r.theApp.Step(r, s)
 	}
+	r.tally.Publish()
 	r.c.markFinished(r)
 }
 
@@ -423,18 +449,17 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	if suppress {
 		return
 	}
-	// Pooled: neither transport retains the envelope past Send (both
-	// encode it synchronously), so transmit/senderLoop recycle it. The
-	// log's item shares pig and payload slices with it, which Recycle
-	// leaves untouched — it only drops the envelope's references.
-	env := wire.GetEnvelope()
+	// The log's item shares pig and payload slices with the envelope;
+	// the transport copies or encodes them, never retains them.
+	env := &r.sendEnv
 	env.Kind, env.From, env.To = wire.KindApp, r.id, dest
 	env.Incarnation, env.Tag, env.SendIndex = r.incarnation, tag, idx
 	env.Piggyback, env.Payload, env.Span = pig, payload, span
 	r.transmit(env)
 }
 
-// transmit hands env to the transport according to the configured mode.
+// transmit hands the app goroutine's scratch envelope to the transport
+// according to the configured mode.
 func (r *rankRuntime) transmit(env *wire.Envelope) {
 	if r.c.cfg.Mode == Blocking {
 		start := r.c.clk.Now()
@@ -443,23 +468,27 @@ func (r *rankRuntime) transmit(env *wire.Envelope) {
 		if err != nil {
 			panic(killedPanic{})
 		}
-		wire.Recycle(env)
 		return
 	}
+	// Inline fast path: when nothing is owed to queue A, a TrySend the
+	// transport accepts (a buffered Send that did not have to block)
+	// skips the queue hand-off entirely — the link owns the frame, as
+	// after senderLoop's Send, which is all drainSends relies on. FIFO
+	// holds because owed only rises here: once one send is queued, every
+	// later send sees owed > 0 and queues behind it until senderLoop has
+	// handed the last of them to the transport.
+	if r.c.trInline != nil && r.owed.Load() == 0 && r.c.trInline.TrySend(env) {
+		return
+	}
+	// Pooled: senderLoop recycles it after the hand-off. Recycle leaves
+	// the logged slices it shares untouched — it only drops references.
+	q := wire.GetEnvelope()
+	q.Kind, q.From, q.To = env.Kind, env.From, env.To
+	q.Incarnation, q.Tag, q.SendIndex = env.Incarnation, env.Tag, env.SendIndex
+	q.Piggyback, q.Payload, q.Span = env.Piggyback, env.Payload, env.Span
+	r.owed.Add(1)
 	r.sendMu.Lock()
-	// Inline fast path: when queue A is empty and the sender goroutine
-	// idle, a TrySend the transport accepts (a buffered Send that did not
-	// have to block) skips the queue hand-off entirely — the link owns
-	// the frame, as after senderLoop's Send, which is all drainSends
-	// relies on. FIFO holds because any send that cannot go inline is
-	// appended under this same lock, and once one is queued every later
-	// send sees len(sendQ) > 0 and queues behind it.
-	if r.c.trInline != nil && len(r.sendQ) == 0 && !r.sendBusy && r.c.trInline.TrySend(env) {
-		r.sendMu.Unlock()
-		wire.Recycle(env)
-		return
-	}
-	r.sendQ = append(r.sendQ, env)
+	r.sendQ = append(r.sendQ, q)
 	// Broadcast, not Signal: both the sender loop and a checkpoint
 	// draining queue A may be waiting on this condition.
 	r.sendCond.Broadcast()
@@ -480,7 +509,6 @@ func (r *rankRuntime) senderLoop() {
 		}
 		env := r.sendQ[0]
 		r.sendQ = r.sendQ[1:]
-		r.sendBusy = true
 		r.sendMu.Unlock()
 
 		err := r.c.tr.Send(env, transportSendOpts(false, r.killed))
@@ -488,8 +516,10 @@ func (r *rankRuntime) senderLoop() {
 		// envelope is free for reuse here even when the send aborted.
 		wire.Recycle(env)
 
+		// Lowered before the broadcast, under whose lock drainSends
+		// re-reads it.
+		r.owed.Add(-1)
 		r.sendMu.Lock()
-		r.sendBusy = false
 		r.sendCond.Broadcast()
 		r.sendMu.Unlock()
 		if err != nil {
@@ -509,7 +539,7 @@ func (r *rankRuntime) drainSends() {
 		return
 	}
 	r.sendMu.Lock()
-	for (len(r.sendQ) > 0 || r.sendBusy) && !r.isKilled() {
+	for r.owed.Load() > 0 && !r.isKilled() {
 		r.sendCond.Wait()
 	}
 	r.sendMu.Unlock()
@@ -539,7 +569,7 @@ func (r *rankRuntime) Recv(source int, tag int32) ([]byte, int) {
 		if r.isKilled() {
 			panic(killedPanic{})
 		}
-		if env := r.findDeliverableLocked(source, tag); env != nil {
+		if env := r.takeDeliverableLocked(source, tag); env != nil {
 			// Capture the source first: deliverLocked recycles pooled
 			// envelopes, after which env's fields are no longer ours.
 			src := env.From
@@ -553,66 +583,68 @@ func (r *rankRuntime) Recv(source int, tag int32) ([]byte, int) {
 		if st := r.c.cfg.StallTimeout; st > 0 && now.Sub(start) > st {
 			panic(r.stallReportLocked(source, tag))
 		}
+		r.tally.Publish() // the app goroutine parks: its counts go public
 		r.cond.Wait()
 	}
 }
 
-// findDeliverableLocked returns the first deliverable queued message
-// matching (source, tag), or nil. It is the delivery scan the blocked
-// receiver re-runs on every wakeup, so it must not heap-allocate. The
-// AnySource scan starts at scanCursor — the source after the last
-// delivery — and wraps, so every source with a deliverable head is
-// reached within n deliveries regardless of how chatty the others are.
+// takeDeliverableLocked removes and returns the first deliverable queued
+// message matching (source, tag), or returns nil; the caller commits a
+// taken message with deliverLocked under the same hold of mu. It is the
+// delivery scan the blocked receiver re-runs on every wakeup, so it must
+// not heap-allocate. The AnySource scan starts at scanCursor — the source
+// after the last delivery — and wraps, so every source with a deliverable
+// head is reached within n deliveries regardless of how chatty the others
+// are.
 //
 //windar:hotpath
-func (r *rankRuntime) findDeliverableLocked(source int, tag int32) *wire.Envelope {
+func (r *rankRuntime) takeDeliverableLocked(source int, tag int32) *wire.Envelope {
 	if source != app.AnySource {
 		if source < 0 || source >= r.n {
 			r.panicInvalidSource(source)
 		}
-		return r.scanShard(source, tag)
+		return r.takeShard(source, tag)
 	}
 	for k := 0; k < r.n; k++ {
 		src := r.scanCursor + k
 		if src >= r.n {
 			src -= r.n
 		}
-		if env := r.scanShard(src, tag); env != nil {
+		if env := r.takeShard(src, tag); env != nil {
 			return env
 		}
 	}
 	return nil
 }
 
-// scanShard probes one source's FIFO head. The shard lock covers only
-// the head read (ingest mutates the slice under it); the head envelope
-// itself is immutable once queued and cannot be removed concurrently —
-// removal happens only under mu, which the caller holds — so the FIFO,
-// tag and protocol probes run with the shard lock already released.
+// takeShard probes one source's FIFO head and, when it is deliverable,
+// pops it and advances the shard's ingest-side duplicate bound — all
+// under the one shard-lock hold the head was read with, so a delivery
+// costs a single shard round. The FIFO, tag and protocol probes are
+// cheap and non-blocking; ingest from this source waits them out.
 //
 //windar:hotpath
-func (r *rankRuntime) scanShard(src int, tag int32) *wire.Envelope {
+func (r *rankRuntime) takeShard(src int, tag int32) *wire.Envelope {
 	sh := &r.shards[src]
 	r.lockShard(sh)
 	head := sh.front()
-	sh.mu.Unlock()
-	if head == nil {
-		return nil
-	}
-	if head.SendIndex != r.lastDeliverIndex[src]+1 {
-		return nil // FIFO gap: an earlier message is missing
-	}
-	if tag != app.AnyTag && head.Tag != tag {
+	if head == nil || head.SendIndex != r.lastDeliverIndex[src]+1 || // FIFO gap: an earlier message is missing
+		tag != app.AnyTag && head.Tag != tag {
+		sh.mu.Unlock()
 		return nil
 	}
 	v, err := r.prot.Deliverable(head, r.deliveredCount)
-	if err != nil {
-		r.noteIngestErrLocked(src, head.SendIndex, err)
+	if err != nil || v != proto.Deliver {
+		sh.mu.Unlock()
+		if err != nil {
+			// The head stays queued, and only mu-holders remove it.
+			r.noteIngestErrLocked(src, head.SendIndex, err)
+		}
 		return nil
 	}
-	if v != proto.Deliver {
-		return nil
-	}
+	sh.pop()
+	sh.delivered = head.SendIndex
+	sh.mu.Unlock()
 	return head
 }
 
@@ -644,7 +676,7 @@ func (r *rankRuntime) panicDeliveryRejected(err error) {
 	panic(fmt.Sprintf("harness: rank %d: protocol rejected delivery: %v", r.id, err))
 }
 
-// deliverLocked removes env from queue B and commits it to the handler
+// deliverLocked commits env, just taken from queue B, to the handler
 // chain (chain.go): the protocol layer folds the piggyback into protocol
 // state (lines 20-26), the obs and observer layers count and record the
 // delivery, user interceptors may transform the payload, and the payload
@@ -655,11 +687,6 @@ func (r *rankRuntime) panicDeliveryRejected(err error) {
 //windar:hotpath
 func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	src := env.From
-	sh := &r.shards[src]
-	r.lockShard(sh)
-	sh.pop()
-	sh.delivered = r.lastDeliverIndex[src] + 1
-	sh.mu.Unlock()
 	r.lastDeliverIndex[src]++
 	r.deliveredCount++
 	// Rotate the AnySource fairness cursor past the source just served.
@@ -742,26 +769,14 @@ func (r *rankRuntime) noteResponderLost(peer int) {
 	r.cond.Broadcast() // a PWD hold on pending responses may have lifted
 }
 
-// enqueueApp inserts an arriving application message into queue B,
-// discarding repetitive copies (Algorithm 1's receiver-side duplicate
-// identification), then wakes the delivery scan.
-func (r *rankRuntime) enqueueApp(env *wire.Envelope) {
-	if !r.insertShard(env) {
-		return
-	}
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// insertShard is the ingest half of enqueueApp: the sorted insert into
-// the source's shard under the shard lock alone, so ingest from
-// different sources runs concurrently and never touches mu. It reports
-// whether the message was queued (false: repetitive, discarded). The
-// wakeup ordering is safe without holding both locks: a scanner holds mu
-// across its whole scan, so the caller's subsequent mu-protected
-// Broadcast either precedes the scan (which then sees the insert) or is
-// delivered to its cond.Wait.
+// insertShard is ingest into queue B: the sorted insert into the
+// source's shard under the shard lock alone, so ingest from different
+// sources runs concurrently and never touches mu. Repetitive copies are
+// discarded (Algorithm 1's receiver-side duplicate identification); it
+// reports whether the message was queued. The wakeup ordering is safe
+// without holding both locks: a scanner holds mu across its whole scan,
+// so the caller's subsequent mu-protected Broadcast either precedes the
+// scan (which then sees the insert) or is delivered to its cond.Wait.
 func (r *rankRuntime) insertShard(env *wire.Envelope) bool {
 	sh := &r.shards[env.From]
 	r.lockShard(sh)
@@ -784,6 +799,9 @@ func (r *rankRuntime) insertShard(env *wire.Envelope) bool {
 // the ckpt_stall_ns family — the concurrent-checkpointing figure.
 func (r *rankRuntime) doCheckpoint(step int) {
 	start := r.c.clk.Now()
+	// Published before the drain may park, and so before the chain's
+	// checkpoint report below: observers of a checkpoint see exact counts.
+	r.tally.Publish()
 	r.drainSends()
 	r.mu.Lock()
 	// Stage and report in one critical section, behind the kill check:

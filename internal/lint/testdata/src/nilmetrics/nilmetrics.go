@@ -5,7 +5,7 @@ package nilmetrics
 import "windar/internal/metrics"
 
 func bad(m *metrics.Rank) {
-	m.MsgDelivered() // want "m is a nilable .metrics.Rank parameter used without a nil check"
+	m.RepetitiveDiscarded() // want "m is a nilable .metrics.Rank parameter used without a nil check"
 }
 
 func badBeforeGuard(m *metrics.Rank) {
@@ -13,20 +13,20 @@ func badBeforeGuard(m *metrics.Rank) {
 	if m == nil {
 		m = &metrics.Rank{}
 	}
-	m.MsgDelivered()
+	m.RepetitiveDiscarded()
 }
 
 func goodGuarded(m *metrics.Rank) {
 	if m == nil {
 		m = &metrics.Rank{}
 	}
-	m.MsgDelivered()
+	m.RepetitiveDiscarded()
 	m.ControlMsg()
 }
 
 func goodReversedGuard(m *metrics.Rank) {
 	if nil != m {
-		m.MsgDelivered()
+		m.RepetitiveDiscarded()
 	}
 }
 
@@ -34,5 +34,5 @@ func goodLocal() {
 	// Locals are the caller's responsibility; only parameters carry the
 	// documented nilability contract.
 	m := &metrics.Rank{}
-	m.MsgDelivered()
+	m.RepetitiveDiscarded()
 }

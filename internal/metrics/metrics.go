@@ -13,8 +13,17 @@ import (
 )
 
 // Rank accumulates counters for one process. All methods are safe for
-// concurrent use; the hot-path costs are single atomic adds. The zero
-// value is ready to use.
+// concurrent use; the zero value is ready to use.
+//
+// The per-message counters of the application path (messages sent and
+// delivered, piggyback and payload sizes) reach a Rank through a Tally:
+// the rank's application goroutine counts them plainly and publishes the
+// batch whenever it stops running — before a receive parks, at each step
+// boundary, in a checkpoint, and when the goroutine exits, killed or
+// finished. Those counters are therefore exact whenever the application
+// goroutine is parked, between steps, or gone, and may lag by the
+// current step's unpublished traffic in between. Every other counter is
+// a single atomic add at its call site and is always current.
 type Rank struct {
 	// hists, when set, mirrors size/duration counters into histogram
 	// sinks so distributions come for free from the measurements the
@@ -31,7 +40,6 @@ type Rank struct {
 	controlMsgs         atomic.Int64
 	repetitiveDiscarded atomic.Int64
 	resentMsgs          atomic.Int64
-	logItemsAppended    atomic.Int64
 	logItemsReleased    atomic.Int64
 	recoveries          atomic.Int64
 	recoveryNanos       atomic.Int64
@@ -57,21 +65,51 @@ type Hists struct {
 // recording (the pointer swap is atomic); pass nil to detach.
 func (r *Rank) SetHists(h *Hists) { r.hists.Store(h) }
 
-// MsgSent records one application message leaving this rank with the given
+// Tally is one writer's unpublished batch of a Rank's per-message
+// counters: plain integers, so counting a message costs no atomic
+// read-modify-write. It is not safe for concurrent use — it belongs to
+// the one goroutine that sends and delivers the rank's application
+// messages — and its counts reach the Rank only through Publish.
+type Tally struct {
+	rank                                  *Rank
+	sent, delivered, ids, pigBytes, bytes int64
+}
+
+// Tally returns an empty tally publishing into r.
+func (r *Rank) Tally() Tally { return Tally{rank: r} }
+
+// MsgSent counts one application message leaving the rank with the given
 // piggyback size (in identifiers and encoded bytes) and payload size.
-func (r *Rank) MsgSent(piggybackIDs int, piggybackBytes, payloadBytes int) {
-	r.msgsSent.Add(1)
-	r.piggybackIDs.Add(int64(piggybackIDs))
-	r.piggybackBytes.Add(int64(piggybackBytes))
-	r.payloadBytes.Add(int64(payloadBytes))
-	if h := r.hists.Load(); h != nil {
+// The histogram sinks still record it now: distributions need no
+// publication point.
+func (t *Tally) MsgSent(piggybackIDs int, piggybackBytes, payloadBytes int) {
+	t.sent++
+	t.ids += int64(piggybackIDs)
+	t.pigBytes += int64(piggybackBytes)
+	t.bytes += int64(payloadBytes)
+	if h := t.rank.hists.Load(); h != nil {
 		h.PiggybackIDs.Record(int64(piggybackIDs))
 		h.PiggybackBytes.Record(int64(piggybackBytes))
 	}
 }
 
-// MsgDelivered records one application message delivered to the app.
-func (r *Rank) MsgDelivered() { r.msgsDelivered.Add(1) }
+// MsgDelivered counts one application message delivered to the app.
+func (t *Tally) MsgDelivered() { t.delivered++ }
+
+// Publish adds the tally into its Rank and empties it.
+func (t *Tally) Publish() {
+	r := t.rank
+	if t.sent != 0 {
+		r.msgsSent.Add(t.sent)
+		r.piggybackIDs.Add(t.ids)
+		r.piggybackBytes.Add(t.pigBytes)
+		r.payloadBytes.Add(t.bytes)
+	}
+	if t.delivered != 0 {
+		r.msgsDelivered.Add(t.delivered)
+	}
+	*t = Tally{rank: r}
+}
 
 // PigDelta records one outgoing piggyback emitted in the delta encoding
 // (wire format v2) at the given encoded size.
@@ -103,8 +141,8 @@ func (r *Rank) ShardContended() { r.shardContended.Add(1) }
 // Resent records a logged message retransmitted for a peer's recovery.
 func (r *Rank) Resent() { r.resentMsgs.Add(1) }
 
-// LogAppended / LogReleased track sender-log retention.
-func (r *Rank) LogAppended()      { r.logItemsAppended.Add(1) }
+// LogReleased tracks sender-log retention: n items released. Every sent
+// message is appended to the log, so appends are the sent count.
 func (r *Rank) LogReleased(n int) { r.logItemsReleased.Add(int64(n)) }
 
 // RecoveryDone records one completed recovery taking d.
@@ -120,8 +158,9 @@ func (r *Rank) BlockedSend(d time.Duration) { r.blockedSendNanos.Add(int64(d)) }
 // Snapshot returns a consistent-enough copy of the counters. Individual
 // loads are atomic; cross-counter skew is acceptable for reporting.
 func (r *Rank) Snapshot() Snapshot {
+	sent := r.msgsSent.Load()
 	return Snapshot{
-		MsgsSent:            r.msgsSent.Load(),
+		MsgsSent:            sent,
 		MsgsDelivered:       r.msgsDelivered.Load(),
 		PiggybackIDs:        r.piggybackIDs.Load(),
 		PiggybackBytes:      r.piggybackBytes.Load(),
@@ -132,7 +171,7 @@ func (r *Rank) Snapshot() Snapshot {
 		RepetitiveDiscarded: r.repetitiveDiscarded.Load(),
 		ShardContended:      r.shardContended.Load(),
 		ResentMsgs:          r.resentMsgs.Load(),
-		LogItemsAppended:    r.logItemsAppended.Load(),
+		LogItemsAppended:    sent,
 		LogItemsReleased:    r.logItemsReleased.Load(),
 		Recoveries:          r.recoveries.Load(),
 		RecoveryNanos:       r.recoveryNanos.Load(),

@@ -9,16 +9,20 @@ import (
 
 func TestRankCountersAccumulate(t *testing.T) {
 	var r Rank
-	r.MsgSent(4, 10, 100)
-	r.MsgSent(4, 12, 200)
-	r.MsgDelivered()
+	tl := r.Tally()
+	tl.MsgSent(4, 10, 100)
+	tl.MsgSent(4, 12, 200)
+	tl.MsgDelivered()
+	if s := r.Snapshot(); s.MsgsSent != 0 || s.MsgsDelivered != 0 {
+		t.Fatalf("unpublished tally visible: %+v", s)
+	}
+	tl.Publish()
+	tl.Publish() // an empty tally publishes nothing
 	r.sendTrackNanos.Add(3000)
 	r.deliverTrackNanos.Add(2000)
 	r.ControlMsg()
 	r.RepetitiveDiscarded()
 	r.Resent()
-	r.LogAppended()
-	r.LogAppended()
 	r.LogReleased(1)
 	r.RecoveryDone(time.Millisecond)
 	r.BlockedSend(time.Second)
@@ -33,7 +37,7 @@ func TestRankCountersAccumulate(t *testing.T) {
 	if s.TrackingTime() != 5*time.Microsecond {
 		t.Fatalf("TrackingTime = %v", s.TrackingTime())
 	}
-	if s.LogItemsLive() != 1 {
+	if s.LogItemsAppended != 2 || s.LogItemsLive() != 1 {
 		t.Fatalf("LogItemsLive = %d", s.LogItemsLive())
 	}
 	if s.Recoveries != 1 || time.Duration(s.RecoveryNanos) != time.Millisecond {
@@ -49,8 +53,10 @@ func TestAvgPiggyback(t *testing.T) {
 	if got := r.Snapshot().AvgPiggybackIDs(); got != 0 {
 		t.Fatalf("empty AvgPiggybackIDs = %v", got)
 	}
-	r.MsgSent(4, 8, 0)
-	r.MsgSent(8, 24, 0)
+	tl := r.Tally()
+	tl.MsgSent(4, 8, 0)
+	tl.MsgSent(8, 24, 0)
+	tl.Publish()
 	s := r.Snapshot()
 	if got := s.AvgPiggybackIDs(); got != 6 {
 		t.Fatalf("AvgPiggybackIDs = %v, want 6", got)
@@ -75,9 +81,15 @@ func TestSnapshotAdd(t *testing.T) {
 
 func TestCollectorTotal(t *testing.T) {
 	c := NewCollector(3)
-	c.Rank(0).MsgSent(4, 8, 16)
-	c.Rank(1).MsgSent(4, 8, 16)
-	c.Rank(2).MsgDelivered()
+	for i := 0; i < 3; i++ {
+		tl := c.Rank(i).Tally()
+		if i < 2 {
+			tl.MsgSent(4, 8, 16)
+		} else {
+			tl.MsgDelivered()
+		}
+		tl.Publish()
+	}
 	tot := c.Total()
 	if tot.MsgsSent != 2 || tot.MsgsDelivered != 1 {
 		t.Fatalf("Total = %+v", tot)
@@ -99,10 +111,15 @@ func TestRankConcurrentSafety(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tl := r.Tally()
 			for j := 0; j < per; j++ {
-				r.MsgSent(4, 8, 1)
-				r.MsgDelivered()
+				tl.MsgSent(4, 8, 1)
+				tl.MsgDelivered()
+				if j%7 == 0 {
+					tl.Publish()
+				}
 			}
+			tl.Publish()
 		}()
 	}
 	wg.Wait()

@@ -111,41 +111,41 @@ func (a *adiApp) Step(env app.Env, s int) {
 	var face []float64
 	if west >= 0 {
 		b, _ := env.Recv(west, tagFaceXF)
-		face = decodeF64s(b)
+		face = a.decode(0, b)
 	}
 	a.sweepX(face, true)
 	if east >= 0 {
-		env.Send(east, tagFaceXF, encodeF64s(a.faceX(a.nx-1)))
+		env.Send(east, tagFaceXF, a.encode(a.faceX(a.nx-1)))
 	}
 	// x backward: east -> west.
 	face = nil
 	if east >= 0 {
 		b, _ := env.Recv(east, tagFaceXB)
-		face = decodeF64s(b)
+		face = a.decode(0, b)
 	}
 	a.sweepX(face, false)
 	if west >= 0 {
-		env.Send(west, tagFaceXB, encodeF64s(a.faceX(0)))
+		env.Send(west, tagFaceXB, a.encode(a.faceX(0)))
 	}
 	// y forward: north -> south.
 	face = nil
 	if north >= 0 {
 		b, _ := env.Recv(north, tagFaceYF)
-		face = decodeF64s(b)
+		face = a.decode(0, b)
 	}
 	a.sweepY(face, true)
 	if south >= 0 {
-		env.Send(south, tagFaceYF, encodeF64s(a.faceY(a.ny-1)))
+		env.Send(south, tagFaceYF, a.encode(a.faceY(a.ny-1)))
 	}
 	// y backward: south -> north.
 	face = nil
 	if south >= 0 {
 		b, _ := env.Recv(south, tagFaceYB)
-		face = decodeF64s(b)
+		face = a.decode(0, b)
 	}
 	a.sweepY(face, false)
 	if north >= 0 {
-		env.Send(north, tagFaceYB, encodeF64s(a.faceY(0)))
+		env.Send(north, tagFaceYB, a.encode(a.faceY(0)))
 	}
 
 	if a.rhs != nil {
@@ -163,9 +163,9 @@ func (a *adiApp) Step(env app.Env, s int) {
 }
 
 // faceX extracts the full y-z face at local x-index i (ny*nz*comp
-// values) — BT's 28 KiB-class message at N=12.
+// values) — BT's 28 KiB-class message at N=12 — into the line scratch.
 func (a *adiApp) faceX(i int) []float64 {
-	out := make([]float64, a.ny*a.nz*a.comp)
+	out := a.lineBuf(a.ny * a.nz * a.comp)
 	p := 0
 	for j := 0; j < a.ny; j++ {
 		for k := 0; k < a.nz; k++ {
@@ -178,9 +178,10 @@ func (a *adiApp) faceX(i int) []float64 {
 	return out
 }
 
-// faceY extracts the full x-z face at local y-index j.
+// faceY extracts the full x-z face at local y-index j into the line
+// scratch.
 func (a *adiApp) faceY(j int) []float64 {
-	out := make([]float64, a.nx*a.nz*a.comp)
+	out := a.lineBuf(a.nx * a.nz * a.comp)
 	p := 0
 	for i := 0; i < a.nx; i++ {
 		for k := 0; k < a.nz; k++ {
@@ -197,15 +198,11 @@ func (a *adiApp) faceY(j int) []float64 {
 // along x, seeding the first line from the received face or the domain
 // boundary.
 func (a *adiApp) sweepX(face []float64, forward bool) {
-	is := make([]int, a.nx)
-	for t := range is {
-		if forward {
-			is[t] = t
-		} else {
-			is[t] = a.nx - 1 - t
+	for t := 0; t < a.nx; t++ {
+		i := t
+		if !forward {
+			i = a.nx - 1 - t
 		}
-	}
-	for _, i := range is {
 		for j := 0; j < a.ny; j++ {
 			for k := 0; k < a.nz; k++ {
 				for c := 0; c < a.comp; c++ {
@@ -235,15 +232,11 @@ func (a *adiApp) sweepX(face []float64, forward bool) {
 
 // sweepY is sweepX along the y dimension.
 func (a *adiApp) sweepY(face []float64, forward bool) {
-	js := make([]int, a.ny)
-	for t := range js {
-		if forward {
-			js[t] = t
-		} else {
-			js[t] = a.ny - 1 - t
+	for t := 0; t < a.ny; t++ {
+		j := t
+		if !forward {
+			j = a.ny - 1 - t
 		}
-	}
-	for _, j := range js {
 		for i := 0; i < a.nx; i++ {
 			for k := 0; k < a.nz; k++ {
 				for c := 0; c < a.comp; c++ {

@@ -28,8 +28,10 @@ type cgApp struct {
 	m            int // local vector length
 	off          int // global offset
 	x, r, pv     []float64
+	q            []float64 // matvec's result, reused: consumed within the iteration
 	rho          float64
 	innerPer     int
+	msgBufs
 }
 
 var _ app.App = (*cgApp)(nil)
@@ -51,6 +53,7 @@ func CG(p Params) (app.Factory, error) {
 			x:        make([]float64, m),
 			r:        make([]float64, m),
 			pv:       make([]float64, m),
+			q:        make([]float64, m),
 			innerPer: cgInnerPerStep,
 		}
 		// x0 = 0, r0 = b, p0 = r0.
@@ -102,22 +105,22 @@ func (a *cgApp) matvec(env app.Env, v []float64) []float64 {
 		return nil
 	}
 	if left >= 0 {
-		env.Send(left, 11, encodeF64s([]float64{v[0]}))
+		env.Send(left, 11, a.encode(v[:1]))
 	}
 	if right < a.nProcs {
-		env.Send(right, 12, encodeF64s([]float64{v[a.m-1]}))
+		env.Send(right, 12, a.encode(v[a.m-1:]))
 	}
 	lo, hi := 0.0, 0.0
 	if right < a.nProcs {
 		data, _ := env.Recv(right, 11)
-		hi = decodeF64s(data)[0]
+		hi = a.decode(0, data)[0]
 	}
 	if left >= 0 {
 		data, _ := env.Recv(left, 12)
-		lo = decodeF64s(data)[0]
+		lo = a.decode(0, data)[0]
 	}
 	const diag = 2.0001
-	q := make([]float64, a.m)
+	q := a.q
 	for i := range q {
 		l, r := lo, hi
 		if i > 0 {

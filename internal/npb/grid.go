@@ -80,6 +80,7 @@ type grid struct {
 	x0, y0       int // global offsets
 	comp         int
 	u            []float64
+	msgBufs
 }
 
 func newGrid(rank, nProcs int, p Params, comp int) grid {
@@ -170,21 +171,65 @@ func (g *grid) localNormSq() float64 {
 	return s
 }
 
-// encodeF64s / decodeF64s are the message payload codecs.
-func encodeF64s(v []float64) []byte {
-	out := make([]byte, 8*len(v))
+// encodeF64s / decodeF64s are the payload and snapshot codecs.
+func encodeF64s(v []float64) []byte { return encodeF64sInto(nil, v) }
+
+func decodeF64s(b []byte) []float64 { return decodeF64sInto(nil, b) }
+
+// encodeF64sInto encodes v into buf's storage, growing it only when it
+// is too small, and returns the encoding.
+func encodeF64sInto(buf []byte, v []float64) []byte {
+	buf = grow(buf, 8*len(v))
 	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(x))
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
 	}
-	return out
+	return buf
 }
 
-func decodeF64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+// decodeF64sInto is decodeF64s into dst's storage.
+func decodeF64sInto(dst []float64, b []byte) []float64 {
+	dst = grow(dst, len(b)/8)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
 	}
-	return out
+	return dst
+}
+
+// grow returns s resized to n, reallocated only when its capacity is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// msgBufs are a kernel's message scratch, reused across steps and never
+// part of its state: the outgoing line and its encoding (Send copies the
+// payload before it returns) and the received lines, decoded into place.
+// A sweep holds at most two received lines at once, one per slot.
+type msgBufs struct {
+	line []float64
+	enc  []byte
+	in   [2][]float64
+}
+
+// lineBuf returns the outgoing-line scratch resized to n values.
+func (m *msgBufs) lineBuf(n int) []float64 {
+	m.line = grow(m.line, n)
+	return m.line
+}
+
+// encode returns v's encoding in the reused buffer.
+func (m *msgBufs) encode(v []float64) []byte {
+	m.enc = encodeF64sInto(m.enc, v)
+	return m.enc
+}
+
+// decode returns b decoded into slot's buffer, valid until the slot's
+// next decode.
+func (m *msgBufs) decode(slot int, b []byte) []float64 {
+	m.in[slot] = decodeF64sInto(m.in[slot], b)
+	return m.in[slot]
 }
 
 // Message tags. Collectives get a disjoint high range via normTag.

@@ -55,18 +55,18 @@ func (a *luApp) Step(env app.Env, s int) {
 		var wline, nline []float64
 		if west >= 0 {
 			b, _ := env.Recv(west, tagSweepLow)
-			wline = decodeF64s(b)
+			wline = a.decode(0, b)
 		}
 		if north >= 0 {
 			b, _ := env.Recv(north, tagSweepLow)
-			nline = decodeF64s(b)
+			nline = a.decode(1, b)
 		}
 		a.lowerSweep(k, wline, nline)
 		if east >= 0 {
-			env.Send(east, tagSweepLow, encodeF64s(a.lineX(a.nx-1, k)))
+			env.Send(east, tagSweepLow, a.encode(a.lineX(a.nx-1, k)))
 		}
 		if south >= 0 {
-			env.Send(south, tagSweepLow, encodeF64s(a.lineY(a.ny-1, k)))
+			env.Send(south, tagSweepLow, a.encode(a.lineY(a.ny-1, k)))
 		}
 	}
 
@@ -74,18 +74,18 @@ func (a *luApp) Step(env app.Env, s int) {
 		var eline, sline []float64
 		if east >= 0 {
 			b, _ := env.Recv(east, tagSweepHigh)
-			eline = decodeF64s(b)
+			eline = a.decode(0, b)
 		}
 		if south >= 0 {
 			b, _ := env.Recv(south, tagSweepHigh)
-			sline = decodeF64s(b)
+			sline = a.decode(1, b)
 		}
 		a.upperSweep(k, eline, sline)
 		if west >= 0 {
-			env.Send(west, tagSweepHigh, encodeF64s(a.lineX(0, k)))
+			env.Send(west, tagSweepHigh, a.encode(a.lineX(0, k)))
 		}
 		if north >= 0 {
-			env.Send(north, tagSweepHigh, encodeF64s(a.lineY(0, k)))
+			env.Send(north, tagSweepHigh, a.encode(a.lineY(0, k)))
 		}
 	}
 
@@ -98,9 +98,9 @@ func (a *luApp) Step(env app.Env, s int) {
 }
 
 // lineX extracts the boundary line at local x-index i for plane k
-// (ny*comp values).
+// (ny*comp values) into the line scratch.
 func (a *luApp) lineX(i, k int) []float64 {
-	out := make([]float64, a.ny*a.comp)
+	out := a.lineBuf(a.ny * a.comp)
 	for j := 0; j < a.ny; j++ {
 		for c := 0; c < a.comp; c++ {
 			out[j*a.comp+c] = a.u[a.idx(i, j, k, c)]
@@ -110,9 +110,9 @@ func (a *luApp) lineX(i, k int) []float64 {
 }
 
 // lineY extracts the boundary line at local y-index j for plane k
-// (nx*comp values).
+// (nx*comp values) into the line scratch.
 func (a *luApp) lineY(j, k int) []float64 {
-	out := make([]float64, a.nx*a.comp)
+	out := a.lineBuf(a.nx * a.comp)
 	for i := 0; i < a.nx; i++ {
 		for c := 0; c < a.comp; c++ {
 			out[i*a.comp+c] = a.u[a.idx(i, j, k, c)]

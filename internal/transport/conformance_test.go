@@ -732,9 +732,12 @@ func TestInlineSendKeepsFIFO(t *testing.T) {
 
 // TestInlineSendIsABufferedSend: what TrySend accepts has a buffered
 // Send's guarantees. The link owns the message — the sender's kill right
-// after does not take it back — and toward a dead destination TrySend
-// either refuses (the caller's Send then parks it) or parks it itself;
-// both ways it reaches the next incarnation, once.
+// after does not take it back — and toward a dead or stalled destination
+// TrySend either refuses (the caller's Send then parks it) or parks it
+// itself; both ways it reaches the destination once it is revived or
+// unstalled. The mem fabric refuses, since it only delivers inline;
+// either way TrySend succeeds again once the destination is back and
+// the link has drained.
 func TestInlineSendIsABufferedSend(t *testing.T) {
 	eachInline(t, 2, func(t *testing.T, tr transport.Transport, in transport.InlineSender) {
 		if !in.TrySend(appEnv(0, 1, 0)) {
@@ -746,17 +749,34 @@ func TestInlineSendIsABufferedSend(t *testing.T) {
 		}
 		tr.Revive(0)
 
-		tr.Kill(1)
-		if !in.TrySend(appEnv(0, 1, 1)) {
-			mustSend(t, tr, appEnv(0, 1, 1), transport.SendOpts{})
+		st := tr.(transport.Staller)
+		for i, c := range []struct {
+			down        string
+			stop, start func(rank int)
+		}{{"dead", tr.Kill, tr.Revive}, {"stalled", st.Stall, st.Unstall}} {
+			idx := 1 + 2*i
+			c.stop(1)
+			accepted := in.TrySend(appEnv(0, 1, idx))
+			if accepted && tr.Kind() == transport.Mem {
+				t.Fatalf("TrySend delivered inline to a %s rank", c.down)
+			}
+			if !accepted {
+				mustSend(t, tr, appEnv(0, 1, idx), transport.SendOpts{})
+			}
+			if n := tr.InFlight(); n != 1 {
+				t.Fatalf("%d messages in flight toward the %s rank, want 1", n, c.down)
+			}
+			c.start(1)
+			waitDrained(t, tr)
+			if !in.TrySend(appEnv(0, 1, idx+1)) {
+				t.Fatalf("TrySend refused on an idle link once the %s rank was back", c.down)
+			}
+			box := tr.Inbox(1)
+			for want := idx; want <= idx+1; want++ {
+				if env, ok := box.Recv(); !ok || env.SendIndex != int64(want) {
+					t.Fatalf("after the %s window: delivery %d: ok=%v env=%+v", c.down, want, ok, env)
+				}
+			}
 		}
-		if n := tr.InFlight(); n != 1 {
-			t.Fatalf("%d messages in flight toward the dead rank, want 1", n)
-		}
-		tr.Revive(1)
-		if env, ok := tr.Inbox(1).Recv(); !ok || env.SendIndex != 1 {
-			t.Fatalf("message sent across the dead window not delivered: ok=%v env=%+v", ok, env)
-		}
-		waitDrained(t, tr)
 	})
 }

@@ -47,8 +47,8 @@ func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
 // envelope is decoded straight into the destination inbox.
 func (t *Transport) TrySend(env *wire.Envelope) bool { return t.fab.TrySend(env) }
 
-// Inbox implements transport.Transport; fabric.Inbox already satisfies
-// the transport.Inbox shape.
+// Inbox implements transport.Transport: the fabric's inbox is a
+// transport.Queue.
 func (t *Transport) Inbox(rank int) transport.Inbox { return t.fab.Inbox(rank) }
 
 // Kill implements transport.Transport.

@@ -281,10 +281,10 @@ func (t *Transport) Kill(rank int) {
 	r.alive.Store(false)
 	r.mu.Lock()
 	old := r.box
-	r.box = newInbox()
+	r.box = transport.NewQueue()
 	conns := r.retireConnsLocked()
 	r.mu.Unlock()
-	old.dropBox()
+	old.Drop()
 	for conn := range conns {
 		conn.Close()
 	}
@@ -361,7 +361,7 @@ func (t *Transport) Close() {
 			conns := r.retireConnsLocked()
 			box := r.box
 			r.mu.Unlock()
-			box.closeBox()
+			box.Close()
 			for conn := range conns {
 				conn.Close()
 			}
@@ -464,7 +464,7 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 				}
 				return
 			}
-			box.pushBatch(batch)
+			box.PushBatch(batch)
 			count += int64(len(batch))
 			l.ack(gen, count)
 			r.mu.Unlock()
@@ -835,18 +835,18 @@ type rankState struct {
 	mu        sync.Mutex
 	stalled   bool       // delivery suspended (Stall), independent of alive
 	stallCond *sync.Cond // on mu; broadcast on Unstall / Kill / Close
-	box       *inbox
+	box       *transport.Queue
 	conns     map[net.Conn]struct{} // inbound conns feeding the current incarnation
 }
 
 func newRankState() *rankState {
-	r := &rankState{box: newInbox(), conns: map[net.Conn]struct{}{}}
+	r := &rankState{box: transport.NewQueue(), conns: map[net.Conn]struct{}{}}
 	r.stallCond = sync.NewCond(&r.mu)
 	r.alive.Store(true)
 	return r
 }
 
-func (r *rankState) inbox() *inbox {
+func (r *rankState) inbox() *transport.Queue {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.box
@@ -867,100 +867,4 @@ func (r *rankState) retireConnsLocked() map[net.Conn]struct{} {
 	r.conns = map[net.Conn]struct{}{}
 	r.stallCond.Broadcast() // stalled receive loops re-check servingLocked
 	return conns
-}
-
-// inbox is an unbounded closable FIFO of envelopes, the same shape as
-// the fabric's: push after close silently discards (the message is lost
-// with the incarnation's volatile state).
-type inbox struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []*wire.Envelope
-	closed bool
-}
-
-func newInbox() *inbox {
-	b := &inbox{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// pushBatch appends envs in order under one lock round and one wakeup.
-func (b *inbox) pushBatch(envs []*wire.Envelope) {
-	b.mu.Lock()
-	if !b.closed {
-		b.queue = append(b.queue, envs...)
-		b.cond.Broadcast()
-	}
-	b.mu.Unlock()
-}
-
-// Recv implements transport.Inbox.
-func (b *inbox) Recv() (*wire.Envelope, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.queue) == 0 {
-		return nil, false
-	}
-	env := b.queue[0]
-	b.queue = b.queue[1:]
-	return env, true
-}
-
-// RecvBatch implements transport.BatchInbox: one blocking wait for the
-// first envelope, then a non-blocking drain of whatever the connection
-// readers pushed meanwhile, up to buf's capacity. A killed rank's inbox
-// reports ok=false immediately (dropBox discarded its queue); a
-// transport-shutdown close still drains the remainder, mirroring Recv.
-func (b *inbox) RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
-		b.cond.Wait()
-	}
-	if len(b.queue) == 0 {
-		return buf, false
-	}
-	n := cap(buf) - len(buf)
-	if n < 1 {
-		n = 1
-	}
-	if n > len(b.queue) {
-		n = len(b.queue)
-	}
-	buf = append(buf, b.queue[:n]...)
-	rest := copy(b.queue, b.queue[n:])
-	for i := rest; i < len(b.queue); i++ {
-		b.queue[i] = nil // release delivered refs for the GC
-	}
-	b.queue = b.queue[:rest]
-	return buf, true
-}
-
-// closeBox marks the box closed for transport shutdown: receivers drain
-// whatever is already queued, then see ok=false.
-func (b *inbox) closeBox() {
-	b.mu.Lock()
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// dropBox closes the box and discards everything queued. Kill uses this
-// instead of closeBox: the dead incarnation's accepted-but-undelivered
-// messages are volatile state and must die with it, so a receiver
-// thread racing the kill can never hand stale envelopes to the next
-// incarnation's delivery path.
-func (b *inbox) dropBox() {
-	b.mu.Lock()
-	for i := range b.queue {
-		b.queue[i] = nil
-	}
-	b.queue = nil
-	b.closed = true
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }

@@ -88,8 +88,9 @@ type Inbox interface {
 // rank is killed the handle returns ok=false with an empty batch
 // forever — envelopes the dead incarnation had accepted but not yet
 // handed out are dropped with it (see Kill). Both implementations in
-// this repository satisfy it; the harness receiver loop feature-tests
-// for it and falls back to Recv.
+// this repository hand out a Queue, which satisfies it; the harness
+// receiver loop drains nothing else, and NewCluster refuses a transport
+// whose inbox lacks it.
 type BatchInbox interface {
 	Inbox
 	// RecvBatch appends the next chunk of envelopes to buf.

@@ -316,11 +316,6 @@ type Config struct {
 	// (every 32nd send is full); 1 disables deltas entirely — every send
 	// carries the full vector, the paper's published protocol.
 	PiggybackRefreshEvery int
-	// RecvBatch bounds recv-side batch ingest: each rank's receiver
-	// drains up to this many envelopes from its transport inbox per
-	// wakeup and delivers them with one scheduler notification. 0
-	// selects the default window (64); negative disables batch ingest.
-	RecvBatch int
 	// EventLoggerLatency is TEL's stable event-logger round trip.
 	EventLoggerLatency time.Duration
 	// StableWriteLatency is the checkpoint write latency.
@@ -392,7 +387,6 @@ func (c Config) internal() harness.Config {
 			Seed:           c.Seed,
 		},
 		PiggybackRefreshEvery: c.PiggybackRefreshEvery,
-		RecvBatch:             c.RecvBatch,
 		EventLoggerLatency:    c.EventLoggerLatency,
 		StableWriteLatency:    c.StableWriteLatency,
 		StallTimeout:          c.StallTimeout,
