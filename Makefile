@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-stress lint alloc-gate throughput-gate wal-gate restart-check verify verify-tcp chaos trace-export fuzz vet examples clean
+.PHONY: all build test race race-stress lint alloc-gate restart-check verify verify-tcp chaos trace-export fuzz vet examples clean
 
 all: build vet lint test
 
@@ -50,25 +50,6 @@ lint:
 # deliberate change.
 alloc-gate:
 	$(GO) run ./cmd/windar-bench -fig alloc -alloc-check
-
-# Delivery-throughput gate: run the flood workload at the acceptance
-# cell (n=16, mem + tcp) and fail if any transport's msgs/sec falls more
-# than the tolerance band below the committed BENCH_throughput.json.
-# Throughput is machine-dependent, so the band is wide (50%): the gate
-# catches the serialized-delivery regression class, which costs integer
-# factors. Re-run `go run ./cmd/windar-bench -fig throughput` to
-# re-baseline after a deliberate change.
-throughput-gate:
-	$(GO) run ./cmd/windar-bench -fig throughput -throughput-check
-
-# Durable-WAL gate: run the disk-backend bench (concurrent checkpoint
-# stall distribution + cold WAL replay) and fail if the checkpoint-stall
-# p99 exceeds the committed BENCH_wal.json p99 by more than the tolerance
-# AND at least one group-commit interval — the signature of a checkpoint
-# blocking delivery on durable I/O. Re-run `go run ./cmd/windar-bench
-# -fig wal` to re-baseline after a deliberate change.
-wal-gate:
-	$(GO) run ./cmd/windar-bench -fig wal -wal-check
 
 # Process-level durability acceptance: build windar-run, SIGKILL it
 # mid-run over the disk backend, re-exec with -resume, and require the

@@ -3,6 +3,7 @@ package harness
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,18 +15,27 @@ import (
 
 // gatedBackend holds every checkpoint-image Put at a gate: entered
 // reports that a Save has reached the store, and the Save proceeds only
-// once the test sends on release.
+// once the test sends on release. With both channels nil the gate holds
+// every image Put until lifted.
 type gatedBackend struct {
 	stable.Backend
 	entered, release chan struct{}
 	// lifted is closed at test end so a failed test's writer can drain.
 	lifted    chan struct{}
 	imagePuts atomic.Int64
+
+	mu      sync.Mutex
+	putsPer map[string]int // image Puts by key, when non-nil
 }
 
 func (g *gatedBackend) Put(key string, data []byte) error {
 	if strings.HasPrefix(key, "ckpt/") {
 		g.imagePuts.Add(1)
+		g.mu.Lock()
+		if g.putsPer != nil {
+			g.putsPer[key]++
+		}
+		g.mu.Unlock()
 		select {
 		case g.entered <- struct{}{}:
 			select {
@@ -162,6 +172,81 @@ func TestCheckpointWriterSkipsSupersededSnapshots(t *testing.T) {
 		t.Fatalf("%d Saves reached the store for 4 checkpoints, want 2 (the held one, then one for the three queued)", n)
 	}
 	noneYet("after the merged announcement")
+}
+
+// TestDeliveryNeverWaitsOnCheckpointSave runs a ring whose every rank
+// checkpoints every other step over a store that holds each checkpoint
+// image Put for the whole run. Delivery must not notice: the run
+// finishes while the first Saves are still held, each rank's writer has
+// put at most one image, and once the store unblocks every rank's
+// newest checkpoint becomes durable. A Save on the application's path
+// would park the first checkpointing rank, and the ring with it.
+func TestDeliveryNeverWaitsOnCheckpointSave(t *testing.T) {
+	const n, steps = 4, 40
+	gate := &gatedBackend{
+		Backend: stable.NewSim(),
+		lifted:  make(chan struct{}),
+		putsPer: map[string]int{},
+	}
+	lift := sync.OnceFunc(func() { close(gate.lifted) })
+	c, err := NewCluster(Config{
+		N:               n,
+		Protocol:        TDI,
+		CheckpointEvery: 2,
+		DurableLogs:     true,
+		Stable:          gate,
+		Transport:       testTransport(),
+	}, ringFactory(steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	defer lift() // runs before Close, which waits for the writers
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		c.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("run did not finish with every checkpoint Save held: delivery waits on stable storage")
+	}
+	if h := c.Health(); !h.Finished {
+		t.Fatalf("Wait returned with unfinished ranks: %+v", h)
+	}
+	gate.mu.Lock()
+	for key, puts := range gate.putsPer {
+		if puts > 1 {
+			t.Errorf("%d image Puts of %s reached the held store, want at most 1", puts, key)
+		}
+	}
+	gate.mu.Unlock()
+
+	lift()
+	for rank := 0; rank < n; rank++ {
+		newest, ok, err := c.ckpts.Load(rank)
+		if err != nil || !ok {
+			t.Fatalf("rank %d staged no checkpoint: %v", rank, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			cp, ok, err := c.ckpts.LoadDurable(rank)
+			if err != nil {
+				t.Fatalf("rank %d: %v", rank, err)
+			}
+			if ok && cp.Step == newest.Step {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d: durable checkpoint %+v after the gate lifted, want step %d", rank, cp, newest.Step)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 }
 
 func TestSupersedeKeepsPerDestinationMaximum(t *testing.T) {

@@ -260,7 +260,7 @@ type Cluster struct {
 	ckptStallFam *obs.Family
 	phaseFam     map[string]*obs.Family
 
-	ranksMu  chanMutex
+	ranksMu  sync.Mutex
 	ranks    []*rankRuntime
 	finished []bool
 	failedAt []int64 // high-water delivered count across kills, -1 before any
@@ -286,13 +286,6 @@ type pendingRollback struct {
 	payload     []byte
 	awaiting    map[int]bool
 }
-
-// chanMutex is a tiny mutex built on a channel so Cluster.Wait can select
-// on rank completion while the state is mutated by other goroutines.
-type chanMutex chan struct{}
-
-func (m chanMutex) Lock()   { m <- struct{}{} }
-func (m chanMutex) Unlock() { <-m }
 
 // NewCluster builds a cluster. Call Start to launch the application,
 // Wait for completion, and Close to release resources.
@@ -328,7 +321,6 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 		}),
 		coll:    metrics.NewCollector(cfg.N),
 		factory: factory,
-		ranksMu: make(chanMutex, 1),
 		ranks:   make([]*rankRuntime, cfg.N),
 		closed:  make(chan struct{}),
 	}

@@ -15,7 +15,7 @@ import (
 // code paths taking the same two locks in opposite orders. Locks are
 // identified structurally (defining type plus field, or package-level
 // variable), covering sync.Mutex, sync.RWMutex and module-local locks
-// with Lock/Unlock method pairs (the harness's chanMutex). Acquisitions
+// with Lock/Unlock method pairs (a channel-backed lock, say). Acquisitions
 // under a held lock are collected both directly and through statically
 // resolvable calls (a bounded transitive closure over the analyzed
 // packages), so `Recv -> deliverLocked -> clearRollback` contributes the

@@ -1,8 +1,8 @@
 // Package lockorder is the analyzer fixture: two code paths acquiring
 // the same pair of locks in opposite orders must be flagged (directly
 // and through a statically resolvable call), consistent orders and
-// goroutine-local acquisitions must not, and named Lock/Unlock types
-// (the harness's chanMutex shape) count as locks.
+// goroutine-local acquisitions must not, and named types with a
+// Lock/Unlock method pair (a channel-backed lock here) count as locks.
 package lockorder
 
 import "sync"
@@ -36,8 +36,8 @@ func takeB(s *state) {
 	s.b.Unlock()
 }
 
-// chanLock mirrors the harness's chanMutex: a named type whose
-// Lock/Unlock method pair makes it a lock for ordering purposes.
+// chanLock is a lock built on a channel: a named type whose Lock/Unlock
+// method pair makes it a lock for ordering purposes.
 type chanLock struct{ ch chan struct{} }
 
 func (c *chanLock) Lock()   { c.ch <- struct{}{} }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"windar/internal/vclock"
@@ -59,7 +58,7 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // BenchmarkFrameWrite measures the pooled framed-encode hot path used by
-// the tcp transport: one reused buffer, one Write call per envelope.
+// the tcp transport: AppendFrame into one reused buffer per envelope.
 func BenchmarkFrameWrite(b *testing.B) {
 	for _, c := range []struct {
 		name         string
@@ -70,13 +69,11 @@ func BenchmarkFrameWrite(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			env := benchEnvelope(c.payload, c.pig)
-			fw := NewFrameWriter(io.Discard)
+			var buf []byte
 			b.ReportAllocs()
 			b.SetBytes(int64(FrameSize(env)))
 			for i := 0; i < b.N; i++ {
-				if err := fw.Write(env); err != nil {
-					b.Fatal(err)
-				}
+				buf = AppendFrame(buf[:0], env)
 			}
 		})
 	}
@@ -84,8 +81,7 @@ func BenchmarkFrameWrite(b *testing.B) {
 
 // TestEncodeAllocRegression pins the allocation counts of the envelope
 // encode paths: the seed baseline (Encode) allocates one buffer per
-// message; the pooled framed path (FrameWriter with a reused buffer)
-// must allocate strictly less — zero in steady state.
+// message; appending into a reused buffer must allocate nothing.
 func TestEncodeAllocRegression(t *testing.T) {
 	env := benchEnvelope(480, 32)
 
@@ -96,22 +92,9 @@ func TestEncodeAllocRegression(t *testing.T) {
 		t.Fatalf("seed baseline Encode allocates %.1f/op; expected at least 1 (the buffer)", baseline)
 	}
 
-	fw := NewFrameWriter(io.Discard)
-	fw.Write(env) // warm the reused buffer
-	pooled := testing.AllocsPerRun(200, func() {
-		if err := fw.Write(env); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if pooled != 0 {
-		t.Errorf("pooled FrameWriter.Write allocates %.1f/op, want 0", pooled)
-	}
-	if pooled >= baseline {
-		t.Errorf("pooled encode path allocates %.1f/op, baseline Encode %.1f/op; pooling regressed", pooled, baseline)
-	}
-
+	buf := AppendEncode(nil, env) // warm the reused buffer
 	appendPath := testing.AllocsPerRun(200, func() {
-		fw.buf = AppendEncode(fw.buf[:0], env)
+		buf = AppendEncode(buf[:0], env)
 	})
 	if appendPath != 0 {
 		t.Errorf("AppendEncode into a warm buffer allocates %.1f/op, want 0", appendPath)

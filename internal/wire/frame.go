@@ -123,28 +123,6 @@ func DecodeFrame(b []byte) (*Envelope, int, error) {
 	return e, n, nil
 }
 
-// FrameWriter writes framed envelopes to an underlying stream, reusing
-// one internal buffer so the steady-state encode path allocates nothing.
-// Not safe for concurrent use.
-type FrameWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// NewFrameWriter returns a FrameWriter on w.
-func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{w: w}
-}
-
-// Write frames e onto the stream in a single underlying Write call, so
-// a frame is never interleaved even if the caller alternates writers on
-// one connection.
-func (fw *FrameWriter) Write(e *Envelope) error {
-	fw.buf = AppendFrame(fw.buf[:0], e)
-	_, err := fw.w.Write(fw.buf)
-	return err
-}
-
 // FrameReader reads framed envelopes from a byte stream, reusing one
 // internal body buffer across frames. Not safe for concurrent use.
 type FrameReader struct {

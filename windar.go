@@ -685,39 +685,3 @@ func RunCheckpointSweep(o ExperimentOptions, intervals []int) ([]CkptRow, error)
 
 // CkptText renders the checkpoint sweep.
 func CkptText(rows []CkptRow) string { return experiments.CkptTable(rows).String() }
-
-// ThroughputOptions configures the delivery-throughput bench.
-type ThroughputOptions = experiments.ThroughputOptions
-
-// ThroughputRow is one transport's cell of the delivery-throughput
-// figure.
-type ThroughputRow = experiments.ThroughputRow
-
-// RunThroughput measures end-to-end delivery throughput of the flood
-// workload on each requested transport (delivered msgs/sec plus
-// whole-run allocations per delivered message).
-func RunThroughput(o ThroughputOptions) ([]ThroughputRow, error) {
-	return experiments.RunThroughput(o)
-}
-
-// ThroughputText renders the throughput figure.
-func ThroughputText(rows []ThroughputRow) string {
-	return experiments.ThroughputTable(rows).String()
-}
-
-// WalOptions configures the durable-WAL bench.
-type WalOptions = experiments.WalOptions
-
-// WalReport is the durable-WAL bench payload: the checkpoint-stall
-// distribution over the disk backend plus the cold-start WAL replay
-// measurement.
-type WalReport = experiments.WalReport
-
-// RunWal runs the durable-WAL bench: one TDI ring over the disk stable
-// backend with durable sender logs, reporting how long delivery stalls
-// per checkpoint (the durable save happens concurrently) and how fast a
-// cold process replays the surviving WAL.
-func RunWal(o WalOptions) (WalReport, error) { return experiments.RunWal(o) }
-
-// WalText renders the durable-WAL bench.
-func WalText(r WalReport) string { return experiments.WalTable(r).String() }
