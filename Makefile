@@ -89,16 +89,20 @@ trace-export:
 	$(GO) run ./cmd/windar-trace -in out/trace/trace-seed7-mem.jsonl \
 		-format otlp -out out/trace/trace.otlp.json
 
-# Embedder-facing smoke: vet the examples and the gateway demo, run the
-# library quickstarts end to end, and run the gateway's scatter-gather
-# with an injected worker failure (short mode: in-process, no listener).
-# These are the packages the pubapi analyzer holds to the public windar
+# Embedder-facing smoke: vet the examples and the gateway demo, run every
+# library example end to end (masterworker and stencil exit non-zero on
+# a recovery mismatch), and run the gateway's scatter-gather with an
+# injected worker failure (short mode: in-process, no listener). These
+# are the packages the pubapi analyzer holds to the public windar
 # surface — this target proves they actually work as embeddings.
 examples:
 	$(GO) vet ./examples/... ./cmd/windar-gateway/
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/interceptor
 	$(GO) run ./examples/tracing
+	$(GO) run ./examples/masterworker
+	$(GO) run ./examples/stencil
+	$(GO) run ./examples/protocols
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 

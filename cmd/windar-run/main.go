@@ -42,7 +42,7 @@ func main() {
 		pigEvery  = flag.Int("pig-refresh-every", 0, "TDI delta piggyback full-vector cadence (0 = default 32, 1 = full vector every send)")
 		serve     = flag.String("serve", "", "serve live telemetry on this address (/metrics, /debug/vars, /healthz, /cluster, /debug/flight, /debug/pprof)")
 		linger    = flag.Duration("serve-linger", 0, "keep the telemetry server up this long after the run completes")
-		stableK   = flag.String("stable", "sim", "stable-storage backend: sim (in-memory, modeled latency), disk (parallel WAL in -stable-dir; state survives SIGKILL)")
+		stableK   = flag.String("stable", "sim", "stable-storage backend: sim (in-memory; survives rank kills), disk (parallel WAL in -stable-dir; state survives SIGKILL)")
 		stableDir = flag.String("stable-dir", "", "disk backend directory (required with -stable disk)")
 		fsync     = flag.Duration("fsync-every", 0, "disk backend group-commit window (0 = fsync as soon as possible)")
 		durLogs   = flag.Bool("durable-logs", false, "mirror sender logs into the stable store (incremental checkpoints; with -stable disk the logs survive SIGKILL)")

@@ -72,7 +72,7 @@ func BenchmarkDecodeCheckpoint(b *testing.B) {
 func BenchmarkSaveLoad(b *testing.B) {
 	for _, size := range []int{1 << 14, 1 << 18} {
 		b.Run(fmt.Sprintf("%dKiB", size/1024), func(b *testing.B) {
-			m := NewManager(stable.NewStore(stable.Options{}))
+			m := NewManager(stable.NewSim())
 			cp := benchCheckpoint(size, 0, 0)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -186,7 +186,7 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 // slot. Only after Save returns may CHECKPOINT_ADVANCE be announced,
 // because peers discard logs on its strength.
 type Manager struct {
-	store *stable.Store
+	store stable.Backend
 
 	mu          sync.Mutex
 	staged      map[int]*Checkpoint
@@ -195,7 +195,7 @@ type Manager struct {
 }
 
 // NewManager returns a Manager writing to store.
-func NewManager(store *stable.Store) *Manager {
+func NewManager(store stable.Backend) *Manager {
 	return &Manager{
 		store:       store,
 		staged:      make(map[int]*Checkpoint),
@@ -204,8 +204,8 @@ func NewManager(store *stable.Store) *Manager {
 	}
 }
 
-// Store returns the underlying stable store.
-func (m *Manager) Store() *stable.Store { return m.store }
+// Store returns the underlying stable-storage backend.
+func (m *Manager) Store() stable.Backend { return m.store }
 
 func key(rank int) string { return fmt.Sprintf("ckpt/%08d", rank) }
 

@@ -56,7 +56,7 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 func TestManagerSaveLoad(t *testing.T) {
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	c := sampleCheckpoint()
 	if err := m.Save(c); err != nil {
 		t.Fatalf("Save: %v", err)
@@ -71,7 +71,7 @@ func TestManagerSaveLoad(t *testing.T) {
 }
 
 func TestManagerLoadMissing(t *testing.T) {
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	_, ok, err := m.Load(5)
 	if err != nil {
 		t.Fatalf("Load missing: err = %v", err)
@@ -82,7 +82,7 @@ func TestManagerLoadMissing(t *testing.T) {
 }
 
 func TestManagerOverwriteKeepsLatest(t *testing.T) {
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	c := sampleCheckpoint()
 	if err := m.Save(c); err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestManagerOverwriteKeepsLatest(t *testing.T) {
 }
 
 func TestManagerPerRankIsolation(t *testing.T) {
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	for rank := 0; rank < 4; rank++ {
 		c := sampleCheckpoint()
 		c.Rank = rank
@@ -130,7 +130,7 @@ func TestSaveTornBlobAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := stable.NewStore(stable.Options{})
+	store := stable.NewSim()
 	m := NewManager(store)
 	for cut := 0; cut < len(framed); cut++ {
 		store.Put(key(2), framed[:cut])
@@ -150,7 +150,7 @@ func TestSaveTornBlobAtEveryOffset(t *testing.T) {
 func TestSaveCrashBeforePublishKeepsOld(t *testing.T) {
 	// A crash after the temp write but before the rename must leave the
 	// previous checkpoint intact and loadable.
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	c1 := sampleCheckpoint()
 	if err := m.Save(c1); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSaveCrashBeforePublishKeepsOld(t *testing.T) {
 }
 
 func TestStagedCheckpointWinsAndStaleSaveSkipped(t *testing.T) {
-	m := NewManager(stable.NewStore(stable.Options{}))
+	m := NewManager(stable.NewSim())
 	c1 := sampleCheckpoint()
 	c2 := sampleCheckpoint()
 	c2.Step = 99

@@ -5,20 +5,44 @@ import (
 	"time"
 
 	"windar/internal/ckpt"
+	"windar/internal/stable"
 )
 
-// TestKillDuringCheckpointWindow widens the stable-storage write latency
-// so failures are likely to strike while a checkpoint is being written,
-// and verifies recovery still converges to the failure-free result (the
-// checkpoint slot is overwritten atomically: recovery sees either the
-// old or the new checkpoint, both consistent).
+// slowBackend sleeps in every durable write a checkpoint makes (the image
+// Put and the publishing Rename), widening the window in which a kill
+// lands mid-checkpoint.
+type slowBackend struct{ stable.Backend }
+
+func (s slowBackend) Put(key string, data []byte) error {
+	time.Sleep(2 * time.Millisecond)
+	return s.Backend.Put(key, data)
+}
+
+func (s slowBackend) Rename(oldKey, newKey string) error {
+	time.Sleep(2 * time.Millisecond)
+	return s.Backend.Rename(oldKey, newKey)
+}
+
+// TestKillDuringCheckpointWindow slows stable-storage writes so failures
+// are likely to strike while a checkpoint is being written, and verifies
+// recovery still converges to the failure-free result (the checkpoint
+// slot is overwritten atomically: recovery sees either the old or the new
+// checkpoint, both consistent).
 func TestKillDuringCheckpointWindow(t *testing.T) {
 	cfg := testConfig(4, TDI)
 	cfg.CheckpointEvery = 2
-	cfg.StableWriteLatency = 2 * time.Millisecond
-	clean := run(t, cfg, ringFactory(50), nil)
+	slow := func() Config { // a fresh backend per run: the cluster closes it
+		c := cfg
+		stableFromEnv(t, &c)
+		if c.Stable == nil {
+			c.Stable = stable.NewSim()
+		}
+		c.Stable = slowBackend{c.Stable}
+		return c
+	}
+	clean := run(t, slow(), ringFactory(50), nil)
 	for trial := 0; trial < 3; trial++ {
-		faulty := run(t, cfg, ringFactory(50), func(c *Cluster) {
+		faulty := run(t, slow(), ringFactory(50), func(c *Cluster) {
 			time.Sleep(time.Duration(3+trial) * time.Millisecond)
 			if err := c.KillAndRecover(trial%4, time.Millisecond); err != nil {
 				t.Errorf("trial %d: %v", trial, err)

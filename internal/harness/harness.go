@@ -175,8 +175,6 @@ type Config struct {
 	Fabric fabric.Config
 	// EventLoggerLatency is the TEL stable event-logger round trip.
 	EventLoggerLatency time.Duration
-	// StableWriteLatency is the checkpoint-write latency.
-	StableWriteLatency time.Duration
 	// Stable selects the stable-storage backend. Nil uses the simulated
 	// in-memory backend, which survives rank (goroutine) kills but not
 	// process death; a disk backend (stable.OpenDisk) survives SIGKILL
@@ -226,7 +224,7 @@ type Cluster struct {
 	// accept without blocking straight to the link, without waking the
 	// sender goroutine.
 	trInline transport.InlineSender
-	store    *stable.Store
+	store    stable.Backend
 	ckpts    *ckpt.Manager
 	coll     *metrics.Collector
 	telLog   *tel.Logger
@@ -302,6 +300,9 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
+	if cfg.Stable == nil {
+		cfg.Stable = stable.NewSim()
+	}
 	tr, err := newTransport(cfg)
 	if err != nil {
 		return nil, err
@@ -311,14 +312,10 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 		return nil, fmt.Errorf("harness: %s transport's inbox does not drain in batches (transport.BatchInbox)", tr.Kind())
 	}
 	c := &Cluster{
-		cfg: cfg,
-		clk: cfg.Clock,
-		tr:  tr,
-		store: stable.NewStore(stable.Options{
-			Clock:        cfg.Clock,
-			WriteLatency: cfg.StableWriteLatency,
-			Backend:      cfg.Stable,
-		}),
+		cfg:     cfg,
+		clk:     cfg.Clock,
+		tr:      tr,
+		store:   cfg.Stable,
 		coll:    metrics.NewCollector(cfg.N),
 		factory: factory,
 		ranks:   make([]*rankRuntime, cfg.N),
@@ -361,10 +358,7 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 		if c.durableLogs {
 			// Mirror determinants into the stable keyspace so the event
 			// log's durable footprint is bounded by the logger's pruning.
-			// The backend is written directly: the logger already charges
-			// its own service latency, and double-charging the store's
-			// write latency would distort the TEL overhead figures.
-			c.telLog.AttachStore(c.store.Backend())
+			c.telLog.AttachStore(c.store)
 		}
 	}
 	// Observers that record run metadata (trace.Recorder) learn which
@@ -520,8 +514,8 @@ func (c *Cluster) AppSnapshot(rank int) []byte {
 	return r.theApp.Snapshot()
 }
 
-// Store exposes the stable store (tests, diagnostics).
-func (c *Cluster) Store() *stable.Store { return c.store }
+// Store exposes the stable-storage backend (tests, diagnostics).
+func (c *Cluster) Store() stable.Backend { return c.store }
 
 // EventLogger returns the TEL event logger, or nil for other protocols.
 func (c *Cluster) EventLogger() *tel.Logger { return c.telLog }

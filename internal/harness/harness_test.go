@@ -132,12 +132,11 @@ func testConfig(n int, p ProtocolKind) Config {
 	}
 }
 
-// run executes factory to completion under cfg and returns the final app
-// snapshots. kills, if non-nil, runs concurrently once the cluster is up.
-// WINDAR_STABLE=disk reruns the whole matrix over the disk backend with
-// durable sender logs (the cluster owns and closes the backend):
+// stableFromEnv gives cfg a fresh disk backend with durable sender logs
+// when WINDAR_STABLE=disk and cfg names no backend, so the whole matrix
+// reruns over disk (the cluster owns and closes the backend):
 // WINDAR_STABLE=disk go test ./internal/harness/.
-func run(t *testing.T, cfg Config, factory app.Factory, chaos func(c *Cluster)) [][]byte {
+func stableFromEnv(t *testing.T, cfg *Config) {
 	t.Helper()
 	if cfg.Stable == nil && os.Getenv("WINDAR_STABLE") == "disk" {
 		d, err := stable.OpenDisk(stable.DiskOptions{Dir: t.TempDir(), FsyncInterval: time.Millisecond})
@@ -147,6 +146,13 @@ func run(t *testing.T, cfg Config, factory app.Factory, chaos func(c *Cluster)) 
 		cfg.Stable = d
 		cfg.DurableLogs = true
 	}
+}
+
+// run executes factory to completion under cfg and returns the final app
+// snapshots. kills, if non-nil, runs concurrently once the cluster is up.
+func run(t *testing.T, cfg Config, factory app.Factory, chaos func(c *Cluster)) [][]byte {
+	t.Helper()
+	stableFromEnv(t, &cfg)
 	c, err := NewCluster(cfg, factory)
 	if err != nil {
 		t.Fatalf("NewCluster: %v", err)

@@ -27,16 +27,6 @@ func benchWorld(b *testing.B, n int, op func(env app.Env, round int)) {
 	}
 }
 
-func BenchmarkBarrier(b *testing.B) {
-	for _, n := range []int{4, 16} {
-		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
-			benchWorld(b, n, func(env app.Env, round int) {
-				Barrier(env, 1000)
-			})
-		})
-	}
-}
-
 func BenchmarkAllreduce(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -56,16 +46,5 @@ func BenchmarkBcast(b *testing.B) {
 			data = payload
 		}
 		_ = Bcast(env, 0, 3000, data)
-	})
-}
-
-func BenchmarkAlltoall(b *testing.B) {
-	const n = 8
-	parts := make([][]byte, n)
-	for i := range parts {
-		parts[i] = make([]byte, 512)
-	}
-	benchWorld(b, n, func(env app.Env, round int) {
-		_ = Alltoall(env, 4000, parts)
 	})
 }

@@ -1,14 +1,15 @@
-// Package mpi provides MPI-flavoured collective operations built on the
-// point-to-point app.Env primitives — the communication layer the NPB
-// kernels and examples program against, standing in for the MPICH stack
-// of the paper's testbed.
+// Package mpi provides the MPI-flavoured collectives built on the
+// point-to-point app.Env primitives that the NPB kernels and workloads
+// program against, standing in for the MPICH stack of the paper's
+// testbed.
 //
-// All collectives are deterministic tree or linear algorithms over
-// Send/Recv with explicit sources, so they compose with the harness's
-// strict per-channel FIFO delivery. Every call must be entered by all
-// ranks of the environment with the same tag; sequential collectives on
-// the same tag are safe (FIFO), concurrent ones on the same (pair, tag)
-// are not — give them distinct tags.
+// Allreduce (Reduce then Bcast) is the one collective they need. Both
+// halves are deterministic binomial-tree algorithms over Send/Recv with
+// explicit sources, so they compose with the harness's strict
+// per-channel FIFO delivery. Every call must be entered by all ranks of
+// the environment with the same tag; sequential collectives on the same
+// tag are safe (FIFO), concurrent ones on the same (pair, tag) are not —
+// give them distinct tags.
 package mpi
 
 import (
@@ -17,22 +18,6 @@ import (
 
 	"windar/internal/app"
 )
-
-// Barrier blocks until every rank has entered it. Dissemination
-// algorithm: ceil(log2 n) rounds of pairwise notifications.
-func Barrier(env app.Env, tag int32) {
-	n := env.N()
-	if n == 1 {
-		return
-	}
-	rank := env.Rank()
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (rank + dist) % n
-		from := (rank - dist + n) % n
-		env.Send(to, tag+int32(round), nil)
-		env.Recv(from, tag+int32(round))
-	}
-}
 
 // Bcast distributes root's data to every rank over a binomial tree and
 // returns the received copy (root returns data itself).
@@ -76,69 +61,6 @@ func nextPow2(v int) int {
 		p *= 2
 	}
 	return p
-}
-
-// Gather collects each rank's data at root, returned as a per-rank slice
-// (nil on non-root ranks). Linear algorithm.
-func Gather(env app.Env, root int, tag int32, data []byte) [][]byte {
-	n := env.N()
-	rank := env.Rank()
-	if rank != root {
-		env.Send(root, tag, data)
-		return nil
-	}
-	out := make([][]byte, n)
-	own := make([]byte, len(data))
-	copy(own, data)
-	out[root] = own
-	for i := 0; i < n; i++ {
-		if i == root {
-			continue
-		}
-		got, _ := env.Recv(i, tag)
-		out[i] = got
-	}
-	return out
-}
-
-// Scatter distributes parts[i] from root to rank i and returns this
-// rank's part.
-func Scatter(env app.Env, root int, tag int32, parts [][]byte) []byte {
-	rank := env.Rank()
-	if rank == root {
-		for i, p := range parts {
-			if i == root {
-				continue
-			}
-			env.Send(i, tag, p)
-		}
-		own := make([]byte, len(parts[root]))
-		copy(own, parts[root])
-		return own
-	}
-	data, _ := env.Recv(root, tag)
-	return data
-}
-
-// Alltoall exchanges parts[i] with every rank i and returns the received
-// per-rank slices. Sends fan out in rank-offset order to spread load.
-func Alltoall(env app.Env, tag int32, parts [][]byte) [][]byte {
-	n := env.N()
-	rank := env.Rank()
-	out := make([][]byte, n)
-	own := make([]byte, len(parts[rank]))
-	copy(own, parts[rank])
-	out[rank] = own
-	for off := 1; off < n; off++ {
-		dst := (rank + off) % n
-		env.Send(dst, tag, parts[dst])
-	}
-	for off := 1; off < n; off++ {
-		src := (rank - off + n) % n
-		got, _ := env.Recv(src, tag)
-		out[src] = got
-	}
-	return out
 }
 
 // Op is a commutative, associative reduction operator on float64.

@@ -75,19 +75,6 @@ func runWorld(t *testing.T, n int, f func(env app.Env)) {
 	wg.Wait()
 }
 
-func TestBarrierAllSizes(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 4, 5, 8, 13, 16} {
-		n := n
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			runWorld(t, n, func(env app.Env) {
-				for i := 0; i < 3; i++ {
-					Barrier(env, 100)
-				}
-			})
-		})
-	}
-}
-
 func TestBcastAllRootsAndSizes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 7, 8, 9} {
 		for root := 0; root < n; root++ {
@@ -112,68 +99,6 @@ func TestBcastAllRootsAndSizes(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-func TestGatherScatter(t *testing.T) {
-	const n, root = 5, 2
-	var gathered [][]byte
-	var mu sync.Mutex
-	scattered := make([][]byte, n)
-	runWorld(t, n, func(env app.Env) {
-		r := env.Rank()
-		g := Gather(env, root, 1, []byte{byte(r), byte(r * 2)})
-		if r == root {
-			mu.Lock()
-			gathered = g
-			mu.Unlock()
-		}
-		var parts [][]byte
-		if r == root {
-			parts = make([][]byte, n)
-			for i := range parts {
-				parts[i] = []byte{byte(i + 100)}
-			}
-		}
-		got := Scatter(env, root, 2, parts)
-		mu.Lock()
-		scattered[r] = got
-		mu.Unlock()
-	})
-	for i, g := range gathered {
-		if !bytes.Equal(g, []byte{byte(i), byte(i * 2)}) {
-			t.Fatalf("gathered[%d] = %v", i, g)
-		}
-	}
-	for i, s := range scattered {
-		if !bytes.Equal(s, []byte{byte(i + 100)}) {
-			t.Fatalf("scattered[%d] = %v", i, s)
-		}
-	}
-}
-
-func TestAlltoall(t *testing.T) {
-	const n = 4
-	results := make([][][]byte, n)
-	var mu sync.Mutex
-	runWorld(t, n, func(env app.Env) {
-		r := env.Rank()
-		parts := make([][]byte, n)
-		for i := range parts {
-			parts[i] = []byte{byte(r), byte(i)}
-		}
-		out := Alltoall(env, 3, parts)
-		mu.Lock()
-		results[r] = out
-		mu.Unlock()
-	})
-	for r := 0; r < n; r++ {
-		for src := 0; src < n; src++ {
-			want := []byte{byte(src), byte(r)}
-			if !bytes.Equal(results[r][src], want) {
-				t.Fatalf("rank %d from %d: got %v want %v", r, src, results[r][src], want)
-			}
 		}
 	}
 }

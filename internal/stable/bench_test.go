@@ -8,7 +8,7 @@ import (
 func BenchmarkPutGet(b *testing.B) {
 	for _, size := range []int{1 << 10, 1 << 16, 1 << 20} {
 		b.Run(fmt.Sprintf("%dKiB", size/1024), func(b *testing.B) {
-			s := NewStore(Options{})
+			s := NewSim()
 			data := make([]byte, size)
 			b.SetBytes(int64(2 * size)) // one write + one read per op
 			b.ReportAllocs()
@@ -23,7 +23,7 @@ func BenchmarkPutGet(b *testing.B) {
 }
 
 func BenchmarkKeysPrefix(b *testing.B) {
-	s := NewStore(Options{})
+	s := NewSim()
 	for i := 0; i < 256; i++ {
 		s.Put(fmt.Sprintf("ckpt/%08d", i), nil)
 		s.Put(fmt.Sprintf("log/%08d", i), nil)

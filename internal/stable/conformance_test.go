@@ -33,6 +33,13 @@ func TestConformanceRoundTrip(t *testing.T) {
 			if _, ok := b.Get("missing"); ok {
 				t.Fatal("Get of missing key reported present")
 			}
+			// A second Put replaces the value in place.
+			if err := b.Put("k", []byte("second")); err != nil {
+				t.Fatalf("overwriting Put: %v", err)
+			}
+			if got, _ := b.Get("k"); string(got) != "second" {
+				t.Fatalf("Get after overwrite = %q", got)
+			}
 			if b.Len() != 1 {
 				t.Fatalf("Len = %d", b.Len())
 			}

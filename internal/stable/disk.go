@@ -208,9 +208,6 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 	return d, nil
 }
 
-// Kind implements Backend.
-func (d *Disk) Kind() string { return "disk" }
-
 // Dir returns the backing directory.
 func (d *Disk) Dir() string { return d.dir }
 

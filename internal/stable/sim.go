@@ -22,9 +22,6 @@ func NewSim() *Sim {
 	return &Sim{objects: make(map[string][]byte), streams: make(streamSet)}
 }
 
-// Kind implements Backend.
-func (s *Sim) Kind() string { return "sim" }
-
 // Put implements Backend.
 func (s *Sim) Put(key string, data []byte) error {
 	cp := make([]byte, len(data))

@@ -90,11 +90,10 @@ func (lg *Logger) Close() {
 // under tel/<receiver>/<deliverIndex>, deleting mirrored keys as Prune
 // releases them — so a durable backend's footprint for the event log
 // stays bounded by the live (unpruned) determinant set. The mirror rides
-// the backend's lazy append path: the logger already models its own
-// stable-storage service latency, so the mirror charges none. Mirrored
-// determinants are not reloaded on process restart (TEL recovery across
-// a full restart is out of scope); the mirror exists to bound and
-// account the durable footprint. Call before the cluster starts.
+// the backend's lazy append path, off the logger's modelled service
+// latency. Mirrored determinants are not reloaded on process restart
+// (TEL recovery across a full restart is out of scope); the mirror
+// exists to bound and account the durable footprint. Call before the cluster starts.
 func (lg *Logger) AttachStore(store stable.Backend) {
 	lg.mu.Lock()
 	lg.store = store

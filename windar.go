@@ -110,9 +110,9 @@ const (
 type StableKind = string
 
 const (
-	// StableSim is the simulated in-memory stable store with modeled
-	// write latency (the default, and the backend for the figure
-	// experiments). Nothing survives the process.
+	// StableSim is the simulated in-memory stable store (the default,
+	// and the backend for the figure experiments). It survives rank
+	// kills; nothing survives the process.
 	StableSim StableKind = "sim"
 	// StableDisk persists checkpoints (and, with DurableLogs, sender
 	// logs) in Config.StableDir through per-rank parallel WAL files with
@@ -318,12 +318,10 @@ type Config struct {
 	PiggybackRefreshEvery int
 	// EventLoggerLatency is TEL's stable event-logger round trip.
 	EventLoggerLatency time.Duration
-	// StableWriteLatency is the checkpoint write latency.
-	StableWriteLatency time.Duration
-	// Stable selects the stable-storage backend: StableSim (default) or
-	// StableDisk. The disk backend does real I/O; StableWriteLatency
-	// still adds its modeled charge on top, so figure experiments keep
-	// their timing model regardless of backend.
+	// Stable selects the stable-storage backend: StableSim (default), an
+	// in-memory medium that survives rank kills, or StableDisk, a
+	// write-ahead log that survives process death. No latency is
+	// modelled: a checkpoint costs what the backend really costs.
 	Stable StableKind
 	// StableDir is the disk backend's directory (created if missing).
 	// Required when Stable is StableDisk.
@@ -388,7 +386,6 @@ func (c Config) internal() harness.Config {
 		},
 		PiggybackRefreshEvery: c.PiggybackRefreshEvery,
 		EventLoggerLatency:    c.EventLoggerLatency,
-		StableWriteLatency:    c.StableWriteLatency,
 		StallTimeout:          c.StallTimeout,
 		CheckpointPolicy:      c.CheckpointPolicy,
 		Interceptors:          c.Interceptors,
