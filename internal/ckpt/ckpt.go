@@ -181,10 +181,10 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 // (simulated goroutine kill) always restores the newest state interval —
 // matching the trace recorder, which logs the checkpoint event at
 // snapshot time. Save then makes the snapshot durable in the background:
-// write-temp-rename under the backend's atomic contract, with a
-// staleness guard so two incarnations' writers can never regress the
-// slot. Only after Save returns may CHECKPOINT_ADVANCE be announced,
-// because peers discard logs on its strength.
+// one durable Put of the framed image, crash-atomic under the backend's
+// contract, with a staleness guard so two incarnations' writers can never
+// regress the slot. Only after Save returns may CHECKPOINT_ADVANCE be
+// announced, because peers discard logs on its strength.
 type Manager struct {
 	store stable.Backend
 
@@ -209,12 +209,6 @@ func (m *Manager) Store() stable.Backend { return m.store }
 
 func key(rank int) string { return fmt.Sprintf("ckpt/%08d", rank) }
 
-// tmpKey is where Save stages rank's image before publishing it. It
-// shares key(rank)'s shard scope on the disk backend (a name is hashed up
-// to its second '/'), so the publishing Rename is two records in one log
-// file and needs no barrier between them.
-func tmpKey(rank int) string { return key(rank) + "/tmp" }
-
 // Stage records c as rank c.Rank's newest checkpoint without touching
 // stable storage. The caller must treat c as immutable afterwards.
 func (m *Manager) Stage(c *Checkpoint) {
@@ -225,12 +219,12 @@ func (m *Manager) Stage(c *Checkpoint) {
 	m.mu.Unlock()
 }
 
-// Save durably records c as rank c.Rank's current checkpoint. The write
-// is crash-atomic: the framed blob lands under a temp key and an atomic
-// rename publishes it, so a crash at any instant leaves either the old
-// checkpoint or the new one, never a torn blob. Saves of stale
-// checkpoints (an older incarnation's writer finishing late) are
-// silently skipped.
+// Save durably records c as rank c.Rank's current checkpoint: the framed
+// blob overwrites the rank's slot with one Put, which the Backend contract
+// makes crash-atomic, so a crash at any instant leaves either the old
+// checkpoint or the new one, never a torn blob, at the cost of one
+// group-commit barrier. Saves of stale checkpoints (an older
+// incarnation's writer finishing late) are silently skipped.
 func (m *Manager) Save(c *Checkpoint) error {
 	m.mu.Lock()
 	slot := m.saving[c.Rank]
@@ -253,12 +247,8 @@ func (m *Manager) Save(c *Checkpoint) error {
 	if err != nil {
 		return err
 	}
-	tmp := tmpKey(c.Rank)
-	if err := m.store.Put(tmp, framed); err != nil {
+	if err := m.store.Put(key(c.Rank), framed); err != nil {
 		return fmt.Errorf("ckpt: save rank %d: %w", c.Rank, err)
-	}
-	if err := m.store.Rename(tmp, key(c.Rank)); err != nil {
-		return fmt.Errorf("ckpt: publish rank %d: %w", c.Rank, err)
 	}
 	m.mu.Lock()
 	m.durableStep[c.Rank] = c.Step

@@ -8,19 +8,13 @@ import (
 	"windar/internal/stable"
 )
 
-// slowBackend sleeps in every durable write a checkpoint makes (the image
-// Put and the publishing Rename), widening the window in which a kill
-// lands mid-checkpoint.
+// slowBackend sleeps in every durable Put, the one write a checkpoint
+// Save makes, widening the window in which a kill lands mid-checkpoint.
 type slowBackend struct{ stable.Backend }
 
 func (s slowBackend) Put(key string, data []byte) error {
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(4 * time.Millisecond)
 	return s.Backend.Put(key, data)
-}
-
-func (s slowBackend) Rename(oldKey, newKey string) error {
-	time.Sleep(2 * time.Millisecond)
-	return s.Backend.Rename(oldKey, newKey)
 }
 
 // TestKillDuringCheckpointWindow slows stable-storage writes so failures

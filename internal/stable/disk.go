@@ -22,11 +22,9 @@ import (
 // (see walrecord.go) to its shard's write buffer; a lazy mutation does
 // nothing more, and a durable one then waits for the committer goroutine,
 // which batches neighbouring writes into one fsync per shard (the
-// group-commit window is FsyncInterval). Values at or above
-// BlobThreshold — in practice, checkpoint images — are written as
-// standalone blob files via the write-temp-rename-fsync dance and the
-// WAL record stores only the file name, so a multi-megabyte checkpoint
-// never sits torn inside a log.
+// group-commit window is FsyncInterval). Every value, a checkpoint image
+// included, lies inline in its one record: a record that verifies is
+// whole whatever its size, so no value needs a file of its own.
 //
 // Each shard's log is a sequence of segment files. Records go to the
 // newest, the head; once it holds segmentBytes of them the shard rotates:
@@ -47,12 +45,10 @@ import (
 // completed barrier. The shard count is pinned in a meta file at
 // creation, so a name's records always live in exactly one shard.
 type Disk struct {
-	dir           string
-	clk           clock.Clock
-	interval      time.Duration
-	blobThreshold int
-	shards        []*walShard
-	blobSeq       atomic.Uint64 // names blob files
+	dir      string
+	clk      clock.Clock
+	interval time.Duration
+	shards   []*walShard
 
 	// Group commit: a barrier takes the next ticket and waits until the
 	// committer has finished a round that began after the ticket was
@@ -79,8 +75,8 @@ type Disk struct {
 
 // DiskOptions configures OpenDisk.
 type DiskOptions struct {
-	// Dir is the directory holding the log and blob files; created if
-	// missing. Required.
+	// Dir is the directory holding the log files; created if missing.
+	// Required.
 	Dir string
 	// Shards is the parallel WAL count for a fresh directory. Defaults
 	// to 8. An existing directory keeps the count it was created with
@@ -90,9 +86,6 @@ type DiskOptions struct {
 	// most about this long while neighbouring writes pile into the same
 	// fsync. 0 commits as soon as the committer observes a write.
 	FsyncInterval time.Duration
-	// BlobThreshold is the value size at which a value moves out of the
-	// WAL into its own write-temp-renamed file. Defaults to 4096.
-	BlobThreshold int
 	// Clock paces the group-commit window. Defaults to the real clock
 	// (this backend does real I/O, so real time is the right default).
 	Clock clock.Clock
@@ -101,8 +94,8 @@ type DiskOptions struct {
 // DiskStats are the backend's cumulative I/O counters and its current
 // segment population.
 type DiskStats struct {
-	// Fsyncs counts file and directory fsyncs: commit rounds, blob
-	// writes and the meta file.
+	// Fsyncs counts file and directory fsyncs: commit rounds and the
+	// meta file.
 	Fsyncs int64 `json:"fsyncs"`
 	// Rotations counts segment files opened after a shard's first.
 	Rotations int64 `json:"rotations"`
@@ -116,10 +109,9 @@ type DiskStats struct {
 }
 
 const (
-	defaultShards    = 8
-	defaultBlobLimit = 4096
-	metaName         = "meta"
-	metaVersion      = "windar-wal v2"
+	defaultShards = 8
+	metaName      = "meta"
+	metaVersion   = "windar-wal v3"
 
 	// segmentBytes is how many bytes of records, beyond what rotation
 	// carried in, a head segment takes before the shard rotates.
@@ -132,14 +124,6 @@ const (
 )
 
 var errClosed = errors.New("stable: disk backend is closed")
-
-// kvEntry is one live key in a shard's index. The value bytes are cached
-// in memory (mirroring the sim backend's behaviour); the disk copy
-// exists so a restarted process can rebuild this cache.
-type kvEntry struct {
-	val  []byte
-	blob string // blob file name when the value lives out of line
-}
 
 // segment is one file of a shard's log.
 type segment struct {
@@ -159,7 +143,9 @@ type walShard struct {
 	headBytes int64 // record bytes in the head, carried ones included
 	carried   int64 // of which rotation wrote
 
-	index   map[string]*kvEntry
+	// index caches every live key's value in memory (mirroring the sim
+	// backend); the log copy exists so a restarted process can rebuild it.
+	index   map[string][]byte
 	streams streamSet
 	arena   []byte // tail of the chunk new stream entries are cached in
 
@@ -169,7 +155,6 @@ type walShard struct {
 	newFile bool       // a segment was created: the directory needs an fsync
 	retired []*os.File // rotated-out heads to fsync and close
 	emptied []*segment // segments to unlink once what emptied them is durable
-	blobGC  []string   // blob files to unlink on the same condition
 }
 
 // OpenDisk opens (creating or recovering) a disk backend rooted at
@@ -181,9 +166,6 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = defaultShards
 	}
-	if opts.BlobThreshold <= 0 {
-		opts.BlobThreshold = defaultBlobLimit
-	}
 	if opts.Clock == nil {
 		opts.Clock = clock.Real{}
 	}
@@ -191,12 +173,11 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{
-		dir:           opts.Dir,
-		clk:           opts.Clock,
-		interval:      opts.FsyncInterval,
-		blobThreshold: opts.BlobThreshold,
-		kick:          make(chan struct{}, 1),
-		done:          make(chan struct{}),
+		dir:      opts.Dir,
+		clk:      opts.Clock,
+		interval: opts.FsyncInterval,
+		kick:     make(chan struct{}, 1),
+		done:     make(chan struct{}),
 	}
 	d.gcond = sync.NewCond(&d.gmu)
 	if err := d.recover(opts.Shards); err != nil {
@@ -329,61 +310,29 @@ func (d *Disk) appendEntry(s *walShard, name string, data []byte) error {
 	return d.maybeRotate(s)
 }
 
-// putKey is Put and PutLazy on a key.
+// putKey is Put and PutLazy on a key: one record holding the whole value.
+// The cached copy is overwritten in place, so a key rewritten with values
+// of one size, as a checkpoint slot is, allocates nothing after its first
+// write.
 func (d *Disk) putKey(s *walShard, key string, data []byte) error {
-	blob := ""
-	if len(data) >= d.blobThreshold {
-		// Out-of-line value: blob file first (temp, fsync, rename), WAL
-		// pointer second. A crash between the two leaves an orphan blob
-		// that the next Open garbage-collects.
-		blob = fmt.Sprintf("blob-%016x.bin", d.blobSeq.Add(1))
-		if err := d.publish(blob, data); err != nil {
-			return err
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errClosed
 	}
-	e := s.bind(key, blob)
-	e.val = append(e.val[:0], data...)
-	if err := d.logKey(s, key, e); err != nil {
+	val := append(s.index[key][:0], data...)
+	s.index[key] = val
+	if err := d.logKey(s, key, val); err != nil {
 		return err
 	}
 	return d.maybeRotate(s)
 }
 
-// logKey writes the record binding key to e: the value, or the name of
-// the blob file holding it. Caller holds s.mu.
-func (d *Disk) logKey(s *walShard, key string, e *kvEntry) error {
-	op, rest := byte(opPut), e.val
-	if e.blob != "" {
-		op, rest = opBlob, []byte(e.blob)
-	}
-	start := s.begin(op, key)
-	s.buf = append(s.buf, rest...)
+// logKey writes the record binding key to val. Caller holds s.mu.
+func (d *Disk) logKey(s *walShard, key string, val []byte) error {
+	start := s.begin(opPut, key)
+	s.buf = append(s.buf, val...)
 	return d.end(s, start)
-}
-
-// bind returns key's index entry, created if absent, now naming blob as
-// its out-of-line file; a blob the entry named before is queued for
-// collection. Caller holds s.mu.
-func (s *walShard) bind(key, blob string) *kvEntry {
-	e := s.index[key]
-	if e == nil {
-		e = &kvEntry{}
-		s.index[key] = e
-	} else if e.blob != "" {
-		s.blobGC = append(s.blobGC, e.blob)
-	}
-	if blob != "" || e.blob != "" {
-		// A blob-backed value may be shared with the key it was renamed
-		// from, so it is never overwritten in place.
-		e.val = nil
-	}
-	e.blob = blob
-	return e
 }
 
 func (d *Disk) put(name string, data []byte, durable bool) error {
@@ -413,13 +362,11 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 	s := d.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.index[key]
+	val, ok := s.index[key]
 	if !ok {
 		return nil, false
 	}
-	cp := make([]byte, len(e.val))
-	copy(cp, e.val)
-	return cp, true
+	return append([]byte(nil), val...), true
 }
 
 // Delete implements Backend. The tombstone is durable at the next Sync.
@@ -427,34 +374,27 @@ func (d *Disk) Delete(key string) error {
 	s := d.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return d.unbind(s, key, true)
+	return d.unbind(s, key)
 }
 
-// unbind tombstones key if it is bound; collect says whether its blob,
-// if any, is garbage now (Rename passes false: the blob moved to the new
-// key). Caller holds s.mu.
-func (d *Disk) unbind(s *walShard, key string, collect bool) error {
+// unbind tombstones key if it is bound. Caller holds s.mu.
+func (d *Disk) unbind(s *walShard, key string) error {
 	if s.f == nil {
 		return errClosed
 	}
-	e, ok := s.index[key]
-	if !ok {
+	if _, ok := s.index[key]; !ok {
 		return nil
 	}
 	delete(s.index, key)
-	if collect && e.blob != "" {
-		s.blobGC = append(s.blobGC, e.blob)
-	}
 	if err := d.end(s, s.begin(opDelete, key)); err != nil {
 		return err
 	}
 	return d.maybeRotate(s)
 }
 
-// Rename implements Backend as a record binding newKey to oldKey's value
-// followed by a tombstone on oldKey, the first durable before the second
-// is written. A blob-backed value is not rewritten: the new binding names
-// the blob file oldKey named. Crash atomicity: a crash leaves the old
+// Rename implements Backend as a record binding newKey to a copy of
+// oldKey's value followed by a tombstone on oldKey, the first durable
+// before the second is written. Crash atomicity: a crash leaves the old
 // binding, both bindings, or only the new one — never a torn value and
 // never neither. (It is not isolated: a concurrent reader can observe the
 // intermediate state.)
@@ -463,35 +403,14 @@ func (d *Disk) Rename(oldKey, newKey string) error {
 		return errRenameToStream(newKey)
 	}
 	from, to := d.shardFor(oldKey), d.shardFor(newKey)
-	from.mu.Lock()
-	e, ok := from.index[oldKey]
-	var val []byte
-	var blob string
-	if ok {
-		val, blob = e.val, e.blob
-		if blob == "" {
-			val = append([]byte(nil), val...) // inline values are overwritten in place
-		}
-	}
-	from.mu.Unlock()
+	val, ok := d.Get(oldKey) // a copy: values are overwritten in place
 	if !ok {
 		return fmt.Errorf("stable: rename %q: no such key", oldKey)
 	}
 	if oldKey == newKey {
 		return d.Sync()
 	}
-
-	to.mu.Lock()
-	err := errClosed
-	if to.f != nil {
-		e := to.bind(newKey, blob)
-		e.val = val
-		if err = d.logKey(to, newKey, e); err == nil {
-			err = d.maybeRotate(to)
-		}
-	}
-	to.mu.Unlock()
-	if err != nil {
+	if err := d.putKey(to, newKey, val); err != nil {
 		return err
 	}
 	if from != to {
@@ -502,7 +421,7 @@ func (d *Disk) Rename(oldKey, newKey string) error {
 		}
 	}
 	from.mu.Lock()
-	err = d.unbind(from, oldKey, false)
+	err := d.unbind(from, oldKey)
 	from.mu.Unlock()
 	if err != nil {
 		return err
@@ -653,8 +572,8 @@ func (d *Disk) rotate(s *walShard) error {
 	if err := d.end(s, start); err != nil {
 		return err
 	}
-	for key, e := range s.index {
-		if err := d.logKey(s, key, e); err != nil {
+	for key, val := range s.index {
+		if err := d.logKey(s, key, val); err != nil {
 			return err
 		}
 	}
@@ -744,8 +663,8 @@ func (d *Disk) committer() {
 // shard and under its lock, it flushes the buffer and takes the shard's
 // pending work. Then — holding no lock, and all shards at once, so that a
 // barrier waits for the slowest file rather than for their sum — it
-// fsyncs the shards' files, and finally it unlinks the segments and blobs
-// whose superseding records this round covered. Only the committer
+// fsyncs the shards' files, and finally it unlinks the segments whose
+// superseding records this round covered. Only the committer
 // goroutine (and Open, before it starts) runs it.
 func (d *Disk) commit() {
 	d.gmu.Lock()
@@ -770,11 +689,8 @@ func (d *Disk) commit() {
 		for _, seg := range s.emptied {
 			unlink = append(unlink, seg.path)
 		}
-		for _, name := range s.blobGC {
-			unlink = append(unlink, filepath.Join(d.dir, name))
-		}
 		newFile = newFile || s.newFile
-		s.retired, s.emptied, s.blobGC = nil, nil, nil
+		s.retired, s.emptied = nil, nil
 		s.dirty, s.newFile = false, false
 		s.mu.Unlock()
 	}
@@ -801,7 +717,7 @@ func (d *Disk) commit() {
 	if err == nil {
 		for _, p := range unlink {
 			d.hook("unlink")
-			if os.Remove(p) == nil && strings.HasSuffix(p, ".seg") {
+			if os.Remove(p) == nil {
 				d.unlinked.Add(1)
 			}
 		}
@@ -887,8 +803,8 @@ func (d *Disk) syncDir() error {
 	return err
 }
 
-// publish writes a standalone file crash-atomically: temp file, fsync,
-// rename into place, fsync the directory.
+// publish writes the meta file crash-atomically: temp file, fsync, rename
+// into place, fsync the directory.
 func (d *Disk) publish(name string, data []byte) error {
 	tmp := filepath.Join(d.dir, "tmp-"+name)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o666)
@@ -914,8 +830,8 @@ func (d *Disk) publish(name string, data []byte) error {
 }
 
 // recover reads (or pins) the shard count from the meta file, replays
-// every shard's segments, rebuilds the in-memory state, garbage-collects
-// temp files and orphan blobs, and opens a fresh head segment per shard.
+// every shard's segments, rebuilds the in-memory state and opens a fresh
+// head segment per shard.
 func (d *Disk) recover(wantShards int) error {
 	nShards, err := d.loadOrInitMeta(wantShards)
 	if err != nil {
@@ -926,59 +842,25 @@ func (d *Disk) recover(wantShards int) error {
 		d.shards[i] = &walShard{
 			id:      i,
 			buf:     make([]byte, 0, flushBytes+4096),
-			index:   make(map[string]*kvEntry),
+			index:   make(map[string][]byte),
 			streams: make(streamSet),
 		}
 	}
 
-	names, err := filepath.Glob(filepath.Join(d.dir, "*"))
+	names, err := filepath.Glob(filepath.Join(d.dir, "wal-*.seg"))
 	if err != nil {
 		return err
 	}
-	var blobs []string
 	for _, p := range names { // Glob sorts, so each shard's segments come oldest first
-		base := filepath.Base(p)
-		switch {
-		case strings.HasPrefix(base, "tmp-") || strings.HasSuffix(base, ".tmp"):
-			os.Remove(p)
-		case strings.HasPrefix(base, "blob-"):
-			blobs = append(blobs, base)
-			if n, err := strconv.ParseUint(strings.TrimSuffix(base[len("blob-"):], ".bin"), 16, 64); err == nil && n > d.blobSeq.Load() {
-				d.blobSeq.Store(n)
-			}
-		default:
-			if shard, n, ok := parseSegmentName(base); ok && shard < nShards {
-				s := d.shards[shard]
-				s.sealed = append(s.sealed, &segment{path: p})
-				s.nextSeg = n + 1
-			}
+		if shard, n, ok := parseSegmentName(filepath.Base(p)); ok && shard < nShards {
+			s := d.shards[shard]
+			s.sealed = append(s.sealed, &segment{path: p})
+			s.nextSeg = n + 1
 		}
 	}
-
-	referenced := map[string]bool{}
 	for _, s := range d.shards {
 		if err := s.replay(); err != nil {
 			return err
-		}
-		for key, e := range s.index {
-			if e.blob == "" {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(d.dir, e.blob))
-			if err != nil {
-				// The record promises the blob exists (it is written and
-				// fsynced first); a missing file means outside
-				// interference. Drop the key rather than fail the open.
-				delete(s.index, key)
-				continue
-			}
-			e.val = data
-			referenced[e.blob] = true
-		}
-	}
-	for _, base := range blobs {
-		if !referenced[base] {
-			os.Remove(filepath.Join(d.dir, base))
 		}
 	}
 
@@ -1001,27 +883,22 @@ func (d *Disk) recover(wantShards int) error {
 func (s *walShard) replay() error {
 	// A segment's opening restatement of the keys replaces the index only
 	// once all of it has been read: staged collects it until then.
-	var staged map[string]*kvEntry
+	var staged map[string][]byte
 	pending := int64(0)
 	apply := func(seg *segment, r walRecord) {
-		if pending > 0 && r.op != opPut && r.op != opBlob {
+		if pending > 0 && r.op != opPut {
 			staged, pending = nil, 0 // not a restatement this build wrote: ignore its header
 		}
 		switch r.op {
 		case opCarry:
-			staged, pending = make(map[string]*kvEntry), r.a
-		case opPut, opBlob:
-			e := &kvEntry{}
-			if r.op == opPut {
-				e.val = append(e.val, r.rest...)
-			} else {
-				e.blob = string(r.rest)
-			}
+			staged, pending = make(map[string][]byte), r.a
+		case opPut:
+			val := append([]byte(nil), r.rest...)
 			if pending == 0 {
-				s.index[string(r.name)] = e
+				s.index[string(r.name)] = val
 				return
 			}
-			staged[string(r.name)] = e
+			staged[string(r.name)] = val
 			pending--
 		case opDelete:
 			delete(s.index, string(r.name))

@@ -56,7 +56,7 @@ func segmentFiles(t *testing.T, dir string) []string {
 func TestDiskReopenPersists(t *testing.T) {
 	dir := t.TempDir()
 	d := openDisk(t, dir)
-	big := bytes.Repeat([]byte("B"), 8192) // above BlobThreshold: exercises the blob path
+	big := bytes.Repeat([]byte("B"), 48<<10) // checkpoint-sized: one inline record like any value
 	if err := d.Put("ckpt/00000001", big); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -84,7 +84,7 @@ func TestDiskReopenPersists(t *testing.T) {
 	r := openDisk(t, dir)
 	defer r.Close()
 	if got, ok := r.Get("ckpt/00000001"); !ok || !bytes.Equal(got, big) {
-		t.Fatalf("blob value lost across reopen (ok=%v len=%d)", ok, len(got))
+		t.Fatalf("checkpoint-sized value lost across reopen (ok=%v len=%d)", ok, len(got))
 	}
 	if got, ok := r.Get("slog/001/002/0001"); !ok || string(got) != "item" {
 		t.Fatalf("lazy value lost across reopen (ok=%v %q)", ok, got)
@@ -105,31 +105,41 @@ func TestDiskReopenPersists(t *testing.T) {
 }
 
 func TestDiskRejectsV1Directory(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, metaName), []byte("windar-wal v1\nshards 8\n"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, err := OpenDisk(DiskOptions{Dir: dir})
-	if err == nil || !strings.Contains(err.Error(), "windar-wal v1") {
-		t.Fatalf("OpenDisk of a v1 directory: %v, want a version error", err)
+	// v1 rewrote one file per shard in place; v2 may hold records that
+	// point at values in files of their own, which replay would take for
+	// a torn tail and cut, silently dropping every record after them.
+	for _, version := range []string{"windar-wal v1", "windar-wal v2"} {
+		t.Run(version, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, metaName), []byte(version+"\nshards 8\n"), 0o666); err != nil {
+				t.Fatal(err)
+			}
+			_, err := OpenDisk(DiskOptions{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), version) || !strings.Contains(err.Error(), metaVersion) {
+				t.Fatalf("OpenDisk of a %s directory: %v, want a version error naming both versions", version, err)
+			}
+		})
 	}
 }
 
 func TestDiskTornTailTruncated(t *testing.T) {
-	// Crash-mid-write atomicity: chop bytes off a segment's tail at every
-	// offset inside its last record — a key record and a stream entry —
-	// and reopen: the record is cleanly absent, never garbage, and what
-	// preceded it is intact.
-	for _, last := range []string{"key", "entry"} {
+	// Crash-mid-write atomicity: chop bytes off a segment's tail inside
+	// its last record — a key record, a stream entry, and a checkpoint-
+	// sized overwrite of a key — and reopen: the record is cleanly absent,
+	// never garbage, and what preceded it is intact.
+	for _, last := range []string{"key", "entry", "checkpoint"} {
 		t.Run(last, func(t *testing.T) {
 			src := t.TempDir()
 			d := openDisk(t, src)
 			d.Put("k/1/a", []byte("first"))
 			d.Put("k/1/", []byte("one"))
-			if last == "key" {
+			switch last {
+			case "key":
 				d.Put("k/1/b", []byte("second"))
-			} else {
+			case "entry":
 				d.Put("k/1/", []byte("two"))
+			case "checkpoint":
+				d.Put("k/1/a", bytes.Repeat([]byte("i"), 64<<10))
 			}
 			d.Close()
 
@@ -150,8 +160,17 @@ func TestDiskTornTailTruncated(t *testing.T) {
 				t.Fatalf("segment holds %d records, want 4", len(starts))
 			}
 			lastStart := starts[3]
-
+			var cuts []int
 			for cut := lastStart; cut < len(full); cut++ {
+				cuts = append(cuts, cut)
+			}
+			if last == "checkpoint" {
+				// Inside each of the header's 8 bytes, mid-value, and
+				// one byte short of whole.
+				cuts = append(cuts[:walRecordHeader], (lastStart+len(full))/2, len(full)-1)
+			}
+
+			for _, cut := range cuts {
 				if err := os.WriteFile(segPath, full[:cut], 0o666); err != nil {
 					t.Fatal(err)
 				}
@@ -170,8 +189,8 @@ func TestDiskTornTailTruncated(t *testing.T) {
 				dir := r.dir
 				r.Close()
 				r = openDisk(t, dir)
-				if r.Len() != 1 || len(scanAll(t, r, "k/1/")) != 1 {
-					t.Fatalf("cut=%d: second reopen sees %d keys, stream %v", cut, r.Len(), scanAll(t, r, "k/1/"))
+				if got, ok := r.Get("k/1/a"); !ok || string(got) != "first" || r.Len() != 1 || len(scanAll(t, r, "k/1/")) != 1 {
+					t.Fatalf("cut=%d: second reopen sees %d keys (k/1/a ok=%v, %d bytes), stream %v", cut, r.Len(), ok, len(got), scanAll(t, r, "k/1/"))
 				}
 				r.Close()
 			}
@@ -349,124 +368,52 @@ func TestDiskLazyPathDoesNoDurableIO(t *testing.T) {
 }
 
 func TestDiskKeyChurnStaysBounded(t *testing.T) {
-	dir := t.TempDir()
-	d := openDisk(t, dir)
-	// Everything in one scope so one shard absorbs all the churn.
-	val := bytes.Repeat([]byte("x"), 1024)
-	for i := 0; i < 4000; i++ {
-		if err := d.PutLazy(fmt.Sprintf("hot/1/%04d", i%4), val); err != nil {
-			t.Fatalf("PutLazy: %v", err)
-		}
-	}
-	if err := d.Put("hot/1/keep", []byte("keeper")); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	if stats := d.Stats(); stats.Rotations < 3 || stats.LiveSegments > int64(len(d.shards))+1 {
-		t.Fatalf("stats %+v: overwritten key records must not pin segments", stats)
-	}
-	d.Close()
+	// Overwritten key records must not pin segments, whether the values
+	// are small or checkpoint images: rotation restates only the live
+	// ones, and keeps doing so under half of all bytes written.
+	for _, tc := range []struct {
+		name string
+		size int
+	}{{"small", 1 << 10}, {"checkpoint", 48 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d := openDisk(t, dir)
+			// Everything in one scope so one shard absorbs all the churn.
+			newest := make([][]byte, 4)
+			put := int64(0)
+			for i := 0; d.Stats().Rotations < 3; i++ {
+				newest[i%4] = bytes.Repeat([]byte{byte(i)}, tc.size)
+				if err := d.PutLazy(fmt.Sprintf("hot/1/%04d", i%4), newest[i%4]); err != nil {
+					t.Fatalf("PutLazy: %v", err)
+				}
+				put += int64(tc.size)
+			}
+			if err := d.Put("hot/1/keep", []byte("keeper")); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+			if stats := d.Stats(); stats.LiveSegments > int64(len(d.shards))+1 || stats.BytesAppended > 2*put {
+				t.Fatalf("stats %+v after putting %d bytes: overwritten key records must not pin segments or be restated without bound", stats, put)
+			}
+			d.Close()
+			files, _ := filepath.Glob(filepath.Join(dir, "*"))
+			if want := len(segmentFiles(t, dir)) + 1; len(files) != want {
+				t.Fatalf("directory holds %v, want the meta file and the segments alone", files)
+			}
 
-	r := openDisk(t, dir)
-	defer r.Close()
-	if got, ok := r.Get("hot/1/keep"); !ok || string(got) != "keeper" {
-		t.Fatalf("live key lost by rotation (ok=%v %q)", ok, got)
-	}
-	for i := 0; i < 4; i++ {
-		if got, ok := r.Get(fmt.Sprintf("hot/1/%04d", i)); !ok || !bytes.Equal(got, val) {
-			t.Fatalf("live key %d lost by rotation", i)
-		}
-	}
-	if r.Len() != 5 {
-		t.Fatalf("Len = %d, want 5", r.Len())
-	}
-}
-
-func TestDiskDeleteReclaimsBlobs(t *testing.T) {
-	dir := t.TempDir()
-	d := openDisk(t, dir)
-	big := bytes.Repeat([]byte("c"), 8192)
-	for i := 0; i < 8; i++ {
-		if err := d.Put("ckpt/00000001", big); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-	}
-	if err := d.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	d.Close()
-	blobs, _ := filepath.Glob(filepath.Join(dir, "blob-*"))
-	if len(blobs) != 1 {
-		t.Fatalf("replaced blobs not reclaimed: %d files remain", len(blobs))
-	}
-}
-
-func TestDiskRenameRepointsBlob(t *testing.T) {
-	// The checkpoint Save idiom — Put under a temp key, Rename onto the
-	// real one — must write the image once: Rename re-points the blob
-	// file instead of copying it, the re-pointed file survives the temp
-	// key's tombstone, and the previous checkpoint's blob is collected.
-	dir := t.TempDir()
-	d := openDisk(t, dir)
-	blobFiles := func() []string {
-		blobs, _ := filepath.Glob(filepath.Join(dir, "blob-*"))
-		return blobs
-	}
-	var last []byte
-	for gen := 0; gen < 3; gen++ {
-		last = bytes.Repeat([]byte{byte('0' + gen)}, 8192)
-		written := d.blobSeq.Load()
-		if err := d.Put("ckpt/00000001.tmp", last); err != nil {
-			t.Fatalf("Put: %v", err)
-		}
-		if err := d.Rename("ckpt/00000001.tmp", "ckpt/00000001"); err != nil {
-			t.Fatalf("Rename: %v", err)
-		}
-		if n := d.blobSeq.Load() - written; n != 1 {
-			t.Fatalf("generation %d wrote %d blob files, want 1", gen, n)
-		}
-		if got, ok := d.Get("ckpt/00000001"); !ok || !bytes.Equal(got, last) {
-			t.Fatalf("generation %d unreadable after Rename", gen)
-		}
-		if blobs := blobFiles(); len(blobs) != 1 {
-			t.Fatalf("generation %d: blob files %v, want exactly the current image", gen, blobs)
-		}
-	}
-	d.Close()
-
-	r := openDisk(t, dir)
-	defer r.Close()
-	if got, ok := r.Get("ckpt/00000001"); !ok || !bytes.Equal(got, last) {
-		t.Fatalf("renamed blob value lost across reopen (ok=%v len=%d)", ok, len(got))
-	}
-	if _, ok := r.Get("ckpt/00000001.tmp"); ok {
-		t.Fatal("temp key survived Rename across reopen")
-	}
-	if blobs := blobFiles(); len(blobs) != 1 {
-		t.Fatalf("blob files after reopen: %v", blobs)
-	}
-}
-
-func TestDiskOrphanBlobCollected(t *testing.T) {
-	// A crash between blob rename and WAL append leaves an orphan blob;
-	// the next open must sweep it.
-	dir := t.TempDir()
-	d := openDisk(t, dir)
-	d.Put("k/1/a", []byte("v"))
-	d.Close()
-	orphan := filepath.Join(dir, "blob-00000000deadbeef.bin")
-	if err := os.WriteFile(orphan, []byte("orphan"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "tmp-blob-1.bin"), []byte("tmp"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	r := openDisk(t, dir)
-	r.Close()
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatal("orphan blob survived open")
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "tmp-*")); len(left) != 0 {
-		t.Fatalf("temp files survived open: %v", left)
+			r := openDisk(t, dir)
+			defer r.Close()
+			if got, ok := r.Get("hot/1/keep"); !ok || string(got) != "keeper" {
+				t.Fatalf("live key lost by rotation (ok=%v %q)", ok, got)
+			}
+			for i, val := range newest {
+				if got, ok := r.Get(fmt.Sprintf("hot/1/%04d", i)); !ok || !bytes.Equal(got, val) {
+					t.Fatalf("live key %d lost by rotation, or an older value won", i)
+				}
+			}
+			if r.Len() != 5 {
+				t.Fatalf("Len = %d, want 5", r.Len())
+			}
+		})
 	}
 }
 

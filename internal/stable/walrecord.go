@@ -4,15 +4,15 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"strings"
 )
 
 // WAL record format: u32 little-endian payload length, u32 CRC-32 (IEEE)
 // of the payload, payload. Payload: one op byte, uvarint name length,
-// name bytes, then the op's own fields to the end of the payload.
+// name bytes, then the op's own fields to the end of the payload. Op 2
+// stays unassigned: format v2 used it for values held in separate files,
+// and a v2 directory is refused by its meta version.
 const (
-	opPut    = 1 // key; rest is the value
-	opBlob   = 2 // key; rest is the name of the blob file holding the value
+	opPut    = 1 // key; rest is the value, of any size
 	opDelete = 3 // key; no rest
 	opAppend = 4 // stream; uvarint entry number, then the entry's data
 	opTrim   = 5 // stream; uvarint lo, uvarint tail: the window is now (lo, tail]
@@ -93,10 +93,6 @@ func decodePayload(p []byte) (r walRecord, ok bool) {
 	r.rest = p[1+w+int(n):]
 	switch r.op {
 	case opPut:
-	case opBlob:
-		blob := string(r.rest)
-		ok = strings.HasPrefix(blob, "blob-") && !strings.ContainsAny(blob, `/\`)
-		return r, ok
 	case opDelete:
 		return r, len(r.rest) == 0
 	case opAppend:
