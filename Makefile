@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-stress lint alloc-gate restart-check verify verify-tcp chaos trace-export fuzz vet examples clean
+.PHONY: all build test race race-stress lint alloc-gate restart-check chaos trace-export fuzz vet examples clean
 
 all: build vet lint test
 
@@ -57,16 +57,6 @@ alloc-gate:
 restart-check:
 	$(GO) build -o out/windar-run ./cmd/windar-run
 	$(GO) run ./cmd/windar-chaos -restart-bin out/windar-run
-
-# Randomized fault-injection soak with trace export/import and offline
-# invariant audit on every round.
-verify:
-	$(GO) run ./cmd/windar-verify -rounds 3 -procs 4
-
-# The same soak over real loopback TCP: kills sever sockets and drop
-# in-flight bytes instead of in-process queues.
-verify-tcp:
-	$(GO) run ./cmd/windar-verify -rounds 3 -procs 4 -transport tcp
 
 # Deterministic fault-schedule soak: fixed seed matrix on both
 # transports with the byte-for-byte replay check; a failure prints the

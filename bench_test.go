@@ -1,14 +1,7 @@
-// Benchmarks regenerating the paper's evaluation, one family per figure:
+// Design-choice ablations over the public API, plus the Fig. 7 ordering
+// check. The figures themselves come from cmd/windar-bench -fig 6/7/8.
 //
-//	go test -bench=Fig6 -benchmem .   # piggyback amount per message
-//	go test -bench=Fig7 -benchmem .   # dependency-tracking time
-//	go test -bench=Fig8 -benchmem .   # blocking vs non-blocking with a fault
-//	go test -bench=Ablation .         # design-choice ablations
-//
-// Each Fig6/Fig7 benchmark iteration executes one full cluster run of the
-// named NPB workload under the named protocol and reports the paper's
-// metric via b.ReportMetric; Fig8 benchmarks time the complete
-// fault+recovery run, so ns/op itself is the figure's quantity.
+//	go test -bench=Ablation .
 package windar_test
 
 import (
@@ -19,10 +12,6 @@ import (
 	"windar"
 )
 
-// benchProcs mirrors the paper's sweep, truncated so a full -bench=. pass
-// stays tractable; pass -bench manually with bigger sweeps when needed.
-var benchProcs = []int{4, 8, 16, 32}
-
 var benchProtocols = []windar.Protocol{windar.TDI, windar.TAG, windar.TEL}
 
 func benchConfig(procs int, p windar.Protocol, mode windar.Mode) windar.Config {
@@ -31,7 +20,6 @@ func benchConfig(procs int, p windar.Protocol, mode windar.Mode) windar.Config {
 		Protocol:           p,
 		Mode:               mode,
 		CheckpointEvery:    3,
-		BaseLatency:        20 * time.Microsecond,
 		JitterFraction:     0.5,
 		Seed:               1,
 		EventLoggerLatency: 60 * time.Microsecond,
@@ -70,51 +58,6 @@ func runBenchCluster(b testing.TB, cfg windar.Config, f windar.Factory, chaos fu
 	return c.Stats()
 }
 
-// BenchmarkFig6Piggyback reports identifiers piggybacked per application
-// message (the paper's Fig. 6 y-axis) for every (benchmark, procs,
-// protocol) cell.
-func BenchmarkFig6Piggyback(b *testing.B) {
-	for _, bench := range []string{"lu", "bt", "sp"} {
-		for _, procs := range benchProcs {
-			for _, p := range benchProtocols {
-				name := fmt.Sprintf("%s/p%d/%s", bench, procs, p)
-				b.Run(name, func(b *testing.B) {
-					f := benchFactory(b, bench, procs)
-					var ids float64
-					for i := 0; i < b.N; i++ {
-						s := runBenchCluster(b, benchConfig(procs, p, windar.NonBlocking), f, nil)
-						ids = s.AvgPiggybackIDs()
-					}
-					b.ReportMetric(ids, "ids/msg")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkFig7Tracking reports dependency-tracking time per message (the
-// paper's Fig. 7 y-axis).
-func BenchmarkFig7Tracking(b *testing.B) {
-	for _, bench := range []string{"lu", "bt", "sp"} {
-		for _, procs := range benchProcs {
-			for _, p := range benchProtocols {
-				name := fmt.Sprintf("%s/p%d/%s", bench, procs, p)
-				b.Run(name, func(b *testing.B) {
-					f := benchFactory(b, bench, procs)
-					var perMsg float64
-					for i := 0; i < b.N; i++ {
-						s := runBenchCluster(b, benchConfig(procs, p, windar.NonBlocking), f, nil)
-						if s.MsgsSent > 0 {
-							perMsg = float64(s.TrackingTime().Nanoseconds()) / float64(s.MsgsSent)
-						}
-					}
-					b.ReportMetric(perMsg, "tracking-ns/msg")
-				})
-			}
-		}
-	}
-}
-
 // TestFig7OrderingUnderSampling pins the figure's qualitative result at
 // its lu/p16 cell: tracking time is sampled 1-in-k (metrics.Tracker),
 // the same rule for all three protocols, and the paper's ordering
@@ -133,37 +76,6 @@ func TestFig7OrderingUnderSampling(t *testing.T) {
 	if !(perMsg[windar.TDI] < perMsg[windar.TEL] && perMsg[windar.TEL] < perMsg[windar.TAG]) {
 		t.Fatalf("tracking ns/msg at lu/p16: TDI %.0f, TEL %.0f, TAG %.0f; want TDI < TEL < TAG",
 			perMsg[windar.TDI], perMsg[windar.TEL], perMsg[windar.TAG])
-	}
-}
-
-// BenchmarkFig8Accomplishment times a complete run with one injected
-// failure and recovery under each communication mode; ns/op is the
-// accomplishment time whose blocking/non-blocking ratio is the paper's
-// Fig. 8. Links are throttled to the paper's Ethernet-like regime.
-func BenchmarkFig8Accomplishment(b *testing.B) {
-	for _, bench := range []string{"lu", "bt", "sp"} {
-		for _, procs := range []int{4, 8, 16} {
-			for _, mode := range []windar.Mode{windar.Blocking, windar.NonBlocking} {
-				modeName := "blocking"
-				if mode == windar.NonBlocking {
-					modeName = "nonblocking"
-				}
-				name := fmt.Sprintf("%s/p%d/%s", bench, procs, modeName)
-				b.Run(name, func(b *testing.B) {
-					f := benchFactory(b, bench, procs)
-					cfg := benchConfig(procs, windar.TDI, mode)
-					cfg.Bandwidth = 50 << 20
-					for i := 0; i < b.N; i++ {
-						runBenchCluster(b, cfg, f, func(c *windar.Cluster) {
-							time.Sleep(8 * time.Millisecond)
-							if err := c.KillAndRecover(1, 2*time.Millisecond); err != nil {
-								b.Fatal(err)
-							}
-						})
-					}
-				})
-			}
-		}
 	}
 }
 

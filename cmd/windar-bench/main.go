@@ -28,7 +28,7 @@ import (
 	"strings"
 	"time"
 
-	"windar"
+	"windar/internal/experiments"
 	"windar/internal/harness"
 )
 
@@ -51,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal("bad -procs: %v", err)
 	}
-	opts := windar.ExperimentOptions{
+	opts := experiments.Options{
 		Benchmarks: strings.Split(*benchmarks, ","),
 		ProcCounts: procCounts,
 		N:          *n,
@@ -71,23 +71,23 @@ func main() {
 	}
 
 	if want["6"] || want["7"] {
-		rows, err := windar.RunOverheadSweep(opts)
+		rows, err := experiments.RunOverheadSweep(opts)
 		if err != nil {
 			fatal("overhead sweep: %v", err)
 		}
 		if want["6"] {
-			fmt.Println(windar.Fig6Text(rows))
+			fmt.Println(experiments.Fig6Table(rows))
 		}
 		if want["7"] {
-			fmt.Println(windar.Fig7Text(rows))
+			fmt.Println(experiments.Fig7Table(rows))
 		}
 	}
 	if want["6"] || want["pig"] {
-		row, err := windar.RunPiggybackCompare(opts)
+		row, err := experiments.RunPiggybackCompare(opts)
 		if err != nil {
 			fatal("piggyback compare: %v", err)
 		}
-		fmt.Println(windar.PigText(row))
+		fmt.Println(experiments.PigTable(row))
 		data, err := json.MarshalIndent(row, "", "  ")
 		if err != nil {
 			fatal("piggyback compare: %v", err)
@@ -99,18 +99,18 @@ func main() {
 			*pigOut, row.Bench, row.Procs, row.FullBytes, row.DeltaBytes, 100*row.Reduction)
 	}
 	if want["8"] {
-		rows, err := windar.RunFig8(opts)
+		rows, err := experiments.RunFig8(opts)
 		if err != nil {
 			fatal("fig 8: %v", err)
 		}
-		fmt.Println(windar.Fig8Text(rows))
+		fmt.Println(experiments.Fig8Table(rows))
 	}
 	if want["ckpt"] {
-		rows, err := windar.RunCheckpointSweep(opts, nil)
+		rows, err := experiments.RunCheckpointSweep(opts, nil)
 		if err != nil {
 			fatal("checkpoint sweep: %v", err)
 		}
-		fmt.Println(windar.CkptText(rows))
+		fmt.Println(experiments.CkptTable(rows))
 	}
 	if want["alloc"] {
 		if err := runAllocGate(*allocCheck, *allocOut); err != nil {

@@ -6,9 +6,11 @@
 // including the rollback-RESPONSE pairing rule; with -replay each run
 // executes twice and the action logs must match byte-for-byte. On
 // failure the reproducing seed and command are printed and the exit
-// code is non-zero.
+// code is non-zero. -app and -protocol take comma lists; every (app,
+// protocol) pair runs the whole seed x transport matrix.
 //
 //	windar-chaos -seeds 1,2,3 -transports mem,tcp -replay
+//	windar-chaos -seeds 1,2 -transports mem,tcp -protocol tdi,tag,tel -app ring,masterworker,lu
 //	windar-chaos -seeds 7 -transports tcp -schedule 'kill 1 @2ms; recover 1 @8ms'
 package main
 
@@ -22,7 +24,6 @@ import (
 
 	"windar/internal/chaos"
 	"windar/internal/harness"
-	"windar/internal/transport"
 )
 
 func main() {
@@ -31,8 +32,8 @@ func main() {
 		tports   = flag.String("transports", "mem", "comma-separated substrates: mem, tcp")
 		procs    = flag.Int("procs", 4, "number of processes")
 		steps    = flag.Int("steps", 40, "workload steps")
-		appName  = flag.String("app", "ring", "workload: ring, halo, masterworker, pairs")
-		proto    = flag.String("protocol", "tdi", "protocol: tdi, tag, tel")
+		appName  = flag.String("app", "ring", "comma-separated workloads: ring, halo, masterworker, pairs, lu, bt, sp")
+		proto    = flag.String("protocol", "tdi", "comma-separated protocols: tdi, tag, tel")
 		ckpt     = flag.Int("ckpt-every", 3, "checkpoint interval in steps")
 		faults   = flag.Int("faults", 8, "generated fault actions per schedule")
 		spacing  = flag.Duration("spacing", 3*time.Millisecond, "mean gap between generated actions")
@@ -96,8 +97,6 @@ func main() {
 		Run: chaos.RunOptions{
 			Procs:           *procs,
 			AppSteps:        *steps,
-			App:             *appName,
-			Protocol:        harness.ProtocolKind(*proto),
 			CheckpointEvery: *ckpt,
 			SpanTracing:     *tracing,
 		},
@@ -134,17 +133,22 @@ func main() {
 		}
 	}
 
-	fmt.Printf("windar-chaos: %d seeds x %d transports, app=%s protocol=%s procs=%d replay=%v\n",
-		len(o.Seeds), len(o.Transports), *appName, *proto, *procs, *replay)
-	if err := chaos.Soak(o); err != nil {
-		fmt.Fprintf(os.Stderr, "windar-chaos: FAIL\n%v\n", err)
-		os.Exit(1)
+	for _, app := range splitList(*appName) {
+		for _, p := range splitList(*proto) {
+			o.Run.App, o.Run.Protocol = app, harness.ProtocolKind(p)
+			fmt.Printf("windar-chaos: %d seeds x %d transports, app=%s protocol=%s procs=%d replay=%v\n",
+				len(o.Seeds), len(o.Transports), app, p, *procs, *replay)
+			if err := chaos.Soak(o); err != nil {
+				fmt.Fprintf(os.Stderr, "windar-chaos: FAIL\n%v\n", err)
+				os.Exit(1)
+			}
+		}
 	}
 	fmt.Println("windar-chaos: all runs clean")
 }
 
 // splitList splits a comma-separated flag, dropping empty entries.
-func splitList(s string) []transport.Kind {
+func splitList(s string) []string {
 	var out []string
 	for _, f := range strings.Split(s, ",") {
 		if f = strings.TrimSpace(f); f != "" {

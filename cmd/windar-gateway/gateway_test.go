@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"windar"
+	"windar/layer"
 )
 
 // transports lists the substrates the gateway must behave identically
@@ -130,7 +131,7 @@ func TestGatewayUserInterceptor(t *testing.T) {
 	var payloadBytes atomic.Int64
 	s := newServer(windar.TransportMem, 2)
 	s.userChain = []windar.Interceptor{
-		windar.InterceptorFunc(func(next windar.Handler) windar.Handler {
+		layer.InterceptorFunc(func(next windar.Handler) windar.Handler {
 			return &byteMeter{Forward: windar.Forward{Next: next}, total: &payloadBytes}
 		}),
 	}

@@ -15,9 +15,10 @@
 //     unstalls everything before the end);
 //   - Engine: a harness.Observer wrapper that fires the schedule while
 //     forwarding every event to an inner observer (the trace recorder);
-//   - Soak / RunSchedule: run seeds x transports, validate every run
-//     against the trace invariants and a fault-free baseline state, and
-//     name the reproducing seed on failure.
+//   - Soak / RunSchedule: run seeds x transports, validate every run's
+//     exported-and-reimported trace against the trace invariants and its
+//     final state against a fault-free baseline, and name the
+//     reproducing seed on failure.
 package chaos
 
 import (

@@ -3,17 +3,25 @@ package chaos
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
+	"windar/internal/app"
 	"windar/internal/fabric"
 	"windar/internal/harness"
+	"windar/internal/npb"
 	"windar/internal/trace"
 	"windar/internal/transport"
 	"windar/internal/workload"
 )
+
+// telLoggerLatency is the event-logger round trip every run configures.
+// Only TEL uses it; at 100µs its determinants are still in flight when
+// kills land, which is the window the TEL cells exist to hit.
+const telLoggerLatency = 100 * time.Microsecond
 
 // RunOptions configures one chaos run.
 type RunOptions struct {
@@ -23,10 +31,11 @@ type RunOptions struct {
 	Transport transport.Kind
 	// Procs is the cluster size. Required.
 	Procs int
-	// App names the synthetic workload (workload.ByName): "ring",
-	// "halo", "masterworker" or "pairs". Default "ring".
+	// App names the workload: a synthetic one (workload.ByName: "ring",
+	// "halo", "masterworker", "pairs") or an NPB kernel ("lu", "bt",
+	// "sp" on a 6^3 domain). Default "ring".
 	App string
-	// AppSteps is the application step count. Default 40.
+	// AppSteps is the application step count (NPB iterations). Default 40.
 	AppSteps int
 	// Protocol defaults to TDI.
 	Protocol harness.ProtocolKind
@@ -76,30 +85,41 @@ type RunResult struct {
 	Trace *trace.Recorder
 }
 
+// appFactory resolves RunOptions.App.
+func appFactory(name string, steps int) (app.Factory, error) {
+	switch name {
+	case "lu", "bt", "sp":
+		return npb.Benchmark(name, npb.Params{N: 6, Iterations: steps, NormEvery: 4})
+	}
+	return workload.ByName(name, steps)
+}
+
 // RunSchedule executes one schedule against a fresh cluster and
-// validates the run: the full trace passes Validate and
-// CheckInvariants, and the final per-rank application states are
-// returned for baseline comparison.
+// validates the run through the file path an operator uses: the trace
+// is exported to JSONL and re-imported, and the imported copy must pass
+// Validate and CheckInvariants (auditExport). The final per-rank
+// application states are returned for baseline comparison.
 func RunSchedule(o RunOptions) (*RunResult, error) {
 	o.fill()
 	if err := o.Schedule.Validate(o.Procs); err != nil {
 		return nil, err
 	}
-	factory, err := workload.ByName(o.App, o.AppSteps)
+	factory, err := appFactory(o.App, o.AppSteps)
 	if err != nil {
 		return nil, err
 	}
 	rec := &trace.Recorder{}
 	eng := NewEngine(o.Schedule, rec)
 	cfg := harness.Config{
-		N:               o.Procs,
-		Protocol:        o.Protocol,
-		CheckpointEvery: o.CheckpointEvery,
-		Transport:       o.Transport,
-		Fabric:          fabric.Config{BaseLatency: 20 * time.Microsecond, JitterFraction: 0.2, Seed: o.Seed},
-		Observer:        eng,
-		StallTimeout:    o.StallTimeout,
-		SpanTracing:     o.SpanTracing,
+		N:                  o.Procs,
+		Protocol:           o.Protocol,
+		CheckpointEvery:    o.CheckpointEvery,
+		Transport:          o.Transport,
+		Fabric:             fabric.Config{BaseLatency: 20 * time.Microsecond, JitterFraction: 0.2, Seed: o.Seed},
+		Observer:           eng,
+		StallTimeout:       o.StallTimeout,
+		SpanTracing:        o.SpanTracing,
+		EventLoggerLatency: telLoggerLatency,
 	}
 	c, err := harness.NewCluster(cfg, factory)
 	if err != nil {
@@ -117,13 +137,47 @@ func RunSchedule(o RunOptions) (*RunResult, error) {
 	for rank := 0; rank < o.Procs; rank++ {
 		res.States[rank] = c.AppSnapshot(rank)
 	}
-	res.Problems = append(res.Problems, rec.Validate(true)...)
-	res.Problems = append(res.Problems, rec.CheckInvariants()...)
+	// Close before exporting: over TCP, late control traffic can still
+	// record events after Wait, and the round trip compares counts.
+	c.Close()
+	var buf bytes.Buffer
+	if err := rec.Export(&buf); err != nil {
+		return nil, fmt.Errorf("trace export: %w", err)
+	}
+	imported, problems, err := auditExport(rec, &buf, true)
+	if err != nil {
+		return nil, err
+	}
+	res.Problems = problems
 	if o.SpanTracing {
-		lin := trace.BuildLineage(rec)
-		res.Problems = append(res.Problems, lin.Check()...)
+		res.Problems = append(res.Problems, trace.BuildLineage(imported).Check()...)
 	}
 	return res, nil
+}
+
+// auditExport re-imports data, the JSONL export of rec, and checks the
+// imported copy rather than rec: it must carry rec's event count,
+// transport and dropped count, and then goes through Validate (FIFO, no
+// duplicate, no loss) and CheckInvariants (per-link order,
+// deliver-index monotonicity, demand satisfaction, checkpoint counts,
+// rollback-response pairing). finished reports whether the run
+// completed. It returns the imported copy for further checks.
+func auditExport(rec *trace.Recorder, data io.Reader, finished bool) (*trace.Recorder, []trace.Problem, error) {
+	imported, err := trace.Import(data)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trace import: %w", err)
+	}
+	if imported.Len() != rec.Len() {
+		return nil, nil, fmt.Errorf("trace round trip: %d events in, %d out", rec.Len(), imported.Len())
+	}
+	if got, want := imported.Transport(), rec.Transport(); got != want {
+		return nil, nil, fmt.Errorf("trace round trip: transport header %q, want %q", got, want)
+	}
+	if got, want := imported.Dropped(), rec.Dropped(); got != want {
+		return nil, nil, fmt.Errorf("trace round trip: dropped count %d, want %d", got, want)
+	}
+	problems := append(imported.Validate(finished), imported.CheckInvariants()...)
+	return imported, problems, nil
 }
 
 // Baseline runs the same workload fault-free (on the mem transport; the
@@ -131,16 +185,17 @@ func RunSchedule(o RunOptions) (*RunResult, error) {
 // per-rank final snapshots every chaos run must reproduce.
 func Baseline(o RunOptions) ([][]byte, error) {
 	o.fill()
-	factory, err := workload.ByName(o.App, o.AppSteps)
+	factory, err := appFactory(o.App, o.AppSteps)
 	if err != nil {
 		return nil, err
 	}
 	cfg := harness.Config{
-		N:               o.Procs,
-		Protocol:        o.Protocol,
-		CheckpointEvery: o.CheckpointEvery,
-		Fabric:          fabric.Config{BaseLatency: 20 * time.Microsecond},
-		StallTimeout:    o.StallTimeout,
+		N:                  o.Procs,
+		Protocol:           o.Protocol,
+		CheckpointEvery:    o.CheckpointEvery,
+		Fabric:             fabric.Config{BaseLatency: 20 * time.Microsecond},
+		StallTimeout:       o.StallTimeout,
+		EventLoggerLatency: telLoggerLatency,
 	}
 	c, err := harness.NewCluster(cfg, factory)
 	if err != nil {

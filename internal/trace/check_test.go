@@ -161,7 +161,8 @@ func TestRoundTripInterleavedThroughChecker(t *testing.T) {
 }
 
 func TestImportRejectsUnknownKind(t *testing.T) {
-	in := strings.NewReader(`{"kind":"send","rank":0,"peer":1,"sendIndex":1,"seq":0}
+	in := strings.NewReader(`{"header":4}
+{"kind":"send","rank":0,"peer":1,"sendIndex":1,"seq":0}
 {"kind":"teleport","rank":1,"seq":1}
 `)
 	if _, err := Import(in); err == nil || !strings.Contains(err.Error(), "unknown kind") {
@@ -182,12 +183,13 @@ func TestImportEmptyLog(t *testing.T) {
 	}
 }
 
-// TestImportDefaultsDemand pins the compatibility contract: deliver
-// events from traces written before the demand field default to -1 (no
-// requirement recorded) rather than 0 (a real, trivially-satisfiable
+// TestImportDefaultsDemand pins the import contract: a deliver event
+// without a demand field (Export omits the -1 sentinel) reads back as -1
+// (no requirement recorded) rather than 0 (a real, trivially-satisfiable
 // demand), and non-deliver events stay at 0.
 func TestImportDefaultsDemand(t *testing.T) {
-	in := strings.NewReader(`{"kind":"deliver","rank":1,"peer":0,"sendIndex":1,"deliverIndex":1,"seq":0}
+	in := strings.NewReader(`{"header":4}
+{"kind":"deliver","rank":1,"peer":0,"sendIndex":1,"deliverIndex":1,"seq":0}
 {"kind":"checkpoint","rank":1,"step":1,"count":1,"seq":1}
 `)
 	rec, err := Import(in)
@@ -213,7 +215,7 @@ func TestExportDemandRoundTrip(t *testing.T) {
 	if err := r.Export(&buf); err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] // past the header
 	if !strings.Contains(lines[0], `"demand":7`) {
 		t.Fatalf("demand not exported: %s", lines[0])
 	}

@@ -18,12 +18,12 @@ type jsonEvent struct {
 	DeliverIndex int64  `json:"deliverIndex,omitempty"`
 	Step         int    `json:"step,omitempty"`
 	Count        int64  `json:"count,omitempty"`
-	Demand       *int64 `json:"demand,omitempty"` // nil on pre-demand traces
+	Demand       *int64 `json:"demand,omitempty"` // nil: no requirement recorded
 	Resent       bool   `json:"resent,omitempty"`
-	Phase        string `json:"phase,omitempty"` // recovery-phase spans (header v2)
-	Dur          int64  `json:"dur,omitempty"`   // span nanoseconds (header v2)
+	Phase        string `json:"phase,omitempty"` // recovery-phase spans
+	Dur          int64  `json:"dur,omitempty"`   // span nanoseconds
 	Seq          int    `json:"seq"`
-	// Causal span identifiers (header v4), lowercase hex without a 0x
+	// Causal span identifiers, lowercase hex without a 0x
 	// prefix — uint64s would lose precision in JSON tooling that reads
 	// numbers as float64. Absent on untraced events.
 	Trace  string `json:"trace,omitempty"`
@@ -31,26 +31,20 @@ type jsonEvent struct {
 	Parent string `json:"parent,omitempty"`
 }
 
-// jsonHeader is the optional first line of a trace file carrying run
-// metadata. It is distinguishable from jsonEvent because events always
-// carry a non-empty "kind" and never a "header" field. Traces written
-// before the header existed start directly with an event line and still
-// import.
+// jsonHeader is the first line of every trace file: the format version
+// plus run metadata. It is distinguishable from jsonEvent because events
+// always carry a non-empty "kind" and never a "header" field.
 type jsonHeader struct {
 	Header    int    `json:"header"` // format version of the header line
 	Transport string `json:"transport,omitempty"`
 	Dropped   int    `json:"dropped,omitempty"` // events evicted by a bounded recorder
 }
 
-// headerVersion is the current header-line format version. Version 2
-// added recovery-phase span events (kind "recovery-phase" with phase
-// and dur fields) and the header's dropped count for traces written by
-// bounded recorders. Version 3 added the recovery-exchange events
-// (kinds "rollback", "response", "ingest-rejected") that back the
-// rollback-response pairing rule. Version 4 added the causal span
-// identifiers (hex "trace"/"span"/"parent" on send and deliver events)
-// the lineage reconstructor consumes; files with older headers, or
-// none, still import.
+// headerVersion is the trace file format version, the only one Import
+// reads. Version 4 carries recovery-phase spans ("recovery-phase" with
+// phase and dur), the recovery-exchange events ("rollback", "response",
+// "ingest-rejected") and the causal span identifiers (hex
+// "trace"/"span"/"parent" on send and deliver events).
 const headerVersion = 4
 
 var kindNames = map[EventKind]string{
@@ -83,15 +77,14 @@ func (k EventKind) String() string {
 }
 
 // Export writes the recorded events to w as JSON Lines, one event per
-// line, suitable for offline analysis or re-import. When a transport
-// kind was stamped (SetTransport) or a bounded recorder evicted
-// events, a metadata header line precedes the events.
+// line, suitable for offline analysis or re-import. A header line
+// carrying the format version, the stamped transport kind
+// (SetTransport) and a bounded recorder's dropped count precedes the
+// events.
 func (r *Recorder) Export(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	if tk, dropped := r.Transport(), r.Dropped(); tk != "" || dropped > 0 {
-		if err := enc.Encode(jsonHeader{Header: headerVersion, Transport: tk, Dropped: dropped}); err != nil {
-			return fmt.Errorf("trace: export header: %w", err)
-		}
+	if err := enc.Encode(jsonHeader{Header: headerVersion, Transport: r.Transport(), Dropped: r.Dropped()}); err != nil {
+		return fmt.Errorf("trace: export header: %w", err)
 	}
 	for _, e := range r.Events() {
 		je := jsonEvent{
@@ -119,47 +112,40 @@ func (r *Recorder) Export(w io.Writer) error {
 }
 
 // Import reads a JSON Lines trace written by Export into a fresh
-// Recorder. A leading metadata header line, when present, restores the
-// recorded transport kind; headerless traces (written before transport
-// metadata existed) import unchanged.
+// Recorder. The first line must be a version-4 header; it restores the
+// recorded transport kind and dropped count. An empty input is an empty
+// trace.
 func Import(rd io.Reader) (*Recorder, error) {
 	dec := json.NewDecoder(rd)
 	rec := &Recorder{}
-	first := true
+	var h jsonHeader
+	if err := dec.Decode(&h); err == io.EOF {
+		return rec, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("trace: import: %w", err)
+	}
+	if h.Header != headerVersion {
+		return nil, fmt.Errorf("trace: import: first line is not a version %d header (got version %d)", headerVersion, h.Header)
+	}
+	rec.transport = h.Transport
+	// A dropped count marks a bounded-recorder export: the retained
+	// events continue the original Seq numbering.
+	rec.dropped = h.Dropped
+	rec.seq = h.Dropped
 	for {
-		var line struct {
-			jsonHeader
-			jsonEvent
-		}
-		if err := dec.Decode(&line); err == io.EOF {
+		var je jsonEvent
+		if err := dec.Decode(&je); err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("trace: import: %w", err)
 		}
-		if line.Header > 0 {
-			if !first {
-				return nil, fmt.Errorf("trace: import: header line not first")
-			}
-			if line.Header > headerVersion {
-				return nil, fmt.Errorf("trace: import: header version %d unsupported", line.Header)
-			}
-			rec.transport = line.Transport
-			// A dropped count marks a bounded-recorder export: the
-			// retained events continue the original Seq numbering.
-			rec.dropped = line.Dropped
-			rec.seq = line.Dropped
-			first = false
-			continue
-		}
-		first = false
-		je := line.jsonEvent
 		kind, ok := kindValues[je.Kind]
 		if !ok {
 			return nil, fmt.Errorf("trace: import: unknown kind %q", je.Kind)
 		}
 		var demand int64
 		if kind == EvDeliver {
-			demand = -1 // pre-demand traces carry no requirement
+			demand = -1 // Export omits the no-requirement sentinel
 		}
 		if je.Demand != nil {
 			demand = *je.Demand

@@ -61,36 +61,34 @@ func TestTransportHeaderRoundTrip(t *testing.T) {
 }
 
 func TestImportHeaderlessTrace(t *testing.T) {
-	// Traces written before transport metadata existed start directly
-	// with an event line and must keep importing.
+	// Every export starts with the version header, even from an
+	// unstamped recorder, and a file without one is rejected.
 	r := sampleRecorder()
 	var buf bytes.Buffer
 	if err := r.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(buf.String(), `"header"`) {
-		t.Fatalf("unstamped recorder wrote a header:\n%s", buf.String())
+	header, events, _ := strings.Cut(buf.String(), "\n")
+	if header != `{"header":4}` {
+		t.Fatalf("unstamped recorder's header line = %q", header)
 	}
-	got, err := Import(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Transport() != "" {
-		t.Fatalf("Transport = %q on headerless trace", got.Transport())
-	}
-	if got.Len() != r.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), r.Len())
+	if _, err := Import(strings.NewReader(events)); err == nil {
+		t.Fatal("headerless trace accepted")
 	}
 }
 
 func TestImportRejectsBadHeaders(t *testing.T) {
-	if _, err := Import(strings.NewReader(`{"header":99,"transport":"mem"}`)); err == nil {
-		t.Fatal("future header version accepted")
-	}
-	late := `{"kind":"send","rank":0,"peer":1,"sendIndex":1,"seq":0}` + "\n" +
-		`{"header":1,"transport":"mem"}`
-	if _, err := Import(strings.NewReader(late)); err == nil {
-		t.Fatal("mid-stream header accepted")
+	event := `{"kind":"send","rank":0,"peer":1,"sendIndex":1,"seq":0}`
+	for _, in := range []string{
+		`{"header":99,"transport":"mem"}`,               // future version
+		`{"header":1,"transport":"mem"}` + "\n" + event, // older versions are not read
+		`{"header":3}` + "\n" + event,
+		event + "\n" + `{"header":4,"transport":"mem"}`,       // header not first
+		`{"header":4}` + "\n" + event + "\n" + `{"header":4}`, // second header
+	} {
+		if _, err := Import(strings.NewReader(in)); err == nil {
+			t.Errorf("accepted:\n%s", in)
+		}
 	}
 }
 
@@ -98,7 +96,7 @@ func TestImportRejectsGarbage(t *testing.T) {
 	if _, err := Import(strings.NewReader("not json")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := Import(strings.NewReader(`{"kind":"martian","rank":0,"seq":0}`)); err == nil {
+	if _, err := Import(strings.NewReader(`{"header":4}` + "\n" + `{"kind":"martian","rank":0,"seq":0}`)); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }

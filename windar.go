@@ -4,8 +4,8 @@
 // logging protocol, the TAG (antecedence graph) and TEL (event logger)
 // baselines it is evaluated against, a simulated cluster substrate
 // (fabric, MPI-style messaging, stable storage, checkpointing, failure
-// injection), NPB-like LU/BT/SP workloads, and drivers that regenerate
-// the paper's Fig. 6, Fig. 7 and Fig. 8.
+// injection) and NPB-like LU/BT/SP workloads. cmd/windar-bench
+// regenerates the paper's Fig. 6, Fig. 7 and Fig. 8.
 //
 // Quick start:
 //
@@ -38,14 +38,14 @@
 //
 // The symbols exported here are the supported surface. Several are type
 // aliases that intentionally re-export an internal type wholesale —
-// Stats, TraceRecorder, ObsRegistry, Clock and FakeClock below, plus the
-// experiment row types — because their full method sets are the product
-// (counter snapshots, trace validation, histogram export, injectable
-// time). Each alias documents its own stability boundary: what embedders
-// may rely on, and what is an implementation detail that can change
-// between minor versions. Everything under internal/ that is not
-// re-exported here is out of bounds; the windar-lint pubapi analyzer
-// enforces that examples and shipped binaries respect the boundary.
+// Stats, TraceRecorder, ObsRegistry and Clock below — because their full
+// method sets are the product (counter snapshots, trace validation,
+// histogram export, the time source). Each alias documents its own
+// stability boundary: what embedders may rely on, and what is an
+// implementation detail that can change between minor versions.
+// Everything under internal/ that is not re-exported here is out of
+// bounds; the windar-lint pubapi analyzer enforces that examples and
+// shipped binaries respect the boundary.
 package windar
 
 import (
@@ -54,7 +54,6 @@ import (
 
 	iapp "windar/internal/app"
 	"windar/internal/clock"
-	"windar/internal/experiments"
 	"windar/internal/fabric"
 	"windar/internal/harness"
 	"windar/internal/metrics"
@@ -124,9 +123,6 @@ const (
 // AnySource matches any sender in Recv — MPI_ANY_SOURCE.
 const AnySource = iapp.AnySource
 
-// AnyTag matches any tag in Recv.
-const AnyTag = iapp.AnyTag
-
 // Env is the communication interface handed to applications. Delivery is
 // strictly FIFO per sender channel.
 type Env interface {
@@ -160,19 +156,9 @@ type Handler = layer.Handler
 // through Config.Interceptors. Alias of layer.Interceptor.
 type Interceptor = layer.Interceptor
 
-// InterceptorFunc adapts a function to the Interceptor interface. Alias
-// of layer.InterceptorFunc.
-type InterceptorFunc = layer.InterceptorFunc
-
 // Msg is one application message traversing the chain. Alias of
 // layer.Msg; see its field and reuse contract there.
 type Msg = layer.Msg
-
-// SpanContext is the compact causal-tracing identity stamped on every
-// message when Config.Tracing is on (Msg.Span in the chain, carried in
-// the wire envelope). Alias of layer.SpanContext; identifiers are
-// deterministic (rank, incarnation, send counter), not random.
-type SpanContext = layer.SpanContext
 
 // Forward is an embeddable Handler base forwarding every verb to Next.
 // Alias of layer.Forward.
@@ -190,10 +176,6 @@ type RestoreInfo = layer.RestoreInfo
 // set Config.CheckpointPolicy to override the CheckpointEvery interval.
 // Alias of layer.CheckpointPolicy.
 type CheckpointPolicy = layer.CheckpointPolicy
-
-// EveryKSteps is the step-interval CheckpointPolicy (what
-// CheckpointEvery configures). Alias of layer.EveryKSteps.
-type EveryKSteps = layer.EveryKSteps
 
 // Stats is the per-run overhead counter snapshot (piggyback identifiers
 // and bytes, tracking time, log retention, recovery counts...).
@@ -257,25 +239,16 @@ type ObsRegistry = obs.Registry
 // NewObsRegistry returns an observability registry for an n-rank run.
 func NewObsRegistry(n int) *ObsRegistry { return obs.NewRegistry(n) }
 
-// Clock abstracts time for the whole system. Production code uses
-// RealClock; tests can inject a FakeClock and drive it deterministically.
-// The windar-lint directclock analyzer keeps every other package off the
-// time package, so a Config.Clock override reaches all timing decisions.
+// Clock abstracts time. The windar-lint directclock analyzer keeps
+// every package but internal/clock off the time package, so commands and
+// examples sleep and read time through RealClock.
 //
-// Stability: intentionally aliased to the internal clock interface —
-// embedders implement it to supply their own time source, so its method
-// set only grows with a major version.
+// Stability: intentionally aliased to the internal clock interface; its
+// method set only grows with a major version.
 type Clock = clock.Clock
-
-// FakeClock is a manually advanced Clock for deterministic tests.
-// Stability: aliased with Clock; Advance/Now semantics are stable.
-type FakeClock = clock.Fake
 
 // RealClock returns the wall clock.
 func RealClock() Clock { return clock.Real{} }
-
-// NewFakeClock returns a FakeClock reading start until advanced.
-func NewFakeClock(start time.Time) *FakeClock { return clock.NewFake(start) }
 
 // Config describes a cluster run.
 type Config struct {
@@ -299,14 +272,12 @@ type Config struct {
 	// the full contract.
 	Interceptors []Interceptor
 	// Transport selects the communication substrate: TransportMem
-	// (default) or TransportTCP. BaseLatency, Bandwidth, JitterFraction
-	// and Seed shape the mem fabric only; TCP runs at loopback speed.
+	// (default; a 20µs per-message latency with infinite bandwidth) or
+	// TransportTCP. JitterFraction and Seed shape the mem fabric only;
+	// TCP runs at loopback speed.
 	Transport TransportKind
-	// BaseLatency is the per-message network latency (default 20µs).
-	BaseLatency time.Duration
-	// Bandwidth in bytes/second; 0 means infinite.
-	Bandwidth int64
-	// JitterFraction adds up to that fraction of extra random delay.
+	// JitterFraction adds up to that fraction of the base latency as
+	// extra random delay.
 	JitterFraction float64
 	// Seed makes network jitter reproducible.
 	Seed int64
@@ -360,27 +331,16 @@ type Config struct {
 	// phases). Expose it over HTTP with Cluster.ServeDebug. Nil keeps
 	// every recording site a no-op.
 	Obs *ObsRegistry
-	// Clock overrides the time source for the harness and protocols
-	// (watchdogs, tracking timers, recovery timing); default wall clock.
-	// A FakeClock also gates the fabric's delivery latencies, so a run
-	// only progresses while something calls Advance — drive it from a
-	// goroutine or the cluster stalls on the first message.
-	Clock Clock
 }
 
 func (c Config) internal() harness.Config {
-	base := c.BaseLatency
-	if base == 0 {
-		base = 20 * time.Microsecond
-	}
 	cfg := harness.Config{
 		N:               c.Procs,
 		Protocol:        harness.ProtocolKind(c.Protocol),
 		CheckpointEvery: c.CheckpointEvery,
 		Transport:       c.Transport,
 		Fabric: fabric.Config{
-			BaseLatency:    base,
-			BytesPerSecond: c.Bandwidth,
+			BaseLatency:    20 * time.Microsecond,
 			JitterFraction: c.JitterFraction,
 			Seed:           c.Seed,
 		},
@@ -400,7 +360,6 @@ func (c Config) internal() harness.Config {
 		cfg.Observer = c.Flight.Recorder()
 	}
 	cfg.Obs = c.Obs
-	cfg.Clock = c.Clock
 	return cfg
 }
 
@@ -435,10 +394,6 @@ func NewCluster(cfg Config, factory Factory) (*Cluster, error) {
 		if cfg.StableDir == "" {
 			return nil, fmt.Errorf("windar: Stable %q requires StableDir", StableDisk)
 		}
-		// The disk backend paces its group commit off the real clock
-		// deliberately, even under an injected FakeClock: it performs
-		// real I/O, and a fake clock nobody advances would park every
-		// durable write forever.
 		d, err := stable.OpenDisk(stable.DiskOptions{Dir: cfg.StableDir, FsyncInterval: cfg.FsyncEvery})
 		if err != nil {
 			return nil, err
@@ -517,11 +472,6 @@ func (c *Cluster) KillAndRecover(rank int, detectDelay time.Duration) error {
 
 // Stats returns the aggregated overhead counters.
 func (c *Cluster) Stats() Stats { return c.inner.Metrics().Total() }
-
-// RankStats returns one rank's overhead counters.
-func (c *Cluster) RankStats(rank int) Stats {
-	return c.inner.Metrics().Rank(rank).Snapshot()
-}
 
 // AppSnapshot returns rank's current application snapshot (call after
 // Wait).
@@ -629,56 +579,3 @@ func (p publicApp) Steps() int             { return p.inner.Steps() }
 func (p publicApp) Step(env Env, s int)    { p.inner.Step(env, s) }
 func (p publicApp) Snapshot() []byte       { return p.inner.Snapshot() }
 func (p publicApp) Restore(b []byte) error { return p.inner.Restore(b) }
-
-// ExperimentOptions configures the figure-regeneration sweeps.
-type ExperimentOptions = experiments.Options
-
-// OverheadRow is one cell of the Fig. 6 / Fig. 7 sweep.
-type OverheadRow = experiments.OverheadRow
-
-// Fig8Row is one cell of the Fig. 8 comparison.
-type Fig8Row = experiments.Fig8Row
-
-// RunOverheadSweep regenerates the data behind Fig. 6 and Fig. 7.
-func RunOverheadSweep(o ExperimentOptions) ([]OverheadRow, error) {
-	return experiments.RunOverheadSweep(o)
-}
-
-// RunFig8 regenerates the blocking vs non-blocking comparison.
-func RunFig8(o ExperimentOptions) ([]Fig8Row, error) { return experiments.RunFig8(o) }
-
-// Fig6Text renders the Fig. 6 series as an aligned text table.
-func Fig6Text(rows []OverheadRow) string { return experiments.Fig6Table(rows).String() }
-
-// Fig7Text renders the Fig. 7 series.
-func Fig7Text(rows []OverheadRow) string { return experiments.Fig7Table(rows).String() }
-
-// Fig8Text renders the Fig. 8 series.
-func Fig8Text(rows []Fig8Row) string { return experiments.Fig8Table(rows).String() }
-
-// PigRow compares the v2 delta piggyback encoding against the paper's
-// full-vector baseline.
-type PigRow = experiments.PigRow
-
-// RunPiggybackCompare runs one TDI workload with and without delta
-// piggyback encoding and reports the per-message piggyback traffic both
-// ways.
-func RunPiggybackCompare(o ExperimentOptions) (PigRow, error) {
-	return experiments.RunPiggybackCompare(o)
-}
-
-// PigText renders the delta-vs-full piggyback comparison.
-func PigText(r PigRow) string { return experiments.PigTable(r).String() }
-
-// CkptRow is one cell of the checkpoint-interval tradeoff sweep (an
-// extension experiment beyond the paper's figures).
-type CkptRow = experiments.CkptRow
-
-// RunCheckpointSweep measures the checkpoint-interval tradeoff: log
-// memory and rolling-forward distance vs. checkpointing traffic.
-func RunCheckpointSweep(o ExperimentOptions, intervals []int) ([]CkptRow, error) {
-	return experiments.RunCheckpointSweep(o, intervals)
-}
-
-// CkptText renders the checkpoint sweep.
-func CkptText(rows []CkptRow) string { return experiments.CkptTable(rows).String() }

@@ -17,7 +17,6 @@ func baseConfig(n int, p windar.Protocol) windar.Config {
 		Procs:           n,
 		Protocol:        p,
 		CheckpointEvery: 4,
-		BaseLatency:     10 * time.Microsecond,
 		JitterFraction:  1,
 		Seed:            5,
 		StallTimeout:    30 * time.Second,
@@ -100,8 +99,8 @@ func TestPublicAPIFailureRecovery(t *testing.T) {
 	if problems := rec.Validate(true); len(problems) != 0 {
 		t.Fatalf("trace violations: %v", problems)
 	}
-	if faulty.RankStats(2).Recoveries != 1 {
-		t.Fatalf("recoveries = %d", faulty.RankStats(2).Recoveries)
+	if faulty.Stats().Recoveries != 1 {
+		t.Fatalf("recoveries = %d", faulty.Stats().Recoveries)
 	}
 }
 
@@ -283,32 +282,5 @@ func TestPublicAPIErrors(t *testing.T) {
 	}
 	if _, err := windar.NewCluster(windar.Config{}, func(rank, n int) windar.App { return nil }); err == nil {
 		t.Fatal("Procs=0 accepted")
-	}
-}
-
-func TestExperimentFacade(t *testing.T) {
-	opts := windar.ExperimentOptions{
-		Benchmarks: []string{"bt"},
-		ProcCounts: []int{4},
-		N:          6,
-		Iterations: map[string]int{"bt": 2},
-		FaultAfter: 2 * time.Millisecond,
-	}
-	rows, err := windar.RunOverheadSweep(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if windar.Fig6Text(rows) == "" || windar.Fig7Text(rows) == "" {
-		t.Fatal("empty figure text")
-	}
-	f8, err := windar.RunFig8(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f8) != 1 || windar.Fig8Text(f8) == "" {
-		t.Fatalf("fig8: %v", f8)
 	}
 }
