@@ -96,7 +96,7 @@ examples:
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 
-# Wire-format, WAL-segment, checkpoint-blob and control-message fuzzers. `go test -fuzz` accepts exactly one
+# Wire-format, WAL-segment, checkpoint-blob, control-message and PWD-protocol fuzzers. `go test -fuzz` accepts exactly one
 # target per invocation, so each runs separately; FUZZTIME bounds each
 # target.
 fuzz:
@@ -109,6 +109,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/stable
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) ./internal/harness
+	$(GO) test -run '^$$' -fuzz '^FuzzPWDDecode$$' -fuzztime $(FUZZTIME) ./internal/determinant
 
 clean:
 	$(GO) clean ./...

@@ -123,7 +123,7 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	if err := succ.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	succ.BeginRecovery(rsN - 1)
+	succ.BeginRecovery()
 	regen := make([]rsSend, rc.c+rc.total+1)
 	for n, j := 0, rc.c+1; j <= rc.c+rc.total; n, j = n+1, j+1 {
 		if n == rc.at {

@@ -498,17 +498,13 @@ func (t *TDI) resetFloors() {
 	}
 }
 
-// RecoveryData implements proto.Protocol. TDI contributes nothing beyond
-// the log resends the harness already performs: each resent message
-// carries its logged depend_interval, which is all a recovering TDI rank
-// needs. This is the protocol's "proactive perception" property.
-func (t *TDI) RecoveryData(failed int, ckptDeliveredCount int64) []byte { return nil }
-
-// BeginRecovery implements proto.Protocol. TDI rolling forward imposes no
-// collection phase: delivery can begin the moment messages arrive. The
-// delta floors are reset as in Restore — this also covers a recovery
-// with no checkpoint, where Restore never ran.
-func (t *TDI) BeginRecovery(expectResponses int) { t.resetFloors() }
+// BeginRecovery implements proto.Protocol. TDI is no proto.Replayer: each
+// resent message carries its logged depend_interval, which is all a
+// recovering rank needs (the "proactive perception" property), so
+// delivery can begin the moment messages arrive. The delta floors are
+// reset as in Restore — this also covers a recovery with no checkpoint,
+// where Restore never ran.
+func (t *TDI) BeginRecovery() { t.resetFloors() }
 
 // OnPeerResync implements proto.Resyncer: peer had ingested this rank's
 // messages up to send index highWater when it answered this
@@ -524,13 +520,6 @@ func (t *TDI) OnPeerResync(peer int, highWater int64) {
 	}
 }
 
-// OnRecoveryData implements proto.Protocol.
-func (t *TDI) OnRecoveryData(from int, data []byte) error { return nil }
-
-// OnResponderLost implements proto.Protocol. TDI collects nothing during
-// recovery, so a responder's death costs it nothing.
-func (t *TDI) OnResponderLost(peer int) {}
-
 // OnPeerRollback implements proto.Protocol. The peer's new incarnation
 // reconstructs its receive-side delta bases from its checkpoint, which may
 // not match the send-side cache accumulated against the previous
@@ -543,8 +532,3 @@ func (t *TDI) OnPeerRollback(peer int, ckptDelivered int64) {
 	t.sent[peer] = nil
 	t.sinceFull[peer] = 0
 }
-
-// OnPeerCheckpoint implements proto.Protocol. TDI keeps no per-peer
-// history, so there is nothing to prune — the flat vector is the whole
-// point.
-func (t *TDI) OnPeerCheckpoint(peer int, deliveredCount int64) {}

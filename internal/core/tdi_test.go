@@ -154,19 +154,16 @@ func TestOnDeliverDetectsIndexDivergence(t *testing.T) {
 	}
 }
 
-// TestRecoveryHooksAreNoOps: TDI collects no recovery data. The one
-// recovery hook with an effect is BeginRecovery, which leaves the
-// incarnation sending full vectors until OnPeerResync sets a floor.
-func TestRecoveryHooksAreNoOps(t *testing.T) {
+// TestTDIIsNoReplayer: TDI collects no recovery data, so it implements
+// none of proto.Replayer and the harness skips the collection hooks. Its
+// one recovery hook is BeginRecovery, which leaves the incarnation
+// sending full vectors until OnPeerResync sets a floor.
+func TestTDIIsNoReplayer(t *testing.T) {
 	tdi := New(0, 2, nil, nil)
-	if data := tdi.RecoveryData(1, 0); data != nil {
-		t.Fatalf("RecoveryData = %v, want nil", data)
+	if _, ok := any(tdi).(proto.Replayer); ok {
+		t.Fatal("*TDI implements proto.Replayer")
 	}
-	tdi.BeginRecovery(1)
-	if err := tdi.OnRecoveryData(1, nil); err != nil {
-		t.Fatal(err)
-	}
-	tdi.OnPeerCheckpoint(1, 10)
+	tdi.BeginRecovery()
 	if tdi.Name() != "tdi" {
 		t.Fatal("name")
 	}

@@ -195,7 +195,10 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	// the successor broadcasts): no original above the ingest high-water
 	// will ever be delivered here.
 	ans := response{ackInc: env.Incarnation, delivered: r.lastDeliverIndex[failed],
-		ingested: r.shards[failed].highWater(), data: r.prot.RecoveryData(failed, ckptDelivered)}
+		ingested: r.shards[failed].highWater()}
+	if r.replayer != nil {
+		ans.data = r.replayer.RecoveryData(failed, ckptDelivered)
+	}
 	resend := r.log.ItemsFor(failed, lastDeliver[r.id]) // a copy: safe to walk unlocked
 	r.mu.Unlock()
 
@@ -250,20 +253,15 @@ func (r *rankRuntime) handleResponse(env *wire.Envelope) {
 	if ans.delivered > r.rollbackLastSendIndex[env.From] {
 		r.rollbackLastSendIndex[env.From] = ans.delivered
 	}
-	if err := r.prot.OnRecoveryData(env.From, ans.data); err != nil {
-		r.c.coll.Rank(r.id).IngestRejected()
-		r.c.observer().OnIngestRejected(r.id, "response")
-		r.mu.Unlock()
-		return
-	}
-	if r.respAwait != nil && env.From < len(r.respAwait) && r.respAwait[env.From] {
-		r.respAwait[env.From] = false
-		r.respExpect--
-		if r.respExpect == 0 && r.collectPending {
-			r.collectPending = false
-			r.c.emitPhase(r.id, PhaseCollectDemands, r.c.clk.Now().Sub(r.collectStart))
+	if r.replayer != nil {
+		if err := r.replayer.OnRecoveryData(env.From, ans.data); err != nil {
+			r.c.coll.Rank(r.id).IngestRejected()
+			r.c.observer().OnIngestRejected(r.id, "response")
+			r.mu.Unlock()
+			return
 		}
 	}
+	r.responderDoneLocked(env.From)
 	if ans.ackInc == r.incarnation {
 		// This incarnation's own ROLLBACK was served: a revival of the
 		// responder no longer needs the replay. Only such an answer may
@@ -291,7 +289,9 @@ func (r *rankRuntime) handleCkptAdvance(env *wire.Envelope) {
 	r.mu.Lock()
 	released := r.log.Release(env.From, count)
 	r.c.coll.Rank(r.id).LogReleased(released)
-	r.prot.OnPeerCheckpoint(env.From, total)
+	if r.replayer != nil {
+		r.replayer.OnPeerCheckpoint(env.From, total)
+	}
 	r.mu.Unlock()
 	if released > 0 && r.c.durableLogs {
 		// Outside the rank lock: the release pays the store's write

@@ -179,8 +179,10 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 		r1.mu.Lock()
 		held := &r1.shards[2]
 		held.mu.Lock()
-		parked := r1.recvStart.UnixNano() >= x.parkAt.Load() && x.parkAt.Load() != 0 &&
-			held.pending() > 0
+		// One load: read twice, a store between the reads could pair a
+		// zero bound with an earlier Recv's recvStart.
+		at := x.parkAt.Load()
+		parked := at != 0 && r1.recvStart.UnixNano() >= at && held.pending() > 0
 		held.mu.Unlock()
 		if parked {
 			x.check(1, "parked on a held message")

@@ -42,11 +42,12 @@ type rankRuntime struct {
 	log  *proto.Log
 
 	// chain is the handler/interceptor stack built once per incarnation
-	// (see chain.go); demander and resyncer cache the protocol's optional
-	// views so no path repeats the type assertion.
+	// (see chain.go); demander, resyncer and replayer cache the
+	// protocol's optional views so no path repeats the type assertion.
 	chain    layer.Handler
 	demander proto.Demander
 	resyncer proto.Resyncer
+	replayer proto.Replayer
 
 	// Per-message chain scratch. sendMsg is touched only by the app
 	// goroutine inside Send; delivMsg, delivEnv and recvStart only under
@@ -121,6 +122,7 @@ type rankRuntime struct {
 	// launches the goroutines). respAwait marks the peers counted into
 	// respExpect — those live at ROLLBACK time — so duplicate or late
 	// RESPONSEs and responder deaths each adjust the count exactly once.
+	// It is non-nil only while the collection phase is open.
 	respExpect     int       // counted RESPONSEs still outstanding
 	respAwait      []bool    // per-peer: counted and not yet accounted for
 	collectPending bool      // collect-demands span not yet emitted
@@ -308,6 +310,7 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 	r.prot = p
 	r.demander, _ = p.(proto.Demander)
 	r.resyncer, _ = p.(proto.Resyncer)
+	r.replayer, _ = p.(proto.Replayer)
 	r.chain = r.buildChain(c.cfg.Interceptors)
 	r.theApp = c.factory(rank, c.cfg.N)
 	if r.theApp == nil {
@@ -748,25 +751,52 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	return payload
 }
 
-// noteResponderLost marks an awaited responder as dead: its RESPONSE to
-// this incarnation's ROLLBACK can no longer arrive, so the collection
-// phase must stop counting it (if the peer revives, the replayed ROLLBACK
-// produces an uncounted late RESPONSE instead). No-op unless peer was
-// live at ROLLBACK time and unaccounted for.
-func (r *rankRuntime) noteResponderLost(peer int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+// responderDoneLocked accounts for peer's RESPONSE or death. No-op unless
+// peer was live at ROLLBACK time and is not yet accounted for. A dead
+// peer's RESPONSE to this incarnation's ROLLBACK can no longer arrive; if
+// it revives, the replayed ROLLBACK produces an uncounted late RESPONSE.
+func (r *rankRuntime) responderDoneLocked(peer int) {
 	if r.respAwait == nil || peer < 0 || peer >= len(r.respAwait) || !r.respAwait[peer] {
 		return
 	}
 	r.respAwait[peer] = false
 	r.respExpect--
-	r.prot.OnResponderLost(peer)
-	if r.respExpect == 0 && r.collectPending {
+	r.collectedLocked()
+}
+
+// beginRecovery opens the collection phase of a runtime not yet started:
+// every peer awaited reports as answered or dead exactly once before the
+// phase closes (collectedLocked).
+func (r *rankRuntime) beginRecovery(awaited func(peer int) bool) {
+	r.respAwait = make([]bool, r.n)
+	for p := range r.respAwait {
+		if p != r.id && awaited(p) {
+			r.respAwait[p] = true
+			r.respExpect++
+		}
+	}
+	r.prot.BeginRecovery()
+}
+
+// collectedLocked closes the collection phase the first time no counted
+// RESPONSE is outstanding: it is the only place a rank decides it is
+// done collecting. The protocol learns it through OnCollected, and the
+// collect-demands span is emitted if it is still owed (a rank whose
+// failure lost no deliveries owes none, yet a PWD protocol holds until
+// here all the same). Callers hold r.mu.
+func (r *rankRuntime) collectedLocked() {
+	if r.respAwait == nil || r.respExpect > 0 {
+		return
+	}
+	r.respAwait = nil
+	if r.replayer != nil {
+		r.replayer.OnCollected()
+	}
+	if r.collectPending {
 		r.collectPending = false
 		r.c.emitPhase(r.id, PhaseCollectDemands, r.c.clk.Now().Sub(r.collectStart))
 	}
-	r.cond.Broadcast() // a PWD hold on pending responses may have lifted
+	r.cond.Broadcast() // a PWD hold on the collection phase has lifted
 }
 
 // insertShard is ingest into queue B: the sorted insert into the
@@ -840,7 +870,9 @@ func (r *rankRuntime) doCheckpoint(step int) {
 		}
 	}
 	total := r.deliveredCount
-	r.prot.OnPeerCheckpoint(r.id, total) // prune own replay-dead history
+	if r.replayer != nil {
+		r.replayer.OnPeerCheckpoint(r.id, total) // prune own replay-dead history
+	}
 	recoveredAt := r.recoveredAt
 	r.recoveredAt = time.Time{}
 	r.c.ckpts.Stage(cp)

@@ -63,7 +63,9 @@ func (c *Cluster) Kill(rank int) error {
 	// RESPONSE instead.
 	for p, o := range others {
 		if p != rank && o != nil && !o.isKilled() {
-			o.noteResponderLost(rank)
+			o.mu.Lock()
+			o.responderDoneLocked(rank)
+			o.mu.Unlock()
 		}
 	}
 
@@ -125,21 +127,14 @@ func (c *Cluster) Recover(rank int) error {
 	// snapshot and the publication are one ranksMu section: Kill takes its
 	// snapshot of the runtimes under the same lock after stopping its
 	// victim, so a peer that dies around now is either seen dead here and
-	// not counted, or counted here and reported to this runtime by
-	// noteResponderLost — never counted and then lost.
+	// not counted, or counted here and reported to this runtime by Kill —
+	// never counted and then lost.
 	c.ranksMu.Lock()
 	r.recoveryTarget = c.failedAt[rank]
-	r.respAwait = make([]bool, c.cfg.N)
-	for p, o := range c.ranks {
-		if p != rank && o != nil && !o.isKilled() {
-			r.respAwait[p] = true
-			r.respExpect++
-		}
-	}
-	expect := r.respExpect
 	recovering := r.recoveryTarget > r.deliveredCount
 	r.recovering, r.collectPending = recovering, recovering
-	r.prot.BeginRecovery(expect)
+	r.beginRecovery(func(p int) bool { o := c.ranks[p]; return o != nil && !o.isKilled() })
+	expect := r.respExpect
 	c.ranks[rank] = r
 	c.ranksMu.Unlock()
 
@@ -157,23 +152,15 @@ func (c *Cluster) Recover(rank int) error {
 		for _, phase := range RecoveryPhases {
 			c.emitPhase(rank, phase, 0)
 		}
-	} else {
-		// No live peer to collect from (every other rank is down): the
-		// collection phase is empty and the roll proceeds on replayed
-		// ROLLBACKs alone. The runtime is published, so a concurrent Kill
-		// of its last awaited peer may already have closed the phase from
-		// noteResponderLost: decide under the rank lock, and only while
-		// the span is still owed.
-		r.mu.Lock()
-		empty := r.collectPending && r.respExpect == 0
-		if empty {
-			r.collectPending = false
-		}
-		r.mu.Unlock()
-		if empty {
-			c.emitPhase(rank, PhaseCollectDemands, 0)
-		}
 	}
+	// No live peer to collect from (every other rank is down): the
+	// collection phase is empty and the roll proceeds on replayed
+	// ROLLBACKs alone. The runtime is published, so a concurrent Kill of
+	// its last awaited peer may already have closed the phase: decide
+	// under the rank lock.
+	r.mu.Lock()
+	r.collectedLocked()
+	r.mu.Unlock()
 
 	// The restore notification precedes start: once the application
 	// runs, its first deliveries must already belong to an incarnation
@@ -281,15 +268,10 @@ func (c *Cluster) StartFromStable() error {
 			// Expect a RESPONSE from every peer, exactly like a trivial
 			// single-rank recovery; the protocol may gate deliveries on
 			// the collected recovery data.
-			r.respAwait = make([]bool, c.cfg.N)
-			r.respExpect = 0
-			for p := 0; p < c.cfg.N; p++ {
-				if p != rank {
-					r.respAwait[p] = true
-					r.respExpect++
-				}
-			}
-			r.prot.BeginRecovery(r.respExpect)
+			r.beginRecovery(func(int) bool { return true })
+			r.mu.Lock()
+			r.collectedLocked() // a one-rank cluster awaits no one
+			r.mu.Unlock()
 		}
 		// Before start, as in Recover: no delivery may precede it.
 		info := layer.RestoreInfo{Rank: rank, FromStep: b.fromStep, Incarnation: int(r.incarnation)}

@@ -246,51 +246,61 @@ func TestConcurrentKillRecover(t *testing.T) {
 // TestKillPeerDuringCollect kills a responder immediately after a
 // recovery begins, while the recoverer's ROLLBACK is (most likely)
 // still being answered; the recoverer must drop the dead peer from its
-// expectation and complete. The deterministic phase-triggered variant
-// lives in internal/chaos.
+// expectation and complete. Under TAG and TEL the collection gates every
+// delivery, so a lost responder that is never accounted for wedges the
+// roll. The deterministic phase-triggered variant lives in
+// internal/chaos.
 func TestKillPeerDuringCollect(t *testing.T) {
-	clean := run(t, testConfig(4, TDI), ringFactory(60), nil)
-	faulty := run(t, testConfig(4, TDI), ringFactory(60), func(c *Cluster) {
-		time.Sleep(2 * time.Millisecond)
-		if err := c.Kill(1); err != nil {
-			t.Errorf("Kill(1): %v", err)
-		}
-		if err := c.Recover(1); err != nil {
-			t.Errorf("Recover(1): %v", err)
-		}
-		if err := c.Kill(2); err != nil { // racing rank 1's collection
-			t.Errorf("Kill(2): %v", err)
-		}
-		time.Sleep(2 * time.Millisecond)
-		if err := c.Recover(2); err != nil {
-			t.Errorf("Recover(2): %v", err)
-		}
-	})
-	assertSameStates(t, clean, faulty, "kill-during-collect")
+	for _, p := range allProtocols {
+		t.Run(string(p), func(t *testing.T) {
+			clean := run(t, testConfig(4, p), ringFactory(60), nil)
+			faulty := run(t, testConfig(4, p), ringFactory(60), func(c *Cluster) {
+				time.Sleep(2 * time.Millisecond)
+				if err := c.Kill(1); err != nil {
+					t.Errorf("Kill(1): %v", err)
+				}
+				if err := c.Recover(1); err != nil {
+					t.Errorf("Recover(1): %v", err)
+				}
+				if err := c.Kill(2); err != nil { // racing rank 1's collection
+					t.Errorf("Kill(2): %v", err)
+				}
+				time.Sleep(2 * time.Millisecond)
+				if err := c.Recover(2); err != nil {
+					t.Errorf("Recover(2): %v", err)
+				}
+			})
+			assertSameStates(t, clean, faulty, "kill-during-collect")
+		})
+	}
 }
 
 // TestKillRecovererMidRecovery crashes the recovering rank again right
 // after its recovery starts: the second incarnation must re-register a
 // fresh ROLLBACK and the stale exchange must not wedge anyone.
 func TestKillRecovererMidRecovery(t *testing.T) {
-	clean := run(t, testConfig(4, TDI), ringFactory(60), nil)
-	faulty := run(t, testConfig(4, TDI), ringFactory(60), func(c *Cluster) {
-		time.Sleep(2 * time.Millisecond)
-		if err := c.Kill(1); err != nil {
-			t.Errorf("Kill(1): %v", err)
-		}
-		if err := c.Recover(1); err != nil {
-			t.Errorf("Recover(1): %v", err)
-		}
-		if err := c.Kill(1); err != nil { // crash mid-recovery
-			t.Errorf("re-Kill(1): %v", err)
-		}
-		time.Sleep(time.Millisecond)
-		if err := c.Recover(1); err != nil {
-			t.Errorf("re-Recover(1): %v", err)
-		}
-	})
-	assertSameStates(t, clean, faulty, "kill-recoverer")
+	for _, p := range allProtocols {
+		t.Run(string(p), func(t *testing.T) {
+			clean := run(t, testConfig(4, p), ringFactory(60), nil)
+			faulty := run(t, testConfig(4, p), ringFactory(60), func(c *Cluster) {
+				time.Sleep(2 * time.Millisecond)
+				if err := c.Kill(1); err != nil {
+					t.Errorf("Kill(1): %v", err)
+				}
+				if err := c.Recover(1); err != nil {
+					t.Errorf("Recover(1): %v", err)
+				}
+				if err := c.Kill(1); err != nil { // crash mid-recovery
+					t.Errorf("re-Kill(1): %v", err)
+				}
+				time.Sleep(time.Millisecond)
+				if err := c.Recover(1); err != nil {
+					t.Errorf("re-Recover(1): %v", err)
+				}
+			})
+			assertSameStates(t, clean, faulty, "kill-recoverer")
+		})
+	}
 }
 
 // killInRecoverObs runs a hook from inside Cluster.Recover: OnRollback
@@ -328,9 +338,9 @@ func (o *killInRecoverObs) setHook(f func(rank int)) {
 // TestKillLastResponderInsideRecover is the deterministic form of the
 // Recover/Kill race: rank 1 recovers with rank 3 its only live peer, and
 // rank 3 is killed from inside Recover(1), between the runtime's
-// publication and the empty-collection check. noteResponderLost closes
-// the collection phase; Recover must not close it a second time (it used
-// to read respExpect unlocked and emit collect-demands again).
+// publication and the empty-collection check. Kill closes the collection
+// phase; Recover must not close it a second time (it used to read
+// respExpect unlocked and emit collect-demands again).
 func TestKillLastResponderInsideRecover(t *testing.T) {
 	cfg := testConfig(4, TDI)
 	cfg.CheckpointEvery = 0 // any delivery makes the recovery non-trivial

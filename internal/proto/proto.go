@@ -5,11 +5,14 @@
 //
 // The harness owns mechanics common to all protocols — per-channel send
 // and delivery counters, FIFO and duplicate handling, the receiving
-// queue, checkpointing, and the ROLLBACK/RESPONSE recovery exchange. A
+// queue, checkpointing, and the ROLLBACK/RESPONSE recovery exchange,
+// including the count of RESPONSEs a recovering rank still awaits. A
 // Protocol owns what differs between TDI, TAG and TEL: what metadata is
-// piggybacked on each message, what delivery-order constraint holds
-// during rolling forward, and what recovery metadata survivors must
-// contribute.
+// piggybacked on each message and what delivery-order constraint holds
+// during rolling forward. The optional views add what only some
+// protocols need: a Replayer collects survivors' recovery records (the
+// PWD protocols), a Demander exposes a count predicate to the trace
+// checker and a Resyncer re-establishes delta bases (TDI).
 package proto
 
 import (
@@ -77,32 +80,12 @@ type Protocol interface {
 	// Restore replaces protocol state from a checkpoint Snapshot.
 	Restore(data []byte) error
 
-	// RecoveryData returns this (surviving) rank's contribution to the
-	// recovery of rank failed, whose checkpoint recorded
-	// ckptDeliveredCount deliveries. It rides on the RESPONSE control
-	// message. TDI needs nothing (its logged piggyback vectors are
-	// self-sufficient); the PWD protocols return the failed rank's
-	// recorded delivery determinants.
-	RecoveryData(failed int, ckptDeliveredCount int64) []byte
-
 	// BeginRecovery tells the protocol its rank is an incarnation about
-	// to roll forward; expectResponses is the number of RESPONSE
-	// messages that will eventually arrive — the peers that were live
-	// when the ROLLBACK was broadcast, not n-1. Dead peers contribute a
-	// late RESPONSE after they revive, which OnRecoveryData must accept
-	// without having counted it in expectResponses.
-	BeginRecovery(expectResponses int)
-
-	// OnRecoveryData merges one RESPONSE's protocol payload.
-	OnRecoveryData(from int, data []byte) error
-
-	// OnResponderLost tells a recovering protocol that peer — counted in
-	// BeginRecovery's expectResponses — died before its RESPONSE arrived.
-	// The protocol must stop waiting for that contribution; if the peer
-	// revives it serves the replayed ROLLBACK and its data arrives
-	// through OnRecoveryData as an uncounted late response. A no-op
-	// outside recovery.
-	OnResponderLost(peer int)
+	// to roll forward from the state just restored. The harness alone
+	// decides when the collection phase that opens here ends: it counts
+	// the peers live at ROLLBACK time and, on a Replayer, calls
+	// OnCollected once each has answered or died.
+	BeginRecovery()
 
 	// OnPeerRollback tells the protocol that peer began a recovery whose
 	// checkpoint recorded ckptDelivered deliveries. Any per-peer state
@@ -111,6 +94,28 @@ type Protocol interface {
 	// be reset, otherwise two overlapping recoveries corrupt each other's
 	// suppression bounds.
 	OnPeerRollback(peer int, ckptDelivered int64)
+}
+
+// Replayer is implemented by the PWD protocols (TAG, TEL), whose
+// recovering rank must collect the survivors' records of its
+// post-checkpoint deliveries and replay them in that order. TDI is no
+// Replayer: the harness sends it empty RESPONSE data and skips the calls.
+type Replayer interface {
+	// RecoveryData returns this (surviving) rank's contribution to the
+	// recovery of rank failed, whose checkpoint recorded
+	// ckptDeliveredCount deliveries: the failed rank's recorded delivery
+	// determinants. It rides on the RESPONSE control message.
+	RecoveryData(failed int, ckptDeliveredCount int64) []byte
+
+	// OnRecoveryData merges one RESPONSE's payload. It accepts any
+	// RESPONSE — counted, late from a peer that revived, or stale toward
+	// a previous incarnation — and never ends the collection phase.
+	OnRecoveryData(from int, data []byte) error
+
+	// OnCollected ends the collection phase BeginRecovery opened: every
+	// peer counted at ROLLBACK time has answered or died. The harness is
+	// the only counter; this call is the protocol's only signal.
+	OnCollected()
 
 	// OnPeerCheckpoint notifies the protocol that peer took a checkpoint
 	// covering its first deliveredCount deliveries, so history at or

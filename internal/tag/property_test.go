@@ -86,10 +86,11 @@ func TestPropertyReplayAdmitsOnlyRecordedOrder(t *testing.T) {
 		}
 
 		inc := New(1, n, nil, nil)
-		inc.BeginRecovery(1)
+		inc.BeginRecovery()
 		if err := inc.OnRecoveryData(0, agraph.AppendNodes(nil, nodes)); err != nil {
 			return false
 		}
+		inc.OnCollected()
 
 		// Present the messages in a random arrival order; at each slot
 		// only the recorded one must be admitted.

@@ -14,12 +14,14 @@
 // Under PWD, recovery must replay deliveries in exactly the recorded
 // order: the incarnation first collects survivors' records of its
 // post-checkpoint deliveries (via RESPONSE payloads), holds all delivery
-// until every response has arrived, then admits only the exact message
-// recorded for each successive delivery index.
+// until the harness reports the collection over, then admits only the
+// exact message recorded for each successive delivery index
+// (determinant.Replay).
 package tag
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"windar/internal/agraph"
@@ -30,8 +32,12 @@ import (
 	"windar/internal/wire"
 )
 
-// TAG is one rank's protocol instance. It implements proto.Protocol.
+// TAG is one rank's protocol instance. It implements proto.Protocol and
+// proto.Replayer; the embedded Replay supplies Deliverable and
+// OnCollected.
 type TAG struct {
+	determinant.Replay
+
 	rank int
 	n    int
 
@@ -39,41 +45,23 @@ type TAG struct {
 	knownTo      []map[agraph.NodeID]struct{} // per-destination estimate
 	ownDelivered int64
 
-	// Recovery (PWD replay) state. respSeen records which peers have
-	// already been accounted against pendingResponses — by RESPONSE
-	// arrival or by death — so a peer that responds, dies, and responds
-	// again from its next incarnation is counted exactly once.
-	pendingResponses int
-	recorded         map[int64]determinant.D // deliverIndex -> determinant
-	recoveryBase     int64
-	respSeen         map[int]bool
-
-	// Piggyback pre-validation memo: Deliverable runs on every probe of
-	// a held FIFO head, so the bytes are checked once per (source, send
-	// index). valSeen guards against envelopes whose forged SendIndex
-	// collides with the zero value.
-	valIdx  []int64
-	valErr  []error
-	valSeen []bool
-
 	// track samples the send- and deliver-side tracking time (Fig. 7).
 	track metrics.Tracker
 }
 
 var _ proto.Protocol = (*TAG)(nil)
+var _ proto.Replayer = (*TAG)(nil)
 
 // New returns a TAG instance for rank in an n-process system. The
 // metrics rank may be nil; clk times the tracking overhead charged to it
 // and defaults to the wall clock.
 func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TAG {
 	t := &TAG{
+		Replay:  determinant.NewReplay("tag", rank, n, checkPig),
 		rank:    rank,
 		n:       n,
 		graph:   agraph.New(),
 		knownTo: make([]map[agraph.NodeID]struct{}, n),
-		valIdx:  make([]int64, n),
-		valErr:  make([]error, n),
-		valSeen: make([]bool, n),
 		track:   metrics.NewTracker(m, clk),
 	}
 	for i := range t.knownTo {
@@ -108,53 +96,21 @@ func (t *TAG) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	return buf, determinant.IdentifierCount*len(diff) + 1
 }
 
-// validatePig checks that env's piggyback parses as a TAG increment
-// (header interval + antecedence-graph nodes) without applying it,
-// memoized per (source, send index). OnDeliver still owns the merge;
-// this gate keeps hostile bytes from ever reaching it.
-func (t *TAG) validatePig(env *wire.Envelope) error {
-	src := env.From
-	if src < 0 || src >= t.n {
-		return fmt.Errorf("tag: rank %d: piggyback from out-of-range rank %d", t.rank, src)
+// readPig decodes a TAG piggyback: the sender's state interval, then its
+// antecedence-graph increment.
+func readPig(pig []byte) (int64, []agraph.Node, error) {
+	interval, off := binary.Varint(pig)
+	if off <= 0 {
+		return 0, nil, errors.New("bad header")
 	}
-	if t.valSeen[src] && t.valIdx[src] == env.SendIndex {
-		return t.valErr[src]
-	}
-	var err error
-	if _, off := binary.Varint(env.Piggyback); off <= 0 {
-		err = fmt.Errorf("tag: rank %d: bad piggyback header from %d", t.rank, src)
-	} else if _, _, e := agraph.ReadNodes(env.Piggyback[off:]); e != nil {
-		err = fmt.Errorf("tag: rank %d: bad piggyback from %d: %w", t.rank, src, e)
-	}
-	t.valSeen[src] = true
-	t.valIdx[src] = env.SendIndex
-	t.valErr[src] = err
-	return err
+	nodes, _, err := agraph.ReadNodes(pig[off:])
+	return interval, nodes, err
 }
 
-// Deliverable implements proto.Protocol. In normal operation PWD imposes
-// no wait (FIFO and duplicate control are the harness's); during rolling
-// forward the recorded history pins each delivery slot to one exact
-// message. A piggyback that does not parse is reported as an error
-// (held by the harness), never delivered or panicked on.
-func (t *TAG) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
-	if err := t.validatePig(env); err != nil {
-		return proto.Hold, err
-	}
-	if t.pendingResponses > 0 {
-		// The replay order is not fully known yet; delivering now could
-		// violate an order constraint that arrives in a later RESPONSE.
-		return proto.Hold, nil
-	}
-	if det, ok := t.recorded[deliveredCount+1]; ok {
-		if env.From == det.Sender && env.SendIndex == det.SendIndex {
-			return proto.Deliver, nil
-		}
-		return proto.Hold, nil
-	}
-	// Beyond recorded history the event is a fresh non-deterministic
-	// choice.
-	return proto.Deliver, nil
+// checkPig is readPig without the result: Replay's piggyback validation.
+func checkPig(pig []byte) error {
+	_, _, err := readPig(pig)
+	return err
 }
 
 // OnDeliver implements proto.Protocol: merge the piggybacked increment,
@@ -162,11 +118,7 @@ func (t *TAG) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 // estimate for the sender.
 func (t *TAG) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	start, w := t.track.BeginDeliver()
-	senderInterval, off := binary.Varint(env.Piggyback)
-	if off <= 0 {
-		return fmt.Errorf("tag: rank %d: bad piggyback header from %d", t.rank, env.From)
-	}
-	nodes, _, err := agraph.ReadNodes(env.Piggyback[off:])
+	senderInterval, nodes, err := readPig(env.Piggyback)
 	if err != nil {
 		return fmt.Errorf("tag: rank %d: bad piggyback from %d: %w", t.rank, env.From, err)
 	}
@@ -187,7 +139,7 @@ func (t *TAG) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 		return fmt.Errorf("tag: rank %d: %w", t.rank, err)
 	}
 	t.ownDelivered = deliverIndex
-	delete(t.recorded, deliverIndex)
+	t.Replay.Delivered(deliverIndex)
 	t.track.EndDeliver(start, w)
 	return nil
 }
@@ -221,7 +173,7 @@ func (t *TAG) Restore(data []byte) error {
 	return nil
 }
 
-// RecoveryData implements proto.Protocol: this survivor's record of the
+// RecoveryData implements proto.Replayer: this survivor's record of the
 // failed rank's deliveries after its checkpoint — the fragment of the
 // antecedence graph that pins the replay order.
 func (t *TAG) RecoveryData(failed int, ckptDeliveredCount int64) []byte {
@@ -229,17 +181,13 @@ func (t *TAG) RecoveryData(failed int, ckptDeliveredCount int64) []byte {
 	return agraph.AppendNodes(nil, nodes)
 }
 
-// BeginRecovery implements proto.Protocol. expectResponses counts only
-// the peers live at ROLLBACK time; dead peers' records arrive later as
-// uncounted late responses (or never, if they hold nothing new).
-func (t *TAG) BeginRecovery(expectResponses int) {
-	t.pendingResponses = expectResponses
-	t.recorded = make(map[int64]determinant.D)
-	t.recoveryBase = t.ownDelivered
-	t.respSeen = make(map[int]bool)
-}
+// BeginRecovery implements proto.Protocol: the recorded order is
+// collected from the survivors' RESPONSEs.
+func (t *TAG) BeginRecovery() { t.Replay.Begin(t.ownDelivered) }
 
-// OnRecoveryData implements proto.Protocol: merge one survivor's record.
+// OnRecoveryData implements proto.Replayer: merge one survivor's record.
+// A stale RESPONSE (addressed to a previous incarnation) still merges;
+// Record ignores it outside recovery.
 func (t *TAG) OnRecoveryData(from int, data []byte) error {
 	nodes, _, err := agraph.ReadNodes(data)
 	if err != nil {
@@ -248,40 +196,10 @@ func (t *TAG) OnRecoveryData(from int, data []byte) error {
 	if err := t.graph.Merge(nodes); err != nil {
 		return err
 	}
-	if t.recorded == nil {
-		// A stale RESPONSE reached a rank that is not rolling forward
-		// (e.g. addressed to a previous incarnation); the merge above is
-		// still useful, the replay bookkeeping is not.
-		return nil
-	}
 	for _, nd := range nodes {
-		if nd.Det.Receiver == t.rank && nd.Det.DeliverIndex > t.recoveryBase {
-			t.recorded[nd.Det.DeliverIndex] = nd.Det
-		}
-	}
-	// A duplicate or late RESPONSE (the peer answered a previous
-	// incarnation's ROLLBACK, or revived and served the replayed one)
-	// still merges above but must not decrement the count twice.
-	if !t.respSeen[from] {
-		t.respSeen[from] = true
-		if t.pendingResponses > 0 {
-			t.pendingResponses--
-		}
+		t.Replay.Record(nd.Det)
 	}
 	return nil
-}
-
-// OnResponderLost implements proto.Protocol: a peer counted in
-// BeginRecovery died before responding. Its record arrives later (if it
-// revives) as an uncounted late response; stop holding delivery for it.
-func (t *TAG) OnResponderLost(peer int) {
-	if t.recorded == nil || t.respSeen[peer] {
-		return
-	}
-	t.respSeen[peer] = true
-	if t.pendingResponses > 0 {
-		t.pendingResponses--
-	}
 }
 
 // OnPeerRollback implements proto.Protocol: the peer's new incarnation
@@ -296,7 +214,7 @@ func (t *TAG) OnPeerRollback(peer int, ckptDelivered int64) {
 	t.knownTo[peer] = make(map[agraph.NodeID]struct{})
 }
 
-// OnPeerCheckpoint implements proto.Protocol: events at or before the
+// OnPeerCheckpoint implements proto.Replayer: events at or before the
 // peer's checkpoint can never be replayed, so drop them from the graph
 // and the known-set estimates.
 func (t *TAG) OnPeerCheckpoint(peer int, deliveredCount int64) {

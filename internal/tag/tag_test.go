@@ -147,7 +147,7 @@ func TestRecoveryReplayOrderEnforced(t *testing.T) {
 	data := survivor.RecoveryData(1, 0)
 
 	inc := New(1, 3, nil, nil) // incarnation restored from empty checkpoint
-	inc.BeginRecovery(2)
+	inc.BeginRecovery()
 
 	fromP2 := &wire.Envelope{Kind: wire.KindApp, From: 2, To: 1, SendIndex: 1,
 		Piggyback: binary.AppendVarint(nil, 0)}
@@ -166,6 +166,11 @@ func TestRecoveryReplayOrderEnforced(t *testing.T) {
 	if err := inc.OnRecoveryData(2, agraph.AppendNodes(nil, nil)); err != nil {
 		t.Fatal(err)
 	}
+	// Responses in, yet still held: only the harness ends collection.
+	if v, err := inc.Deliverable(fromP0, 0); err != nil || v != proto.Hold {
+		t.Fatalf("delivery admitted before OnCollected: %v", v)
+	}
+	inc.OnCollected()
 
 	// Replay slot 1 is pinned to (P0,#1): the P2 message must hold.
 	if v, err := inc.Deliverable(fromP2, 0); err != nil || v != proto.Hold {

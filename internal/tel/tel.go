@@ -13,7 +13,9 @@ import (
 	"windar/internal/wire"
 )
 
-// TEL is one rank's protocol instance. It implements proto.Protocol.
+// TEL is one rank's protocol instance. It implements proto.Protocol and
+// proto.Replayer; the embedded Replay supplies Deliverable and
+// OnCollected.
 //
 // Locking: the harness serializes all proto.Protocol calls under the
 // rank's mutex, which it also passes here as locker; the logger ack
@@ -21,6 +23,8 @@ import (
 // touching protocol state, so every mutation is serialized on the same
 // lock.
 type TEL struct {
+	determinant.Replay
+
 	rank   int
 	n      int
 	logger *Logger
@@ -40,28 +44,13 @@ type TEL struct {
 	inFlight     bool
 	pendingFlush []determinant.D
 
-	// Recovery (PWD replay) state. respSeen records which peers have
-	// already been accounted against pendingResponses — by RESPONSE
-	// arrival or by death — so a peer is counted exactly once.
-	pendingResponses int
-	recorded         map[int64]determinant.D
-	recoveryBase     int64
-	respSeen         map[int]bool
-
-	// Piggyback pre-validation memo: Deliverable runs on every probe of
-	// a held FIFO head, so the bytes are checked once per (source, send
-	// index). valSeen guards against envelopes whose forged SendIndex
-	// collides with the zero value.
-	valIdx  []int64
-	valErr  []error
-	valSeen []bool
-
 	m *metrics.Rank
 	// track samples the send- and deliver-side tracking time (Fig. 7).
 	track metrics.Tracker
 }
 
 var _ proto.Protocol = (*TEL)(nil)
+var _ proto.Replayer = (*TEL)(nil)
 
 // New returns a TEL instance for rank in an n-process system. locker must
 // be the same lock under which the harness invokes the protocol; logger
@@ -75,15 +64,13 @@ func New(rank, n int, logger *Logger, locker sync.Locker, m *metrics.Rank, clk c
 		locker = &sync.Mutex{}
 	}
 	return &TEL{
+		Replay:      determinant.NewReplay("tel", rank, n, checkPig),
 		rank:        rank,
 		n:           n,
 		logger:      logger,
 		locker:      locker,
 		received:    determinant.NewSet(),
 		stableKnown: vclock.New(n),
-		valIdx:      make([]int64, n),
-		valErr:      make([]error, n),
-		valSeen:     make([]bool, n),
 		m:           m,
 		track:       metrics.NewTracker(m, clk),
 	}
@@ -122,47 +109,11 @@ func (t *TEL) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	return pig, determinant.IdentifierCount * len(ds)
 }
 
-// validatePig checks that env's piggyback parses as a determinant slice
-// without absorbing it, memoized per (source, send index). OnDeliver
-// still owns the merge; this gate keeps hostile bytes from reaching it.
-func (t *TEL) validatePig(env *wire.Envelope) error {
-	src := env.From
-	if src < 0 || src >= t.n {
-		return fmt.Errorf("tel: rank %d: piggyback from out-of-range rank %d", t.rank, src)
-	}
-	if t.valSeen[src] && t.valIdx[src] == env.SendIndex {
-		return t.valErr[src]
-	}
-	var err error
-	if _, _, e := determinant.ReadSlice(env.Piggyback); e != nil {
-		err = fmt.Errorf("tel: rank %d: bad piggyback from %d: %w", t.rank, src, e)
-	}
-	t.valSeen[src] = true
-	t.valIdx[src] = env.SendIndex
-	t.valErr[src] = err
+// checkPig is Replay's piggyback validation: the piggyback must decode as
+// a determinant slice.
+func checkPig(pig []byte) error {
+	_, _, err := determinant.ReadSlice(pig)
 	return err
-}
-
-// Deliverable implements proto.Protocol. Normal operation: no constraint
-// beyond the harness's FIFO/duplicate control. Rolling forward: hold
-// until all responses arrive, then pin each slot to the recorded message
-// (PWD replay), falling back to free choice beyond recorded history. A
-// piggyback that does not parse is reported as an error (held by the
-// harness), never delivered or panicked on.
-func (t *TEL) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
-	if err := t.validatePig(env); err != nil {
-		return proto.Hold, err
-	}
-	if t.pendingResponses > 0 {
-		return proto.Hold, nil
-	}
-	if det, ok := t.recorded[deliveredCount+1]; ok {
-		if env.From == det.Sender && env.SendIndex == det.SendIndex {
-			return proto.Deliver, nil
-		}
-		return proto.Hold, nil
-	}
-	return proto.Deliver, nil
 }
 
 // OnDeliver implements proto.Protocol: absorb the piggybacked
@@ -189,7 +140,7 @@ func (t *TEL) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	}
 	t.own = append(t.own, own)
 	t.ownDelivered = deliverIndex
-	delete(t.recorded, deliverIndex)
+	t.Replay.Delivered(deliverIndex)
 	t.flushLocked([]determinant.D{own})
 	t.track.EndDeliver(start, w)
 	return nil
@@ -282,7 +233,7 @@ func (t *TEL) Restore(data []byte) error {
 	return nil
 }
 
-// RecoveryData implements proto.Protocol: the determinants this survivor
+// RecoveryData implements proto.Replayer: the determinants this survivor
 // still holds for the failed rank's post-checkpoint deliveries. (Stable
 // determinants were pruned locally; the incarnation reads those straight
 // from the event logger.)
@@ -297,58 +248,26 @@ func (t *TEL) RecoveryData(failed int, ckptDeliveredCount int64) []byte {
 }
 
 // BeginRecovery implements proto.Protocol: fetch own stable determinants
-// from the event logger (a synchronous stable-storage read), then wait
-// for the survivors' unstable contributions.
-func (t *TEL) BeginRecovery(expectResponses int) {
-	t.pendingResponses = expectResponses
-	t.recorded = make(map[int64]determinant.D)
-	t.recoveryBase = t.ownDelivered
-	t.respSeen = make(map[int]bool)
+// from the event logger (a synchronous stable-storage read); the
+// survivors' unstable ones arrive through OnRecoveryData. Whatever
+// unstable determinants a responder that died held for this rank are
+// lost with it — the loss a PWD protocol accepts for simultaneous
+// failures.
+func (t *TEL) BeginRecovery() {
+	t.Replay.Begin(t.ownDelivered)
 	if t.logger != nil {
-		for _, d := range t.logger.FetchFor(t.rank, t.recoveryBase) {
-			t.recorded[d.DeliverIndex] = d
-		}
+		t.Replay.Record(t.logger.FetchFor(t.rank, t.ownDelivered)...)
 	}
 }
 
-// OnRecoveryData implements proto.Protocol.
+// OnRecoveryData implements proto.Replayer.
 func (t *TEL) OnRecoveryData(from int, data []byte) error {
 	ds, _, err := determinant.ReadSlice(data)
 	if err != nil {
 		return fmt.Errorf("tel: recovery data from %d: %w", from, err)
 	}
-	if t.recorded == nil {
-		return nil // stale RESPONSE outside any rolling forward
-	}
-	for _, d := range ds {
-		if d.Receiver == t.rank && d.DeliverIndex > t.recoveryBase {
-			t.recorded[d.DeliverIndex] = d
-		}
-	}
-	// A duplicate or late RESPONSE still merges above but must not
-	// decrement the count twice.
-	if !t.respSeen[from] {
-		t.respSeen[from] = true
-		if t.pendingResponses > 0 {
-			t.pendingResponses--
-		}
-	}
+	t.Replay.Record(ds...)
 	return nil
-}
-
-// OnResponderLost implements proto.Protocol: a peer counted in
-// BeginRecovery died before responding; stop holding delivery for it.
-// Whatever unstable determinants it held for us are lost with it — the
-// same loss a PWD protocol already accepts for simultaneous failures —
-// and anything it had flushed is in the event logger we already read.
-func (t *TEL) OnResponderLost(peer int) {
-	if t.recorded == nil || t.respSeen[peer] {
-		return
-	}
-	t.respSeen[peer] = true
-	if t.pendingResponses > 0 {
-		t.pendingResponses--
-	}
 }
 
 // OnPeerRollback implements proto.Protocol. TEL keeps no per-peer
@@ -356,7 +275,7 @@ func (t *TEL) OnResponderLost(peer int) {
 // nothing needs resetting when a peer rolls back.
 func (t *TEL) OnPeerRollback(peer int, ckptDelivered int64) {}
 
-// OnPeerCheckpoint implements proto.Protocol: determinants covered by the
+// OnPeerCheckpoint implements proto.Replayer: determinants covered by the
 // peer's checkpoint can never be replayed; drop them locally and at the
 // logger.
 func (t *TEL) OnPeerCheckpoint(peer int, deliveredCount int64) {

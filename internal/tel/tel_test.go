@@ -200,7 +200,7 @@ func TestRecoveryUsesLoggerAndResponses(t *testing.T) {
 
 	// Fresh incarnation from an empty checkpoint.
 	inc := New(1, 3, lg, &sync.Mutex{}, nil, nil)
-	inc.BeginRecovery(2)
+	inc.BeginRecovery()
 
 	m0 := envFrom(New(0, 3, nil, nil, nil, nil), 0, 1, 1)
 	m2 := envFrom(New(2, 3, nil, nil, nil, nil), 2, 1, 1)
@@ -215,6 +215,11 @@ func TestRecoveryUsesLoggerAndResponses(t *testing.T) {
 	if err := inc.OnRecoveryData(2, determinant.AppendSlice(nil, nil)); err != nil {
 		t.Fatal(err)
 	}
+	// Responses in, yet still held: only the harness ends collection.
+	if v, err := inc.Deliverable(m0, 0); err != nil || v != proto.Hold {
+		t.Fatalf("admitted before OnCollected: %v", v)
+	}
+	inc.OnCollected()
 
 	// The logger pinned slot 1 to (P0,#1): m2 must hold, m0 delivers.
 	if v, err := inc.Deliverable(m2, 0); err != nil || v != proto.Hold {
