@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 
 	"windar/internal/proto"
@@ -34,8 +35,12 @@ type Checkpoint struct {
 	// DeliveredCount is the rank's state-interval index (total messages
 	// delivered) at the checkpoint.
 	DeliveredCount int64
-	// Log is the retained sender log (messages peers may still need).
-	// Empty when LogExternal is set.
+	// LogView is the retained sender log (messages peers may still
+	// need), as a view of its records. Empty when LogExternal is set.
+	LogView proto.LogView
+	// Log is the other encode-side input (set at most one of the two):
+	// loose items, each destination's in send-index order. Decode never
+	// fills it; only the benchmark's probe still sets it.
 	Log []proto.LogItem
 	// LogExternal marks an incremental checkpoint: the sender log is
 	// not in the image because every item is already in the stable
@@ -53,14 +58,15 @@ type Checkpoint struct {
 //	       flags (bit 0: LogExternal) ·
 //	       uvarint len · AppImage · uvarint len · ProtoState ·
 //	       wire.AppendVec LastSendIndex · wire.AppendVec LastDeliverIndex ·
-//	       uvarint len(Log) · proto.AppendLogItem × len(Log)
+//	       uvarint count · proto.AppendLogItem × count
 //
-// The length and checksum make a torn write detectable rather than
-// silently wrong. The version byte sits where the gob-era format
-// ("WCKP1" + gob stream) had '1', so such a blob is refused by name
-// instead of misparsed. It also covers the slog/ streams a LogExternal
-// checkpoint points at: they use the same LogItem encoding and are only
-// ever read after their checkpoint decoded.
+// The log section is the sender log's records verbatim, in (Dest,
+// SendIndex) order, which Decode checks; the slog/ streams of a
+// LogExternal checkpoint hold the same records, one per entry, read only
+// after their checkpoint decoded. The length and checksum make a torn
+// write detectable rather than silently wrong. The version byte sits
+// where the gob-era format ("WCKP1" + gob stream) had '1', so such a blob
+// is refused by name instead of misparsed.
 const (
 	blobMagic   = "WCKP"
 	blobVersion = 0x02
@@ -73,14 +79,22 @@ const (
 // header and body are written into a single allocation with no growth
 // and no second copy.
 func Encode(c *Checkpoint) ([]byte, error) {
+	dests := make([]int, 0, 16) // of the loose items, written destination by destination
 	size := wire.VarintLen(int64(c.Rank)) + wire.VarintLen(int64(c.Step)) + wire.VarintLen(c.DeliveredCount) + 1 +
 		wire.UvarintLen(uint64(len(c.AppImage))) + len(c.AppImage) +
 		wire.UvarintLen(uint64(len(c.ProtoState))) + len(c.ProtoState) +
 		wire.VecSize(c.LastSendIndex) + wire.VecSize(c.LastDeliverIndex) +
-		wire.UvarintLen(uint64(len(c.Log)))
+		wire.UvarintLen(uint64(c.LogView.Count+len(c.Log)))
+	for _, r := range c.LogView.Runs {
+		size += len(r.Recs)
+	}
 	for i := range c.Log {
 		size += proto.LogItemSize(&c.Log[i])
+		if !slices.Contains(dests, c.Log[i].Dest) {
+			dests = append(dests, c.Log[i].Dest)
+		}
 	}
+	slices.Sort(dests)
 	if uint64(size) > math.MaxUint32 {
 		return nil, fmt.Errorf("ckpt: encode rank %d: %d-byte body exceeds the frame's 32-bit length", c.Rank, size)
 	}
@@ -102,9 +116,16 @@ func Encode(c *Checkpoint) ([]byte, error) {
 	buf = append(buf, c.ProtoState...)
 	buf = wire.AppendVec(buf, c.LastSendIndex)
 	buf = wire.AppendVec(buf, c.LastDeliverIndex)
-	buf = binary.AppendUvarint(buf, uint64(len(c.Log)))
-	for i := range c.Log {
-		buf = proto.AppendLogItem(buf, &c.Log[i])
+	buf = binary.AppendUvarint(buf, uint64(c.LogView.Count+len(c.Log)))
+	for _, r := range c.LogView.Runs {
+		buf = append(buf, r.Recs...)
+	}
+	for _, dest := range dests {
+		for i := range c.Log {
+			if c.Log[i].Dest == dest {
+				buf = proto.AppendLogItem(buf, &c.Log[i])
+			}
+		}
 	}
 
 	body := buf[blobHeader:]
@@ -115,8 +136,8 @@ func Encode(c *Checkpoint) ([]byte, error) {
 
 // Decode parses a blob produced by Encode, rejecting anything torn,
 // corrupt or of another format version. The body is copied once and the
-// checkpoint's byte fields — images, every log item's piggyback and
-// payload — are views into that copy, so data may be reused afterwards.
+// checkpoint's byte fields — images and the log view — are views into
+// that copy, so data may be reused afterwards.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < blobHeader || string(data[:len(blobMagic)]) != blobMagic {
 		return nil, fmt.Errorf("ckpt: blob missing frame header (%d bytes)", len(data))
@@ -150,25 +171,15 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 	if int64(c.Rank) != rank || int64(c.Step) != step || flags&^flagLogExternal != 0 {
 		return nil, fmt.Errorf("ckpt: decode: header fields out of range")
 	}
-	// The count is checked against the bytes that are there before it
-	// sizes anything.
-	if items > uint64(r.Len()/proto.MinLogItemSize) {
+	// Every item takes at least one byte.
+	if items > uint64(r.Len()) {
 		return nil, fmt.Errorf("ckpt: decode: %d log items claimed in %d bytes", items, r.Len())
 	}
-	rest := body[r.Offset():]
-	if items > 0 {
-		c.Log = make([]proto.LogItem, items)
+	view, err := proto.ParseLogView(body[r.Offset():], int(items))
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: decode: %w", err)
 	}
-	for i := range c.Log {
-		n, err := proto.DecodeLogItem(&c.Log[i], rest)
-		if err != nil {
-			return nil, fmt.Errorf("ckpt: decode: log item %d of %d: %w", i, items, err)
-		}
-		rest = rest[n:]
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("ckpt: decode: %d trailing bytes", len(rest))
-	}
+	c.LogView = view
 	return c, nil
 }
 

@@ -16,7 +16,21 @@ import (
 	"windar/layer"
 )
 
+// sampleItems is the sample checkpoint's sender log.
+func sampleItems() []proto.LogItem {
+	return []proto.LogItem{
+		{Dest: 1, SendIndex: 3, Tag: 7, Piggyback: []byte{9}, Payload: []byte("pay")},
+		{Dest: 1, SendIndex: 4, Tag: -2, Payload: []byte("untraced, no piggyback")},
+		{Dest: 3, SendIndex: 1, Tag: 7, Piggyback: []byte{0xff, 0},
+			Span: layer.SpanContext{Trace: 1 << 60, Span: 2<<48 | 9, Parent: 1<<48 | 4}},
+	}
+}
+
 func sampleCheckpoint() *Checkpoint {
+	l := proto.NewLog()
+	for _, it := range sampleItems() {
+		l.Append(it)
+	}
 	return &Checkpoint{
 		Rank:             2,
 		Step:             17,
@@ -25,12 +39,7 @@ func sampleCheckpoint() *Checkpoint {
 		LastSendIndex:    vclock.Vec{0, 3, 0, 1},
 		LastDeliverIndex: vclock.Vec{2, 0, 0, 4},
 		DeliveredCount:   6,
-		Log: []proto.LogItem{
-			{Dest: 1, SendIndex: 3, Tag: 7, Piggyback: []byte{9}, Payload: []byte("pay")},
-			{Dest: 1, SendIndex: 4, Tag: -2, Payload: []byte("untraced, no piggyback")},
-			{Dest: 3, SendIndex: 1, Tag: 7, Piggyback: []byte{0xff, 0},
-				Span: layer.SpanContext{Trace: 1 << 60, Span: 2<<48 | 9, Parent: 1<<48 | 4}},
-		},
+		LogView:          l.View(),
 	}
 }
 
@@ -46,6 +55,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
+	}
+	// Loose items, the encode-side input, make the same blob as the
+	// log's view of them.
+	loose := sampleCheckpoint()
+	loose.LogView, loose.Log = proto.LogView{}, sampleItems()
+	if data2, err := Encode(loose); err != nil || !bytes.Equal(data, data2) {
+		t.Fatalf("Encode of loose items: %v; blob differs from the view's", err)
 	}
 }
 
@@ -186,14 +202,14 @@ func TestEmptyCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rank != 0 || got.Step != 0 || len(got.Log) != 0 {
+	if got.Rank != 0 || got.Step != 0 || got.LogView.Count != 0 {
 		t.Fatalf("empty round trip: %+v", got)
 	}
 }
 
 func TestLogExternalRoundTrip(t *testing.T) {
 	c := sampleCheckpoint()
-	c.Log, c.LogExternal = nil, true
+	c.LogView, c.LogExternal = proto.LogView{}, true
 	data, err := Encode(c)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +238,7 @@ func TestDecodeDoesNotAliasItsInput(t *testing.T) {
 	}
 	// Its byte fields are views into one shared copy; growing one must
 	// not write into its neighbour.
-	_ = append(got.Log[0].Piggyback, 0xEE)
+	_ = append(got.LogView.Runs[0].Recs, 0xEE)
 	if !reflect.DeepEqual(c, got) {
 		t.Fatalf("append to a decoded field scribbled on another:\n got %+v\nwant %+v", got, c)
 	}
@@ -271,8 +287,8 @@ func TestDecodeHostileLengthFields(t *testing.T) {
 	// must fail cleanly rather than allocate or index by it.
 	for i := range body {
 		hostile := append(append(append([]byte(nil), body[:i]...), huge...), body[i+1:]...)
-		if c, err := Decode(reframe(hostile)); err == nil && len(c.Log) > len(hostile) {
-			t.Fatalf("offset %d: decoded %d log items from %d bytes", i, len(c.Log), len(hostile))
+		if c, err := Decode(reframe(hostile)); err == nil && c.LogView.Count > len(hostile) {
+			t.Fatalf("offset %d: decoded %d log items from %d bytes", i, c.LogView.Count, len(hostile))
 		}
 	}
 	// An item count larger than the remaining bytes could hold.
@@ -282,6 +298,30 @@ func TestDecodeHostileLengthFields(t *testing.T) {
 	body = append(body[:len(body)-1], binary.AppendUvarint(nil, 1<<40)...)
 	if _, err := Decode(reframe(body)); err == nil {
 		t.Fatal("2^40 log items in an empty body accepted")
+	}
+}
+
+// A checksum-valid log section whose items repeat or go back in (Dest,
+// SendIndex) order cannot be a log's: restoring it would break the log's
+// ordering invariant, so Decode must refuse it.
+func TestDecodeRejectsDisorderedLog(t *testing.T) {
+	empty, err := Encode(&Checkpoint{Rank: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, items := range map[string][]proto.LogItem{
+		"duplicate":  {{Dest: 1, SendIndex: 2}, {Dest: 1, SendIndex: 3}, {Dest: 1, SendIndex: 3}},
+		"backwards":  {{Dest: 1, SendIndex: 3}, {Dest: 1, SendIndex: 2}},
+		"dest_order": {{Dest: 2, SendIndex: 1}, {Dest: 1, SendIndex: 5}},
+	} {
+		// The empty checkpoint's body ends in its zero item count.
+		body := binary.AppendUvarint(bytes.Clone(empty[blobHeader:len(empty)-1]), uint64(len(items)))
+		for i := range items {
+			body = proto.AppendLogItem(body, &items[i])
+		}
+		if _, err := Decode(reframe(body)); err == nil {
+			t.Errorf("%s: disordered log section decoded without error", name)
+		}
 	}
 }
 
@@ -307,8 +347,23 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if len(c.Log) > len(blob) || len(c.AppImage) > len(blob) || len(c.LastSendIndex) > len(blob) {
-				t.Fatalf("decoded more than the input holds: %d items from %d bytes", len(c.Log), len(blob))
+			if c.LogView.Count > len(blob) || len(c.AppImage) > len(blob) || len(c.LastSendIndex) > len(blob) {
+				t.Fatalf("decoded more than the input holds: %d items from %d bytes", c.LogView.Count, len(blob))
+			}
+			// Whatever decodes restores into a log, which reads it back.
+			l := proto.NewLog()
+			l.Adopt(c.LogView)
+			if l.Len() != c.LogView.Count || (l.Len() > 0 && !reflect.DeepEqual(l.View(), c.LogView)) {
+				t.Fatalf("adopted log holds %d items, view %d", l.Len(), c.LogView.Count)
+			}
+			for _, r := range c.LogView.Runs {
+				if n := len(l.ItemsFor(r.Dest, math.MinInt64)); n > r.N {
+					t.Fatalf("dest %d: %d items resendable of %d", r.Dest, n, r.N)
+				}
+				l.Release(r.Dest, r.Last-1)
+				if r.Last < math.MaxInt64 {
+					l.Append(proto.LogItem{Dest: r.Dest, SendIndex: r.Last + 1})
+				}
 			}
 			// Whatever decodes re-encodes to something that decodes equal.
 			again, err := Encode(c)

@@ -68,6 +68,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "msg_roundtrip_tcp", F: func() float64 { return msgRoundtripAllocs(transport.TCP) }, Max: msgRoundtripMax},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
+		{Name: "log_append", F: probeLogAppend, Max: logAppendMax},
 		{Name: "log_all", F: probeLogAll},
 		{Name: "log_restore", F: probeLogRestore, Max: logRestoreMax},
 		{Name: "ckpt_encode", F: probeCkptEncode},
@@ -203,16 +204,15 @@ func slogProbe() (r *rankRuntime, it proto.LogItem, cleanup func()) {
 	}
 }
 
-// probeSlogAppend measures mirroring one logged item into its durable
-// stream: encode into the rank's scratch, one record framed in place in
-// the shard's write buffer, one cached entry. The chunk the cache and
-// the write buffer's flush cost per ~190 items amortise to zero.
+// probeSlogAppend measures logging one item and mirroring its record
+// into its durable stream, framed in place in the shard's write buffer,
+// one cached entry. The log's and cache's chunks amortise to zero.
 func probeSlogAppend() float64 {
 	r, it, cleanup := slogProbe()
 	defer cleanup()
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		it.SendIndex++
-		r.slogAppend(&it)
+		r.slogAppend(1, r.log.Append(it))
 	})
 }
 
@@ -224,7 +224,7 @@ func probeSlogRelease() float64 {
 	const batch = 4
 	for i := 0; i < (allocProbeRuns+2)*batch; i++ {
 		it.SendIndex++
-		r.slogAppend(&it)
+		r.slogAppend(1, r.log.Append(it))
 	}
 	upTo := int64(0)
 	return testing.AllocsPerRun(allocProbeRuns, func() {
@@ -233,43 +233,61 @@ func probeSlogRelease() float64 {
 	})
 }
 
-// probeLog fills a sender log with 1000 flood-shaped items to three
-// destinations — a checkpoint interval's worth.
-func probeLog() *proto.Log {
-	l := proto.NewLog()
-	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
-	for i := 1; i <= 1000; i++ {
-		l.Append(proto.LogItem{Dest: 1 + i%3, SendIndex: int64(i), Tag: 6, Piggyback: pig, Payload: payload})
-	}
-	return l
-}
-
-// probeLogAll measures the checkpoint's copy of the sender log, taken
-// under the rank lock on the application goroutine. Contract: exactly
-// one allocation, the result at its final size.
-func probeLogAll() float64 {
-	l := probeLog()
-	return testing.AllocsPerRun(allocProbeRuns, func() { _ = l.All() })
-}
-
-// logRestoreMax is log_restore's budget, allocations per destination:
-// the destination's bookkeeping and its list of chunk views.
-const logRestoreMax = 2
-
-// probeLogRestore measures a recovery's restore of the sender log from a
-// checkpoint of 32 768 items to four destinations, the recovery workload's
-// roll-forward length, and reports allocations per destination.
-// Contract: at most logRestoreMax, whatever the item count — the items
-// are adopted in place, never regrouped, sorted or copied.
-func probeLogRestore() float64 {
-	const items, dests = 32768, 4
+// probeLog fills a sender log with flood-shaped items, spread over dests
+// destinations. 1000 items to three are a checkpoint interval's worth.
+func probeLog(items, dests int) *proto.Log {
 	l := proto.NewLog()
 	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
 	for i := 1; i <= items; i++ {
 		l.Append(proto.LogItem{Dest: i % dests, SendIndex: int64(i), Tag: 6, Piggyback: pig, Payload: payload})
 	}
-	cp := l.All()
-	return testing.AllocsPerRun(allocProbeRuns, func() { l.RestoreAll(cp) }) / dests
+	return l
+}
+
+// logAppendMax is log_append's budget, allocations per append.
+const logAppendMax = 1.0 / 256
+
+// probeLogAppend measures the sender log on the flood's send path:
+// flood-shaped appends to one destination, cut mid-chunk every 1 000 by
+// a release, reported as a fraction so that amortised chunks count.
+func probeLogAppend() float64 {
+	const appends, releaseEvery = 256 * 400, 1000
+	l := proto.NewLog()
+	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := int64(1); i <= appends; i++ {
+		l.Append(proto.LogItem{Dest: 1, SendIndex: i, Tag: 6, Piggyback: pig, Payload: payload})
+		if i%releaseEvery == 0 {
+			l.Release(1, i-releaseEvery/2)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / appends
+}
+
+// probeLogAll measures the checkpoint's view of the sender log, taken
+// under the rank lock on the application goroutine. Contract: exactly
+// one allocation, the run list, whatever the item count.
+func probeLogAll() float64 {
+	l := probeLog(1000, 3)
+	return testing.AllocsPerRun(allocProbeRuns, func() { _ = l.View() })
+}
+
+// logRestoreMax is log_restore's budget, allocations per destination:
+// the destination's bookkeeping and its list of chunks.
+const logRestoreMax = 2
+
+// probeLogRestore measures a recovery's restore of the sender log from a
+// checkpoint view of 32 768 items to four destinations, the recovery
+// workload's roll-forward length, and reports allocations per
+// destination. Contract: at most logRestoreMax, whatever the item count —
+// the records are adopted in place, never decoded or copied.
+func probeLogRestore() float64 {
+	const dests = 4
+	l := probeLog(32768, dests)
+	v := l.View()
+	return testing.AllocsPerRun(allocProbeRuns, func() { l.Adopt(v) }) / dests
 }
 
 // probeCkptEncode measures turning one 1000-item checkpoint into its
@@ -279,7 +297,7 @@ func probeCkptEncode() float64 {
 	cp := &ckpt.Checkpoint{
 		Rank: 1, Step: 200, AppImage: make([]byte, 4096), ProtoState: make([]byte, 64),
 		LastSendIndex: make([]int64, 4), LastDeliverIndex: make([]int64, 4), DeliveredCount: 3200,
-		Log: probeLog().All(),
+		LogView: probeLog(1000, 3).View(),
 	}
 	return testing.AllocsPerRun(allocProbeRuns, func() {
 		if _, err := ckpt.Encode(cp); err != nil {
@@ -530,7 +548,7 @@ func probeShardFIFO() float64 {
 
 // msgRoundtripMax is the end-to-end budget, allocations per delivered
 // message. What is left under it is amortised: an arena chunk per ~2 000
-// payloads or piggybacks, a sender-log chunk per 256 items.
+// payloads or piggybacks, a sender-log chunk per ~800 records.
 const msgRoundtripMax = 0.05
 
 // pingApp is the end-to-end probe's application: ranks 0 and 1 bounce an

@@ -51,8 +51,8 @@ type protoHandler struct {
 	next layer.Handler
 }
 
-// Send attaches the piggyback. The returned slice is fresh by design:
-// the sender log retains it for recovery resends.
+// Send attaches the piggyback. The core layer copies it into the sender
+// log's record, which the envelope then carries in its place.
 func (h protoHandler) Send(m *layer.Msg) {
 	m.Piggyback, m.PiggybackIDs = h.r.prot.PiggybackForSend(m.Peer, m.SendIndex)
 	h.next.Send(m)
@@ -176,9 +176,11 @@ func (h observerHandler) Restore(info *layer.RestoreInfo) {
 // application. On the send path it appends the (possibly user-layer
 // transformed) message to the sender log — innermost so the log records
 // exactly what recovery must replay — and computes repetitive-send
-// suppression (Algorithm 1 line 10). On the deliver path the message has
-// reached the application; the payload the chain leaves in Msg.Payload
-// is what Recv returns.
+// suppression (Algorithm 1 line 10). The log record is the send's only
+// copy of the message: Msg.Piggyback and Msg.Payload leave the chain as
+// views of it, and the durable mirror stores the same bytes. On the
+// deliver path the message has reached the application; the payload the
+// chain leaves in Msg.Payload is what Recv returns.
 type coreHandler struct {
 	r *rankRuntime
 }
@@ -186,16 +188,16 @@ type coreHandler struct {
 // Send implements layer.Handler.
 func (h coreHandler) Send(m *layer.Msg) {
 	r := h.r
-	it := proto.LogItem{
+	rec := r.log.Append(proto.LogItem{
 		Dest: m.Peer, SendIndex: m.SendIndex, Tag: m.Tag,
 		Piggyback: m.Piggyback, Payload: m.Payload, Span: m.Span,
-	}
-	r.log.Append(it)
+	})
+	m.Piggyback, m.Payload = proto.RecordBytes(rec, len(m.Piggyback), len(m.Payload))
 	// A killed incarnation must not append behind its successor's rewind:
 	// Kill takes the rank lock after marking the rank dead, so a send that
 	// still holds it finishes first and any later one sees the mark.
 	if r.c.durableLogs && !r.isKilled() {
-		r.slogAppend(&it)
+		r.slogAppend(m.Peer, rec)
 	}
 	r.sendSuppressed = m.SendIndex <= r.rollbackLastSendIndex[m.Peer]
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"windar/internal/proto"
 	"windar/internal/transport"
 	"windar/internal/vclock"
 	"windar/internal/wire"
@@ -199,7 +200,9 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	if r.replayer != nil {
 		ans.data = r.replayer.RecoveryData(failed, ckptDelivered)
 	}
-	resend := r.log.ItemsFor(failed, lastDeliver[r.id]) // a copy: safe to walk unlocked
+	// The resend walks the log's records unlocked and after the RESPONSE
+	// is out: they never change, and the view holds what it needs.
+	resend := r.log.View()
 	r.mu.Unlock()
 
 	m := r.c.coll.Rank(r.id)
@@ -216,8 +219,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	// One envelope serves the whole resend: neither transport retains it
 	// past Send (both encode or deep-copy synchronously).
 	renv := new(wire.Envelope)
-	for i := range resend {
-		it := &resend[i]
+	resend.Each(failed, lastDeliver[r.id], func(it *proto.LogItem) bool {
 		*renv = wire.Envelope{
 			Kind: wire.KindApp, From: r.id, To: failed,
 			Incarnation: r.incarnation, Tag: it.Tag,
@@ -227,7 +229,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 			Piggyback: it.Piggyback, Payload: it.Payload, Span: it.Span,
 		}
 		if err := r.c.tr.Send(renv, transportSendOpts(false, r.killed)); err != nil {
-			return
+			return false
 		}
 		m.Resent()
 		if so := r.c.spanObs; so != nil {
@@ -235,7 +237,8 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 		} else {
 			r.c.observer().OnSend(r.id, failed, it.SendIndex, true)
 		}
-	}
+		return true
+	})
 }
 
 // handleResponse absorbs a RESPONSE during this rank's own rolling

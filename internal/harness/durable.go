@@ -5,27 +5,23 @@ import (
 
 	"windar/internal/ckpt"
 	"windar/internal/proto"
-	"windar/internal/wire"
 )
 
-// Durable sender logs (Config.DurableLogs): every log append is mirrored
-// into the stable store's stream slog/<rank>/<dest>/, one stream per
-// channel, so a process that dies with SIGKILL can rebuild its retained
-// sender log from them. The store numbers a stream's entries from 1 as
-// they are appended, exactly as the rank numbers its sends to one
-// destination, so an entry's number is its send index: the release that
-// CHECKPOINT_ADVANCE triggers is one Truncate to the peer's delivered
-// index and recovery is one Scan up to the checkpoint's send frontier.
-// Appends ride the WAL's lazy path (PutLazy — no fsync wait on the send
-// path); the next checkpoint Save is the group-commit barrier that makes
-// them durable, which is exactly the coverage the checkpoint's
-// LogExternal restore relies on: items with
-// SendIndex <= cp.LastSendIndex[dest] were appended before the snapshot
-// and are therefore durable once the Save that published cp completed.
-// Items appended after the checkpoint may be lost with the process; a
-// full-cluster restart regenerates them by replaying from the
-// checkpointed step, which is why every incarnation first rewinds its
-// streams to the frontier it starts from.
+// Durable sender logs (Config.DurableLogs): every log record is also
+// appended, as it is, to the stable store's stream slog/<rank>/<dest>/,
+// so a process that dies with SIGKILL can rebuild its retained sender log
+// from them. The store numbers a stream's entries from 1 as they are
+// appended, exactly as the rank numbers its sends to one destination, so
+// an entry's number is its send index: CHECKPOINT_ADVANCE's release is
+// one Truncate and recovery one Scan up to the checkpoint's send frontier.
+// Appends ride the WAL's lazy path (PutLazy, no fsync wait); the next
+// checkpoint Save is the group-commit barrier that makes them durable,
+// which is exactly the coverage a LogExternal restore relies on: items
+// with SendIndex <= cp.LastSendIndex[dest] were appended before the
+// snapshot and are durable once the Save that published cp completed.
+// Items appended later may be lost with the process; a full-cluster
+// restart regenerates them by replaying from the checkpointed step, which
+// is why every incarnation first rewinds its streams to its frontier.
 
 // slogStreams names rank's streams once, at cluster construction: the
 // send path must not build a string per message. The entry for rank
@@ -38,15 +34,13 @@ func slogStreams(rank, n int) []string {
 	return names
 }
 
-// slogAppend mirrors one just-logged item into its channel's stream,
-// encoded into the rank's scratch buffer. Called under the rank lock on
-// the send path; PutLazy never sleeps, so the lock is safe to hold
-// across it.
+// slogAppend mirrors one just-logged record into its channel's stream.
+// Called under the rank lock on the send path; PutLazy never sleeps, so
+// the lock is safe to hold across it.
 //
 //windar:hotpath
-func (r *rankRuntime) slogAppend(it *proto.LogItem) {
-	r.slogBuf = proto.AppendLogItem(r.slogBuf[:0], it) //windar:allow hotpath — the scratch buffer keeps its capacity
-	if err := r.c.store.PutLazy(r.c.slogNames[r.id][it.Dest], r.slogBuf); err != nil {
+func (r *rankRuntime) slogAppend(dest int, rec []byte) {
+	if err := r.c.store.PutLazy(r.c.slogNames[r.id][dest], rec); err != nil {
 		panicSlog(r.id, "append", err)
 	}
 }
@@ -84,22 +78,17 @@ func (r *rankRuntime) slogRewind() error {
 	return nil
 }
 
-// restoreLog rebuilds r's sender log from checkpoint cp: the inline
-// items, or — for an incremental (LogExternal) checkpoint — the rank's
-// streams, filtered to the checkpoint's send frontier. Entries beyond
-// the frontier belong to sends after the snapshot: a same-process
-// recovery regenerates them deterministically, and a process restart may
-// have lost them anyway (they were lazy), so start rewinds them away.
+// restoreLog rebuilds r's empty sender log from checkpoint cp: it adopts
+// the checkpoint's log view or, for a LogExternal checkpoint, appends the
+// rank's stream entries up to the checkpoint's send frontier. Later
+// entries are sends after the snapshot, which the incarnation redoes (a
+// restart may have lost them anyway: they were lazy), so start rewinds
+// them away.
 func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 	if !cp.LogExternal {
-		r.log.RestoreAll(cp.Log)
+		r.log.Adopt(cp.LogView)
 		return nil
 	}
-	// The streams are scanned destination by destination, each in entry
-	// (= send index) order, so items come out in the order RestoreAll
-	// adopts in place, and one arena holds every entry's bytes.
-	var items []proto.LogItem
-	var arena wire.Arena
 	for dest, name := range r.c.slogNames[r.id] {
 		if dest == r.id {
 			continue
@@ -109,9 +98,8 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 			if seq > frontier {
 				return nil
 			}
-			// Scan lends data for the call only; the item keeps the copy.
 			var it proto.LogItem
-			n, err := proto.DecodeLogItem(&it, arena.Copy(data))
+			n, err := proto.DecodeLogItem(&it, data)
 			if err == nil && n != len(data) {
 				err = proto.ErrCorruptLogItem
 			}
@@ -121,13 +109,12 @@ func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 			if err != nil {
 				return fmt.Errorf("harness: rank %d: stream %s entry %d: %w", r.id, name, seq, err)
 			}
-			items = append(items, it)
+			r.log.Append(it) // in seq = SendIndex order; copies what Scan lends
 			return nil
 		})
 		if err != nil {
 			return err
 		}
 	}
-	r.log.RestoreAll(items)
 	return nil
 }

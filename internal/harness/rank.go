@@ -56,15 +56,6 @@ type rankRuntime struct {
 	delivMsg  layer.Msg
 	delivEnv  *wire.Envelope
 	recvStart time.Time
-	// sendArena backs the outgoing payload copies, touched only by the
-	// app goroutine inside Send. The copies are retained read-only by
-	// the sender log (and shared with the in-flight envelope); a chunk
-	// stays reachable until every payload cut from it is released, which
-	// merely rounds the log's retention up to chunk granularity.
-	sendArena wire.Arena
-	// slogBuf is the scratch the durable log mirror encodes each item
-	// into, reused under mu (see slogAppend).
-	slogBuf []byte
 	// sendSuppressed is coreHandler.Send's verdict for the message just
 	// pushed through the chain (valid until the next Send).
 	sendSuppressed bool
@@ -432,8 +423,6 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	if dest < 0 || dest >= r.n {
 		panic(fmt.Sprintf("harness: rank %d Send to invalid destination %d", r.id, dest))
 	}
-	payload := r.sendArena.Copy(data)
-
 	r.mu.Lock()
 	r.lastSendIndex[dest]++
 	idx := r.lastSendIndex[dest]
@@ -441,7 +430,7 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	m.Rank, m.Peer, m.Tag = r.id, dest, tag
 	m.SendIndex, m.DeliverIndex, m.Demand = idx, 0, -1
 	m.Piggyback, m.PiggybackIDs = nil, 0
-	m.Payload, m.Resent = payload, false
+	m.Payload, m.Resent = data, false
 	m.Span = layer.SpanContext{}
 	r.chain.Send(m)
 	pig, payload := m.Piggyback, m.Payload
@@ -452,8 +441,8 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	if suppress {
 		return
 	}
-	// The log's item shares pig and payload slices with the envelope;
-	// the transport copies or encodes them, never retains them.
+	// pig and payload are views of the sender log's record, which never
+	// changes; the transport copies or encodes them, never retains them.
 	env := &r.sendEnv
 	env.Kind, env.From, env.To = wire.KindApp, r.id, dest
 	env.Incarnation, env.Tag, env.SendIndex = r.incarnation, tag, idx
@@ -860,7 +849,7 @@ func (r *rankRuntime) doCheckpoint(step int) {
 		// from the streams.
 		cp.LogExternal = true
 	} else {
-		cp.Log = r.log.All()
+		cp.LogView = r.log.View() // the records themselves, not a copy
 	}
 	var advances []ckptAdvance
 	for k := 0; k < r.n; k++ {

@@ -161,7 +161,7 @@ type restoreCapture struct {
 	once      sync.Once
 
 	mu      sync.Mutex
-	logs    [][]proto.LogItem   // per recovery: Log.All()
+	logs    [][]proto.LogItem   // per recovery: the records of Log.View()
 	resends [][][]proto.LogItem // per recovery, per destination: ItemsFor(dest, 0)
 }
 
@@ -179,7 +179,7 @@ func (o *restoreCapture) OnRecover(rank, _ int) {
 	r := o.c.ranks[0]
 	o.c.ranksMu.Unlock()
 	r.mu.Lock()
-	all := r.log.All()
+	all := viewItems(r.log.View())
 	resends := make([][]proto.LogItem, r.n)
 	for dest := range resends {
 		resends[dest] = r.log.ItemsFor(dest, 0)
@@ -191,25 +191,47 @@ func (o *restoreCapture) OnRecover(rank, _ int) {
 	o.mu.Unlock()
 }
 
-// cloneItems deep-copies items, byte fields included.
-func cloneItems(items []proto.LogItem) []proto.LogItem {
-	out := append([]proto.LogItem(nil), items...)
-	for i := range out {
-		out[i].Piggyback = bytes.Clone(out[i].Piggyback)
-		out[i].Payload = bytes.Clone(out[i].Payload)
+// viewItems decodes the records of v, in order, up to the first that is
+// not whole (which then shows as a difference, not a panic).
+func viewItems(v proto.LogView) []proto.LogItem {
+	var out []proto.LogItem
+	for _, run := range v.Runs {
+		for b := run.Recs; len(b) > 0; {
+			var it proto.LogItem
+			n, err := proto.DecodeLogItem(&it, b)
+			if err != nil {
+				return out
+			}
+			out = append(out, it)
+			b = b[n:]
+		}
+	}
+	return out
+}
+
+// cloneView deep-copies v, record bytes included.
+func cloneView(v proto.LogView) proto.LogView {
+	out := proto.LogView{Count: v.Count, Runs: append([]proto.LogRun(nil), v.Runs...)}
+	for i := range out.Runs {
+		out.Runs[i].Recs = bytes.Clone(out.Runs[i].Recs)
 	}
 	return out
 }
 
 // TestRepeatedRecoveryRestoresSameStagedCheckpoint runs two kill/recover
 // cycles of rank 0 that restore the same staged checkpoint: the sender
-// log is adopted from the checkpoint's items in place, and in between the
-// first incarnation appends behind it and peers' CHECKPOINT_ADVANCEs
-// release from it. Both recoveries must restore the same log and the same
-// resend sets, equal to the checkpoint's items, and the checkpoint itself
-// must come out of both cycles byte for byte unchanged.
+// log adopts the checkpoint's view of its records in place. Before the
+// first kill, the incarnation that took the checkpoint has every record
+// it logged released by rank 1's step-400 checkpoint — the staged
+// records' chunk included, while rank 0 is parked with nothing newer
+// logged — and then appends more; the recovered incarnations append
+// behind the adopted view and have it released too. Both recoveries must
+// restore the same log and the same resend sets, equal to the
+// checkpoint's records, and the staged view must come out of all of it
+// byte for byte unchanged: an Append that reused released bytes would
+// write over it.
 func TestRepeatedRecoveryRestoresSameStagedCheckpoint(t *testing.T) {
-	const steps, victimCkpt, peerCkpt = 600, 300, 450
+	const steps, victimCkpt, parkAt = 600, 300, 400
 	cfg := testConfig(3, TDI)
 	// Inline checkpoint logs whatever WINDAR_STABLE says: this test is
 	// about adopting a staged checkpoint's items. (Durable streams are
@@ -219,34 +241,62 @@ func TestRepeatedRecoveryRestoresSameStagedCheckpoint(t *testing.T) {
 	cfg.CheckpointEvery = 0
 	clean := run(t, cfg, ringFactory(steps), nil)
 
-	// Rank 0 checkpoints once, with 300 items for rank 1 in its log (two
-	// chunk views); the peers checkpoint after it, releasing adopted
-	// items from the recovered incarnation's log.
+	// Rank 0 checkpoints once, with 300 items for rank 1 in its log. Its
+	// first incarnation parks right after, until the test has copied the
+	// staged view, and again at step 400, until rank 1's step-400
+	// CHECKPOINT_ADVANCE has released everything it logged.
 	cfg.Stable = stable.NewSim()
+	var cloneOnce, parkOnce sync.Once
+	cloned, parked, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	cfg.CheckpointPolicy = policyFunc(func(rank, step int) bool {
-		if rank == 0 {
-			return step == victimCkpt
+		switch {
+		case rank != 0:
+			return step == parkAt || step == 450
+		case step == victimCkpt+1:
+			cloneOnce.Do(func() { <-cloned })
+		case step == parkAt:
+			parkOnce.Do(func() { close(parked); <-resume })
 		}
-		return step == peerCkpt
+		return step == victimCkpt
 	})
 	obs := &restoreCapture{ckptTaken: make(chan struct{})}
 	cfg.Observer = obs
 	var staged *ckpt.Checkpoint
-	var before []proto.LogItem
+	var before proto.LogView
 	faulty := run(t, cfg, ringFactory(steps), func(c *Cluster) {
 		obs.c = c
+		unpark := sync.OnceFunc(func() { close(resume) })
+		defer unpark()
 		select {
 		case <-obs.ckptTaken:
 		case <-time.After(30 * time.Second):
 			t.Error("rank 0 never checkpointed")
+			close(cloned)
 			return
 		}
 		cp, ok, err := c.ckpts.Load(0)
-		if err != nil || !ok || cp.Step != victimCkpt {
+		if err == nil && ok && cp.Step == victimCkpt {
+			staged, before = cp, cloneView(cp.LogView)
+		}
+		close(cloned)
+		if staged == nil {
 			t.Errorf("staged checkpoint: ok=%v err=%v", ok, err)
 			return
 		}
-		staged, before = cp, cloneItems(cp.Log)
+		select {
+		case <-parked:
+		case <-time.After(30 * time.Second):
+			t.Error("rank 0 never reached its park step")
+			return
+		}
+		for deadline := time.Now().Add(30 * time.Second); c.Metrics().Rank(0).Snapshot().LogItemsReleased < parkAt; {
+			if time.Now().After(deadline) {
+				t.Error("rank 1's step-400 CHECKPOINT_ADVANCE never released rank 0's log")
+				return
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		unpark()
 		for cycle := 0; cycle < 2; cycle++ {
 			time.Sleep(2 * time.Millisecond)
 			if err := c.Kill(0); err != nil {
@@ -275,8 +325,8 @@ func TestRepeatedRecoveryRestoresSameStagedCheckpoint(t *testing.T) {
 	if n := len(obs.resends[0][1]); n < victimCkpt/2 {
 		t.Fatalf("restored log holds %d items for rank 1; the checkpoint should carry most of %d", n, victimCkpt)
 	}
-	if !reflect.DeepEqual(obs.logs[0], before) {
-		t.Errorf("first restore's log differs from the checkpoint's items")
+	if !reflect.DeepEqual(obs.logs[0], viewItems(before)) {
+		t.Errorf("first restore's log differs from the checkpoint's records")
 	}
 	if !reflect.DeepEqual(obs.logs[0], obs.logs[1]) {
 		t.Errorf("the two restores of one checkpoint restored different logs")
@@ -284,7 +334,7 @@ func TestRepeatedRecoveryRestoresSameStagedCheckpoint(t *testing.T) {
 	if !reflect.DeepEqual(obs.resends[0], obs.resends[1]) {
 		t.Errorf("the two restores of one checkpoint would resend different items")
 	}
-	if !reflect.DeepEqual(staged.Log, before) {
-		t.Errorf("the staged checkpoint's items changed across two adopting incarnations")
+	if !reflect.DeepEqual(staged.LogView, before) {
+		t.Errorf("the staged checkpoint's log view changed across two adopting incarnations")
 	}
 }

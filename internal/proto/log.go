@@ -1,10 +1,8 @@
 package proto
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"windar/layer"
 )
@@ -15,8 +13,9 @@ import (
 // message during a peer's recovery ("every resent message should be
 // piggybacked with the logged vector ... as in normal execution mode").
 // The span context rides along for the same reason: a resend must carry
-// the original send's causal identity, not a fresh one. Checkpoints and
-// the durable slog/ streams share one encoding of it (logcodec.go).
+// the original send's causal identity, not a fresh one. The log stores
+// each item as its encoded record (logcodec.go), the one form a
+// checkpoint and the durable slog/ streams hold too.
 type LogItem struct {
 	Dest      int
 	SendIndex int64
@@ -26,64 +25,72 @@ type LogItem struct {
 	Span      layer.SpanContext
 }
 
-// logChunkItems is the fixed chunk capacity of the per-destination item
-// store. 256 items keep each chunk (~24 KiB) under the runtime's large
-// allocation threshold, so a growing log never pays the
-// allocate-copy-zero cycle of a doubling slice: Append touches only the
-// chunk it fills and each item's memory is allocated exactly once.
-const logChunkItems = 256
+// logChunkBytes is the capacity of a fresh record chunk: ~800 flood-sized
+// records, no pointers for the collector to scan, and under the large
+// allocation threshold. A larger record gets a chunk of its own size.
+const logChunkBytes = 16 << 10
 
-// destLog is one destination's items, in send-index order, stored as a
-// list of chunks of at most logChunkItems items: ones Append filled, or
-// views of a checkpoint's items that RestoreAll adopted. Only the last
-// chunk ever has spare capacity; Append fills it and starts a new one
-// when it is full.
-type destLog struct {
-	chunks [][]LogItem
-	count  int
+// LogRun is N back-to-back AppendLogItem records to Dest in send-index
+// order, the last with SendIndex Last: one chunk of the log, or one run of
+// a LogView. Bytes below len(Recs) are never rewritten — Append writes
+// only into a destination's last chunk's spare capacity, Release only
+// reslices a chunk from the front or drops it, and a run in a view has no
+// spare capacity — so a run stays as it was for as long as anyone holds it.
+type LogRun struct {
+	Dest int
+	N    int
+	Last int64
+	Recs []byte
 }
 
-// last returns a pointer to the newest item, or nil when empty.
-func (d *destLog) last() *LogItem {
-	if n := len(d.chunks); n > 0 {
-		c := d.chunks[n-1]
-		return &c[len(c)-1]
-	}
-	return nil
+// LogView is an immutable view of Count logged records in (Dest,
+// SendIndex) order, the form a checkpoint carries the sender log in. View
+// takes one of a log, ParseLogView one of a checkpoint's bytes, and Adopt
+// restores a log from one; none of them copies a record.
+type LogView struct {
+	Count int
+	Runs  []LogRun
 }
 
 // Log is a sender-based message log, organised per destination with items
 // in send-index order. The zero value is not usable; call NewLog.
 type Log struct {
-	perDest map[int]*destLog
-	bytes   int64
+	// perDest holds each destination's chunks. Only the last may have
+	// spare capacity or hold no record (Release keeps it for appends).
+	perDest map[int][]LogRun
 }
 
 // NewLog returns an empty log.
-func NewLog() *Log { return &Log{perDest: make(map[int]*destLog)} }
+func NewLog() *Log { return &Log{perDest: make(map[int][]LogRun)} }
 
-// Append adds item. Items for one destination must be appended in strictly
-// increasing send-index order; the protocol assigns indices sequentially
-// so a violation is a harness bug and panics.
+// Append adds item as one record at the end of its destination's log and
+// returns the record: the log's only copy of the item, which never
+// changes, so the caller may hand out views of it (see RecordBytes).
+// Items for one destination must be appended in strictly increasing
+// send-index order; the protocol assigns indices sequentially so a
+// violation is a harness bug and panics.
 //
 //windar:hotpath
-func (l *Log) Append(item LogItem) {
-	d := l.perDest[item.Dest]
-	if d == nil {
-		d = &destLog{} //windar:allow hotpath — once per destination, not per message
-		l.perDest[item.Dest] = d
+func (l *Log) Append(item LogItem) []byte {
+	runs := l.perDest[item.Dest]
+	n := len(runs)
+	if n > 0 && runs[n-1].Last >= item.SendIndex {
+		panicAppendOrder(item.Dest, item.SendIndex, runs[n-1].Last)
 	}
-	if last := d.last(); last != nil && last.SendIndex >= item.SendIndex {
-		panicAppendOrder(item.Dest, item.SendIndex, last.SendIndex)
+	if size := LogItemSize(&item); n == 0 || cap(runs[n-1].Recs)-len(runs[n-1].Recs) < size {
+		fresh := LogRun{Dest: item.Dest, Recs: make([]byte, 0, max(logChunkBytes, size))} //windar:allow hotpath — amortised: one chunk per ~800 flood-sized appends
+		if n > 0 && runs[n-1].N == 0 {
+			runs[n-1] = fresh // an emptied chunk holds nothing to keep
+		} else {
+			runs = append(runs, fresh) //windar:allow hotpath — grows with the retained log, not per message
+			l.perDest[item.Dest] = runs
+			n++
+		}
 	}
-	n := len(d.chunks)
-	if n == 0 || len(d.chunks[n-1]) == cap(d.chunks[n-1]) {
-		d.chunks = append(d.chunks, make([]LogItem, 0, logChunkItems)) //windar:allow hotpath — amortised: one chunk per logChunkItems appends
-		n++
-	}
-	d.chunks[n-1] = append(d.chunks[n-1], item)
-	d.count++
-	l.bytes += int64(len(item.Payload) + len(item.Piggyback))
+	c := &runs[n-1]
+	start := len(c.Recs)
+	c.Recs, c.N, c.Last = AppendLogItem(c.Recs, &item), c.N+1, item.SendIndex
+	return c.Recs[start:len(c.Recs):len(c.Recs)]
 }
 
 // panicAppendOrder keeps the fmt boxing out of Append's hot span.
@@ -97,165 +104,114 @@ func panicAppendOrder(dest int, idx, prev int64) {
 // Release discards every item for dest with SendIndex <= upto, returning
 // how many were removed. This implements the CHECKPOINT_ADVANCE rule
 // (Algorithm 1 line 39): once the receiver has checkpointed past a
-// message, it can never be replayed and its log is dead weight.
+// message, it can never be replayed and its log is dead weight. Chunks go
+// whole by their last index; only the one the cut falls in is walked.
 func (l *Log) Release(dest int, upto int64) int {
-	d := l.perDest[dest]
-	if d == nil {
-		return 0
-	}
-	released := 0
-	for len(d.chunks) > 0 {
-		c := d.chunks[0]
-		cut := sort.Search(len(c), func(i int) bool { return c[i].SendIndex > upto })
-		if cut == 0 {
+	runs, released := l.perDest[dest], 0
+	for len(runs) > 0 && runs[0].Last <= upto {
+		c := &runs[0]
+		released += c.N
+		if len(runs) == 1 && len(c.Recs) < cap(c.Recs) {
+			c.Recs, c.N = c.Recs[len(c.Recs):], 0
 			break
 		}
-		for _, it := range c[:cut] {
-			l.bytes -= int64(len(it.Payload) + len(it.Piggyback))
-		}
-		released += cut
-		if cut == len(c) {
-			d.chunks = d.chunks[1:]
-			continue
-		}
-		// Partial chunk: copy the survivors into a fresh chunk so the
-		// released items' memory is actually dropped.
-		nc := make([]LogItem, len(c)-cut, logChunkItems)
-		copy(nc, c[cut:])
-		d.chunks[0] = nc
-		break
+		runs[0] = LogRun{}
+		runs = runs[1:]
+		l.perDest[dest] = runs
 	}
-	d.count -= released
-	if d.count == 0 {
-		delete(l.perDest, dest)
+	if len(runs) == 0 || runs[0].Last <= upto {
+		return released
 	}
+	c, off, it := &runs[0], 0, LogItem{}
+	for ; c.N > 0; c.N-- {
+		size, err := DecodeLogItem(&it, c.Recs[off:])
+		if err != nil {
+			panic(err) // a bug: the log writes only whole records
+		}
+		if it.SendIndex > upto {
+			break
+		}
+		off += size
+		released++
+	}
+	c.Recs = c.Recs[off:]
 	return released
 }
 
 // ItemsFor returns the logged items for dest with SendIndex > after, in
 // send-index order. This is the resend set for a ROLLBACK whose
 // last_deliver_index entry for this rank is after (Algorithm 1 lines
-// 49-51). The returned slice is a fresh copy, sized first and allocated
-// once; later appends or releases do not disturb it.
+// 49-51). The slice is fresh and allocated once; each item's Piggyback
+// and Payload are views of its record, which nothing disturbs.
 func (l *Log) ItemsFor(dest int, after int64) []LogItem {
-	d := l.perDest[dest]
-	if d == nil {
-		return nil
+	v, n := LogView{Runs: l.perDest[dest]}, 0
+	for _, r := range v.Runs {
+		if r.Last > after {
+			n += r.N
+		}
 	}
-	// Chunks are in send-index order: skip those wholly at or below
-	// after, then cut into the first one that is not.
-	chunks, skipped := d.chunks, 0
-	for len(chunks) > 0 && chunks[0][len(chunks[0])-1].SendIndex <= after {
-		skipped += len(chunks[0])
-		chunks = chunks[1:]
-	}
-	if len(chunks) == 0 {
-		return nil
-	}
-	c := chunks[0]
-	cut := sort.Search(len(c), func(i int) bool { return c[i].SendIndex > after })
-	out := make([]LogItem, 0, d.count-skipped-cut)
-	out = append(out, c[cut:]...)
-	for _, c := range chunks[1:] {
-		out = append(out, c...)
-	}
+	out := make([]LogItem, 0, n)
+	v.Each(dest, after, func(it *LogItem) bool { out = append(out, *it); return true })
 	return out
+}
+
+// Each calls f with each of v's items for dest with SendIndex > after, in
+// send-index order, until f returns false. The item's byte fields are
+// views of its record; f must not keep the *LogItem past the call.
+func (v LogView) Each(dest int, after int64, f func(*LogItem) bool) {
+	var it LogItem
+	for _, r := range v.Runs {
+		for b := r.Recs; len(b) > 0 && r.Dest == dest && r.Last > after; {
+			size, err := DecodeLogItem(&it, b)
+			if err != nil {
+				panic(err) // a bug: the log writes only whole records
+			}
+			b = b[size:]
+			if it.SendIndex > after && !f(&it) {
+				return
+			}
+		}
+	}
 }
 
 // Len returns the total number of retained items.
-func (l *Log) Len() int {
-	n := 0
-	for _, d := range l.perDest {
-		n += d.count
-	}
-	return n
-}
+func (l *Log) Len() int { return l.View().Count }
 
-// Bytes returns the retained payload+piggyback bytes (the memory the
-// paper's sender-based logging strategy buffers).
-func (l *Log) Bytes() int64 { return l.bytes }
-
-// All returns every retained item ordered by (Dest, SendIndex), for
-// checkpointing. The result is allocated once at its final size and
-// filled chunk by chunk; it is the call's only allocation up to 16
-// destinations.
-func (l *Log) All() []LogItem {
-	dests := make([]int, 0, 16)
-	total := 0
-	for d, dl := range l.perDest {
-		dests = append(dests, d)
-		total += dl.count
+// View returns every retained record, ordered by (Dest, SendIndex), for
+// checkpointing: one capacity-clipped run per non-empty chunk. It copies
+// no record; the run list is its only allocation up to 16 destinations.
+func (l *Log) View() LogView {
+	dests, runs := make([]int, 0, 16), 0
+	for dest, chunks := range l.perDest {
+		dests = append(dests, dest)
+		runs += len(chunks)
 	}
-	sort.Ints(dests)
-	out := make([]LogItem, 0, total)
-	for _, dst := range dests {
-		for _, c := range l.perDest[dst].chunks {
-			out = append(out, c...)
+	slices.Sort(dests)
+	v := LogView{Runs: make([]LogRun, 0, runs)}
+	for _, dest := range dests {
+		for _, c := range l.perDest[dest] {
+			if c.N > 0 {
+				c.Recs, v.Count = slices.Clip(c.Recs), v.Count+c.N
+				v.Runs = append(v.Runs, c)
+			}
 		}
 	}
-	return out
+	return v
 }
 
-// RestoreAll replaces the log contents with items — a checkpoint's log,
-// which All emitted in (Dest, SendIndex) order. Ordered input is adopted
-// in place: each destination's run is cut into capacity-clipped
-// logChunkItems-item views of items, so a restore copies no item and
-// allocates two objects per destination whatever the item count.
-//
-// Adopted items are immutable. The log never writes into a view —
-// Append opens a fresh chunk behind a full one, and Release copies a
-// partial chunk's survivors into a fresh chunk — and the caller must not
-// write into items either. The same slice may back any number of logs:
-// a staged checkpoint restored by repeated recoveries is adopted each
-// time and never changes.
-//
-// Unordered input is sorted on a copy first. A duplicate (Dest,
-// SendIndex) panics, as Append does.
-func (l *Log) RestoreAll(items []LogItem) {
-	if !inLogOrder(items) {
-		items = slices.Clone(items)
-		slices.SortFunc(items, func(a, b LogItem) int {
-			if c := cmp.Compare(a.Dest, b.Dest); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.SendIndex, b.SendIndex)
-		})
-		inLogOrder(items) // panics on a duplicate
-	}
+// Adopt replaces the log contents with v, as View and ParseLogView make
+// it (ordered, capacity-clipped): each destination's runs become its
+// chunks, one allocation per destination whatever the record count. v
+// and its records are never written (see LogRun), so one view may back
+// any number of logs, as a staged checkpoint restored repeatedly does.
+func (l *Log) Adopt(v LogView) {
 	clear(l.perDest)
-	l.bytes = 0
-	for len(items) > 0 {
+	for runs := v.Runs; len(runs) > 0; {
 		n := 1
-		for n < len(items) && items[n].Dest == items[0].Dest {
+		for n < len(runs) && runs[n].Dest == runs[0].Dest {
 			n++
 		}
-		run := items[:n]
-		d := &destLog{chunks: make([][]LogItem, 0, (n+logChunkItems-1)/logChunkItems), count: n}
-		for _, it := range run {
-			l.bytes += int64(len(it.Payload) + len(it.Piggyback))
-		}
-		for len(run) > 0 {
-			k := min(len(run), logChunkItems)
-			d.chunks = append(d.chunks, run[:k:k])
-			run = run[k:]
-		}
-		l.perDest[items[0].Dest] = d
-		items = items[n:]
+		l.perDest[runs[0].Dest] = slices.Clone(runs[:n])
+		runs = runs[n:]
 	}
-}
-
-// inLogOrder reports whether items are in strictly increasing (Dest,
-// SendIndex) order, in one pass. An adjacent duplicate panics.
-func inLogOrder(items []LogItem) bool {
-	for i := 1; i < len(items); i++ {
-		a, b := &items[i-1], &items[i]
-		switch {
-		case a.Dest < b.Dest:
-		case a.Dest > b.Dest, a.SendIndex > b.SendIndex:
-			return false
-		case a.SendIndex == b.SendIndex:
-			panicAppendOrder(b.Dest, b.SendIndex, a.SendIndex)
-		}
-	}
-	return true
 }

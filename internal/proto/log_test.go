@@ -75,57 +75,72 @@ func TestRelease(t *testing.T) {
 	}
 }
 
-func TestBytesAccounting(t *testing.T) {
-	l := NewLog()
-	l.Append(LogItem{Dest: 1, SendIndex: 1, Piggyback: make([]byte, 4), Payload: make([]byte, 10)})
-	l.Append(LogItem{Dest: 1, SendIndex: 2, Payload: make([]byte, 6)})
-	if l.Bytes() != 20 {
-		t.Fatalf("Bytes = %d, want 20", l.Bytes())
+// viewItems decodes every record of v, checking each run's bookkeeping
+// against its records.
+func viewItems(t testing.TB, v LogView) []LogItem {
+	t.Helper()
+	var out []LogItem
+	for i, r := range v.Runs {
+		n := 0
+		for b := r.Recs; len(b) > 0; n++ {
+			var it LogItem
+			size, err := DecodeLogItem(&it, b)
+			if err != nil || it.Dest != r.Dest {
+				t.Fatalf("run %d (dest %d): record %d: %v, dest %d", i, r.Dest, n, err, it.Dest)
+			}
+			out = append(out, it)
+			b = b[size:]
+		}
+		if n != r.N || (n > 0 && out[len(out)-1].SendIndex != r.Last) {
+			t.Fatalf("run %d: %d records ending at %d, run says %d ending at %d", i, n, out[len(out)-1].SendIndex, r.N, r.Last)
+		}
 	}
-	l.Release(1, 1)
-	if l.Bytes() != 6 {
-		t.Fatalf("Bytes after release = %d, want 6", l.Bytes())
+	if len(out) != v.Count {
+		t.Fatalf("view holds %d records, Count says %d", len(out), v.Count)
+	}
+	return out
+}
+
+func TestAppendReturnsTheRecord(t *testing.T) {
+	l := NewLog()
+	it := LogItem{Dest: 2, SendIndex: 5, Tag: 3, Piggyback: []byte{1, 2}, Payload: []byte("abc")}
+	rec := l.Append(it)
+	if !bytes.Equal(rec, AppendLogItem(nil, &it)) || cap(rec) != len(rec) {
+		t.Fatalf("Append returned %x (cap %d), want the item's record", rec, cap(rec))
+	}
+	if got := viewItems(t, l.View()); !reflect.DeepEqual(got, []LogItem{it}) {
+		t.Fatalf("log holds %+v", got)
 	}
 }
 
-func TestAllAndRestoreRoundTrip(t *testing.T) {
+func TestViewAndAdoptRoundTrip(t *testing.T) {
 	l := NewLog()
 	l.Append(item(2, 1, "c"))
 	l.Append(item(2, 2, "d"))
 	l.Append(item(0, 1, "a"))
 
-	all := l.All()
+	v := l.View()
+	all := viewItems(t, v)
 	if len(all) != 3 {
-		t.Fatalf("All = %v", all)
+		t.Fatalf("View = %v", all)
 	}
 	if all[0].Dest != 0 || all[1].Dest != 2 || all[1].SendIndex != 1 {
-		t.Fatalf("All ordering wrong: %v", all)
+		t.Fatalf("View ordering wrong: %v", all)
 	}
 
 	restored := NewLog()
-	restored.RestoreAll(all)
-	if !reflect.DeepEqual(restored.All(), all) {
-		t.Fatalf("restore mismatch: %v vs %v", restored.All(), all)
+	restored.Adopt(v)
+	if got := viewItems(t, restored.View()); !reflect.DeepEqual(got, all) {
+		t.Fatalf("restore mismatch: %v vs %v", got, all)
 	}
-	if restored.Bytes() != l.Bytes() || restored.Len() != l.Len() {
+	if restored.Len() != l.Len() {
 		t.Fatalf("restore accounting mismatch")
 	}
 }
 
-func TestRestoreAllSortsUnorderedInput(t *testing.T) {
-	l := NewLog()
-	l.RestoreAll([]LogItem{item(1, 3, "c"), item(1, 1, "a"), item(1, 2, "b")})
-	got := l.ItemsFor(1, 0)
-	for i, it := range got {
-		if it.SendIndex != int64(i+1) {
-			t.Fatalf("unsorted after restore: %v", got)
-		}
-	}
-}
-
-// referenceRestore is the restore RestoreAll replaced: regroup by
-// destination, sort, and Append every item into fresh chunks.
-func referenceRestore(items []LogItem) *Log {
+// referenceRebuild is the restore Adopt replaces: sort and Append every
+// item into fresh chunks.
+func referenceRebuild(items []LogItem) *Log {
 	sorted := append([]LogItem(nil), items...)
 	sort.Slice(sorted, func(i, j int) bool {
 		if sorted[i].Dest != sorted[j].Dest {
@@ -143,7 +158,7 @@ func referenceRestore(items []LogItem) *Log {
 // randomLogItems draws a checkpoint-shaped log: up to four destinations,
 // each a run of increasing send indices long enough to span several
 // chunks, with payloads and piggybacks of varying length. Unless
-// shuffled, the items come in (Dest, SendIndex) order, as All emits them.
+// shuffled, the items come in (Dest, SendIndex) order, as View emits them.
 func randomLogItems(r *rand.Rand, shuffled bool) []LogItem {
 	var items []LogItem
 	for dest := 0; dest < 4; dest++ {
@@ -151,11 +166,11 @@ func randomLogItems(r *rand.Rand, shuffled bool) []LogItem {
 			continue
 		}
 		idx := int64(r.Intn(50))
-		for n := r.Intn(3 * logChunkItems); n > 0; n-- {
+		for n := r.Intn(1500); n > 0; n-- {
 			idx += 1 + int64(r.Intn(3))
 			items = append(items, LogItem{
 				Dest: dest, SendIndex: idx, Tag: int32(r.Intn(9)),
-				Piggyback: make([]byte, r.Intn(6)), Payload: []byte{byte(idx), byte(dest), byte(r.Intn(256))},
+				Piggyback: make([]byte, r.Intn(6)), Payload: append([]byte{byte(idx), byte(dest)}, make([]byte, r.Intn(40))...),
 			})
 		}
 	}
@@ -165,71 +180,104 @@ func randomLogItems(r *rand.Rand, shuffled bool) []LogItem {
 	return items
 }
 
-// Property: RestoreAll of any checkpoint log, ordered or not, reads back
-// exactly like the regroup-sort-Append rebuild it replaced: the same Len,
-// Bytes and All, and the same ItemsFor at every cut of every destination.
-func TestRestoreAllMatchesReferenceRebuild(t *testing.T) {
+// encodeItems is a checkpoint's log section for items: their records
+// back to back.
+func encodeItems(items []LogItem) []byte {
+	var b []byte
+	for i := range items {
+		b = AppendLogItem(b, &items[i])
+	}
+	return b
+}
+
+// Property: adopting a log's view, or a view parsed from the same items'
+// encoding, reads back exactly like the sort-and-Append rebuild: the same
+// Len and records, and the same ItemsFor at every cut of every
+// destination.
+func TestAdoptMatchesReferenceRebuild(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		items := randomLogItems(r, round%2 == 1)
-		got, want := NewLog(), referenceRestore(items)
-		got.Append(item(7, 1, "replaced by the restore"))
-		got.RestoreAll(items)
-		if got.Len() != want.Len() || got.Bytes() != want.Bytes() {
-			t.Fatalf("round %d: Len/Bytes %d/%d, reference %d/%d", round, got.Len(), got.Bytes(), want.Len(), want.Bytes())
+	for round := 0; round < 60; round++ {
+		items := randomLogItems(r, false)
+		want := referenceRebuild(items)
+		parsed, err := ParseLogView(encodeItems(items), len(items))
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		if !reflect.DeepEqual(got.All(), want.All()) {
-			t.Fatalf("round %d: All differs from the reference rebuild", round)
-		}
-		for dest := 0; dest <= 7; dest++ {
-			cuts := []int64{-1, 1 << 40}
-			if all := want.ItemsFor(dest, -1); len(all) > 0 {
-				for k := 0; k < 8; k++ {
-					cuts = append(cuts, all[r.Intn(len(all))].SendIndex+int64(r.Intn(3)-1))
-				}
+		for name, v := range map[string]LogView{"view": want.View(), "parsed": parsed} {
+			got := NewLog()
+			got.Append(item(7, 1, "replaced by the restore"))
+			got.Adopt(v)
+			if got.Len() != want.Len() {
+				t.Fatalf("round %d %s: Len %d, reference %d", round, name, got.Len(), want.Len())
 			}
-			for _, after := range cuts {
-				if g, w := got.ItemsFor(dest, after), want.ItemsFor(dest, after); !reflect.DeepEqual(g, w) {
-					t.Fatalf("round %d: ItemsFor(%d, %d) has %d items, reference %d", round, dest, after, len(g), len(w))
+			if !reflect.DeepEqual(viewItems(t, got.View()), viewItems(t, want.View())) {
+				t.Fatalf("round %d %s: records differ from the reference rebuild", round, name)
+			}
+			for dest := 0; dest <= 7; dest++ {
+				cuts := []int64{-1, 1 << 40}
+				if all := want.ItemsFor(dest, -1); len(all) > 0 {
+					for k := 0; k < 8; k++ {
+						cuts = append(cuts, all[r.Intn(len(all))].SendIndex+int64(r.Intn(3)-1))
+					}
+				}
+				for _, after := range cuts {
+					if g, w := got.ItemsFor(dest, after), want.ItemsFor(dest, after); !reflect.DeepEqual(g, w) {
+						t.Fatalf("round %d %s: ItemsFor(%d, %d) has %d items, reference %d", round, name, dest, after, len(g), len(w))
+					}
 				}
 			}
 		}
 	}
 }
 
-// Ordered input is adopted, not copied: the restored log's items are the
-// input's own elements.
-func TestRestoreAllAdoptsOrderedInput(t *testing.T) {
+// A view is adopted, not copied: the restored log's chunks are the view's
+// own bytes, with no spare capacity to append into.
+func TestAdoptUsesViewInPlace(t *testing.T) {
 	items := randomLogItems(rand.New(rand.NewSource(2)), false)
-	l := NewLog()
-	l.RestoreAll(items)
-	d := l.perDest[items[0].Dest]
-	if &d.chunks[0][0] != &items[0] {
-		t.Fatal("ordered input was copied, not adopted")
+	v, err := ParseLogView(encodeItems(items), len(items))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range d.chunks {
-		if len(c) != cap(c) || len(c) > logChunkItems {
-			t.Fatalf("adopted chunk has len %d cap %d; want clipped views of at most %d", len(c), cap(c), logChunkItems)
+	l := NewLog()
+	l.Adopt(v)
+	got := l.View()
+	if len(got.Runs) != len(v.Runs) {
+		t.Fatalf("adopted %d runs, view has %d", len(got.Runs), len(v.Runs))
+	}
+	for i, r := range got.Runs {
+		if &r.Recs[0] != &v.Runs[i].Recs[0] || len(r.Recs) != len(v.Runs[i].Recs) {
+			t.Fatalf("run %d was copied, not adopted", i)
+		}
+		if len(r.Recs) != cap(r.Recs) {
+			t.Fatalf("adopted run %d has len %d cap %d; want a clipped view", i, len(r.Recs), cap(r.Recs))
 		}
 	}
 }
 
-// Mutation check of the adoption rule: appends behind the adopted items
+// cloneView deep-copies v, record bytes included.
+func cloneView(v LogView) LogView {
+	out := LogView{Count: v.Count, Runs: append([]LogRun(nil), v.Runs...)}
+	for i := range out.Runs {
+		out.Runs[i].Recs = bytes.Clone(out.Runs[i].Recs)
+	}
+	return out
+}
+
+// Mutation check of the adoption rule: appends behind the adopted records
 // and releases into the middle of them — partial chunks included — never
-// write into the input, so a staged checkpoint survives any number of
-// incarnations restoring it.
-func TestRestoreAllLeavesAdoptedInputUntouched(t *testing.T) {
+// write into the view, so a staged checkpoint survives any number of
+// incarnations restoring it. Taking a view of the adopting log and
+// appending behind that must not disturb it either.
+func TestAdoptLeavesViewUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for round := 0; round < 50; round++ {
-		items := randomLogItems(r, false)
-		want := append([]LogItem(nil), items...)
-		for i := range want {
-			want[i].Piggyback = bytes.Clone(want[i].Piggyback)
-			want[i].Payload = bytes.Clone(want[i].Payload)
-		}
+		src := referenceRebuild(randomLogItems(r, false))
+		v := src.View()
+		want := cloneView(v)
+		var later, laterWant LogView
 		for restore := 0; restore < 2; restore++ {
 			l := NewLog()
-			l.RestoreAll(items)
+			l.Adopt(v)
 			for dest := 0; dest < 4; dest++ {
 				tail := l.ItemsFor(dest, -1)
 				next := int64(1)
@@ -237,56 +285,91 @@ func TestRestoreAllLeavesAdoptedInputUntouched(t *testing.T) {
 					next = tail[len(tail)-1].SendIndex + 1
 					l.Release(dest, tail[r.Intn(len(tail))].SendIndex) // mid-chunk
 				}
-				for k := 0; k < logChunkItems+3; k++ {
+				for k := 0; k < 600; k++ {
 					l.Append(item(dest, next+int64(k), "after the restore"))
 				}
-				l.Release(dest, next+int64(r.Intn(logChunkItems)))
+				if restore == 0 && dest == 1 {
+					later = l.View()
+					laterWant = cloneView(later)
+				}
+				l.Release(dest, next+int64(r.Intn(1200))) // mid-chunk, or every record so far
+				for k := 600; k < 1300; k++ {
+					l.Append(item(dest, next+int64(k), "after the view"))
+				}
 			}
 		}
-		if !reflect.DeepEqual(items, want) {
-			t.Fatalf("round %d: Append/Release wrote into the adopted input", round)
+		if !reflect.DeepEqual(v, want) {
+			t.Fatalf("round %d: Append/Release wrote into the adopted view", round)
+		}
+		if !reflect.DeepEqual(later, laterWant) {
+			t.Fatalf("round %d: a view taken after the restore changed", round)
 		}
 	}
 }
 
-func TestRestoreAllDuplicatePanics(t *testing.T) {
+// ParseLogView is a checkpoint's only gate: out-of-order or duplicate
+// items — which Adopt would trust — are an error, not a panic later.
+func TestParseLogViewRejectsDisorder(t *testing.T) {
 	for name, items := range map[string][]LogItem{
-		"ordered":   {item(1, 1, "a"), item(1, 2, "b"), item(1, 2, "dup")},
-		"unordered": {item(1, 2, "b"), item(1, 1, "a"), item(1, 2, "dup")},
+		"duplicate":           {item(1, 1, "a"), item(1, 2, "b"), item(1, 2, "dup")},
+		"unordered_duplicate": {item(1, 2, "b"), item(1, 1, "a"), item(1, 2, "dup")},
+		"unordered":           {item(1, 3, "c"), item(1, 1, "a"), item(1, 2, "b")},
+		"dest_order":          {item(2, 1, "a"), item(1, 2, "b")},
 	} {
 		t.Run(name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic on a duplicate send index")
-				}
-			}()
-			NewLog().RestoreAll(items)
+			if _, err := ParseLogView(encodeItems(items), len(items)); err == nil {
+				t.Fatal("disordered log section accepted")
+			}
 		})
+	}
+	ok := []LogItem{item(1, 1, "a"), item(1, 2, "b"), item(3, 1, "c")}
+	b := encodeItems(ok)
+	if _, err := ParseLogView(b, len(ok)); err != nil {
+		t.Fatalf("ordered section: %v", err)
+	}
+	if _, err := ParseLogView(b, len(ok)-1); err == nil {
+		t.Fatal("trailing record accepted")
+	}
+	if _, err := ParseLogView(b, len(ok)+1); err == nil {
+		t.Fatal("missing record accepted")
 	}
 }
 
-// Property: for any sequence of appends and releases, ItemsFor(dest, k)
-// returns exactly the retained items with index > k, in order, and Len and
-// Bytes stay consistent with a naive model.
+// Property: for any interleaving of appends, releases and restores from
+// a view, the log holds exactly what a plain []LogItem model holds:
+// ItemsFor(dest, k) returns the retained items with index > k, in order,
+// byte fields included, and Len agrees. Payloads vary up to beyond the
+// chunk size, so appends cross chunk boundaries and open oversize chunks.
 func TestLogModelProperty(t *testing.T) {
 	type op struct {
-		release bool
-		dest    int
-		idx     int64
+		kind int // 0 append, 1 release, 2 view and adopt
+		it   LogItem
 	}
 	cfg := &quick.Config{
 		MaxCount: 200,
 		Values: func(vals []reflect.Value, r *rand.Rand) {
-			n := r.Intn(60)
+			n := r.Intn(80)
 			ops := make([]op, n)
 			next := map[int]int64{}
 			for i := range ops {
 				dest := r.Intn(3)
-				if r.Intn(4) == 0 {
-					ops[i] = op{release: true, dest: dest, idx: int64(r.Intn(20))}
-				} else {
-					next[dest]++
-					ops[i] = op{dest: dest, idx: next[dest]}
+				switch k := r.Intn(8); {
+				case k == 0:
+					ops[i] = op{kind: 1, it: LogItem{Dest: dest, SendIndex: int64(r.Intn(40))}}
+				case k == 1:
+					ops[i] = op{kind: 2}
+				default:
+					next[dest] += 1 + int64(r.Intn(2))
+					size := r.Intn(12)
+					if r.Intn(6) == 0 {
+						size = r.Intn(logChunkBytes * 5 / 4)
+					}
+					var payload []byte // nil when empty, as decoding returns it
+					if size > 0 {
+						payload = make([]byte, size)
+						r.Read(payload)
+					}
+					ops[i] = op{it: LogItem{Dest: dest, SendIndex: next[dest], Tag: int32(i), Piggyback: []byte{byte(i)}, Payload: payload}}
 				}
 			}
 			vals[0] = reflect.ValueOf(ops)
@@ -294,36 +377,42 @@ func TestLogModelProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		l := NewLog()
-		model := map[int][]int64{} // retained indices per dest
+		model := map[int][]LogItem{}
 		for _, o := range ops {
-			if o.release {
-				kept := model[o.dest][:0]
-				for _, idx := range model[o.dest] {
-					if idx > o.idx {
-						kept = append(kept, idx)
+			switch o.kind {
+			case 0:
+				model[o.it.Dest] = append(model[o.it.Dest], o.it)
+				l.Append(o.it)
+			case 1:
+				kept := []LogItem(nil)
+				for _, it := range model[o.it.Dest] {
+					if it.SendIndex > o.it.SendIndex {
+						kept = append(kept, it)
 					}
 				}
-				model[o.dest] = kept
-				l.Release(o.dest, o.idx)
-			} else {
-				model[o.dest] = append(model[o.dest], o.idx)
-				l.Append(item(o.dest, o.idx, "p"))
+				model[o.it.Dest] = kept
+				l.Release(o.it.Dest, o.it.SendIndex)
+			case 2:
+				v := l.View()
+				l = NewLog()
+				l.Adopt(v)
 			}
 		}
 		total := 0
-		for dest, idxs := range model {
-			total += len(idxs)
+		for dest := 0; dest < 3; dest++ {
+			want := model[dest]
+			total += len(want)
 			got := l.ItemsFor(dest, 0)
-			if len(got) != len(idxs) {
+			if len(got) != len(want) {
 				return false
 			}
-			for i := range idxs {
-				if got[i].SendIndex != idxs[i] {
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
 					return false
 				}
 			}
 		}
-		return l.Len() == total && l.Bytes() == int64(total)
+		return l.Len() == total && l.View().Count == total
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)

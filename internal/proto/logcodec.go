@@ -3,6 +3,7 @@ package proto
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 
 	"windar/internal/wire"
@@ -10,9 +11,10 @@ import (
 )
 
 // The LogItem codec — the one encoding of a logged message in the
-// repository. A checkpoint blob (internal/ckpt) holds a counted run of
-// these and a durable sender-log stream (slog/, internal/harness) holds
-// one per entry. An item is self-delimiting:
+// repository: the sender log stores each item as one such record, a
+// checkpoint blob (internal/ckpt) holds a counted run of them and a
+// durable sender-log stream (slog/, internal/harness) one per entry.
+// An item is self-delimiting:
 //
 //	uvarint Dest · varint SendIndex · varint Tag ·
 //	uvarint Span.Trace · uvarint Span.Span · uvarint Span.Parent ·
@@ -23,11 +25,6 @@ import (
 
 // ErrCorruptLogItem reports bytes that are not a whole encoded LogItem.
 var ErrCorruptLogItem = errors.New("proto: corrupt log item")
-
-// MinLogItemSize is the encoded size of the zero LogItem. n bytes hold
-// at most n/MinLogItemSize items, which bounds what a hostile count
-// field can make a decoder allocate.
-const MinLogItemSize = 8
 
 // LogItemSize returns the number of bytes AppendLogItem appends for it.
 func LogItemSize(it *LogItem) int {
@@ -74,4 +71,40 @@ func DecodeLogItem(it *LogItem, b []byte) (int, error) {
 		return 0, ErrCorruptLogItem
 	}
 	return c.Offset(), nil
+}
+
+// RecordBytes returns capacity-clipped views of the piggyback and payload
+// of rec, the record of an item with a pigLen and a payloadLen byte one.
+func RecordBytes(rec []byte, pigLen, payloadLen int) (pig, payload []byte) {
+	end := len(rec) - payloadLen
+	pigEnd := end - wire.UvarintLen(uint64(payloadLen))
+	return rec[pigEnd-pigLen : pigEnd : pigEnd], rec[end:len(rec):len(rec)]
+}
+
+// ParseLogView validates b as exactly count records in strictly
+// increasing (Dest, SendIndex) order, the order a checkpoint's log
+// section holds, and returns a view of b with one run per destination.
+// Anything else, a duplicate item included, is an error.
+func ParseLogView(b []byte, count int) (LogView, error) {
+	v, off := LogView{Count: count}, 0
+	for i := 0; i < count; i++ {
+		var it LogItem
+		n, err := DecodeLogItem(&it, b[off:])
+		if err != nil {
+			return LogView{}, fmt.Errorf("log item %d of %d: %w", i, count, err)
+		}
+		k := len(v.Runs) - 1
+		if k < 0 || v.Runs[k].Dest < it.Dest {
+			v.Runs, k = append(v.Runs, LogRun{Dest: it.Dest}), k+1
+		} else if v.Runs[k].Dest > it.Dest || v.Runs[k].Last >= it.SendIndex {
+			return LogView{}, fmt.Errorf("log item %d of %d (dest %d, send %d) out of order", i, count, it.Dest, it.SendIndex)
+		}
+		r := &v.Runs[k]
+		r.Recs, r.N, r.Last = b[off-len(r.Recs):off+n:off+n], r.N+1, it.SendIndex
+		off += n
+	}
+	if off != len(b) {
+		return LogView{}, fmt.Errorf("%d trailing bytes after %d log items", len(b)-off, count)
+	}
+	return v, nil
 }

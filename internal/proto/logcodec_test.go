@@ -60,9 +60,6 @@ func TestLogItemCodecRoundTripsEveryField(t *testing.T) {
 		}
 		run = append(run, enc...)
 	}
-	if MinLogItemSize != LogItemSize(&LogItem{}) {
-		t.Fatalf("MinLogItemSize = %d, the zero item encodes in %d", MinLogItemSize, LogItemSize(&LogItem{}))
-	}
 	// Self-delimiting: the items decode back to back out of one buffer.
 	for i := range items {
 		var got LogItem
@@ -98,24 +95,48 @@ func TestDecodeLogItemRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestLogAllAllocatesOnce(t *testing.T) {
+func TestLogViewAllocatesOnce(t *testing.T) {
 	l := NewLog()
 	for dest := 0; dest < 4; dest++ {
-		for idx := int64(1); idx <= 3*logChunkItems+7; idx++ {
+		for idx := int64(1); idx <= 3*logChunkBytes/4+7; idx++ {
 			l.Append(item(dest, idx, "x"))
 		}
 	}
-	all := l.All()
-	if len(all) != l.Len() || cap(all) != l.Len() {
-		t.Fatalf("All: len %d cap %d, log holds %d", len(all), cap(all), l.Len())
+	v := l.View()
+	all := viewItems(t, v)
+	if v.Count != l.Len() || len(all) != l.Len() || len(v.Runs) < 8 {
+		t.Fatalf("View: count %d, %d records in %d runs; log holds %d", v.Count, len(all), len(v.Runs), l.Len())
 	}
 	for i := 1; i < len(all); i++ {
 		a, b := all[i-1], all[i]
 		if a.Dest > b.Dest || (a.Dest == b.Dest && a.SendIndex >= b.SendIndex) {
-			t.Fatalf("All out of (Dest, SendIndex) order at %d: %+v then %+v", i, a, b)
+			t.Fatalf("View out of (Dest, SendIndex) order at %d: %+v then %+v", i, a, b)
 		}
 	}
-	if n := testing.AllocsPerRun(20, func() { all = l.All() }); n != 1 {
-		t.Fatalf("All: %.0f allocations, want 1", n)
+	for _, r := range v.Runs {
+		if len(r.Recs) != cap(r.Recs) {
+			t.Fatalf("run for dest %d has spare capacity: len %d cap %d", r.Dest, len(r.Recs), cap(r.Recs))
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { v = l.View() }); n != 1 {
+		t.Fatalf("View: %.0f allocations, want 1", n)
+	}
+}
+
+func TestRecordBytesAreTheRecordsFields(t *testing.T) {
+	for i := 0; i < 40; i++ {
+		it := codecItem(i)
+		rec := AppendLogItem(make([]byte, 0, 256), &it)
+		var want LogItem
+		if _, err := DecodeLogItem(&want, rec); err != nil {
+			t.Fatal(err)
+		}
+		pig, payload := RecordBytes(rec, len(it.Piggyback), len(it.Payload))
+		if !bytes.Equal(pig, want.Piggyback) || !bytes.Equal(payload, want.Payload) {
+			t.Fatalf("item %d: RecordBytes %q %q, decoded %q %q", i, pig, payload, want.Piggyback, want.Payload)
+		}
+		if cap(pig) != len(pig) || cap(payload) != len(payload) {
+			t.Fatalf("item %d: views have spare capacity", i)
+		}
 	}
 }

@@ -41,11 +41,12 @@
 // delivery through a user interceptor and requires 0 allocs/op). A
 // handler may replace Msg.Payload with a transformed slice — the
 // replacement is what gets logged and transmitted (send) or handed to
-// the application (deliver) — but must never mutate the slice in place:
-// on the send side it is the copy the sender log retains and resends
-// replay verbatim. (The deliver-side slice is the receiver's own deep
-// copy and never aliases the sender's log; there the rule only keeps
-// layers independent of each other.)
+// the application (deliver) — but must never mutate the slice in place
+// or retain it. On the send side it is the application's own buffer
+// until the rank core copies it into the sender log's record, which
+// resends replay verbatim. (The deliver-side slice is the receiver's own
+// deep copy and never aliases the sender's log; there the rule only
+// keeps layers independent of each other.)
 //
 // Checkpoint and Restore are cold-path notifications. Restore is
 // delivered outside the rank lock. Checkpoint is delivered under it, in
