@@ -39,7 +39,6 @@ func main() {
 		traceCap  = flag.Int("trace-cap", 0, "retain at most this many raw trace events (0 = unbounded); validation stays exact")
 		tracing   = flag.Bool("tracing", false, "stamp causal span contexts on every message (reconstruct lineage with windar-trace)")
 		flightDir = flag.String("flight-dir", "", "arm the crash flight recorder: dump the trace ring there on SIGINT/SIGTERM or a failed run")
-		pigEvery  = flag.Int("pig-refresh-every", 0, "TDI delta piggyback full-vector cadence (0 = default 32, 1 = full vector every send)")
 		serve     = flag.String("serve", "", "serve live telemetry on this address (/metrics, /debug/vars, /healthz, /cluster, /debug/flight, /debug/pprof)")
 		linger    = flag.Duration("serve-linger", 0, "keep the telemetry server up this long after the run completes")
 		stableK   = flag.String("stable", "sim", "stable-storage backend: sim (in-memory; survives rank kills), disk (parallel WAL in -stable-dir; state survives SIGKILL)")
@@ -72,8 +71,7 @@ func main() {
 		Seed:            *seed,
 		StallTimeout:    2 * time.Minute,
 
-		PiggybackRefreshEvery: *pigEvery,
-		Tracing:               *tracing,
+		Tracing: *tracing,
 
 		Stable:      *stableK,
 		StableDir:   *stableDir,

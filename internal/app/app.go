@@ -16,7 +16,10 @@ package app
 
 // AnySource, passed as the source of Recv, matches a message from any
 // rank — the MPI_ANY_SOURCE of the paper's discussion, introducing
-// non-deterministic delivery.
+// non-deterministic delivery. Under TDI an app that uses it must be
+// insensitive to the arrival order of the matched messages: TDI does not
+// log that order, and a recovering rank may deliver them in another one.
+// TAG and TEL replay the logged order.
 const AnySource = -1
 
 // AnyTag, passed as the tag of Recv, matches any tag on the candidate

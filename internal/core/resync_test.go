@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -13,14 +14,13 @@ import (
 // feeder messages. The original run delivers them from rank 2, S's
 // successor from rank 3 — the reorder an AnySource roll-forward may
 // make — so a regenerated vector differs from the original at the same
-// send index in an element its own deltas never touch, and a delta
-// chained onto the wrong base decodes wrongly. Ranks 4 and 5 only pad
-// the vector, so a delta beats a full vector and the refresh cadence is
-// observable.
+// send index in an element its own deltas need not repeat, and a delta
+// that assumes the receiver merged a send it discarded loses that
+// element. Ranks 4 and 5 only pad the vector, so a delta beats a full
+// vector.
 const (
 	rsN                   = 6
 	rsD, rsS, rsF, rsRegF = 0, 1, 2, 3
-	rsRefresh             = 8
 )
 
 // resyncCase is one history. Send indices are 1-based; k and kRegen give
@@ -46,7 +46,7 @@ func randomResyncCase(rng *rand.Rand) resyncCase {
 	L := int64(1 + rng.Intn(60))
 	H := rng.Int63n(L + 1)
 	c := rng.Int63n(H + 1)
-	rc := resyncCase{L: L, c: c, H: H, floor: H, total: L + 4*rsRefresh + rng.Int63n(20)}
+	rc := resyncCase{L: L, c: c, H: H, floor: H, total: L + 32 + rng.Int63n(20)}
 	rc.k = make([]int, L)
 	for j := range rc.k {
 		rc.k[j] = rng.Intn(3)
@@ -60,13 +60,14 @@ func randomResyncCase(rng *rand.Rand) resyncCase {
 }
 
 // feed delivers k messages from feeder src to sender p; each carries the
-// feeder's element as a function of p's delivery count.
+// feeder's element and D's as functions of p's delivery count, so the
+// demand S's messages make of D moves now and then.
 func feed(p *TDI, src, k int, fidx *int64) {
 	for i := 0; i < k; i++ {
 		next := p.dependInterval[p.rank] + 1
 		*fidx++
 		pig := vclock.New(rsN)
-		pig[src], pig[4], pig[5] = 7*next, 1000, 2000
+		pig[rsD], pig[src], pig[4], pig[5] = next/3, 7*next, 1000, 2000
 		if err := p.OnDeliver(env(src, p.rank, *fidx, pig), next); err != nil {
 			panic(err)
 		}
@@ -74,7 +75,20 @@ func feed(p *TDI, src, k int, fidx *int64) {
 }
 
 // isFull reports whether a piggyback is a full vector.
-func isFull(pig []byte) bool { return pig[0] != wire.VecDeltaMarker }
+func isFull(pig []byte) bool { return len(pig) > 0 && pig[0] != wire.VecDeltaMarker }
+
+// smallestEncoding is the piggyback a sender with a valid delta base
+// must produce for cur after sending prev: nothing when they are equal,
+// else the changed elements or the full vector, whichever is smaller.
+func smallestEncoding(prev, cur vclock.Vec) []byte {
+	if prev.Equal(cur) {
+		return nil
+	}
+	if d := wire.AppendVecDelta(nil, prev, cur); len(d) < wire.VecSize(cur) {
+		return d
+	}
+	return wire.AppendVec(nil, cur)
+}
 
 type rsSend struct {
 	pig  []byte
@@ -83,17 +97,18 @@ type rsSend struct {
 
 // resyncOutcome is what runResync observed.
 type resyncOutcome struct {
-	// mismatches counts D's deliveries whose decoded vector differs from
-	// the sender's DependInterval at encode time (a decode error counts
-	// and ends the run).
+	// mismatches counts D's deliveries after which D's vector differs
+	// from its merge with the sender's full DependInterval at encode
+	// time, or whose demand differs from that vector's D element (a
+	// decode error counts and ends the run).
 	mismatches int
 	// deltaAtOrBelowFloor counts regenerated sends at or below the floor,
-	// or made before it arrived, that were deltas.
+	// or made before it arrived, that were not full vectors.
 	deltaAtOrBelowFloor int
-	// postSends and postFulls count the regenerated sends made once the
-	// floor was known whose base could be above it (index > floor+1),
-	// and the full vectors among them.
-	postSends, postFulls int
+	// postSends counts the regenerated sends made once the floor was
+	// known whose delta base is above it (index > floor+1); postWrong
+	// those among them that were not the smallest encoding.
+	postSends, postWrong int
 }
 
 // runResync plays rc: S's original run with its checkpoint, D's
@@ -106,7 +121,6 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	var out resyncOutcome
 	var fidx int64
 	s := New(rsS, rsN, nil, nil)
-	s.SetRefreshEvery(rsRefresh)
 	orig := make([]rsSend, rc.L+1)
 	snap := s.Snapshot()
 	for j := int64(1); j <= rc.L; j++ {
@@ -119,7 +133,6 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	}
 
 	succ := New(rsS, rsN, nil, nil)
-	succ.SetRefreshEvery(rsRefresh)
 	if err := succ.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +152,8 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 			}
 		case j > rc.floor+1:
 			out.postSends++
-			if isFull(pig) {
-				out.postFulls++
+			if !bytes.Equal(pig, smallestEncoding(regen[j-1].want, regen[j].want)) {
+				out.postWrong++
 			}
 		}
 	}
@@ -148,11 +161,14 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	d := New(rsD, rsN, nil, nil)
 	deliver := func(j int64, m rsSend) bool {
 		e := &wire.Envelope{Kind: wire.KindApp, From: rsS, To: rsD, SendIndex: j, Piggyback: m.pig}
-		if err := d.OnDeliver(e, d.dependInterval[rsD]+1); err != nil {
+		want := d.DependInterval()
+		want[rsD]++
+		want.MergeExcept(m.want, rsD)
+		if err := d.OnDeliver(e, want[rsD]); err != nil {
 			out.mismatches++
 			return false
 		}
-		if !d.recv[rsS].Equal(m.want) {
+		if demand, ok := d.DeliveryDemand(e); !d.DependInterval().Equal(want) || !ok || demand != m.want[rsD] {
 			out.mismatches++
 		}
 		return true
@@ -172,32 +188,32 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 
 // TestResyncFloorDifferential: across seeded histories — a sender
 // rollback whose regenerated vectors diverge, old-incarnation originals
-// still queued at the receiver, a contiguous loss window — every message
-// the receiver delivers decodes to exactly the vector the sender had when
-// it encoded it. Sends stay full until the floor arrives and at or below
-// it; above it the refresh cadence is back.
+// still queued at the receiver, a contiguous loss window — every
+// delivery leaves the receiver with exactly its merge of the vector the
+// sender had when it encoded the message, and with that vector's demand.
+// Sends stay full until the floor arrives and at or below it; above it
+// every send is the smallest encoding again.
 func TestResyncFloorDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rc := randomResyncCase(rand.New(rand.NewSource(seed)))
 		out := runResync(t, rc)
 		if out.mismatches != 0 {
-			t.Fatalf("seed %d %+v: %d deliveries decoded to a vector the sender never sent", seed, rc, out.mismatches)
+			t.Fatalf("seed %d %+v: %d deliveries left the receiver off its merge of the sender's vector", seed, rc, out.mismatches)
 		}
 		if out.deltaAtOrBelowFloor != 0 {
 			t.Fatalf("seed %d: %d deltas sent before the floor was known or at or below it", seed, out.deltaAtOrBelowFloor)
 		}
-		if limit := out.postSends/rsRefresh + 1; out.postFulls > limit {
-			t.Fatalf("seed %d: %d full vectors in %d sends above the floor, want at most %d (the refresh cadence)",
-				seed, out.postFulls, out.postSends, limit)
+		if out.postWrong != 0 {
+			t.Fatalf("seed %d: %d of %d sends above the floor were not the smallest encoding", seed, out.postWrong, out.postSends)
 		}
 	}
 }
 
 // staleFloorCase is a history where the floor S's successor is told is
 // below what D had really ingested, as an answer to a dead predecessor's
-// ROLLBACK would be: D last delivered the original send 12, and the
-// regenerated 13 is a delta against the successor's own 12 — which D
-// never saw.
+// ROLLBACK would be: D last delivered the original send 12, the
+// successor's regenerated 8 to 12 carried rank 3's element, and the
+// regenerated 13 — the first D delivers — omits it as already sent.
 func staleFloorCase() resyncCase {
 	rc := resyncCase{L: 20, c: 4, H: 12, floor: 6, total: 20}
 	rc.k = make([]int, rc.L)
@@ -206,19 +222,21 @@ func staleFloorCase() resyncCase {
 	}
 	rc.kRegen = make([]int, rc.total)
 	for j := range rc.kRegen {
-		rc.kRegen[j] = 1
+		if rc.c+1+int64(j) <= rc.H {
+			rc.kRegen[j] = 1
+		}
 	}
 	return rc
 }
 
 // TestResyncStaleFloorDesyncs is the negative case: the same oracle with
-// a floor below D's real high-water decodes a message wrongly. This is
+// a floor below D's real high-water loses an element at the receiver. This is
 // why the harness passes on only RESPONSEs that answer the current
 // incarnation's ROLLBACK.
 func TestResyncStaleFloorDesyncs(t *testing.T) {
 	rc := staleFloorCase()
 	if out := runResync(t, rc); out.mismatches == 0 {
-		t.Fatal("a floor below the receiver's high-water never desynchronized the delta chain")
+		t.Fatal("a floor below the receiver's high-water never lost an element")
 	}
 	rc.floor = rc.H
 	if out := runResync(t, rc); out.mismatches != 0 {

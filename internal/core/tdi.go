@@ -25,24 +25,31 @@
 // slot is known the moment it arrives ("proactive perception of delivery
 // order"), so recovery needs no determinant collection phase at all.
 //
-// # Delta piggyback (wire format v2)
+// # Differential piggyback (wire format v2)
 //
 // Between consecutive sends to the same destination the vector changes
-// in only a few elements, so the piggyback is delta-encoded: the sender
-// caches the last vector it sent per destination and emits only the
-// changed (index, value) pairs (wire.AppendVecDelta), falling back to
-// the full v1 vector every refreshEvery-th message so a fresh receiver
-// incarnation can always resynchronize. The receiver reconstructs the
-// full vector from a per-source cache committed on each delivery; the
-// per-channel FIFO the harness enforces makes the chain exact.
+// in only a few elements, so the piggyback carries only those: Singhal
+// and Kshemkalyani's differential technique. The sender stamps each
+// element with the version (delivery count) at which it last rose and
+// each destination with the version of the last send to it; the
+// piggyback is the absolute (index, value) pairs stamped after that send
+// (wire.AppendVecSince), or the full vector when that is smaller. When
+// nothing changed it is zero bytes. Per-channel FIFO, which the harness
+// enforces, means the receiver has already merged every omitted element,
+// so the pairs merge into depend_interval without any base; the one thing
+// a receiver keeps per source is the last delivered message's demand,
+// which a piggyback that omits the receiver's own element repeats.
+// Sender and receiver state are both O(n).
 //
 // Regenerated sends after a rollback may diverge from the dead
-// incarnation's originals at the same send index, so a restored or
-// recovering incarnation keeps a per-destination delta floor: the highest
-// send index of its that the destination had ingested when it answered
-// the ROLLBACK (OnPeerResync; unknown until then). sent[dest] serves as a
-// delta base only when cached above floor[dest], so the first send above
-// the floor is full and every later delta chains onto it.
+// incarnation's originals at the same send index, and a receiver that
+// discards a regenerated send as repetitive never merges its pairs. So a
+// restored or recovering incarnation keeps a per-destination delta floor:
+// the highest send index of its that the destination had ingested when it
+// answered the ROLLBACK (OnPeerResync; unknown until then). A delta is
+// sent only when the last send to the destination that carried pairs was
+// above its floor, so the first such send above the floor is full and
+// every later delta builds on delivered messages.
 //
 // The division of labour with the harness: the harness owns per-channel
 // FIFO/duplicate control (lines 19, 21, 28), the sender log and its
@@ -54,6 +61,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -64,18 +72,13 @@ import (
 	"windar/internal/wire"
 )
 
-// DefaultRefreshEvery is the full-vector refresh cadence when none is
-// configured: every 32nd message per destination carries the whole
-// vector even if a delta would be smaller.
-const DefaultRefreshEvery = 32
+// snapshotMarker is the first byte of the Snapshot layout. The older
+// layouts — a bare vector, and the 0x00-marked one holding a base
+// vector per source — are rejected: nothing writes them any more.
+const snapshotMarker = 0x01
 
-// snapshotV2Marker is the first byte of the Snapshot layout. The older
-// bare-vector layout starts with uvarint(n) >= 1 and is rejected, as
-// nothing writes it any more.
-const snapshotV2Marker = 0x00
-
-// floorUnknown is a delta floor no RESPONSE has reported yet: no cached
-// vector can serve as a base.
+// floorUnknown is a delta floor no RESPONSE has reported yet: no send
+// can serve as a delta base.
 const floorUnknown = math.MaxInt64
 
 // TDI is one rank's protocol instance. It implements proto.Protocol.
@@ -89,44 +92,34 @@ type TDI struct {
 	// (the Fig. 7 tracking-time metric).
 	track metrics.Tracker
 
-	// refreshEvery is the per-destination full-vector cadence: at most
-	// refreshEvery-1 consecutive deltas before a full resend. 1 disables
-	// deltas entirely (the Fig. 6 full-vector baseline).
-	refreshEvery int
+	// fullVectors sends the whole vector on every message: the paper's
+	// published protocol, the Fig. 6 baseline.
+	fullVectors bool
+	// version counts deliveries, each of which raises at least the own
+	// element. lastUpdate[k] is the version at which dependInterval[k]
+	// last rose; lastSend[d] is the version at the last send to d, 0
+	// while d has no delta base (nothing sent yet, or reset by Restore
+	// or OnPeerRollback). The delta to d is every k with lastUpdate[k] >
+	// lastSend[d], and it is empty exactly when lastSend[d] == version.
+	version    uint64
+	lastUpdate []uint64
+	lastSend   []uint64
 	// floor and sentIdx, nil until a Restore or BeginRecovery, are the
-	// per-destination delta floors and the send index each sent[dest] was
-	// cached at (see the package doc).
+	// per-destination delta floors and the send index of the last send
+	// to each destination that carried pairs (see the package doc).
 	floor   []int64
 	sentIdx []int64
 
-	// pigArena backs every non-constant piggyback PiggybackForSend
-	// returns: the sender log retains them, read-only, until the
-	// destination's CHECKPOINT_ADVANCE releases them.
+	// lastDemand[src] is the own-element demand of the last message
+	// merged from src, -1 before the first: the demand of a piggyback
+	// that omits the own element. A delta from a source with no merged
+	// message has no base and is rejected.
+	lastDemand []int64
+
+	// pigArena backs every non-empty piggyback PiggybackForSend returns:
+	// the sender log retains them, read-only, until the destination's
+	// CHECKPOINT_ADVANCE releases them.
 	pigArena wire.Arena
-
-	// Send side: last vector sent per destination and deltas since the
-	// last full vector.
-	sent      []vclock.Vec
-	sinceFull []int
-	// depVersion counts mutations of dependInterval; sentVersion records
-	// the version each destination's sent-cache was taken at. When they
-	// match, the delta against sent[dest] is provably empty, so the
-	// encoder emits the two constant bytes without scanning either
-	// vector — the common case for a burst of sends with no delivery in
-	// between.
-	depVersion  uint64
-	sentVersion []uint64
-
-	// Receive side: last reconstructed vector per source (the delta
-	// base), committed on delivery so it tracks lastDeliverIndex exactly.
-	recv []vclock.Vec
-
-	// Per-source decode memo: Deliverable, OnDeliver and DeliveryDemand
-	// all see the same FIFO-head message, often repeatedly; decode it
-	// once per (source, send index).
-	memoIdx []int64
-	memoVec []vclock.Vec
-	memoErr []error
 }
 
 var _ proto.Protocol = (*TDI)(nil)
@@ -146,30 +139,22 @@ func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TDI {
 		dependInterval: vclock.New(n),
 		m:              m,
 		track:          metrics.NewTracker(m, clk),
-		refreshEvery:   DefaultRefreshEvery,
-		sent:           make([]vclock.Vec, n),
-		sinceFull:      make([]int, n),
-		sentVersion:    make([]uint64, n),
-		recv:           make([]vclock.Vec, n),
-		memoIdx:        make([]int64, n),
-		memoVec:        make([]vclock.Vec, n),
-		memoErr:        make([]error, n),
+		version:        1,
+		lastUpdate:     make([]uint64, n),
+		lastSend:       make([]uint64, n),
+		lastDemand:     make([]int64, n),
 	}
-	for i := range t.memoIdx {
-		t.memoIdx[i] = -1
+	for i := range t.lastDemand {
+		t.lastDemand[i] = -1
 	}
 	return t
 }
 
-// SetRefreshEvery overrides the full-vector refresh cadence: every k-th
-// message per destination carries the full vector. k == 1 disables
-// delta encoding entirely; k <= 0 restores the default.
-func (t *TDI) SetRefreshEvery(k int) {
-	if k <= 0 {
-		k = DefaultRefreshEvery
-	}
-	t.refreshEvery = k
-}
+// SetRefreshEvery selects the encoding: k == 1 sends the full vector on
+// every message (the Fig. 6 baseline); any other k selects the default
+// differential piggyback, which sends the full vector only when it is
+// the smaller encoding or the destination has no delta base.
+func (t *TDI) SetRefreshEvery(k int) { t.fullVectors = k == 1 }
 
 // Name implements proto.Protocol.
 func (t *TDI) Name() string { return "tdi" }
@@ -179,63 +164,38 @@ func (t *TDI) Name() string { return "tdi" }
 func (t *TDI) DependInterval() vclock.Vec { return t.dependInterval.Clone() }
 
 // PiggybackForSend implements proto.Protocol: the piggyback is the
-// current depend_interval vector (Algorithm 1 line 11) — delta-encoded
-// against the last vector sent to dest when that is smaller and the
-// refresh cadence permits, the full n-element vector otherwise. The
-// result is retained by the sender log, so it is the caller's to keep:
-// an immutable slice appended at the tail of the instance's arena (see
-// wire.Arena). Callers that own a reusable buffer (the allocation
-// probes) use AppendPiggybackForSend directly.
+// current depend_interval vector (Algorithm 1 line 11) — the elements
+// that changed since the last send to dest when that is smaller, the
+// full n-element vector otherwise, and nothing at all when no element
+// changed. The result is retained by the sender log, so it is the
+// caller's to keep: an immutable slice appended at the tail of the
+// instance's arena (see wire.Arena). Callers that own a reusable buffer
+// (the allocation probes) use AppendPiggybackForSend directly.
 //
 //windar:hotpath
 func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
-	if t.emptyDeltaEligible(dest) {
-		// The empty delta is two constant bytes that every holder —
-		// sender log, wire encoder, inline copy — only ever reads, so a
-		// single shared slice serves all of them with no allocation.
-		// The slice is full (len == cap), so an append by any caller
-		// copies out rather than scribbling on the shared backing.
-		t.recordEmptyDelta(dest)
-		return emptyDeltaPig, 1
+	var buf []byte
+	if !t.unchangedSince(dest) {
+		// The full vector bounds the encoding: a delta is chosen only
+		// when it is smaller.
+		buf = t.pigArena.Tail(wire.VecSize(t.dependInterval))
 	}
-	// The full vector bounds the encoding: a delta is chosen only when
-	// it is smaller.
-	pig, ids := t.AppendPiggybackForSend(t.pigArena.Tail(wire.VecSize(t.dependInterval)), dest, sendIndex)
+	pig, ids := t.AppendPiggybackForSend(buf, dest, sendIndex)
 	return t.pigArena.Commit(pig), ids
 }
 
-// emptyDeltaPig is the shared empty-delta encoding (see
-// PiggybackForSend). Never mutate it.
-var emptyDeltaPig = []byte{wire.VecDeltaMarker, 0}
-
-// recordEmptyDelta performs the per-send bookkeeping for an
-// empty-delta piggyback: cadence, tracking time, pig-size metrics.
-// The sent-cache needs no update — the version match proves it is
-// already exactly the current vector.
-//
-//windar:hotpath
-func (t *TDI) recordEmptyDelta(dest int) {
-	start, w := t.track.BeginSend()
-	t.sinceFull[dest]++
-	t.track.EndSend(start, w)
-	t.m.PigDelta(2)
+// unchangedSince reports whether the next piggyback to dest is the
+// empty one: dest has a delta base and no element rose since the last
+// send to it.
+func (t *TDI) unchangedSince(dest int) bool {
+	return t.deltaBase(dest) && t.lastSend[dest] == t.version
 }
 
-// emptyDeltaEligible reports whether the next piggyback to dest is
-// provably the constant empty delta: delta encoding is permitted by the
-// cadence and the floor, the sent-cache is exactly the current vector
-// (version match), and the two-byte delta beats the full vector (any
-// n >= 2 full vector is at least three bytes; n == 1 takes the scanning
-// path so the size comparison stays exact).
-func (t *TDI) emptyDeltaEligible(dest int) bool {
-	return t.n >= 2 && t.deltaBase(dest) && t.sentVersion[dest] == t.depVersion
-}
-
-// deltaBase reports whether sent[dest] may serve as the base of the next
-// send's delta: the cadence permits one and, after a rollback, the base
-// was cached above the destination's floor.
+// deltaBase reports whether the next send to dest may be a delta: dest
+// has had a send since its base was last reset and, after a rollback,
+// the last send that carried pairs was above the destination's floor.
 func (t *TDI) deltaBase(dest int) bool {
-	return t.refreshEvery > 1 && t.sent[dest] != nil && t.sinceFull[dest] < t.refreshEvery-1 &&
+	return !t.fullVectors && t.lastSend[dest] != 0 &&
 		(t.floor == nil || t.sentIdx[dest] > t.floor[dest])
 }
 
@@ -243,46 +203,31 @@ func (t *TDI) deltaBase(dest int) bool {
 // dest onto buf and returns the extended slice plus the piggybacked
 // integer count (the Fig. 5 unit). It is the allocation-free core of
 // PiggybackForSend: with a buffer of steady-state capacity the whole
-// encode — size probing, delta selection, per-destination cache update —
-// performs zero heap allocations.
+// encode performs zero heap allocations.
 //
 //windar:hotpath
 func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]byte, int) {
 	start, w := t.track.BeginSend()
-	if t.emptyDeltaEligible(dest) {
-		// Nothing delivered since the last piggyback to dest: the delta
-		// is the constant empty encoding. Skips the O(n) size probes and
-		// the sent-cache copy-back (which would be a self-copy).
+	if t.unchangedSince(dest) {
 		t.track.EndSend(start, w)
-		buf = append(buf, wire.VecDeltaMarker, 0)
-		t.m.PigDelta(2)
-		t.sinceFull[dest]++
-		return buf, 1
+		t.m.PigDelta(0)
+		return buf, 0
 	}
 	mark := len(buf)
 	ids := t.n
 	delta := false
 	if t.deltaBase(dest) {
-		if ds := wire.VecDeltaSize(t.sent[dest], t.dependInterval); ds < wire.VecSize(t.dependInterval) {
-			buf = wire.AppendVecDelta(buf, t.sent[dest], t.dependInterval)
-			ids = 2*wire.VecChanged(t.sent[dest], t.dependInterval) + 1
+		since := t.lastSend[dest]
+		if size, pairs := wire.VecSinceSize(t.dependInterval, t.lastUpdate, since); size < wire.VecSize(t.dependInterval) {
+			buf = wire.AppendVecSince(buf, t.dependInterval, t.lastUpdate, since)
+			ids = 2*pairs + 1
 			delta = true
 		}
 	}
 	if !delta {
 		buf = wire.AppendVec(buf, t.dependInterval)
 	}
-	if delta {
-		t.sinceFull[dest]++
-	} else {
-		t.sinceFull[dest] = 0
-	}
-	if t.sent[dest] == nil {
-		t.sent[dest] = t.dependInterval.Clone()
-	} else {
-		t.sent[dest].CopyFrom(t.dependInterval)
-	}
-	t.sentVersion[dest] = t.depVersion
+	t.lastSend[dest] = t.version
 	if t.floor != nil {
 		t.sentIdx[dest] = sendIndex
 	}
@@ -295,36 +240,33 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 	return buf, ids
 }
 
-// decodePig reconstructs env's full depend_interval vector: a v1 full
-// vector directly, a v2 delta applied to the per-source base committed
-// at the previous delivery on that channel. The result is memoized per
-// (source, send index) so the repeated Deliverable probes on a held
-// FIFO head decode once; the memo vector doubles as the decode scratch,
-// so the steady-state decode reuses its storage and allocates nothing.
-// Callers never retain the returned vector past their own call (the
-// merge copies it), which is what makes the reuse safe.
+// demand validates env's piggyback and returns the delivery count it
+// demands of this rank: the own element when the piggyback carries it,
+// else the source's last demand, which per-channel FIFO makes exact.
 //
 //windar:hotpath
-func (t *TDI) decodePig(env *wire.Envelope) (vclock.Vec, error) {
+func (t *TDI) demand(env *wire.Envelope) (int64, error) {
 	src := env.From
 	if src < 0 || src >= t.n {
-		return nil, t.errPigSource(src)
+		return 0, t.errPigSource(src)
 	}
-	if t.memoIdx[src] == env.SendIndex && (t.memoVec[src] != nil || t.memoErr[src] != nil) {
-		return t.memoVec[src], t.memoErr[src]
+	d := t.lastDemand[src]
+	if len(env.Piggyback) == 0 && d >= 0 {
+		return d, nil // nothing changed since the last message: the common case
 	}
-	v, _, _, err := wire.ReadVecAnyInto(t.memoVec[src], env.Piggyback, t.recv[src])
-	if err != nil {
-		v = nil
-		err = t.errPigDecode(src, err)
-	} else if len(v) != t.n {
-		err = t.errPigLength(src, len(v))
-		v = nil
+	p := wire.ReadVecPairs(env.Piggyback, t.n)
+	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
+		if k == t.rank {
+			d = v
+		}
 	}
-	t.memoIdx[src] = env.SendIndex
-	t.memoVec[src] = v
-	t.memoErr[src] = err
-	return v, err
+	if err := p.Err(); err != nil {
+		return 0, t.errPigDecode(src, err)
+	}
+	if !p.Full() && t.lastDemand[src] < 0 {
+		return 0, t.errPigDecode(src, wire.ErrNoDeltaBase)
+	}
+	return d, nil
 }
 
 // The cold-path error constructors live outside the annotated spans:
@@ -342,11 +284,6 @@ func (t *TDI) errPigDecode(src int, err error) error {
 	return fmt.Errorf("core: rank %d: bad TDI piggyback from %d: %w", t.rank, src, err)
 }
 
-//go:noinline
-func (t *TDI) errPigLength(src, got int) error {
-	return fmt.Errorf("core: rank %d: piggyback length %d from %d, want %d", t.rank, got, src, t.n)
-}
-
 // Deliverable implements proto.Protocol: line 17 of Algorithm 1. The
 // message may be delivered once this rank's own interval index has reached
 // the piggybacked requirement. A malformed piggyback is reported as an
@@ -354,40 +291,44 @@ func (t *TDI) errPigLength(src, got int) error {
 //
 //windar:hotpath
 func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
-	pig, err := t.decodePig(env)
+	d, err := t.demand(env)
 	if err != nil {
 		return proto.Hold, err
 	}
-	if deliveredCount >= pig[t.rank] {
+	if deliveredCount >= d {
 		return proto.Deliver, nil
 	}
 	return proto.Hold, nil
 }
 
 // OnDeliver implements proto.Protocol: lines 20 and 22-24. The own element
-// is advanced by exactly one (this delivery); the rest is merged from the
-// piggyback. The reconstructed vector also becomes the delta base for the
-// next message on this channel.
+// is advanced by exactly one (this delivery); every other pair the
+// piggyback carries is max-merged. A malformed piggyback is rejected
+// before any state changes.
 //
 //windar:hotpath
 func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	start, w := t.track.BeginDeliver()
-	pig, err := t.decodePig(env)
+	d, err := t.demand(env)
 	if err != nil {
 		return err
 	}
-	t.depVersion++
+	t.version++
 	t.dependInterval[t.rank]++
 	if t.dependInterval[t.rank] != deliverIndex {
 		return t.errIndexDiverged(deliverIndex)
 	}
-	t.dependInterval.MergeExcept(pig, t.rank)
-	src := env.From
-	if t.recv[src] == nil {
-		t.recv[src] = pig.Clone()
-	} else {
-		t.recv[src].CopyFrom(pig)
+	t.lastUpdate[t.rank] = t.version
+	if len(env.Piggyback) != 0 { // the empty piggyback, the common case, merges nothing
+		p := wire.ReadVecPairs(env.Piggyback, t.n)
+		for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
+			if k != t.rank && v > t.dependInterval[k] {
+				t.dependInterval[k] = v
+				t.lastUpdate[k] = t.version
+			}
+		}
 	}
+	t.lastDemand[env.From] = d
 	t.track.EndDeliver(start, w)
 	return nil
 }
@@ -405,85 +346,54 @@ func (t *TDI) errIndexDiverged(deliverIndex int64) error {
 // depend_interval element for this rank is exactly the delivery count
 // Algorithm 1 line 17 requires before env may be delivered. It feeds the
 // trace recorder so the offline invariant checker can re-verify the
-// comparison on every recorded delivery. Deltas carry absolute values,
-// so re-decoding against the post-delivery base is exact.
+// comparison on every recorded delivery. Asked after the delivery, it
+// answers the same: the delivery recorded this very demand as the
+// source's last.
 //
 //windar:hotpath
 func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
-	pig, err := t.decodePig(env)
-	if err != nil || t.rank >= len(pig) {
-		return 0, false
-	}
-	return pig[t.rank], true
+	d, err := t.demand(env)
+	return d, err == nil
 }
 
 // Snapshot implements proto.Protocol: the depend_interval vector
-// (line 33 saves it with the checkpoint) plus the per-source delta
-// bases, which must survive a restore so the incarnation can keep
-// decoding deltas from live senders mid-chain.
+// (line 33 saves it with the checkpoint) plus the last demand per
+// source, which the next message from a live sender may omit.
 func (t *TDI) Snapshot() []byte {
-	buf := append([]byte(nil), snapshotV2Marker)
+	buf := append([]byte(nil), snapshotMarker)
 	buf = wire.AppendVec(buf, t.dependInterval)
-	for src := 0; src < t.n; src++ {
-		if t.recv[src] == nil {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		buf = wire.AppendVec(buf, t.recv[src])
+	for _, d := range t.lastDemand {
+		buf = binary.AppendVarint(buf, d)
 	}
 	return buf
 }
 
 // Restore implements proto.Protocol (line 42): it accepts the layout of
-// Snapshot only. Restoring resets every delta floor to unknown: the
-// regenerated sends may diverge from the dead incarnation's originals,
-// so no per-destination delta base is trustworthy until the
+// Snapshot only. Restoring drops every delta base and resets every delta
+// floor to unknown: the regenerated sends may diverge from the dead
+// incarnation's originals, so no delta is trustworthy until the
 // destination reports what it ingested (OnPeerResync).
 func (t *TDI) Restore(data []byte) error {
-	if len(data) == 0 || data[0] != snapshotV2Marker {
+	if len(data) == 0 || data[0] != snapshotMarker {
 		return fmt.Errorf("core: restore: no snapshot marker")
 	}
-	recv := make([]vclock.Vec, t.n)
-	i := 1
-	di, n, err := wire.ReadVec(data[i:])
-	if err != nil {
-		return fmt.Errorf("core: restore: %w", err)
+	c := wire.NewCursor(data[1:])
+	di := c.Vec()
+	demands := make([]int64, t.n)
+	for i := range demands {
+		demands[i] = c.Varint()
 	}
-	i += n
-	for src := 0; src < t.n; src++ {
-		if i >= len(data) {
-			return fmt.Errorf("core: restore: truncated delta bases")
-		}
-		present := data[i]
-		i++
-		if present == 0 {
-			continue
-		}
-		base, n, err := wire.ReadVec(data[i:])
-		if err != nil {
-			return fmt.Errorf("core: restore: base for %d: %w", src, err)
-		}
-		if len(base) != t.n {
-			return fmt.Errorf("core: restore: base length %d for %d, want %d", len(base), src, t.n)
-		}
-		i += n
-		recv[src] = base
+	if err := c.Err(); err != nil {
+		return fmt.Errorf("core: restore: %w", err)
 	}
 	if len(di) != t.n {
 		return fmt.Errorf("core: restore: vector length %d, want %d", len(di), t.n)
 	}
-	t.dependInterval = di
-	t.recv = recv
-	for i := range t.memoIdx {
-		t.memoIdx[i] = -1
-		t.memoVec[i] = nil
-		t.memoErr[i] = nil
+	if c.Len() != 0 {
+		return fmt.Errorf("core: restore: %d trailing bytes", c.Len())
 	}
-	t.sent = make([]vclock.Vec, t.n)
-	t.sinceFull = make([]int, t.n)
-	t.sentVersion = make([]uint64, t.n)
-	t.depVersion++
+	t.dependInterval, t.lastDemand = di, demands
+	clear(t.lastSend)
 	t.resetFloors()
 	return nil
 }
@@ -521,14 +431,12 @@ func (t *TDI) OnPeerResync(peer int, highWater int64) {
 }
 
 // OnPeerRollback implements proto.Protocol. The peer's new incarnation
-// reconstructs its receive-side delta bases from its checkpoint, which may
-// not match the send-side cache accumulated against the previous
-// incarnation — drop the cache so the next send to the peer carries a full
-// vector and restarts the delta chain from a shared base.
+// restarts from its checkpoint, which need not hold everything this
+// rank's later sends took as delivered — drop the base so the next send
+// to the peer carries a full vector.
 func (t *TDI) OnPeerRollback(peer int, ckptDelivered int64) {
 	if peer < 0 || peer >= t.n {
 		return
 	}
-	t.sent[peer] = nil
-	t.sinceFull[peer] = 0
+	t.lastSend[peer] = 0
 }

@@ -127,7 +127,10 @@ func TestRestoreRejectsWrongLength(t *testing.T) {
 	if err := tdi.Restore(wire.AppendVec(nil, vclock.New(3))); err == nil {
 		t.Fatal("Restore accepted a bare vector")
 	}
-	for _, garbage := range [][]byte{nil, {0xFF}, {snapshotV2Marker}} {
+	// So is the older 0x00-marked layout, which kept a base vector per
+	// source (here: none present).
+	v2 := append(wire.AppendVec([]byte{0x00}, vclock.New(3)), 0, 0, 0)
+	for _, garbage := range [][]byte{nil, {0xFF}, {snapshotMarker}, v2} {
 		if err := tdi.Restore(garbage); err == nil {
 			t.Fatalf("Restore accepted garbage %x", garbage)
 		}
@@ -173,8 +176,8 @@ func TestTDIIsNoReplayer(t *testing.T) {
 		}
 	}
 	tdi.OnPeerResync(1, 0)
-	if pig, _ := tdi.PiggybackForSend(1, 4); pig[0] != wire.VecDeltaMarker {
-		t.Fatal("send above the floor, on a base cached above it, is not a delta")
+	if pig, ids := tdi.PiggybackForSend(1, 4); len(pig) != 0 || ids != 0 {
+		t.Fatalf("send above the floor, with nothing changed since a send above it, is % x (%d ids), not empty", pig, ids)
 	}
 }
 
@@ -246,17 +249,16 @@ func TestPiggybackSizeIndependentOfHistory(t *testing.T) {
 }
 
 // TestRestoreInvalidatesDecodeMemos pins the recovery contract for the
-// per-source decode caches: Deliverable/DeliveryDemand memoize the
-// decoded piggyback per (source, send index), and a rollback resends
-// regenerated messages that may carry a DIFFERENT piggyback at the same
-// send index. Restore must therefore drop every memo (and the hold
-// verdicts derived from them) for every source, or the incarnation
-// would hold — or deliver — against a dead incarnation's vector.
+// per-source receive state: a rollback resends regenerated messages that
+// may carry a DIFFERENT piggyback at the same send index, so nothing a
+// probe of the dead incarnation's message left behind — a cached decode
+// or verdict — may decide the fate of the resend, or the incarnation
+// would hold, or deliver, against a dead incarnation's vector.
 func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 	tdi := New(1, 4, nil, nil)
 	snap := tdi.Snapshot()
 	for _, src := range []int{0, 2, 3} {
-		// Memoize a decode that demands two prior deliveries: Hold.
+		// Probe a message that demands two prior deliveries: Hold.
 		held := env(src, 1, 1, vclock.Vec{0, 2, 0, 0})
 		if v, err := tdi.Deliverable(held, 0); err != nil || v != proto.Hold {
 			t.Fatalf("src %d: pre-restore verdict %v, %v", src, v, err)
@@ -268,13 +270,13 @@ func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 			t.Fatalf("src %d: Restore: %v", src, err)
 		}
 		// The regenerated resend at the same (source, send index)
-		// demands nothing. A stale memo would keep holding it.
+		// demands nothing. Stale state would keep holding it.
 		resent := env(src, 1, 1, vclock.Vec{0, 0, 0, 0})
 		if v, err := tdi.Deliverable(resent, 0); err != nil || v != proto.Deliver {
-			t.Fatalf("src %d: post-restore verdict %v, %v — stale decode memo", src, v, err)
+			t.Fatalf("src %d: post-restore verdict %v, %v — stale decode state", src, v, err)
 		}
 		if d, ok := tdi.DeliveryDemand(resent); !ok || d != 0 {
-			t.Fatalf("src %d: post-restore demand %d, %v — stale decode memo", src, d, ok)
+			t.Fatalf("src %d: post-restore demand %d, %v — stale decode state", src, d, ok)
 		}
 	}
 }

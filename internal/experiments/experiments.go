@@ -129,9 +129,9 @@ func (o Options) clusterConfig(procs int, p harness.ProtocolKind, mode harness.M
 		CheckpointEvery: o.CheckpointEvery,
 		// The figure sweeps reproduce the published protocol, which
 		// piggybacks the full depend_interval on every message (Fig. 6's
-		// headline: exactly n identifiers). Delta encoding is measured
-		// separately by RunPiggybackCompare.
-		PiggybackRefreshEvery: 1,
+		// headline: exactly n identifiers). The differential piggyback is
+		// measured separately by RunPiggybackCompare.
+		FullVectors: true,
 		Fabric: fabric.Config{
 			BaseLatency:    20 * time.Microsecond,
 			BytesPerSecond: 1 << 30, // ~1 GiB/s links: size matters, mildly
@@ -270,24 +270,26 @@ func addProtocolTable(t *metrics.Table, rows []OverheadRow, metric func(Overhead
 	}
 }
 
-// PigRow compares the v2 delta piggyback encoding against the paper's
+// PigRow compares TDI's differential piggyback against the paper's
 // full-vector baseline on one TDI workload.
 type PigRow struct {
 	Bench string `json:"bench"`
 	Procs int    `json:"procs"`
 	// FullBytes and DeltaBytes are average piggyback bytes per message
-	// under the full-vector baseline (refresh every send) and the default
-	// delta cadence respectively.
+	// under the full-vector baseline and the default differential
+	// encoding respectively.
 	FullBytes  float64 `json:"full_bytes_per_msg"`
 	DeltaBytes float64 `json:"delta_bytes_per_msg"`
 	// FullIDs and DeltaIDs are the identifier-denominated companions
 	// (Fig. 6's unit).
 	FullIDs  float64 `json:"full_ids_per_msg"`
 	DeltaIDs float64 `json:"delta_ids_per_msg"`
-	// DeltaMsgs and FullRefreshes count, in the delta run, how many sends
-	// used the compact encoding vs a full-vector refresh.
-	DeltaMsgs     int64 `json:"delta_msgs"`
-	FullRefreshes int64 `json:"full_refreshes"`
+	// DeltaMsgs and FullVectors count, in the delta run, how many sends
+	// used the compact encoding (an empty one included) and how many the
+	// full vector: the first send to each destination, and every send
+	// where the full vector was the smaller encoding.
+	DeltaMsgs   int64 `json:"delta_msgs"`
+	FullVectors int64 `json:"full_vectors"`
 	// Reduction is 1 - DeltaBytes/FullBytes: the fraction of piggyback
 	// traffic the delta encoding removes.
 	Reduction float64 `json:"reduction"`
@@ -295,8 +297,8 @@ type PigRow struct {
 }
 
 // RunPiggybackCompare runs one TDI workload twice — once with the paper's
-// full-vector piggyback (refresh every send) and once with the default
-// delta cadence — and reports the piggyback traffic both ways. The cell is
+// full-vector piggyback and once with the default differential one — and
+// reports the piggyback traffic both ways. The cell is
 // the first configured benchmark at the process count closest to the
 // paper's 16-process column.
 func RunPiggybackCompare(o Options) (PigRow, error) {
@@ -309,18 +311,18 @@ func RunPiggybackCompare(o Options) (PigRow, error) {
 		}
 	}
 	row := PigRow{Bench: bench, Procs: procs}
-	for _, refresh := range []int{1, 0} { // 1 = full baseline, 0 = default delta cadence
+	for _, full := range []bool{true, false} {
 		factory, err := npb.Benchmark(bench, o.params(bench))
 		if err != nil {
 			return PigRow{}, err
 		}
 		cfg := o.clusterConfig(procs, harness.TDI, harness.NonBlocking)
-		cfg.PiggybackRefreshEvery = refresh
+		cfg.FullVectors = full
 		tot, _, err := runOnce(o.Clock, cfg, factory, nil)
 		if err != nil {
-			return PigRow{}, fmt.Errorf("experiments: piggyback compare refresh=%d: %w", refresh, err)
+			return PigRow{}, fmt.Errorf("experiments: piggyback compare full=%v: %w", full, err)
 		}
-		if refresh == 1 {
+		if full {
 			row.FullBytes = tot.AvgPiggybackBytes()
 			row.FullIDs = tot.AvgPiggybackIDs()
 			row.MsgsSent = tot.MsgsSent
@@ -328,7 +330,7 @@ func RunPiggybackCompare(o Options) (PigRow, error) {
 			row.DeltaBytes = tot.AvgPiggybackBytes()
 			row.DeltaIDs = tot.AvgPiggybackIDs()
 			row.DeltaMsgs = tot.PigDeltaMsgs
-			row.FullRefreshes = tot.PigFullMsgs
+			row.FullVectors = tot.PigFullMsgs
 		}
 	}
 	if row.FullBytes > 0 {

@@ -306,8 +306,9 @@ func probeCkptEncode() float64 {
 	})
 }
 
-// probePigEncodeDelta measures AppendPiggybackForSend on the delta path
-// (default refresh cadence, reused buffer).
+// probePigEncodeDelta measures AppendPiggybackForSend on the default
+// differential path (reused buffer): after the first, full, send every
+// send to the destination is the empty piggyback.
 func probePigEncodeDelta() float64 {
 	t := core.New(0, 32, nil, nil)
 	buf := make([]byte, 0, 256)
@@ -316,7 +317,7 @@ func probePigEncodeDelta() float64 {
 	})
 }
 
-// probePigEncodeFull measures the full-vector encode (refresh cadence 1
+// probePigEncodeFull measures the full-vector encode (SetRefreshEvery(1)
 // disables deltas — the Fig. 6 baseline).
 func probePigEncodeFull() float64 {
 	t := core.New(0, 32, nil, nil)
@@ -328,8 +329,8 @@ func probePigEncodeFull() float64 {
 }
 
 // probePigDecode measures the receive-side piggyback decode (Deliverable
-// on a fresh send index: a memo miss decoding a delta into the reused
-// scratch vector).
+// on a fresh send index: validating a one-pair delta in place and reading
+// the demand).
 func probePigDecode() float64 {
 	recv := core.New(0, 32, nil, nil)
 	sender := core.New(1, 32, nil, nil)
@@ -339,7 +340,7 @@ func probePigDecode() float64 {
 	}, 1); err != nil {
 		panic(err)
 	}
-	delta, _ := sender.PiggybackForSend(0, 2)
+	delta := []byte{wire.VecDeltaMarker, 1, 1, 2} // the sender's own element rose to 1
 	env := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, Piggyback: delta}
 	idx := int64(2)
 	return testing.AllocsPerRun(allocProbeRuns, func() {
@@ -510,7 +511,8 @@ func probeFabricQueuedHop() float64 {
 
 // probePigFullRetained measures PiggybackForSend on the full-vector path
 // — a recovered rank's sends at or below a destination's resync floor,
-// every refresh, and every send at cadence 1: a full 32-element vector
+// every send where the full vector is smaller than the delta, and every
+// send in the full-vector mode: a full 32-element vector
 // per message, retained by the sender log — appended at the tail of the
 // instance's arena.
 func probePigFullRetained() float64 {

@@ -201,11 +201,11 @@ type Config struct {
 	// delivery wait exceeds it — a debugging aid for misbehaving
 	// applications; production runs leave it zero.
 	StallTimeout time.Duration
-	// PiggybackRefreshEvery is TDI's full-vector refresh cadence: every
-	// k-th message per destination carries the full depend_interval
-	// vector instead of a delta. 1 disables delta encoding (the
-	// full-vector baseline); 0 uses the protocol default.
-	PiggybackRefreshEvery int
+	// FullVectors makes TDI piggyback the whole depend_interval on every
+	// message — the paper's published protocol, which the figure sweeps
+	// reproduce. Off, TDI sends only the elements that changed since the
+	// last send to the destination.
+	FullVectors bool
 	// SpanTracing stamps every application message with a causal span
 	// context (see span.go) carried in the wire envelope. Off by default;
 	// when off the wire encoding is byte-identical to a build without the
@@ -409,7 +409,9 @@ func (c *Cluster) newProtocol(r *rankRuntime) (proto.Protocol, error) {
 	switch c.cfg.Protocol {
 	case TDI:
 		p := core.New(r.id, c.cfg.N, m, c.clk)
-		p.SetRefreshEvery(c.cfg.PiggybackRefreshEvery)
+		if c.cfg.FullVectors {
+			p.SetRefreshEvery(1)
+		}
 		return p, nil
 	case TAG:
 		return tag.New(r.id, c.cfg.N, m, c.clk), nil

@@ -147,6 +147,10 @@ type rankRuntime struct {
 	sendCond *sync.Cond
 	sendQ    []*wire.Envelope
 
+	// dead is set by kill just before it closes killed: isKilled, asked
+	// on every Send and Recv, is one atomic load. killed serves the
+	// select-based waits and aborts a blocked transport send.
+	dead     atomic.Bool
 	killed   chan struct{}
 	killOnce sync.Once
 	// senders counts this incarnation's goroutines that hand envelopes to
@@ -338,6 +342,7 @@ func (r *rankRuntime) start(fromStep int, rollback []byte) {
 // kill cooperatively stops every goroutine of this incarnation.
 func (r *rankRuntime) kill() {
 	r.killOnce.Do(func() {
+		r.dead.Store(true)
 		close(r.killed)
 		r.mu.Lock()
 		r.cond.Broadcast()
@@ -351,14 +356,7 @@ func (r *rankRuntime) kill() {
 	})
 }
 
-func (r *rankRuntime) isKilled() bool {
-	select {
-	case <-r.killed:
-		return true
-	default:
-		return false
-	}
-}
+func (r *rankRuntime) isKilled() bool { return r.dead.Load() }
 
 func (r *rankRuntime) checkKilled() {
 	if r.isKilled() {

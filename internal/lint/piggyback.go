@@ -66,10 +66,12 @@ func runPiggyback(pass *Pass) {
 
 // vecReaders are the wire decoders whose vector result length is
 // attacker-controlled: nothing about a successful decode bounds it.
-var vecReaders = map[string]bool{"ReadVec": true, "ReadVecAny": true, "ReadVecDelta": true}
+// (wire.ReadVecPairs, TDI's piggyback reader, returns no vector: it
+// checks every index against n itself.)
+var vecReaders = map[string]bool{"ReadVec": true, "ReadVecInto": true, "ReadVecDeltaInto": true}
 
 // checkDecodedVecIndexing flags `v[i]` where v was assigned from a
-// wire.ReadVec/ReadVecAny/ReadVecDelta call and no `len(v)` expression
+// wire.ReadVec/ReadVecInto/ReadVecDeltaInto call and no `len(v)` expression
 // (or `range v` loop, whose indexes are bounded by construction) appears
 // earlier in the same function body.
 func checkDecodedVecIndexing(pass *Pass, f *ast.File) {

@@ -23,9 +23,9 @@ func badBlank(b []byte) {
 	_, _, _ = wire.ReadVec(b) // want "error of wire.ReadVec assigned to _"
 }
 
-func badBlankAny(b []byte) (int, bool) {
-	_, n, isDelta, _ := wire.ReadVecAny(b, nil) // want "error of wire.ReadVecAny assigned to _"
-	return n, isDelta
+func badBlankDelta(b []byte) int {
+	_, n, _ := wire.ReadVecDeltaInto(nil, b, nil) // want "error of wire.ReadVecDeltaInto assigned to _"
+	return n
 }
 
 func badBlankFrame(b []byte) *wire.Envelope {
@@ -47,7 +47,7 @@ func goodPropagated(fr *wire.FrameReader) (*wire.Envelope, error) {
 }
 
 func goodDeltaChecked(b []byte) int {
-	v, n, err := wire.ReadVecDelta(b, nil)
+	v, n, err := wire.ReadVecDeltaInto(nil, b, nil)
 	if err != nil {
 		return -1
 	}

@@ -45,7 +45,7 @@ func badIndex(b []byte) int64 {
 }
 
 func badIndexDelta(b []byte, base vclock.Vec) int64 {
-	v, _, _, err := wire.ReadVecAny(b, base)
+	v, _, err := wire.ReadVecDeltaInto(nil, b, base)
 	if err != nil {
 		return 0
 	}
@@ -62,7 +62,7 @@ func goodIndex(b []byte, rank int) int64 {
 }
 
 func goodRange(b []byte, base vclock.Vec) int64 {
-	v, _, err := wire.ReadVecDelta(b, base)
+	v, _, err := wire.ReadVecDeltaInto(nil, b, base)
 	if err != nil {
 		return 0
 	}

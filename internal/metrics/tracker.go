@@ -13,11 +13,10 @@ const (
 	// times what it measured. The tracked operations are tens of
 	// nanoseconds (TDI's empty-delta send is one increment), so a pair
 	// of clock reads around every one of them costs more than the work
-	// being measured. k is prime, hence co-prime with
-	// core.DefaultRefreshEvery (32) and with every workload's window and
-	// checkpoint cadence: the timed operations walk through all phases
-	// of those cycles instead of landing on, say, the full-vector send
-	// every time.
+	// being measured. k is prime, hence co-prime with every workload's
+	// window and checkpoint cadence: the timed operations walk through
+	// all phases of those cycles instead of landing on, say, the one
+	// send per window that follows a delivery every time.
 	TrackSampleEvery = 61
 	// TrackExactFirst is the warm-up: the first 20k operations of each
 	// direction are all timed and charged as measured. A sample stands

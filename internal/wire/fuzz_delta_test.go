@@ -18,9 +18,9 @@ func FuzzReadVecDelta(f *testing.F) {
 	f.Add([]byte{VecDeltaMarker, 2, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		orig := base.Clone()
-		v, n, err := ReadVecDelta(b, base)
+		v, n, err := ReadVecDeltaInto(nil, b, base)
 		if !base.Equal(orig) {
-			t.Fatalf("ReadVecDelta mutated the base: %v -> %v", orig, base)
+			t.Fatalf("ReadVecDeltaInto mutated the base: %v -> %v", orig, base)
 		}
 		if err != nil {
 			return
@@ -34,7 +34,7 @@ func FuzzReadVecDelta(f *testing.F) {
 		// An accepted delta must round-trip: re-encoding the
 		// reconstruction against the same base reproduces it.
 		re := AppendVecDelta(nil, base, v)
-		v2, _, err := ReadVecDelta(re, base)
+		v2, _, err := ReadVecDeltaInto(nil, re, base)
 		if err != nil {
 			t.Fatalf("re-decode of accepted delta failed: %v", err)
 		}
@@ -45,8 +45,8 @@ func FuzzReadVecDelta(f *testing.F) {
 }
 
 // FuzzVecDeltaRoundTrip drives the encoder from fuzzer-chosen vectors:
-// every (base, cur) pair must encode to the size VecDeltaSize predicts,
-// decode back to cur exactly, and dispatch correctly through ReadVecAny.
+// every (base, cur) pair must decode back to cur exactly, and
+// ReadVecPairs must yield exactly the pairs where cur differs from base.
 func FuzzVecDeltaRoundTrip(f *testing.F) {
 	f.Add(int64(1), int64(2), int64(3), int64(1), int64(9), int64(3))
 	f.Add(int64(0), int64(0), int64(0), int64(0), int64(0), int64(0))
@@ -55,18 +55,29 @@ func FuzzVecDeltaRoundTrip(f *testing.F) {
 		base := vclock.Vec{b0, b1, b2}
 		cur := vclock.Vec{c0, c1, c2}
 		enc := AppendVecDelta(nil, base, cur)
-		if got := VecDeltaSize(base, cur); got != len(enc) {
-			t.Fatalf("VecDeltaSize=%d, encoded %d bytes", got, len(enc))
-		}
-		v, n, isDelta, err := ReadVecAny(enc, base)
+		v, n, err := ReadVecDeltaInto(nil, enc, base)
 		if err != nil {
 			t.Fatalf("decode of fresh delta failed: %v", err)
 		}
-		if !isDelta || n != len(enc) {
-			t.Fatalf("dispatch: isDelta=%v n=%d want delta, %d", isDelta, n, len(enc))
+		if n != len(enc) {
+			t.Fatalf("consumed %d of %d bytes", n, len(enc))
 		}
 		if !v.Equal(cur) {
 			t.Fatalf("reconstructed %v, want %v (base %v)", v, cur, base)
+		}
+		applied := base.Clone()
+		p := ReadVecPairs(enc, len(base))
+		if p.Full() {
+			t.Fatal("a delta read as a full vector")
+		}
+		for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
+			if base[k] == x {
+				t.Fatalf("pair (%d, %d) for an unchanged element", k, x)
+			}
+			applied[k] = x
+		}
+		if p.Err() != nil || !applied.Equal(cur) {
+			t.Fatalf("pairs applied to base gave %v (err %v), want %v", applied, p.Err(), cur)
 		}
 	})
 }

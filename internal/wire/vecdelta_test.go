@@ -24,12 +24,9 @@ func TestVecDeltaRoundTrip(t *testing.T) {
 			if b[0] != VecDeltaMarker {
 				t.Fatalf("delta does not start with marker: % x", b)
 			}
-			if got := VecDeltaSize(tc.base, tc.cur); got != len(b) {
-				t.Fatalf("VecDeltaSize=%d, encoded %d bytes", got, len(b))
-			}
-			v, n, err := ReadVecDelta(b, tc.base)
+			v, n, err := ReadVecDeltaInto(nil, b, tc.base)
 			if err != nil {
-				t.Fatalf("ReadVecDelta: %v", err)
+				t.Fatalf("ReadVecDeltaInto: %v", err)
 			}
 			if n != len(b) {
 				t.Fatalf("consumed %d of %d bytes", n, len(b))
@@ -39,7 +36,7 @@ func TestVecDeltaRoundTrip(t *testing.T) {
 			}
 			// Idempotence: absolute values mean applying the delta to the
 			// post-state reproduces the post-state.
-			v2, _, err := ReadVecDelta(b, tc.cur)
+			v2, _, err := ReadVecDeltaInto(nil, b, tc.cur)
 			if err != nil {
 				t.Fatalf("re-apply: %v", err)
 			}
@@ -53,7 +50,7 @@ func TestVecDeltaRoundTrip(t *testing.T) {
 func TestVecDeltaDoesNotMutateBase(t *testing.T) {
 	base := vclock.Vec{1, 2, 3}
 	b := AppendVecDelta(nil, base, vclock.Vec{9, 2, 8})
-	v, _, err := ReadVecDelta(b, base)
+	v, _, err := ReadVecDeltaInto(nil, b, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +65,8 @@ func TestVecDeltaDoesNotMutateBase(t *testing.T) {
 
 func TestVecDeltaNoBase(t *testing.T) {
 	b := AppendVecDelta(nil, vclock.Vec{0, 0}, vclock.Vec{1, 0})
-	if _, _, err := ReadVecDelta(b, nil); !errors.Is(err, ErrNoDeltaBase) {
+	if _, _, err := ReadVecDeltaInto(nil, b, nil); !errors.Is(err, ErrNoDeltaBase) {
 		t.Fatalf("nil base: got %v, want ErrNoDeltaBase", err)
-	}
-	if _, _, _, err := ReadVecAny(b, nil); !errors.Is(err, ErrNoDeltaBase) {
-		t.Fatalf("ReadVecAny nil base: got %v, want ErrNoDeltaBase", err)
 	}
 }
 
@@ -90,30 +84,97 @@ func TestVecDeltaRejectsMalformed(t *testing.T) {
 		{0x01, 0x02},                    // not a delta at all
 	}
 	for i, b := range bad {
-		if _, _, err := ReadVecDelta(b, base); err == nil {
+		if _, _, err := ReadVecDeltaInto(nil, b, base); err == nil {
 			t.Errorf("case %d (% x): accepted malformed delta", i, b)
 		}
 	}
 }
 
-func TestReadVecAnyDispatch(t *testing.T) {
+// TestReadVecPairsDispatch: one reader takes all three piggyback
+// encodings — a full vector yields every element, a delta its pairs, an
+// empty piggyback nothing — and none of them needs a base.
+func TestReadVecPairsDispatch(t *testing.T) {
 	base := vclock.Vec{1, 2, 3}
 	cur := vclock.Vec{1, 5, 3}
-
-	full := AppendVec(nil, cur)
-	v, n, isDelta, err := ReadVecAny(full, base)
-	if err != nil || isDelta || n != len(full) || !v.Equal(cur) {
-		t.Fatalf("full dispatch: v=%v n=%d delta=%v err=%v", v, n, isDelta, err)
+	collect := func(b []byte) (vclock.Vec, bool, int) {
+		t.Helper()
+		v, pairs := vclock.Vec{-1, -1, -1}, 0
+		p := ReadVecPairs(b, len(cur))
+		for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
+			v[k] = x
+			pairs++
+		}
+		if err := p.Err(); err != nil {
+			t.Fatalf("% x: %v", b, err)
+		}
+		return v, p.Full(), pairs
 	}
-	// Full vectors need no base.
-	if v, _, _, err := ReadVecAny(full, nil); err != nil || !v.Equal(cur) {
-		t.Fatalf("full without base: v=%v err=%v", v, err)
+	if v, full, pairs := collect(AppendVec(nil, cur)); !full || pairs != 3 || !v.Equal(cur) {
+		t.Fatalf("full: v=%v full=%v pairs=%d", v, full, pairs)
 	}
+	if v, full, pairs := collect(AppendVecDelta(nil, base, cur)); full || pairs != 1 || !v.Equal(vclock.Vec{-1, 5, -1}) {
+		t.Fatalf("delta: v=%v full=%v pairs=%d", v, full, pairs)
+	}
+	if _, full, pairs := collect(nil); full || pairs != 0 {
+		t.Fatalf("empty: full=%v pairs=%d", full, pairs)
+	}
+}
 
-	delta := AppendVecDelta(nil, base, cur)
-	v, n, isDelta, err = ReadVecAny(delta, base)
-	if err != nil || !isDelta || n != len(delta) || !v.Equal(cur) {
-		t.Fatalf("delta dispatch: v=%v n=%d delta=%v err=%v", v, n, isDelta, err)
+// TestVecPairsRejectsMalformed: everything TestVecDeltaRejectsMalformed
+// refuses (bar the empty piggyback, which is valid here), plus full
+// vectors of the wrong length and trailing bytes, ends the walk with an
+// error.
+func TestVecPairsRejectsMalformed(t *testing.T) {
+	bad := [][]byte{
+		{VecDeltaMarker},
+		{VecDeltaMarker, 9},
+		{VecDeltaMarker, 1},
+		{VecDeltaMarker, 1, 7, 2},
+		{VecDeltaMarker, 2, 1, 2, 1, 4},
+		{VecDeltaMarker, 2, 1, 2, 0, 4},
+		{VecDeltaMarker, 1, 0},
+		{VecDeltaMarker, 0, 0},         // trailing byte after the pairs
+		{0x02, 0x02, 0x04},             // full vector of length 2, want 3
+		{0x03, 0x02, 0x04, 0x06, 0x08}, // trailing byte after a full vector
+		{0x03, 0x02, 0x04},             // truncated full vector
+		{0xFF},                         // truncated length
+	}
+	for i, b := range bad {
+		p := ReadVecPairs(b, 3)
+		for _, _, ok := p.Next(); ok; _, _, ok = p.Next() {
+		}
+		if p.Err() == nil {
+			t.Errorf("case %d (% x): accepted malformed piggyback", i, b)
+		}
+	}
+}
+
+// TestVecSinceSelectsStampedEntries: the differential encoder emits
+// exactly the entries stamped after since, in the delta layout, at the
+// size VecSinceSize predicts.
+func TestVecSinceSelectsStampedEntries(t *testing.T) {
+	v := vclock.Vec{10, 20, 30, 40}
+	ver := []uint64{1, 5, 2, 7}
+	for since, want := range map[uint64]vclock.Vec{
+		0: {10, 20, 30, 40},
+		2: {-1, 20, -1, 40},
+		5: {-1, -1, -1, 40},
+		7: {-1, -1, -1, -1},
+	} {
+		b := AppendVecSince(nil, v, ver, since)
+		size, pairs := VecSinceSize(v, ver, since)
+		if size != len(b) {
+			t.Fatalf("since %d: VecSinceSize=%d, encoded %d bytes", since, size, len(b))
+		}
+		got, n := vclock.Vec{-1, -1, -1, -1}, 0
+		p := ReadVecPairs(b, len(v))
+		for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
+			got[k] = x
+			n++
+		}
+		if p.Err() != nil || p.Full() || n != pairs || !got.Equal(want) {
+			t.Fatalf("since %d: got %v (%d pairs, err %v), want %v", since, got, n, p.Err(), want)
+		}
 	}
 }
 
@@ -134,7 +195,7 @@ func TestVecDeltaSmallerWhenFewChanges(t *testing.T) {
 	}
 	cur := base.Clone()
 	cur[5]++
-	if ds, fs := VecDeltaSize(base, cur), VecSize(cur); ds >= fs {
+	if ds, fs := len(AppendVecDelta(nil, base, cur)), VecSize(cur); ds >= fs {
 		t.Fatalf("delta %d bytes >= full %d bytes", ds, fs)
 	}
 }

@@ -254,7 +254,13 @@ func RealClock() Clock { return clock.Real{} }
 type Config struct {
 	// Procs is the number of ranks. Required.
 	Procs int
-	// Protocol defaults to TDI.
+	// Protocol defaults to TDI. TDI is cheap because it does not record
+	// the order of AnySource deliveries: a recovering rank may receive
+	// them in a new order, so an app that uses AnySource under TDI must
+	// compute the same state whatever the arrival order of the messages
+	// a receive matches. TAG and TEL replay the recorded order and carry
+	// no such contract; an app whose state depends on arrival order needs
+	// one of them.
 	Protocol Protocol
 	// Mode defaults to NonBlocking.
 	Mode Mode
@@ -281,12 +287,6 @@ type Config struct {
 	JitterFraction float64
 	// Seed makes network jitter reproducible.
 	Seed int64
-	// PiggybackRefreshEvery tunes TDI's delta piggyback encoding: between
-	// full-vector sends to a destination, only changed depend_interval
-	// elements travel (wire format v2). 0 selects the default cadence
-	// (every 32nd send is full); 1 disables deltas entirely — every send
-	// carries the full vector, the paper's published protocol.
-	PiggybackRefreshEvery int
 	// EventLoggerLatency is TEL's stable event-logger round trip.
 	EventLoggerLatency time.Duration
 	// Stable selects the stable-storage backend: StableSim (default), an
@@ -344,12 +344,11 @@ func (c Config) internal() harness.Config {
 			JitterFraction: c.JitterFraction,
 			Seed:           c.Seed,
 		},
-		PiggybackRefreshEvery: c.PiggybackRefreshEvery,
-		EventLoggerLatency:    c.EventLoggerLatency,
-		StallTimeout:          c.StallTimeout,
-		CheckpointPolicy:      c.CheckpointPolicy,
-		Interceptors:          c.Interceptors,
-		SpanTracing:           c.Tracing,
+		EventLoggerLatency: c.EventLoggerLatency,
+		StallTimeout:       c.StallTimeout,
+		CheckpointPolicy:   c.CheckpointPolicy,
+		Interceptors:       c.Interceptors,
+		SpanTracing:        c.Tracing,
 	}
 	if c.Mode == Blocking {
 		cfg.Mode = harness.Blocking

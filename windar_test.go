@@ -63,19 +63,6 @@ func TestPublicAPIWorkloadRun(t *testing.T) {
 	}
 }
 
-func TestPublicAPIFullVectorPiggyback(t *testing.T) {
-	f, err := windar.WorkloadFactory("ring", 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(4, windar.TDI)
-	cfg.PiggybackRefreshEvery = 1 // disable delta encoding: the paper's protocol
-	c := runToCompletion(t, cfg, f, nil)
-	if got := c.Stats().AvgPiggybackIDs(); got != 4 {
-		t.Fatalf("full-vector TDI piggyback = %v, want exactly 4", got)
-	}
-}
-
 func TestPublicAPIFailureRecovery(t *testing.T) {
 	f, err := windar.NPBFactory("lu", 6, 6)
 	if err != nil {
