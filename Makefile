@@ -37,11 +37,12 @@ race-stress:
 vet:
 	$(GO) vet ./...
 
-# Protocol-aware static analysis (cmd/windar-lint): the full
-# nine-analyzer suite including hotpath, which checks //windar:hotpath
-# functions against the compiler's escape analysis. Exit 1 on any
-# finding.
+# Formatting, then protocol-aware static analysis (cmd/windar-lint): any
+# file gofmt -l lists fails the target, then the full nine-analyzer suite
+# runs, including hotpath, which checks //windar:hotpath functions
+# against the compiler's escape analysis. Exit 1 on any finding.
 lint:
+	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/windar-lint -hotpath ./...
 
 # Hot-path allocation gate: measure allocs/op on the annotated paths and

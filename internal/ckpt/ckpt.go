@@ -26,7 +26,7 @@ type Checkpoint struct {
 	Step int
 	// AppImage is the application's Snapshot.
 	AppImage []byte
-	// ProtoState is the logging protocol's Snapshot (e.g. TDI's
+	// ProtoState is the logging protocol's AppendSnapshot (e.g. TDI's
 	// depend_interval vector, TAG's antecedence graph).
 	ProtoState []byte
 	// LastSendIndex / LastDeliverIndex are the per-channel counters.
@@ -75,10 +75,13 @@ const (
 	flagLogExternal = 1 << 0
 )
 
-// Encode serializes c into a framed blob. The body is sized first, so
-// header and body are written into a single allocation with no growth
-// and no second copy.
-func Encode(c *Checkpoint) ([]byte, error) {
+// Encode serializes c into a framed blob of its own.
+func Encode(c *Checkpoint) ([]byte, error) { return AppendEncode(nil, c) }
+
+// AppendEncode appends c's framed blob to dst and returns the extended
+// buffer. The body is sized first, so dst grows at most once and a
+// buffer reused from the previous checkpoint does not grow at all.
+func AppendEncode(dst []byte, c *Checkpoint) ([]byte, error) {
 	dests := make([]int, 0, 16) // of the loose items, written destination by destination
 	size := wire.VarintLen(int64(c.Rank)) + wire.VarintLen(int64(c.Step)) + wire.VarintLen(c.DeliveredCount) + 1 +
 		wire.UvarintLen(uint64(len(c.AppImage))) + len(c.AppImage) +
@@ -96,11 +99,11 @@ func Encode(c *Checkpoint) ([]byte, error) {
 	}
 	slices.Sort(dests)
 	if uint64(size) > math.MaxUint32 {
-		return nil, fmt.Errorf("ckpt: encode rank %d: %d-byte body exceeds the frame's 32-bit length", c.Rank, size)
+		return dst, fmt.Errorf("ckpt: encode rank %d: %d-byte body exceeds the frame's 32-bit length", c.Rank, size)
 	}
-	buf := make([]byte, blobHeader, blobHeader+size)
-	copy(buf, blobMagic)
-	buf[len(blobMagic)] = blobVersion
+	start := len(dst)
+	buf := append(slices.Grow(dst, blobHeader+size), blobMagic...)
+	buf = append(buf, blobVersion, 0, 0, 0, 0, 0, 0, 0, 0) // length and checksum, filled in below
 
 	buf = binary.AppendVarint(buf, int64(c.Rank))
 	buf = binary.AppendVarint(buf, int64(c.Step))
@@ -128,9 +131,10 @@ func Encode(c *Checkpoint) ([]byte, error) {
 		}
 	}
 
-	body := buf[blobHeader:]
-	binary.LittleEndian.PutUint32(buf[blobHeader-8:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(buf[blobHeader-4:], crc32.ChecksumIEEE(body))
+	hdr := buf[start : start+blobHeader]
+	body := buf[start+blobHeader:]
+	binary.LittleEndian.PutUint32(hdr[blobHeader-8:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(hdr[blobHeader-4:], crc32.ChecksumIEEE(body))
 	return buf, nil
 }
 
@@ -199,19 +203,28 @@ func decodeBody(body []byte) (*Checkpoint, error) {
 type Manager struct {
 	store stable.Backend
 
-	mu          sync.Mutex
-	staged      map[int]*Checkpoint
-	durableStep map[int]int
-	saving      map[int]*sync.Mutex
+	mu     sync.Mutex
+	staged map[int]*Checkpoint
+	slots  map[int]*slot
+}
+
+// slot is one rank's durable checkpoint slot: its key, built once, and
+// the blob buffer every Save of the rank encodes into (the Backend keeps
+// no reference to what it is handed). mu serializes the rank's Saves.
+type slot struct {
+	mu    sync.Mutex
+	key   string
+	buf   []byte
+	saved bool
+	step  int // of the newest durable checkpoint, when saved
 }
 
 // NewManager returns a Manager writing to store.
 func NewManager(store stable.Backend) *Manager {
 	return &Manager{
-		store:       store,
-		staged:      make(map[int]*Checkpoint),
-		durableStep: make(map[int]int),
-		saving:      make(map[int]*sync.Mutex),
+		store:  store,
+		staged: make(map[int]*Checkpoint),
+		slots:  make(map[int]*slot),
 	}
 }
 
@@ -221,7 +234,10 @@ func (m *Manager) Store() stable.Backend { return m.store }
 func key(rank int) string { return fmt.Sprintf("ckpt/%08d", rank) }
 
 // Stage records c as rank c.Rank's newest checkpoint without touching
-// stable storage. The caller must treat c as immutable afterwards.
+// stable storage. c must stay unchanged while it is staged, and while a
+// Save of it runs: a caller that reuses checkpoint records rewrites one
+// only once a newer checkpoint of the rank is staged and no Save of it is
+// in flight.
 func (m *Manager) Stage(c *Checkpoint) {
 	m.mu.Lock()
 	if cur := m.staged[c.Rank]; cur == nil || c.Step >= cur.Step {
@@ -238,32 +254,26 @@ func (m *Manager) Stage(c *Checkpoint) {
 // incarnation's writer finishing late) are silently skipped.
 func (m *Manager) Save(c *Checkpoint) error {
 	m.mu.Lock()
-	slot := m.saving[c.Rank]
-	if slot == nil {
-		slot = &sync.Mutex{}
-		m.saving[c.Rank] = slot
+	sl := m.slots[c.Rank]
+	if sl == nil {
+		sl = &slot{key: key(c.Rank)}
+		m.slots[c.Rank] = sl
 	}
 	m.mu.Unlock()
 
-	slot.Lock()
-	defer slot.Unlock()
-	m.mu.Lock()
-	prev, saved := m.durableStep[c.Rank]
-	m.mu.Unlock()
-	if saved && prev >= c.Step {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.saved && sl.step >= c.Step {
 		return nil
 	}
-
-	framed, err := Encode(c)
-	if err != nil {
+	var err error
+	if sl.buf, err = AppendEncode(sl.buf[:0], c); err != nil {
 		return err
 	}
-	if err := m.store.Put(key(c.Rank), framed); err != nil {
+	if err := m.store.Put(sl.key, sl.buf); err != nil {
 		return fmt.Errorf("ckpt: save rank %d: %w", c.Rank, err)
 	}
-	m.mu.Lock()
-	m.durableStep[c.Rank] = c.Step
-	m.mu.Unlock()
+	sl.saved, sl.step = true, c.Step
 	return nil
 }
 

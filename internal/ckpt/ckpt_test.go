@@ -374,6 +374,13 @@ func FuzzCheckpointDecode(f *testing.F) {
 			if err != nil || !reflect.DeepEqual(c, c2) {
 				t.Fatalf("re-decode: %v\n got %+v\nwant %+v", err, c2, c)
 			}
+			// AppendEncode onto a non-empty buffer, with and without the
+			// room the blob needs, is that prefix followed by Encode's blob.
+			pre := append(make([]byte, 0, len(b)%(2*len(again))), blob[:min(len(blob), 7)]...)
+			keep := bytes.Clone(pre)
+			if got, err := AppendEncode(pre, c); err != nil || !bytes.Equal(got, append(keep, again...)) {
+				t.Fatalf("AppendEncode onto %d bytes (cap %d): %v; not the prefix followed by Encode's blob", len(pre), cap(pre), err)
+			}
 		}
 	})
 }

@@ -77,7 +77,7 @@ func TestTDIStateIsLinear(t *testing.T) {
 		for _, d := range demands {
 			want = binary.AppendVarint(want, d)
 		}
-		if got := r0.Snapshot(); !bytes.Equal(got, want) {
+		if got := r0.AppendSnapshot(nil); !bytes.Equal(got, want) {
 			t.Fatalf("n=%d: snapshot is %d bytes, want the vector plus %d demands (%d bytes)", n, len(got), n, len(want))
 		}
 		var held uint64
@@ -128,7 +128,7 @@ func fuzzHostile(t *testing.T, src int, pig []byte) {
 	if err := r.OnDeliver(first, 1); err != nil {
 		t.Fatal(err)
 	}
-	before, snap := r.DependInterval(), r.Snapshot()
+	before, snap := r.DependInterval(), r.AppendSnapshot(nil)
 	e := &wire.Envelope{Kind: wire.KindApp, From: src, To: 0, SendIndex: 2, Piggyback: pig}
 	_, errProbe := r.Deliverable(e, 1)
 	errDeliver := r.OnDeliver(e, 2)
@@ -136,7 +136,7 @@ func fuzzHostile(t *testing.T, src int, pig []byte) {
 		t.Fatalf("Deliverable err %v, OnDeliver err %v", errProbe, errDeliver)
 	}
 	if errDeliver != nil {
-		if !r.DependInterval().Equal(before) || !bytes.Equal(r.Snapshot(), snap) {
+		if !r.DependInterval().Equal(before) || !bytes.Equal(r.AppendSnapshot(nil), snap) {
 			t.Fatalf("a refused piggyback changed the receiver: %v -> %v", before, r.DependInterval())
 		}
 		return

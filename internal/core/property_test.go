@@ -126,7 +126,7 @@ func TestPropertySnapshotRestoreIdentity(t *testing.T) {
 	f := func(h history) bool {
 		tdi := h.run(t)
 		restored := New(h.rank, h.n, nil, nil)
-		if err := restored.Restore(tdi.Snapshot()); err != nil {
+		if err := restored.Restore(tdi.AppendSnapshot(nil)); err != nil {
 			return false
 		}
 		return restored.DependInterval().Equal(tdi.DependInterval())

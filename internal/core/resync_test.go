@@ -122,13 +122,13 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	var fidx int64
 	s := New(rsS, rsN, nil, nil)
 	orig := make([]rsSend, rc.L+1)
-	snap := s.Snapshot()
+	snap := s.AppendSnapshot(nil)
 	for j := int64(1); j <= rc.L; j++ {
 		feed(s, rsF, rc.k[j-1], &fidx)
 		pig, _ := s.PiggybackForSend(rsD, j)
 		orig[j] = rsSend{pig, s.DependInterval()}
 		if j == rc.c {
-			snap = s.Snapshot()
+			snap = s.AppendSnapshot(nil)
 		}
 	}
 

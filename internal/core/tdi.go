@@ -356,11 +356,11 @@ func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
 	return d, err == nil
 }
 
-// Snapshot implements proto.Protocol: the depend_interval vector
+// AppendSnapshot implements proto.Protocol: the depend_interval vector
 // (line 33 saves it with the checkpoint) plus the last demand per
 // source, which the next message from a live sender may omit.
-func (t *TDI) Snapshot() []byte {
-	buf := append([]byte(nil), snapshotMarker)
+func (t *TDI) AppendSnapshot(dst []byte) []byte {
+	buf := append(dst, snapshotMarker)
 	buf = wire.AppendVec(buf, t.dependInterval)
 	for _, d := range t.lastDemand {
 		buf = binary.AppendVarint(buf, d)
@@ -369,7 +369,7 @@ func (t *TDI) Snapshot() []byte {
 }
 
 // Restore implements proto.Protocol (line 42): it accepts the layout of
-// Snapshot only. Restoring drops every delta base and resets every delta
+// AppendSnapshot only. Restoring drops every delta base and resets every delta
 // floor to unknown: the regenerated sends may diverge from the dead
 // incarnation's originals, so no delta is trustworthy until the
 // destination reports what it ingested (OnPeerResync).

@@ -105,7 +105,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := tdi.OnDeliver(env(0, 2, 1, vclock.Vec{3, 1, 0}), 1); err != nil {
 		t.Fatal(err)
 	}
-	snap := tdi.Snapshot()
+	snap := tdi.AppendSnapshot(nil)
 
 	restored := New(2, 3, nil, nil)
 	if err := restored.Restore(snap); err != nil {
@@ -118,7 +118,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsWrongLength(t *testing.T) {
 	tdi := New(0, 3, nil, nil)
-	wrong := New(0, 5, nil, nil).Snapshot()
+	wrong := New(0, 5, nil, nil).AppendSnapshot(nil)
 	if err := tdi.Restore(wrong); err == nil {
 		t.Fatal("Restore accepted wrong-length vector")
 	}
@@ -256,7 +256,7 @@ func TestPiggybackSizeIndependentOfHistory(t *testing.T) {
 // would hold, or deliver, against a dead incarnation's vector.
 func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 	tdi := New(1, 4, nil, nil)
-	snap := tdi.Snapshot()
+	snap := tdi.AppendSnapshot(nil)
 	for _, src := range []int{0, 2, 3} {
 		// Probe a message that demands two prior deliveries: Hold.
 		held := env(src, 1, 1, vclock.Vec{0, 2, 0, 0})

@@ -76,7 +76,7 @@ func FuzzPWDDecode(f *testing.F) {
 		}
 		pig, _ := src.PiggybackForSend(2, 1)
 		f.Add(pig)
-		f.Add(src.Snapshot())
+		f.Add(src.AppendSnapshot(nil))
 		f.Add(src.RecoveryData(1, 0))
 	}
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
@@ -90,7 +90,7 @@ func FuzzPWDDecode(f *testing.F) {
 			env := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Piggyback: b}
 			_, _ = p.Deliverable(env, 0)
 			_ = p.OnDeliver(env, 1)
-			_ = p.Snapshot()
+			_ = p.AppendSnapshot(nil)
 		}
 	})
 }

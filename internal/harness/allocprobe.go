@@ -8,11 +8,13 @@
 package harness
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"runtime"
 	"testing"
+	"time"
 
 	"windar/internal/app"
 	"windar/internal/ckpt"
@@ -64,14 +66,16 @@ func AllocProbes() []AllocProbe {
 		{Name: "tcp_hop", F: probeTCPHop},
 		{Name: "pig_full_retained", F: probePigFullRetained},
 		{Name: "shard_fifo", F: probeShardFIFO},
-		{Name: "msg_roundtrip_mem", F: func() float64 { return msgRoundtripAllocs(transport.Mem) }, Max: msgRoundtripMax},
-		{Name: "msg_roundtrip_tcp", F: func() float64 { return msgRoundtripAllocs(transport.TCP) }, Max: msgRoundtripMax},
+		{Name: "msg_roundtrip_mem", F: func() float64 { return pingAllocs(Config{N: 2, Transport: transport.Mem}) }, Max: msgRoundtripMax},
+		{Name: "msg_roundtrip_tcp", F: func() float64 { return pingAllocs(Config{N: 2, Transport: transport.TCP}) }, Max: msgRoundtripMax},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
 		{Name: "log_append", F: probeLogAppend, Max: logAppendMax},
 		{Name: "log_all", F: probeLogAll},
 		{Name: "log_restore", F: probeLogRestore, Max: logRestoreMax},
 		{Name: "ckpt_encode", F: probeCkptEncode},
+		{Name: "ckpt_cycle", F: probeCkptCycle, Max: ckptCycleMax},
+		{Name: "group_commit", F: probeGroupCommit},
 	}
 }
 
@@ -291,19 +295,73 @@ func probeLogRestore() float64 {
 }
 
 // probeCkptEncode measures turning one 1000-item checkpoint into its
-// framed blob on the checkpoint writer. Contract: at most 2 allocations;
-// the encoder sizes the blob first, so today it is the blob alone.
+// framed blob on the checkpoint writer, which encodes into the buffer
+// of its previous blob. Contract: nothing once the buffer has grown.
 func probeCkptEncode() float64 {
 	cp := &ckpt.Checkpoint{
 		Rank: 1, Step: 200, AppImage: make([]byte, 4096), ProtoState: make([]byte, 64),
 		LastSendIndex: make([]int64, 4), LastDeliverIndex: make([]int64, 4), DeliveredCount: 3200,
 		LogView: probeLog(1000, 3).View(),
 	}
+	var buf []byte
 	return testing.AllocsPerRun(allocProbeRuns, func() {
-		if _, err := ckpt.Encode(cp); err != nil {
+		var err error
+		if buf, err = ckpt.AppendEncode(buf[:0], cp); err != nil {
 			panic(err)
 		}
 	})
+}
+
+// ckptCycleMax is ckpt_cycle's budget, allocations per checkpoint
+// besides the application's Snapshot.
+const ckptCycleMax = 1
+
+// probeCkptCycle measures the steady checkpoint cycle on the end-to-end
+// ping with both ranks checkpointing before every step, so each
+// checkpoint announces one delivery to the peer: the capture under the
+// rank lock, the writer's Save into the sim store, the CHECKPOINT_ADVANCE
+// and its ingest at the peer. The application's Snapshot is nil here;
+// the window also counts the ping's two messages per step, whose share
+// msg_roundtrip_mem gates.
+func probeCkptCycle() float64 {
+	return pingAllocs(Config{N: 2, CheckpointEvery: 1})
+}
+
+// probeGroupCommit measures one group-commit round of the disk backend
+// with four dirty shards: a lazy write to each of eight keys spread over
+// the four, then the Sync barrier, which waits out the window, the
+// shards' parallel fsyncs and the release.
+func probeGroupCommit() float64 {
+	const shards = 4
+	dir, err := os.MkdirTemp("", "windar-commitprobe-*")
+	if err != nil {
+		panic(err)
+	}
+	defer os.RemoveAll(dir)
+	disk, err := stable.OpenDisk(stable.DiskOptions{Dir: dir, Shards: shards, FsyncInterval: 50 * time.Microsecond})
+	if err != nil {
+		panic(err)
+	}
+	defer disk.Close()
+	keys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
+	val := make([]byte, 64)
+	round := func() {
+		for _, k := range keys {
+			if err := disk.PutLazy(k, val); err != nil {
+				panic(err)
+			}
+		}
+		if err := disk.Sync(); err != nil {
+			panic(err)
+		}
+	}
+	round()
+	before := disk.Stats().Fsyncs
+	allocs := testing.AllocsPerRun(allocProbeRuns, round)
+	if got := disk.Stats().Fsyncs - before; got != shards*(allocProbeRuns+1) {
+		panic(fmt.Sprintf("allocprobe: %d fsyncs in %d rounds, want %d dirty shards a round", got, allocProbeRuns+1, shards))
+	}
+	return allocs
 }
 
 // probePigEncodeDelta measures AppendPiggybackForSend on the default
@@ -592,13 +650,13 @@ func (a *pingApp) Step(env app.Env, s int) {
 func (a *pingApp) Snapshot() []byte     { return nil }
 func (a *pingApp) Restore([]byte) error { return nil }
 
-// msgRoundtripAllocs runs a started two-rank cluster — send chain, TDI,
-// sender log, transport, receiver loop, shards, delivery — and returns
-// heap allocations per delivered message after warm-up, every goroutine
-// of the process included.
-func msgRoundtripAllocs(tk transport.Kind) float64 {
+// pingAllocs runs a started two-rank cluster under cfg — send chain,
+// TDI, sender log, transport, receiver loop, shards, delivery — and
+// returns heap allocations per delivered message (one per rank-step)
+// after warm-up, every goroutine of the process included.
+func pingAllocs(cfg Config) float64 {
 	apps := make([]*pingApp, 2)
-	c, err := NewCluster(Config{N: 2, Transport: tk}, func(rank, n int) app.App {
+	c, err := NewCluster(cfg, func(rank, n int) app.App {
 		apps[rank] = &pingApp{rank: rank}
 		return apps[rank]
 	})

@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +11,8 @@ import (
 	"time"
 
 	"windar/internal/app"
+	"windar/internal/ckpt"
+	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/wire"
 )
@@ -26,6 +30,7 @@ type gatedBackend struct {
 
 	mu      sync.Mutex
 	putsPer map[string]int // image Puts by key, when non-nil
+	images  [][]byte       // copies of the image Puts, in order
 }
 
 func (g *gatedBackend) Put(key string, data []byte) error {
@@ -35,6 +40,7 @@ func (g *gatedBackend) Put(key string, data []byte) error {
 		if g.putsPer != nil {
 			g.putsPer[key]++
 		}
+		g.images = append(g.images, bytes.Clone(data))
 		g.mu.Unlock()
 		select {
 		case g.entered <- struct{}{}:
@@ -250,12 +256,15 @@ func TestDeliveryNeverWaitsOnCheckpointSave(t *testing.T) {
 }
 
 func TestSupersedeKeepsPerDestinationMaximum(t *testing.T) {
-	jobs := []ckptJob{
+	jobs := []*ckptJob{
 		{total: 10, advances: []ckptAdvance{{dest: 1, count: 7}, {dest: 3, count: 4}}},
 		{total: 20, advances: []ckptAdvance{{dest: 2, count: 6}}},
 		{total: 30, advances: []ckptAdvance{{dest: 1, count: 5}}}, // lower than the older 7: max wins
 	}
-	got := supersede(jobs)
+	// Each job waits for the writer until the next one supersedes it.
+	supersede(jobs[1], jobs[0])
+	supersede(jobs[2], jobs[1])
+	got := jobs[2]
 	byDest := map[int]int64{}
 	for _, a := range got.advances {
 		if _, dup := byDest[a.dest]; dup {
@@ -266,7 +275,140 @@ func TestSupersedeKeepsPerDestinationMaximum(t *testing.T) {
 	if want := map[int]int64{1: 7, 2: 6, 3: 4}; got.total != 30 || !reflect.DeepEqual(byDest, want) {
 		t.Fatalf("supersede = total %d advances %v, want total 30 advances %v", got.total, byDest, want)
 	}
-	if one := supersede(jobs[:1]); !reflect.DeepEqual(one, jobs[0]) {
-		t.Fatalf("a single job must pass through unchanged: %+v", one)
+}
+
+// TestStagedCheckpointsStayImmutable holds rank 0's writer inside a Save
+// while the rank takes more checkpoints, each changing every field the
+// cycle refills in place: counters, protocol state, sender log and
+// advances. A checkpoint must encode to the bytes it was taken with for
+// as long as it is staged, waiting or being saved, and the store must
+// receive exactly those bytes. Only once a newer one is staged and the
+// writer has saved it, or the newer one superseded it while it waited,
+// may the cycle refill it — never the one still staged, even with the
+// writer idle.
+func TestStagedCheckpointsStayImmutable(t *testing.T) {
+	gate := &gatedBackend{
+		Backend: stable.NewSim(),
+		entered: make(chan struct{}), release: make(chan struct{}), lifted: make(chan struct{}),
+	}
+	c, err := NewCluster(Config{N: 3, Stable: gate}, func(rank, n int) app.App { return probeApp{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.newRuntime(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ckptWG.Add(1)
+	go r.ckptWriterLoop()
+	defer func() { // runs before Close, which waits for the writer
+		close(gate.lifted)
+		r.kill()
+	}()
+	for peer := 1; peer <= 2; peer++ {
+		in := c.tr.Inbox(peer)
+		go func() {
+			for {
+				env, ok := in.Recv()
+				if !ok {
+					return
+				}
+				wire.Recycle(env)
+			}
+		}()
+	}
+
+	type taken struct {
+		cp   *ckpt.Checkpoint
+		blob []byte
+	}
+	var all []taken
+	checkpoint := func(step int) *ckpt.Checkpoint {
+		t.Helper()
+		r.mu.Lock()
+		r.lastDeliverIndex[1] += int64(step)
+		r.deliveredCount += int64(step)
+		r.lastSendIndex[2]++
+		r.log.Append(proto.LogItem{Dest: 2, SendIndex: r.lastSendIndex[2], Payload: []byte{byte(step)}})
+		r.mu.Unlock()
+		r.doCheckpoint(step)
+		cp, ok, err := c.ckpts.Load(0)
+		if err != nil || !ok || cp.Step != step {
+			t.Fatalf("step %d: staged checkpoint %+v, %v, %v", step, cp, ok, err)
+		}
+		if len(all) > 0 && all[len(all)-1].cp == cp {
+			t.Fatalf("step %d refilled the checkpoint of step %d while it was staged", step, step-1)
+		}
+		blob, err := ckpt.Encode(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, taken{cp, blob})
+		return cp
+	}
+	unchanged := func(when string, steps ...int) {
+		t.Helper()
+		for _, step := range steps {
+			tk := all[step-1]
+			if blob, err := ckpt.Encode(tk.cp); err != nil || !bytes.Equal(blob, tk.blob) {
+				t.Fatalf("%s: checkpoint of step %d changed before it was released", when, step)
+			}
+		}
+	}
+	await := func(what string) {
+		t.Helper()
+		select {
+		case <-gate.entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+
+	checkpoint(1)
+	await("the Save of step 1")
+	for step := 2; step <= 5; step++ {
+		checkpoint(step)
+		unchanged("step 1 held in its Save", 1, step)
+	}
+	gate.release <- struct{}{}
+	await("the Save of step 5, which superseded steps 2-4")
+	unchanged("step 5 held in its Save", 5)
+	checkpoint(6)
+	unchanged("step 5 held, step 6 waiting", 5, 6)
+	gate.release <- struct{}{}
+	await("the Save of step 6")
+	refilled := checkpoint(7)
+	unchanged("step 6 held, step 7 waiting", 6, 7)
+	if !slices.ContainsFunc(all[:4], func(tk taken) bool { return tk.cp == refilled }) {
+		t.Errorf("step 7 did not refill a released checkpoint")
+	}
+	gate.release <- struct{}{}
+	await("the Save of step 7")
+	lastFreed := func() *ckptJob {
+		r.ckptMu.Lock()
+		defer r.ckptMu.Unlock()
+		if len(r.ckptFree) == 0 {
+			return nil
+		}
+		return r.ckptFree[len(r.ckptFree)-1]
+	}
+	before := lastFreed()
+	gate.release <- struct{}{}
+	for deadline := time.Now().Add(10 * time.Second); lastFreed() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the writer never finished the Save of step 7")
+		}
+	}
+	// The writer is idle and step 7 is staged: step 8 must not refill it.
+	checkpoint(8)
+	unchanged("step 7 saved, step 8 waiting", 7, 8)
+
+	gate.mu.Lock()
+	defer gate.mu.Unlock()
+	for i, step := range []int{1, 5, 6, 7} {
+		if !bytes.Equal(gate.images[i], all[step-1].blob) {
+			t.Errorf("image Put %d differs from the checkpoint of step %d as it was taken", i, step)
+		}
 	}
 }

@@ -77,16 +77,16 @@ func decodeResponse(b []byte) (response, error) {
 	return r, nil
 }
 
-// encodeCkptAdvance packs a CHECKPOINT_ADVANCE payload: the number of the
-// destination's messages covered by this checkpoint (log release bound,
-// line 36) and the checkpointing rank's total delivered count (history
-// pruning bound).
-func encodeCkptAdvance(deliveredFromDest, totalDelivered int64) []byte {
-	buf := binary.AppendVarint(nil, deliveredFromDest)
-	return binary.AppendVarint(buf, totalDelivered)
+// appendCkptAdvance appends a CHECKPOINT_ADVANCE payload to dst: the
+// number of the destination's messages covered by this checkpoint (log
+// release bound, line 36) and the checkpointing rank's total delivered
+// count (history pruning bound).
+func appendCkptAdvance(dst []byte, deliveredFromDest, totalDelivered int64) []byte {
+	dst = binary.AppendVarint(dst, deliveredFromDest)
+	return binary.AppendVarint(dst, totalDelivered)
 }
 
-// decodeCkptAdvance unpacks encodeCkptAdvance.
+// decodeCkptAdvance unpacks appendCkptAdvance.
 func decodeCkptAdvance(b []byte) (int64, int64, error) {
 	count, n := binary.Varint(b)
 	if n <= 0 {
@@ -140,6 +140,7 @@ func (r *rankRuntime) receiverLoop(in transport.BatchInbox) {
 				if r.insertShard(env) {
 					woke = true
 				}
+				continue
 			case wire.KindRollback:
 				r.handleRollback(env)
 			case wire.KindResponse:
@@ -148,7 +149,11 @@ func (r *rankRuntime) receiverLoop(in transport.BatchInbox) {
 				r.handleCkptAdvance(env)
 			default:
 				r.rejectEnvelope(env)
+				continue
 			}
+			// A control handler keeps at most payload slices, and those
+			// are never pool memory (see wire.DecodeInto).
+			wire.Recycle(env)
 		}
 		if woke {
 			r.mu.Lock()

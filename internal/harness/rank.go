@@ -129,12 +129,22 @@ type rankRuntime struct {
 	ckptStall *obs.Hist
 
 	// Concurrent checkpointing: doCheckpoint stages the snapshot
-	// synchronously and queues the durable Save plus the
-	// CHECKPOINT_ADVANCE fan-out here; ckptWriterLoop works the queue off
-	// the application's critical path. ckptMu is a leaf lock.
+	// synchronously and leaves the durable Save plus the
+	// CHECKPOINT_ADVANCE fan-out in ckptNext; ckptWriterLoop does them off
+	// the application's critical path. ckptFree holds the jobs the writer
+	// is done with and no longer staged, which doCheckpoint refills, so a
+	// steady checkpoint cycle allocates only the application's snapshot.
+	// ckptMu is a leaf lock.
 	ckptMu   sync.Mutex
 	ckptCond *sync.Cond
-	ckptQ    []ckptJob
+	ckptNext *ckptJob
+	ckptFree []*ckptJob
+	// ckptInfo is the chain's checkpoint report, written under mu.
+	ckptInfo layer.CheckpointInfo
+	// The writer's CHECKPOINT_ADVANCE scratch: both transports copy an
+	// envelope before Send returns.
+	advEnv wire.Envelope
+	advBuf []byte
 
 	// Queue A (non-blocking mode). owed counts the messages queued or
 	// mid-hand-off to the transport: only the app goroutine raises it and
@@ -165,9 +175,12 @@ type rankRuntime struct {
 // ckptJob is one staged checkpoint awaiting its durable write: the
 // snapshot to save and the CHECKPOINT_ADVANCE fan-out to announce once —
 // and only once — the save has landed (peers discard logs on its
-// strength, so the announcement must never precede durability).
+// strength, so the announcement must never precede durability). A job
+// is rewritten only after a newer checkpoint is staged and the writer
+// has saved it or doCheckpoint superseded it (see ckptWriterLoop), so
+// the manager and the writer never see it change.
 type ckptJob struct {
-	cp       *ckpt.Checkpoint
+	cp       ckpt.Checkpoint
 	advances []ckptAdvance
 	total    int64
 }
@@ -831,40 +844,44 @@ func (r *rankRuntime) doCheckpoint(step int) {
 		r.mu.Unlock()
 		return
 	}
-	cp := &ckpt.Checkpoint{
-		Rank:             r.id,
-		Step:             step,
-		AppImage:         r.theApp.Snapshot(),
-		ProtoState:       r.prot.Snapshot(),
-		LastSendIndex:    r.lastSendIndex.Clone(),
-		LastDeliverIndex: r.lastDeliverIndex.Clone(),
-		DeliveredCount:   r.deliveredCount,
-	}
-	if r.c.durableLogs {
-		// Incremental checkpoint: every retained log item is already
-		// in its channel's slog/ stream, durable by the time the Save
-		// completes, so the blob omits the log and recovery rebuilds it
-		// from the streams.
-		cp.LogExternal = true
+	r.ckptMu.Lock()
+	var job *ckptJob
+	if n := len(r.ckptFree); n > 0 {
+		job, r.ckptFree = r.ckptFree[n-1], r.ckptFree[:n-1]
 	} else {
-		cp.LogView = r.log.View() // the records themselves, not a copy
+		job = new(ckptJob)
 	}
-	var advances []ckptAdvance
+	r.ckptMu.Unlock()
+	cp := &job.cp
+	cp.Rank, cp.Step, cp.DeliveredCount = r.id, step, r.deliveredCount
+	cp.AppImage = r.theApp.Snapshot()
+	cp.ProtoState = r.prot.AppendSnapshot(cp.ProtoState[:0])
+	cp.LastSendIndex = append(cp.LastSendIndex[:0], r.lastSendIndex...)
+	cp.LastDeliverIndex = append(cp.LastDeliverIndex[:0], r.lastDeliverIndex...)
+	// With durable logs the checkpoint is incremental: every retained log
+	// item is already in its channel's slog/ stream, durable by the time
+	// the Save completes, so the blob omits the log and recovery rebuilds
+	// it from the streams.
+	cp.LogExternal = r.c.durableLogs
+	if !cp.LogExternal {
+		cp.LogView = r.log.AppendView(cp.LogView.Runs) // the records themselves, not a copy
+	}
+	job.advances = job.advances[:0]
 	for k := 0; k < r.n; k++ {
 		if k != r.id && r.lastDeliverIndex[k] > r.lastCkptDeliverIndex[k] {
-			advances = append(advances, ckptAdvance{dest: k, count: r.lastDeliverIndex[k]})
+			job.advances = append(job.advances, ckptAdvance{dest: k, count: r.lastDeliverIndex[k]})
 			r.lastCkptDeliverIndex[k] = r.lastDeliverIndex[k]
 		}
 	}
-	total := r.deliveredCount
+	job.total = r.deliveredCount
 	if r.replayer != nil {
-		r.replayer.OnPeerCheckpoint(r.id, total) // prune own replay-dead history
+		r.replayer.OnPeerCheckpoint(r.id, job.total) // prune own replay-dead history
 	}
 	recoveredAt := r.recoveredAt
 	r.recoveredAt = time.Time{}
 	r.c.ckpts.Stage(cp)
-	info := layer.CheckpointInfo{Rank: r.id, Step: step, DeliveredCount: total}
-	r.chain.Checkpoint(&info)
+	r.ckptInfo = layer.CheckpointInfo{Rank: r.id, Step: step, DeliveredCount: job.total}
+	r.chain.Checkpoint(&r.ckptInfo)
 	r.mu.Unlock()
 
 	if !recoveredAt.IsZero() {
@@ -877,80 +894,101 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	}
 
 	r.ckptMu.Lock()
-	r.ckptQ = append(r.ckptQ, ckptJob{cp: cp, advances: advances, total: total})
+	if old := r.ckptNext; old != nil {
+		supersede(job, old) // staged before job, and never taken
+		r.freeCkptJob(old)
+	}
+	r.ckptNext = job
 	r.ckptCond.Broadcast()
 	r.ckptMu.Unlock()
 }
 
 // ckptWriterLoop is the rank's checkpoint writer: durable Save, then
 // the CHECKPOINT_ADVANCE fan-out, off the application's critical path.
-// Each round takes everything queued and saves only the newest snapshot
-// (see supersede), so the writer is never more than one Save behind the
-// application however slow stable storage is. On kill it drains the
-// queue (a clean Close never abandons the newest taken checkpoint's
-// durable write; the advance sends abort on the killed channel instead)
-// and exits.
+// It takes the one waiting job at a time; doCheckpoint folds a newer
+// checkpoint into a job still waiting (see supersede), so the writer is
+// never more than one Save behind the application however slow stable
+// storage is. On kill it saves the waiting job, if any (a clean Close
+// never abandons the newest checkpoint's durable write; the advance
+// sends abort on the killed channel instead), and exits.
+//
+// The writer holds each job it saved until it has saved the next, which
+// was staged later, so the held job is no longer staged and returns to
+// the free list. Steps rise within an incarnation, so each Stage
+// replaces the last. A rank thus owns at most four jobs: held, saving,
+// waiting and being filled.
 func (r *rankRuntime) ckptWriterLoop() {
 	defer r.c.ckptWG.Done()
+	var held *ckptJob
 	for {
 		r.ckptMu.Lock()
-		for len(r.ckptQ) == 0 && !r.isKilled() {
+		for r.ckptNext == nil && !r.isKilled() {
 			r.ckptCond.Wait()
 		}
-		if len(r.ckptQ) == 0 {
-			r.ckptMu.Unlock()
+		job := r.ckptNext
+		r.ckptNext = nil
+		r.ckptMu.Unlock()
+		if job == nil {
 			return
 		}
-		jobs := r.ckptQ
-		r.ckptQ = nil
-		r.ckptMu.Unlock()
-		r.saveCheckpoint(supersede(jobs))
+		r.saveCheckpoint(job)
+		if held != nil {
+			r.ckptMu.Lock()
+			r.freeCkptJob(held)
+			r.ckptMu.Unlock()
+		}
+		held = job
 	}
 }
 
-// supersede folds a run of queued checkpoints, oldest first, into the
-// one job worth doing: the newest snapshot and total, with every older
-// job's advances merged in at the per-destination maximum. A rank's
-// newest checkpoint covers all that its earlier ones covered, so the
-// older Saves are skipped outright — but a peer whose deliveries an
-// older checkpoint was first to cover, and from which nothing was
-// delivered since, appears only in that older job's advances and must
-// still be told. The merged job announces after the one covering Save,
-// which keeps the release invariant.
-func supersede(jobs []ckptJob) ckptJob {
-	newest := jobs[len(jobs)-1]
-	for _, old := range jobs[:len(jobs)-1] {
-	merge:
-		for _, a := range old.advances {
-			for i := range newest.advances {
-				if newest.advances[i].dest == a.dest {
-					newest.advances[i].count = max(newest.advances[i].count, a.count)
-					continue merge
-				}
+// freeCkptJob returns job to the free list, dropping its references to
+// the application's image and to log records that may since have been
+// released. Caller holds ckptMu.
+func (r *rankRuntime) freeCkptJob(job *ckptJob) {
+	job.cp.AppImage = nil
+	clear(job.cp.LogView.Runs)
+	r.ckptFree = append(r.ckptFree, job)
+}
+
+// supersede folds old, a waiting checkpoint the writer never took, into
+// job, the newer checkpoint that replaces it: job keeps its snapshot and
+// total and takes in old's advances at the per-destination maximum. A
+// rank's newest checkpoint covers all that its earlier ones covered, so
+// old's Save is skipped outright — but a peer whose deliveries old was
+// first to cover, and from which nothing was delivered since, appears
+// only in old's advances and must still be told. job announces after its
+// one covering Save, which keeps the release invariant.
+func supersede(job, old *ckptJob) {
+merge:
+	for _, a := range old.advances {
+		for i := range job.advances {
+			if job.advances[i].dest == a.dest {
+				job.advances[i].count = max(job.advances[i].count, a.count)
+				continue merge
 			}
-			newest.advances = append(newest.advances, a)
 		}
+		job.advances = append(job.advances, a)
 	}
-	return newest
 }
 
 // saveCheckpoint durably writes one staged checkpoint and announces the
 // advance. Announcing strictly after Save preserves the release
 // invariant: peers discard log items only once the covering checkpoint
 // can actually be reloaded from stable storage.
-func (r *rankRuntime) saveCheckpoint(job ckptJob) {
-	if err := r.c.ckpts.Save(job.cp); err != nil {
+func (r *rankRuntime) saveCheckpoint(job *ckptJob) {
+	if err := r.c.ckpts.Save(&job.cp); err != nil {
 		if r.isKilled() {
 			return // the incarnation is gone; its save is moot
 		}
 		panic(fmt.Sprintf("harness: rank %d checkpoint: %v", r.id, err))
 	}
 	m := r.c.coll.Rank(r.id)
+	env := &r.advEnv
 	for _, a := range job.advances {
-		env := &wire.Envelope{
+		r.advBuf = appendCkptAdvance(r.advBuf[:0], a.count, job.total)
+		*env = wire.Envelope{
 			Kind: wire.KindCkptAdvance, From: r.id, To: a.dest,
-			Incarnation: r.incarnation,
-			Payload:     encodeCkptAdvance(a.count, job.total),
+			Incarnation: r.incarnation, Payload: r.advBuf,
 		}
 		if err := r.c.tr.Send(env, transportSendOpts(false, r.killed)); err != nil {
 			// Killed mid-fan-out: the unreached peers simply retain their

@@ -93,4 +93,3 @@ func wireDecodeCall(pass *Pass, expr ast.Expr) string {
 	}
 	return "wire." + name
 }
-

@@ -180,14 +180,21 @@ func (l *Log) Len() int { return l.View().Count }
 // View returns every retained record, ordered by (Dest, SendIndex), for
 // checkpointing: one capacity-clipped run per non-empty chunk. It copies
 // no record; the run list is its only allocation up to 16 destinations.
-func (l *Log) View() LogView {
-	dests, runs := make([]int, 0, 16), 0
+func (l *Log) View() LogView { return l.AppendView(nil) }
+
+// AppendView is View with the run list appended to runs[:0], so a
+// checkpoint that keeps its previous list allocates nothing.
+func (l *Log) AppendView(runs []LogRun) LogView {
+	dests, n := make([]int, 0, 16), 0
 	for dest, chunks := range l.perDest {
 		dests = append(dests, dest)
-		runs += len(chunks)
+		n += len(chunks)
 	}
 	slices.Sort(dests)
-	v := LogView{Runs: make([]LogRun, 0, runs)}
+	if cap(runs) < n {
+		runs = make([]LogRun, 0, n)
+	}
+	v := LogView{Runs: runs[:0]}
 	for _, dest := range dests {
 		for _, c := range l.perDest[dest] {
 			if c.N > 0 {

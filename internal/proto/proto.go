@@ -74,10 +74,13 @@ type Protocol interface {
 	// application accepted it as the deliverIndex-th local delivery.
 	OnDeliver(env *wire.Envelope, deliverIndex int64) error
 
-	// Snapshot serializes protocol state for inclusion in a checkpoint.
-	Snapshot() []byte
+	// AppendSnapshot appends protocol state, serialized for inclusion in
+	// a checkpoint, to dst and returns the extended buffer. The harness
+	// passes the previous checkpoint's buffer back, so it must not be
+	// retained.
+	AppendSnapshot(dst []byte) []byte
 
-	// Restore replaces protocol state from a checkpoint Snapshot.
+	// Restore replaces protocol state from a checkpoint's AppendSnapshot.
 	Restore(data []byte) error
 
 	// BeginRecovery tells the protocol its rank is an incarnation about

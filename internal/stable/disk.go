@@ -11,8 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"windar/internal/clock"
 )
 
 // Disk is the real durable backend: a set of parallel write-ahead logs
@@ -46,7 +44,6 @@ import (
 // creation, so a name's records always live in exactly one shard.
 type Disk struct {
 	dir      string
-	clk      clock.Clock
 	interval time.Duration
 	shards   []*walShard
 
@@ -63,7 +60,16 @@ type Disk struct {
 
 	kick chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // the committer and the shards' fsync workers
+	// timer is the group-commit window, re-armed each round.
+	timer *time.Timer
+
+	// The committer's per-round scratch, reused: the dirty shards handed
+	// to their fsync workers, the count of those still syncing, and the
+	// segments to unlink once the round is durable.
+	dirty  []*walShard
+	syncs  sync.WaitGroup
+	unlink []string
 
 	fsyncs, rotations, unlinked, bytesAppended atomic.Int64
 
@@ -86,9 +92,6 @@ type DiskOptions struct {
 	// most about this long while neighbouring writes pile into the same
 	// fsync. 0 commits as soon as the committer observes a write.
 	FsyncInterval time.Duration
-	// Clock paces the group-commit window. Defaults to the real clock
-	// (this backend does real I/O, so real time is the right default).
-	Clock clock.Clock
 }
 
 // DiskStats are the backend's cumulative I/O counters and its current
@@ -155,6 +158,20 @@ type walShard struct {
 	newFile bool       // a segment was created: the directory needs an fsync
 	retired []*os.File // rotated-out heads to fsync and close
 	emptied []*segment // segments to unlink once what emptied them is durable
+
+	// The shard's fsync worker takes job on each receive from syncReq and
+	// reports through job.err and Disk.syncs; the committer owns job
+	// between rounds.
+	syncReq chan struct{}
+	job     fsyncJob
+}
+
+// fsyncJob is one commit round's durable I/O for one shard: the retired
+// heads to fsync and close, then the head to fsync.
+type fsyncJob struct {
+	head    *os.File
+	retired []*os.File
+	err     error
 }
 
 // OpenDisk opens (creating or recovering) a disk backend rooted at
@@ -166,21 +183,21 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = defaultShards
 	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real{}
-	}
 	if err := os.MkdirAll(opts.Dir, 0o777); err != nil {
 		return nil, err
 	}
 	d := &Disk{
 		dir:      opts.Dir,
-		clk:      opts.Clock,
 		interval: opts.FsyncInterval,
 		kick:     make(chan struct{}, 1),
 		done:     make(chan struct{}),
+		timer:    time.NewTimer(time.Hour), //windar:allow directclock — the window paces real fsyncs, which share only the wall clock
 	}
+	d.timer.Stop()
 	d.gcond = sync.NewCond(&d.gmu)
 	if err := d.recover(opts.Shards); err != nil {
+		d.stopWorkers()
+		d.wg.Wait()
 		d.closeFiles()
 		return nil, err
 	}
@@ -642,6 +659,7 @@ func (d *Disk) Sync() error {
 // batch, then commits every dirty shard and releases the waiters.
 func (d *Disk) committer() {
 	defer d.wg.Done()
+	defer d.stopWorkers()
 	for {
 		select {
 		case <-d.done:
@@ -650,8 +668,9 @@ func (d *Disk) committer() {
 		case <-d.kick:
 		}
 		if d.interval > 0 {
+			d.timer.Reset(d.interval) // the previous round drained it
 			select {
-			case <-d.clk.After(d.interval):
+			case <-d.timer.C:
 			case <-d.done:
 			}
 		}
@@ -659,25 +678,41 @@ func (d *Disk) committer() {
 	}
 }
 
+// fsyncWorker is shard s's durable I/O: one job per commit round in
+// which s was dirty, run in parallel with the other shards' workers.
+func (d *Disk) fsyncWorker(s *walShard) {
+	defer d.wg.Done()
+	for range s.syncReq {
+		j := &s.job
+		for _, f := range j.retired {
+			j.err = errors.Join(j.err, d.fsync(f), f.Close())
+		}
+		j.err = errors.Join(j.err, d.fsync(j.head))
+		d.syncs.Done()
+	}
+}
+
+// stopWorkers ends the fsync workers: the committer on its way out, or a
+// failed Open in its stead.
+func (d *Disk) stopWorkers() {
+	for _, s := range d.shards {
+		close(s.syncReq)
+	}
+}
+
 // commit makes every record buffered so far durable. First, per dirty
 // shard and under its lock, it flushes the buffer and takes the shard's
 // pending work. Then — holding no lock, and all shards at once, so that a
-// barrier waits for the slowest file rather than for their sum — it
-// fsyncs the shards' files, and finally it unlinks the segments whose
-// superseding records this round covered. Only the committer
-// goroutine (and Open, before it starts) runs it.
+// barrier waits for the slowest file rather than for their sum — the
+// shards' fsync workers sync their files, and finally it unlinks the
+// segments whose superseding records this round covered. Only the
+// committer goroutine (and Open, before it starts) runs it. Every slice
+// it fills is kept for the next round, so a round allocates nothing.
 func (d *Disk) commit() {
 	d.gmu.Lock()
 	ticket := d.requested
 	d.gmu.Unlock()
 
-	type shardFiles struct {
-		head    *os.File
-		retired []*os.File
-		err     error
-	}
-	var work []*shardFiles
-	var unlink []string
 	newFile := false
 	for _, s := range d.shards {
 		s.mu.Lock()
@@ -685,43 +720,46 @@ func (d *Disk) commit() {
 			s.mu.Unlock()
 			continue
 		}
-		work = append(work, &shardFiles{head: s.f, retired: s.retired, err: s.flush()})
+		j := &s.job
+		j.head, j.err = s.f, s.flush()
+		j.retired, s.retired = s.retired, j.retired
 		for _, seg := range s.emptied {
-			unlink = append(unlink, seg.path)
+			d.unlink = append(d.unlink, seg.path)
 		}
+		clear(s.emptied)
+		s.emptied = s.emptied[:0]
 		newFile = newFile || s.newFile
-		s.retired, s.emptied = nil, nil
 		s.dirty, s.newFile = false, false
 		s.mu.Unlock()
+		d.dirty = append(d.dirty, s)
 	}
 
-	var syncs sync.WaitGroup
-	for _, w := range work {
-		syncs.Add(1)
-		go func(w *shardFiles) {
-			defer syncs.Done()
-			for _, f := range w.retired {
-				w.err = errors.Join(w.err, d.fsync(f), f.Close())
-			}
-			w.err = errors.Join(w.err, d.fsync(w.head))
-		}(w)
+	d.syncs.Add(len(d.dirty))
+	for _, s := range d.dirty {
+		s.syncReq <- struct{}{}
 	}
-	syncs.Wait()
+	d.syncs.Wait()
 	var err error
-	for _, w := range work {
-		err = errors.Join(err, w.err)
+	for _, s := range d.dirty {
+		err = errors.Join(err, s.job.err)
+		clear(s.job.retired) // fsynced and closed
+		s.job.head, s.job.retired = nil, s.job.retired[:0]
 	}
+	clear(d.dirty)
+	d.dirty = d.dirty[:0]
 	if newFile {
 		err = errors.Join(err, d.syncDir())
 	}
 	if err == nil {
-		for _, p := range unlink {
+		for _, p := range d.unlink {
 			d.hook("unlink")
 			if os.Remove(p) == nil {
 				d.unlinked.Add(1)
 			}
 		}
 	}
+	clear(d.unlink)
+	d.unlink = d.unlink[:0]
 
 	d.gmu.Lock()
 	if err != nil && d.commitErr == nil {
@@ -839,12 +877,16 @@ func (d *Disk) recover(wantShards int) error {
 	}
 	d.shards = make([]*walShard, nShards)
 	for i := range d.shards {
-		d.shards[i] = &walShard{
+		s := &walShard{
 			id:      i,
 			buf:     make([]byte, 0, flushBytes+4096),
 			index:   make(map[string][]byte),
 			streams: make(streamSet),
+			syncReq: make(chan struct{}),
 		}
+		d.shards[i] = s
+		d.wg.Add(1)
+		go d.fsyncWorker(s)
 	}
 
 	names, err := filepath.Glob(filepath.Join(d.dir, "wal-*.seg"))

@@ -22,16 +22,16 @@ func NewSim() *Sim {
 	return &Sim{objects: make(map[string][]byte), streams: make(streamSet)}
 }
 
-// Put implements Backend.
+// Put implements Backend. A key's value is overwritten in place (Get
+// hands out copies), so a key rewritten with values of one size, as a
+// checkpoint slot is, allocates nothing after its first write.
 func (s *Sim) Put(key string, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	s.mu.Lock()
 	if IsStream(key) {
 		st := s.streams.get(key)
-		st.push(st.tail+1, nil, cp)
+		st.push(st.tail+1, nil, append([]byte(nil), data...))
 	} else {
-		s.objects[key] = cp
+		s.objects[key] = append(s.objects[key][:0], data...)
 	}
 	s.mu.Unlock()
 	return nil

@@ -39,6 +39,8 @@ import (
 //   - Sync is the group-commit barrier: when it returns, every mutation
 //     that returned before Sync was called is durable.
 //   - Get and Keys observe all completed mutations, durable or not.
+//   - No method retains the data it is handed: the caller may reuse the
+//     buffer once the call returns.
 //
 // Streams: Put and PutLazy on a stream name append data as the entry
 // numbered one past the stream's tail (the first entry of a fresh stream

@@ -65,6 +65,6 @@ func BenchmarkSnapshot(b *testing.B) {
 	feedHistory(b, p, 512)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = p.Snapshot()
+		_ = p.AppendSnapshot(nil)
 	}
 }

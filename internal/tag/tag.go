@@ -144,11 +144,11 @@ func (t *TAG) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	return nil
 }
 
-// Snapshot implements proto.Protocol: the delivered count and the whole
-// graph. The known-set estimates are an optimization and deliberately not
-// checkpointed — an incarnation restarts pessimistic.
-func (t *TAG) Snapshot() []byte {
-	buf := binary.AppendVarint(nil, t.ownDelivered)
+// AppendSnapshot implements proto.Protocol: the delivered count and the
+// whole graph. The known-set estimates are an optimization and
+// deliberately not checkpointed — an incarnation restarts pessimistic.
+func (t *TAG) AppendSnapshot(dst []byte) []byte {
+	buf := binary.AppendVarint(dst, t.ownDelivered)
 	return agraph.AppendNodes(buf, t.graph.All())
 }
 

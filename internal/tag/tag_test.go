@@ -108,7 +108,7 @@ func TestSnapshotRestore(t *testing.T) {
 	deliver(t, p1, sendTo(t, p0, 0, 1, 1), 1)
 	deliver(t, p1, sendTo(t, p0, 0, 1, 2), 2)
 
-	snap := p1.Snapshot()
+	snap := p1.AppendSnapshot(nil)
 	restored := New(1, 3, nil, nil)
 	if err := restored.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)

@@ -188,9 +188,9 @@ func (t *TEL) onAck(stable vclock.Vec) {
 	}
 }
 
-// Snapshot implements proto.Protocol.
-func (t *TEL) Snapshot() []byte {
-	buf := binary.AppendVarint(nil, t.ownDelivered)
+// AppendSnapshot implements proto.Protocol.
+func (t *TEL) AppendSnapshot(dst []byte) []byte {
+	buf := binary.AppendVarint(dst, t.ownDelivered)
 	buf = wire.AppendVec(buf, t.stableKnown)
 	buf = determinant.AppendSlice(buf, t.own)
 	buf = determinant.AppendSlice(buf, t.received.All())

@@ -243,7 +243,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	feeder := New(0, 3, nil, nil, nil, nil)
 	mu.Lock()
 	deliverT(t, p, envFrom(feeder, 0, 1, 1), 1)
-	snap := p.Snapshot()
+	snap := p.AppendSnapshot(nil)
 	unstable := p.UnstableCount()
 	mu.Unlock()
 

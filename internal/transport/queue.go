@@ -12,9 +12,16 @@ import (
 // incarnation's volatile state, and the recovery protocol regenerates it
 // from sender logs.
 type Queue struct {
-	mu     sync.Mutex
-	cond   sync.Cond
+	mu   sync.Mutex
+	cond sync.Cond
+	// queue[head:] is the FIFO; queue[:head] is the slack RecvBatch leaves
+	// behind (nil slots). A drained queue restarts at the front, and a
+	// push that finds the array full slides the FIFO down into the slack
+	// when the slack is at least half of it, and grows it otherwise — so
+	// each slide's copy is paid for by as many receives, and a receive
+	// costs its batch, not the backlog behind it.
 	queue  []*wire.Envelope
+	head   int
 	closed bool
 }
 
@@ -33,16 +40,30 @@ func NewQueue() *Queue {
 func (b *Queue) Push(env *wire.Envelope) {
 	b.mu.Lock()
 	if !b.closed {
+		b.makeRoom(1)
 		b.queue = append(b.queue, env) //windar:allow hotpath — amortised: grows to the deepest backlog, then is reused
 		b.cond.Signal()
 	}
 	b.mu.Unlock()
 }
 
+// makeRoom slides the FIFO to the front of the array when n more would
+// not fit and the slack is at least half of it. Caller holds mu.
+//
+//windar:hotpath
+func (b *Queue) makeRoom(n int) {
+	if h := b.head; h > 0 && 2*h >= len(b.queue) && len(b.queue)+n > cap(b.queue) {
+		k := copy(b.queue, b.queue[h:])
+		clear(b.queue[k:])
+		b.queue, b.head = b.queue[:k], 0
+	}
+}
+
 // PushBatch appends envs in order under one lock round and one wakeup.
 func (b *Queue) PushBatch(envs []*wire.Envelope) {
 	b.mu.Lock()
 	if !b.closed {
+		b.makeRoom(len(envs))
 		b.queue = append(b.queue, envs...)
 		b.cond.Broadcast()
 	}
@@ -67,17 +88,19 @@ func (b *Queue) Recv() (*wire.Envelope, bool) {
 func (b *Queue) RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for len(b.queue) == 0 && !b.closed {
+	for b.head == len(b.queue) && !b.closed {
 		b.cond.Wait()
 	}
-	if len(b.queue) == 0 {
+	q := b.queue[b.head:]
+	if len(q) == 0 {
 		return buf, false
 	}
-	n := min(max(cap(buf)-len(buf), 1), len(b.queue))
-	buf = append(buf, b.queue[:n]...)
-	rest := copy(b.queue, b.queue[n:])
-	clear(b.queue[rest:]) // release handed-out refs for the GC
-	b.queue = b.queue[:rest]
+	n := min(max(cap(buf)-len(buf), 1), len(q))
+	buf = append(buf, q[:n]...)
+	clear(q[:n]) // release handed-out refs for the GC
+	if b.head += n; b.head == len(b.queue) {
+		b.queue, b.head = b.queue[:0], 0
+	}
 	return buf, true
 }
 
@@ -98,7 +121,7 @@ func (b *Queue) Close() {
 func (b *Queue) Drop() {
 	b.mu.Lock()
 	clear(b.queue)
-	b.queue = nil
+	b.queue, b.head = nil, 0
 	b.closed = true
 	b.cond.Broadcast()
 	b.mu.Unlock()

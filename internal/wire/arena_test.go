@@ -124,9 +124,10 @@ func TestArenaCommitOfMovedAppend(t *testing.T) {
 	}
 }
 
-// TestDecodeAndCopyOwnership: only application payloads within ArenaMax
-// are cut from the arena; control payloads and oversize payloads own
-// their allocation, and no path aliases its input.
+// TestDecodeAndCopyOwnership: only application and CHECKPOINT_ADVANCE
+// payloads within ArenaMax are cut from the arena; other control payloads
+// and oversize payloads own their allocation, and no path aliases its
+// input.
 func TestDecodeAndCopyOwnership(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -139,7 +140,7 @@ func TestDecodeAndCopyOwnership(t *testing.T) {
 		{"app oversize", KindApp, ArenaMax + 1, false},
 		{"rollback", KindRollback, 64, false},
 		{"response", KindResponse, 64, false},
-		{"ckpt advance", KindCkptAdvance, 8, false},
+		{"ckpt advance", KindCkptAdvance, 8, true},
 		{"determinant", KindDeterminant, 64, false},
 		{"determinant ack", KindDeterminantAck, 64, false},
 	}

@@ -64,7 +64,7 @@ func CopyInto(dst, src *Envelope) { CopyIntoArena(dst, src, nil) }
 // CopyIntoArena deep-copies src into dst, giving the receiver its own
 // envelope with no slice shared with the sender: the piggyback lands in
 // dst's reusable scratch, the payload is copied under DecodeInto's
-// ownership contract (into a, when the message is a KindApp). It is the
+// ownership contract (into a, when payloadArena says so). It is the
 // inline-delivery equivalent of an encode/decode round trip, minus the
 // varint work; the queued fabric path and the TCP transport still
 // round-trip every message through the wire format.
@@ -84,13 +84,14 @@ func CopyIntoArena(dst, src *Envelope, a *Arena) {
 }
 
 // payloadArena is the one place the payload-ownership rule is decided:
-// only application payloads are cut from an arena. Protocols slice
-// control payloads (ROLLBACK vectors, RESPONSE recovery data) into state
-// that outlives the recovery, and a few retained bytes must not pin a
-// chunk of delivered application data, so those stay allocations of
-// their own.
+// application and CHECKPOINT_ADVANCE payloads are cut from an arena.
+// Protocols slice the other control payloads (ROLLBACK vectors, RESPONSE
+// recovery data) into state that outlives the recovery, and a few
+// retained bytes must not pin a chunk of delivered application data, so
+// those stay allocations of their own. An advance is read into two
+// integers and kept by no one.
 func payloadArena(k Kind, a *Arena) *Arena {
-	if k != KindApp {
+	if k != KindApp && k != KindCkptAdvance {
 		return nil
 	}
 	return a
@@ -115,8 +116,8 @@ func Recycle(e *Envelope) {
 // reusing e's piggyback scratch capacity. The payload is always a deep
 // copy the receiver owns: it is handed to the application (or, for a
 // control message, sliced into long-lived protocol state), so its
-// lifetime is unbounded while the envelope's ends at Recycle. A KindApp
-// payload is cut from a when a is non-nil — an immutable,
+// lifetime is unbounded while the envelope's ends at Recycle. A payload
+// payloadArena assigns to the arena is cut from a when a is non-nil — an immutable,
 // capacity-clipped slice of a chunk that is never rewritten, so
 // retaining it pins at most ArenaChunk bytes; every other payload, and
 // every payload over ArenaMax, is an allocation of its own. On error e's

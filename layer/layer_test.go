@@ -11,10 +11,10 @@ type record struct {
 	name   string
 }
 
-func (r record) Send(*Msg)                 { *r.events = append(*r.events, r.name+".send") }
-func (r record) Deliver(*Msg)              { *r.events = append(*r.events, r.name+".deliver") }
+func (r record) Send(*Msg)                  { *r.events = append(*r.events, r.name+".send") }
+func (r record) Deliver(*Msg)               { *r.events = append(*r.events, r.name+".deliver") }
 func (r record) Checkpoint(*CheckpointInfo) { *r.events = append(*r.events, r.name+".checkpoint") }
-func (r record) Restore(*RestoreInfo)      { *r.events = append(*r.events, r.name+".restore") }
+func (r record) Restore(*RestoreInfo)       { *r.events = append(*r.events, r.name+".restore") }
 
 // tap wraps next, logging entry before forwarding.
 func tap(events *[]string, name string) Interceptor {
