@@ -27,7 +27,7 @@ race:
 # counters exact at every publication point, across a kill;
 # TestInlineSendIsABufferedSend races the fabric's lock-free inline
 # admission against Kill/Stall/Revive/Unstall.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence'
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/

@@ -32,10 +32,10 @@ var pwds = []struct {
 		determinant.AppendSlice(nil, nil), determinant.AppendSlice(nil, nil)},
 }
 
-// TestUncountedLateResponseKeepsHold: rank 3 was dead at ROLLBACK time,
-// so the harness did not count it; its late RESPONSE, after it revived,
-// must not end the collection phase while a counted peer is still
-// outstanding. Only OnCollected does.
+// TestUncountedLateResponseKeepsHold: rank 3's RESPONSE answered a dead
+// predecessor's ROLLBACK, so the harness did not count it; it must not
+// end the collection phase while a peer still owes its answer. Only
+// OnCollected does.
 func TestUncountedLateResponseKeepsHold(t *testing.T) {
 	for _, pc := range pwds {
 		t.Run(pc.name, func(t *testing.T) {

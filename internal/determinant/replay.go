@@ -79,8 +79,8 @@ func (p *Replay) Begin(base int64) {
 	p.recorded, p.base, p.collecting = make(map[int64]D), base, true
 }
 
-// OnCollected implements proto.Replayer: every counted responder has
-// answered or died, so the recorded order is as complete as it will get.
+// OnCollected implements proto.Replayer: every peer has answered, so the
+// recorded order is as complete as it will get.
 func (p *Replay) OnCollected() { p.collecting = false }
 
 // Record pins the slot of each of ds that is one of this rank's

@@ -16,23 +16,30 @@ func transportSendOpts(rendezvous bool, abort <-chan struct{}) transport.SendOpt
 }
 
 // encodeRollback packs a ROLLBACK payload: the failed rank's checkpointed
-// delivered count and last_deliver_index vector (Algorithm 1 line 46).
-func encodeRollback(ckptDelivered int64, lastDeliver vclock.Vec) []byte {
+// delivered count and last_deliver_index vector (Algorithm 1 line 46),
+// and its restored last_send_index vector, the send frontier above which
+// it regenerates its messages.
+func encodeRollback(ckptDelivered int64, lastDeliver, lastSend vclock.Vec) []byte {
 	buf := binary.AppendVarint(nil, ckptDelivered)
-	return wire.AppendVec(buf, lastDeliver)
+	buf = wire.AppendVec(buf, lastDeliver)
+	return wire.AppendVec(buf, lastSend)
 }
 
 // decodeRollback unpacks encodeRollback.
-func decodeRollback(b []byte) (int64, vclock.Vec, error) {
+func decodeRollback(b []byte) (int64, vclock.Vec, vclock.Vec, error) {
 	count, n := binary.Varint(b)
 	if n <= 0 {
-		return 0, nil, fmt.Errorf("harness: bad ROLLBACK payload")
+		return 0, nil, nil, fmt.Errorf("harness: bad ROLLBACK payload")
 	}
-	vec, _, err := wire.ReadVec(b[n:])
+	lastDeliver, m, err := wire.ReadVec(b[n:])
 	if err != nil {
-		return 0, nil, fmt.Errorf("harness: bad ROLLBACK vector: %w", err)
+		return 0, nil, nil, fmt.Errorf("harness: bad ROLLBACK vector: %w", err)
 	}
-	return count, vec, nil
+	lastSend, _, err := wire.ReadVec(b[n+m:])
+	if err != nil {
+		return 0, nil, nil, fmt.Errorf("harness: bad ROLLBACK send frontier: %w", err)
+	}
+	return count, lastDeliver, lastSend, nil
 }
 
 // response is a RESPONSE payload: which incarnation's ROLLBACK it
@@ -176,8 +183,8 @@ func (r *rankRuntime) rejectEnvelope(env *wire.Envelope) {
 // rank lost.
 func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 	failed := env.From
-	ckptDelivered, lastDeliver, err := decodeRollback(env.Payload)
-	if err != nil || r.id >= len(lastDeliver) {
+	ckptDelivered, lastDeliver, lastSend, err := decodeRollback(env.Payload)
+	if err != nil || r.id >= len(lastDeliver) || r.id >= len(lastSend) {
 		// A corrupt ROLLBACK cannot be served; the recovering rank's
 		// stall report will name the missing RESPONSE.
 		r.c.coll.Rank(r.id).IngestRejected()
@@ -195,9 +202,22 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 		r.rollbackLastSendIndex[failed] = lastDeliver[r.id]
 	}
 	r.prot.OnPeerRollback(failed, ckptDelivered)
+	if r.replayer != nil {
+		// Every message the failed rank's dead incarnations sent here
+		// precedes this incarnation's first ROLLBACK (see below). The
+		// queued ones above its restored send frontier are orphans: the incarnation regenerates them after the deliveries
+		// they depend on, while a PWD protocol delivers freely past its
+		// recorded history and could take one ahead of those. TDI's
+		// delivery predicate holds such a message until its dependencies
+		// are met, so only a Replayer drops them.
+		sh := &r.shards[failed]
+		r.lockShard(sh)
+		sh.dropOrphans(lastSend[r.id], env.Incarnation)
+		sh.mu.Unlock()
+	}
 	// Every envelope that arrived ahead of this ROLLBACK is in the shard
 	// by now (the receiver ingests in arrival order), and none of a dead
-	// incarnation's can follow it (Recover waits out its senders before
+	// incarnation's can follow it (restore waits out its senders before
 	// the successor broadcasts): no original above the ingest high-water
 	// will ever be delivered here.
 	ans := response{ackInc: env.Incarnation, delivered: r.lastDeliverIndex[failed],
@@ -247,9 +267,9 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 }
 
 // handleResponse absorbs a RESPONSE during this rank's own rolling
-// forward (lines 52-53). Any response is absorbed — counted, late from a
-// revived peer, or stale toward a dead predecessor incarnation — but only
-// the first from each awaited live peer decrements the expectation.
+// forward (lines 52-53). Any response is absorbed — an answer to this
+// incarnation's ROLLBACK, or a stale one to a dead predecessor — but only
+// the first answer to this incarnation from each peer closes its debt.
 func (r *rankRuntime) handleResponse(env *wire.Envelope) {
 	ans, err := decodeResponse(env.Payload)
 	if err != nil {
@@ -269,16 +289,15 @@ func (r *rankRuntime) handleResponse(env *wire.Envelope) {
 			return
 		}
 	}
-	r.responderDoneLocked(env.From)
 	if ans.ackInc == r.incarnation {
-		// This incarnation's own ROLLBACK was served: a revival of the
-		// responder no longer needs the replay. Only such an answer may
-		// set a resync floor: one to a dead predecessor was read before
-		// the predecessor's later sends and can be too low.
-		r.c.rollbackServed(r.id, env.From, r.incarnation)
+		// Only an answer to this incarnation's own ROLLBACK settles the
+		// peer's debt or sets a resync floor: one to a dead predecessor
+		// was read before the predecessor's later sends, so its floor can
+		// be too low and its recovery data can miss determinants.
 		if r.resyncer != nil {
 			r.resyncer.OnPeerResync(env.From, ans.ingested)
 		}
+		r.responderDoneLocked(env.From)
 	}
 	r.cond.Broadcast() // replay constraints may have been relaxed
 	r.mu.Unlock()
@@ -311,7 +330,7 @@ func (r *rankRuntime) handleCkptAdvance(env *wire.Envelope) {
 }
 
 // broadcastRollback sends the ROLLBACK notification to every other rank.
-func (r *rankRuntime) broadcastRollback(payload []byte) {
+func (r *rankRuntime) broadcastRollback() {
 	m := r.c.coll.Rank(r.id)
 	for dest := 0; dest < r.n; dest++ {
 		if dest == r.id {
@@ -319,7 +338,7 @@ func (r *rankRuntime) broadcastRollback(payload []byte) {
 		}
 		env := &wire.Envelope{
 			Kind: wire.KindRollback, From: r.id, To: dest,
-			Incarnation: r.incarnation, Payload: payload,
+			Incarnation: r.incarnation, Payload: r.rollback,
 		}
 		if err := r.c.tr.Send(env, transportSendOpts(false, r.killed)); err != nil {
 			return

@@ -16,7 +16,7 @@ import (
 // fuzzer picks.
 func FuzzControlDecode(f *testing.F) {
 	f.Add([]byte{}, int64(0), int64(0), int64(0), int32(0), []byte(nil))
-	f.Add(encodeRollback(3, vclock.Vec{1, 2, 3}), int64(-1), int64(1<<40), int64(7), int32(2), []byte("det"))
+	f.Add(encodeRollback(3, vclock.Vec{1, 2, 3}, vclock.Vec{4, 5, 6}), int64(-1), int64(1<<40), int64(7), int32(2), []byte("det"))
 	f.Add(encodeResponse(response{ackInc: 1, delivered: 5, ingested: 9, data: []byte{1, 2}}),
 		int64(5), int64(9), int64(0), int32(-1), []byte{})
 	f.Add(appendCkptAdvance(nil, 12, 40), int64(12), int64(40), int64(3), int32(0), []byte{0xFF})
@@ -25,9 +25,9 @@ func FuzzControlDecode(f *testing.F) {
 		decodeResponse(hostile)
 		decodeCkptAdvance(hostile)
 
-		count, vec, err := decodeRollback(encodeRollback(a, vclock.Vec{a, b, c}))
-		if err != nil || count != a || !vec.Equal(vclock.Vec{a, b, c}) {
-			t.Fatalf("ROLLBACK round trip: %d %v %v", count, vec, err)
+		count, vec, sent, err := decodeRollback(encodeRollback(a, vclock.Vec{a, b, c}, vclock.Vec{c, b}))
+		if err != nil || count != a || !vec.Equal(vclock.Vec{a, b, c}) || !sent.Equal(vclock.Vec{c, b}) {
+			t.Fatalf("ROLLBACK round trip: %d %v %v %v", count, vec, sent, err)
 		}
 		want := response{ackInc: inc, delivered: a, ingested: b, data: data}
 		got, err := decodeResponse(encodeResponse(want))

@@ -65,8 +65,12 @@ func (c *Cluster) slogRelease(rank, dest int, upTo int64) {
 // slogRewind positions every stream of r at the send frontier the
 // incarnation starts from, discarding what a previous incarnation (or a
 // previous process) appended beyond it: r re-executes those sends and
-// appends them afresh under the same numbers.
+// appends them afresh under the same numbers. It runs before the
+// incarnation starts; without durable logs it does nothing.
 func (r *rankRuntime) slogRewind() error {
+	if !r.c.durableLogs {
+		return nil
+	}
 	for dest, name := range r.c.slogNames[r.id] {
 		if dest == r.id {
 			continue
@@ -82,7 +86,7 @@ func (r *rankRuntime) slogRewind() error {
 // the checkpoint's log view or, for a LogExternal checkpoint, appends the
 // rank's stream entries up to the checkpoint's send frontier. Later
 // entries are sends after the snapshot, which the incarnation redoes (a
-// restart may have lost them anyway: they were lazy), so start rewinds
+// restart may have lost them anyway: they were lazy), so restore rewinds
 // them away.
 func (r *rankRuntime) restoreLog(cp *ckpt.Checkpoint) error {
 	if !cp.LogExternal {

@@ -113,8 +113,8 @@ func TestStartFromStableResumesAfterAbruptStop(t *testing.T) {
 	}
 }
 
-// TestStartFromStableFreshDir: with nothing durable yet, StartFromStable
-// must behave exactly like Start.
+// TestStartFromStableFreshDir: with nothing durable yet, every rank
+// restores the initial state and the run reaches Start's final states.
 func TestStartFromStableFreshDir(t *testing.T) {
 	const n, steps = 3, 20
 	want := run(t, testConfig(n, TDI), ringFactory(steps), nil)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,47 @@ type slowBackend struct{ stable.Backend }
 func (s slowBackend) Put(key string, data []byte) error {
 	time.Sleep(4 * time.Millisecond)
 	return s.Backend.Put(key, data)
+}
+
+// rewindFailBackend fails every Rewind once armed: the durable sender
+// log cannot be positioned at the restored send frontier.
+type rewindFailBackend struct {
+	stable.Backend
+	armed *atomic.Bool
+}
+
+func (b rewindFailBackend) Rewind(name string, upTo int64) error {
+	if b.armed.Load() {
+		return errors.New("injected rewind failure")
+	}
+	return b.Backend.Rewind(name, upTo)
+}
+
+// TestRecoverReturnsRewindError: a restore whose durable sender log
+// cannot be rewound is reported by Recover as an error, before any
+// goroutine of the incarnation starts. The rank stays down and a later
+// Recover still brings it back to the fault-free state.
+func TestRecoverReturnsRewindError(t *testing.T) {
+	cfg := testConfig(3, TDI)
+	cfg.DurableLogs = true
+	clean := run(t, cfg, ringFactory(40), nil)
+	armed := new(atomic.Bool)
+	cfg.Stable = rewindFailBackend{Backend: stable.NewSim(), armed: armed}
+	faulty := run(t, cfg, ringFactory(40), func(c *Cluster) {
+		time.Sleep(2 * time.Millisecond)
+		if err := c.Kill(1); err != nil {
+			t.Fatalf("Kill(1): %v", err)
+		}
+		armed.Store(true)
+		if err := c.Recover(1); err == nil {
+			t.Error("Recover(1) succeeded with a failing Rewind")
+		}
+		armed.Store(false)
+		if err := c.Recover(1); err != nil {
+			t.Errorf("Recover(1) after the failure: %v", err)
+		}
+	})
+	assertSameStates(t, clean, faulty, "recover after rewind failure")
 }
 
 // TestKillDuringCheckpointWindow slows stable-storage writes so failures

@@ -128,10 +128,12 @@ type Observer interface {
 	OnRecoveryPhase(rank int, phase string, d time.Duration)
 	OnRecoveryComplete(rank int, d time.Duration)
 	// OnRollback reports rank broadcasting a ROLLBACK expecting
-	// expect RESPONSEs — the peers live at broadcast time, not n-1.
+	// expect RESPONSEs: one from every other rank, n-1. A peer that is
+	// down answers after it revives.
 	OnRollback(rank, expect int)
-	// OnResponse reports rank absorbing a RESPONSE from from (counted or
-	// late; the trace pairing rule deduplicates responders).
+	// OnResponse reports rank absorbing a RESPONSE from from (an answer
+	// to its ROLLBACK or a stale one to a predecessor; the trace pairing
+	// rule deduplicates responders).
 	OnResponse(rank, from int)
 	// OnIngestRejected reports rank dropping hostile input: a control
 	// message whose payload failed to decode ("rollback", "response",
@@ -264,25 +266,7 @@ type Cluster struct {
 	failedAt []int64 // high-water delivered count across kills, -1 before any
 	waitCh   chan struct{}
 
-	// pendingMu guards pendingRec: one entry per recovery still
-	// collecting demands, so a rank that revives mid-collection can be
-	// served the ROLLBACK it missed while dead. pendingMu is a leaf lock —
-	// it is taken under rank mutexes and must never wrap another lock.
-	pendingMu  sync.Mutex
-	pendingRec map[int]*pendingRollback
-
 	closed chan struct{}
-}
-
-// pendingRollback records one incarnation's outstanding ROLLBACK: the
-// exact broadcast payload and the peers that have not yet served it.
-// Peers dead at broadcast time stay in awaiting; when one revives, the
-// cluster replays the ROLLBACK to it and it answers with a late RESPONSE
-// plus its log resends.
-type pendingRollback struct {
-	incarnation int32
-	payload     []byte
-	awaiting    map[int]bool
 }
 
 // NewCluster builds a cluster. Call Start to launch the application,
@@ -351,7 +335,6 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	for i := range c.failedAt {
 		c.failedAt[i] = -1
 	}
-	c.pendingRec = make(map[int]*pendingRollback)
 	c.waitCh = make(chan struct{}, 1)
 	if cfg.Protocol == TEL {
 		c.telLog = tel.NewLogger(cfg.N, cfg.Clock, cfg.EventLoggerLatency)
@@ -429,10 +412,13 @@ func (c *Cluster) Start() error {
 		if err != nil {
 			return err
 		}
+		if err := r.slogRewind(); err != nil {
+			return err
+		}
 		c.ranksMu.Lock()
 		c.ranks[rank] = r
 		c.ranksMu.Unlock()
-		r.start(0, nil)
+		r.start(0)
 	}
 	if c.cfg.StallTimeout > 0 {
 		go c.stallWatchdog()
@@ -560,6 +546,14 @@ func (c *Cluster) Close() {
 		c.telLog.Close()
 	}
 	c.tr.Close()
+	// A receiver may still be serving a ROLLBACK or absorbing a RESPONSE
+	// when the kill lands; once its goroutines are out, no observer event
+	// follows Close, so a trace exported afterwards is complete.
+	for _, r := range rs {
+		if r != nil {
+			r.senders.Wait()
+		}
+	}
 	// Checkpoint writers drain their queues after the kill, so a clean
 	// shutdown never loses a taken checkpoint's durable write; only then
 	// is the backend (and its WAL committer) closed.

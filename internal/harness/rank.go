@@ -108,14 +108,16 @@ type rankRuntime struct {
 	recoveryStart  time.Time
 	recoveryTarget int64
 
-	// Recovery-phase span bookkeeping (guarded by mu like the flags
-	// above; respExpect/respAwait/collectStart are written before start()
-	// launches the goroutines). respAwait marks the peers counted into
-	// respExpect — those live at ROLLBACK time — so duplicate or late
-	// RESPONSEs and responder deaths each adjust the count exactly once.
-	// It is non-nil only while the collection phase is open.
-	respExpect     int       // counted RESPONSEs still outstanding
-	respAwait      []bool    // per-peer: counted and not yet accounted for
+	// The collection phase (guarded by mu like the flags above; written
+	// before start() launches the goroutines). rollback is the ROLLBACK
+	// payload this incarnation broadcasts, nil for an initial launch.
+	// respAwait marks every peer whose RESPONSE to it is still owed, dead
+	// or alive, so a duplicate RESPONSE adjusts respExpect once; it is
+	// non-nil only while the collection is open, and it is what a
+	// reviving peer is checked against (sendOwedRollbacks).
+	rollback       []byte
+	respExpect     int       // RESPONSEs still owed
+	respAwait      []bool    // per-peer: RESPONSE still owed
 	collectPending bool      // collect-demands span not yet emitted
 	collectStart   time.Time // ROLLBACK broadcast time
 	firstResentAt  time.Time // first replayed delivery while recovering
@@ -165,7 +167,7 @@ type rankRuntime struct {
 	killOnce sync.Once
 	// senders counts this incarnation's goroutines that hand envelopes to
 	// the transport — receiver (RESPONSEs, resends), sender loop and
-	// application. Recover waits it out (see there).
+	// application. restore and Close wait it out (see there).
 	senders sync.WaitGroup
 
 	theApp    app.App
@@ -238,6 +240,24 @@ func (sh *deliveryShard) highWater() int64 {
 func (sh *deliveryShard) pop() {
 	sh.q[sh.head] = nil // the array outlives the envelope
 	sh.head++
+	if sh.head == len(sh.q) {
+		sh.q, sh.head = sh.q[:0], 0
+	}
+}
+
+// dropOrphans removes the queued messages above send index upTo that an
+// incarnation older than inc sent.
+func (sh *deliveryShard) dropOrphans(upTo int64, inc int32) {
+	kept := sh.q[:sh.head]
+	for _, env := range sh.q[sh.head:] {
+		if env.SendIndex > upTo && env.Incarnation < inc {
+			wire.Recycle(env)
+			continue
+		}
+		kept = append(kept, env)
+	}
+	clear(sh.q[len(kept):])
+	sh.q = kept
 	if sh.head == len(sh.q) {
 		sh.q, sh.head = sh.q[:0], 0
 	}
@@ -327,15 +347,10 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 	return r, nil
 }
 
-// start launches the runtime's goroutines. rollback, if non-nil, is the
-// ROLLBACK payload to broadcast before the application resumes.
-func (r *rankRuntime) start(fromStep int, rollback []byte) {
+// start launches the runtime's goroutines. A restored incarnation
+// broadcasts its ROLLBACK before the application resumes.
+func (r *rankRuntime) start(fromStep int) {
 	r.startStep = fromStep
-	if r.c.durableLogs {
-		if err := r.slogRewind(); err != nil {
-			panic(err.Error())
-		}
-	}
 	r.senders.Add(2) // the receiver and the application
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
@@ -346,8 +361,8 @@ func (r *rankRuntime) start(fromStep int, rollback []byte) {
 	}
 	r.c.ckptWG.Add(1)
 	go r.ckptWriterLoop()
-	if rollback != nil {
-		r.broadcastRollback(rollback)
+	if r.rollback != nil {
+		r.broadcastRollback()
 	}
 	go r.appLoop(fromStep)
 }
@@ -380,7 +395,7 @@ func (r *rankRuntime) checkKilled() {
 // appLoop runs the application from fromStep to completion. It publishes
 // the incarnation's counter tally at every step boundary and before it
 // reports completion; a killed incarnation publishes on the way out, so
-// its traffic is counted too — before senders.Done, which Recover waits
+// its traffic is counted too — before senders.Done, which restore waits
 // on before the successor counts anything.
 func (r *rankRuntime) appLoop(fromStep int) {
 	defer r.senders.Done()
@@ -731,15 +746,12 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 				r.c.emitPhase(r.id, PhaseReplayLogged, 0)
 			}
 			if r.collectPending {
-				// Awaited peers died and revived without this incarnation
-				// ever seeing respExpect hit zero; cap the span at
-				// roll-forward completion.
+				// A peer that is down still owes its RESPONSE (a protocol
+				// that is no Replayer rolls forward without it); cap the
+				// span at roll-forward completion.
 				r.collectPending = false
 				r.c.emitPhase(r.id, PhaseCollectDemands, now.Sub(r.collectStart))
 			}
-			// Demand collection is over; revivals no longer need the
-			// ROLLBACK replayed (resends would be duplicates anyway).
-			r.c.clearRollback(r.id, r.incarnation)
 		}
 	}
 	// The delivery is committed and every reader of the envelope — the
@@ -751,10 +763,8 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	return payload
 }
 
-// responderDoneLocked accounts for peer's RESPONSE or death. No-op unless
-// peer was live at ROLLBACK time and is not yet accounted for. A dead
-// peer's RESPONSE to this incarnation's ROLLBACK can no longer arrive; if
-// it revives, the replayed ROLLBACK produces an uncounted late RESPONSE.
+// responderDoneLocked accounts for peer's RESPONSE to this incarnation's
+// ROLLBACK. No-op unless the collection still owes it.
 func (r *rankRuntime) responderDoneLocked(peer int) {
 	if r.respAwait == nil || peer < 0 || peer >= len(r.respAwait) || !r.respAwait[peer] {
 		return
@@ -765,21 +775,19 @@ func (r *rankRuntime) responderDoneLocked(peer int) {
 }
 
 // beginRecovery opens the collection phase of a runtime not yet started:
-// every peer awaited reports as answered or dead exactly once before the
-// phase closes (collectedLocked).
-func (r *rankRuntime) beginRecovery(awaited func(peer int) bool) {
+// every peer owes a RESPONSE, and the phase closes once each has answered
+// (collectedLocked).
+func (r *rankRuntime) beginRecovery() {
 	r.respAwait = make([]bool, r.n)
 	for p := range r.respAwait {
-		if p != r.id && awaited(p) {
-			r.respAwait[p] = true
-			r.respExpect++
-		}
+		r.respAwait[p] = p != r.id
 	}
+	r.respExpect = r.n - 1
 	r.prot.BeginRecovery()
 }
 
-// collectedLocked closes the collection phase the first time no counted
-// RESPONSE is outstanding: it is the only place a rank decides it is
+// collectedLocked closes the collection phase the first time no
+// RESPONSE is owed: it is the only place a rank decides it is
 // done collecting. The protocol learns it through OnCollected, and the
 // collect-demands span is emitted if it is still owed (a rank whose
 // failure lost no deliveries owes none, yet a PWD protocol holds until

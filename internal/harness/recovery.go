@@ -2,11 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"windar/internal/ckpt"
-	"windar/internal/transport"
 	"windar/internal/wire"
 	"windar/layer"
 )
@@ -15,7 +14,8 @@ import (
 // log, protocol state, unsent queue-A messages, application memory) is
 // lost; its goroutines unwind; messages already in its inbox are dropped;
 // in-flight messages park at the transport until an incarnation revives the
-// rank.
+// rank. Other ranks' collections keep counting it: it answers their
+// ROLLBACKs once it revives (see restore).
 func (c *Cluster) Kill(rank int) error {
 	c.ranksMu.Lock()
 	r := c.ranks[rank]
@@ -50,34 +50,13 @@ func (c *Cluster) Kill(rank int) error {
 		c.failedAt[rank] = pre
 	}
 	c.finished[rank] = false
-	others := append([]*rankRuntime(nil), c.ranks...)
 	c.ranksMu.Unlock()
-
-	// A crashed recoverer's demand collection dies with it; its next
-	// incarnation re-registers a fresh ROLLBACK.
-	c.dropRollback(rank)
-
-	// Any rank still collecting demands must stop waiting for this one:
-	// its RESPONSE will never arrive from the dead incarnation. If the
-	// rank revives, the replayed ROLLBACK yields an uncounted late
-	// RESPONSE instead.
-	for p, o := range others {
-		if p != rank && o != nil && !o.isKilled() {
-			o.mu.Lock()
-			o.responderDoneLocked(rank)
-			o.mu.Unlock()
-		}
-	}
 
 	c.observer().OnKill(rank)
 	return nil
 }
 
-// Recover creates rank's incarnation on a "spare node": it restores the
-// last checkpoint from stable storage (or the initial state if none was
-// ever taken), broadcasts the ROLLBACK notification, and rolls forward by
-// re-executing the application from the checkpointed step while peers
-// resend the lost messages (Algorithm 1 lines 40-46).
+// Recover creates rank's incarnation on a "spare node": restore({rank}).
 func (c *Cluster) Recover(rank int) error {
 	c.ranksMu.Lock()
 	old := c.ranks[rank]
@@ -85,95 +64,154 @@ func (c *Cluster) Recover(rank int) error {
 	if old == nil {
 		return fmt.Errorf("harness: rank %d was never started", rank)
 	}
-	if !old.isKilled() {
-		return fmt.Errorf("harness: rank %d is still alive", rank)
-	}
+	return c.restore([]int{rank})
+}
 
-	// The dead incarnation may still be inside a send it began before
-	// the kill, and its sender loop and resends may still be draining
-	// into links that have room. Wait them all out: its last durable-log
-	// append must not land behind this incarnation's rewind, and nothing
-	// it sends may follow this incarnation's ROLLBACK, which a peer's
-	// resync floor (handleRollback) relies on.
-	old.senders.Wait()
-
-	r, err := c.newRuntime(rank, old.incarnation+1)
-	if err != nil {
-		return err
-	}
-	cp, ok, err := c.ckpts.Load(rank)
-	if err != nil {
-		return err
-	}
-	fromStep := 0
-	if ok {
-		if err := r.restoreCheckpoint(cp); err != nil {
+// restore starts a new incarnation of every rank in dead — ranks killed
+// in this process, or never started in it (a restart) — and is the one
+// recovery procedure for any failure set (Algorithm 1 lines 40-46). Each
+// rank restores its last checkpoint, or the initial state when it has
+// none, broadcasts a ROLLBACK carrying the restored frontier (zero
+// without a checkpoint), and re-executes the application from the
+// restored step while peers resend what it lost.
+//
+// Each rank awaits a RESPONSE to its ROLLBACK from every peer; a death
+// never shrinks the count. A peer that is down answers after it revives:
+// the open collections (respAwait) are the only record of who still owes
+// a RESPONSE, and a revived rank is sent every ROLLBACK whose collection
+// still counts it. Only a proto.Replayer holds deliveries until its
+// collection closes, so TDI never waits on a down peer.
+//
+// Everything that can fail runs before any incarnation is published or
+// started: on an error every rank in dead stays down.
+func (c *Cluster) restore(dead []int) error {
+	rs := make([]*rankRuntime, len(dead))
+	from := make([]int, len(dead))
+	for i, rank := range dead {
+		c.ranksMu.Lock()
+		old := c.ranks[rank]
+		c.ranksMu.Unlock()
+		var inc int32
+		if old != nil {
+			if !old.isKilled() {
+				return fmt.Errorf("harness: rank %d is still alive", rank)
+			}
+			// The dead incarnation may still be inside a send it began
+			// before the kill, and its sender loop and resends may still
+			// be draining into links that have room. Wait them all out:
+			// its last durable-log append must not land behind this
+			// incarnation's rewind, and nothing it sends may follow this
+			// incarnation's ROLLBACK, which a peer's resync floor
+			// (handleRollback) relies on.
+			old.senders.Wait()
+			inc = old.incarnation + 1
+		}
+		r, err := c.newRuntime(rank, inc)
+		if err != nil {
 			return err
 		}
-		fromStep = cp.Step
+		cp, ok, err := c.ckpts.Load(rank)
+		if err != nil {
+			return fmt.Errorf("harness: rank %d restore: %w", rank, err)
+		}
+		if ok {
+			if err := r.restoreCheckpoint(cp); err != nil {
+				return err
+			}
+			from[i] = cp.Step
+			// A restart begins mid-history: seed trace baselines (the
+			// recorder, when it is the observer) so invariant checking
+			// measures the resumed run against the restored frontier
+			// instead of zero.
+			if s, ok := c.cfg.Observer.(interface {
+				SeedCheckpoint(rank, step int, lastSend, lastDeliver []int64, delivered int64)
+			}); ok && old == nil {
+				s.SeedCheckpoint(cp.Rank, cp.Step, cp.LastSendIndex, cp.LastDeliverIndex, cp.DeliveredCount)
+			}
+		}
+		if err := r.slogRewind(); err != nil {
+			return err
+		}
+		r.rollback = encodeRollback(r.deliveredCount, r.lastDeliverIndex, r.lastSendIndex)
+		r.beginRecovery()
+		rs[i] = r
 	}
 
-	r.recoveryStart = c.clk.Now()
-	// collect-demands spans the ROLLBACK broadcast (which start fires
-	// before the application resumes) to the last peer RESPONSE.
-	r.collectStart = r.recoveryStart
-
-	payload := encodeRollback(r.deliveredCount, r.lastDeliverIndex.Clone())
-
-	// Only peers live right now can answer the ROLLBACK; a dead peer's
-	// RESPONSE arrives late — after it revives and serves the replayed
-	// ROLLBACK — and must not be waited for (the old N-1 count hung the
-	// collection phase forever whenever a peer was down). The live-peer
-	// snapshot and the publication are one ranksMu section: Kill takes its
-	// snapshot of the runtimes under the same lock after stopping its
-	// victim, so a peer that dies around now is either seen dead here and
-	// not counted, or counted here and reported to this runtime by Kill —
-	// never counted and then lost.
+	// Publish every incarnation before any starts: each must be able to
+	// serve the others' ROLLBACKs from its first instant.
+	now := c.clk.Now()
 	c.ranksMu.Lock()
-	r.recoveryTarget = c.failedAt[rank]
-	recovering := r.recoveryTarget > r.deliveredCount
-	r.recovering, r.collectPending = recovering, recovering
-	r.beginRecovery(func(p int) bool { o := c.ranks[p]; return o != nil && !o.isKilled() })
-	expect := r.respExpect
-	c.ranks[rank] = r
+	for _, r := range rs {
+		// collect-demands spans the ROLLBACK broadcast (which start fires
+		// before the application resumes) to the last peer RESPONSE.
+		r.recoveryStart, r.collectStart = now, now
+		r.recoveryTarget = c.failedAt[r.id]
+		r.recovering = r.recoveryTarget > r.deliveredCount
+		r.collectPending = r.recovering
+		c.ranks[r.id] = r
+	}
 	c.ranksMu.Unlock()
 
-	if recovering {
-		c.registerRollback(rank, r.incarnation, payload)
+	for i, r := range rs {
+		c.observer().OnRollback(r.id, r.n-1)
+		if !r.recovering {
+			// The failure lost no deliveries (it struck right after a
+			// checkpoint, or this is a restart): rolling forward is
+			// trivially complete. All four phase spans are emitted at
+			// zero duration so phase summaries stay symmetric across
+			// runs.
+			c.coll.Rank(r.id).RecoveryDone(0)
+			c.observer().OnRecoveryComplete(r.id, 0)
+			for _, phase := range RecoveryPhases {
+				c.emitPhase(r.id, phase, 0)
+			}
+		}
+		r.mu.Lock()
+		r.collectedLocked() // a one-rank cluster awaits no one
+		r.mu.Unlock()
+		// The restore notification precedes start: once the application
+		// runs, its first deliveries must already belong to an
+		// incarnation the observers know about (the trace checker ignores
+		// a dead rank's events until it sees the recover).
+		info := layer.RestoreInfo{Rank: r.id, FromStep: from[i], Incarnation: int(r.incarnation)}
+		r.chain.Restore(&info)
+		c.tr.Revive(r.id)
+		r.start(from[i])
 	}
-	c.observer().OnRollback(rank, expect)
-	if !recovering {
-		// The failure lost no deliveries (it struck right after a
-		// checkpoint): rolling forward is trivially complete. All four
-		// phase spans are emitted at zero duration so phase summaries
-		// stay symmetric across runs.
-		c.coll.Rank(rank).RecoveryDone(0)
-		c.observer().OnRecoveryComplete(rank, 0)
-		for _, phase := range RecoveryPhases {
-			c.emitPhase(rank, phase, 0)
+	c.sendOwedRollbacks(rs)
+	return nil
+}
+
+// sendOwedRollbacks sends each revived incarnation every ROLLBACK whose
+// open collection still counts its rank. The broadcast may have been lost
+// with a dead incarnation's inbox, or received by one that died before
+// answering; without the resend a recoverer could wait forever for
+// determinants or log resends only this rank holds. A rank restored in
+// the same set needs none: its own broadcast reached the others. A
+// duplicate ROLLBACK is harmless: the rank answers twice, and the
+// collection counts it once.
+func (c *Cluster) sendOwedRollbacks(revived []*rankRuntime) {
+	c.ranksMu.Lock()
+	peers := append([]*rankRuntime(nil), c.ranks...)
+	c.ranksMu.Unlock()
+	for _, o := range peers {
+		if o == nil || o.isKilled() || slices.Contains(revived, o) {
+			continue
+		}
+		for _, p := range revived {
+			o.mu.Lock()
+			owed := o.respAwait != nil && o.respAwait[p.id]
+			o.mu.Unlock()
+			if !owed {
+				continue
+			}
+			env := &wire.Envelope{Kind: wire.KindRollback, From: o.id, To: p.id,
+				Incarnation: o.incarnation, Payload: o.rollback}
+			if c.tr.Send(env, transportSendOpts(false, o.killed)) == nil {
+				c.coll.Rank(o.id).ControlMsg()
+			}
 		}
 	}
-	// No live peer to collect from (every other rank is down): the
-	// collection phase is empty and the roll proceeds on replayed
-	// ROLLBACKs alone. The runtime is published, so a concurrent Kill of
-	// its last awaited peer may already have closed the phase: decide
-	// under the rank lock.
-	r.mu.Lock()
-	r.collectedLocked()
-	r.mu.Unlock()
-
-	// The restore notification precedes start: once the application
-	// runs, its first deliveries must already belong to an incarnation
-	// the observers know about (the trace checker ignores a dead rank's
-	// events until it sees the recover).
-	info := layer.RestoreInfo{Rank: rank, FromStep: fromStep, Incarnation: int(r.incarnation)}
-	r.chain.Restore(&info)
-	c.tr.Revive(rank)
-	r.start(fromStep, payload)
-	// Serve this incarnation any ROLLBACK it slept through: peers still
-	// collecting demands get their late RESPONSE and log resends.
-	c.replayPendingRollbacks(rank)
-	return nil
 }
 
 // restoreCheckpoint applies checkpoint cp to a not-yet-started runtime:
@@ -207,76 +245,27 @@ func (r *rankRuntime) restoreCheckpoint(cp *ckpt.Checkpoint) error {
 
 // StartFromStable launches the cluster with every rank restored from its
 // durable checkpoint — the full-cluster restart path after the whole
-// process was SIGKILLed under a durable backend (Config.Stable). Ranks
-// without a durable checkpoint start from the initial state. Call it
-// instead of Start on a cluster whose stable backend holds a previous
-// run's state.
+// process was SIGKILLed under a durable backend (Config.Stable): it is
+// restore of every rank. Call it instead of Start on a cluster whose
+// stable backend holds a previous run's state.
 //
-// Each restored rank broadcasts a ROLLBACK exactly as a single-rank
-// recovery would: peers answer with RESPONSEs that re-establish
-// repetitive-send suppression bounds and resend the retained log items
-// beyond the restored delivery frontier. Nothing below any checkpoint
-// was lost, so every roll is trivially complete (the restart analogue of
-// a failure striking right after a checkpoint); deliveries the restart
-// rolled back are re-produced by peers' deterministic replay, and the
-// regenerated duplicates of already-delivered messages are absorbed by
-// receiver-side duplicate discard.
+// Each rank broadcasts a ROLLBACK exactly as a single-rank recovery
+// would, with a zero frontier when it has no durable checkpoint: peers
+// answer with RESPONSEs that re-establish repetitive-send suppression
+// bounds and resync floors, and resend the retained log items beyond the
+// restored delivery frontier. Nothing below any checkpoint was lost, so
+// every roll is trivially complete (the restart analogue of a failure
+// striking right after a checkpoint); deliveries the restart rolled back
+// are re-produced by peers' deterministic replay, and the regenerated
+// duplicates of already-delivered messages are absorbed by receiver-side
+// duplicate discard.
 func (c *Cluster) StartFromStable() error {
-	type boot struct {
-		r        *rankRuntime
-		fromStep int
-		rollback []byte
+	all := make([]int, c.cfg.N)
+	for rank := range all {
+		all[rank] = rank
 	}
-	boots := make([]boot, c.cfg.N)
-	for rank := 0; rank < c.cfg.N; rank++ {
-		r, err := c.newRuntime(rank, 0)
-		if err != nil {
-			return err
-		}
-		cp, ok, err := c.ckpts.LoadDurable(rank)
-		if err != nil {
-			return fmt.Errorf("harness: rank %d restart: %w", rank, err)
-		}
-		boots[rank] = boot{r: r}
-		if ok {
-			if err := r.restoreCheckpoint(cp); err != nil {
-				return err
-			}
-			boots[rank].fromStep = cp.Step
-			boots[rank].rollback = encodeRollback(r.deliveredCount, r.lastDeliverIndex.Clone())
-			// Seed trace baselines (the recorder, when it is the
-			// observer) so invariant checking measures the resumed run
-			// against the restored frontier instead of zero.
-			if s, ok := c.cfg.Observer.(interface {
-				SeedCheckpoint(rank, step int, lastSend, lastDeliver []int64, delivered int64)
-			}); ok {
-				s.SeedCheckpoint(cp.Rank, cp.Step, cp.LastSendIndex, cp.LastDeliverIndex, cp.DeliveredCount)
-			}
-		}
-	}
-	// Register every runtime before any starts: each rank must be able
-	// to serve the others' ROLLBACKs from its first instant.
-	c.ranksMu.Lock()
-	for rank := range boots {
-		c.ranks[rank] = boots[rank].r
-	}
-	c.ranksMu.Unlock()
-	for rank := range boots {
-		b := &boots[rank]
-		r := b.r
-		if b.rollback != nil {
-			// Expect a RESPONSE from every peer, exactly like a trivial
-			// single-rank recovery; the protocol may gate deliveries on
-			// the collected recovery data.
-			r.beginRecovery(func(int) bool { return true })
-			r.mu.Lock()
-			r.collectedLocked() // a one-rank cluster awaits no one
-			r.mu.Unlock()
-		}
-		// Before start, as in Recover: no delivery may precede it.
-		info := layer.RestoreInfo{Rank: rank, FromStep: b.fromStep, Incarnation: int(r.incarnation)}
-		r.chain.Restore(&info)
-		r.start(b.fromStep, b.rollback)
+	if err := c.restore(all); err != nil {
+		return err
 	}
 	if c.cfg.StallTimeout > 0 {
 		go c.stallWatchdog()
@@ -294,80 +283,4 @@ func (c *Cluster) KillAndRecover(rank int, detectDelay time.Duration) error {
 		c.clk.Sleep(detectDelay)
 	}
 	return c.Recover(rank)
-}
-
-// registerRollback records an incarnation's outstanding ROLLBACK so ranks
-// that revive mid-collection can be served it (every peer starts in
-// awaiting — dead ones must answer after they come back).
-func (c *Cluster) registerRollback(rank int, inc int32, payload []byte) {
-	awaiting := make(map[int]bool, c.cfg.N-1)
-	for p := 0; p < c.cfg.N; p++ {
-		if p != rank {
-			awaiting[p] = true
-		}
-	}
-	c.pendingMu.Lock()
-	c.pendingRec[rank] = &pendingRollback{incarnation: inc, payload: payload, awaiting: awaiting}
-	c.pendingMu.Unlock()
-}
-
-// rollbackServed marks responder's RESPONSE to recoverer's current
-// incarnation as received; once served, a revival of responder no longer
-// replays the ROLLBACK to it.
-func (c *Cluster) rollbackServed(recoverer, responder int, inc int32) {
-	c.pendingMu.Lock()
-	if pr := c.pendingRec[recoverer]; pr != nil && pr.incarnation == inc {
-		delete(pr.awaiting, responder)
-	}
-	c.pendingMu.Unlock()
-}
-
-// clearRollback drops rank's outstanding ROLLBACK once its roll-forward
-// completed (only for the incarnation that registered it — a newer
-// incarnation's entry must survive).
-func (c *Cluster) clearRollback(rank int, inc int32) {
-	c.pendingMu.Lock()
-	if pr := c.pendingRec[rank]; pr != nil && pr.incarnation == inc {
-		delete(c.pendingRec, rank)
-	}
-	c.pendingMu.Unlock()
-}
-
-// dropRollback unconditionally discards rank's outstanding ROLLBACK (its
-// incarnation died; the next one registers afresh).
-func (c *Cluster) dropRollback(rank int) {
-	c.pendingMu.Lock()
-	delete(c.pendingRec, rank)
-	c.pendingMu.Unlock()
-}
-
-// replayPendingRollbacks re-sends to the just-revived rank every ROLLBACK
-// it has not yet served. The original broadcast to it died in its dead
-// window; without the replay a recoverer could wait forever for log
-// resends only this rank holds.
-func (c *Cluster) replayPendingRollbacks(revived int) {
-	c.pendingMu.Lock()
-	var envs []*wire.Envelope
-	for rank, pr := range c.pendingRec {
-		if rank == revived || !pr.awaiting[revived] {
-			continue
-		}
-		envs = append(envs, &wire.Envelope{
-			Kind:        wire.KindRollback,
-			From:        rank,
-			To:          revived,
-			Incarnation: pr.incarnation,
-			Payload:     append([]byte(nil), pr.payload...),
-		})
-	}
-	c.pendingMu.Unlock()
-	sort.Slice(envs, func(i, j int) bool { return envs[i].From < envs[j].From })
-	for _, env := range envs {
-		c.coll.Rank(env.From).ControlMsg()
-		if err := c.tr.Send(env, transport.SendOpts{}); err != nil {
-			// The recoverer died between the snapshot and the send; its
-			// next incarnation re-registers and re-broadcasts.
-			continue
-		}
-	}
 }

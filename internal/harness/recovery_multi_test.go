@@ -90,11 +90,10 @@ func (o *captureObs) OnIngestRejected(rank int, kind string) {
 	o.mu.Unlock()
 }
 
-// TestRecoverWithDeadPeer is the live-rank counting regression: a rank
-// recovering while another rank is still down must count only live
-// peers in its RESPONSE expectation. The old n-1 count waited on the
-// dead peer forever, hanging collection (and tripping the stall
-// watchdog) on every protocol.
+// TestRecoverWithDeadPeer: a rank recovering while another rank is
+// still down counts the down rank in its RESPONSE expectation, and the
+// down rank answers once it revives. Neither may hang collection (or
+// trip the stall watchdog) on any protocol.
 func TestRecoverWithDeadPeer(t *testing.T) {
 	for _, p := range allProtocols {
 		p := p
@@ -110,8 +109,8 @@ func TestRecoverWithDeadPeer(t *testing.T) {
 					t.Errorf("Kill(2): %v", err)
 				}
 				time.Sleep(time.Millisecond)
-				// Rank 1 recovers while rank 2 is still dead: its
-				// expectation must be the two live peers, not three.
+				// Rank 1 recovers while rank 2 is still dead: rank 2
+				// owes its RESPONSE until it revives.
 				if err := c.Recover(1); err != nil {
 					t.Errorf("Recover(1): %v", err)
 				}
@@ -211,8 +210,8 @@ func TestCorruptControlRejected(t *testing.T) {
 
 // TestConcurrentKillRecover fails two distinct ranks from two
 // goroutines racing each other, on both transports — exercising the
-// mutual suppression-bound clamping and the per-incarnation pending
-// ROLLBACK registry under the race detector.
+// mutual suppression-bound clamping and the resend of owed ROLLBACKs to
+// a reviving rank under the race detector.
 func TestConcurrentKillRecover(t *testing.T) {
 	for _, tk := range []transport.Kind{transport.Mem, transport.TCP} {
 		tk := tk
@@ -245,10 +244,10 @@ func TestConcurrentKillRecover(t *testing.T) {
 
 // TestKillPeerDuringCollect kills a responder immediately after a
 // recovery begins, while the recoverer's ROLLBACK is (most likely)
-// still being answered; the recoverer must drop the dead peer from its
-// expectation and complete. Under TAG and TEL the collection gates every
-// delivery, so a lost responder that is never accounted for wedges the
-// roll. The deterministic phase-triggered variant lives in
+// still being answered; the dead peer still owes its RESPONSE and must
+// answer after it revives. Under TAG and TEL the collection gates every
+// delivery, so a responder that is never sent the ROLLBACK again wedges
+// the roll. The deterministic phase-triggered variant lives in
 // internal/chaos.
 func TestKillPeerDuringCollect(t *testing.T) {
 	for _, p := range allProtocols {
@@ -338,9 +337,9 @@ func (o *killInRecoverObs) setHook(f func(rank int)) {
 // TestKillLastResponderInsideRecover is the deterministic form of the
 // Recover/Kill race: rank 1 recovers with rank 3 its only live peer, and
 // rank 3 is killed from inside Recover(1), between the runtime's
-// publication and the empty-collection check. Kill closes the collection
-// phase; Recover must not close it a second time (it used to read
-// respExpect unlocked and emit collect-demands again).
+// publication and the empty-collection check. The kill leaves rank 1's
+// collection open; it closes once ranks 0, 2 and 3 have revived and
+// answered, and the collect-demands span is emitted exactly once.
 func TestKillLastResponderInsideRecover(t *testing.T) {
 	cfg := testConfig(4, TDI)
 	cfg.CheckpointEvery = 0 // any delivery makes the recovery non-trivial

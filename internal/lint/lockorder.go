@@ -18,9 +18,9 @@ import (
 // with Lock/Unlock method pairs (a channel-backed lock, say). Acquisitions
 // under a held lock are collected both directly and through statically
 // resolvable calls (a bounded transitive closure over the analyzed
-// packages), so `Recv -> deliverLocked -> clearRollback` contributes the
-// rankRuntime.mu -> pendingMu edge even though no one function takes
-// both locks.
+// packages), so `Recv -> takeDeliverableLocked -> takeShard -> lockShard`
+// contributes the rankRuntime.mu -> deliveryShard.mu edge even though no
+// one function takes both locks.
 //
 // Limitations, by construction: locks reached through interfaces or
 // function values are invisible; two instances of the same (type, field)

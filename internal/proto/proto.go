@@ -86,8 +86,9 @@ type Protocol interface {
 	// BeginRecovery tells the protocol its rank is an incarnation about
 	// to roll forward from the state just restored. The harness alone
 	// decides when the collection phase that opens here ends: it counts
-	// the peers live at ROLLBACK time and, on a Replayer, calls
-	// OnCollected once each has answered or died.
+	// every peer and, on a Replayer, calls OnCollected once each has
+	// answered this incarnation's ROLLBACK (a peer that is down answers
+	// after it revives).
 	BeginRecovery()
 
 	// OnPeerRollback tells the protocol that peer began a recovery whose
@@ -111,12 +112,12 @@ type Replayer interface {
 	RecoveryData(failed int, ckptDeliveredCount int64) []byte
 
 	// OnRecoveryData merges one RESPONSE's payload. It accepts any
-	// RESPONSE — counted, late from a peer that revived, or stale toward
-	// a previous incarnation — and never ends the collection phase.
+	// RESPONSE — an answer to this incarnation's ROLLBACK, or a stale one
+	// toward a previous incarnation — and never ends the collection phase.
 	OnRecoveryData(from int, data []byte) error
 
 	// OnCollected ends the collection phase BeginRecovery opened: every
-	// peer counted at ROLLBACK time has answered or died. The harness is
+	// peer has answered this incarnation's ROLLBACK. The harness is
 	// the only counter; this call is the protocol's only signal.
 	OnCollected()
 

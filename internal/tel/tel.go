@@ -247,17 +247,25 @@ func (t *TEL) RecoveryData(failed int, ckptDeliveredCount int64) []byte {
 	return determinant.AppendSlice(nil, out)
 }
 
-// BeginRecovery implements proto.Protocol: fetch own stable determinants
-// from the event logger (a synchronous stable-storage read); the
-// survivors' unstable ones arrive through OnRecoveryData. Whatever
-// unstable determinants a responder that died held for this rank are
-// lost with it — the loss a PWD protocol accepts for simultaneous
-// failures.
-func (t *TEL) BeginRecovery() {
-	t.Replay.Begin(t.ownDelivered)
+// BeginRecovery implements proto.Protocol: every delivery holds until
+// OnCollected. The survivors' unstable determinants arrive through
+// OnRecoveryData; whatever unstable ones a responder that died held for
+// this rank are lost with it — the loss a PWD protocol accepts for
+// simultaneous failures.
+func (t *TEL) BeginRecovery() { t.Replay.Begin(t.ownDelivered) }
+
+// OnCollected implements proto.Replayer: fetch own stable determinants
+// from the event logger (a synchronous stable-storage read), then end
+// the hold. The fetch waits until every peer has answered: a survivor
+// drops a determinant from what it holds only once the logger has acked
+// it as stable, so one missing from every answer was logged before the
+// last answer was sent. Fetched at BeginRecovery, it could miss a dead
+// incarnation's last flush, which the logger commits later.
+func (t *TEL) OnCollected() {
 	if t.logger != nil {
 		t.Replay.Record(t.logger.FetchFor(t.rank, t.ownDelivered)...)
 	}
+	t.Replay.OnCollected()
 }
 
 // OnRecoveryData implements proto.Replayer.

@@ -236,6 +236,31 @@ func TestRecoveryUsesLoggerAndResponses(t *testing.T) {
 	}
 }
 
+// TestRecoveryFetchesAfterCollection: the logger commits a determinant
+// of this rank after its incarnation began recovering — a dead
+// incarnation's last flush — and the survivor that held it dropped it as
+// stable before answering. The fetch at the end of collection must still
+// pin the slot to it.
+func TestRecoveryFetchesAfterCollection(t *testing.T) {
+	lg := newLoggerT(t, 3, 0)
+	inc := New(1, 3, lg, &sync.Mutex{}, nil, nil)
+	inc.BeginRecovery()
+
+	acked := make(chan struct{})
+	lg.LogAsync([]determinant.D{{Sender: 0, SendIndex: 1, Receiver: 1, DeliverIndex: 1}},
+		func(vclock.Vec) { close(acked) })
+	<-acked
+	if err := inc.OnRecoveryData(2, determinant.AppendSlice(nil, nil)); err != nil {
+		t.Fatal(err)
+	}
+	inc.OnCollected()
+
+	m2 := envFrom(New(2, 3, nil, nil, nil, nil), 2, 1, 1)
+	if v, err := inc.Deliverable(m2, 0); err != nil || v != proto.Hold {
+		t.Fatalf("slot 1 is logged for rank 0's message, yet rank 2's was %v (%v)", v, err)
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	lg := newLoggerT(t, 3, time.Hour)
 	var mu sync.Mutex

@@ -23,10 +23,11 @@ import (
 //   - checkpoint-count: a checkpoint's recorded deliveredCount equals
 //     the delivery count replayed from the trace;
 //   - rollback-response: every ROLLBACK eventually pairs with the
-//     RESPONSEs it expected from live peers — a recovery that never
-//     completed must not still be waiting on a peer that died (each
-//     awaited peer's death shrinks the expectation, exactly as the
-//     harness adjusts it).
+//     RESPONSEs it expected, one from every peer — a recovery that never
+//     completed must not still be waiting on a peer. A peer's death does
+//     not shrink the expectation: it owes its RESPONSE until it revives
+//     and answers, or until the recovery completes, exactly as the
+//     harness counts it.
 //
 // Failure semantics mirror Validate: a killed rank's events are ignored
 // until its EvRecover (a dying incarnation can record a final straggler
@@ -72,26 +73,19 @@ func CheckEvents(events []Event) []Problem {
 }
 
 // rbPending is one outstanding ROLLBACK being audited: how many
-// RESPONSEs the recoverer still expects, which peers have responded, and
-// whether the recovery completed (late responses may then still be in
-// flight when the trace ends, which is not a violation). A key in
-// awaited pins a peer as no longer eligible to shrink the expectation:
-// it was dead at broadcast time (never counted) or already shrunk it by
-// dying once.
+// RESPONSEs the recoverer expects, which peers have responded, and
+// whether the recovery completed (responses may then still be in flight
+// when the trace ends, which is not a violation).
 type rbPending struct {
 	seq       int
 	expect    int
-	awaited   map[int]bool
 	responded map[int]bool
 	completed bool
 }
 
 func (p *rbPending) clone() *rbPending {
 	n := &rbPending{seq: p.seq, expect: p.expect, completed: p.completed,
-		awaited: make(map[int]bool, len(p.awaited)), responded: make(map[int]bool, len(p.responded))}
-	for k, v := range p.awaited {
-		n.awaited[k] = v
-	}
+		responded: make(map[int]bool, len(p.responded))}
 	for k, v := range p.responded {
 		n.responded[k] = v
 	}
@@ -170,20 +164,9 @@ func (c *checker) feed(e Event) {
 	case EvKill:
 		c.dead[e.Rank] = true
 		// A crashed recoverer's collection dies with it; its next
-		// incarnation records a fresh EvRollback.
+		// incarnation records a fresh EvRollback. Other collections keep
+		// counting the dead rank: it answers once it revives.
 		delete(c.rb, e.Rank)
-		// Any pending collection awaiting the dead rank stops counting
-		// it, mirroring the harness's responder-lost adjustment. A rank
-		// already pinned in awaited (dead at broadcast, or shrunk by an
-		// earlier death) must not shrink the expectation again.
-		for _, p := range c.rb {
-			if _, pinned := p.awaited[e.Rank]; !pinned && !p.responded[e.Rank] {
-				p.awaited[e.Rank] = false
-				if p.expect > 0 {
-					p.expect--
-				}
-			}
-		}
 	case EvRecover:
 		c.dead[e.Rank] = false
 		if snap := c.ckpt[e.Rank]; snap != nil {
@@ -193,19 +176,8 @@ func (c *checker) feed(e Event) {
 		}
 	case EvRollback:
 		// Supersedes any prior pending entry for the rank (per
-		// incarnation). awaited records which peers the expectation may
-		// shrink by when they die: any rank not known dead at broadcast
-		// time (the checker does not know N, so membership is decided at
-		// kill time — a rank dead now was not counted by the harness and
-		// must not shrink the expectation on its next death).
-		p := &rbPending{seq: e.Seq, expect: int(e.Count),
-			awaited: map[int]bool{}, responded: map[int]bool{}}
-		for rank, d := range c.dead {
-			if d {
-				p.awaited[rank] = false // pin: dead at broadcast, never awaited
-			}
-		}
-		c.rb[e.Rank] = p
+		// incarnation).
+		c.rb[e.Rank] = &rbPending{seq: e.Seq, expect: int(e.Count), responded: map[int]bool{}}
 	case EvResponse:
 		if p := c.rb[e.Rank]; p != nil {
 			p.responded[e.Peer] = true
@@ -218,8 +190,8 @@ func (c *checker) feed(e Event) {
 }
 
 // finish reports rollback-response violations: a ROLLBACK whose recovery
-// never completed and whose adjusted expectation was never met is a
-// collection phase that would have hung the run.
+// never completed and whose expectation was never met is a collection
+// phase that would have hung the run.
 func (c *checker) finish() {
 	ranks := make([]int, 0, len(c.rb))
 	for rank := range c.rb {

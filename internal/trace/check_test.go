@@ -275,36 +275,40 @@ func TestRollbackResponseCompletedExempt(t *testing.T) {
 	}
 }
 
-// TestRollbackResponseResponderDeathShrinks mirrors the harness's
-// responder-lost adjustment: an awaited peer dying shrinks the
-// expectation, so the surviving RESPONSE alone satisfies the rule.
-func TestRollbackResponseResponderDeathShrinks(t *testing.T) {
-	r := &Recorder{}
-	r.OnKill(1)
-	r.OnRecover(1, 0)
-	r.OnRollback(1, 2)
-	r.OnResponse(1, 0)
-	r.OnKill(2) // awaited responder dies before answering
-	if problems := r.CheckInvariants(); len(problems) > 0 {
-		t.Fatalf("death-shrunk collection flagged: %v", problems)
-	}
-}
-
-// TestRollbackResponseDeadAtBroadcastPinned covers the pin semantics: a
-// peer already dead at broadcast time was never counted, so its later
-// kill-revive-kill cycle must not shrink the expectation below what the
-// live peers owe.
-func TestRollbackResponseDeadAtBroadcastPinned(t *testing.T) {
+// TestRollbackResponseDeadResponderStaysOwed pins that a death never
+// shrinks a collection: a responder that dies before answering is still
+// owed, whether it died before the broadcast or after it, until it
+// revives and answers — or until the recovery completes.
+func TestRollbackResponseDeadResponderStaysOwed(t *testing.T) {
 	r := &Recorder{}
 	r.OnKill(2) // dead before the broadcast
 	r.OnKill(1)
 	r.OnRecover(1, 0)
-	r.OnRollback(1, 1) // expects only rank 0
-	r.OnRecover(2, 0)
-	r.OnRollback(2, 2)
-	r.OnKill(2) // its death must not shrink rank 1's expectation again
+	r.OnRollback(1, 3)
+	r.OnResponse(1, 0)
+	r.OnKill(3) // dies after the broadcast, before answering
 	if !rulesOf(r.CheckInvariants())["rollback-response"] {
-		t.Fatalf("pinned dead-at-broadcast peer shrank the expectation")
+		t.Fatal("a collection still owed by two dead responders passed")
+	}
+	r.OnRecover(2, 0)
+	r.OnResponse(1, 2) // revived, answers
+	if !rulesOf(r.CheckInvariants())["rollback-response"] {
+		t.Fatal("a collection still owed by one dead responder passed")
+	}
+	r.OnRecover(3, 0)
+	r.OnResponse(1, 3)
+	if problems := r.CheckInvariants(); len(problems) > 0 {
+		t.Fatalf("a collection every peer answered was flagged: %v", problems)
+	}
+
+	r = &Recorder{}
+	r.OnKill(1)
+	r.OnRecover(1, 0)
+	r.OnRollback(1, 2)
+	r.OnKill(2)
+	r.OnRecoveryComplete(1, 0)
+	if problems := r.CheckInvariants(); len(problems) > 0 {
+		t.Fatalf("a completed recovery owed by a dead responder was flagged: %v", problems)
 	}
 }
 

@@ -41,8 +41,8 @@ const (
 	// nanoseconds. Introduced with trace header version 2.
 	EvRecoveryPhase
 	// EvRollback is a recovering rank broadcasting its ROLLBACK; Count
-	// carries the number of RESPONSEs it expects (the peers live at
-	// broadcast time). Introduced with trace header version 3.
+	// carries the number of RESPONSEs it expects (n-1: every peer).
+	// Introduced with trace header version 3.
 	EvRollback
 	// EvResponse is a recovering rank absorbing a RESPONSE from Peer
 	// (counted or late). Introduced with trace header version 3.
@@ -171,8 +171,8 @@ func (r *Recorder) OnRecoveryComplete(rank int, d time.Duration) {
 }
 
 // OnRollback implements harness.Observer. expect is the number of
-// RESPONSEs the recoverer will wait for — the peers live at broadcast
-// time; the rollback-response pairing rule audits it offline.
+// RESPONSEs the recoverer will wait for — every peer, n-1; the
+// rollback-response pairing rule audits it offline.
 func (r *Recorder) OnRollback(rank, expect int) {
 	r.add(Event{Kind: EvRollback, Rank: rank, Count: int64(expect)})
 }

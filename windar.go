@@ -441,10 +441,11 @@ func (c *Cluster) Start() error { return c.inner.Start() }
 
 // StartFromStable launches the cluster with every rank restored from its
 // durable checkpoint — the restart path after the previous process was
-// killed while running over StableDisk on the same StableDir. Ranks
-// without a durable checkpoint start fresh, so on an empty directory it
-// behaves exactly like Start. Restored ranks broadcast ROLLBACKs and
-// roll forward exactly as single-rank recoveries do; when Config.Trace
+// killed while running over StableDisk on the same StableDir. A rank
+// without a durable checkpoint restores the initial state, so on an
+// empty directory the run reaches the same result as Start. Every rank
+// broadcasts a ROLLBACK and rolls forward exactly as a single-rank
+// recovery does, through the same restore path; when Config.Trace
 // is set the recorder is seeded with the restored checkpoint baselines
 // so validation measures the resumed run correctly (the seed is
 // in-process only — an exported trace of a resumed run covers just the
