@@ -23,11 +23,15 @@ race:
 # traced chaos schedule whose trace checker catches a kill landing inside
 # a checkpoint. TestMasterRecoveryResync is there for the recovered
 # master's resync floors: its roll-forward reorders AnySource deliveries.
+# TestReorderedReplayKeepsFloors forces that reorder where a delta would
+# lose an element, and TestRestartAfterReorderedReplayKeepsFloors restarts
+# after it; TestDeterministicReplayResendsDeltas has a named-source
+# replay resend its floor-free deltas to a second victim.
 # TestCountersExactAtQuiescence holds the app goroutine's batched
 # counters exact at every publication point, across a kill;
 # TestInlineSendIsABufferedSend races the fabric's lock-free inline
 # admission against Kill/Stall/Revive/Unstall.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack'
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/

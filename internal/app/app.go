@@ -19,7 +19,11 @@ package app
 // non-deterministic delivery. Under TDI an app that uses it must be
 // insensitive to the arrival order of the matched messages: TDI does not
 // log that order, and a recovering rank may deliver them in another one.
-// TAG and TEL replay the logged order.
+// TAG and TEL replay the logged order. A restored rank's first AnySource
+// delivery also costs TDI piggyback bytes: from then on, regenerated
+// sends at or below a peer's resync floor carry full vectors. A replay
+// that names every source sends the deltas of the original run, except
+// after a whole-cluster restart, which gates every rank.
 const AnySource = -1
 
 // AnyTag, passed as the tag of Recv, matches any tag on the candidate

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"windar/internal/vclock"
@@ -11,13 +12,14 @@ import (
 
 // The resync oracle: one channel S -> D (rank 1 to rank 0) across a
 // rollback of S. S's vector moves between sends because it delivers
-// feeder messages. The original run delivers them from rank 2, S's
-// successor from rank 3 — the reorder an AnySource roll-forward may
-// make — so a regenerated vector differs from the original at the same
-// send index in an element its own deltas need not repeat, and a delta
-// that assumes the receiver merged a send it discarded loses that
-// element. Ranks 4 and 5 only pad the vector, so a delta beats a full
-// vector.
+// feeder messages. The original run delivers them from rank 2. A
+// reordered replay — what an AnySource roll-forward may make — delivers
+// them from rank 3, so a regenerated vector differs from the original
+// at the same send index in an element its own deltas need not repeat,
+// and a delta that assumes the receiver merged a send it discarded
+// loses that element. A deterministic replay delivers the original's
+// feeder messages again. Ranks 4 and 5 only pad the vector, so a delta
+// beats a full vector.
 const (
 	rsN                   = 6
 	rsD, rsS, rsF, rsRegF = 0, 1, 2, 3
@@ -39,14 +41,20 @@ type resyncCase struct {
 	// total is how many sends the successor makes in all (from c+1).
 	total     int64
 	k, kRegen []int
+	// regenF is the regeneration's feeder: rsRegF reorders it, rsF
+	// re-executes the original when kRegen repeats k.
+	regenF int
+	// reordered, when non-nil, is the successor's reorder flag
+	// (SetReorderFlag); nil keeps its floors gating.
+	reordered *atomic.Bool
 }
 
-// randomResyncCase draws a history with 0 <= c <= H <= L.
+// randomResyncCase draws a reordered history with 0 <= c <= H <= L.
 func randomResyncCase(rng *rand.Rand) resyncCase {
 	L := int64(1 + rng.Intn(60))
 	H := rng.Int63n(L + 1)
 	c := rng.Int63n(H + 1)
-	rc := resyncCase{L: L, c: c, H: H, floor: H, total: L + 32 + rng.Int63n(20)}
+	rc := resyncCase{L: L, c: c, H: H, floor: H, total: L + 32 + rng.Int63n(20), regenF: rsRegF}
 	rc.k = make([]int, L)
 	for j := range rc.k {
 		rc.k[j] = rng.Intn(3)
@@ -56,6 +64,15 @@ func randomResyncCase(rng *rand.Rand) resyncCase {
 		rc.kRegen[j] = rng.Intn(3)
 	}
 	rc.at = rng.Intn(int(rc.total-c) + 1)
+	return rc
+}
+
+// deterministicResyncCase draws a history whose regeneration re-executes
+// the original run up to its last send L, then goes on as it likes.
+func deterministicResyncCase(rng *rand.Rand) resyncCase {
+	rc := randomResyncCase(rng)
+	rc.regenF = rsF
+	copy(rc.kRegen, rc.k[rc.c:])
 	return rc
 }
 
@@ -109,6 +126,13 @@ type resyncOutcome struct {
 	// known whose delta base is above it (index > floor+1); postWrong
 	// those among them that were not the smallest encoding.
 	postSends, postWrong int
+	// regenWrong counts the regenerated sends after the first, which has
+	// no delta base, that were not the smallest encoding — what a
+	// first-run sender would have sent.
+	regenWrong int
+	// diverged counts the regenerated sends up to L whose vector differs
+	// from the original's at the same send index.
+	diverged int
 }
 
 // runResync plays rc: S's original run with its checkpoint, D's
@@ -133,6 +157,9 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 	}
 
 	succ := New(rsS, rsN, nil, nil)
+	if rc.reordered != nil {
+		succ.SetReorderFlag(rc.reordered)
+	}
 	if err := succ.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +169,15 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 		if n == rc.at {
 			succ.OnPeerResync(rsD, rc.floor)
 		}
-		feed(succ, rsRegF, rc.kRegen[j-rc.c-1], &fidx)
+		feed(succ, rc.regenF, rc.kRegen[j-rc.c-1], &fidx)
 		pig, _ := succ.PiggybackForSend(rsD, j)
 		regen[j] = rsSend{pig, succ.DependInterval()}
+		if j > rc.c+1 && !bytes.Equal(pig, smallestEncoding(regen[j-1].want, regen[j].want)) {
+			out.regenWrong++
+		}
+		if j <= rc.L && !regen[j].want.Equal(orig[j].want) {
+			out.diverged++
+		}
 		switch {
 		case n < rc.at || j <= rc.floor:
 			if !isFull(pig) {
@@ -192,19 +225,47 @@ func runResync(t *testing.T, rc resyncCase) resyncOutcome {
 // delivery leaves the receiver with exactly its merge of the vector the
 // sender had when it encoded the message, and with that vector's demand.
 // Sends stay full until the floor arrives and at or below it; above it
-// every send is the smallest encoding again.
+// every send is the smallest encoding again — without a reorder flag
+// and with a set one.
 func TestResyncFloorDifferential(t *testing.T) {
+	set := new(atomic.Bool)
+	set.Store(true)
 	for seed := int64(1); seed <= 300; seed++ {
-		rc := randomResyncCase(rand.New(rand.NewSource(seed)))
+		for _, flag := range []*atomic.Bool{nil, set} {
+			rc := randomResyncCase(rand.New(rand.NewSource(seed)))
+			rc.reordered = flag
+			out := runResync(t, rc)
+			if out.mismatches != 0 {
+				t.Fatalf("seed %d %+v: %d deliveries left the receiver off its merge of the sender's vector", seed, rc, out.mismatches)
+			}
+			if out.deltaAtOrBelowFloor != 0 {
+				t.Fatalf("seed %d: %d deltas sent before the floor was known or at or below it", seed, out.deltaAtOrBelowFloor)
+			}
+			if out.postWrong != 0 {
+				t.Fatalf("seed %d: %d of %d sends above the floor were not the smallest encoding", seed, out.postWrong, out.postSends)
+			}
+		}
+	}
+}
+
+// TestResyncDeterministicReplayIgnoresFloor: with a clear reorder flag,
+// a regeneration that re-executes the original run sends every message
+// after its first as a first run would — the smallest encoding, at or
+// below the floor too — and every delivery still leaves the receiver
+// with exactly its merge of the sender's vector.
+func TestResyncDeterministicReplayIgnoresFloor(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rc := deterministicResyncCase(rand.New(rand.NewSource(seed)))
+		rc.reordered = new(atomic.Bool)
 		out := runResync(t, rc)
+		if out.diverged != 0 {
+			t.Fatalf("seed %d: the regeneration diverged from the original at %d sends", seed, out.diverged)
+		}
 		if out.mismatches != 0 {
 			t.Fatalf("seed %d %+v: %d deliveries left the receiver off its merge of the sender's vector", seed, rc, out.mismatches)
 		}
-		if out.deltaAtOrBelowFloor != 0 {
-			t.Fatalf("seed %d: %d deltas sent before the floor was known or at or below it", seed, out.deltaAtOrBelowFloor)
-		}
-		if out.postWrong != 0 {
-			t.Fatalf("seed %d: %d of %d sends above the floor were not the smallest encoding", seed, out.postWrong, out.postSends)
+		if out.regenWrong != 0 {
+			t.Fatalf("seed %d: %d regenerated sends were not the smallest encoding", seed, out.regenWrong)
 		}
 	}
 }
@@ -215,7 +276,7 @@ func TestResyncFloorDifferential(t *testing.T) {
 // successor's regenerated 8 to 12 carried rank 3's element, and the
 // regenerated 13 — the first D delivers — omits it as already sent.
 func staleFloorCase() resyncCase {
-	rc := resyncCase{L: 20, c: 4, H: 12, floor: 6, total: 20}
+	rc := resyncCase{L: 20, c: 4, H: 12, floor: 6, total: 20, regenF: rsRegF}
 	rc.k = make([]int, rc.L)
 	for j := range rc.k {
 		rc.k[j] = 1
@@ -242,4 +303,30 @@ func TestResyncStaleFloorDesyncs(t *testing.T) {
 	if out := runResync(t, rc); out.mismatches != 0 {
 		t.Fatalf("the honest floor desynchronized %d deliveries", out.mismatches)
 	}
+}
+
+// TestResyncReorderedReplayNeedsFlag is the negative case of the reorder
+// flag: a reordered regeneration whose flag was never set sends deltas
+// at or below the floor and loses an element at the receiver — in the
+// stale-floor history with its honest floor, and in some of the seeded
+// histories TestResyncFloorDifferential keeps exact with the flag set.
+func TestResyncReorderedReplayNeedsFlag(t *testing.T) {
+	rc := staleFloorCase()
+	rc.floor = rc.H
+	rc.reordered = new(atomic.Bool)
+	if out := runResync(t, rc); out.mismatches == 0 {
+		t.Fatal("a reordered replay with a clear flag never lost an element")
+	}
+	lost := 0
+	for seed := int64(1); seed <= 300; seed++ {
+		rc := randomResyncCase(rand.New(rand.NewSource(seed)))
+		rc.reordered = new(atomic.Bool)
+		if runResync(t, rc).mismatches != 0 {
+			lost++
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no seeded reordered history lost an element with a clear flag")
+	}
+	t.Logf("%d of 300 reordered histories lost an element with a clear flag", lost)
 }

@@ -41,15 +41,23 @@
 // which a piggyback that omits the receiver's own element repeats.
 // Sender and receiver state are both O(n).
 //
-// Regenerated sends after a rollback may diverge from the dead
-// incarnation's originals at the same send index, and a receiver that
-// discards a regenerated send as repetitive never merges its pairs. So a
-// restored or recovering incarnation keeps a per-destination delta floor:
-// the highest send index of its that the destination had ingested when it
-// answered the ROLLBACK (OnPeerResync; unknown until then). A delta is
-// sent only when the last send to the destination that carried pairs was
+// A receiver that discards a regenerated send as repetitive never
+// merges its pairs; it merged the dead incarnation's original instead.
+// A replay that makes no AnySource choice delivers the same messages in
+// the same order as the run it re-executes, so each regenerated vector
+// equals the original's and a delta on it is the one the receiver
+// expects. A replay that delivers through AnySource may reorder, and
+// then regenerated sends may diverge from the originals at the same send
+// index. So a restored or recovering incarnation keeps a per-destination
+// delta floor: the highest send index of its that the destination had
+// ingested when it answered the ROLLBACK (OnPeerResync; unknown until
+// then). Once the cluster's reorder flag is set (SetReorderFlag: some
+// restored incarnation has delivered through AnySource, or the cluster
+// restarted, whose logs may hold such a replay's records), a delta is sent
+// only when the last send to the destination that carried pairs was
 // above its floor, so the first such send above the floor is full and
-// every later delta builds on delivered messages.
+// every later delta builds on delivered messages. Until then the floors
+// are kept but gate nothing.
 //
 // The division of labour with the harness: the harness owns per-channel
 // FIFO/duplicate control (lines 19, 21, 28), the sender log and its
@@ -64,6 +72,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"windar/internal/clock"
 	"windar/internal/metrics"
@@ -109,6 +118,11 @@ type TDI struct {
 	// to each destination that carried pairs (see the package doc).
 	floor   []int64
 	sentIdx []int64
+	// reordered, set by SetReorderFlag, reports whether a restored
+	// incarnation anywhere in the cluster has delivered through
+	// AnySource, or the cluster restarted. While it is clear the floors
+	// gate nothing; nil keeps them gating.
+	reordered *atomic.Bool
 
 	// lastDemand[src] is the own-element demand of the last message
 	// merged from src, -1 before the first: the demand of a piggyback
@@ -156,6 +170,12 @@ func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TDI {
 // the smaller encoding or the destination has no delta base.
 func (t *TDI) SetRefreshEvery(k int) { t.fullVectors = k == 1 }
 
+// SetReorderFlag hands t the cluster's record of whether a restored
+// incarnation has delivered through AnySource, the one delivery a
+// replay may make in another order than the original run. Until f is
+// set, the delta floors gate nothing.
+func (t *TDI) SetReorderFlag(f *atomic.Bool) { t.reordered = f }
+
 // Name implements proto.Protocol.
 func (t *TDI) Name() string { return "tdi" }
 
@@ -188,15 +208,21 @@ func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 // empty one: dest has a delta base and no element rose since the last
 // send to it.
 func (t *TDI) unchangedSince(dest int) bool {
-	return t.deltaBase(dest) && t.lastSend[dest] == t.version
+	return t.deltaBase(dest) && t.lastSend[dest] == t.version && !t.floorBlocks(dest)
 }
 
-// deltaBase reports whether the next send to dest may be a delta: dest
-// has had a send since its base was last reset and, after a rollback,
-// the last send that carried pairs was above the destination's floor.
+// deltaBase reports whether dest has had a send since its base was last
+// reset, so the next send to it may be a delta unless its floor blocks.
 func (t *TDI) deltaBase(dest int) bool {
-	return !t.fullVectors && t.lastSend[dest] != 0 &&
-		(t.floor == nil || t.sentIdx[dest] > t.floor[dest])
+	return !t.fullVectors && t.lastSend[dest] != 0
+}
+
+// floorBlocks reports whether dest's delta floor forbids a delta: after
+// a rollback, once a replay may have reordered deliveries, the last send
+// to dest that carried pairs must be above the floor.
+func (t *TDI) floorBlocks(dest int) bool {
+	return t.floor != nil && t.sentIdx[dest] <= t.floor[dest] &&
+		(t.reordered == nil || t.reordered.Load())
 }
 
 // AppendPiggybackForSend appends the piggyback for message sendIndex to
@@ -219,9 +245,13 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 	if t.deltaBase(dest) {
 		since := t.lastSend[dest]
 		if size, pairs := wire.VecSinceSize(t.dependInterval, t.lastUpdate, since); size < wire.VecSize(t.dependInterval) {
-			buf = wire.AppendVecSince(buf, t.dependInterval, t.lastUpdate, since)
-			ids = 2*pairs + 1
-			delta = true
+			if t.floorBlocks(dest) {
+				t.m.PigFloorFull() // the floor alone keeps this send full
+			} else {
+				buf = wire.AppendVecSince(buf, t.dependInterval, t.lastUpdate, since)
+				ids = 2*pairs + 1
+				delta = true
+			}
 		}
 	}
 	if !delta {
@@ -370,9 +400,10 @@ func (t *TDI) AppendSnapshot(dst []byte) []byte {
 
 // Restore implements proto.Protocol (line 42): it accepts the layout of
 // AppendSnapshot only. Restoring drops every delta base and resets every delta
-// floor to unknown: the regenerated sends may diverge from the dead
-// incarnation's originals, so no delta is trustworthy until the
-// destination reports what it ingested (OnPeerResync).
+// floor to unknown: once a replay may have reordered, the regenerated
+// sends may diverge from the dead incarnation's originals, and no delta
+// is trustworthy until the destination reports what it ingested
+// (OnPeerResync).
 func (t *TDI) Restore(data []byte) error {
 	if len(data) == 0 || data[0] != snapshotMarker {
 		return fmt.Errorf("core: restore: no snapshot marker")

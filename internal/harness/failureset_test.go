@@ -160,11 +160,13 @@ func TestRecoverAwaitsDownHolder(t *testing.T) {
 // then hold at least every element of that vector except its own, and
 // the delivery's demand must be the vector's element for the receiver.
 // This is the check TestResyncFloorDifferential applies in
-// internal/core, applied to a whole cluster.
+// internal/core, applied to a whole cluster. seen, when set, is called
+// with every delivery, under mu.
 type dependProbe struct {
 	mu         sync.Mutex
 	deliveries int
 	bad        []string
+	seen       func(r *rankRuntime, m *layer.Msg)
 }
 
 func (p *dependProbe) Wrap(next layer.Handler) layer.Handler {
@@ -201,11 +203,27 @@ func (l dependProbeLayer) Deliver(m *layer.Msg) {
 	}
 	l.p.mu.Lock()
 	l.p.deliveries++
+	if l.p.seen != nil {
+		l.p.seen(l.r, m)
+	}
 	if bad != "" && len(l.p.bad) < 5 {
 		l.p.bad = append(l.p.bad, fmt.Sprintf("rank %d delivering %d#%d: %s", m.Rank, m.Peer, m.SendIndex, bad))
 	}
 	l.p.mu.Unlock()
 	l.Next.Deliver(m)
+}
+
+// assertClean fails t on every report and when no delivery was probed.
+func (p *dependProbe) assertClean(t *testing.T) {
+	t.Helper()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, b := range p.bad {
+		t.Error(b)
+	}
+	if p.deliveries == 0 {
+		t.Error("the probe saw no delivery")
+	}
 }
 
 // echoMasterApp has the master answer each worker as soon as its message
@@ -313,14 +331,7 @@ func TestRestartWithoutCheckpointRollsBack(t *testing.T) {
 					t.Errorf("rank %d: resumed state %x, fault-free %x", rank, got, want[rank])
 				}
 			}
-			probe.mu.Lock()
-			defer probe.mu.Unlock()
-			for _, b := range probe.bad {
-				t.Error(b)
-			}
-			if probe.deliveries == 0 {
-				t.Fatal("the probe saw no delivery")
-			}
+			probe.assertClean(t)
 		})
 	}
 }

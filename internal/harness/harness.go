@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"windar/internal/app"
@@ -260,6 +261,13 @@ type Cluster struct {
 	ckptStallFam *obs.Family
 	phaseFam     map[string]*obs.Family
 
+	// replayReordered is set, never cleared, by the first AnySource
+	// delivery of a restored incarnation, or by a restart: from then on a
+	// replay may have delivered in another order than the run it
+	// re-executes, and TDI's resync floors gate deltas
+	// (core.TDI.SetReorderFlag).
+	replayReordered atomic.Bool
+
 	ranksMu  sync.Mutex
 	ranks    []*rankRuntime
 	finished []bool
@@ -395,6 +403,7 @@ func (c *Cluster) newProtocol(r *rankRuntime) (proto.Protocol, error) {
 		if c.cfg.FullVectors {
 			p.SetRefreshEvery(1)
 		}
+		p.SetReorderFlag(&c.replayReordered)
 		return p, nil
 	case TAG:
 		return tag.New(r.id, c.cfg.N, m, c.clk), nil

@@ -574,6 +574,11 @@ func (r *rankRuntime) Recv(source int, tag int32) ([]byte, int) {
 	r.checkKilled()
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if source == app.AnySource && r.rollback != nil && !r.c.replayReordered.Load() {
+		// A restored incarnation's AnySource choice may differ from the
+		// dead one's, and so may every vector it sends after it.
+		r.c.replayReordered.Store(true)
+	}
 	// recvStart feeds the obs layer's deliver-latency histogram. The
 	// clock is read lazily, on the first failed scan: a Recv satisfied
 	// by an already-queued message never touches the clock and records

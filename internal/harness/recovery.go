@@ -259,7 +259,13 @@ func (r *rankRuntime) restoreCheckpoint(cp *ckpt.Checkpoint) error {
 // are re-produced by peers' deterministic replay, and the regenerated
 // duplicates of already-delivered messages are absorbed by receiver-side
 // duplicate discard.
+//
+// The restart sets the reorder flag before any rank starts: an earlier
+// process may have logged records regenerated by a reordered AnySource
+// replay, and a rank that redelivers one from a peer's log diverges from
+// the sends its own peers merged, although it names every source.
 func (c *Cluster) StartFromStable() error {
+	c.replayReordered.Store(true)
 	all := make([]int, c.cfg.N)
 	for rank := range all {
 		all[rank] = rank

@@ -46,6 +46,7 @@ type Rank struct {
 	blockedSendNanos    atomic.Int64
 	pigDeltaMsgs        atomic.Int64
 	pigFullMsgs         atomic.Int64
+	pigFloorFullMsgs    atomic.Int64
 	ingestRejected      atomic.Int64
 	shardContended      atomic.Int64
 }
@@ -123,6 +124,10 @@ func (r *Rank) PigDelta(bytes int) {
 // PigFull records one outgoing piggyback emitted as a full vector.
 func (r *Rank) PigFull() { r.pigFullMsgs.Add(1) }
 
+// PigFloorFull records one full-vector piggyback that was full only
+// because TDI's resync floor blocked the smaller delta.
+func (r *Rank) PigFloorFull() { r.pigFloorFullMsgs.Add(1) }
+
 // IngestRejected records one incoming envelope dropped or held because
 // its piggyback or framing failed validation.
 func (r *Rank) IngestRejected() { r.ingestRejected.Add(1) }
@@ -178,6 +183,7 @@ func (r *Rank) Snapshot() Snapshot {
 		BlockedSendNanos:    r.blockedSendNanos.Load(),
 		PigDeltaMsgs:        r.pigDeltaMsgs.Load(),
 		PigFullMsgs:         r.pigFullMsgs.Load(),
+		PigFloorFullMsgs:    r.pigFloorFullMsgs.Load(),
 		IngestRejected:      r.ingestRejected.Load(),
 	}
 }
@@ -203,6 +209,7 @@ type Snapshot struct {
 	BlockedSendNanos    int64
 	PigDeltaMsgs        int64
 	PigFullMsgs         int64
+	PigFloorFullMsgs    int64
 	IngestRejected      int64
 }
 
@@ -226,6 +233,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.BlockedSendNanos += o.BlockedSendNanos
 	s.PigDeltaMsgs += o.PigDeltaMsgs
 	s.PigFullMsgs += o.PigFullMsgs
+	s.PigFloorFullMsgs += o.PigFloorFullMsgs
 	s.IngestRejected += o.IngestRejected
 	return s
 }
@@ -345,6 +353,7 @@ func (s Snapshot) Vars() []Var {
 		{"blocked_send_ns", s.BlockedSendNanos},
 		{"pig_delta_msgs", s.PigDeltaMsgs},
 		{"pig_full_msgs", s.PigFullMsgs},
+		{"pig_floor_full_msgs", s.PigFloorFullMsgs},
 		{"ingest_rejected", s.IngestRejected},
 	}
 }

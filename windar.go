@@ -260,7 +260,10 @@ type Config struct {
 	// compute the same state whatever the arrival order of the messages
 	// a receive matches. TAG and TEL replay the recorded order and carry
 	// no such contract; an app whose state depends on arrival order needs
-	// one of them.
+	// one of them. Under TDI an AnySource app also pays full-vector
+	// piggybacks in replays, up to each peer's resync floor; an app that
+	// names every source replays with the deltas of its first run, except
+	// after a whole-cluster restart.
 	Protocol Protocol
 	// Mode defaults to NonBlocking.
 	Mode Mode
