@@ -33,7 +33,7 @@ func main() {
 		procs    = flag.Int("procs", 4, "number of processes")
 		steps    = flag.Int("steps", 40, "workload steps")
 		appName  = flag.String("app", "ring", "comma-separated workloads: ring, halo, masterworker, pairs, lu, bt, sp")
-		proto    = flag.String("protocol", "tdi", "comma-separated protocols: tdi, tag, tel")
+		proto    = flag.String("protocol", "tdi", "comma-separated protocols: tdi, tag, tel, none (unprotected: runs fault-free, without checkpoints)")
 		ckpt     = flag.Int("ckpt-every", 3, "checkpoint interval in steps")
 		faults   = flag.Int("faults", 8, "generated fault actions per schedule")
 		spacing  = flag.Duration("spacing", 3*time.Millisecond, "mean gap between generated actions")
@@ -135,7 +135,11 @@ func main() {
 
 	for _, app := range splitList(*appName) {
 		for _, p := range splitList(*proto) {
+			o := o
 			o.Run.App, o.Run.Protocol = app, harness.ProtocolKind(p)
+			if o.Run.Protocol == harness.None {
+				o.Schedule, o.Run.CheckpointEvery = &chaos.Schedule{}, 0
+			}
 			fmt.Printf("windar-chaos: %d seeds x %d transports, app=%s protocol=%s procs=%d replay=%v\n",
 				len(o.Seeds), len(o.Transports), app, p, *procs, *replay)
 			if err := chaos.Soak(o); err != nil {

@@ -24,7 +24,7 @@ func main() {
 	var (
 		appName   = flag.String("app", "lu", "workload: lu, bt, sp, ring, halo, masterworker, pairs")
 		procs     = flag.Int("procs", 4, "number of processes")
-		protocol  = flag.String("protocol", "tdi", "logging protocol: tdi, tag, tel")
+		protocol  = flag.String("protocol", "tdi", "logging protocol: tdi, tag, tel, none (unprotected: fault-free, with -ckpt-every 0)")
 		mode      = flag.String("mode", "nonblocking", "communication mode: nonblocking, blocking")
 		tport     = flag.String("transport", "mem", "communication substrate: mem (simulated fabric), tcp (loopback sockets)")
 		n         = flag.Int("n", 8, "NPB grid edge")

@@ -1,9 +1,10 @@
 // Protocols compares the three causal message logging protocols — TDI
 // (the paper's contribution), TAG (antecedence graph) and TEL (event
-// logger) — on the same workload: a miniature of the paper's Fig. 6/7,
-// printed side by side, plus a recovery-latency comparison showing TDI's
-// "proactive perception of delivery order" advantage during rolling
-// forward.
+// logger) — and the unprotected baseline on the same workload: a
+// miniature of the paper's Fig. 6/7, printed side by side, plus a
+// recovery-latency comparison showing TDI's "proactive perception of
+// delivery order" advantage during rolling forward. The baseline takes
+// no checkpoints and is never killed.
 //
 //	go run ./examples/protocols
 package main
@@ -25,7 +26,7 @@ func main() {
 
 	fmt.Printf("%-8s %18s %16s %14s %16s\n",
 		"protocol", "piggyback ids/msg", "piggyback B/msg", "tracking/msg", "rolling forward")
-	for _, p := range []windar.Protocol{windar.TDI, windar.TAG, windar.TEL} {
+	for _, p := range []windar.Protocol{windar.None, windar.TDI, windar.TAG, windar.TEL} {
 		cfg := windar.Config{
 			Procs:              procs,
 			Protocol:           p,
@@ -34,6 +35,9 @@ func main() {
 			Seed:               11,
 			EventLoggerLatency: 60 * time.Microsecond,
 		}
+		if p == windar.None {
+			cfg.CheckpointEvery = 0
+		}
 		c, err := windar.NewCluster(cfg, factory)
 		if err != nil {
 			log.Fatal(err)
@@ -41,9 +45,11 @@ func main() {
 		if err := c.Start(); err != nil {
 			log.Fatal(err)
 		}
-		windar.RealClock().Sleep(8 * time.Millisecond)
-		if err := c.KillAndRecover(3, time.Millisecond); err != nil {
-			log.Fatal(err)
+		if p != windar.None {
+			windar.RealClock().Sleep(8 * time.Millisecond)
+			if err := c.KillAndRecover(3, time.Millisecond); err != nil {
+				log.Fatal(err)
+			}
 		}
 		c.Wait()
 		s := c.Stats()

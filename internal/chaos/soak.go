@@ -39,7 +39,7 @@ type RunOptions struct {
 	AppSteps int
 	// Protocol defaults to TDI.
 	Protocol harness.ProtocolKind
-	// CheckpointEvery defaults to 3.
+	// CheckpointEvery defaults to 3, and to none under protocol None.
 	CheckpointEvery int
 	// Seed feeds the mem fabric's jitter model so network timing is tied
 	// to the schedule seed.
@@ -65,7 +65,7 @@ func (o *RunOptions) fill() {
 	if o.Protocol == "" {
 		o.Protocol = harness.TDI
 	}
-	if o.CheckpointEvery == 0 {
+	if o.CheckpointEvery == 0 && o.Protocol != harness.None {
 		o.CheckpointEvery = 3
 	}
 }

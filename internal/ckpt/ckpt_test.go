@@ -264,6 +264,20 @@ func TestDecodeRejectsGobEraBlobByVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsV2PiggybackBlobByVersion: a version-0x02 blob holds
+// sender-log records with TDI piggybacks in wire format v2; it is
+// refused by its version byte, never decoded as v3.
+func TestDecodeRejectsV2PiggybackBlobByVersion(t *testing.T) {
+	data, err := Encode(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(blobMagic)] = 0x02
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "version 0x02") {
+		t.Fatalf("version-0x02 blob: err = %v, want a format-version error", err)
+	}
+}
+
 // reframe wraps body in a valid header, so the parser behind the
 // checksum is reachable.
 func reframe(body []byte) []byte {

@@ -103,10 +103,11 @@ func TestTDIStateIsLinear(t *testing.T) {
 // of the sender's full DependInterval at encode time, and with that
 // vector's demand.
 func FuzzTDIPiggyback(f *testing.F) {
-	f.Add(int8(1), []byte{0x04, 0, 2, 4, 6}, []byte{0x01, 0x10, 0x21, 0x12, 0x03, 0x30, 0x13})
-	f.Add(int8(2), []byte{wire.VecDeltaMarker, 1, 0, 2}, []byte{0x00, 0x01, 0x02, 0x10, 0x11, 0x12})
+	f.Add(int8(1), wire.AppendVecSince(nil, vclock.Vec{2, 5, 1, 4}, 1, nil, 0), []byte{0x01, 0x10, 0x21, 0x12, 0x03, 0x30, 0x13})
+	f.Add(int8(1), []byte{0x02, 0x05, 0x03, 0x05}, []byte{0x00, 0x01, 0x02, 0x10, 0x11, 0x12}) // delta: v[1] = 5, v[3] = 5 + 3
 	f.Add(int8(-1), []byte(nil), []byte{0x31, 0x31, 0x31, 0x13, 0x13})
 	f.Add(int8(7), []byte{0xFF}, []byte{})
+	f.Add(int8(1), []byte{0x0B}, []byte{0x12, 0x21, 0x11, 0x22}) // own-only: v[1] = 5
 	f.Fuzz(func(t *testing.T, src int8, pig, script []byte) {
 		fuzzHostile(t, int(src), pig)
 		fuzzHistory(t, script)
@@ -124,7 +125,7 @@ var fuzzClock = clock.NewFake(time.Unix(0, 0))
 func fuzzHostile(t *testing.T, src int, pig []byte) {
 	const n = 4
 	r := New(0, n, nil, fuzzClock)
-	first := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1, Piggyback: wire.AppendVec(nil, vclock.Vec{0, 3, 1, 4})}
+	first := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1, Piggyback: wire.AppendVecSince(nil, vclock.Vec{0, 3, 1, 4}, 1, nil, 0)}
 	if err := r.OnDeliver(first, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func fuzzHostile(t *testing.T, src int, pig []byte) {
 	}
 	want := before.Clone()
 	want[0]++
-	p := wire.ReadVecPairs(pig, n)
+	p := wire.ReadVecPairs(pig, n, src)
 	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
 		if k != 0 && v > want[k] {
 			want[k] = v

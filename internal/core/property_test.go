@@ -53,7 +53,7 @@ func (h history) run(t *testing.T) *TDI {
 		env := &wire.Envelope{
 			Kind: wire.KindApp, From: from, To: h.rank,
 			SendIndex: counts[from],
-			Piggyback: wire.AppendVec(nil, pig),
+			Piggyback: wire.AppendVecSince(nil, pig, from, nil, 0),
 		}
 		if v, err := tdi.Deliverable(env, int64(i)); err != nil || v != proto.Deliver {
 			t.Fatalf("delivery %d held: pig=%v count=%d err=%v", i, pig, i, err)
@@ -156,7 +156,7 @@ func TestPropertyDeliverablePredicate(t *testing.T) {
 		tdi := New(rank, len(pig), nil, nil)
 		env := &wire.Envelope{
 			Kind: wire.KindApp, From: (rank + 1) % len(pig), To: rank,
-			SendIndex: 1, Piggyback: wire.AppendVec(nil, pig),
+			SendIndex: 1, Piggyback: wire.AppendVecSince(nil, pig, (rank+1)%len(pig), nil, 0),
 		}
 		got, err := tdi.Deliverable(env, count)
 		if err != nil {

@@ -91,8 +91,8 @@ func feed(p *TDI, src, k int, fidx *int64) {
 	}
 }
 
-// isFull reports whether a piggyback is a full vector.
-func isFull(pig []byte) bool { return len(pig) > 0 && pig[0] != wire.VecDeltaMarker }
+// isFull reports whether a piggyback is a full vector: header 0.
+func isFull(pig []byte) bool { return len(pig) > 0 && pig[0] == 0 }
 
 // smallestEncoding is the piggyback a sender with a valid delta base
 // must produce for cur after sending prev: nothing when they are equal,
@@ -101,10 +101,17 @@ func smallestEncoding(prev, cur vclock.Vec) []byte {
 	if prev.Equal(cur) {
 		return nil
 	}
-	if d := wire.AppendVecDelta(nil, prev, cur); len(d) < wire.VecSize(cur) {
+	ver := make([]uint64, len(cur))
+	for i := range cur {
+		if cur[i] != prev[i] {
+			ver[i] = 1
+		}
+	}
+	full := wire.AppendVecSince(nil, cur, rsS, nil, 0)
+	if d := wire.AppendVecSince(nil, cur, rsS, ver, 0); len(d) < len(full) {
 		return d
 	}
-	return wire.AppendVec(nil, cur)
+	return full
 }
 
 type rsSend struct {

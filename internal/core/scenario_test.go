@@ -65,7 +65,7 @@ func TestFig1Walkthrough(t *testing.T) {
 	m5 := send(p2, 2, 1, 1)
 
 	// Claim: the piggyback on m5 is exactly V(0, 2, 2, 1).
-	v, _, err := wire.ReadVec(m5.Piggyback)
+	v, err := readFull(m5.Piggyback, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestFig2MultiFailureScenario(t *testing.T) {
 	// on top of it inherits the requirement). A fresh P1 incarnation in
 	// a second crash must hold it until two deliveries again.
 	m7 := mk(inc1, 1, 2, 1)
-	v, _, err := wire.ReadVec(m7.Piggyback)
+	v, err := readFull(m7.Piggyback, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestFig2MultiFailureScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	onward := mk(inc2, 2, 1, 1)
-	ov, _, err := wire.ReadVec(onward.Piggyback)
+	ov, err := readFull(onward.Piggyback, n, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,21 +25,23 @@
 // slot is known the moment it arrives ("proactive perception of delivery
 // order"), so recovery needs no determinant collection phase at all.
 //
-// # Differential piggyback (wire format v2)
+// # Differential piggyback (wire format v3)
 //
 // Between consecutive sends to the same destination the vector changes
 // in only a few elements, so the piggyback carries only those: Singhal
 // and Kshemkalyani's differential technique. The sender stamps each
 // element with the version (delivery count) at which it last rose and
 // each destination with the version of the last send to it; the
-// piggyback is the absolute (index, value) pairs stamped after that send
-// (wire.AppendVecSince), or the full vector when that is smaller. When
-// nothing changed it is zero bytes. Per-channel FIFO, which the harness
-// enforces, means the receiver has already merged every omitted element,
-// so the pairs merge into depend_interval without any base; the one thing
-// a receiver keeps per source is the last delivered message's demand,
-// which a piggyback that omits the receiver's own element repeats.
-// Sender and receiver state are both O(n).
+// piggyback is the elements stamped after that send (wire.AppendVecSince),
+// or the full vector when that is smaller; zero bytes when nothing
+// changed. Every version bump is a delivery, which raises the sender's
+// own element, so a non-empty piggyback always carries it, at an
+// implicit index. Per-channel FIFO, which the harness enforces, means
+// the receiver has already merged every omitted element, so the decoded
+// absolute values merge into depend_interval without any base; the one
+// thing a receiver keeps per source is the last delivered message's
+// demand, which a piggyback that omits the receiver's own element
+// repeats. Sender and receiver state are both O(n).
 //
 // A receiver that discards a regenerated send as repetitive never
 // merges its pairs; it merged the dead incarnation's original instead.
@@ -134,6 +136,14 @@ type TDI struct {
 	// the sender log retains them, read-only, until the destination's
 	// CHECKPOINT_ADVANCE releases them.
 	pigArena wire.Arena
+	// raised is OnDeliver's scratch: the elements the piggyback raises,
+	// with their new values, committed once it has read clean.
+	raised []raise
+}
+
+type raise struct {
+	k int
+	v int64
 }
 
 var _ proto.Protocol = (*TDI)(nil)
@@ -198,7 +208,8 @@ func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	if !t.unchangedSince(dest) {
 		// The full vector bounds the encoding: a delta is chosen only
 		// when it is smaller.
-		buf = t.pigArena.Tail(wire.VecSize(t.dependInterval))
+		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0)
+		buf = t.pigArena.Tail(full)
 	}
 	pig, ids := t.AppendPiggybackForSend(buf, dest, sendIndex)
 	return t.pigArena.Commit(pig), ids
@@ -240,23 +251,23 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 		return buf, 0
 	}
 	mark := len(buf)
-	ids := t.n
-	delta := false
+	var ver []uint64 // nil: the full vector
+	ids, since := t.n, t.lastSend[dest]
 	if t.deltaBase(dest) {
-		since := t.lastSend[dest]
-		if size, pairs := wire.VecSinceSize(t.dependInterval, t.lastUpdate, since); size < wire.VecSize(t.dependInterval) {
-			if t.floorBlocks(dest) {
-				t.m.PigFloorFull() // the floor alone keeps this send full
-			} else {
-				buf = wire.AppendVecSince(buf, t.dependInterval, t.lastUpdate, since)
-				ids = 2*pairs + 1
-				delta = true
-			}
+		size, k := wire.VecSinceSize(t.dependInterval, t.rank, t.lastUpdate, since)
+		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0)
+		switch {
+		case size >= full:
+		case t.floorBlocks(dest):
+			t.m.PigFloorFull() // the floor alone keeps this send full
+		case t.lastUpdate[t.rank] > since:
+			// A delta carries the sender's own element, which every version
+			// bump raises; should that ever fail, the send is full.
+			ver, ids = t.lastUpdate, k
 		}
 	}
-	if !delta {
-		buf = wire.AppendVec(buf, t.dependInterval)
-	}
+	buf = wire.AppendVecSince(buf, t.dependInterval, t.rank, ver, since)
+	delta := ver != nil
 	t.lastSend[dest] = t.version
 	if t.floor != nil {
 		t.sentIdx[dest] = sendIndex
@@ -273,9 +284,10 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 // demand validates env's piggyback and returns the delivery count it
 // demands of this rank: the own element when the piggyback carries it,
 // else the source's last demand, which per-channel FIFO makes exact.
+// With collect, it also gathers in t.raised the elements it raises.
 //
 //windar:hotpath
-func (t *TDI) demand(env *wire.Envelope) (int64, error) {
+func (t *TDI) demand(env *wire.Envelope, collect bool) (int64, error) {
 	src := env.From
 	if src < 0 || src >= t.n {
 		return 0, t.errPigSource(src)
@@ -284,10 +296,13 @@ func (t *TDI) demand(env *wire.Envelope) (int64, error) {
 	if len(env.Piggyback) == 0 && d >= 0 {
 		return d, nil // nothing changed since the last message: the common case
 	}
-	p := wire.ReadVecPairs(env.Piggyback, t.n)
+	p := wire.ReadVecPairs(env.Piggyback, t.n, src)
 	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
-		if k == t.rank {
+		switch {
+		case k == t.rank:
 			d = v
+		case collect && v > t.dependInterval[k]:
+			t.raised = append(t.raised, raise{k, v})
 		}
 	}
 	if err := p.Err(); err != nil {
@@ -321,7 +336,7 @@ func (t *TDI) errPigDecode(src int, err error) error {
 //
 //windar:hotpath
 func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
-	d, err := t.demand(env)
+	d, err := t.demand(env, false)
 	if err != nil {
 		return proto.Hold, err
 	}
@@ -333,30 +348,25 @@ func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 
 // OnDeliver implements proto.Protocol: lines 20 and 22-24. The own element
 // is advanced by exactly one (this delivery); every other pair the
-// piggyback carries is max-merged. A malformed piggyback is rejected
-// before any state changes.
+// piggyback carries is max-merged. The piggyback is read once, and a
+// malformed one is rejected before any state changes.
 //
 //windar:hotpath
 func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	start, w := t.track.BeginDeliver()
-	d, err := t.demand(env)
+	if t.dependInterval[t.rank]+1 != deliverIndex {
+		return t.errIndexDiverged(deliverIndex)
+	}
+	t.raised = t.raised[:0]
+	d, err := t.demand(env, true)
 	if err != nil {
 		return err
 	}
 	t.version++
 	t.dependInterval[t.rank]++
-	if t.dependInterval[t.rank] != deliverIndex {
-		return t.errIndexDiverged(deliverIndex)
-	}
 	t.lastUpdate[t.rank] = t.version
-	if len(env.Piggyback) != 0 { // the empty piggyback, the common case, merges nothing
-		p := wire.ReadVecPairs(env.Piggyback, t.n)
-		for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
-			if k != t.rank && v > t.dependInterval[k] {
-				t.dependInterval[k] = v
-				t.lastUpdate[k] = t.version
-			}
-		}
+	for _, r := range t.raised {
+		t.dependInterval[r.k], t.lastUpdate[r.k] = r.v, t.version
 	}
 	t.lastDemand[env.From] = d
 	t.track.EndDeliver(start, w)
@@ -369,7 +379,7 @@ func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 //go:noinline
 func (t *TDI) errIndexDiverged(deliverIndex int64) error {
 	return fmt.Errorf("core: rank %d: interval index %d diverged from deliver index %d",
-		t.rank, t.dependInterval[t.rank], deliverIndex)
+		t.rank, t.dependInterval[t.rank]+1, deliverIndex)
 }
 
 // DeliveryDemand implements proto.Demander: the piggybacked
@@ -382,7 +392,7 @@ func (t *TDI) errIndexDiverged(deliverIndex int64) error {
 //
 //windar:hotpath
 func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
-	d, err := t.demand(env)
+	d, err := t.demand(env, false)
 	return d, err == nil
 }
 

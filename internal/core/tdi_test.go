@@ -1,6 +1,9 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"windar/internal/proto"
@@ -12,8 +15,21 @@ import (
 func env(from, to int, sendIndex int64, pig vclock.Vec) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindApp, From: from, To: to, SendIndex: sendIndex,
-		Piggyback: wire.AppendVec(nil, pig),
+		Piggyback: wire.AppendVecSince(nil, pig, from, nil, 0),
 	}
+}
+
+// readFull decodes sender s's piggyback, which must be a full vector.
+func readFull(pig []byte, n, s int) (vclock.Vec, error) {
+	v := vclock.New(n)
+	p := wire.ReadVecPairs(pig, n, s)
+	for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
+		v[k] = x
+	}
+	if p.Err() == nil && !p.Full() {
+		return nil, fmt.Errorf("piggyback % x is not a full vector", pig)
+	}
+	return v, p.Err()
 }
 
 func TestPiggybackIsWholeVector(t *testing.T) {
@@ -22,7 +38,7 @@ func TestPiggybackIsWholeVector(t *testing.T) {
 	if ids != 4 {
 		t.Fatalf("identifiers = %d, want n=4", ids)
 	}
-	v, _, err := wire.ReadVec(pig)
+	v, err := readFull(pig, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +157,7 @@ func TestOnDeliverRejectsWrongLengthPiggyback(t *testing.T) {
 	tdi := New(0, 3, nil, nil)
 	bad := &wire.Envelope{
 		Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1,
-		Piggyback: wire.AppendVec(nil, vclock.New(7)),
+		Piggyback: wire.AppendVecSince(nil, vclock.New(7), 1, nil, 0),
 	}
 	if err := tdi.OnDeliver(bad, 1); err == nil {
 		t.Fatal("OnDeliver accepted wrong-length piggyback")
@@ -171,7 +187,7 @@ func TestTDIIsNoReplayer(t *testing.T) {
 		t.Fatal("name")
 	}
 	for idx := int64(1); idx <= 3; idx++ {
-		if pig, _ := tdi.PiggybackForSend(1, idx); pig[0] == wire.VecDeltaMarker {
+		if pig, _ := tdi.PiggybackForSend(1, idx); !isFull(pig) {
 			t.Fatalf("send %d before any floor is a delta", idx)
 		}
 	}
@@ -208,7 +224,7 @@ func TestCausalTransitivity(t *testing.T) {
 	// P2 sends m5 to P1: the piggyback must carry P2=2 (its own two
 	// deliveries) and P3=1 (transitive).
 	pigM5, _ := p2.PiggybackForSend(1, 1)
-	v, _, err := wire.ReadVec(pigM5)
+	v, err := readFull(pigM5, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,6 +293,88 @@ func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 		}
 		if d, ok := tdi.DeliveryDemand(resent); !ok || d != 0 {
 			t.Fatalf("src %d: post-restore demand %d, %v — stale decode state", src, d, ok)
+		}
+	}
+}
+
+// TestPiggybackCarriesOwnElement: over a random history, every non-empty
+// piggyback decodes with the sender's own element first, at its current
+// value; it is the smaller of the full vector and the delta of what
+// changed since the last send to the destination; and its id count is
+// the integers it carries.
+func TestPiggybackCarriesOwnElement(t *testing.T) {
+	const n = 6
+	rng := rand.New(rand.NewSource(47))
+	ranks := make([]*TDI, n)
+	for i := range ranks {
+		ranks[i] = New(i, n, nil, nil)
+	}
+	var sent [n][n]vclock.Vec // the sender's vector at its last send on each channel
+	var idx [n][n]int64
+	forms := map[string]int{}
+	for step := 0; step < 4000; step++ {
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		if b >= a {
+			b++
+		}
+		idx[a][b]++
+		cur := ranks[a].DependInterval()
+		pig, ids := ranks[a].PiggybackForSend(b, idx[a][b])
+		switch prev := sent[a][b]; {
+		case len(pig) == 0:
+			forms["empty"]++
+			if prev == nil || !prev.Equal(cur) || ids != 0 {
+				t.Fatalf("step %d: empty piggyback %d->%d (%d ids) after %v, now %v", step, a, b, ids, prev, cur)
+			}
+		default:
+			want := wire.AppendVecSince(nil, cur, a, nil, 0)
+			if prev != nil {
+				ver := make([]uint64, n)
+				for i := range cur {
+					if cur[i] != prev[i] {
+						ver[i] = 1
+					}
+				}
+				if d := wire.AppendVecSince(nil, cur, a, ver, 0); len(d) < len(want) {
+					want = d
+				}
+			}
+			if !bytes.Equal(pig, want) {
+				t.Fatalf("step %d: %d->%d sent % x, want the smaller form % x", step, a, b, pig, want)
+			}
+			p := wire.ReadVecPairs(pig, n, a)
+			k, v, ok := p.Next()
+			if !ok || k != a || v != cur[a] {
+				t.Fatalf("step %d: %d->%d % x starts with (%d, %d, %v), want own element %d", step, a, b, pig, k, v, ok, cur[a])
+			}
+			carried := 1
+			for _, _, ok := p.Next(); ok; _, _, ok = p.Next() {
+				carried++
+			}
+			wantIDs := 2 * carried
+			switch {
+			case p.Full():
+				forms["full"]++
+				wantIDs = n
+			case carried == 1:
+				forms["own-only"]++
+				wantIDs = 1
+			default:
+				forms["delta"]++
+			}
+			if p.Err() != nil || ids != wantIDs {
+				t.Fatalf("step %d: %d ids for % x (err %v), want %d", step, ids, pig, p.Err(), wantIDs)
+			}
+		}
+		sent[a][b] = cur
+		e := &wire.Envelope{Kind: wire.KindApp, From: a, To: b, SendIndex: idx[a][b], Piggyback: pig}
+		if err := ranks[b].OnDeliver(e, ranks[b].dependInterval[b]+1); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	for _, f := range []string{"empty", "full", "own-only", "delta"} {
+		if forms[f] == 0 {
+			t.Errorf("the history never produced a %s piggyback: %v", f, forms)
 		}
 	}
 }

@@ -68,6 +68,7 @@ func AllocProbes() []AllocProbe {
 		{Name: "shard_fifo", F: probeShardFIFO},
 		{Name: "msg_roundtrip_mem", F: func() float64 { return pingAllocs(Config{N: 2, Transport: transport.Mem}) }, Max: msgRoundtripMax},
 		{Name: "msg_roundtrip_tcp", F: func() float64 { return pingAllocs(Config{N: 2, Transport: transport.TCP}) }, Max: msgRoundtripMax},
+		{Name: "none_round_trip", F: func() float64 { return pingAllocs(Config{N: 2, Transport: transport.Mem, Protocol: None}) }, Max: msgRoundtripMax},
 		{Name: "slog_append", F: probeSlogAppend},
 		{Name: "slog_release", F: probeSlogRelease},
 		{Name: "log_append", F: probeLogAppend, Max: logAppendMax},
@@ -398,7 +399,7 @@ func probePigDecode() float64 {
 	}, 1); err != nil {
 		panic(err)
 	}
-	delta := []byte{wire.VecDeltaMarker, 1, 1, 2} // the sender's own element rose to 1
+	delta := []byte{2, 1, 0, 2} // one pair: the sender's own element rose to 1, the receiver's is 0
 	env := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, Piggyback: delta}
 	idx := int64(2)
 	return testing.AllocsPerRun(allocProbeRuns, func() {
@@ -651,7 +652,8 @@ func (a *pingApp) Snapshot() []byte     { return nil }
 func (a *pingApp) Restore([]byte) error { return nil }
 
 // pingAllocs runs a started two-rank cluster under cfg — send chain,
-// TDI, sender log, transport, receiver loop, shards, delivery — and
+// the protocol and its sender log (none under None), transport,
+// receiver loop, shards, delivery — and
 // returns heap allocations per delivered message (one per rank-step)
 // after warm-up, every goroutine of the process included.
 func pingAllocs(cfg Config) float64 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"windar/internal/proto"
+	"windar/internal/wire"
 	"windar/layer"
 )
 
@@ -22,10 +23,17 @@ import (
 //	observerHandler – Observer fan-out (trace recorder, chaos engine)
 //	user layers     – Config.Interceptors, in order
 //	coreHandler     – sender-log append + suppression; the application sink
+//
+// A None rank's chain has no protoHandler, and bareHandler stands in for
+// coreHandler: nothing is piggybacked or logged.
 
 // buildChain assembles r's handler chain around the user interceptors.
 func (r *rankRuntime) buildChain(user []layer.Interceptor) layer.Handler {
+	none := r.c.cfg.Protocol == None
 	var h layer.Handler = coreHandler{r: r}
+	if none {
+		h = bareHandler{arena: new(wire.Arena)}
+	}
 	h = layer.Chain(h, user...)
 	h = observerHandler{r: r, obs: r.c.observer(), spanObs: r.c.spanObs, next: h}
 	h = obsHandler{r: r, next: h}
@@ -35,7 +43,9 @@ func (r *rankRuntime) buildChain(user []layer.Interceptor) layer.Handler {
 		// both see the stamped context.
 		h = spanHandler{r: r, next: h}
 	}
-	h = protoHandler{r: r, next: h}
+	if !none {
+		h = protoHandler{r: r, next: h}
+	}
 	return h
 }
 

@@ -52,7 +52,7 @@ func (r *rankRuntime) enqueueApp(env *wire.Envelope) {
 func tdiEnv(from, to int, sendIndex int64, pig vclock.Vec, tag int32) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindApp, From: from, To: to, Tag: tag,
-		SendIndex: sendIndex, Piggyback: wire.AppendVec(nil, pig),
+		SendIndex: sendIndex, Piggyback: wire.AppendVecSince(nil, pig, from, nil, 0),
 	}
 }
 

@@ -58,6 +58,10 @@ const (
 	TAG ProtocolKind = "tag"
 	// TEL is the event-logger baseline (internal/tel).
 	TEL ProtocolKind = "tel"
+	// None is the unprotected baseline: no piggyback, no sender log, no
+	// checkpoints and no recovery — the denominator of what logging
+	// costs. Fault-free runs only.
+	None ProtocolKind = "none"
 )
 
 // Mode selects the communication architecture of Fig. 4.
@@ -289,6 +293,9 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = TDI
 	}
+	if cfg.Protocol == None && (cfg.CheckpointEvery > 0 || cfg.CheckpointPolicy != nil || cfg.DurableLogs) {
+		return nil, fmt.Errorf("harness: protocol none takes no checkpoints and keeps no logs")
+	}
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
@@ -409,6 +416,8 @@ func (c *Cluster) newProtocol(r *rankRuntime) (proto.Protocol, error) {
 		return tag.New(r.id, c.cfg.N, m, c.clk), nil
 	case TEL:
 		return tel.New(r.id, c.cfg.N, c.telLog, &r.mu, m, c.clk), nil
+	case None:
+		return unprotected{}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown protocol %q", c.cfg.Protocol)
 	}

@@ -54,11 +54,12 @@ func sinkFactory(recvs int) app.Factory {
 }
 
 // validPig builds a well-formed empty piggyback for protocol p on an
-// n-rank cluster, as an external peer with no history would send it.
+// n-rank cluster, as an external peer with no history would send it
+// (TDI's all-zero full vector reads the same from any sender).
 func validPig(p ProtocolKind, n int) []byte {
 	switch p {
 	case TDI:
-		return wire.AppendVec(nil, vclock.New(n))
+		return wire.AppendVecSince(nil, vclock.New(n), 0, nil, 0)
 	case TAG:
 		return agraph.AppendNodes([]byte{0}, nil) // zero interval, no nodes
 	default:
@@ -74,8 +75,8 @@ func validPig(p ProtocolKind, n int) []byte {
 func TestCorruptPiggybackHeldNotPanic(t *testing.T) {
 	corruptions := map[string][]byte{
 		"truncated-varint": {0xFF},
-		"short-vector":     wire.AppendVec(nil, []int64{7}),
-		"delta-no-base":    {wire.VecDeltaMarker, 1, 0, 2},
+		"short-vector":     wire.AppendVec(nil, []int64{7}), // to TDI: own-only v[1] = 0, then a stray byte
+		"delta-no-base":    {2, 1, 0, 2},                    // k = 1: v[1] = 1, v[0] = 0
 		"empty":            nil,
 	}
 	for _, p := range allProtocols {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -10,6 +11,10 @@ import (
 	"windar/layer"
 )
 
+// errNoRecovery is what Kill, Recover and StartFromStable return under
+// protocol None, which keeps nothing to recover from.
+var errNoRecovery = errors.New("harness: protocol none cannot kill, recover or restart a rank")
+
 // Kill injects a failure: rank's volatile state (receiving queue, sender
 // log, protocol state, unsent queue-A messages, application memory) is
 // lost; its goroutines unwind; messages already in its inbox are dropped;
@@ -17,6 +22,9 @@ import (
 // rank. Other ranks' collections keep counting it: it answers their
 // ROLLBACKs once it revives (see restore).
 func (c *Cluster) Kill(rank int) error {
+	if c.cfg.Protocol == None {
+		return errNoRecovery
+	}
 	c.ranksMu.Lock()
 	r := c.ranks[rank]
 	c.ranksMu.Unlock()
@@ -85,6 +93,9 @@ func (c *Cluster) Recover(rank int) error {
 // Everything that can fail runs before any incarnation is published or
 // started: on an error every rank in dead stays down.
 func (c *Cluster) restore(dead []int) error {
+	if c.cfg.Protocol == None {
+		return errNoRecovery
+	}
 	rs := make([]*rankRuntime, len(dead))
 	from := make([]int, len(dead))
 	for i, rank := range dead {

@@ -478,7 +478,7 @@ func TestReorderedReplayKeepsFloors(t *testing.T) {
 			atKill, full := int64(-1), 0
 			probe.seen = func(r *rankRuntime, m *layer.Msg) {
 				if r.id == 3 && m.Peer == 0 && atKill >= 0 && m.SendIndex > atKill {
-					if p := wire.ReadVecPairs(m.Piggyback, n); p.Full() {
+					if p := wire.ReadVecPairs(m.Piggyback, n, m.Peer); p.Full() {
 						full++
 					}
 				}

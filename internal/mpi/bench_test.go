@@ -31,8 +31,9 @@ func BenchmarkAllreduce(b *testing.B) {
 	for _, n := range []int{4, 16} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			vec := []float64{1, 2, 3, 4}
+			bufs := make([]Buffers, n)
 			benchWorld(b, n, func(env app.Env, round int) {
-				_ = Allreduce(env, 2000, vec, Sum)
+				_ = Allreduce(env, 2000, vec, Sum, &bufs[env.Rank()])
 			})
 		})
 	}

@@ -15,6 +15,7 @@ package mpi
 import (
 	"encoding/binary"
 	"math"
+	"slices"
 
 	"windar/internal/app"
 )
@@ -88,35 +89,45 @@ func (op Op) apply(dst, src []float64) {
 	}
 }
 
-// EncodeF64s packs a float64 vector for transmission.
-func EncodeF64s(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(x))
-	}
-	return out
+// Buffers is one caller's scratch for the collectives, kept across
+// calls: once it has grown, a collective allocates nothing. The slice a
+// collective returns lives in it, valid until the next call with the
+// same Buffers. The zero value is ready to use.
+type Buffers struct {
+	acc, in []float64
+	enc     []byte
 }
 
-// DecodeF64s unpacks EncodeF64s.
-func DecodeF64s(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+// EncodeF64s packs v for transmission into dst's storage, growing it
+// only when it is short.
+func EncodeF64s(dst []byte, v []float64) []byte {
+	dst = slices.Grow(dst[:0], 8*len(v))[:8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(dst[i*8:], math.Float64bits(x))
 	}
-	return out
+	return dst
+}
+
+// DecodeF64s unpacks EncodeF64s into dst's storage, growing it only when
+// it is short.
+func DecodeF64s(dst []float64, b []byte) []float64 {
+	dst = slices.Grow(dst[:0], len(b)/8)[:len(b)/8]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+	return dst
 }
 
 // Reduce folds each rank's vec with op at root, returning the result at
 // root (nil elsewhere). Binomial tree on virtual ranks rooted at root.
 // Note: the combine order is fixed by the tree, so results are bitwise
 // deterministic for a given n.
-func Reduce(env app.Env, root int, tag int32, vec []float64, op Op) []float64 {
+func Reduce(env app.Env, root int, tag int32, vec []float64, op Op, b *Buffers) []float64 {
 	n := env.N()
 	rank := env.Rank()
-	acc := make([]float64, len(vec))
-	copy(acc, vec)
+	b.acc = append(b.acc[:0], vec...)
 	if n == 1 {
-		return acc
+		return b.acc
 	}
 	vrank := (rank - root + n) % n
 	// In round k (dist = 2^k), virtual ranks that are multiples of
@@ -125,27 +136,29 @@ func Reduce(env app.Env, root int, tag int32, vec []float64, op Op) []float64 {
 	for dist := 1; dist < n; dist *= 2 {
 		if vrank%(2*dist) != 0 {
 			dst := (vrank - dist + root) % n
-			env.Send(dst, tag, EncodeF64s(acc))
+			b.enc = EncodeF64s(b.enc, b.acc) // Send copies it
+			env.Send(dst, tag, b.enc)
 			return nil
 		}
 		if vrank+dist < n {
 			src := (vrank + dist + root) % n
 			data, _ := env.Recv(src, tag)
-			op.apply(acc, DecodeF64s(data))
+			b.in = DecodeF64s(b.in, data)
+			op.apply(b.acc, b.in)
 		}
 	}
 	if rank == root {
-		return acc
+		return b.acc
 	}
 	return nil
 }
 
 // Allreduce is Reduce followed by Bcast, using tag and tag+1.
-func Allreduce(env app.Env, tag int32, vec []float64, op Op) []float64 {
-	res := Reduce(env, 0, tag, vec, op)
-	var payload []byte
-	if env.Rank() == 0 {
-		payload = EncodeF64s(res)
+func Allreduce(env app.Env, tag int32, vec []float64, op Op, b *Buffers) []float64 {
+	if res := Reduce(env, 0, tag, vec, op, b); env.Rank() == 0 {
+		b.enc = EncodeF64s(b.enc, res)
 	}
-	return DecodeF64s(Bcast(env, 0, tag+1, payload))
+	// Bcast reads only the root's data.
+	b.acc = DecodeF64s(b.acc, Bcast(env, 0, tag+1, b.enc))
+	return b.acc
 }

@@ -112,7 +112,7 @@ func TestReduceSum(t *testing.T) {
 				var mu sync.Mutex
 				runWorld(t, n, func(env app.Env) {
 					r := float64(env.Rank())
-					out := Reduce(env, root, 11, []float64{r, r * r, 1}, Sum)
+					out := Reduce(env, root, 11, []float64{r, r * r, 1}, Sum, new(Buffers))
 					if env.Rank() == root {
 						mu.Lock()
 						res = out
@@ -141,8 +141,9 @@ func TestReduceMaxMin(t *testing.T) {
 	var mu sync.Mutex
 	runWorld(t, n, func(env app.Env) {
 		v := []float64{float64(env.Rank()), -float64(env.Rank())}
-		mx := Reduce(env, 0, 21, v, Max)
-		mn := Reduce(env, 0, 22, v, Min)
+		var bx, bn Buffers
+		mx := Reduce(env, 0, 21, v, Max, &bx)
+		mn := Reduce(env, 0, 22, v, Min, &bn)
 		if env.Rank() == 0 {
 			mu.Lock()
 			maxRes, minRes = mx, mn
@@ -162,7 +163,12 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 	results := make([][]float64, n)
 	var mu sync.Mutex
 	runWorld(t, n, func(env app.Env) {
-		out := Allreduce(env, 31, []float64{1, float64(env.Rank())}, Sum)
+		var b Buffers
+		first := Allreduce(env, 31, []float64{1, float64(env.Rank())}, Sum, &b)
+		out := Allreduce(env, 33, []float64{1, float64(env.Rank())}, Sum, &b)
+		if &first[0] != &out[0] {
+			t.Errorf("rank %d: the second Allreduce did not reuse its buffers", env.Rank())
+		}
 		mu.Lock()
 		results[env.Rank()] = out
 		mu.Unlock()
@@ -178,7 +184,7 @@ func TestAllreduceEveryRankGetsResult(t *testing.T) {
 func TestF64sRoundTrip(t *testing.T) {
 	f := func(v []float64) bool {
 		// NaN != NaN breaks DeepEqual; compare bit patterns instead.
-		got := DecodeF64s(EncodeF64s(v))
+		got := DecodeF64s(nil, EncodeF64s(nil, v))
 		if len(got) != len(v) {
 			return false
 		}

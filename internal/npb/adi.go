@@ -157,7 +157,7 @@ func (a *adiApp) Step(env app.Env, s int) {
 	}
 
 	if a.p.NormEvery > 0 && (s+1)%a.p.NormEvery == 0 {
-		norm := mpi.Allreduce(env, normTagBase, []float64{a.localNormSq()}, mpi.Sum)
+		norm := mpi.Allreduce(env, normTagBase, []float64{a.localNormSq()}, mpi.Sum, &a.coll)
 		a.u[0] += 1e-12 * math.Sqrt(norm[0])
 	}
 }

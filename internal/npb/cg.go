@@ -140,7 +140,7 @@ func (a *cgApp) globalDot(env app.Env, u, v []float64) float64 {
 	for i := range u {
 		local += u[i] * v[i]
 	}
-	return mpi.Allreduce(env, normTagBase, []float64{local}, mpi.Sum)[0]
+	return mpi.Allreduce(env, normTagBase, []float64{local}, mpi.Sum, &a.coll)[0]
 }
 
 // Snapshot implements app.App: x, r, p and rho.

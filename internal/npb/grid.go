@@ -23,6 +23,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"windar/internal/mpi"
 )
 
 // Params sizes a benchmark instance.
@@ -172,28 +174,9 @@ func (g *grid) localNormSq() float64 {
 }
 
 // encodeF64s / decodeF64s are the payload and snapshot codecs.
-func encodeF64s(v []float64) []byte { return encodeF64sInto(nil, v) }
+func encodeF64s(v []float64) []byte { return mpi.EncodeF64s(nil, v) }
 
-func decodeF64s(b []byte) []float64 { return decodeF64sInto(nil, b) }
-
-// encodeF64sInto encodes v into buf's storage, growing it only when it
-// is too small, and returns the encoding.
-func encodeF64sInto(buf []byte, v []float64) []byte {
-	buf = grow(buf, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return buf
-}
-
-// decodeF64sInto is decodeF64s into dst's storage.
-func decodeF64sInto(dst []float64, b []byte) []float64 {
-	dst = grow(dst, len(b)/8)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return dst
-}
+func decodeF64s(b []byte) []float64 { return mpi.DecodeF64s(nil, b) }
 
 // grow returns s resized to n, reallocated only when its capacity is short.
 func grow[T any](s []T, n int) []T {
@@ -206,11 +189,13 @@ func grow[T any](s []T, n int) []T {
 // msgBufs are a kernel's message scratch, reused across steps and never
 // part of its state: the outgoing line and its encoding (Send copies the
 // payload before it returns) and the received lines, decoded into place.
-// A sweep holds at most two received lines at once, one per slot.
+// A sweep holds at most two received lines at once, one per slot. coll
+// is the collectives' scratch.
 type msgBufs struct {
 	line []float64
 	enc  []byte
 	in   [2][]float64
+	coll mpi.Buffers
 }
 
 // lineBuf returns the outgoing-line scratch resized to n values.
@@ -221,14 +206,14 @@ func (m *msgBufs) lineBuf(n int) []float64 {
 
 // encode returns v's encoding in the reused buffer.
 func (m *msgBufs) encode(v []float64) []byte {
-	m.enc = encodeF64sInto(m.enc, v)
+	m.enc = mpi.EncodeF64s(m.enc, v)
 	return m.enc
 }
 
 // decode returns b decoded into slot's buffer, valid until the slot's
 // next decode.
 func (m *msgBufs) decode(slot int, b []byte) []float64 {
-	m.in[slot] = decodeF64sInto(m.in[slot], b)
+	m.in[slot] = mpi.DecodeF64s(m.in[slot], b)
 	return m.in[slot]
 }
 

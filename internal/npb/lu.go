@@ -90,7 +90,7 @@ func (a *luApp) Step(env app.Env, s int) {
 	}
 
 	if a.p.NormEvery > 0 && (s+1)%a.p.NormEvery == 0 {
-		norm := mpi.Allreduce(env, normTagBase, []float64{a.localNormSq()}, mpi.Sum)
+		norm := mpi.Allreduce(env, normTagBase, []float64{a.localNormSq()}, mpi.Sum, &a.coll)
 		// Fold the global residual back into the state so the collective
 		// is load-bearing for the correctness checksum.
 		a.u[0] += 1e-12 * math.Sqrt(norm[0])

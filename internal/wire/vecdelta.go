@@ -1,136 +1,154 @@
-// Delta encoding for piggyback vectors (wire format v2).
+// TDI's piggyback (wire format v3), and a base-relative vector delta.
 //
-// A full vector keeps the v1 layout of AppendVec unchanged: uvarint
-// length followed by the varint elements. Because a system has at least
-// one rank, a full vector's first byte is always >= 0x01, which frees
-// the byte 0x00 as an unambiguous delta marker:
+// A piggyback from sender s in an n-rank system is empty — zero bytes:
+// nothing changed since the last send to the destination — or starts
+// with a uvarint header h:
 //
-//	delta := 0x00 | uvarint(changed) | changed × (uvarint index, varint value)
+//	h odd          own-only  v[s] = h>>1; nothing follows
+//	h = 0          full      uvarint v[s] | n-1 × varint diff
+//	h = 2k, k ≥ 1  delta     uvarint v[s] | k × (uvarint index, varint diff)
 //
-// The pairs carry ABSOLUTE values (not diffs) at strictly increasing
-// indices, so a reader needs no base to use them: it merges each pair
-// into whatever vector it holds, and re-applying a delta is a no-op.
-// A delta with no pairs is sent as zero bytes: the empty piggyback.
+// A full vector lists the elements other than v[s] in index order, a
+// delta k of them at strictly increasing indices != s. Each diff is the
+// zigzag varint of (previous listed value − this value), starting from
+// v[s]. The sender's index is implicit: the receiver knows the sender.
+// Decoding yields absolute values, so a reader needs no base: it
+// max-merges each pair into the vector it holds, and re-applying a
+// piggyback is a no-op.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"windar/internal/vclock"
 )
 
-// VecDeltaMarker is the first byte of a delta-encoded vector. A v1 full
-// vector can never start with it: its first byte is the uvarint element
-// count, and every real system has n >= 1.
+// VecDeltaMarker is the first byte of a base-relative delta
+// (AppendVecDelta).
 const VecDeltaMarker = 0x00
 
 // ErrNoDeltaBase reports a delta-encoded vector arriving at a reader
 // that holds no base vector to apply it to.
 var ErrNoDeltaBase = errors.New("wire: delta vector without base")
 
-// ErrBadDelta reports a structurally invalid delta: indices out of
-// range, not strictly increasing, a count exceeding the vector length,
-// or bytes after the last pair.
+// ErrBadDelta reports a structurally invalid vector encoding: indices
+// out of range, equal to the sender's or not strictly increasing, a
+// count exceeding the vector length, a negative value, or bytes after
+// the last element.
 var ErrBadDelta = errors.New("wire: malformed delta vector")
 
-// ErrVecLength reports a full vector of the wrong length, or bytes after
-// its last element.
-var ErrVecLength = errors.New("wire: piggyback vector length mismatch")
-
-// AppendVecSince appends the delta of the entries of v whose version
-// ver[k] is above since and returns the extended slice: Singhal and
-// Kshemkalyani's differential piggyback, where ver[k] is the version at
-// which v[k] last changed and since is the version of the last send to
-// the destination.
+// AppendVecSince appends sender s's piggyback of the non-negative v and
+// returns the extended slice: the full vector for a nil ver, else
+// Singhal and Kshemkalyani's differential piggyback — v[s] and each v[k]
+// whose version ver[k] (at which it last changed) is above since (that
+// of the last send to the destination), own-only when no k qualifies.
 //
 //windar:hotpath
-func AppendVecSince(buf []byte, v vclock.Vec, ver []uint64, since uint64) []byte {
-	changed := 0
-	for _, u := range ver {
-		if u > since {
-			changed++
+func AppendVecSince(buf []byte, v vclock.Vec, s int, ver []uint64, since uint64) []byte {
+	k := 0
+	for i, u := range ver {
+		if u > since && i != s {
+			k++
 		}
 	}
-	buf = append(buf, VecDeltaMarker)
-	buf = binary.AppendUvarint(buf, uint64(changed))
-	for k, u := range ver {
-		if u > since {
-			buf = binary.AppendUvarint(buf, uint64(k))
-			buf = binary.AppendVarint(buf, v[k])
+	if ver != nil && k == 0 {
+		return binary.AppendUvarint(buf, uint64(v[s])<<1|1)
+	}
+	buf = binary.AppendUvarint(buf, uint64(k)<<1)
+	buf = binary.AppendUvarint(buf, uint64(v[s]))
+	prev := v[s]
+	for i, x := range v {
+		if i != s && (ver == nil || ver[i] > since) {
+			if ver != nil {
+				buf = binary.AppendUvarint(buf, uint64(i))
+			}
+			buf = binary.AppendVarint(buf, prev-x)
+			prev = x
 		}
 	}
 	return buf
 }
 
 // VecSinceSize returns the number of bytes AppendVecSince would produce
-// and the number of pairs it would carry, without allocating; the sender
-// uses it to pick the smaller encoding.
+// and the number of integers it carries (the Fig. 5 unit: n for a full
+// vector, 1 own-only, 2+2k for a delta of k pairs), without allocating;
+// the sender uses it to pick the smaller encoding.
 //
 //windar:hotpath
-func VecSinceSize(v vclock.Vec, ver []uint64, since uint64) (size, pairs int) {
-	size = 1 // marker
-	for k, u := range ver {
-		if u > since {
-			pairs++
-			size += UvarintLen(uint64(k)) + VarintLen(v[k])
+func VecSinceSize(v vclock.Vec, s int, ver []uint64, since uint64) (size, ids int) {
+	k, prev := 0, v[s]
+	for i, x := range v {
+		if i != s && (ver == nil || ver[i] > since) {
+			if ver != nil {
+				size += UvarintLen(uint64(i))
+			}
+			size += VarintLen(prev - x)
+			k, prev = k+1, x
 		}
 	}
-	return size + UvarintLen(uint64(pairs)), pairs
+	switch {
+	case ver == nil:
+		return 1 + UvarintLen(uint64(v[s])) + size, len(v)
+	case k == 0:
+		return UvarintLen(uint64(v[s])<<1 | 1), 1
+	}
+	return UvarintLen(uint64(k)<<1) + UvarintLen(uint64(v[s])) + size, 2 + 2*k
 }
 
-// VecPairs walks the (index, value) pairs a piggyback vector carries,
-// whatever its encoding: every element of a full vector, the pairs of a
-// delta, nothing for an empty piggyback. It reads in place, allocates
-// nothing and needs no base. Next returns false at the end and on
-// malformed input; Err then tells which.
+// VecPairs walks the (index, value) pairs a piggyback carries, whatever
+// its form: the sender's element first, then the others in increasing
+// index order; nothing for the empty piggyback. It reads in place,
+// allocates nothing and needs no base. Next returns false at the end and
+// on malformed input; Err then tells which.
 type VecPairs struct {
 	b    []byte // unread bytes
-	n    int
-	left int // pairs still to read
-	prev int
+	n, s int
+	left int // pairs still to read after the sender's
+	next int // lowest index the next pair may have
+	prev int64
+	own  bool // the sender's pair is still to be returned
 	full bool
 	err  error
 }
 
-// ReadVecPairs starts reading b as the encoding of an n-element vector.
+// ReadVecPairs starts reading b as sender s's piggyback of an n-element
+// vector.
 //
 //windar:hotpath
-func ReadVecPairs(b []byte, n int) VecPairs {
-	p := VecPairs{b: b, n: n, prev: -1}
-	if len(b) != 0 {
-		p.header()
+func ReadVecPairs(b []byte, n, s int) VecPairs {
+	p := VecPairs{b: b, n: n, s: s}
+	if len(b) == 0 {
+		return p
 	}
+	h, ok := p.uvarint()
+	own := h >> 1 // v[s] when h is odd
+	if k := h >> 1; ok && h&1 == 0 {
+		// Strictly increasing indices != s cap k at n-1.
+		if own, ok = p.uvarint(); ok && (k >= uint64(n) || own > math.MaxInt64) {
+			ok, p.err = false, ErrBadDelta
+		}
+		if ok {
+			if p.left, p.full = int(k), k == 0; p.full {
+				p.left = n - 1
+			}
+		}
+	}
+	p.prev, p.own = int64(own), ok
 	return p
 }
 
-// header reads a non-empty piggyback's first field: the delta's pair
-// count or the full vector's length.
-func (p *VecPairs) header() {
-	if p.b[0] == VecDeltaMarker {
-		count, m := binary.Uvarint(p.b[1:])
-		switch {
-		case m <= 0:
-			p.err = ErrTruncated
-		case count > uint64(p.n):
-			// Strictly increasing indices below n cap the pair count; a
-			// larger claim is garbage, rejected before any work.
-			p.err = ErrBadDelta
-		default:
-			p.b, p.left = p.b[1+m:], int(count)
-		}
-		return
+// uvarint reads one uvarint, or ends the walk on a truncated one.
+func (p *VecPairs) uvarint() (uint64, bool) {
+	u, m := binary.Uvarint(p.b)
+	if m <= 0 {
+		p.err, p.left = ErrTruncated, 0
+		return 0, false
 	}
-	length, m := binary.Uvarint(p.b)
-	switch {
-	case m <= 0:
-		p.err = ErrTruncated
-	case length != uint64(p.n):
-		p.err = ErrVecLength
-	default:
-		p.b, p.left, p.full = p.b[m:], p.n, true
-	}
+	p.b = p.b[m:]
+	return u, true
 }
 
 // Full reports whether the piggyback is a full vector, which carries
@@ -141,47 +159,57 @@ func (p *VecPairs) Full() bool { return p.full }
 //
 //windar:hotpath
 func (p *VecPairs) Next() (idx int, val int64, ok bool) {
+	if p.own {
+		p.own = false
+		return p.s, p.prev, true
+	}
 	if p.left == 0 {
 		if len(p.b) != 0 && p.err == nil { // bytes after the last pair
 			p.err = ErrBadDelta
-			if p.full {
-				p.err = ErrVecLength
-			}
 		}
 		return 0, 0, false
 	}
-	idx = p.prev + 1
-	if !p.full {
-		u, m := binary.Uvarint(p.b)
-		if m <= 0 || u >= uint64(p.n) || int(u) < idx {
-			return p.fail(m)
+	idx = p.next
+	if p.full {
+		if idx == p.s {
+			idx++
 		}
-		idx, p.b = int(u), p.b[m:]
+	} else {
+		u, ok := p.uvarint()
+		if !ok || u >= uint64(p.n) || int(u) < idx || int(u) == p.s {
+			return p.fail(ErrBadDelta)
+		}
+		idx = int(u)
 	}
-	val, m := binary.Varint(p.b)
+	d, m := binary.Varint(p.b)
 	if m <= 0 {
-		return p.fail(m)
+		return p.fail(ErrTruncated)
 	}
-	p.b, p.prev = p.b[m:], idx
+	// prev >= 0, so an overflowing difference wraps negative.
+	if val = p.prev - d; val < 0 {
+		return p.fail(ErrBadDelta)
+	}
+	p.b, p.prev, p.next = p.b[m:], val, idx+1
 	p.left--
 	return idx, val, true
 }
 
-// fail ends the walk on a malformed pair: truncated when the varint
-// read m ran off the end, else an index out of order or range.
-func (p *VecPairs) fail(m int) (int, int64, bool) {
-	p.err, p.left = ErrBadDelta, 0
-	if m <= 0 {
-		p.err = ErrTruncated
+// fail ends the walk on a malformed pair, unless a truncation already
+// has.
+func (p *VecPairs) fail(err error) (int, int64, bool) {
+	if p.err == nil {
+		p.err = err
 	}
+	p.left = 0
 	return 0, 0, false
 }
 
 // Err reports why Next stopped early, nil after a clean end.
 func (p *VecPairs) Err() error { return p.err }
 
-// AppendVecDelta appends the delta encoding of cur relative to base and
-// returns the extended slice: the pairs where the two differ. It panics
+// AppendVecDelta appends the delta of cur relative to base and returns
+// the extended slice: 0x00 | uvarint(changed) | changed × (uvarint
+// index, varint value), the pairs where the two differ. It panics
 // on a length mismatch, because mixing vectors from systems of different
 // sizes is always a programming error (matching vclock's contract).
 //

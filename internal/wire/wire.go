@@ -192,8 +192,8 @@ func VarintLen(v int64) int { return UvarintLen(uint64(v)<<1 ^ uint64(v>>63)) }
 func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // AppendVec appends a length-prefixed varint encoding of v to buf and
-// returns the extended slice. It is the shared piggyback primitive: TDI's
-// entire piggyback is one such vector.
+// returns the extended slice: the vector field of checkpoints, control
+// messages and snapshots. (TDI's piggyback has its own layout, v3.)
 //
 //windar:hotpath
 func AppendVec(buf []byte, v vclock.Vec) []byte {

@@ -133,12 +133,15 @@ func (m *MasterWorker) Step(env app.Env, s int) {
 // step: rank r talks to rank r XOR pattern(s), exercising varied
 // communication graphs. When the partner is out of range (non-power-of-2
 // n), the rank synchronises via a collective instead.
-type Pairs struct{ state }
+type Pairs struct {
+	state
+	coll mpi.Buffers // scratch, not state
+}
 
 // NewPairs returns the pairs factory.
 func NewPairs(steps int) app.Factory {
 	return func(rank, n int) app.App {
-		return &Pairs{state{rank: rank, n: n, steps: steps}}
+		return &Pairs{state: state{rank: rank, n: n, steps: steps}}
 	}
 }
 
@@ -153,7 +156,7 @@ func (p *Pairs) Step(env app.Env, s int) {
 	}
 	// A periodic allreduce couples everyone causally.
 	if (s+1)%4 == 0 {
-		res := mpi.Allreduce(env, 1<<20, []float64{float64(p.sum % 1024)}, mpi.Sum)
+		res := mpi.Allreduce(env, 1<<20, []float64{float64(p.sum % 1024)}, mpi.Sum, &p.coll)
 		p.fold(uint64(res[0]))
 	}
 }

@@ -75,6 +75,10 @@ const (
 	TAG Protocol = "tag"
 	// TEL is the event-logger baseline (Bouteiller et al. style).
 	TEL Protocol = "tel"
+	// None logs nothing: the unprotected baseline logging's cost is
+	// measured against. It takes no checkpoints and cannot recover, so
+	// it serves fault-free runs only.
+	None Protocol = "none"
 )
 
 // Mode selects the communication architecture of the paper's Fig. 4.
