@@ -101,9 +101,11 @@ examples:
 	$(GO) run ./cmd/windar-gateway -demo -workers 2
 	$(GO) run ./cmd/windar-gateway -demo -workers 2 -transport tcp
 
-# Wire-format, WAL-segment, checkpoint-blob, control-message, TDI-piggyback and PWD-protocol fuzzers. `go test -fuzz` accepts exactly one
+# Wire-format, WAL-segment, checkpoint-blob, control-message, TDI-piggyback, PWD-protocol and trace-import fuzzers. `go test -fuzz` accepts exactly one
 # target per invocation, so each runs separately; FUZZTIME bounds each
-# target.
+# target. A trace-import input costs ~0.3 ms, so minimizing each new
+# corpus entry of that fuzzer is capped at 2s instead of the default 60s,
+# which would otherwise eat the whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -117,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzControlDecode$$' -fuzztime $(FUZZTIME) ./internal/harness
 	$(GO) test -run '^$$' -fuzz '^FuzzTDIPiggyback$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPWDDecode$$' -fuzztime $(FUZZTIME) ./internal/determinant
+	$(GO) test -run '^$$' -fuzz '^FuzzImportValidate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
 
 clean:
 	$(GO) clean ./...

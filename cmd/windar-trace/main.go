@@ -10,11 +10,12 @@
 //
 // -check audits the DAG against the causal-tracing invariants (every
 // delivered span was sent, parent edges are causally possible and
-// acyclic, traces are inherited) and additionally replays the classic
-// trace invariants (FIFO delivery, no duplicates, demand satisfaction);
-// any violation exits nonzero. The Chrome export opens directly in
-// chrome://tracing or ui.perfetto.dev; the OTLP export is the
-// OpenTelemetry JSON file encoding.
+// acyclic, traces are inherited) and additionally replays the trace
+// through trace.Validate (FIFO delivery, no duplicates, demand
+// satisfaction, ...; every rule but no-loss, since the file does not
+// record whether the run finished); any violation exits nonzero. The
+// Chrome export opens directly in chrome://tracing or ui.perfetto.dev;
+// the OTLP export is the OpenTelemetry JSON file encoding.
 package main
 
 import (
@@ -59,7 +60,9 @@ func main() {
 		problems := lin.Check()
 		// The classic per-channel invariants still apply to the same
 		// event stream; a span DAG over a FIFO-violating trace is lying.
-		problems = append(problems, rec.CheckInvariants()...)
+		// The file does not say whether the run finished, so no-loss is
+		// not judged.
+		problems = append(problems, rec.Validate(false)...)
 		for _, p := range problems {
 			fmt.Fprintf(os.Stderr, "windar-trace: VIOLATION %s\n", p)
 			ok = false

@@ -36,7 +36,7 @@ const (
 	OpKill Op = "kill"
 	// OpRecover starts the rank's next incarnation from its checkpoint.
 	OpRecover Op = "recover"
-	// OpStall suspends delivery into the rank (transport.Staller) — a
+	// OpStall suspends delivery into the rank (Transport.Stall) — a
 	// transient partition in front of it, not a crash.
 	OpStall Op = "stall"
 	// OpUnstall resumes delivery into the rank.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"windar/internal/harness"
-	"windar/internal/transport"
 	"windar/layer"
 )
 
@@ -246,25 +245,17 @@ func (e *Engine) exec(i int, via string) {
 			e.alive[a.Rank] = true
 		}
 	case OpStall:
-		st, ok := e.cl.Transport().(transport.Staller)
-		switch {
-		case !ok:
-			outcome = "skip(no-staller)"
-		case e.stalled[a.Rank]:
+		if e.stalled[a.Rank] {
 			outcome = "skip(stalled)"
-		default:
-			st.Stall(a.Rank)
+		} else {
+			e.cl.Transport().Stall(a.Rank)
 			e.stalled[a.Rank] = true
 		}
 	case OpUnstall:
-		st, ok := e.cl.Transport().(transport.Staller)
-		switch {
-		case !ok:
-			outcome = "skip(no-staller)"
-		case !e.stalled[a.Rank]:
+		if !e.stalled[a.Rank] {
 			outcome = "skip(not-stalled)"
-		default:
-			st.Unstall(a.Rank)
+		} else {
+			e.cl.Transport().Unstall(a.Rank)
 			e.stalled[a.Rank] = false
 		}
 	default:

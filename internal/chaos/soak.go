@@ -97,8 +97,8 @@ func appFactory(name string, steps int) (app.Factory, error) {
 // RunSchedule executes one schedule against a fresh cluster and
 // validates the run through the file path an operator uses: the trace
 // is exported to JSONL and re-imported, and the imported copy must pass
-// Validate and CheckInvariants (auditExport). The final per-rank
-// application states are returned for baseline comparison.
+// Validate (auditExport). The final per-rank application states are
+// returned for baseline comparison.
 func RunSchedule(o RunOptions) (*RunResult, error) {
 	o.fill()
 	if err := o.Schedule.Validate(o.Procs); err != nil {
@@ -157,11 +157,10 @@ func RunSchedule(o RunOptions) (*RunResult, error) {
 
 // auditExport re-imports data, the JSONL export of rec, and checks the
 // imported copy rather than rec: it must carry rec's event count,
-// transport and dropped count, and then goes through Validate (FIFO, no
-// duplicate, no loss) and CheckInvariants (per-link order,
-// deliver-index monotonicity, demand satisfaction, checkpoint counts,
-// rollback-response pairing). finished reports whether the run
-// completed. It returns the imported copy for further checks.
+// transport and dropped count, and then goes through Validate (per-link
+// order, deliver-index monotonicity, demand satisfaction, checkpoint
+// counts, no duplicate, rollback-response pairing and, when the run
+// finished, no loss). It returns the imported copy for further checks.
 func auditExport(rec *trace.Recorder, data io.Reader, finished bool) (*trace.Recorder, []trace.Problem, error) {
 	imported, err := trace.Import(data)
 	if err != nil {
@@ -176,8 +175,7 @@ func auditExport(rec *trace.Recorder, data io.Reader, finished bool) (*trace.Rec
 	if got, want := imported.Dropped(), rec.Dropped(); got != want {
 		return nil, nil, fmt.Errorf("trace round trip: dropped count %d, want %d", got, want)
 	}
-	problems := append(imported.Validate(finished), imported.CheckInvariants()...)
-	return imported, problems, nil
+	return imported, imported.Validate(finished), nil
 }
 
 // Baseline runs the same workload fault-free (on the mem transport; the

@@ -106,9 +106,6 @@ func TestStartFromStableResumesAfterAbruptStop(t *testing.T) {
 			for _, pr := range rec.Validate(true) {
 				t.Errorf("trace: %v", pr)
 			}
-			for _, pr := range rec.CheckInvariants() {
-				t.Errorf("invariant: %v", pr)
-			}
 		})
 	}
 }

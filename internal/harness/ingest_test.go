@@ -80,6 +80,8 @@ func TestCorruptPiggybackHeldNotPanic(t *testing.T) {
 		"empty":            nil,
 	}
 	for _, p := range allProtocols {
+		// A well-formed piggyback, then a stray byte: to TEL {0x00, 0x07}.
+		corruptions["trailing-byte"] = append(validPig(p, 3), 0x07)
 		for name, pig := range corruptions {
 			if name == "delta-no-base" && p == TEL {
 				continue // those bytes happen to be a well-formed TEL piggyback

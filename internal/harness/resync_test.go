@@ -238,8 +238,13 @@ func (o *victimObs) OnRecoveryComplete(rank int, d time.Duration) {
 }
 
 // TestDeterministicReplayResendsDeltas kills rank 1 of a named-source
-// flood ring, then, once rank 1 has rolled forward, its successor rank 2,
-// on both transports. Both checkpoint only at one early step. Rank 1's
+// flood ring, then its successor rank 2, on both transports. Rank 2 dies
+// once its first incarnation has delivered a message of rank 1's second:
+// by per-link FIFO across incarnations, every regenerated copy rank 1
+// transmitted before rank 2's RESPONSE arrived (one that was not
+// suppressed) has then reached rank 2's first incarnation and been
+// discarded, so none is still in flight to take the place of a resend.
+// Both checkpoint only at one early step. Rank 1's
 // replay makes no AnySource choice, so its regenerated sends to rank 2
 // are the deltas a first run sends, at or below its floor too; rank 2's
 // rollback has rank 1 resend those from its log. Required: at least one
@@ -266,7 +271,12 @@ func TestDeterministicReplayResendsDeltas(t *testing.T) {
 			// at or below its floor; resent counts those rank 2's second
 			// incarnation delivered from rank 1's log.
 			var ckpt1, delivered2, resent int64
+			drained := make(chan struct{})
+			var drainOnce sync.Once
 			probe.seen = func(r *rankRuntime, m *layer.Msg) {
+				if r.id == 2 && r.incarnation == 0 && m.Peer == 1 && r.delivEnv.Incarnation > 0 {
+					drainOnce.Do(func() { close(drained) })
+				}
 				if r.id == 2 && r.incarnation > 0 && m.Peer == 1 && m.Resent &&
 					m.SendIndex > ckpt1 && m.SendIndex <= delivered2 {
 					resent++
@@ -297,6 +307,12 @@ func TestDeterministicReplayResendsDeltas(t *testing.T) {
 					t.Fatalf("Recover(1): %v", err)
 				}
 				<-obs.recovered
+				select {
+				case <-drained:
+				case <-time.After(30 * time.Second):
+					t.Error("rank 2 never delivered a message of rank 1's second incarnation")
+					return
+				}
 				if err := c.Kill(2); err != nil {
 					t.Fatalf("Kill(2): %v", err)
 				}

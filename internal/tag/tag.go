@@ -103,8 +103,18 @@ func readPig(pig []byte) (int64, []agraph.Node, error) {
 	if off <= 0 {
 		return 0, nil, errors.New("bad header")
 	}
-	nodes, _, err := agraph.ReadNodes(pig[off:])
+	nodes, err := readNodes(pig[off:])
 	return interval, nodes, err
+}
+
+// readNodes decodes b as exactly one antecedence-graph batch: a stray
+// byte after it means b is not what AppendNodes wrote.
+func readNodes(b []byte) ([]agraph.Node, error) {
+	nodes, n, err := agraph.ReadNodes(b)
+	if err == nil && n != len(b) {
+		return nil, fmt.Errorf("%d trailing bytes", len(b)-n)
+	}
+	return nodes, err
 }
 
 // checkPig is readPig without the result: Replay's piggyback validation.
@@ -158,7 +168,7 @@ func (t *TAG) Restore(data []byte) error {
 	if off <= 0 {
 		return fmt.Errorf("tag: restore: bad header")
 	}
-	nodes, _, err := agraph.ReadNodes(data[off:])
+	nodes, err := readNodes(data[off:])
 	if err != nil {
 		return fmt.Errorf("tag: restore: %w", err)
 	}
@@ -189,7 +199,7 @@ func (t *TAG) BeginRecovery() { t.Replay.Begin(t.ownDelivered) }
 // A stale RESPONSE (addressed to a previous incarnation) still merges;
 // Record ignores it outside recovery.
 func (t *TAG) OnRecoveryData(from int, data []byte) error {
-	nodes, _, err := agraph.ReadNodes(data)
+	nodes, err := readNodes(data)
 	if err != nil {
 		return fmt.Errorf("tag: recovery data from %d: %w", from, err)
 	}

@@ -109,10 +109,20 @@ func (t *TEL) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	return pig, determinant.IdentifierCount * len(ds)
 }
 
+// readAll decodes b as exactly one determinant slice: a stray byte after
+// it means b is not what AppendSlice wrote.
+func readAll(b []byte) ([]determinant.D, error) {
+	ds, n, err := determinant.ReadSlice(b)
+	if err == nil && n != len(b) {
+		return nil, fmt.Errorf("%d trailing bytes", len(b)-n)
+	}
+	return ds, err
+}
+
 // checkPig is Replay's piggyback validation: the piggyback must decode as
 // a determinant slice.
 func checkPig(pig []byte) error {
-	_, _, err := determinant.ReadSlice(pig)
+	_, err := readAll(pig)
 	return err
 }
 
@@ -121,7 +131,7 @@ func checkPig(pig []byte) error {
 // event logger asynchronously.
 func (t *TEL) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	start, w := t.track.BeginDeliver()
-	ds, _, err := determinant.ReadSlice(env.Piggyback)
+	ds, err := readAll(env.Piggyback)
 	if err != nil {
 		return fmt.Errorf("tel: rank %d: bad piggyback from %d: %w", t.rank, env.From, err)
 	}
@@ -214,7 +224,7 @@ func (t *TEL) Restore(data []byte) error {
 		return fmt.Errorf("tel: restore: %w", err)
 	}
 	i += n
-	recvDs, _, err := determinant.ReadSlice(data[i:])
+	recvDs, err := readAll(data[i:])
 	if err != nil {
 		return fmt.Errorf("tel: restore: %w", err)
 	}
@@ -270,7 +280,7 @@ func (t *TEL) OnCollected() {
 
 // OnRecoveryData implements proto.Replayer.
 func (t *TEL) OnRecoveryData(from int, data []byte) error {
-	ds, _, err := determinant.ReadSlice(data)
+	ds, err := readAll(data)
 	if err != nil {
 		return fmt.Errorf("tel: recovery data from %d: %w", from, err)
 	}

@@ -1,40 +1,20 @@
 // Bounded recording: long soak runs generate events without end, and
 // retaining them all makes the Recorder the largest allocation in the
 // process. NewBounded caps retained raw events with a ring; evicted
-// events are folded, in order, into streaming copies of the Validate
-// and CheckInvariants state machines, so both verdicts stay exactly
-// what an unbounded recorder would produce. What is lost is only the
-// ability to re-read the evicted events themselves (Events, Export,
-// Summarize see the retained window).
+// events are fed, in order, into the recorder's digest — the replay
+// machine Validate runs — so the verdict stays exactly what an
+// unbounded recorder would produce. What is lost is only the ability to
+// re-read the evicted events themselves (Events, Export, Summarize see
+// the retained window).
 package trace
 
 // NewBounded returns a Recorder that retains at most capacity raw
-// events. Validation (Validate, CheckInvariants) remains exact across
-// evictions; Events/Export expose the most recent window and Dropped
-// reports how much was evicted. capacity must be positive.
+// events. Validate remains exact across evictions; Events/Export expose
+// the most recent window and Dropped reports how much was evicted.
+// capacity must be positive.
 func NewBounded(capacity int) *Recorder {
 	if capacity <= 0 {
 		panic("trace: NewBounded capacity must be positive")
 	}
-	return &Recorder{bound: capacity, digest: newDigest()}
-}
-
-// digest accumulates evicted events into the two streaming validation
-// state machines. It is only ever touched under the Recorder's mutex.
-type digest struct {
-	val *validator
-	chk *checker
-}
-
-func newDigest() *digest {
-	return &digest{val: newValidator(), chk: newChecker()}
-}
-
-func (d *digest) feed(e Event) {
-	d.val.feed(e)
-	d.chk.feed(e)
-}
-
-func (d *digest) clone() *digest {
-	return &digest{val: d.val.clone(), chk: d.chk.clone()}
+	return &Recorder{bound: capacity, digest: newChecker()}
 }

@@ -24,14 +24,14 @@ func TestCheckInvariantsCleanTrace(t *testing.T) {
 	r.OnCheckpoint(1, 1, 2)
 	r.OnSend(0, 1, 3, false)
 	r.OnDeliver(1, 0, 3, 3, 2)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("clean trace flagged: %v", problems)
 	}
 }
 
 func TestCheckInvariantsEmptyTrace(t *testing.T) {
 	r := &Recorder{}
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("empty trace flagged: %v", problems)
 	}
 }
@@ -40,7 +40,7 @@ func TestCheckInvariantsFIFOViolation(t *testing.T) {
 	r := &Recorder{}
 	r.OnDeliver(1, 0, 2, 1, -1)
 	r.OnDeliver(1, 0, 1, 2, -1)
-	if !rulesOf(r.CheckInvariants())["fifo-order"] {
+	if !rulesOf(r.Validate(false))["fifo-order"] {
 		t.Fatalf("out-of-order link delivery not flagged")
 	}
 }
@@ -49,7 +49,7 @@ func TestCheckInvariantsDeliverIndexGap(t *testing.T) {
 	r := &Recorder{}
 	r.OnDeliver(1, 0, 1, 1, -1)
 	r.OnDeliver(1, 0, 2, 3, -1) // skips index 2
-	if !rulesOf(r.CheckInvariants())["deliver-monotonic"] {
+	if !rulesOf(r.Validate(false))["deliver-monotonic"] {
 		t.Fatalf("deliver-index gap not flagged")
 	}
 }
@@ -58,7 +58,7 @@ func TestCheckInvariantsDemand(t *testing.T) {
 	r := &Recorder{}
 	r.OnDeliver(1, 0, 1, 1, 0)
 	r.OnDeliver(1, 2, 1, 2, 4) // demands 4 prior deliveries, only 1 happened
-	problems := r.CheckInvariants()
+	problems := r.Validate(false)
 	if !rulesOf(problems)["deliver-demand"] {
 		t.Fatalf("unsatisfied demand not flagged: %v", problems)
 	}
@@ -66,7 +66,7 @@ func TestCheckInvariantsDemand(t *testing.T) {
 	r2 := &Recorder{}
 	r2.OnDeliver(1, 0, 1, 1, 0)
 	r2.OnDeliver(1, 2, 1, 2, 1)
-	if problems := r2.CheckInvariants(); len(problems) > 0 {
+	if problems := r2.Validate(false); len(problems) > 0 {
 		t.Fatalf("satisfied demand flagged: %v", problems)
 	}
 }
@@ -75,7 +75,7 @@ func TestCheckInvariantsCheckpointCount(t *testing.T) {
 	r := &Recorder{}
 	r.OnDeliver(1, 0, 1, 1, -1)
 	r.OnCheckpoint(1, 1, 5) // trace replays 1 delivery, checkpoint claims 5
-	if !rulesOf(r.CheckInvariants())["checkpoint-count"] {
+	if !rulesOf(r.Validate(false))["checkpoint-count"] {
 		t.Fatalf("checkpoint count drift not flagged")
 	}
 }
@@ -95,7 +95,7 @@ func TestCheckInvariantsRollback(t *testing.T) {
 	r.OnDeliver(1, 0, 2, 2, 1) // re-delivery during rolling forward
 	r.OnDeliver(1, 0, 3, 3, 2)
 	r.OnRecoveryComplete(1, 0)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("rollback trace flagged: %v", problems)
 	}
 }
@@ -109,14 +109,14 @@ func TestCheckInvariantsRollbackWithoutCheckpoint(t *testing.T) {
 	r.OnRecover(1, 0)
 	r.OnDeliver(1, 0, 1, 1, 0)
 	r.OnDeliver(1, 0, 2, 2, 1)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("from-scratch recovery flagged: %v", problems)
 	}
 }
 
 // TestRoundTripInterleavedThroughChecker drives an interleaved
 // multi-rank trace (two senders, two receivers, one failure) through
-// Export -> Import -> CheckInvariants and asserts the verdict survives
+// Export -> Import -> Validate and asserts the verdict survives
 // serialization in both directions.
 func TestRoundTripInterleavedThroughChecker(t *testing.T) {
 	build := func(corrupt bool) *Recorder {
@@ -149,7 +149,7 @@ func TestRoundTripInterleavedThroughChecker(t *testing.T) {
 			if err != nil {
 				t.Fatalf("import: %v", err)
 			}
-			problems := imported.CheckInvariants()
+			problems := imported.Validate(false)
 			if tc.corrupt && !rulesOf(problems)["fifo-order"] {
 				t.Fatalf("corruption lost in round trip: %v", problems)
 			}
@@ -178,7 +178,7 @@ func TestImportEmptyLog(t *testing.T) {
 	if rec.Len() != 0 {
 		t.Fatalf("empty log produced %d events", rec.Len())
 	}
-	if problems := rec.CheckInvariants(); len(problems) > 0 {
+	if problems := rec.Validate(false); len(problems) > 0 {
 		t.Fatalf("empty log flagged: %v", problems)
 	}
 }
@@ -242,7 +242,7 @@ func TestRollbackResponsePaired(t *testing.T) {
 	r.OnResponse(1, 0)
 	r.OnResponse(1, 2)
 	r.OnRecoveryComplete(1, 0)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("paired rollback flagged: %v", problems)
 	}
 }
@@ -255,7 +255,7 @@ func TestRollbackResponseMissing(t *testing.T) {
 	r.OnRecover(1, 0)
 	r.OnRollback(1, 2)
 	r.OnResponse(1, 0)
-	if !rulesOf(r.CheckInvariants())["rollback-response"] {
+	if !rulesOf(r.Validate(false))["rollback-response"] {
 		t.Fatalf("unpaired rollback not flagged")
 	}
 }
@@ -270,7 +270,7 @@ func TestRollbackResponseCompletedExempt(t *testing.T) {
 	r.OnRollback(1, 2)
 	r.OnResponse(1, 0)
 	r.OnRecoveryComplete(1, 0)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("completed recovery flagged: %v", problems)
 	}
 }
@@ -287,17 +287,17 @@ func TestRollbackResponseDeadResponderStaysOwed(t *testing.T) {
 	r.OnRollback(1, 3)
 	r.OnResponse(1, 0)
 	r.OnKill(3) // dies after the broadcast, before answering
-	if !rulesOf(r.CheckInvariants())["rollback-response"] {
+	if !rulesOf(r.Validate(false))["rollback-response"] {
 		t.Fatal("a collection still owed by two dead responders passed")
 	}
 	r.OnRecover(2, 0)
 	r.OnResponse(1, 2) // revived, answers
-	if !rulesOf(r.CheckInvariants())["rollback-response"] {
+	if !rulesOf(r.Validate(false))["rollback-response"] {
 		t.Fatal("a collection still owed by one dead responder passed")
 	}
 	r.OnRecover(3, 0)
 	r.OnResponse(1, 3)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("a collection every peer answered was flagged: %v", problems)
 	}
 
@@ -307,7 +307,7 @@ func TestRollbackResponseDeadResponderStaysOwed(t *testing.T) {
 	r.OnRollback(1, 2)
 	r.OnKill(2)
 	r.OnRecoveryComplete(1, 0)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("a completed recovery owed by a dead responder was flagged: %v", problems)
 	}
 }
@@ -326,7 +326,7 @@ func TestRollbackResponseSupersededByKill(t *testing.T) {
 	r.OnResponse(1, 0)
 	r.OnResponse(1, 2)
 	r.OnRecoveryComplete(1, 0)
-	if problems := r.CheckInvariants(); len(problems) > 0 {
+	if problems := r.Validate(false); len(problems) > 0 {
 		t.Fatalf("superseded rollback flagged: %v", problems)
 	}
 }
@@ -348,7 +348,7 @@ func TestRollbackResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("import: %v", err)
 	}
-	if !rulesOf(imported.CheckInvariants())["rollback-response"] {
+	if !rulesOf(imported.Validate(false))["rollback-response"] {
 		t.Fatalf("pairing verdict lost in round trip")
 	}
 	events := imported.Events()

@@ -86,11 +86,11 @@ type Event struct {
 type Recorder struct {
 	mu        sync.Mutex
 	events    []Event
-	head      int // ring start, nonzero only once a bounded recorder wraps
-	seq       int // next Seq to assign; grows past len(events) when bounded
-	dropped   int // events evicted into the digest
-	bound     int // max retained events, 0 = unbounded
-	digest    *digest
+	head      int      // ring start, nonzero only once a bounded recorder wraps
+	seq       int      // next Seq to assign; grows past len(events) when bounded
+	dropped   int      // events evicted into the digest
+	bound     int      // max retained events, 0 = unbounded
+	digest    *checker // Validate's starting state: evicted events, restart seed
 	transport string
 }
 
@@ -140,7 +140,7 @@ func (r *Recorder) OnSend(rank, dest int, sendIndex int64, resent bool) {
 // OnDeliver implements harness.Observer. demand is the protocol's
 // delivery requirement for the message (TDI's piggybacked
 // depend_interval element for the receiving rank), or -1 when the
-// protocol exposes none; CheckInvariants re-verifies it offline.
+// protocol exposes none; Validate re-verifies it offline.
 func (r *Recorder) OnDeliver(rank, from int, sendIndex, deliverIndex, demand int64) {
 	r.add(Event{Kind: EvDeliver, Rank: rank, Peer: from, SendIndex: sendIndex, DeliverIndex: deliverIndex, Demand: demand})
 }
@@ -221,16 +221,16 @@ func (r *Recorder) eventsLocked() []Event {
 }
 
 // snapshot atomically captures the retained events together with a
-// private copy of the digest state covering the evicted prefix, so
-// validation never observes a half-advanced ring.
-func (r *Recorder) snapshot() ([]Event, *digest) {
+// private copy of the digest, so validation never observes a
+// half-advanced ring.
+func (r *Recorder) snapshot() ([]Event, *checker) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var d *digest
+	var c *checker
 	if r.digest != nil {
-		d = r.digest.clone()
+		c = r.digest.clone()
 	}
-	return r.eventsLocked(), d
+	return r.eventsLocked(), c
 }
 
 // Len returns the number of retained events.
@@ -244,7 +244,7 @@ func (r *Recorder) Len() int {
 // an unbounded recorder, and on imported traces whatever the header
 // recorded). Validation on the live recorder stays exact across drops;
 // a re-imported dropped trace carries only the retained suffix, so
-// offline validators should warn when this is nonzero.
+// offline checks should warn when this is nonzero.
 func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,33 +258,3 @@ type Problem struct {
 }
 
 func (p Problem) String() string { return p.Rule + ": " + p.Detail }
-
-// Validate checks the recorded execution. It reconstructs each rank's
-// *effective* history: on every recovery, the rank's post-checkpoint
-// deliveries and sends are rolled back (they re-occur during rolling
-// forward), exactly as the recovery protocols promise. On the surviving
-// history it enforces:
-//
-//   - fifo-delivery: per channel, delivered send indexes are strictly
-//     increasing within each epoch;
-//   - no-duplicate: no (channel, send index) is delivered twice in the
-//     effective history;
-//   - no-loss: the effective delivered set per channel is exactly the
-//     contiguous range 1..max of the effective sent set (every sent
-//     message that the run consumed arrived exactly once).
-//
-// finished reports whether the run completed (all application steps
-// done); the no-loss rule only holds then. On a bounded recorder the
-// result is identical to an unbounded one: evicted events were already
-// folded into the streaming validator state.
-func (r *Recorder) Validate(finished bool) []Problem {
-	events, d := r.snapshot()
-	v := newValidator()
-	if d != nil {
-		v = d.val
-	}
-	for _, e := range events {
-		v.feed(e)
-	}
-	return v.finish(finished)
-}

@@ -75,7 +75,7 @@ func TestValidateDetectsFIFOViolation(t *testing.T) {
 	r.OnDeliver(1, 0, 2, 1, -1)
 	r.OnDeliver(1, 0, 1, 2, -1)
 	problems := r.Validate(false)
-	if !hasRule(problems, "fifo-delivery") {
+	if !hasRule(problems, "fifo-order") {
 		t.Fatalf("FIFO violation not detected: %v", problems)
 	}
 }
@@ -141,7 +141,7 @@ func TestValidateDuplicateSurvivingRecoveryCaught(t *testing.T) {
 	r.OnRecover(1, 5)
 	r.OnDeliver(1, 0, 1, 2, -1) // bug: re-delivered a checkpointed message
 	problems := r.Validate(false)
-	if !hasRule(problems, "no-duplicate") && !hasRule(problems, "fifo-delivery") {
+	if !hasRule(problems, "no-duplicate") && !hasRule(problems, "fifo-order") {
 		t.Fatalf("post-recovery duplicate not detected: %v", problems)
 	}
 }

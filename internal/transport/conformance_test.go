@@ -459,17 +459,12 @@ func TestCloseUnblocksEverything(t *testing.T) {
 	})
 }
 
-// TestStallParksDelivery: both implementations satisfy the optional
-// Staller capability — while a rank is stalled, accepted messages stay
-// in flight and its inbox receives nothing; Unstall releases them in
-// FIFO order with no loss.
+// TestStallParksDelivery: while a rank is stalled, accepted messages
+// stay in flight and its inbox receives nothing; Unstall releases them
+// in FIFO order with no loss.
 func TestStallParksDelivery(t *testing.T) {
 	each(t, 2, func(t *testing.T, tr transport.Transport) {
-		st, ok := tr.(transport.Staller)
-		if !ok {
-			t.Fatalf("%s transport does not implement Staller", tr.Kind())
-		}
-		st.Stall(1)
+		tr.Stall(1)
 		for i := 0; i < 3; i++ {
 			mustSend(t, tr, appEnv(0, 1, i), transport.SendOpts{})
 		}
@@ -492,7 +487,7 @@ func TestStallParksDelivery(t *testing.T) {
 		if tr.InFlight() == 0 {
 			t.Fatal("stalled messages not counted as in flight")
 		}
-		st.Unstall(1)
+		tr.Unstall(1)
 		for i := 0; i < 3; i++ {
 			select {
 			case env := <-got:
@@ -513,8 +508,7 @@ func TestStallParksDelivery(t *testing.T) {
 // Revive.
 func TestStallSurvivesKill(t *testing.T) {
 	each(t, 2, func(t *testing.T, tr transport.Transport) {
-		st := tr.(transport.Staller)
-		st.Stall(1)
+		tr.Stall(1)
 		for i := 0; i < 3; i++ {
 			mustSend(t, tr, appEnv(0, 1, i), transport.SendOpts{})
 		}
@@ -540,7 +534,7 @@ func TestStallSurvivesKill(t *testing.T) {
 			t.Fatalf("still-stalled revived rank delivered message %d", env.SendIndex)
 		case <-time.After(50 * time.Millisecond):
 		}
-		st.Unstall(1)
+		tr.Unstall(1)
 		for i := 0; i < 3; i++ {
 			select {
 			case env := <-got:
@@ -749,11 +743,10 @@ func TestInlineSendIsABufferedSend(t *testing.T) {
 		}
 		tr.Revive(0)
 
-		st := tr.(transport.Staller)
 		for i, c := range []struct {
 			down        string
 			stop, start func(rank int)
-		}{{"dead", tr.Kill, tr.Revive}, {"stalled", st.Stall, st.Unstall}} {
+		}{{"dead", tr.Kill, tr.Revive}, {"stalled", tr.Stall, tr.Unstall}} {
 			idx := 1 + 2*i
 			c.stop(1)
 			accepted := in.TrySend(appEnv(0, 1, idx))

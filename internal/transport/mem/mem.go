@@ -18,10 +18,7 @@ type Transport struct {
 	fab *fabric.Fabric
 }
 
-var (
-	_ transport.Transport = (*Transport)(nil)
-	_ transport.Staller   = (*Transport)(nil)
-)
+var _ transport.Transport = (*Transport)(nil)
 
 // New builds a mem transport over a fresh fabric configured by cfg.
 func New(cfg fabric.Config) *Transport {
@@ -57,10 +54,10 @@ func (t *Transport) Kill(rank int) { t.fab.Kill(rank) }
 // Revive implements transport.Transport.
 func (t *Transport) Revive(rank int) { t.fab.Revive(rank) }
 
-// Stall implements transport.Staller.
+// Stall implements transport.Transport.
 func (t *Transport) Stall(rank int) { t.fab.Stall(rank) }
 
-// Unstall implements transport.Staller.
+// Unstall implements transport.Transport.
 func (t *Transport) Unstall(rank int) { t.fab.Unstall(rank) }
 
 // Alive implements transport.Transport.

@@ -127,7 +127,6 @@ type Transport struct {
 
 var (
 	_ transport.Transport    = (*Transport)(nil)
-	_ transport.Staller      = (*Transport)(nil)
 	_ transport.InlineSender = (*Transport)(nil)
 )
 
@@ -305,7 +304,7 @@ func (t *Transport) Revive(rank int) {
 	}
 }
 
-// Stall implements transport.Staller: inbound receive loops hold
+// Stall implements transport.Transport: inbound receive loops hold
 // frames unacked until Unstall, so parked messages survive kills via
 // sender-side retransmission exactly like dead-window traffic.
 func (t *Transport) Stall(rank int) {
@@ -315,7 +314,7 @@ func (t *Transport) Stall(rank int) {
 	r.mu.Unlock()
 }
 
-// Unstall implements transport.Staller.
+// Unstall implements transport.Transport.
 func (t *Transport) Unstall(rank int) {
 	r := t.ranks[rank]
 	r.mu.Lock()

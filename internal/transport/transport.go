@@ -110,23 +110,6 @@ type InlineSender interface {
 	TrySend(env *wire.Envelope) bool
 }
 
-// Staller is an optional Transport capability: suspending delivery
-// into a rank without killing it — the transport-level model of a
-// transient partition in front of the rank. While stalled, accepted
-// messages park exactly as during a dead window (InFlight counts
-// them), but the rank's inbox and incarnation stay attached, so no
-// state is lost and no recovery is triggered; Unstall releases the
-// parked messages in per-link FIFO order. A stall is independent of
-// Kill/Revive and survives both — callers must pair every Stall with
-// an Unstall. Both implementations in this repository satisfy it; the
-// chaos engine feature-tests for it.
-type Staller interface {
-	// Stall suspends delivery into rank.
-	Stall(rank int)
-	// Unstall resumes delivery into rank.
-	Unstall(rank int)
-}
-
 // Transport is the cluster interconnect: N ranks, per-ordered-pair FIFO
 // links, and the crash/recovery semantics documented on the package.
 // Implementations are safe for concurrent use by all ranks.
@@ -155,6 +138,17 @@ type Transport interface {
 	Revive(rank int)
 	// Alive reports whether rank is currently alive.
 	Alive(rank int) bool
+	// Stall suspends delivery into rank without killing it — the
+	// transport-level model of a transient partition in front of the
+	// rank. While stalled, accepted messages park exactly as during a
+	// dead window (InFlight counts them), but the rank's inbox and
+	// incarnation stay attached, so no state is lost and no recovery
+	// is triggered. A stall is independent of Kill/Revive and survives
+	// both; callers must pair every Stall with an Unstall.
+	Stall(rank int)
+	// Unstall resumes delivery into rank, releasing the parked
+	// messages in per-link FIFO order.
+	Unstall(rank int)
 	// InFlight reports the number of messages accepted but not yet
 	// handed to a destination inbox (diagnostics and tests).
 	InFlight() int

@@ -194,14 +194,14 @@ type Stats = metrics.Snapshot
 // validation.
 //
 // Stability: intentionally aliased to the internal trace recorder — its
-// validation and export methods (Validate, CheckInvariants, WriteJSONL,
-// Events) are the product. The recorded event schema may gain kinds and
+// validation and export methods (Validate, Export, Events) are the
+// product. The recorded event schema may gain kinds and
 // fields; the JSONL header carries the version embedders should check.
 type TraceRecorder = trace.Recorder
 
 // NewBoundedTrace returns a TraceRecorder that retains at most capacity
 // raw events. Validation stays exact across evictions (the streaming
-// validators absorb evicted events), which keeps long soak runs from
+// checker absorbs evicted events), which keeps long soak runs from
 // growing the trace without bound.
 func NewBoundedTrace(capacity int) *TraceRecorder { return trace.NewBounded(capacity) }
 
