@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -81,25 +82,28 @@ func main() {
 	if *resume && *stableK != windar.StableDisk {
 		fatal("-resume requires -stable disk")
 	}
-	if *validate {
+	if *validate || *flightDir != "" || *traceOut != "" {
+		// The run's recorder is installed whenever something reads it;
+		// with -flight-dir it is the flight recorder too, so arming it
+		// costs nothing extra.
 		cfg.Trace = rec
 	}
-	var flight *windar.FlightRecorder
+	// dump writes the run's recorder to <flight-dir>/flight-<reason>.jsonl.
+	dump := func(reason string) {
+		path := filepath.Join(*flightDir, "flight-"+reason+".jsonl")
+		if err := rec.WriteFile(path); err != nil {
+			fmt.Fprintf(os.Stderr, "windar-run: %s: flight dump failed: %v\n", reason, err)
+		} else {
+			fmt.Fprintf(os.Stderr, "windar-run: %s: flight trace dumped to %s\n", reason, path)
+		}
+	}
 	if *flightDir != "" {
-		// The flight ring shares the run's recorder, so an armed recorder
-		// costs nothing extra; on a signal the current window lands on disk
-		// before the process dies.
-		flight = windar.NewFlightRecorder(rec, *flightDir)
-		cfg.Flight = flight
+		// On a signal the current window lands on disk before the
+		// process dies.
 		sigs := make(chan os.Signal, 1)
 		signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 		go func() {
-			sig := <-sigs
-			if path, err := flight.Dump(sig.String()); err != nil {
-				fmt.Fprintf(os.Stderr, "windar-run: %v: flight dump failed: %v\n", sig, err)
-			} else {
-				fmt.Fprintf(os.Stderr, "windar-run: %v: flight trace dumped to %s\n", sig, path)
-			}
+			dump((<-sigs).String())
 			os.Exit(1)
 		}()
 	}
@@ -178,14 +182,7 @@ func main() {
 		fmt.Printf("  final state written:        %s\n", *stateOut)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fatal("trace-out: %v", err)
-		}
-		if err := rec.Export(f); err != nil {
-			fatal("trace export: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := rec.WriteFile(*traceOut); err != nil {
 			fatal("trace-out: %v", err)
 		}
 		fmt.Printf("  trace written:              %s (%d events", *traceOut, rec.Len())
@@ -196,9 +193,7 @@ func main() {
 	}
 	if *validate {
 		// On a -resume run Validate measures against the seeded
-		// checkpoint baselines; the exported trace file carries only the
-		// resumed suffix, so the in-process verdict printed here is the
-		// authoritative one.
+		// checkpoint baselines, which the exported trace file carries too.
 		problems := rec.Validate(true)
 		var lin *trace.Lineage
 		if *tracing {
@@ -209,10 +204,8 @@ func main() {
 			for _, p := range problems {
 				fmt.Fprintf(os.Stderr, "VIOLATION %s\n", p)
 			}
-			if flight != nil {
-				if path, err := flight.Dump("trace-violation"); err == nil {
-					fmt.Fprintf(os.Stderr, "windar-run: flight trace dumped to %s\n", path)
-				}
+			if *flightDir != "" {
+				dump("trace-violation")
 			}
 			os.Exit(1)
 		}

@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"windar/internal/harness"
-	"windar/layer"
+	"windar/internal/trace"
 )
 
-// Engine executes a Schedule against a running cluster. It implements
-// harness.Observer by wrapping an inner observer (typically the trace
-// recorder): every event is forwarded unchanged, and the recovery
-// events additionally feed the schedule's phase triggers.
+// Engine executes a Schedule against a running cluster. It is the
+// run's trace recorder: the embedded *trace.Recorder takes every harness
+// event, and the three recovery callbacks the engine overrides record
+// the event and then feed the schedule's phase triggers.
 //
 // Execution model:
 //
@@ -31,13 +31,8 @@ import (
 // The action log (Log) is timestamp-free and ordered by schedule index:
 // two runs of the same schedule produce byte-for-byte identical logs.
 type Engine struct {
+	*trace.Recorder
 	sched Schedule
-	inner harness.Observer
-	// spanInner caches inner's optional SpanObserver view so the
-	// span-carrying callbacks forward without repeating the assertion;
-	// nil when inner doesn't implement it (spans then degrade to the
-	// plain callbacks).
-	spanInner harness.SpanObserver
 
 	mu       sync.Mutex // serializes action execution and engine state
 	cl       *harness.Cluster
@@ -52,28 +47,20 @@ type Engine struct {
 	started bool
 }
 
-// NewEngine wraps inner (which may be nil) with the schedule's
-// executor. Call Start after the cluster is running.
-func NewEngine(sched Schedule, inner harness.Observer) *Engine {
+// NewEngine builds the schedule's executor around rec, which records
+// the run. Install the engine as the cluster observer and call Start
+// after the cluster is running.
+func NewEngine(sched Schedule, rec *trace.Recorder) *Engine {
 	e := &Engine{
+		Recorder: rec,
 		sched:    sched,
-		inner:    inner,
 		outcomes: make([]string, len(sched.Actions)),
 		armed:    map[int]chan struct{}{},
 	}
-	e.spanInner, _ = inner.(harness.SpanObserver)
 	for i := range e.outcomes {
 		e.outcomes[i] = "pending"
 	}
 	return e
-}
-
-// SetTransport forwards the harness's transport stamp to the inner
-// observer (the trace recorder persists it in the export header).
-func (e *Engine) SetTransport(kind string) {
-	if s, ok := e.inner.(interface{ SetTransport(kind string) }); ok {
-		s.SetTransport(kind)
-	}
 }
 
 // Start launches the schedule against c. The cluster must be started;
@@ -267,57 +254,18 @@ func (e *Engine) exec(i int, via string) {
 	e.outcomes[i] = outcome
 }
 
-// ---- harness.Observer: forward everything, feed the triggers. ----
-
-// OnSend implements harness.Observer.
-func (e *Engine) OnSend(rank, dest int, sendIndex int64, resent bool) {
-	if e.inner != nil {
-		e.inner.OnSend(rank, dest, sendIndex, resent)
-	}
-}
-
-// OnDeliver implements harness.Observer.
-func (e *Engine) OnDeliver(rank, from int, sendIndex, deliverIndex, demand int64) {
-	if e.inner != nil {
-		e.inner.OnDeliver(rank, from, sendIndex, deliverIndex, demand)
-	}
-}
-
-// OnCheckpoint implements harness.Observer.
-func (e *Engine) OnCheckpoint(rank, step int, deliveredCount int64) {
-	if e.inner != nil {
-		e.inner.OnCheckpoint(rank, step, deliveredCount)
-	}
-}
-
-// OnKill implements harness.Observer.
-func (e *Engine) OnKill(rank int) {
-	if e.inner != nil {
-		e.inner.OnKill(rank)
-	}
-}
-
-// OnRecover implements harness.Observer.
-func (e *Engine) OnRecover(rank, fromStep int) {
-	if e.inner != nil {
-		e.inner.OnRecover(rank, fromStep)
-	}
-}
+// ---- The recovery callbacks: record, then feed the triggers. ----
 
 // OnRecoveryPhase implements harness.Observer; completing a phase span
 // fires phase(<rank> <span>) triggers.
 func (e *Engine) OnRecoveryPhase(rank int, phase string, d time.Duration) {
-	if e.inner != nil {
-		e.inner.OnRecoveryPhase(rank, phase, d)
-	}
+	e.Recorder.OnRecoveryPhase(rank, phase, d)
 	e.notify(rank, phase)
 }
 
 // OnRecoveryComplete implements harness.Observer; fires TrigComplete.
 func (e *Engine) OnRecoveryComplete(rank int, d time.Duration) {
-	if e.inner != nil {
-		e.inner.OnRecoveryComplete(rank, d)
-	}
+	e.Recorder.OnRecoveryComplete(rank, d)
 	e.notify(rank, TrigComplete)
 }
 
@@ -325,41 +273,6 @@ func (e *Engine) OnRecoveryComplete(rank int, d time.Duration) {
 // hook for killing a peer (or the recoverer) while demand collection is
 // in flight.
 func (e *Engine) OnRollback(rank, expect int) {
-	if e.inner != nil {
-		e.inner.OnRollback(rank, expect)
-	}
+	e.Recorder.OnRollback(rank, expect)
 	e.notify(rank, TrigRollback)
-}
-
-// OnResponse implements harness.Observer.
-func (e *Engine) OnResponse(rank, from int) {
-	if e.inner != nil {
-		e.inner.OnResponse(rank, from)
-	}
-}
-
-// OnIngestRejected implements harness.Observer.
-func (e *Engine) OnIngestRejected(rank int, kind string) {
-	if e.inner != nil {
-		e.inner.OnIngestRejected(rank, kind)
-	}
-}
-
-// OnSendSpan implements harness.SpanObserver: the span context forwards
-// to a span-aware inner observer and degrades to OnSend otherwise.
-func (e *Engine) OnSendSpan(rank, dest int, sendIndex int64, resent bool, span layer.SpanContext) {
-	if e.spanInner != nil {
-		e.spanInner.OnSendSpan(rank, dest, sendIndex, resent, span)
-	} else if e.inner != nil {
-		e.inner.OnSend(rank, dest, sendIndex, resent)
-	}
-}
-
-// OnDeliverSpan implements harness.SpanObserver.
-func (e *Engine) OnDeliverSpan(rank, from int, sendIndex, deliverIndex, demand int64, span layer.SpanContext) {
-	if e.spanInner != nil {
-		e.spanInner.OnDeliverSpan(rank, from, sendIndex, deliverIndex, demand, span)
-	} else if e.inner != nil {
-		e.inner.OnDeliver(rank, from, sendIndex, deliverIndex, demand)
-	}
 }

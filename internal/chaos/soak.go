@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -235,9 +234,9 @@ type SoakOptions struct {
 	// agree — the determinism acceptance check.
 	Replay bool
 	// FlightDir, when non-empty, dumps the failing run's full trace there
-	// as a flight file (JSONL, loadable by windar-trace) and names the
-	// path in the soak error — the post-mortem for a seed that only fails
-	// in CI.
+	// as flight-seed<seed>-<transport>.jsonl (loadable by windar-trace)
+	// and names the path in the soak error — the post-mortem for a seed
+	// that only fails in CI.
 	FlightDir string
 	// TraceDir, when non-empty, exports every cell's trace (pass or fail)
 	// there as trace-seed<seed>-<transport>.jsonl, ready for windar-trace
@@ -286,10 +285,13 @@ func (o *SoakOptions) runCell(tk transport.Kind, seed int64, base [][]byte) erro
 	var lastTrace *trace.Recorder
 	fail := func(format string, args ...any) error {
 		msg := fmt.Sprintf(format, args...)
-		if path, derr := o.dumpFlight(lastTrace, tk, seed); derr != nil {
-			msg += fmt.Sprintf(" (flight dump failed: %v)", derr)
-		} else if path != "" {
-			msg += fmt.Sprintf("\nflight trace: %s", path)
+		if o.FlightDir != "" && lastTrace != nil {
+			path := filepath.Join(o.FlightDir, fmt.Sprintf("flight-seed%d-%s.jsonl", seed, tk))
+			if err := lastTrace.WriteFile(path); err != nil {
+				msg += fmt.Sprintf(" (flight dump failed: %v)", err)
+			} else {
+				msg += "\nflight trace: " + path
+			}
 		}
 		return fmt.Errorf("chaos: seed %d transport %s: %s\nreproduce: %s",
 			seed, tk, msg, o.repro(tk, seed))
@@ -300,7 +302,7 @@ func (o *SoakOptions) runCell(tk transport.Kind, seed int64, base [][]byte) erro
 	}
 	lastTrace = res.Trace
 	if o.TraceDir != "" {
-		if err := exportTrace(res.Trace, o.TraceDir, tk, seed); err != nil {
+		if err := res.Trace.WriteFile(filepath.Join(o.TraceDir, fmt.Sprintf("trace-seed%d-%s.jsonl", seed, tk))); err != nil {
 			return fail("trace export: %v", err)
 		}
 	}
@@ -327,33 +329,6 @@ func (o *SoakOptions) runCell(tk transport.Kind, seed int64, base [][]byte) erro
 			seed, tk, len(ro.Schedule.Actions), ro.Procs)
 	}
 	return nil
-}
-
-// exportTrace writes one cell's trace into dir as JSONL.
-func exportTrace(rec *trace.Recorder, dir string, tk transport.Kind, seed int64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, fmt.Sprintf("trace-seed%d-%s.jsonl", seed, tk))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.Export(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// dumpFlight writes the failing run's trace to FlightDir and returns the
-// file path ("" when no dir is configured or no trace was recorded).
-func (o *SoakOptions) dumpFlight(rec *trace.Recorder, tk transport.Kind, seed int64) (string, error) {
-	if o.FlightDir == "" || rec == nil {
-		return "", nil
-	}
-	fr := trace.NewFlightRecorder(rec, o.FlightDir)
-	return fr.Dump(fmt.Sprintf("seed %d %s", seed, tk))
 }
 
 // repro renders the windar-chaos invocation that replays one cell.

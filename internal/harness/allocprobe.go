@@ -108,8 +108,8 @@ func (spanProbeObserver) OnSendSpan(int, int, int64, bool, layer.SpanContext)   
 func (spanProbeObserver) OnDeliverSpan(int, int, int64, int64, int64, layer.SpanContext) {}
 
 // probeDeliveryScanTraced is probeDeliveryScan with span tracing on: the
-// chain gains the spanHandler, every queued envelope carries a span
-// context, and the observer fan-out takes the span-carrying dispatch.
+// report layer stamps spans, every queued envelope carries a span
+// context, and the observer report takes the span-carrying dispatch.
 // Tracing must not add a single allocation to the delivery path — the
 // span is copied by value end to end.
 func probeDeliveryScanTraced() float64 { return deliveryScanAllocs(nil, true) }

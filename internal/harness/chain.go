@@ -8,8 +8,9 @@ import (
 
 // This file builds the per-rank handler/interceptor chain: the formerly
 // hard-wired cross-cutting concerns of the delivery path — protocol
-// piggyback attach/ingest, obs histograms and overhead counters, and the
-// observer fan-out feeding the trace recorder and the chaos engine — each
+// piggyback attach/ingest, and the report of each message to the span
+// tracer, the overhead counters, the obs histograms and the observer
+// (the trace recorder, or the chaos engine that embeds it) — each
 // expressed as a layer.Handler wrapping the next, with the user-supplied
 // Config.Interceptors slotted between them and the rank core. The chain
 // is built once per rank incarnation in newRuntime; per-message calls
@@ -17,12 +18,11 @@ import (
 //
 // Stack, outermost first:
 //
-//	protoHandler    – piggyback attach (send) / fold into protocol (deliver)
-//	spanHandler     – causal span stamping (only when Config.SpanTracing)
-//	obsHandler      – metrics counters + deliver-latency histogram
-//	observerHandler – Observer fan-out (trace recorder, chaos engine)
-//	user layers     – Config.Interceptors, in order
-//	coreHandler     – sender-log append + suppression; the application sink
+//	protoHandler  – piggyback attach (send) / fold into protocol (deliver)
+//	reportHandler – span stamp (Config.SpanTracing), counters, deliver
+//	                latency, observer
+//	user layers   – Config.Interceptors, in order
+//	coreHandler   – sender-log append + suppression; the application sink
 //
 // A None rank's chain has no protoHandler, and bareHandler stands in for
 // coreHandler: nothing is piggybacked or logged.
@@ -35,14 +35,7 @@ func (r *rankRuntime) buildChain(user []layer.Interceptor) layer.Handler {
 		h = bareHandler{arena: new(wire.Arena)}
 	}
 	h = layer.Chain(h, user...)
-	h = observerHandler{r: r, obs: r.c.observer(), spanObs: r.c.spanObs, next: h}
-	h = obsHandler{r: r, next: h}
-	if r.c.cfg.SpanTracing {
-		// Inside the protocol layer so the span rides on the message the
-		// protocol finished preparing, outside the obs/observer layers so
-		// both see the stamped context.
-		h = spanHandler{r: r, next: h}
-	}
+	h = reportHandler{r: r, tracing: r.c.cfg.SpanTracing, next: h}
 	if !none {
 		h = protoHandler{r: r, next: h}
 	}
@@ -92,28 +85,71 @@ func (h protoHandler) Checkpoint(info *layer.CheckpointInfo) { h.next.Checkpoint
 // Restore implements layer.Handler.
 func (h protoHandler) Restore(info *layer.RestoreInfo) { h.next.Restore(info) }
 
-// obsHandler is the observability layer: overhead counters on both paths
-// and the deliver-latency histogram. The counters go into the runtime's
+// reportHandler is the report layer: it stamps the causal span (only
+// under Config.SpanTracing), tallies the message into the overhead
+// counters, records the deliver latency and hands the event to the
+// observer. It sits inside the protocol layer, so the span rides on the
+// message the protocol finished preparing, and outside the user layers,
+// so they see the stamped context. The counters go into the runtime's
 // tally, which the app goroutine — the only one that runs either path —
 // publishes where it stops running (see rankRuntime.tally).
-type obsHandler struct {
-	r    *rankRuntime
-	next layer.Handler
+type reportHandler struct {
+	r       *rankRuntime
+	tracing bool
+	next    layer.Handler
 }
 
-// Send counts the outgoing message (and so its log append).
-func (h obsHandler) Send(m *layer.Msg) {
-	h.r.tally.MsgSent(m.PiggybackIDs, len(m.Piggyback), len(m.Payload))
+// Send stamps the span, counts the outgoing message (and so its log
+// append) and reports it. It runs under the rank lock (Send holds r.mu
+// while the chain runs), so the span counter and cursor are plain
+// fields. The parent is the span of the rank's most recently delivered
+// message (the paper's causality notion — everything delivered before a
+// send may have caused it; the *last* delivery is the tightest such edge
+// under FIFO delivery, and earlier deliveries remain reachable through
+// its own ancestry).
+func (h reportHandler) Send(m *layer.Msg) {
+	r := h.r
+	if h.tracing {
+		r.spanSeq++
+		id := spanID(r.id, r.incarnation, r.spanSeq)
+		if parent := r.lastDelivSpan; parent.Span != 0 {
+			m.Span = layer.SpanContext{Trace: parent.Trace, Span: id, Parent: parent.Span}
+		} else {
+			// Root span: nothing was delivered on this incarnation yet, so
+			// the send starts a new trace. (The causal cursor is volatile
+			// state — an incarnation restarts with an empty one, exactly as
+			// its in-memory dependency state restarts.)
+			m.Span = layer.SpanContext{Trace: id, Span: id}
+		}
+	}
+	r.tally.MsgSent(m.PiggybackIDs, len(m.Piggyback), len(m.Payload))
+	r.c.reportSend(r.id, m.Peer, m.SendIndex, false, m.Span)
 	h.next.Send(m)
 }
 
-// Deliver counts the delivery and records the deliver latency (time
-// since the application entered Recv). Hot path: the clock is read only
-// when a histogram is attached.
+// reportSend hands one send to the observer: the span-carrying callback
+// replaces — not duplicates — the plain one when the observer has it.
+// The report layer calls it for first sends, handleRollback for resends.
+func (c *Cluster) reportSend(rank, dest int, sendIndex int64, resent bool, span layer.SpanContext) {
+	if c.spanObs != nil {
+		c.spanObs.OnSendSpan(rank, dest, sendIndex, resent, span)
+	} else {
+		c.observer().OnSend(rank, dest, sendIndex, resent)
+	}
+}
+
+// Deliver advances the causal cursor to the delivered message's span
+// (the sender stamped it; it is zero on untraced runs), counts the
+// delivery, records the deliver latency (time since the application
+// entered Recv) and reports it. Hot path, under the rank lock: the clock
+// is read only when a histogram is attached.
 //
 //windar:hotpath
-func (h obsHandler) Deliver(m *layer.Msg) {
+func (h reportHandler) Deliver(m *layer.Msg) {
 	r := h.r
+	if m.Span.Span != 0 {
+		r.lastDelivSpan = m.Span
+	}
 	r.tally.MsgDelivered()
 	if r.deliverLat != nil {
 		if r.recvStart.IsZero() {
@@ -124,61 +160,23 @@ func (h obsHandler) Deliver(m *layer.Msg) {
 			r.deliverLat.RecordDuration(r.c.clk.Now().Sub(r.recvStart))
 		}
 	}
-	h.next.Deliver(m)
-}
-
-// Checkpoint implements layer.Handler.
-func (h obsHandler) Checkpoint(info *layer.CheckpointInfo) { h.next.Checkpoint(info) }
-
-// Restore implements layer.Handler.
-func (h obsHandler) Restore(info *layer.RestoreInfo) { h.next.Restore(info) }
-
-// observerHandler fans events out to the configured harness.Observer —
-// the trace recorder and, wrapping it, the chaos engine ride here. The
-// observer is resolved once at chain build (nopObs when none is
-// configured), so the per-message call never constructs an interface;
-// likewise spanObs caches the observer's optional SpanObserver view
-// (nil when unimplemented), so the hot path never repeats the type
-// assertion. When spanObs is set the span-carrying callbacks replace —
-// not duplicate — the plain ones.
-type observerHandler struct {
-	r       *rankRuntime
-	obs     Observer
-	spanObs SpanObserver
-	next    layer.Handler
-}
-
-// Send implements layer.Handler.
-func (h observerHandler) Send(m *layer.Msg) {
-	if h.spanObs != nil {
-		h.spanObs.OnSendSpan(h.r.id, m.Peer, m.SendIndex, false, m.Span)
+	if so := r.c.spanObs; so != nil {
+		so.OnDeliverSpan(r.id, m.Peer, m.SendIndex, m.DeliverIndex, m.Demand, m.Span)
 	} else {
-		h.obs.OnSend(h.r.id, m.Peer, m.SendIndex, false)
-	}
-	h.next.Send(m)
-}
-
-// Deliver implements layer.Handler.
-//
-//windar:hotpath
-func (h observerHandler) Deliver(m *layer.Msg) {
-	if h.spanObs != nil {
-		h.spanObs.OnDeliverSpan(h.r.id, m.Peer, m.SendIndex, m.DeliverIndex, m.Demand, m.Span)
-	} else {
-		h.obs.OnDeliver(h.r.id, m.Peer, m.SendIndex, m.DeliverIndex, m.Demand)
+		r.c.observer().OnDeliver(r.id, m.Peer, m.SendIndex, m.DeliverIndex, m.Demand)
 	}
 	h.next.Deliver(m)
 }
 
 // Checkpoint implements layer.Handler.
-func (h observerHandler) Checkpoint(info *layer.CheckpointInfo) {
-	h.obs.OnCheckpoint(info.Rank, info.Step, info.DeliveredCount)
+func (h reportHandler) Checkpoint(info *layer.CheckpointInfo) {
+	h.r.c.observer().OnCheckpoint(info.Rank, info.Step, info.DeliveredCount)
 	h.next.Checkpoint(info)
 }
 
 // Restore implements layer.Handler.
-func (h observerHandler) Restore(info *layer.RestoreInfo) {
-	h.obs.OnRecover(info.Rank, info.FromStep)
+func (h reportHandler) Restore(info *layer.RestoreInfo) {
+	h.r.c.observer().OnRecover(info.Rank, info.FromStep)
 	h.next.Restore(info)
 }
 

@@ -257,11 +257,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 			return false
 		}
 		m.Resent()
-		if so := r.c.spanObs; so != nil {
-			so.OnSendSpan(r.id, failed, it.SendIndex, true, it.Span)
-		} else {
-			r.c.observer().OnSend(r.id, failed, it.SendIndex, true)
-		}
+		r.c.reportSend(r.id, failed, it.SendIndex, true, it.Span)
 		return true
 	})
 }

@@ -94,6 +94,35 @@ type orderProbe struct {
 	deliversTotal     int
 	sawDemand         bool
 	innerSawTransform bool
+
+	// Set on a SpanTracing run: the observer the report layer feeds, and
+	// how many sends reached the outer user layer stamped and already
+	// reported.
+	spans         *sendReportLog
+	sendsStamped  int
+	sendsReported int
+}
+
+// sendReportLog is an observer remembering every send reported to it
+// through the span-carrying callback, keyed by (rank, dest, send index).
+type sendReportLog struct {
+	nopObserver
+	mu   sync.Mutex
+	seen map[[3]int64]bool
+}
+
+func (l *sendReportLog) OnSendSpan(rank, dest int, sendIndex int64, _ bool, _ layer.SpanContext) {
+	l.mu.Lock()
+	l.seen[[3]int64{int64(rank), int64(dest), sendIndex}] = true
+	l.mu.Unlock()
+}
+
+func (l *sendReportLog) OnDeliverSpan(int, int, int64, int64, int64, layer.SpanContext) {}
+
+func (l *sendReportLog) has(rank, dest int, sendIndex int64) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.seen[[3]int64{int64(rank), int64(dest), sendIndex}]
 }
 
 func (o *orderProbe) outer() layer.Interceptor {
@@ -122,6 +151,12 @@ func (h *orderOuter) Send(m *layer.Msg) {
 	h.o.sendsTotal++
 	if len(m.Piggyback) > 0 {
 		h.o.sendsWithPig++ // protocol layer already ran: piggyback attached
+	}
+	if h.o.spans != nil && m.Span.Span != 0 {
+		h.o.sendsStamped++ // report layer already ran: span stamped
+		if h.o.spans.has(int(m.Span.Span>>48), m.Peer, m.SendIndex) {
+			h.o.sendsReported++ // ... and the observer already told
+		}
 	}
 	h.o.mu.Unlock()
 	saved := m.Tag
@@ -160,8 +195,10 @@ func (h *orderInner) Send(m *layer.Msg) {
 }
 
 // TestChainOrderingGuarantees pins the stack order: protocol outermost
-// (piggyback/demand populated before user layers), user interceptors in
-// Config order, app innermost.
+// (piggyback/demand populated before user layers), the report layer next
+// (under SpanTracing every send reaches the user layers stamped and
+// already reported to the observer), user interceptors in Config order,
+// app innermost.
 func TestChainOrderingGuarantees(t *testing.T) {
 	probe := &orderProbe{}
 	cfg := testConfig(3, TDI)
@@ -173,7 +210,6 @@ func TestChainOrderingGuarantees(t *testing.T) {
 	assertSameStates(t, want, got, "with-order-probe")
 
 	probe.mu.Lock()
-	defer probe.mu.Unlock()
 	if probe.sendsTotal == 0 || probe.deliversTotal == 0 {
 		t.Fatal("probe saw no traffic")
 	}
@@ -186,6 +222,27 @@ func TestChainOrderingGuarantees(t *testing.T) {
 	}
 	if !probe.innerSawTransform {
 		t.Error("second user interceptor never saw the first one's transform; user layers must stack in Config order")
+	}
+	probe.mu.Unlock()
+
+	traced := &orderProbe{spans: &sendReportLog{seen: map[[3]int64]bool{}}}
+	cfg = testConfig(3, TDI)
+	cfg.SpanTracing = true
+	cfg.Observer = traced.spans
+	cfg.Interceptors = []layer.Interceptor{traced.outer(), traced.inner()}
+	assertSameStates(t, want, run(t, cfg, ringFactory(15), nil), "traced-order-probe")
+	traced.mu.Lock()
+	defer traced.mu.Unlock()
+	if traced.sendsTotal == 0 {
+		t.Fatal("traced probe saw no traffic")
+	}
+	if traced.sendsStamped != traced.sendsTotal {
+		t.Errorf("span stamped on %d/%d sends before the user layer; the report layer must run first",
+			traced.sendsStamped, traced.sendsTotal)
+	}
+	if traced.sendsReported != traced.sendsTotal {
+		t.Errorf("OnSendSpan fired on %d/%d sends before the user layer saw them",
+			traced.sendsReported, traced.sendsTotal)
 	}
 }
 

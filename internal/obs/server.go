@@ -83,10 +83,10 @@ type Source struct {
 	Meta map[string]string
 	// Clock times uptime; defaults to the real clock.
 	Clock clock.Clock
-	// Flight, if non-nil, streams the flight recorder's current trace
-	// window (a JSONL snapshot) — served as /debug/flight. obs stays a
-	// leaf package: the accessor is wired by the embedder (windar.Cluster
-	// hands it the trace.FlightRecorder's WriteSnapshot).
+	// Flight, if non-nil, streams the trace recorder's current window (a
+	// JSONL export) — served as /debug/flight. obs stays a leaf package:
+	// the accessor is wired by the embedder (windar.Cluster hands it
+	// Config.Trace's Export).
 	Flight func(w io.Writer) error
 }
 
@@ -209,11 +209,11 @@ func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
 	_ = enc.Encode(s.src.Registry.Cluster())
 }
 
-// handleFlight streams the flight recorder's current window as a JSONL
-// trace (404 when no recorder is armed).
+// handleFlight streams the trace recorder's current window as a JSONL
+// trace (404 when no recorder is wired).
 func (s *Server) handleFlight(w http.ResponseWriter, _ *http.Request) {
 	if s.src.Flight == nil {
-		http.Error(w, "no flight recorder armed", http.StatusNotFound)
+		http.Error(w, "no trace recorder wired", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"windar/internal/clock"
+	"windar/internal/trace"
 )
 
 func testSource(dead bool) Source {
@@ -180,21 +181,31 @@ func TestServerClusterEndpoint(t *testing.T) {
 	}
 }
 
-// TestServerFlightEndpoint checks /debug/flight streams whatever the
-// wired accessor writes.
+// TestServerFlightEndpoint checks /debug/flight streams the window of
+// the trace recorder wired to it — what windar.Cluster hands it from
+// Config.Trace — byte for byte as the recorder exports it.
 func TestServerFlightEndpoint(t *testing.T) {
-	src := testSource(false)
-	src.Flight = func(w io.Writer) error {
-		_, err := io.WriteString(w, "{\"header\":4}\n{\"ev\":\"send\"}\n")
-		return err
+	rec := trace.NewBounded(4)
+	for i := int64(1); i <= 6; i++ {
+		rec.OnSend(0, 1, i, false)
+		rec.OnDeliver(1, 0, i, i, -1)
 	}
+	src := testSource(false)
+	src.Flight = rec.Export
 	ts := httptest.NewServer(NewServer(src).Handler())
 	defer ts.Close()
 	code, body := get(t, ts, "/debug/flight")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/flight status %d", code)
 	}
-	if !strings.Contains(body, `"ev":"send"`) {
-		t.Errorf("/debug/flight body = %q", body)
+	var want strings.Builder
+	if err := rec.Export(&want); err != nil {
+		t.Fatal(err)
+	}
+	if body != want.String() || !strings.Contains(body, `"kind":"send"`) {
+		t.Errorf("/debug/flight body = %q, want %q", body, want.String())
+	}
+	if served, err := trace.Import(strings.NewReader(body)); err != nil || len(served.Validate(false)) != 0 {
+		t.Errorf("/debug/flight window does not validate: err %v", err)
 	}
 }

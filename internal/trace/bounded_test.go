@@ -76,11 +76,17 @@ func TestBoundedValidationMatchesUnbounded(t *testing.T) {
 		if got, want := bounded.Len()+bounded.Dropped(), total; got != want {
 			t.Fatalf("cap %d: retained+dropped = %d, want %d", capacity, got, want)
 		}
+		// The export carries the digest, so the violations evicted into
+		// it are still reported after a round trip.
+		imported := roundTrip(t, bounded)
 		for _, finished := range []bool{false, true} {
 			want := problemSet(full.Validate(finished))
 			got := problemSet(bounded.Validate(finished))
 			if fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("cap %d Validate(%v):\n got %v\nwant %v", capacity, finished, got, want)
+			}
+			if got := problemSet(imported.Validate(finished)); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("cap %d Validate(%v) after round trip:\n got %v\nwant %v", capacity, finished, got, want)
 			}
 		}
 	}
@@ -149,7 +155,8 @@ func TestBoundedExportImportKeepsDropped(t *testing.T) {
 }
 
 func TestBoundedExportHeaderWithoutTransport(t *testing.T) {
-	// Eviction alone forces a header so the dropped count survives.
+	// Eviction alone forces a header so the dropped count and the
+	// digest of the evicted event survive.
 	r := NewBounded(1)
 	r.OnSend(0, 1, 1, false)
 	r.OnSend(0, 1, 2, false)
@@ -157,7 +164,7 @@ func TestBoundedExportHeaderWithoutTransport(t *testing.T) {
 	if err := r.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(buf.String(), `{"header":4,"dropped":1}`) {
+	if !strings.HasPrefix(buf.String(), `{"header":4,"dropped":1,"digest":`) {
 		t.Fatalf("missing header:\n%s", buf.String())
 	}
 }
@@ -174,8 +181,9 @@ func TestNewBoundedRejectsBadCapacity(t *testing.T) {
 // FuzzImportValidate feeds hostile trace files through Import and the
 // checker: an input either fails Import or yields a recorder whose
 // Validate returns, and replaying its events through a capacity-1
-// bounded recorder (every event but the last evicted into the digest)
-// gives the same problems as the unbounded recorder.
+// bounded recorder that starts from the imported digest (every event
+// but the last evicted into it) gives the same problems as the
+// unbounded recorder.
 func FuzzImportValidate(f *testing.F) {
 	var script Recorder
 	replayScript(&script)
@@ -184,6 +192,18 @@ func FuzzImportValidate(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	window := NewBounded(5)
+	replayScript(window)
+	buf.Reset()
+	if err := window.Export(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	// A digest whose maps JSON left out: Import must fill them in.
+	f.Add([]byte(`{"header":4,"dropped":2,"digest":{"ranks":{"1":{"cur":{},"ckpt":{},"rollback":{"seq":1,"expect":2}}}}}` + "\n" +
+		`{"kind":"deliver","rank":1,"peer":0,"sendIndex":1,"deliverIndex":1,"seq":2}` + "\n" +
+		`{"kind":"response","rank":1,"peer":0,"seq":3}` + "\n" +
+		`{"kind":"checkpoint","rank":1,"step":1,"count":1,"seq":4}` + "\n"))
 	f.Add([]byte(`{"header":4,"dropped":3}` + "\n" +
 		`{"kind":"deliver","rank":1,"peer":0,"sendIndex":-2,"deliverIndex":9,"demand":99,"seq":3}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -193,6 +213,9 @@ func FuzzImportValidate(f *testing.F) {
 		}
 		bounded := NewBounded(1)
 		bounded.seq = rec.Dropped() // keep the Seq numbers problem details cite
+		if rec.digest != nil {
+			bounded.digest = rec.digest.clone()
+		}
 		for _, e := range rec.Events() {
 			bounded.add(e)
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,6 +40,10 @@ type jsonHeader struct {
 	Header    int    `json:"header"` // format version of the header line
 	Transport string `json:"transport,omitempty"`
 	Dropped   int    `json:"dropped,omitempty"` // events evicted by a bounded recorder
+	// Digest is the checker state the retained events start from: what
+	// a bounded recorder's evicted prefix left behind, or a resumed
+	// run's restart seed. Absent when the events start from nothing.
+	Digest *checker `json:"digest,omitempty"`
 }
 
 // headerVersion is the trace file format version, the only one Import
@@ -79,14 +85,22 @@ func (k EventKind) String() string {
 // Export writes the recorded events to w as JSON Lines, one event per
 // line, suitable for offline analysis or re-import. A header line
 // carrying the format version, the stamped transport kind
-// (SetTransport) and a bounded recorder's dropped count precedes the
-// events.
+// (SetTransport), a bounded recorder's dropped count and the digest the
+// events start from precedes the events, so the imported copy validates
+// exactly as r does.
 func (r *Recorder) Export(w io.Writer) error {
+	r.mu.Lock()
+	h := jsonHeader{Header: headerVersion, Transport: r.transport, Dropped: r.dropped}
+	if r.digest != nil && (len(r.digest.Ranks) > 0 || len(r.digest.Problems) > 0) {
+		h.Digest = r.digest.clone()
+	}
+	events := r.eventsLocked()
+	r.mu.Unlock()
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(jsonHeader{Header: headerVersion, Transport: r.Transport(), Dropped: r.Dropped()}); err != nil {
+	if err := enc.Encode(h); err != nil {
 		return fmt.Errorf("trace: export header: %w", err)
 	}
-	for _, e := range r.Events() {
+	for _, e := range events {
 		je := jsonEvent{
 			Kind: e.Kind.String(), Rank: e.Rank, Peer: e.Peer,
 			SendIndex: e.SendIndex, DeliverIndex: e.DeliverIndex,
@@ -111,10 +125,28 @@ func (r *Recorder) Export(w io.Writer) error {
 	return nil
 }
 
+// WriteFile exports the recorder into the file at path, creating its
+// directory: a trace for offline analysis, or a flight dump of a bounded
+// recorder's current window.
+func (r *Recorder) WriteFile(path string) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	if err := r.Export(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // Import reads a JSON Lines trace written by Export into a fresh
 // Recorder. The first line must be a version-4 header; it restores the
-// recorded transport kind and dropped count. An empty input is an empty
-// trace.
+// recorded transport kind, dropped count and digest. An empty input is
+// an empty trace.
 func Import(rd io.Reader) (*Recorder, error) {
 	dec := json.NewDecoder(rd)
 	rec := &Recorder{}
@@ -132,6 +164,12 @@ func Import(rd io.Reader) (*Recorder, error) {
 	// events continue the original Seq numbering.
 	rec.dropped = h.Dropped
 	rec.seq = h.Dropped
+	if h.Digest != nil {
+		if err := h.Digest.repair(); err != nil {
+			return nil, fmt.Errorf("trace: import: digest: %w", err)
+		}
+		rec.digest = h.Digest
+	}
 	for {
 		var je jsonEvent
 		if err := dec.Decode(&je); err == io.EOF {

@@ -83,8 +83,10 @@ func TestImportRejectsBadHeaders(t *testing.T) {
 		`{"header":99,"transport":"mem"}`,               // future version
 		`{"header":1,"transport":"mem"}` + "\n" + event, // older versions are not read
 		`{"header":3}` + "\n" + event,
-		event + "\n" + `{"header":4,"transport":"mem"}`,       // header not first
-		`{"header":4}` + "\n" + event + "\n" + `{"header":4}`, // second header
+		event + "\n" + `{"header":4,"transport":"mem"}`,                  // header not first
+		`{"header":4}` + "\n" + event + "\n" + `{"header":4}`,            // second header
+		`{"header":4,"digest":{"ranks":{"0":null}}}`,                     // digest rank without state
+		`{"header":4,"digest":{"ranks":{"1":{"committed":{"0":null}}}}}`, // channel without state
 	} {
 		if _, err := Import(strings.NewReader(in)); err == nil {
 			t.Errorf("accepted:\n%s", in)

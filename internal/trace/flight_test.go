@@ -18,16 +18,13 @@ func feedFlight(r *Recorder) {
 }
 
 func TestFlightDumpRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	f := ArmFlight(dir, 0)
-	feedFlight(f.Recorder())
+	dir := filepath.Join(t.TempDir(), "flight") // WriteFile creates it
+	f := NewBounded(1024)
+	feedFlight(f)
 
-	path, err := f.Dump("SIGTERM: worker died!")
-	if err != nil {
-		t.Fatalf("Dump: %v", err)
-	}
-	if want := filepath.Join(dir, "flight-000-sigterm-worker-died.jsonl"); path != want {
-		t.Fatalf("dump path = %q, want %q", path, want)
+	path := filepath.Join(dir, "flight-sigterm.jsonl")
+	if err := f.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -37,53 +34,53 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Import of dump: %v", err)
 	}
-	if rec.Len() != f.Recorder().Len() || rec.Transport() != "mem" {
-		t.Fatalf("dump round trip lost events: %d vs %d", rec.Len(), f.Recorder().Len())
+	if rec.Len() != f.Len() || rec.Transport() != "mem" {
+		t.Fatalf("dump round trip lost events: %d vs %d", rec.Len(), f.Len())
 	}
 
-	// A second dump gets a fresh sequence number, never clobbering the
-	// first; an empty reason falls back to "manual".
-	path2, err := f.Dump("")
-	if err != nil {
-		t.Fatalf("second Dump: %v", err)
+	// A second dump into the same directory never clobbers the first.
+	f.OnRecover(1, 0)
+	if err := f.WriteFile(filepath.Join(dir, "flight-manual.jsonl")); err != nil {
+		t.Fatalf("second WriteFile: %v", err)
 	}
-	if want := filepath.Join(dir, "flight-001-manual.jsonl"); path2 != want {
-		t.Fatalf("second dump path = %q, want %q", path2, want)
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("second dump changed the first (err %v)", err)
 	}
 }
 
 func TestFlightSnapshotMatchesDump(t *testing.T) {
-	f := NewFlightRecorder(&Recorder{}, t.TempDir())
-	feedFlight(f.Recorder())
+	f := &Recorder{}
+	feedFlight(f)
 	var snap bytes.Buffer
-	if err := f.WriteSnapshot(&snap); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	if err := f.Export(&snap); err != nil {
+		t.Fatalf("Export: %v", err)
 	}
-	path, err := f.Dump("x")
-	if err != nil {
-		t.Fatalf("Dump: %v", err)
+	path := filepath.Join(t.TempDir(), "x.jsonl")
+	if err := f.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(snap.Bytes(), data) {
-		t.Fatal("/debug/flight snapshot and Dump disagree for an unchanged ring")
+		t.Fatal("/debug/flight snapshot and WriteFile disagree for an unchanged ring")
 	}
 }
 
 // TestFlightBoundedKeepsValidation pins the flight ring's core promise:
-// even after evictions, the dumped window imports cleanly and the
-// drop count survives the round trip.
+// even after evictions, the dumped window imports cleanly, the drop
+// count survives the round trip and the imported window validates as
+// the ring does.
 func TestFlightBoundedKeepsValidation(t *testing.T) {
-	f := ArmFlight(t.TempDir(), 8)
-	feedFlight(f.Recorder()) // 21 events into an 8-slot ring
-	if f.Recorder().Dropped() == 0 {
+	f := NewBounded(8)
+	feedFlight(f) // 21 events into an 8-slot ring
+	if f.Dropped() == 0 {
 		t.Fatal("ring never evicted; capacity not applied")
 	}
-	path, err := f.Dump("full")
-	if err != nil {
-		t.Fatalf("Dump: %v", err)
+	path := filepath.Join(t.TempDir(), "full.jsonl")
+	if err := f.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	file, err := os.Open(path)
 	if err != nil {
@@ -94,7 +91,10 @@ func TestFlightBoundedKeepsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Import: %v", err)
 	}
-	if rec.Dropped() != f.Recorder().Dropped() {
-		t.Fatalf("drop count lost: %d vs %d", rec.Dropped(), f.Recorder().Dropped())
+	if rec.Dropped() != f.Dropped() {
+		t.Fatalf("drop count lost: %d vs %d", rec.Dropped(), f.Dropped())
+	}
+	if got, want := problemSet(rec.Validate(false)), problemSet(f.Validate(false)); len(got) != 0 || len(want) != 0 {
+		t.Fatalf("window flagged: imported %v, ring %v", got, want)
 	}
 }

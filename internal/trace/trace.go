@@ -242,9 +242,10 @@ func (r *Recorder) Len() int {
 
 // Dropped returns how many events a bounded recorder has evicted (0 on
 // an unbounded recorder, and on imported traces whatever the header
-// recorded). Validation on the live recorder stays exact across drops;
-// a re-imported dropped trace carries only the retained suffix, so
-// offline checks should warn when this is nonzero.
+// recorded). Validation stays exact across drops, also on a re-imported
+// trace, whose header carries the digest; but the evicted events
+// themselves are gone, so lineage checks should warn when this is
+// nonzero.
 func (r *Recorder) Dropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -253,8 +254,8 @@ func (r *Recorder) Dropped() int {
 
 // Problem is one detected violation.
 type Problem struct {
-	Rule   string
-	Detail string
+	Rule   string `json:"rule"`
+	Detail string `json:"detail"`
 }
 
 func (p Problem) String() string { return p.Rule + ": " + p.Detail }

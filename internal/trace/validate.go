@@ -60,9 +60,9 @@ func (r *Recorder) Validate(finished bool) []Problem {
 // lastDeliver[src] are committed clean history, and the checkpoint
 // snapshot the rank's EvRecover restores carries delivered deliveries.
 //
-// The seed lives in the recorder only; Export does not persist it, so
-// the exported trace of a resumed run covers just the resumed suffix
-// and only the in-process verdict is complete.
+// The seed lives in the recorder's digest, which Export writes into
+// the header, so the exported trace of a resumed run validates offline
+// exactly as the recorder does.
 func (r *Recorder) SeedCheckpoint(rank, step int, lastSend, lastDeliver []int64, delivered int64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -70,102 +70,104 @@ func (r *Recorder) SeedCheckpoint(rank, step int, lastSend, lastDeliver []int64,
 		r.digest = newChecker()
 	}
 	s := r.digest.rank(rank)
-	s.cur.delivered = delivered
+	s.Cur.Delivered = delivered
 	for dest, ls := range lastSend {
 		if ls > 0 {
-			s.cur.sent[dest] = ls
+			s.Cur.Sent[dest] = ls
 		}
 	}
 	for src, ld := range lastDeliver {
 		if ld > 0 {
-			s.cur.lastFrom[src] = ld
-			s.committed[src] = &chanDeliver{count: ld, contig: ld}
+			s.Cur.LastFrom[src] = ld
+			s.Committed[src] = &chanDeliver{Count: ld, Contig: ld}
 		}
 	}
-	s.ckpt.set(s.cur)
+	s.Ckpt.set(s.Cur)
 }
 
 // checker is the replay machine behind Validate. A bounded recorder
 // feeds each evicted event into one (its digest), so Validate stays
 // exact while raw events are discarded; the state stays O(1) per clean
-// channel.
+// channel. Its exported fields are the digest's JSON form in an export
+// header.
 type checker struct {
-	problems []Problem
-	ranks    map[int]*rankState
+	Problems []Problem          `json:"problems,omitempty"`
+	Ranks    map[int]*rankState `json:"ranks,omitempty"`
 }
 
 // rankState is one rank's replay state.
 type rankState struct {
-	cur  cursor // replay position
-	ckpt cursor // cur at the last checkpoint: what EvRecover restores
-	dead bool   // killed and not yet recovered
+	Cur  cursor `json:"cur"`            // replay position
+	Ckpt cursor `json:"ckpt"`           // Cur at the last checkpoint: what EvRecover restores
+	Dead bool   `json:"dead,omitempty"` // killed and not yet recovered
 
-	// pending holds the deliveries since the last checkpoint, per
+	// Pending holds the deliveries since the last checkpoint, per
 	// source: the only ones a rollback can still erase. A checkpoint
-	// folds them into committed, where no-duplicate is judged — once
+	// folds them into Committed, where no-duplicate is judged — once
 	// checkpointed, a delivery stays in the effective history.
-	pending   map[int][]int64
-	committed map[int]*chanDeliver
+	Pending   map[int][]int64      `json:"pending,omitempty"`
+	Committed map[int]*chanDeliver `json:"committed,omitempty"`
 
-	rb *rbPending // outstanding ROLLBACK, nil if none
+	Rollback *rbPending `json:"rollback,omitempty"` // outstanding ROLLBACK, nil if none
 }
 
 // cursor is the part of a rank's replay state a recovery rolls back.
 type cursor struct {
-	delivered int64
-	lastFrom  map[int]int64 // last delivered send index, per source
-	sent      map[int]int64 // highest first-run send index, per destination
+	Delivered int64         `json:"delivered,omitempty"`
+	LastFrom  map[int]int64 `json:"lastFrom,omitempty"` // last delivered send index, per source
+	Sent      map[int]int64 `json:"sent,omitempty"`     // highest first-run send index, per destination
 }
 
 // set makes k a copy of src.
 func (k *cursor) set(src cursor) {
-	if k.lastFrom == nil {
-		k.lastFrom, k.sent = map[int]int64{}, map[int]int64{}
+	if k.LastFrom == nil {
+		k.LastFrom, k.Sent = map[int]int64{}, map[int]int64{}
 	}
-	k.delivered = src.delivered
-	clear(k.lastFrom)
-	maps.Copy(k.lastFrom, src.lastFrom)
-	clear(k.sent)
-	maps.Copy(k.sent, src.sent)
+	k.Delivered = src.Delivered
+	clear(k.LastFrom)
+	maps.Copy(k.LastFrom, src.LastFrom)
+	clear(k.Sent)
+	maps.Copy(k.Sent, src.Sent)
 }
 
 // chanDeliver aggregates one channel's committed delivery history. The
-// delivered multiset is a contiguous prefix 1..contig plus sparse
+// delivered multiset is a contiguous prefix 1..Contig plus sparse
 // exceptions, so a clean channel costs O(1) space however many
 // messages it carried; only violations grow the maps.
 type chanDeliver struct {
-	count  int64              // committed deliveries
-	contig int64              // send indexes 1..contig all delivered
-	extras map[int64]struct{} // delivered indexes outside 1..contig
-	dups   map[int64]int64    // re-delivery count beyond first, per index
+	Count  int64              `json:"count"`            // committed deliveries
+	Contig int64              `json:"contig"`           // send indexes 1..Contig all delivered
+	Extras map[int64]struct{} `json:"extras,omitempty"` // delivered indexes outside 1..Contig
+	Dups   map[int64]int64    `json:"dups,omitempty"`   // re-delivery count beyond first, per index
 }
 
 // rbPending is an outstanding ROLLBACK under audit: the RESPONSEs its
 // recoverer expects, the peers that answered, and whether the recovery
 // completed (answers may then still be in flight when the trace ends).
 type rbPending struct {
-	seq, expect int
-	responded   map[int]bool
-	completed   bool
+	Seq       int          `json:"seq"`
+	Expect    int          `json:"expect"`
+	Responded map[int]bool `json:"responded,omitempty"`
+	Completed bool         `json:"completed,omitempty"`
 }
 
 func newChecker() *checker {
-	return &checker{ranks: map[int]*rankState{}}
+	return &checker{Ranks: map[int]*rankState{}}
 }
 
 func (c *checker) rank(r int) *rankState {
-	s := c.ranks[r]
+	s := c.Ranks[r]
 	if s == nil {
-		s = &rankState{pending: map[int][]int64{}, committed: map[int]*chanDeliver{}}
-		s.cur.set(cursor{})
-		s.ckpt.set(cursor{})
-		c.ranks[r] = s
+		s = &rankState{Pending: map[int][]int64{}, Committed: map[int]*chanDeliver{}}
+		s.Cur.set(cursor{})
+		s.Ckpt.set(cursor{})
+		c.Ranks[r] = s
 	}
 	return s
 }
 
 func (c *checker) problem(rule, format string, args ...any) {
-	c.problems = append(c.problems, Problem{Rule: rule, Detail: fmt.Sprintf(format, args...)})
+	c.Problems = append(c.Problems, Problem{Rule: rule, Detail: fmt.Sprintf(format, args...)})
 }
 
 // feed advances the checker by one event.
@@ -174,55 +176,55 @@ func (c *checker) feed(e Event) {
 	switch e.Kind {
 	case EvSend:
 		// Retransmissions are not new sends.
-		if !s.dead && !e.Resent && e.SendIndex > s.cur.sent[e.Peer] {
-			s.cur.sent[e.Peer] = e.SendIndex
+		if !s.Dead && !e.Resent && e.SendIndex > s.Cur.Sent[e.Peer] {
+			s.Cur.Sent[e.Peer] = e.SendIndex
 		}
 	case EvDeliver:
-		if s.dead {
+		if s.Dead {
 			return
 		}
-		if last := s.cur.lastFrom[e.Peer]; e.SendIndex <= last {
+		if last := s.Cur.LastFrom[e.Peer]; e.SendIndex <= last {
 			c.problem("fifo-order", "rank %d delivered (%d->%d #%d) after #%d (seq %d)",
 				e.Rank, e.Peer, e.Rank, e.SendIndex, last, e.Seq)
 		}
-		if e.DeliverIndex != s.cur.delivered+1 {
+		if e.DeliverIndex != s.Cur.Delivered+1 {
 			c.problem("deliver-monotonic", "rank %d deliver index %d, want %d (seq %d)",
-				e.Rank, e.DeliverIndex, s.cur.delivered+1, e.Seq)
+				e.Rank, e.DeliverIndex, s.Cur.Delivered+1, e.Seq)
 		}
-		if e.Demand >= 0 && s.cur.delivered < e.Demand {
+		if e.Demand >= 0 && s.Cur.Delivered < e.Demand {
 			c.problem("deliver-demand", "rank %d delivered (%d->%d #%d) after %d deliveries, protocol demanded %d (seq %d)",
-				e.Rank, e.Peer, e.Rank, e.SendIndex, s.cur.delivered, e.Demand, e.Seq)
+				e.Rank, e.Peer, e.Rank, e.SendIndex, s.Cur.Delivered, e.Demand, e.Seq)
 		}
-		s.cur.lastFrom[e.Peer] = e.SendIndex
-		s.cur.delivered = e.DeliverIndex
-		s.pending[e.Peer] = append(s.pending[e.Peer], e.SendIndex)
+		s.Cur.LastFrom[e.Peer] = e.SendIndex
+		s.Cur.Delivered = e.DeliverIndex
+		s.Pending[e.Peer] = append(s.Pending[e.Peer], e.SendIndex)
 	case EvCheckpoint:
-		if s.dead {
+		if s.Dead {
 			return
 		}
-		if e.Count != s.cur.delivered {
+		if e.Count != s.Cur.Delivered {
 			c.problem("checkpoint-count", "rank %d checkpoint at step %d records %d deliveries, trace replays %d (seq %d)",
-				e.Rank, e.Step, e.Count, s.cur.delivered, e.Seq)
+				e.Rank, e.Step, e.Count, s.Cur.Delivered, e.Seq)
 		}
 		c.commit(e.Rank, s)
-		s.ckpt.set(s.cur)
+		s.Ckpt.set(s.Cur)
 	case EvKill:
-		s.dead = true
-		s.rb = nil
+		s.Dead = true
+		s.Rollback = nil
 	case EvRecover:
-		s.dead = false
-		s.cur.set(s.ckpt)
-		clear(s.pending)
+		s.Dead = false
+		s.Cur.set(s.Ckpt)
+		clear(s.Pending)
 	case EvRollback:
 		// Supersedes the rank's previous ROLLBACK, if any.
-		s.rb = &rbPending{seq: e.Seq, expect: int(e.Count), responded: map[int]bool{}}
+		s.Rollback = &rbPending{Seq: e.Seq, Expect: int(e.Count), Responded: map[int]bool{}}
 	case EvResponse:
-		if s.rb != nil {
-			s.rb.responded[e.Peer] = true
+		if s.Rollback != nil {
+			s.Rollback.Responded[e.Peer] = true
 		}
 	case EvRecoveryComplete:
-		if s.rb != nil {
-			s.rb.completed = true
+		if s.Rollback != nil {
+			s.Rollback.Completed = true
 		}
 	}
 }
@@ -230,44 +232,44 @@ func (c *checker) feed(e Event) {
 // commit folds a rank's pending deliveries into its committed
 // per-channel history, judging no-duplicate.
 func (c *checker) commit(rank int, s *rankState) {
-	for from, idxs := range s.pending {
+	for from, idxs := range s.Pending {
 		if len(idxs) == 0 {
 			continue
 		}
-		cd := s.committed[from]
+		cd := s.Committed[from]
 		if cd == nil {
 			cd = &chanDeliver{}
-			s.committed[from] = cd
+			s.Committed[from] = cd
 		}
 		for _, idx := range idxs {
 			if !cd.add(idx) {
 				c.problem("no-duplicate", "rank %d delivered message (%d->%d #%d) twice", rank, from, rank, idx)
 			}
 		}
-		s.pending[from] = idxs[:0]
+		s.Pending[from] = idxs[:0]
 	}
 }
 
 // add records one delivery of send index idx, reporting false when the
 // history already holds it.
 func (cd *chanDeliver) add(idx int64) bool {
-	cd.count++
-	if (idx >= 1 && idx <= cd.contig) || hasKey(cd.extras, idx) {
-		if cd.dups == nil {
-			cd.dups = map[int64]int64{}
+	cd.Count++
+	if (idx >= 1 && idx <= cd.Contig) || hasKey(cd.Extras, idx) {
+		if cd.Dups == nil {
+			cd.Dups = map[int64]int64{}
 		}
-		cd.dups[idx]++
+		cd.Dups[idx]++
 		return false
 	}
-	if idx != cd.contig+1 {
-		if cd.extras == nil {
-			cd.extras = map[int64]struct{}{}
+	if idx != cd.Contig+1 {
+		if cd.Extras == nil {
+			cd.Extras = map[int64]struct{}{}
 		}
-		cd.extras[idx] = struct{}{}
+		cd.Extras[idx] = struct{}{}
 		return true
 	}
-	for cd.contig++; hasKey(cd.extras, cd.contig+1); cd.contig++ {
-		delete(cd.extras, cd.contig+1)
+	for cd.Contig++; hasKey(cd.Extras, cd.Contig+1); cd.Contig++ {
+		delete(cd.Extras, cd.Contig+1)
 	}
 	return true
 }
@@ -278,26 +280,26 @@ func hasKey[V any](m map[int64]V, k int64) bool {
 }
 
 // gap reports the send index at which the sorted delivered multiset
-// first departs from 1..count. extras never overlap 1..contig, so the
-// multiset sorts as the extras below 1, then 1..contig with each
+// first departs from 1..Count. extras never overlap 1..Contig, so the
+// multiset sorts as the extras below 1, then 1..Contig with each
 // duplicate repeated, then the extras above contig+1.
 func (cd *chanDeliver) gap() (int64, bool) {
-	for v := range cd.extras {
+	for v := range cd.Extras {
 		if v < 1 {
 			return 1, true
 		}
 	}
 	first := int64(0)
-	for v := range cd.dups {
-		if v >= 1 && v <= cd.contig && (first == 0 || v < first) {
+	for v := range cd.Dups {
+		if v >= 1 && v <= cd.Contig && (first == 0 || v < first) {
 			first = v
 		}
 	}
 	if first > 0 {
 		return first + 1, true // the second copy of first displaces first+1
 	}
-	if len(cd.extras) > 0 {
-		return cd.contig + 1, true
+	if len(cd.Extras) > 0 {
+		return cd.Contig + 1, true
 	}
 	return 0, false
 }
@@ -306,34 +308,34 @@ func (cd *chanDeliver) gap() (int64, bool) {
 // them back once the trace ends), audits the outstanding ROLLBACKs and,
 // when the run finished, applies no-loss. It consumes the checker.
 func (c *checker) finish(finished bool) []Problem {
-	ranks := make([]int, 0, len(c.ranks))
-	for r := range c.ranks {
+	ranks := make([]int, 0, len(c.Ranks))
+	for r := range c.Ranks {
 		ranks = append(ranks, r)
 	}
 	sort.Ints(ranks)
 	for _, r := range ranks {
-		s := c.ranks[r]
+		s := c.Ranks[r]
 		c.commit(r, s)
-		if p := s.rb; p != nil && !p.completed && len(p.responded) < p.expect {
+		if p := s.Rollback; p != nil && !p.Completed && len(p.Responded) < p.Expect {
 			c.problem("rollback-response", "rank %d ROLLBACK (seq %d) expected %d RESPONSEs, got %d and never completed recovery",
-				r, p.seq, p.expect, len(p.responded))
+				r, p.Seq, p.Expect, len(p.Responded))
 		}
 	}
 	if !finished {
-		return c.problems
+		return c.Problems
 	}
 	// no-loss covers every channel something was sent or delivered on:
 	// a delivery whose send was rolled back and never re-made is an
 	// orphan, flagged as more delivered than sent.
 	var chans [][2]int // (from, to)
 	for _, to := range ranks {
-		for from := range c.ranks[to].committed {
+		for from := range c.Ranks[to].Committed {
 			chans = append(chans, [2]int{from, to})
 		}
 	}
 	for _, from := range ranks {
-		for to := range c.ranks[from].cur.sent {
-			if c.rank(to).committed[from] == nil {
+		for to := range c.Ranks[from].Cur.Sent {
+			if c.rank(to).Committed[from] == nil {
 				chans = append(chans, [2]int{from, to})
 			}
 		}
@@ -343,43 +345,76 @@ func (c *checker) finish(finished bool) []Problem {
 	})
 	for _, ch := range chans {
 		from, to := ch[0], ch[1]
-		sent := c.rank(from).cur.sent[to]
+		sent := c.rank(from).Cur.Sent[to]
 		var cd chanDeliver
-		if p := c.ranks[to].committed[from]; p != nil {
+		if p := c.Ranks[to].Committed[from]; p != nil {
 			cd = *p
 		}
-		if cd.count != sent {
-			c.problem("no-loss", "channel %d->%d: sent %d messages, delivered %d", from, to, sent, cd.count)
+		if cd.Count != sent {
+			c.problem("no-loss", "channel %d->%d: sent %d messages, delivered %d", from, to, sent, cd.Count)
 		} else if at, bad := cd.gap(); bad {
 			c.problem("no-loss", "channel %d->%d: delivery set has gap at #%d", from, to, at)
 		}
 	}
-	return c.problems
+	return c.Problems
+}
+
+// repair makes a decoded digest safe to feed: it fills the maps JSON
+// leaves nil and rejects null states, which no checker produces.
+func (c *checker) repair() error {
+	if c.Ranks == nil {
+		c.Ranks = map[int]*rankState{}
+	}
+	for r, s := range c.Ranks {
+		if s == nil {
+			return fmt.Errorf("rank %d has no state", r)
+		}
+		for _, k := range []*cursor{&s.Cur, &s.Ckpt} {
+			k.LastFrom, k.Sent = orEmpty(k.LastFrom), orEmpty(k.Sent)
+		}
+		s.Pending, s.Committed = orEmpty(s.Pending), orEmpty(s.Committed)
+		for src, cd := range s.Committed {
+			if cd == nil {
+				return fmt.Errorf("rank %d channel from %d has no state", r, src)
+			}
+		}
+		if s.Rollback != nil {
+			s.Rollback.Responded = orEmpty(s.Rollback.Responded)
+		}
+	}
+	return nil
+}
+
+func orEmpty[V any](m map[int]V) map[int]V {
+	if m == nil {
+		return map[int]V{}
+	}
+	return m
 }
 
 func (c *checker) clone() *checker {
-	n := &checker{problems: slices.Clone(c.problems), ranks: make(map[int]*rankState, len(c.ranks))}
-	for r, s := range c.ranks {
+	n := &checker{Problems: slices.Clone(c.Problems), Ranks: make(map[int]*rankState, len(c.Ranks))}
+	for r, s := range c.Ranks {
 		m := &rankState{
-			dead:      s.dead,
-			pending:   make(map[int][]int64, len(s.pending)),
-			committed: make(map[int]*chanDeliver, len(s.committed)),
+			Dead:      s.Dead,
+			Pending:   make(map[int][]int64, len(s.Pending)),
+			Committed: make(map[int]*chanDeliver, len(s.Committed)),
 		}
-		m.cur.set(s.cur)
-		m.ckpt.set(s.ckpt)
-		for k, idxs := range s.pending {
-			m.pending[k] = slices.Clone(idxs)
+		m.Cur.set(s.Cur)
+		m.Ckpt.set(s.Ckpt)
+		for k, idxs := range s.Pending {
+			m.Pending[k] = slices.Clone(idxs)
 		}
-		for k, cd := range s.committed {
-			m.committed[k] = &chanDeliver{count: cd.count, contig: cd.contig,
-				extras: maps.Clone(cd.extras), dups: maps.Clone(cd.dups)}
+		for k, cd := range s.Committed {
+			m.Committed[k] = &chanDeliver{Count: cd.Count, Contig: cd.Contig,
+				Extras: maps.Clone(cd.Extras), Dups: maps.Clone(cd.Dups)}
 		}
-		if s.rb != nil {
-			rb := *s.rb
-			rb.responded = maps.Clone(rb.responded)
-			m.rb = &rb
+		if s.Rollback != nil {
+			rb := *s.Rollback
+			rb.Responded = maps.Clone(rb.Responded)
+			m.Rollback = &rb
 		}
-		n.ranks[r] = m
+		n.Ranks[r] = m
 	}
 	return n
 }

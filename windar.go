@@ -191,11 +191,14 @@ type CheckpointPolicy = layer.CheckpointPolicy
 type Stats = metrics.Snapshot
 
 // TraceRecorder records harness events for global-consistency
-// validation.
+// validation. It is also the crash "black box": a bounded recorder armed
+// for the whole run keeps the last window of events, ServeDebug streams
+// that window at /debug/flight, and WriteFile dumps it to a JSONL file
+// that windar-trace checks exactly as the live recorder validates.
 //
 // Stability: intentionally aliased to the internal trace recorder — its
-// validation and export methods (Validate, Export, Events) are the
-// product. The recorded event schema may gain kinds and
+// validation and export methods (Validate, Export, WriteFile, Events)
+// are the product. The recorded event schema may gain kinds and
 // fields; the JSONL header carries the version embedders should check.
 type TraceRecorder = trace.Recorder
 
@@ -204,29 +207,6 @@ type TraceRecorder = trace.Recorder
 // checker absorbs evicted events), which keeps long soak runs from
 // growing the trace without bound.
 func NewBoundedTrace(capacity int) *TraceRecorder { return trace.NewBounded(capacity) }
-
-// FlightRecorder is the crash "black box": a bounded trace ring armed
-// for the whole run, dumpable to a JSONL file (Dump) or streamed from
-// the debug server's /debug/flight endpoint. Arm one with ArmFlight,
-// point Config.Flight at it, and every chaos failure or crash can ship
-// the trace window that reproduces it.
-//
-// Stability: intentionally aliased to the internal flight recorder; the
-// dump file format is the versioned trace JSONL that windar-trace and
-// Import consume.
-type FlightRecorder = trace.FlightRecorder
-
-// ArmFlight builds a FlightRecorder around a fresh bounded trace ring
-// holding events entries (<= 0 selects a default sized for soak runs).
-// Dumps land in dir.
-func ArmFlight(dir string, events int) *FlightRecorder { return trace.ArmFlight(dir, events) }
-
-// NewFlightRecorder wraps an existing TraceRecorder so its contents can
-// be dumped — use it when the run already records a trace for validation
-// and the flight dumps should share that ring.
-func NewFlightRecorder(rec *TraceRecorder, dir string) *FlightRecorder {
-	return trace.NewFlightRecorder(rec, dir)
-}
 
 // ObsRegistry collects latency/size histograms from the cluster's hot
 // paths (deliver latency, piggyback sizes, tracking time, TCP reconnect
@@ -317,7 +297,10 @@ type Config struct {
 	// receive waits longer than this (a debugging aid).
 	StallTimeout time.Duration
 	// Trace, if non-nil, records every send/deliver/checkpoint/failure
-	// event for validation.
+	// event for validation. It is also the crash flight recorder: a
+	// bounded one (NewBoundedTrace) can stay armed for a whole run,
+	// ServeDebug streams its window at /debug/flight, and WriteFile dumps
+	// it whenever something dies.
 	Trace *TraceRecorder
 	// Tracing stamps every message with a causal SpanContext carried in
 	// the wire envelope, so per-rank traces can be stitched into a
@@ -326,13 +309,6 @@ type Config struct {
 	// remains allocation-free with tracing on (the delivery_scan_traced
 	// alloc probe gates it).
 	Tracing bool
-	// Flight arms the crash flight recorder: its ring receives every
-	// harness event and ServeDebug exposes the window at /debug/flight.
-	// When Trace is nil the flight ring is installed as the cluster
-	// observer; when both are set they must share one recorder (build the
-	// FlightRecorder with NewFlightRecorder(Trace, dir)) — disjoint rings
-	// would leave one of them empty, so NewCluster rejects that.
-	Flight *FlightRecorder
 	// Obs, if non-nil, wires the hot paths to histogram families
 	// (deliver latency, piggyback sizes, tracking time, recovery
 	// phases). Expose it over HTTP with Cluster.ServeDebug. Nil keeps
@@ -362,8 +338,6 @@ func (c Config) internal() harness.Config {
 	}
 	if c.Trace != nil {
 		cfg.Observer = c.Trace
-	} else if c.Flight != nil {
-		cfg.Observer = c.Flight.Recorder()
 	}
 	cfg.Obs = c.Obs
 	return cfg
@@ -379,19 +353,16 @@ func (a appAdapter) Restore(b []byte) error   { return a.inner.Restore(b) }
 
 // Cluster is a running n-rank system with failure injection.
 type Cluster struct {
-	inner  *harness.Cluster
-	obs    *ObsRegistry
-	meta   map[string]string
-	flight *FlightRecorder
+	inner *harness.Cluster
+	obs   *ObsRegistry
+	meta  map[string]string
+	trace *TraceRecorder
 }
 
 // NewCluster builds a cluster executing factory's application under cfg.
 func NewCluster(cfg Config, factory Factory) (*Cluster, error) {
 	if factory == nil {
 		return nil, fmt.Errorf("windar: nil factory")
-	}
-	if cfg.Flight != nil && cfg.Trace != nil && cfg.Flight.Recorder() != cfg.Trace {
-		return nil, fmt.Errorf("windar: Config.Flight and Config.Trace carry different recorders; share one with NewFlightRecorder(Trace, dir)")
 	}
 	icfg := cfg.internal()
 	switch cfg.Stable {
@@ -440,7 +411,7 @@ func NewCluster(cfg Config, factory Factory) (*Cluster, error) {
 		"transport": tk,
 		"stable":    sk,
 	}
-	return &Cluster{inner: inner, obs: cfg.Obs, meta: meta, flight: cfg.Flight}, nil
+	return &Cluster{inner: inner, obs: cfg.Obs, meta: meta, trace: cfg.Trace}, nil
 }
 
 // Start launches every rank.
@@ -454,9 +425,8 @@ func (c *Cluster) Start() error { return c.inner.Start() }
 // broadcasts a ROLLBACK and rolls forward exactly as a single-rank
 // recovery does, through the same restore path; when Config.Trace
 // is set the recorder is seeded with the restored checkpoint baselines
-// so validation measures the resumed run correctly (the seed is
-// in-process only — an exported trace of a resumed run covers just the
-// resumed suffix).
+// so validation measures the resumed run correctly, and its export
+// carries the seed, so the file validates the same way offline.
 func (c *Cluster) StartFromStable() error { return c.inner.StartFromStable() }
 
 // Wait blocks until every rank's application completed, across any
@@ -508,8 +478,10 @@ func (d *DebugServer) Close() error {
 // ServeDebug starts the debug HTTP server on addr (e.g.
 // "127.0.0.1:8077"; port 0 picks a free one — read it back from Addr).
 // The endpoints expose the cluster's counters, the Config.Obs histogram
-// families when a registry was attached, per-rank health, and a short
-// sampled history of the aggregate counters for rate computation.
+// families when a registry was attached, per-rank health, a short
+// sampled history of the aggregate counters for rate computation, and
+// the Config.Trace recorder's current window at /debug/flight (404 when
+// Trace is nil).
 func (c *Cluster) ServeDebug(addr string) (*DebugServer, error) {
 	counters := func() []obs.RankCounters {
 		per := c.inner.Metrics().PerRank()
@@ -530,8 +502,8 @@ func (c *Cluster) ServeDebug(addr string) (*DebugServer, error) {
 		Meta:     c.meta,
 		Clock:    c.inner.Clock(),
 	}
-	if c.flight != nil {
-		src.Flight = c.flight.WriteSnapshot
+	if c.trace != nil {
+		src.Flight = c.trace.Export
 	}
 	srv, err := obs.Serve(addr, src)
 	if err != nil {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
+	"net/http"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"windar"
+	"windar/internal/trace"
 )
 
 func baseConfig(n int, p windar.Protocol) windar.Config {
@@ -122,22 +126,21 @@ func (l *spanSeenLayer) Deliver(m *windar.Msg) {
 	l.Forward.Deliver(m)
 }
 
-// TestPublicAPITracingAndFlight runs a traced cluster with the flight
-// recorder armed across a kill/recover, checks that the chain saw causal
-// span contexts on every delivery, and that the flight ring dumps and
-// serves the same window over /debug/flight.
+// TestPublicAPITracingAndFlight runs a traced cluster with a bounded
+// trace recorder, the flight recorder, armed across a kill/recover,
+// checks that the chain saw causal span contexts on every delivery, and
+// that the recorder dumps and serves the same window over /debug/flight,
+// a window that validates offline as the live recorder does.
 func TestPublicAPITracingAndFlight(t *testing.T) {
 	f, err := windar.WorkloadFactory("ring", 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	rec := &windar.TraceRecorder{}
+	rec := windar.NewBoundedTrace(64)
 	seen := &spanSeen{}
 	cfg := baseConfig(4, windar.TDI)
 	cfg.Tracing = true
 	cfg.Trace = rec
-	cfg.Flight = windar.NewFlightRecorder(rec, dir)
 	cfg.Interceptors = []windar.Interceptor{seen}
 	c := runToCompletion(t, cfg, f, func(c *windar.Cluster) {
 		time.Sleep(3 * time.Millisecond)
@@ -145,6 +148,7 @@ func TestPublicAPITracingAndFlight(t *testing.T) {
 			t.Errorf("KillAndRecover: %v", err)
 		}
 	})
+	c.Close() // nothing records past here, so dump and endpoint agree
 	if problems := rec.Validate(true); len(problems) != 0 {
 		t.Fatalf("trace violations: %v", problems)
 	}
@@ -154,29 +158,41 @@ func TestPublicAPITracingAndFlight(t *testing.T) {
 	if roots == 0 || child == 0 {
 		t.Fatalf("interceptor saw no causal structure: roots=%d children=%d", roots, child)
 	}
-	path, err := cfg.Flight.Dump("test")
-	if err != nil {
-		t.Fatalf("flight Dump: %v", err)
+	path := filepath.Join(t.TempDir(), "flight-test.jsonl")
+	if err := rec.WriteFile(path); err != nil {
+		t.Fatalf("flight WriteFile: %v", err)
 	}
-	if _, err := os.Stat(path); err != nil {
+	dumped, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatalf("flight file missing: %v", err)
 	}
-	_ = c
-}
-
-// TestPublicAPIFlightTraceMismatch pins the configuration guard: a
-// flight recorder wrapping a different ring than Config.Trace is a
-// silent event fork, so NewCluster must reject it.
-func TestPublicAPIFlightTraceMismatch(t *testing.T) {
-	f, err := windar.WorkloadFactory("ring", 4)
+	dumpedRec, err := trace.Import(bytes.NewReader(dumped))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("import flight dump: %v", err)
 	}
-	cfg := baseConfig(2, windar.TDI)
-	cfg.Trace = &windar.TraceRecorder{}
-	cfg.Flight = windar.ArmFlight(t.TempDir(), 16)
-	if _, err := windar.NewCluster(cfg, f); err == nil {
-		t.Fatal("NewCluster accepted disjoint Trace and Flight recorders")
+	if dumpedRec.Dropped() == 0 {
+		t.Fatal("flight ring never evicted; the window test proves nothing")
+	}
+	if problems := dumpedRec.Validate(true); len(problems) != 0 {
+		t.Fatalf("flight dump violations: %v", problems)
+	}
+
+	dbg, err := c.ServeDebug("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("ServeDebug: %v", err)
+	}
+	defer dbg.Close()
+	resp, err := http.Get("http://" + dbg.Addr() + "/debug/flight")
+	if err != nil {
+		t.Fatalf("GET /debug/flight: %v", err)
+	}
+	served, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("/debug/flight: status %d, err %v", resp.StatusCode, err)
+	}
+	if !bytes.Equal(served, dumped) {
+		t.Fatal("/debug/flight window and WriteFile dump disagree")
 	}
 }
 
