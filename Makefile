@@ -27,11 +27,16 @@ race:
 # lose an element, and TestRestartAfterReorderedReplayKeepsFloors restarts
 # after it; TestDeterministicReplayResendsDeltas has a named-source
 # replay resend its floor-free deltas to a second victim.
+# TestKilledChannelEndsKeepTheBase kills a ring rank with relative
+# piggybacks in flight to it and between two of its sends, and
+# TestRestartResendsRelativePiggybacks restarts with relative
+# piggybacks in the logs: each first delivery reads its own element
+# against a base a checkpoint restored or a replay regenerated.
 # TestCountersExactAtQuiescence holds the app goroutine's batched
 # counters exact at every publication point, across a kill;
 # TestInlineSendIsABufferedSend races the fabric's lock-free inline
 # admission against Kill/Stall/Revive/Unstall.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors'
+RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/

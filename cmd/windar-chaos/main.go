@@ -99,6 +99,9 @@ func main() {
 			AppSteps:        *steps,
 			CheckpointEvery: *ckpt,
 			SpanTracing:     *tracing,
+			// A hung delivery wait fails the run with a state dump
+			// instead of wedging the soak.
+			StallTimeout: time.Minute,
 		},
 		Faults:    *faults,
 		Spacing:   *spacing,

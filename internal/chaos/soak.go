@@ -82,6 +82,10 @@ type RunResult struct {
 	// Trace is the run's full recorder — export it, build a lineage from
 	// it, or dump it as a flight file when the run fails.
 	Trace *trace.Recorder
+	// LiveHolds counts Hold verdicts outside a roll-forward
+	// (metrics.Rank.LiveHold): a fault under TDI, informational under
+	// TAG and TEL.
+	LiveHolds int64
 }
 
 // appFactory resolves RunOptions.App.
@@ -139,6 +143,7 @@ func RunSchedule(o RunOptions) (*RunResult, error) {
 	// Close before exporting: over TCP, late control traffic can still
 	// record events after Wait, and the round trip compares counts.
 	c.Close()
+	res.LiveHolds = c.Metrics().Total().LiveHolds
 	var buf bytes.Buffer
 	if err := rec.Export(&buf); err != nil {
 		return nil, fmt.Errorf("trace export: %w", err)
@@ -309,6 +314,9 @@ func (o *SoakOptions) runCell(tk transport.Kind, seed int64, base [][]byte) erro
 	if len(res.Problems) > 0 {
 		return fail("trace violations: %v", res.Problems)
 	}
+	if ro.Protocol == harness.TDI && res.LiveHolds != 0 {
+		return fail("TDI held an in-order head %d times outside a roll-forward", res.LiveHolds)
+	}
 	if err := sameStates(base, res.States); err != nil {
 		return fail("final state diverged from fault-free baseline: %v", err)
 	}
@@ -325,8 +333,8 @@ func (o *SoakOptions) runCell(tk transport.Kind, seed int64, base [][]byte) erro
 		}
 	}
 	if o.Logf != nil {
-		o.Logf("chaos: seed %d transport %s: ok (%d actions, %d ranks)",
-			seed, tk, len(ro.Schedule.Actions), ro.Procs)
+		o.Logf("chaos: seed %d transport %s: ok (%d actions, %d ranks, %d live holds)",
+			seed, tk, len(ro.Schedule.Actions), ro.Procs, res.LiveHolds)
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ type Checkpoint struct {
 
 // A checkpoint blob is one buffer, written once:
 //
-//	"WCKP" · version 0x03 · u32le len(body) · u32le CRC-32/IEEE(body) · body
+//	"WCKP" · version 0x04 · u32le len(body) · u32le CRC-32/IEEE(body) · body
 //
 //	body = varint Rank · varint Step · varint DeliveredCount ·
 //	       flags (bit 0: LogExternal) ·
@@ -66,10 +66,11 @@ type Checkpoint struct {
 // after their checkpoint decoded. The length and checksum make a torn
 // write detectable rather than silently wrong. The version byte sits
 // where the gob-era format ("WCKP1" + gob stream) had '1', so such a blob
-// is refused by name instead of misparsed, as is 0x02 (TDI wire format v2).
+// is refused by name instead of misparsed, as are 0x02 and 0x03 (TDI
+// wire formats v2 and v3).
 const (
 	blobMagic   = "WCKP"
-	blobVersion = 0x03
+	blobVersion = 0x04
 	blobHeader  = len(blobMagic) + 1 + 4 + 4
 
 	flagLogExternal = 1 << 0
@@ -147,7 +148,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("ckpt: blob missing frame header (%d bytes)", len(data))
 	}
 	if v := data[len(blobMagic)]; v != blobVersion {
-		return nil, fmt.Errorf("ckpt: blob format version %#02x, this build reads %#02x (gob-era checkpoints are version '1', those with v2 piggybacks 0x02; both must be retaken)", v, blobVersion)
+		return nil, fmt.Errorf("ckpt: blob format version %#02x, this build reads %#02x (gob-era checkpoints are version '1', those with v2 and v3 piggybacks 0x02 and 0x03; all must be retaken)", v, blobVersion)
 	}
 	body := data[blobHeader:]
 	if want := binary.LittleEndian.Uint32(data[blobHeader-8:]); uint64(len(body)) != uint64(want) {

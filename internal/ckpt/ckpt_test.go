@@ -278,6 +278,21 @@ func TestDecodeRejectsV2PiggybackBlobByVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsV3PiggybackBlobByVersion: a version-0x03 blob holds
+// sender-log records with TDI piggybacks in wire format v3, whose own
+// element is absolute where v4 reads an increment; it is refused by its
+// version byte, never decoded as v4.
+func TestDecodeRejectsV3PiggybackBlobByVersion(t *testing.T) {
+	data, err := Encode(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(blobMagic)] = 0x03
+	if _, err := Decode(data); err == nil || !strings.Contains(err.Error(), "version 0x03") {
+		t.Fatalf("version-0x03 blob: err = %v, want a format-version error", err)
+	}
+}
+
 // reframe wraps body in a valid header, so the parser behind the
 // checksum is reachable.
 func reframe(body []byte) []byte {

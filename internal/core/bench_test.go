@@ -28,7 +28,7 @@ func BenchmarkOnDeliver(b *testing.B) {
 	for _, n := range []int{4, 32} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			tdi := New(0, n, nil, nil)
-			pig := wire.AppendVecSince(nil, vclock.New(n), 1, nil, 0)
+			pig := wire.AppendVecSince(nil, vclock.New(n), 1, nil, 0, -1)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				env := &wire.Envelope{
@@ -47,7 +47,7 @@ func BenchmarkOnDeliver(b *testing.B) {
 // 17): one vector decode and one comparison.
 func BenchmarkDeliverable(b *testing.B) {
 	tdi := New(0, 32, nil, nil)
-	pig := wire.AppendVecSince(nil, vclock.New(32), 1, nil, 0)
+	pig := wire.AppendVecSince(nil, vclock.New(32), 1, nil, 0, -1)
 	env := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1, Piggyback: pig}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

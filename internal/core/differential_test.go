@@ -15,16 +15,16 @@ import (
 
 // exchangeWithAll has every peer of rank 0 send to it and receive from
 // it, twice over, and returns rank 0's instance with the demand each
-// peer's last message made of it. Every pair talks, as around an
-// AnySource master or an Allreduce root: the worst case for per-peer
-// protocol state.
-func exchangeWithAll(t testing.TB, n int) (*TDI, []int64) {
+// peer's last message made of it and the peer's own element it carried.
+// Every pair talks, as around an AnySource master or an Allreduce root:
+// the worst case for per-peer protocol state.
+func exchangeWithAll(t testing.TB, n int) (*TDI, [][2]int64) {
 	t.Helper()
 	r0 := New(0, n, nil, nil)
 	peers := make([]*TDI, n)
-	demands := make([]int64, n)
+	demands := make([][2]int64, n)
 	for p := range peers {
-		demands[p] = -1 // no message merged yet, from rank 0 itself ever
+		demands[p] = [2]int64{-1, -1} // no message merged yet, from rank 0 itself ever
 		if p > 0 {
 			peers[p] = New(p, n, nil, nil)
 		}
@@ -34,7 +34,7 @@ func exchangeWithAll(t testing.TB, n int) (*TDI, []int64) {
 		for p := 1; p < n; p++ {
 			idx[p]++
 			pig, _ := peers[p].PiggybackForSend(0, idx[p])
-			demands[p] = peers[p].dependInterval[0]
+			demands[p] = [2]int64{peers[p].dependInterval[0], peers[p].dependInterval[p]}
 			e := &wire.Envelope{Kind: wire.KindApp, From: p, To: 0, SendIndex: idx[p], Piggyback: pig}
 			if err := r0.OnDeliver(e, r0.dependInterval[0]+1); err != nil {
 				t.Fatal(err)
@@ -67,7 +67,8 @@ func retainedBytes(mk func() *TDI) uint64 {
 }
 
 // TestTDIStateIsLinear: with every pair talking, a rank's TDI state is
-// O(n) — its checkpoint image is one vector plus one demand per source,
+// O(n) — its checkpoint image is one vector plus one demand and one own
+// element per source,
 // and the instance retains well under the n² int64s that a vector per
 // peer would take (1.5 MiB at n = 256).
 func TestTDIStateIsLinear(t *testing.T) {
@@ -75,10 +76,10 @@ func TestTDIStateIsLinear(t *testing.T) {
 		r0, demands := exchangeWithAll(t, n)
 		want := wire.AppendVec([]byte{snapshotMarker}, r0.DependInterval())
 		for _, d := range demands {
-			want = binary.AppendVarint(want, d)
+			want = binary.AppendVarint(binary.AppendVarint(want, d[0]), d[1])
 		}
 		if got := r0.AppendSnapshot(nil); !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: snapshot is %d bytes, want the vector plus %d demands (%d bytes)", n, len(got), n, len(want))
+			t.Fatalf("n=%d: snapshot is %d bytes, want the vector plus %d demands and own elements (%d bytes)", n, len(got), n, len(want))
 		}
 		var held uint64
 		for i := 0; i < 3; i++ { // the smallest of three: other tests' garbage only ever adds
@@ -103,11 +104,15 @@ func TestTDIStateIsLinear(t *testing.T) {
 // of the sender's full DependInterval at encode time, and with that
 // vector's demand.
 func FuzzTDIPiggyback(f *testing.F) {
-	f.Add(int8(1), wire.AppendVecSince(nil, vclock.Vec{2, 5, 1, 4}, 1, nil, 0), []byte{0x01, 0x10, 0x21, 0x12, 0x03, 0x30, 0x13})
-	f.Add(int8(1), []byte{0x02, 0x05, 0x03, 0x05}, []byte{0x00, 0x01, 0x02, 0x10, 0x11, 0x12}) // delta: v[1] = 5, v[3] = 5 + 3
+	f.Add(int8(1), wire.AppendVecSince(nil, vclock.Vec{2, 5, 1, 4}, 1, nil, 0, -1), []byte{0x01, 0x10, 0x21, 0x12, 0x03, 0x30, 0x13})
+	// Rank 1's element in fuzzHostile's first message is 3, the base.
+	f.Add(int8(1), []byte{0x02, 0x05, 0x03, 0x05}, []byte{0x00, 0x01, 0x02, 0x10, 0x11, 0x12}) // delta: v[1] = 3+1+5, v[3] = 9+3
 	f.Add(int8(-1), []byte(nil), []byte{0x31, 0x31, 0x31, 0x13, 0x13})
 	f.Add(int8(7), []byte{0xFF}, []byte{})
-	f.Add(int8(1), []byte{0x0B}, []byte{0x12, 0x21, 0x11, 0x22}) // own-only: v[1] = 5
+	f.Add(int8(1), []byte{0x0B}, []byte{0x12, 0x21, 0x11, 0x22})                               // own-only: v[1] = 3+1+5
+	f.Add(int8(1), []byte{0x08, 0x00, 0x00, 0x02, 0x01}, []byte{0x12, 0x10, 0x21, 0x01, 0x11}) // relative full: v = (4, 4, 3, 4)
+	f.Add(int8(2), []byte{0x0B}, []byte{0x23, 0x32, 0x33})                                     // own-only from a source with no base
+	f.Add(int8(0), []byte{0x00, 0x30, 0x30, 0x31, 0x30}, []byte{0x30})                         // a full vector forged as the receiver's own
 	f.Fuzz(func(t *testing.T, src int8, pig, script []byte) {
 		fuzzHostile(t, int(src), pig)
 		fuzzHistory(t, script)
@@ -125,7 +130,7 @@ var fuzzClock = clock.NewFake(time.Unix(0, 0))
 func fuzzHostile(t *testing.T, src int, pig []byte) {
 	const n = 4
 	r := New(0, n, nil, fuzzClock)
-	first := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1, Piggyback: wire.AppendVecSince(nil, vclock.Vec{0, 3, 1, 4}, 1, nil, 0)}
+	first := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1, Piggyback: wire.AppendVecSince(nil, vclock.Vec{0, 3, 1, 4}, 1, nil, 0, -1)}
 	if err := r.OnDeliver(first, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +149,12 @@ func fuzzHostile(t *testing.T, src int, pig []byte) {
 	}
 	want := before.Clone()
 	want[0]++
-	p := wire.ReadVecPairs(pig, n, src)
+	base := int64(-1) // rank 1's element in first
+	if src == 1 {
+		base = 3
+	}
+	var p wire.VecPairs
+	p.Reset(pig, n, src, base)
 	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
 		if k != 0 && v > want[k] {
 			want[k] = v

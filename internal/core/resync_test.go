@@ -107,8 +107,8 @@ func smallestEncoding(prev, cur vclock.Vec) []byte {
 			ver[i] = 1
 		}
 	}
-	full := wire.AppendVecSince(nil, cur, rsS, nil, 0)
-	if d := wire.AppendVecSince(nil, cur, rsS, ver, 0); len(d) < len(full) {
+	full := wire.AppendVecSince(nil, cur, rsS, nil, 0, prev[rsS])
+	if d := wire.AppendVecSince(nil, cur, rsS, ver, 0, prev[rsS]); len(d) < len(full) {
 		return d
 	}
 	return full

@@ -25,7 +25,7 @@
 // slot is known the moment it arrives ("proactive perception of delivery
 // order"), so recovery needs no determinant collection phase at all.
 //
-// # Differential piggyback (wire format v3)
+// # Differential piggyback (wire format v4)
 //
 // Between consecutive sends to the same destination the vector changes
 // in only a few elements, so the piggyback carries only those: Singhal
@@ -35,13 +35,18 @@
 // piggyback is the elements stamped after that send (wire.AppendVecSince),
 // or the full vector when that is smaller; zero bytes when nothing
 // changed. Every version bump is a delivery, which raises the sender's
-// own element, so a non-empty piggyback always carries it, at an
-// implicit index. Per-channel FIFO, which the harness enforces, means
-// the receiver has already merged every omitted element, so the decoded
-// absolute values merge into depend_interval without any base; the one
-// thing a receiver keeps per source is the last delivered message's
-// demand, which a piggyback that omits the receiver's own element
-// repeats. Sender and receiver state are both O(n).
+// own element by exactly one, so a non-empty piggyback always carries
+// it, at an implicit index, and as its increment over the value the
+// previous piggyback on the channel carried: the version count since
+// that send, less one. Per-channel FIFO, which the harness enforces,
+// means the receiver has already merged every omitted element and that
+// previous piggyback, so the other values merge as absolutes; a
+// receiver keeps per source only the last delivered message's demand,
+// which a piggyback that omits the receiver's own element repeats, and
+// the sender's element that message carried, the base of the next
+// increment. A full vector sent with no base (the first send, after
+// Restore or OnPeerRollback, or one the delta floor forces) is absolute
+// and resets the receiver's. Sender and receiver state are both O(n).
 //
 // A receiver that discards a regenerated send as repetitive never
 // merges its pairs; it merged the dead incarnation's original instead.
@@ -84,9 +89,10 @@ import (
 )
 
 // snapshotMarker is the first byte of the Snapshot layout. The older
-// layouts — a bare vector, and the 0x00-marked one holding a base
-// vector per source — are rejected: nothing writes them any more.
-const snapshotMarker = 0x01
+// layouts — a bare vector, the 0x00-marked one holding a base vector per
+// source, and the 0x01-marked one without the channel bases — are
+// rejected: nothing writes them any more.
+const snapshotMarker = 0x02
 
 // floorUnknown is a delta floor no RESPONSE has reported yet: no send
 // can serve as a delta base.
@@ -128,9 +134,11 @@ type TDI struct {
 
 	// lastDemand[src] is the own-element demand of the last message
 	// merged from src, -1 before the first: the demand of a piggyback
-	// that omits the own element. A delta from a source with no merged
-	// message has no base and is rejected.
+	// that omits the own element. lastOwn[src] is src's element that
+	// message carried, the base of the next one's increment, -1 before
+	// the first: a relative piggyback from src is then rejected.
 	lastDemand []int64
+	lastOwn    []int64
 
 	// pigArena backs every non-empty piggyback PiggybackForSend returns:
 	// the sender log retains them, read-only, until the destination's
@@ -167,9 +175,10 @@ func New(rank, n int, m *metrics.Rank, clk clock.Clock) *TDI {
 		lastUpdate:     make([]uint64, n),
 		lastSend:       make([]uint64, n),
 		lastDemand:     make([]int64, n),
+		lastOwn:        make([]int64, n),
 	}
 	for i := range t.lastDemand {
-		t.lastDemand[i] = -1
+		t.lastDemand[i], t.lastOwn[i] = -1, -1
 	}
 	return t
 }
@@ -206,10 +215,11 @@ func (t *TDI) DependInterval() vclock.Vec { return t.dependInterval.Clone() }
 func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	var buf []byte
 	if !t.unchangedSince(dest) {
-		// The full vector bounds the encoding: a delta is chosen only
-		// when it is smaller.
-		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0)
-		buf = t.pigArena.Tail(full)
+		// The absolute full vector bounds the encoding: a delta is
+		// chosen only when it is smaller, and a relative full vector's
+		// header is at most one byte longer.
+		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0, -1)
+		buf = t.pigArena.Tail(full + 1)
 	}
 	pig, ids := t.AppendPiggybackForSend(buf, dest, sendIndex)
 	return t.pigArena.Commit(pig), ids
@@ -223,14 +233,16 @@ func (t *TDI) unchangedSince(dest int) bool {
 }
 
 // deltaBase reports whether dest has had a send since its base was last
-// reset, so the next send to it may be a delta unless its floor blocks.
+// reset, so the next send to it may build on that send — a delta, an
+// increment — unless its floor blocks.
 func (t *TDI) deltaBase(dest int) bool {
 	return !t.fullVectors && t.lastSend[dest] != 0
 }
 
-// floorBlocks reports whether dest's delta floor forbids a delta: after
-// a rollback, once a replay may have reordered deliveries, the last send
-// to dest that carried pairs must be above the floor.
+// floorBlocks reports whether dest's delta floor forbids building on the
+// last send: after a rollback, once a replay may have reordered
+// deliveries, the last send to dest that carried pairs must be above the
+// floor.
 func (t *TDI) floorBlocks(dest int) bool {
 	return t.floor != nil && t.sentIdx[dest] <= t.floor[dest] &&
 		(t.reordered == nil || t.reordered.Load())
@@ -252,21 +264,28 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 	}
 	mark := len(buf)
 	var ver []uint64 // nil: the full vector
-	ids, since := t.n, t.lastSend[dest]
+	ids, since, base := t.n, t.lastSend[dest], int64(-1)
 	if t.deltaBase(dest) {
-		size, k := wire.VecSinceSize(t.dependInterval, t.rank, t.lastUpdate, since)
-		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0)
+		// Every version bump is one delivery, which raised the own
+		// element by one, so the last send to dest carried it
+		// version - since lower. (With no bump, only the floor keeps
+		// this send from being empty; the sizes then price an own-only
+		// piggyback.)
+		b := t.dependInterval[t.rank] - int64(max(t.version-since, 1))
+		size, k := wire.VecSinceSize(t.dependInterval, t.rank, t.lastUpdate, since, b)
+		full, _ := wire.VecSinceSize(t.dependInterval, t.rank, nil, 0, b)
 		switch {
-		case size >= full:
 		case t.floorBlocks(dest):
-			t.m.PigFloorFull() // the floor alone keeps this send full
-		case t.lastUpdate[t.rank] > since:
-			// A delta carries the sender's own element, which every version
-			// bump raises; should that ever fail, the send is full.
-			ver, ids = t.lastUpdate, k
+			if size < full {
+				t.m.PigFloorFull() // the floor alone keeps this send full
+			}
+		case size < full:
+			ver, ids, base = t.lastUpdate, k, b
+		default:
+			base = b
 		}
 	}
-	buf = wire.AppendVecSince(buf, t.dependInterval, t.rank, ver, since)
+	buf = wire.AppendVecSince(buf, t.dependInterval, t.rank, ver, since, base)
 	delta := ver != nil
 	t.lastSend[dest] = t.version
 	if t.floor != nil {
@@ -282,36 +301,39 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 }
 
 // demand validates env's piggyback and returns the delivery count it
-// demands of this rank: the own element when the piggyback carries it,
-// else the source's last demand, which per-channel FIFO makes exact.
-// With collect, it also gathers in t.raised the elements it raises.
+// demands of this rank — the own element when the piggyback carries it,
+// else the source's last demand, which per-channel FIFO makes exact —
+// and the source's element, the base of the next increment on the
+// channel. With collect, it also gathers in t.raised the elements it
+// raises.
 //
 //windar:hotpath
-func (t *TDI) demand(env *wire.Envelope, collect bool) (int64, error) {
+func (t *TDI) demand(env *wire.Envelope, collect bool) (d, own int64, err error) {
 	src := env.From
 	if src < 0 || src >= t.n {
-		return 0, t.errPigSource(src)
+		return 0, 0, t.errPigSource(src)
 	}
-	d := t.lastDemand[src]
-	if len(env.Piggyback) == 0 && d >= 0 {
-		return d, nil // nothing changed since the last message: the common case
+	d, own = t.lastDemand[src], t.lastOwn[src]
+	if len(env.Piggyback) == 0 && own >= 0 {
+		return d, own, nil // nothing changed since the last message: the common case
 	}
-	p := wire.ReadVecPairs(env.Piggyback, t.n, src)
+	var p wire.VecPairs
+	p.Reset(env.Piggyback, t.n, src, own)
 	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
 		switch {
-		case k == t.rank:
+		case k == t.rank: // never raised by hearsay, even from a forged source
 			d = v
 		case collect && v > t.dependInterval[k]:
 			t.raised = append(t.raised, raise{k, v})
 		}
+		if k == src {
+			own = v
+		}
 	}
 	if err := p.Err(); err != nil {
-		return 0, t.errPigDecode(src, err)
+		return 0, 0, t.errPigDecode(src, err)
 	}
-	if !p.Full() && t.lastDemand[src] < 0 {
-		return 0, t.errPigDecode(src, wire.ErrNoDeltaBase)
-	}
-	return d, nil
+	return d, own, nil
 }
 
 // The cold-path error constructors live outside the annotated spans:
@@ -336,7 +358,7 @@ func (t *TDI) errPigDecode(src int, err error) error {
 //
 //windar:hotpath
 func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
-	d, err := t.demand(env, false)
+	d, _, err := t.demand(env, false)
 	if err != nil {
 		return proto.Hold, err
 	}
@@ -358,7 +380,7 @@ func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 		return t.errIndexDiverged(deliverIndex)
 	}
 	t.raised = t.raised[:0]
-	d, err := t.demand(env, true)
+	d, own, err := t.demand(env, true)
 	if err != nil {
 		return err
 	}
@@ -368,7 +390,7 @@ func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	for _, r := range t.raised {
 		t.dependInterval[r.k], t.lastUpdate[r.k] = r.v, t.version
 	}
-	t.lastDemand[env.From] = d
+	t.lastDemand[env.From], t.lastOwn[env.From] = d, own
 	t.track.EndDeliver(start, w)
 	return nil
 }
@@ -386,24 +408,27 @@ func (t *TDI) errIndexDiverged(deliverIndex int64) error {
 // depend_interval element for this rank is exactly the delivery count
 // Algorithm 1 line 17 requires before env may be delivered. It feeds the
 // trace recorder so the offline invariant checker can re-verify the
-// comparison on every recorded delivery. Asked after the delivery, it
-// answers the same: the delivery recorded this very demand as the
-// source's last.
+// comparison on every recorded delivery. OnDeliver(env) recorded it as
+// the source's last demand, so nothing is decoded again.
 //
 //windar:hotpath
 func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
-	d, err := t.demand(env, false)
-	return d, err == nil
+	if src := env.From; src >= 0 && src < t.n && t.lastDemand[src] >= 0 {
+		return t.lastDemand[src], true
+	}
+	return 0, false
 }
 
 // AppendSnapshot implements proto.Protocol: the depend_interval vector
-// (line 33 saves it with the checkpoint) plus the last demand per
-// source, which the next message from a live sender may omit.
+// (line 33 saves it with the checkpoint) plus, per source, the last
+// demand and the last own element, which the next message from a live
+// sender may omit or carry as an increment.
 func (t *TDI) AppendSnapshot(dst []byte) []byte {
 	buf := append(dst, snapshotMarker)
 	buf = wire.AppendVec(buf, t.dependInterval)
-	for _, d := range t.lastDemand {
+	for i, d := range t.lastDemand {
 		buf = binary.AppendVarint(buf, d)
+		buf = binary.AppendVarint(buf, t.lastOwn[i])
 	}
 	return buf
 }
@@ -416,13 +441,13 @@ func (t *TDI) AppendSnapshot(dst []byte) []byte {
 // (OnPeerResync).
 func (t *TDI) Restore(data []byte) error {
 	if len(data) == 0 || data[0] != snapshotMarker {
-		return fmt.Errorf("core: restore: no snapshot marker")
+		return fmt.Errorf("core: restore: snapshot marker %#x, want %#02x", data[:min(len(data), 1)], snapshotMarker)
 	}
 	c := wire.NewCursor(data[1:])
 	di := c.Vec()
-	demands := make([]int64, t.n)
+	demands, owns := make([]int64, t.n), make([]int64, t.n)
 	for i := range demands {
-		demands[i] = c.Varint()
+		demands[i], owns[i] = c.Varint(), c.Varint()
 	}
 	if err := c.Err(); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
@@ -433,7 +458,7 @@ func (t *TDI) Restore(data []byte) error {
 	if c.Len() != 0 {
 		return fmt.Errorf("core: restore: %d trailing bytes", c.Len())
 	}
-	t.dependInterval, t.lastDemand = di, demands
+	t.dependInterval, t.lastDemand, t.lastOwn = di, demands, owns
 	clear(t.lastSend)
 	t.resetFloors()
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"windar/internal/proto"
@@ -15,18 +16,20 @@ import (
 func env(from, to int, sendIndex int64, pig vclock.Vec) *wire.Envelope {
 	return &wire.Envelope{
 		Kind: wire.KindApp, From: from, To: to, SendIndex: sendIndex,
-		Piggyback: wire.AppendVecSince(nil, pig, from, nil, 0),
+		Piggyback: wire.AppendVecSince(nil, pig, from, nil, 0, -1),
 	}
 }
 
-// readFull decodes sender s's piggyback, which must be a full vector.
+// readFull decodes sender s's piggyback, which must be an absolute full
+// vector.
 func readFull(pig []byte, n, s int) (vclock.Vec, error) {
 	v := vclock.New(n)
-	p := wire.ReadVecPairs(pig, n, s)
+	var p wire.VecPairs
+	p.Reset(pig, n, s, -1)
 	for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
 		v[k] = x
 	}
-	if p.Err() == nil && !p.Full() {
+	if p.Err() == nil && !isFull(pig) {
 		return nil, fmt.Errorf("piggyback % x is not a full vector", pig)
 	}
 	return v, p.Err()
@@ -153,11 +156,21 @@ func TestRestoreRejectsWrongLength(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsV1SnapshotByMarker: the 0x01 layout held no channel
+// bases, so the increments of wire format v4 cannot be read after it; a
+// well-formed one is refused by its marker.
+func TestRestoreRejectsV1SnapshotByMarker(t *testing.T) {
+	v1 := append(wire.AppendVec([]byte{0x01}, vclock.New(3)), 1, 1, 1) // the vector and three demands
+	if err := New(0, 3, nil, nil).Restore(v1); err == nil || !strings.Contains(err.Error(), "marker 0x01") {
+		t.Fatalf("Restore of a 0x01 snapshot: %v, want a marker error naming 0x01", err)
+	}
+}
+
 func TestOnDeliverRejectsWrongLengthPiggyback(t *testing.T) {
 	tdi := New(0, 3, nil, nil)
 	bad := &wire.Envelope{
 		Kind: wire.KindApp, From: 1, To: 0, SendIndex: 1,
-		Piggyback: wire.AppendVecSince(nil, vclock.New(7), 1, nil, 0),
+		Piggyback: wire.AppendVecSince(nil, vclock.New(7), 1, nil, 0, -1),
 	}
 	if err := tdi.OnDeliver(bad, 1); err == nil {
 		t.Fatal("OnDeliver accepted wrong-length piggyback")
@@ -279,8 +292,8 @@ func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 		if v, err := tdi.Deliverable(held, 0); err != nil || v != proto.Hold {
 			t.Fatalf("src %d: pre-restore verdict %v, %v", src, v, err)
 		}
-		if d, ok := tdi.DeliveryDemand(held); !ok || d != 2 {
-			t.Fatalf("src %d: pre-restore demand %d, %v", src, d, ok)
+		if d, ok := tdi.DeliveryDemand(held); ok {
+			t.Fatalf("src %d: a held probe recorded demand %d", src, d)
 		}
 		if err := tdi.Restore(snap); err != nil {
 			t.Fatalf("src %d: Restore: %v", src, err)
@@ -291,6 +304,9 @@ func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 		if v, err := tdi.Deliverable(resent, 0); err != nil || v != proto.Deliver {
 			t.Fatalf("src %d: post-restore verdict %v, %v — stale decode state", src, v, err)
 		}
+		if err := tdi.OnDeliver(resent, 1); err != nil {
+			t.Fatalf("src %d: post-restore delivery: %v", src, err)
+		}
 		if d, ok := tdi.DeliveryDemand(resent); !ok || d != 0 {
 			t.Fatalf("src %d: post-restore demand %d, %v — stale decode state", src, d, ok)
 		}
@@ -299,9 +315,10 @@ func TestRestoreInvalidatesDecodeMemos(t *testing.T) {
 
 // TestPiggybackCarriesOwnElement: over a random history, every non-empty
 // piggyback decodes with the sender's own element first, at its current
-// value; it is the smaller of the full vector and the delta of what
-// changed since the last send to the destination; and its id count is
-// the integers it carries.
+// value, against the one the channel's previous piggyback carried; it is
+// the smaller of the full vector and the delta of what changed since the
+// last send to the destination, absolute only on the channel's first
+// send; and its id count is the integers it carries.
 func TestPiggybackCarriesOwnElement(t *testing.T) {
 	const n = 6
 	rng := rand.New(rand.NewSource(47))
@@ -327,7 +344,11 @@ func TestPiggybackCarriesOwnElement(t *testing.T) {
 				t.Fatalf("step %d: empty piggyback %d->%d (%d ids) after %v, now %v", step, a, b, ids, prev, cur)
 			}
 		default:
-			want := wire.AppendVecSince(nil, cur, a, nil, 0)
+			base := int64(-1)
+			if prev != nil {
+				base = prev[a]
+			}
+			want := wire.AppendVecSince(nil, cur, a, nil, 0, base)
 			if prev != nil {
 				ver := make([]uint64, n)
 				for i := range cur {
@@ -335,14 +356,15 @@ func TestPiggybackCarriesOwnElement(t *testing.T) {
 						ver[i] = 1
 					}
 				}
-				if d := wire.AppendVecSince(nil, cur, a, ver, 0); len(d) < len(want) {
+				if d := wire.AppendVecSince(nil, cur, a, ver, 0, base); len(d) < len(want) {
 					want = d
 				}
 			}
 			if !bytes.Equal(pig, want) {
 				t.Fatalf("step %d: %d->%d sent % x, want the smaller form % x", step, a, b, pig, want)
 			}
-			p := wire.ReadVecPairs(pig, n, a)
+			var p wire.VecPairs
+			p.Reset(pig, n, a, base)
 			k, v, ok := p.Next()
 			if !ok || k != a || v != cur[a] {
 				t.Fatalf("step %d: %d->%d % x starts with (%d, %d, %v), want own element %d", step, a, b, pig, k, v, ok, cur[a])
@@ -353,8 +375,11 @@ func TestPiggybackCarriesOwnElement(t *testing.T) {
 			}
 			wantIDs := 2 * carried
 			switch {
-			case p.Full():
+			case isFull(pig):
 				forms["full"]++
+				wantIDs = n
+			case pig[0] == 2*n:
+				forms["relative full"]++
 				wantIDs = n
 			case carried == 1:
 				forms["own-only"]++
@@ -372,9 +397,35 @@ func TestPiggybackCarriesOwnElement(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 	}
-	for _, f := range []string{"empty", "full", "own-only", "delta"} {
+	for _, f := range []string{"empty", "full", "relative full", "own-only", "delta"} {
 		if forms[f] == 0 {
 			t.Errorf("the history never produced a %s piggyback: %v", f, forms)
+		}
+	}
+}
+
+// TestPeerRollbackResetsChannelBase: the first send to a peer after it
+// rolled back is an absolute full vector, though an own-only increment
+// would be smaller. The peer's restored base is whatever its checkpoint
+// holds; the sender does not know it, so it assumes none. The next send
+// after that builds on the full vector again.
+func TestPeerRollbackResetsChannelBase(t *testing.T) {
+	s := New(0, 4, nil, nil)
+	feed := int64(0)
+	step := func() {
+		feed++
+		if err := s.OnDeliver(env(2, 0, feed, vclock.New(4)), feed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for idx, wantFull := range []bool{true, false, true, false} {
+		if idx == 2 {
+			s.OnPeerRollback(1, 0)
+		}
+		step()
+		pig, _ := s.PiggybackForSend(1, int64(idx+1))
+		if isFull(pig) != wantFull || !wantFull && len(pig) != 1 {
+			t.Fatalf("send %d % x: absolute full %v, want %v (else one byte)", idx+1, pig, isFull(pig), wantFull)
 		}
 	}
 }

@@ -399,7 +399,7 @@ func probePigDecode() float64 {
 	}, 1); err != nil {
 		panic(err)
 	}
-	delta := []byte{2, 1, 0, 2} // one pair: the sender's own element rose to 1, the receiver's is 0
+	delta := []byte{2, 0, 0, 2} // one pair: the sender's own element rose by 1 to 1, the receiver's is 0
 	env := &wire.Envelope{Kind: wire.KindApp, From: 1, To: 0, Piggyback: delta}
 	idx := int64(2)
 	return testing.AllocsPerRun(allocProbeRuns, func() {

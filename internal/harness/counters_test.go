@@ -217,6 +217,7 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 	for rank := 0; rank < exactRanks; rank++ {
 		x.check(rank, "after Wait")
 	}
+	assertNoLiveHolds(t, c)
 	if x.checks.Load() < 3*exactSteps {
 		t.Fatalf("only %d exactness checks ran", x.checks.Load())
 	}

@@ -307,6 +307,7 @@ func TestRestartWithoutCheckpointRollsBack(t *testing.T) {
 			}
 			waitWorkerCheckpoints(t, c, 10)
 			c.Close() // abrupt: every rank dies mid-run
+			assertNoLiveHolds(t, c)
 
 			c2, err := NewCluster(config(dir), factory)
 			if err != nil {
@@ -332,6 +333,7 @@ func TestRestartWithoutCheckpointRollsBack(t *testing.T) {
 				}
 			}
 			probe.assertClean(t)
+			assertNoLiveHolds(t, c2)
 		})
 	}
 }

@@ -175,7 +175,19 @@ func run(t *testing.T, cfg Config, factory app.Factory, chaos func(c *Cluster)) 
 	for i := range out {
 		out[i] = c.AppSnapshot(i)
 	}
+	assertNoLiveHolds(t, c)
 	return out
+}
+
+// assertNoLiveHolds fails t when a rank of a TDI cluster held an
+// in-order head outside a roll-forward (metrics.Rank.LiveHold): TDI's
+// predicate never holds there, so each count is a protocol fault, such
+// as an element decoded above its true value.
+func assertNoLiveHolds(t *testing.T, c *Cluster) {
+	t.Helper()
+	if h := c.Metrics().Total().LiveHolds; c.cfg.Protocol == TDI && h != 0 {
+		t.Errorf("TDI held an in-order head %d times outside a roll-forward", h)
+	}
 }
 
 func assertSameStates(t *testing.T, want, got [][]byte, label string) {

@@ -59,7 +59,7 @@ func sinkFactory(recvs int) app.Factory {
 func validPig(p ProtocolKind, n int) []byte {
 	switch p {
 	case TDI:
-		return wire.AppendVecSince(nil, vclock.New(n), 0, nil, 0)
+		return wire.AppendVecSince(nil, vclock.New(n), 0, nil, 0, -1)
 	case TAG:
 		return agraph.AppendNodes([]byte{0}, nil) // zero interval, no nodes
 	default:
@@ -75,8 +75,8 @@ func validPig(p ProtocolKind, n int) []byte {
 func TestCorruptPiggybackHeldNotPanic(t *testing.T) {
 	corruptions := map[string][]byte{
 		"truncated-varint": {0xFF},
-		"short-vector":     wire.AppendVec(nil, []int64{7}), // to TDI: own-only v[1] = 0, then a stray byte
-		"delta-no-base":    {2, 1, 0, 2},                    // k = 1: v[1] = 1, v[0] = 0
+		"short-vector":     wire.AppendVec(nil, []int64{7}), // to TDI: own-only, then a stray byte
+		"delta-no-base":    {2, 1, 0, 2},                    // k = 1: increment 1, then v[0] = v[1] - 1
 		"empty":            nil,
 	}
 	for _, p := range allProtocols {

@@ -107,6 +107,10 @@ type rankRuntime struct {
 	recovering     bool
 	recoveryStart  time.Time
 	recoveryTarget int64
+	// restarted marks an incarnation started by StartFromStable: the
+	// checkpoints it restored with need not form a consistent cut, so
+	// its whole life counts as rolling forward (metrics.Rank.LiveHold).
+	restarted bool
 
 	// The collection phase (guarded by mu like the flags above; written
 	// before start() launches the goroutines). rollback is the ROLLBACK
@@ -662,6 +666,8 @@ func (r *rankRuntime) takeShard(src int, tag int32) *wire.Envelope {
 		if err != nil {
 			// The head stays queued, and only mu-holders remove it.
 			r.noteIngestErrLocked(src, head.SendIndex, err)
+		} else if !r.recovering && !r.restarted {
+			r.c.coll.Rank(r.id).LiveHold()
 		}
 		return nil
 	}
@@ -1020,6 +1026,9 @@ func (r *rankRuntime) stallReportLocked(source int, tag int32) string {
 		r.id, source, tag, r.deliveredCount)
 	if r.lastIngestErr != nil {
 		fmt.Fprintf(&b, "  last rejected piggyback: %v\n", r.lastIngestErr)
+	}
+	if h := r.c.coll.Rank(r.id).Snapshot().LiveHolds; h != 0 {
+		fmt.Fprintf(&b, "  holds outside a roll-forward: %d\n", h)
 	}
 	for src := range r.shards {
 		sh := &r.shards[src]

@@ -121,6 +121,7 @@ func (c *Cluster) restore(dead []int) error {
 		if err != nil {
 			return err
 		}
+		r.restarted = old == nil // only StartFromStable restores a never-started rank
 		cp, ok, err := c.ckpts.Load(rank)
 		if err != nil {
 			return fmt.Errorf("harness: rank %d restore: %w", rank, err)

@@ -66,8 +66,8 @@ func runPiggyback(pass *Pass) {
 
 // vecReaders are the wire decoders whose vector result length is
 // attacker-controlled: nothing about a successful decode bounds it.
-// (wire.ReadVecPairs, TDI's v3 piggyback reader, returns no vector: it
-// checks every index it reads against n and the sender's index itself.)
+// (wire.VecPairs, TDI's v4 piggyback reader, fills no vector: it checks
+// every index it reads against n and the sender's index itself.)
 var vecReaders = map[string]bool{"ReadVec": true, "ReadVecInto": true, "ReadVecDeltaInto": true}
 
 // checkDecodedVecIndexing flags `v[i]` where v was assigned from a

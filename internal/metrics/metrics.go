@@ -48,6 +48,7 @@ type Rank struct {
 	pigFullMsgs         atomic.Int64
 	pigFloorFullMsgs    atomic.Int64
 	ingestRejected      atomic.Int64
+	liveHolds           atomic.Int64
 	shardContended      atomic.Int64
 }
 
@@ -132,6 +133,12 @@ func (r *Rank) PigFloorFull() { r.pigFloorFullMsgs.Add(1) }
 // its piggyback or framing failed validation.
 func (r *Rank) IngestRejected() { r.ingestRejected.Add(1) }
 
+// LiveHold records one Hold verdict on a channel's in-order head at an
+// incarnation that is not rolling forward. TDI never holds there
+// (DESIGN.md "Hold tripwire"), so at a TDI rank each is a protocol
+// fault; TAG and TEL may.
+func (r *Rank) LiveHold() { r.liveHolds.Add(1) }
+
 // ControlMsg records one protocol control message (ROLLBACK, RESPONSE,
 // CHECKPOINT_ADVANCE, determinant traffic).
 func (r *Rank) ControlMsg() { r.controlMsgs.Add(1) }
@@ -185,6 +192,7 @@ func (r *Rank) Snapshot() Snapshot {
 		PigFullMsgs:         r.pigFullMsgs.Load(),
 		PigFloorFullMsgs:    r.pigFloorFullMsgs.Load(),
 		IngestRejected:      r.ingestRejected.Load(),
+		LiveHolds:           r.liveHolds.Load(),
 	}
 }
 
@@ -211,6 +219,7 @@ type Snapshot struct {
 	PigFullMsgs         int64
 	PigFloorFullMsgs    int64
 	IngestRejected      int64
+	LiveHolds           int64
 }
 
 // Add returns the elementwise sum of s and o.
@@ -235,6 +244,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.PigFullMsgs += o.PigFullMsgs
 	s.PigFloorFullMsgs += o.PigFloorFullMsgs
 	s.IngestRejected += o.IngestRejected
+	s.LiveHolds += o.LiveHolds
 	return s
 }
 
@@ -355,5 +365,6 @@ func (s Snapshot) Vars() []Var {
 		{"pig_full_msgs", s.PigFullMsgs},
 		{"pig_floor_full_msgs", s.PigFloorFullMsgs},
 		{"ingest_rejected", s.IngestRejected},
+		{"live_holds", s.LiveHolds},
 	}
 }

@@ -129,11 +129,12 @@ type Replayer interface {
 
 // Demander is optionally implemented by protocols whose delivery
 // predicate is a simple count comparison (TDI's Algorithm 1 line 17).
-// DeliveryDemand extracts from env's piggyback the number of local
-// deliveries that must precede env's delivery; ok is false when the
-// piggyback carries no such requirement. The harness records the demand
-// with each trace deliver event so the offline invariant checker
-// (internal/trace) can re-verify the comparison after the run.
+// Asked right after OnDeliver(env), DeliveryDemand returns the number of
+// local deliveries that had to precede env's delivery, as that delivery
+// read it from the piggyback; ok is false when there was no such
+// requirement. The harness records the demand with each trace deliver
+// event so the offline invariant checker (internal/trace) can re-verify
+// the comparison after the run.
 type Demander interface {
 	DeliveryDemand(env *wire.Envelope) (demand int64, ok bool)
 }

@@ -114,7 +114,7 @@ type DiskStats struct {
 const (
 	defaultShards = 8
 	metaName      = "meta"
-	metaVersion   = "windar-wal v4"
+	metaVersion   = "windar-wal v5"
 
 	// segmentBytes is how many bytes of records, beyond what rotation
 	// carried in, a head segment takes before the shard rotates.

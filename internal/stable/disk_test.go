@@ -108,8 +108,9 @@ func TestDiskRejectsV1Directory(t *testing.T) {
 	// v1 rewrote one file per shard in place; v2 may hold records that
 	// point at values in files of their own, which replay would take for
 	// a torn tail and cut, silently dropping every record after them; v3
-	// holds sender-log records with TDI piggybacks in wire format v2.
-	for _, version := range []string{"windar-wal v1", "windar-wal v2", "windar-wal v3"} {
+	// holds sender-log records with TDI piggybacks in wire format v2, v4
+	// in wire format v3.
+	for _, version := range []string{"windar-wal v1", "windar-wal v2", "windar-wal v3", "windar-wal v4"} {
 		t.Run(version, func(t *testing.T) {
 			dir := t.TempDir()
 			if err := os.WriteFile(filepath.Join(dir, metaName), []byte(version+"\nshards 8\n"), 0o666); err != nil {

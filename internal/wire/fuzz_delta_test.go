@@ -71,45 +71,60 @@ func FuzzVecDeltaRoundTrip(f *testing.F) {
 	})
 }
 
-// refPairs is a reference decoder for TDI's v3 piggyback, written for
+// refPairs is a reference decoder for TDI's v4 piggyback, written for
 // clarity rather than speed: the pairs sender s's piggyback b carries
-// in an n-element vector, and whether b is well-formed. It checks value
-// range with big integers, so no overflow can hide.
-func refPairs(b []byte, n, s int) (pairs [][2]int64, full, ok bool) {
+// in an n-element vector on a channel whose previous piggyback carried
+// v[s] = base (negative: none), whether b is an absolute full vector,
+// and whether b is well-formed. It checks value range with big
+// integers, so no overflow can hide.
+func refPairs(b []byte, n, s int, base int64) (pairs [][2]int64, full, ok bool) {
 	if len(b) == 0 {
-		return nil, false, true
+		return nil, false, base >= 0
 	}
 	h, m := binary.Uvarint(b)
 	if m <= 0 {
 		return nil, false, false
 	}
 	b = b[m:]
+	k, first := h/2, h/2
+	if h%2 == 0 {
+		if k > uint64(n) {
+			return nil, false, false
+		}
+		if first, m = binary.Uvarint(b); m <= 0 {
+			return nil, false, false
+		}
+		b = b[m:]
+	}
+	full = h == 0
+	own := new(big.Int).SetUint64(first)
+	if !full {
+		if base < 0 {
+			return nil, false, false
+		}
+		own.Add(own, big.NewInt(base))
+		own.Add(own, big.NewInt(1))
+	}
+	if !own.IsInt64() {
+		return nil, false, false
+	}
+	pairs = [][2]int64{{int64(s), own.Int64()}}
 	if h%2 == 1 {
-		return [][2]int64{{int64(s), int64(h / 2)}}, false, len(b) == 0
+		return pairs, false, len(b) == 0
 	}
-	k := h / 2
-	if k > uint64(n-1) {
-		return nil, false, false
-	}
-	own, m := binary.Uvarint(b)
-	if m <= 0 || own > math.MaxInt64 {
-		return nil, false, false
-	}
-	b = b[m:]
-	pairs = [][2]int64{{int64(s), int64(own)}}
+	dense := k == 0 || k == uint64(n)
 	var idx []int
-	if k == 0 {
-		full = true
+	if dense {
 		for i := 0; i < n; i++ {
 			if i != s {
 				idx = append(idx, i)
 			}
 		}
 	}
-	prev := new(big.Int).SetUint64(own)
-	for j := 0; full && j < len(idx) || !full && j < int(k); j++ {
+	prev := own
+	for j := 0; dense && j < len(idx) || !dense && j < int(k); j++ {
 		i := 0
-		if full {
+		if dense {
 			i = idx[j]
 		} else {
 			u, m := binary.Uvarint(b)
@@ -132,55 +147,63 @@ func refPairs(b []byte, n, s int) (pairs [][2]int64, full, ok bool) {
 	return pairs, full, len(b) == 0
 }
 
-// walkPairs collects everything ReadVecPairs yields for b.
-func walkPairs(b []byte, n, s int) (pairs [][2]int64, full bool, err error) {
-	p := ReadVecPairs(b, n, s)
+// walkPairs collects everything a VecPairs walk yields for b.
+func walkPairs(b []byte, n, s int, base int64) (pairs [][2]int64, err error) {
+	var p VecPairs
+	p.Reset(b, n, s, base)
 	for k, v, ok := p.Next(); ok; k, v, ok = p.Next() {
 		pairs = append(pairs, [2]int64{int64(k), v})
 	}
-	return pairs, p.Full(), p.Err()
+	return pairs, p.Err()
 }
 
-// FuzzVecPairs is a differential target for the v3 piggyback reader:
-// on arbitrary bytes, for a fuzzer-chosen system size and sender, it
-// must accept exactly what refPairs accepts and yield the same pairs,
-// never panicking; and re-encoding an accepted piggyback must read back
-// as the same pairs.
+// FuzzVecPairs is a differential target for the v4 piggyback reader:
+// on arbitrary bytes, for a fuzzer-chosen system size, sender and
+// channel base, it must accept exactly what refPairs accepts and yield
+// the same pairs, never panicking; and re-encoding an accepted
+// piggyback in its own form must read back as the same pairs.
 func FuzzVecPairs(f *testing.F) {
-	f.Add([]byte{0x00, 0x05, 0x06, 0x02, 0x05}, uint8(3), uint8(1))
-	f.Add([]byte{0x02, 0x05, 0x03, 0x05}, uint8(3), uint8(1))
-	f.Add([]byte{0x0B}, uint8(3), uint8(1))
-	f.Add([]byte{0x04, 0x05, 0x02, 0x00, 0x00, 0x00}, uint8(3), uint8(1))
-	f.Add([]byte{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x01}, uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, b []byte, n8, s8 uint8) {
+	f.Add([]byte{0x00, 0x05, 0x06, 0x02, 0x05}, uint8(3), uint8(1), int64(-1))
+	f.Add([]byte{0x02, 0x05, 0x03, 0x05}, uint8(3), uint8(1), int64(4))
+	f.Add([]byte{0x0B}, uint8(3), uint8(1), int64(0))
+	f.Add([]byte{0x06, 0x00, 0x02, 0x05}, uint8(3), uint8(1), int64(7))
+	f.Add([]byte{0x04, 0x05, 0x02, 0x00, 0x00, 0x00}, uint8(3), uint8(1), int64(2))
+	f.Add([]byte{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x01}, uint8(1), uint8(0), int64(-1))
+	f.Add([]byte{0x01}, uint8(2), uint8(0), int64(math.MaxInt64))
+	f.Add([]byte{0x80, 0x00, 0x30}, uint8(0), uint8(0), int64(0)) // a two-byte header 0
+	f.Fuzz(func(t *testing.T, b []byte, n8, s8 uint8, base int64) {
 		n := 1 + int(n8)%64
 		s := int(s8) % n
-		got, full, err := walkPairs(b, n, s)
-		want, wantFull, ok := refPairs(b, n, s)
+		got, err := walkPairs(b, n, s, base)
+		want, full, ok := refPairs(b, n, s, base)
 		if (err == nil) != ok {
-			t.Fatalf("% x (n=%d, s=%d): reader err %v, reference ok %v", b, n, s, err, ok)
+			t.Fatalf("% x (n=%d, s=%d, base %d): reader err %v, reference ok %v", b, n, s, base, err, ok)
 		}
 		if !ok {
 			return
 		}
-		if full != wantFull || !slices.Equal(got, want) {
-			t.Fatalf("% x (n=%d, s=%d): reader %v (full %v), reference %v (full %v)", b, n, s, got, full, want, wantFull)
+		if !slices.Equal(got, want) {
+			t.Fatalf("% x (n=%d, s=%d, base %d): reader %v, reference %v", b, n, s, base, got, want)
 		}
 		if len(b) == 0 {
 			return
 		}
-		v, ver := vclock.New(n), []uint64(nil)
-		if !full {
+		h, _ := binary.Uvarint(b)
+		v, ver, reBase := vclock.New(n), []uint64(nil), base
+		switch {
+		case full:
+			reBase = -1
+		case h != 2*uint64(n):
 			ver = make([]uint64, n)
 		}
 		for _, p := range got {
 			v[p[0]] = p[1]
-			if !full && int(p[0]) != s {
+			if ver != nil && int(p[0]) != s {
 				ver[p[0]] = 1
 			}
 		}
-		re := AppendVecSince(nil, v, s, ver, 0)
-		if again, _, err := walkPairs(re, n, s); err != nil || !slices.Equal(again, got) {
+		re := AppendVecSince(nil, v, s, ver, 0, reBase)
+		if again, err := walkPairs(re, n, s, base); err != nil || !slices.Equal(again, got) {
 			t.Fatalf("% x re-encoded as % x reads %v (err %v), want %v", b, re, again, err, got)
 		}
 	})

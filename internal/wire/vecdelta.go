@@ -1,20 +1,27 @@
-// TDI's piggyback (wire format v3), and a base-relative vector delta.
+// TDI's piggyback (wire format v4), and a base-relative vector delta.
 //
 // A piggyback from sender s in an n-rank system is empty — zero bytes:
 // nothing changed since the last send to the destination — or starts
 // with a uvarint header h:
 //
-//	h odd          own-only  v[s] = h>>1; nothing follows
-//	h = 0          full      uvarint v[s] | n-1 × varint diff
-//	h = 2k, k ≥ 1  delta     uvarint v[s] | k × (uvarint index, varint diff)
+//	h = 0          full, absolute  uvarint v[s] | n-1 × varint diff
+//	h odd          own-only        v[s] = base + 1 + h>>1; nothing follows
+//	h = 2k, k < n  delta           uvarint inc | k × (uvarint index, varint diff)
+//	h = 2n         full, relative  uvarint inc | n-1 × varint diff
+//
+// base is the v[s] that the previous piggyback on the same channel
+// carried, and inc = v[s] − base − 1: between two sends that carry
+// anything the sender delivered at least once, which raised v[s]. Every
+// form but the absolute full vector needs that base, so the empty, the
+// own-only, the delta and the relative full piggyback are refused
+// (ErrNoDeltaBase) from a source the reader holds no base for.
 //
 // A full vector lists the elements other than v[s] in index order, a
 // delta k of them at strictly increasing indices != s. Each diff is the
 // zigzag varint of (previous listed value − this value), starting from
 // v[s]. The sender's index is implicit: the receiver knows the sender.
-// Decoding yields absolute values, so a reader needs no base: it
-// max-merges each pair into the vector it holds, and re-applying a
-// piggyback is a no-op.
+// Every other value decodes absolute, so a reader max-merges each pair
+// into the vector it holds, and re-applying a piggyback is a no-op.
 package wire
 
 import (
@@ -31,34 +38,37 @@ import (
 const VecDeltaMarker = 0x00
 
 // ErrNoDeltaBase reports a delta-encoded vector arriving at a reader
-// that holds no base vector to apply it to.
+// that holds no base to apply it to.
 var ErrNoDeltaBase = errors.New("wire: delta vector without base")
 
 // ErrBadDelta reports a structurally invalid vector encoding: indices
 // out of range, equal to the sender's or not strictly increasing, a
-// count exceeding the vector length, a negative value, or bytes after
-// the last element.
+// count exceeding the vector length, a negative or overflowing value,
+// or bytes after the last element.
 var ErrBadDelta = errors.New("wire: malformed delta vector")
 
 // AppendVecSince appends sender s's piggyback of the non-negative v and
-// returns the extended slice: the full vector for a nil ver, else
+// returns the extended slice. A nil ver selects the full vector:
+// absolute for a negative base, else relative to it. Otherwise it is
 // Singhal and Kshemkalyani's differential piggyback — v[s] and each v[k]
 // whose version ver[k] (at which it last changed) is above since (that
-// of the last send to the destination), own-only when no k qualifies.
+// of the last send to the destination), own-only when no k qualifies —
+// and base must be the channel's, below v[s].
 //
 //windar:hotpath
-func AppendVecSince(buf []byte, v vclock.Vec, s int, ver []uint64, since uint64) []byte {
+func AppendVecSince(buf []byte, v vclock.Vec, s int, ver []uint64, since uint64, base int64) []byte {
 	k := 0
 	for i, u := range ver {
 		if u > since && i != s {
 			k++
 		}
 	}
-	if ver != nil && k == 0 {
-		return binary.AppendUvarint(buf, uint64(v[s])<<1|1)
+	h, first := vecHeader(len(v), v[s], ver != nil, k, base)
+	buf = binary.AppendUvarint(buf, h)
+	if h&1 == 1 {
+		return buf
 	}
-	buf = binary.AppendUvarint(buf, uint64(k)<<1)
-	buf = binary.AppendUvarint(buf, uint64(v[s]))
+	buf = binary.AppendUvarint(buf, first)
 	prev := v[s]
 	for i, x := range v {
 		if i != s && (ver == nil || ver[i] > since) {
@@ -72,13 +82,29 @@ func AppendVecSince(buf []byte, v vclock.Vec, s int, ver []uint64, since uint64)
 	return buf
 }
 
+// vecHeader returns the header of sender s's piggyback and the uvarint
+// that follows it (unless h is odd): v[s] for the absolute full vector,
+// the increment over base for the other forms.
+func vecHeader(n int, own int64, delta bool, k int, base int64) (h, first uint64) {
+	inc := uint64(own - base - 1)
+	switch {
+	case delta && k == 0:
+		return inc<<1 | 1, 0
+	case delta:
+		return uint64(k) << 1, inc
+	case base >= 0:
+		return uint64(n) << 1, inc
+	}
+	return 0, uint64(own)
+}
+
 // VecSinceSize returns the number of bytes AppendVecSince would produce
 // and the number of integers it carries (the Fig. 5 unit: n for a full
 // vector, 1 own-only, 2+2k for a delta of k pairs), without allocating;
 // the sender uses it to pick the smaller encoding.
 //
 //windar:hotpath
-func VecSinceSize(v vclock.Vec, s int, ver []uint64, since uint64) (size, ids int) {
+func VecSinceSize(v vclock.Vec, s int, ver []uint64, since uint64, base int64) (size, ids int) {
 	k, prev := 0, v[s]
 	for i, x := range v {
 		if i != s && (ver == nil || ver[i] > since) {
@@ -89,20 +115,22 @@ func VecSinceSize(v vclock.Vec, s int, ver []uint64, since uint64) (size, ids in
 			k, prev = k+1, x
 		}
 	}
+	h, first := vecHeader(len(v), v[s], ver != nil, k, base)
 	switch {
+	case h&1 == 1:
+		return UvarintLen(h), 1
 	case ver == nil:
-		return 1 + UvarintLen(uint64(v[s])) + size, len(v)
-	case k == 0:
-		return UvarintLen(uint64(v[s])<<1 | 1), 1
+		return UvarintLen(h) + UvarintLen(first) + size, len(v)
 	}
-	return UvarintLen(uint64(k)<<1) + UvarintLen(uint64(v[s])) + size, 2 + 2*k
+	return UvarintLen(h) + UvarintLen(first) + size, 2 + 2*k
 }
 
 // VecPairs walks the (index, value) pairs a piggyback carries, whatever
 // its form: the sender's element first, then the others in increasing
-// index order; nothing for the empty piggyback. It reads in place,
-// allocates nothing and needs no base. Next returns false at the end and
-// on malformed input; Err then tells which.
+// index order; nothing for the empty piggyback. It reads in place and
+// allocates nothing; the caller owns it, and Reset starts each walk.
+// Next returns false at the end and on malformed input; Err then tells
+// which.
 type VecPairs struct {
 	b    []byte // unread bytes
 	n, s int
@@ -110,34 +138,50 @@ type VecPairs struct {
 	next int // lowest index the next pair may have
 	prev int64
 	own  bool // the sender's pair is still to be returned
-	full bool
-	err  error
+	// dense: the pairs are every element but the sender's, in index
+	// order, so no index is written (a full vector).
+	dense bool
+	err   error
 }
 
-// ReadVecPairs starts reading b as sender s's piggyback of an n-element
-// vector.
+// Reset starts p reading b as sender s's piggyback of an n-element
+// vector. base is the v[s] the previous piggyback on the channel
+// carried, negative when the reader holds none.
 //
 //windar:hotpath
-func ReadVecPairs(b []byte, n, s int) VecPairs {
-	p := VecPairs{b: b, n: n, s: s}
+func (p *VecPairs) Reset(b []byte, n, s int, base int64) {
+	*p = VecPairs{b: b, n: n, s: s}
 	if len(b) == 0 {
-		return p
+		if base < 0 {
+			p.err = ErrNoDeltaBase
+		}
+		return
 	}
 	h, ok := p.uvarint()
-	own := h >> 1 // v[s] when h is odd
-	if k := h >> 1; ok && h&1 == 0 {
-		// Strictly increasing indices != s cap k at n-1.
-		if own, ok = p.uvarint(); ok && (k >= uint64(n) || own > math.MaxInt64) {
-			ok, p.err = false, ErrBadDelta
-		}
-		if ok {
-			if p.left, p.full = int(k), k == 0; p.full {
-				p.left = n - 1
-			}
-		}
+	k, own := h>>1, h>>1 // own: the increment when h is odd
+	if ok && h&1 == 0 {
+		own, ok = p.uvarint()
+		p.left, p.dense = int(k), k == 0 || k == uint64(n)
 	}
-	p.prev, p.own = int64(own), ok
-	return p
+	switch {
+	case !ok: // truncated
+	case h&1 == 0 && k > uint64(n), // a delta lists at most n-1 pairs; k = n is a full vector
+		h == 0 && own > math.MaxInt64,
+		h != 0 && base >= 0 && own >= uint64(math.MaxInt64-base): // base + 1 + own overflows
+		p.err = ErrBadDelta
+	case h != 0 && base < 0:
+		p.err = ErrNoDeltaBase
+	default:
+		if h != 0 {
+			own += uint64(base) + 1
+		}
+		if p.dense {
+			p.left = n - 1
+		}
+		p.prev, p.own = int64(own), true
+		return
+	}
+	p.left = 0
 }
 
 // uvarint reads one uvarint, or ends the walk on a truncated one.
@@ -150,10 +194,6 @@ func (p *VecPairs) uvarint() (uint64, bool) {
 	p.b = p.b[m:]
 	return u, true
 }
-
-// Full reports whether the piggyback is a full vector, which carries
-// every element.
-func (p *VecPairs) Full() bool { return p.full }
 
 // Next returns the next pair.
 //
@@ -170,7 +210,7 @@ func (p *VecPairs) Next() (idx int, val int64, ok bool) {
 		return 0, 0, false
 	}
 	idx = p.next
-	if p.full {
+	if p.dense {
 		if idx == p.s {
 			idx++
 		}

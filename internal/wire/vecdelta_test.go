@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -93,78 +94,102 @@ func TestVecDeltaRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestReadVecPairsDispatch: one reader takes all four piggyback forms —
-// a full vector yields every element, a delta the sender's element and
-// its pairs, an own-only delta the sender's element alone, an empty
-// piggyback nothing — and none of them needs a base.
+// TestReadVecPairsDispatch: one reader takes all five piggyback forms —
+// a full vector yields every element, absolute or relative to the
+// channel's base, a delta the sender's element and its pairs, an
+// own-only delta the sender's element alone, an empty piggyback nothing
+// — and only the absolute full vector reads without a base.
 func TestReadVecPairsDispatch(t *testing.T) {
-	const s = 1
+	const s, base = 1, 2
 	cur := vclock.Vec{1, 5, 3}
-	collect := func(b []byte) (vclock.Vec, bool, int) {
-		t.Helper()
+	collect := func(b []byte, base int64) (vclock.Vec, bool, int, error) {
 		v, pairs := vclock.Vec{-1, -1, -1}, 0
-		p := ReadVecPairs(b, len(cur), s)
+		var p VecPairs
+		p.Reset(b, len(cur), s, base)
 		for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
 			v[k] = x
 			pairs++
 		}
-		if err := p.Err(); err != nil {
-			t.Fatalf("% x: %v", b, err)
+		return v, len(b) > 0 && b[0] == 0, pairs, p.Err()
+	}
+	for _, c := range []struct {
+		name  string
+		b     []byte
+		full  bool
+		pairs int
+		want  vclock.Vec
+	}{
+		{"full", AppendVecSince(nil, cur, s, nil, 0, -1), true, 3, cur},
+		{"relative full", AppendVecSince(nil, cur, s, nil, 0, base), false, 3, cur},
+		{"delta", AppendVecSince(nil, cur, s, []uint64{0, 0, 2}, 1, base), false, 2, vclock.Vec{-1, 5, 3}},
+		{"own-only", AppendVecSince(nil, cur, s, []uint64{0, 2, 0}, 1, base), false, 1, vclock.Vec{-1, 5, -1}},
+		{"empty", nil, false, 0, vclock.Vec{-1, -1, -1}},
+	} {
+		v, full, pairs, err := collect(c.b, base)
+		if err != nil || full != c.full || pairs != c.pairs || !v.Equal(c.want) {
+			t.Errorf("%s % x: v=%v full=%v pairs=%d err=%v", c.name, c.b, v, full, pairs, err)
 		}
-		return v, p.Full(), pairs
+		if _, _, _, err := collect(c.b, -1); (err == nil) != c.full {
+			t.Errorf("%s without a base: err %v", c.name, err)
+		} else if err != nil && !errors.Is(err, ErrNoDeltaBase) {
+			t.Errorf("%s without a base: err %v, want ErrNoDeltaBase", c.name, err)
+		}
 	}
-	if v, full, pairs := collect(AppendVecSince(nil, cur, s, nil, 0)); !full || pairs != 3 || !v.Equal(cur) {
-		t.Fatalf("full: v=%v full=%v pairs=%d", v, full, pairs)
-	}
-	if v, full, pairs := collect(AppendVecSince(nil, cur, s, []uint64{0, 0, 2}, 1)); full || pairs != 2 || !v.Equal(vclock.Vec{-1, 5, 3}) {
-		t.Fatalf("delta: v=%v full=%v pairs=%d", v, full, pairs)
-	}
-	own := AppendVecSince(nil, cur, s, []uint64{0, 2, 0}, 1)
-	if v, full, pairs := collect(own); len(own) != 1 || full || pairs != 1 || !v.Equal(vclock.Vec{-1, 5, -1}) {
-		t.Fatalf("own-only % x: v=%v full=%v pairs=%d", own, v, full, pairs)
-	}
-	if _, full, pairs := collect(nil); full || pairs != 0 {
-		t.Fatalf("empty: full=%v pairs=%d", full, pairs)
+	if own := AppendVecSince(nil, cur, s, []uint64{0, 2, 0}, 1, base); len(own) != 1 {
+		t.Errorf("own-only % x is not one byte", own)
 	}
 }
 
-// TestVecPairsRejectsMalformed: every structural fault of a v3
-// piggyback from sender 1 of 3 ends the walk with an error.
+// TestVecPairsRejectsMalformed: every structural fault of a v4
+// piggyback from sender 1 of 3, on a channel whose base is 4, ends the
+// walk with an error.
 func TestVecPairsRejectsMalformed(t *testing.T) {
 	bad := [][]byte{
 		{0xFF},                               // truncated header
-		{0x06, 0x05, 0x00, 0x00, 0x02, 0x00}, // k = 3 > n-1
+		{0x08, 0x05, 0x00, 0x00, 0x02, 0x00}, // k = 4 > n
 		{0x00},                               // full vector without v[s]
+		{0x06},                               // relative full vector without its increment
 		{0x00, 0x05, 0x00},                   // full vector one element short
+		{0x06, 0x05, 0x00},                   // relative full vector one element short
 		{0x00, 0x05, 0x00, 0x00, 0x00},       // trailing byte after a full vector
+		{0x06, 0x05, 0x00, 0x00, 0x00},       // trailing byte after a relative full vector
 		{0x02, 0x05},                         // delta without its pair
 		{0x02, 0x05, 0x00},                   // index without value
 		{0x02, 0x05, 0x07, 0x00},             // index >= n
 		{0x02, 0x05, 0x01, 0x00},             // index equal to the sender's
 		{0x04, 0x05, 0x02, 0x00, 0x00, 0x00}, // indices decreasing
 		{0x04, 0x05, 0x02, 0x00, 0x02, 0x00}, // index repeated
-		{0x02, 0x05, 0x00, 0x0C},             // 5 - 6: a negative value
+		{0x02, 0x00, 0x00, 0x0C},             // 5 - 6: a negative value
 		{0x02, 0x05, 0x00, 0x00, 0x00},       // trailing byte after a delta
 		{0x03, 0x00},                         // trailing byte after own-only
 		{0x00, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0}, // v[s] > MaxInt64
-		{0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00, 0x01}, // MaxInt64 - (-1) overflows
+		{0x02, 0xFA, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00, 0x01}, // MaxInt64 - (-1) overflows
+		{0xF7, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01},             // 4 + 1 + (2^63 - 5): the increment overflows
+		{0x06, 0xFB, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0x00, 0x00}, // 4 + 1 + (2^63 - 4) in a relative full vector
 	}
 	for i, b := range bad {
-		p := ReadVecPairs(b, 3, 1)
+		var p VecPairs
+		p.Reset(b, 3, 1, 4)
 		for _, _, ok := p.Next(); ok; _, _, ok = p.Next() {
 		}
 		if p.Err() == nil {
 			t.Errorf("case %d (% x): accepted malformed piggyback", i, b)
 		}
 	}
+	// The largest increment that fits reads.
+	var p VecPairs
+	p.Reset([]byte{0xF5, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, 3, 1, 4)
+	if _, v, ok := p.Next(); !ok || v != math.MaxInt64 {
+		t.Errorf("4 + 1 + (2^63 - 6): (%d, %v), err %v", v, ok, p.Err())
+	}
 }
 
 // TestVecSinceSelectsStampedEntries: the differential encoder emits the
 // sender's element plus exactly the entries stamped after since, at the
 // size and integer count VecSinceSize predicts, and a nil ver selects
-// the full vector.
+// the full vector, absolute or relative.
 func TestVecSinceSelectsStampedEntries(t *testing.T) {
-	const s = 1
+	const s, base = 1, 17
 	v := vclock.Vec{10, 20, 30, 40}
 	ver := []uint64{1, 5, 2, 7}
 	for since, want := range map[uint64]vclock.Vec{
@@ -174,13 +199,14 @@ func TestVecSinceSelectsStampedEntries(t *testing.T) {
 		5: {-1, 20, -1, 40},
 		7: {-1, 20, -1, -1},
 	} {
-		b := AppendVecSince(nil, v, s, ver, since)
-		size, ids := VecSinceSize(v, s, ver, since)
+		b := AppendVecSince(nil, v, s, ver, since, base)
+		size, ids := VecSinceSize(v, s, ver, since, base)
 		if size != len(b) {
 			t.Fatalf("since %d: VecSinceSize=%d, encoded %d bytes", since, size, len(b))
 		}
 		got, pairs := vclock.Vec{-1, -1, -1, -1}, 0
-		p := ReadVecPairs(b, len(v), s)
+		var p VecPairs
+		p.Reset(b, len(v), s, base)
 		for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
 			got[k] = x
 			pairs++
@@ -189,13 +215,15 @@ func TestVecSinceSelectsStampedEntries(t *testing.T) {
 		if pairs == 1 {
 			wantIDs = 1
 		}
-		if p.Err() != nil || p.Full() || ids != wantIDs || !got.Equal(want) {
+		if p.Err() != nil || b[0] == 0 || ids != wantIDs || !got.Equal(want) {
 			t.Fatalf("since %d: got %v (%d ids, err %v), want %v", since, got, ids, p.Err(), want)
 		}
 	}
-	b := AppendVecSince(nil, v, s, nil, 0)
-	if size, ids := VecSinceSize(v, s, nil, 0); size != len(b) || ids != len(v) {
-		t.Fatalf("full: VecSinceSize=(%d, %d), encoded %d bytes of %d ids", size, ids, len(b), len(v))
+	for _, base := range []int64{-1, base} {
+		b := AppendVecSince(nil, v, s, nil, 0, base)
+		if size, ids := VecSinceSize(v, s, nil, 0, base); size != len(b) || ids != len(v) {
+			t.Fatalf("full, base %d: VecSinceSize=(%d, %d), encoded %d bytes of %d ids", base, size, ids, len(b), len(v))
+		}
 	}
 }
 
@@ -205,11 +233,12 @@ var varintEdges = []int64{0, 1, 1<<6 - 1, 1 << 6, 1<<13 - 1, 1 << 13, 1<<20 - 1,
 
 // TestVecSinceProperty: for random n <= 64, random non-negative vectors
 // whose neighbours sit at varint edges apart or far apart in either
-// direction, and random changed sets, decoding the encoding yields
-// exactly the listed absolute pairs — the sender's element, then the
-// changed ones — at the predicted size and id count; max-merging it
-// twice equals merging it once; and of the two forms a sender may pick,
-// the smaller is the one that carries fewer bytes.
+// direction, random changed sets and random channel bases below v[s],
+// decoding the encoding against the base yields exactly the listed
+// absolute pairs — the sender's element, then the changed ones — at the
+// predicted size and id count; max-merging it twice equals merging it
+// once; and of the two forms a sender with a base may pick, the smaller
+// is the one that carries fewer bytes.
 func TestVecSinceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for iter := 0; iter < 3000; iter++ {
@@ -232,6 +261,7 @@ func TestVecSinceProperty(t *testing.T) {
 				v[i] = rng.Int63n(1 << 62)
 			}
 		}
+		v[s] = max(v[s], 1) // a sender that sent before has delivered since
 		ver := make([]uint64, n)
 		want := [][2]int64{{int64(s), v[s]}}
 		for i := range ver {
@@ -248,16 +278,19 @@ func TestVecSinceProperty(t *testing.T) {
 				all = append(all, [2]int64{int64(i), v[i]})
 			}
 		}
-		var sizes [2]int
+		// The channel's base sits below v[s], often close to it.
+		chBase := v[s] - 1 - rng.Int63n(min(v[s], 1<<rng.Intn(40)))
+		var sizes [3]int
 		for form, c := range []struct {
 			ver   []uint64
+			base  int64
 			pairs [][2]int64
-		}{{ver, want}, {nil, all}} {
-			b := AppendVecSince(nil, v, s, c.ver, 1)
-			size, ids := VecSinceSize(v, s, c.ver, 1)
-			got, full, err := walkPairs(b, n, s)
-			if err != nil || full != (c.ver == nil) || !slices.Equal(got, c.pairs) {
-				t.Fatalf("n=%d s=%d v=%v ver=%v: read %v (full %v, err %v), want %v", n, s, v, c.ver, got, full, err, c.pairs)
+		}{{ver, chBase, want}, {nil, chBase, all}, {nil, -1, all}} {
+			b := AppendVecSince(nil, v, s, c.ver, 1, c.base)
+			size, ids := VecSinceSize(v, s, c.ver, 1, c.base)
+			got, err := walkPairs(b, n, s, c.base)
+			if full := b[0] == 0; err != nil || full != (c.base < 0) || !slices.Equal(got, c.pairs) {
+				t.Fatalf("n=%d s=%d v=%v ver=%v base %d: read % x as %v (err %v), want %v", n, s, v, c.ver, c.base, b, got, err, c.pairs)
 			}
 			wantIDs := n
 			if c.ver != nil {
@@ -271,7 +304,8 @@ func TestVecSinceProperty(t *testing.T) {
 			}
 			merged := vclock.New(n)
 			for round := 0; round < 2; round++ {
-				p := ReadVecPairs(b, n, s)
+				var p VecPairs
+				p.Reset(b, n, s, c.base)
 				for k, x, ok := p.Next(); ok; k, x, ok = p.Next() {
 					merged[k] = max(merged[k], x)
 				}
@@ -314,22 +348,26 @@ func TestVecDeltaSmallerWhenFewChanges(t *testing.T) {
 	}
 }
 
-// TestVecSinceLayout pins the v3 bytes of each form from sender 1: each
-// value after v[s] is the zigzag difference from the one listed before
-// it, not from v[s].
+// TestVecSinceLayout pins the v4 bytes of each form from sender 1 on a
+// channel whose previous piggyback carried v[1] = 17: the absolute full
+// vector carries v[1], every other form the increment 20 - 17 - 1 = 2;
+// each value after v[s] is the zigzag difference from the one listed
+// before it, not from v[s].
 func TestVecSinceLayout(t *testing.T) {
 	v := vclock.Vec{10, 20, 90, 95}
 	for _, c := range []struct {
 		name string
 		ver  []uint64
+		base int64
 		want []byte
 	}{
 		// 20-10 = 10 → 20; 10-90 = -80 → 159 (0x9F 0x01); 90-95 = -5 → 9.
-		{"full", nil, []byte{0x00, 20, 20, 0x9F, 0x01, 9}},
-		{"delta", []uint64{0, 2, 2, 2}, []byte{0x04, 20, 2, 0x8B, 0x01, 3, 9}}, // 20-90 = -70 → 139
-		{"own-only", []uint64{0, 2, 0, 0}, []byte{41}},
+		{"full", nil, -1, []byte{0x00, 20, 20, 0x9F, 0x01, 9}},
+		{"relative full", nil, 17, []byte{0x08, 2, 20, 0x9F, 0x01, 9}},
+		{"delta", []uint64{0, 2, 2, 2}, 17, []byte{0x04, 2, 2, 0x8B, 0x01, 3, 9}}, // 20-90 = -70 → 139
+		{"own-only", []uint64{0, 2, 0, 0}, 17, []byte{0x05}},
 	} {
-		if got := AppendVecSince(nil, v, 1, c.ver, 1); !bytes.Equal(got, c.want) {
+		if got := AppendVecSince(nil, v, 1, c.ver, 1, c.base); !bytes.Equal(got, c.want) {
 			t.Errorf("%s: % x, want % x", c.name, got, c.want)
 		}
 	}
