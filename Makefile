@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race race-stress lint alloc-gate restart-check chaos trace-export fuzz vet examples clean
+.PHONY: all build test race race-stress lint alloc-gate restart-check chaos trace-export fuzz vet examples lines clean
 
 all: build vet lint test
 
@@ -47,14 +47,13 @@ vet:
 	$(GO) vet ./...
 
 # Formatting, then protocol-aware static analysis (cmd/windar-lint): any
-# file gofmt -l lists fails the target, then the full nine-analyzer suite
-# runs, including hotpath, which checks //windar:hotpath functions
-# against the compiler's escape analysis. Exit 1 on any finding.
+# file gofmt -l lists fails the target, then every analyzer
+# (windar-lint -list) runs. Exit 1 on any finding.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/windar-lint -hotpath ./...
+	$(GO) run ./cmd/windar-lint ./...
 
-# Hot-path allocation gate: measure allocs/op on the annotated paths and
+# Hot-path allocation gate: measure allocs/op on the probed hot paths and
 # fail on any regression against the committed BENCH_alloc.json. Re-run
 # `go run ./cmd/windar-bench -fig alloc` to re-baseline after a
 # deliberate change.
@@ -125,6 +124,11 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTDIPiggyback$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzPWDDecode$$' -fuzztime $(FUZZTIME) ./internal/determinant
 	$(GO) test -run '^$$' -fuzz '^FuzzImportValidate$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/trace
+
+# The size every change reports: lines of non-test Go outside bench/,
+# testdata excluded.
+lines:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

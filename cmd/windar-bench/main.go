@@ -120,7 +120,7 @@ func main() {
 }
 
 // allocReport is the BENCH_alloc.json payload: steady-state heap
-// allocations per operation for each //windar:hotpath probe.
+// allocations per operation for each hot-path probe.
 type allocReport struct {
 	AllocsPerOp map[string]float64 `json:"allocs_per_op"`
 }

@@ -2,30 +2,18 @@
 // analysis suite (internal/lint) over package patterns:
 //
 //	go run ./cmd/windar-lint ./...
-//	go run ./cmd/windar-lint -hotpath -json ./...
+//	go run ./cmd/windar-lint -list
+//	go run ./cmd/windar-lint -only directclock ./internal/...
 //
-// Analyzers: directclock (no wall-clock access outside internal/clock),
-// errdrop (wire decode errors must be consumed), goleak (goroutines
-// need a stop path), lockorder (no cyclic mutex-acquisition order),
-// locksend (no blocking operations under a sync.Mutex), nilmetrics
-// (*metrics.Rank parameters must be nil-checked), piggyback (KindApp
-// envelopes must carry the protocol piggyback), and hotpath
-// (//windar:hotpath functions must not allocate). hotpath invokes the
-// compiler's escape analysis (go build -gcflags=-m) and is skipped by
-// default; enable it with -hotpath or name it in -only.
-//
-// -json replaces the plain file:line:col lines with a JSON array of
-// diagnostics ({"analyzer","message","file","line","col"}) on stdout
-// for tooling.
+// -list names each analyzer and what it enforces; -only runs the named
+// ones (comma-separated) instead of all.
 //
 // Exit status 1 when any diagnostic is reported, 2 on loading errors.
 // Suppress a single line with `//windar:allow <analyzer>` plus a
-// reason; see the internal/lint package documentation for the
-// directive grammar.
+// reason; see the internal/lint package documentation.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -36,10 +24,8 @@ import (
 
 func main() {
 	var (
-		list    = flag.Bool("list", false, "list analyzers and exit")
-		only    = flag.String("only", "", "comma-separated analyzer names to run (default all; hotpath still needs -hotpath unless named here)")
-		hotpath = flag.Bool("hotpath", false, "include the hotpath analyzer (runs the compiler's escape analysis)")
-		asJSON  = flag.Bool("json", false, "emit diagnostics as a JSON array instead of plain lines")
+		list = flag.Bool("list", false, "list analyzers and exit")
+		only = flag.String("only", "", "comma-separated analyzer names to run (default all)")
 	)
 	flag.Parse()
 
@@ -50,24 +36,18 @@ func main() {
 		return
 	}
 
-	var analyzers []*lint.Analyzer
+	analyzers := lint.Analyzers()
 	if *only != "" {
 		byName := map[string]*lint.Analyzer{}
-		for _, a := range lint.Analyzers() {
+		for _, a := range analyzers {
 			byName[a.Name] = a
 		}
+		analyzers = nil
 		for _, name := range strings.Split(*only, ",") {
 			a, ok := byName[name]
 			if !ok {
 				fmt.Fprintf(os.Stderr, "windar-lint: unknown analyzer %q\n", name)
 				os.Exit(2)
-			}
-			analyzers = append(analyzers, a)
-		}
-	} else {
-		for _, a := range lint.Analyzers() {
-			if a.NeedsEscape && !*hotpath {
-				continue
 			}
 			analyzers = append(analyzers, a)
 		}
@@ -82,20 +62,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "windar-lint: %v\n", err)
 		os.Exit(2)
 	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintf(os.Stderr, "windar-lint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		os.Exit(1)

@@ -210,8 +210,6 @@ func (t *TDI) DependInterval() vclock.Vec { return t.dependInterval.Clone() }
 // caller's to keep: an immutable slice appended at the tail of the
 // instance's arena (see wire.Arena). Callers that own a reusable buffer
 // (the allocation probes) use AppendPiggybackForSend directly.
-//
-//windar:hotpath
 func (t *TDI) PiggybackForSend(dest int, sendIndex int64) ([]byte, int) {
 	var buf []byte
 	if !t.unchangedSince(dest) {
@@ -253,8 +251,6 @@ func (t *TDI) floorBlocks(dest int) bool {
 // integer count (the Fig. 5 unit). It is the allocation-free core of
 // PiggybackForSend: with a buffer of steady-state capacity the whole
 // encode performs zero heap allocations.
-//
-//windar:hotpath
 func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]byte, int) {
 	start, w := t.track.BeginSend()
 	if t.unchangedSince(dest) {
@@ -306,8 +302,6 @@ func (t *TDI) AppendPiggybackForSend(buf []byte, dest int, sendIndex int64) ([]b
 // and the source's element, the base of the next increment on the
 // channel. With collect, it also gathers in t.raised the elements it
 // raises.
-//
-//windar:hotpath
 func (t *TDI) demand(env *wire.Envelope, collect bool) (d, own int64, err error) {
 	src := env.From
 	if src < 0 || src >= t.n {
@@ -336,10 +330,8 @@ func (t *TDI) demand(env *wire.Envelope, collect bool) (d, own int64, err error)
 	return d, own, nil
 }
 
-// The cold-path error constructors live outside the annotated spans:
+// The cold-path error constructors stay out of line of the hot callers:
 // fmt's boxing allocates, and these only run on hostile or broken input.
-// noinline keeps that boxing attributed here rather than inline-expanded
-// into the hot callers' escape-analysis spans.
 
 //go:noinline
 func (t *TDI) errPigSource(src int) error {
@@ -355,8 +347,6 @@ func (t *TDI) errPigDecode(src int, err error) error {
 // message may be delivered once this rank's own interval index has reached
 // the piggybacked requirement. A malformed piggyback is reported as an
 // error (treated as Hold by the harness), never a panic.
-//
-//windar:hotpath
 func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdict, error) {
 	d, _, err := t.demand(env, false)
 	if err != nil {
@@ -372,8 +362,6 @@ func (t *TDI) Deliverable(env *wire.Envelope, deliveredCount int64) (proto.Verdi
 // is advanced by exactly one (this delivery); every other pair the
 // piggyback carries is max-merged. The piggyback is read once, and a
 // malformed one is rejected before any state changes.
-//
-//windar:hotpath
 func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 	start, w := t.track.BeginDeliver()
 	if t.dependInterval[t.rank]+1 != deliverIndex {
@@ -396,7 +384,7 @@ func (t *TDI) OnDeliver(env *wire.Envelope, deliverIndex int64) error {
 }
 
 // errIndexDiverged is OnDeliver's cold-path error constructor, kept out
-// of the annotated span (fmt boxing allocates).
+// of line (fmt boxing allocates).
 //
 //go:noinline
 func (t *TDI) errIndexDiverged(deliverIndex int64) error {
@@ -410,8 +398,6 @@ func (t *TDI) errIndexDiverged(deliverIndex int64) error {
 // trace recorder so the offline invariant checker can re-verify the
 // comparison on every recorded delivery. OnDeliver(env) recorded it as
 // the source's last demand, so nothing is decoded again.
-//
-//windar:hotpath
 func (t *TDI) DeliveryDemand(env *wire.Envelope) (int64, bool) {
 	if src := env.From; src >= 0 && src < t.n && t.lastDemand[src] >= 0 {
 		return t.lastDemand[src], true

@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+	"time"
 
 	"windar/internal/agraph"
+	"windar/internal/core"
 	"windar/internal/determinant"
 	"windar/internal/proto"
 	"windar/internal/tag"
@@ -53,6 +55,42 @@ func TestUncountedLateResponseKeepsHold(t *testing.T) {
 				t.Fatalf("after OnCollected: %v %v, want Deliver", v, err)
 			}
 		})
+	}
+}
+
+// TestNilMetricsRank builds each protocol with the nil *metrics.Rank its
+// constructor documents as allowed and runs one send and one delivery.
+// The first operations on each side are always timed
+// (metrics.TrackExactFirst), and TEL's delivery ships its determinant to
+// the logger, so each reaches the rank's counters through whatever sink
+// the constructor substituted.
+func TestNilMetricsRank(t *testing.T) {
+	lg := tel.NewLogger(2, nil, 0)
+	defer lg.Close()
+	for _, pc := range []struct {
+		name string
+		new  func(rank int) proto.Protocol
+	}{
+		{"tdi", func(rank int) proto.Protocol { return core.New(rank, 2, nil, nil) }},
+		{"tag", func(rank int) proto.Protocol { return tag.New(rank, 2, nil, nil) }},
+		{"tel", func(rank int) proto.Protocol { return tel.New(rank, 2, lg, &sync.Mutex{}, nil, nil) }},
+	} {
+		t.Run(pc.name, func(t *testing.T) {
+			sender, receiver := pc.new(0), pc.new(1)
+			pig, _ := sender.PiggybackForSend(1, 1)
+			env := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Piggyback: pig}
+			if v, err := receiver.Deliverable(env, 0); err != nil || v != proto.Deliver {
+				t.Fatalf("Deliverable: %v %v, want Deliver", v, err)
+			}
+			if err := receiver.OnDeliver(env, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for deadline := time.Now().Add(5 * time.Second); lg.Logged() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("TEL's delivery never shipped its determinant to the logger")
+		}
 	}
 }
 

@@ -393,8 +393,6 @@ func (l *link) pending() int { return len(l.queue) - l.qhead }
 // enqueue applies the bounded-buffer rule, then encodes env into the
 // link's memory and queues it; done, when non-nil, is closed once the
 // destination accepts the message. env is not retained.
-//
-//windar:hotpath
 func (l *link) enqueue(env *wire.Envelope, done chan struct{}, abort <-chan struct{}, closed chan struct{}) error {
 	n := wire.EncodedSize(env)
 	l.mu.Lock()
@@ -418,14 +416,14 @@ func (l *link) enqueue(env *wire.Envelope, done chan struct{}, abort <-chan stru
 		it.off = l.reserveLocked(n)
 		wire.AppendEncode(l.ring.buf[it.off:it.off:it.off+n], env)
 	} else {
-		it.own = wire.AppendEncode(make([]byte, 0, n), env) //windar:allow hotpath — oversize: too large for the ring, the encoding owns its allocation
+		it.own = wire.AppendEncode(make([]byte, 0, n), env) // oversize: too large for the ring, the encoding owns its allocation
 	}
 	if h := l.qhead; h > 0 && 2*h >= len(l.queue) && len(l.queue) == cap(l.queue) {
 		k := copy(l.queue, l.queue[h:])
 		clear(l.queue[k:])
 		l.queue, l.qhead = l.queue[:k], 0
 	}
-	l.queue = append(l.queue, it) //windar:allow hotpath — amortised: grows to the link's deepest backlog, then the array is kept
+	l.queue = append(l.queue, it) // amortised: grows to the link's deepest backlog, then the array is kept
 	l.queued += int64(n)
 	l.cond.Broadcast()
 	l.mu.Unlock()
@@ -439,7 +437,6 @@ func (l *link) enqueue(env *wire.Envelope, done chan struct{}, abort <-chan stru
 // keeps reading the old buffer, which is never written again; its free
 // lands on its copy, the first record of the new one.
 //
-//windar:hotpath
 //go:noinline
 func (l *link) reserveLocked(n int) int {
 	if off, ok := l.ring.alloc(n); ok {
@@ -449,7 +446,7 @@ func (l *link) reserveLocked(n int) int {
 	first, second := r.buf[r.head:r.end], r.buf[:r.tail]
 	live := len(first) + len(second)
 	bound := int(max(l.maxBuf, ringMax)) + ringChunk
-	buf := make([]byte, max(min(max(2*len(r.buf), ringChunk), bound), live+n)) //windar:allow hotpath — amortised: the ring doubles up to its bound, then is reused
+	buf := make([]byte, max(min(max(2*len(r.buf), ringChunk), bound), live+n)) // amortised: the ring doubles up to its bound, then is reused
 	copy(buf[copy(buf, first):], second)
 	for i := l.qhead; i < len(l.queue); i++ {
 		switch it := &l.queue[i]; {
@@ -479,8 +476,6 @@ func (l *link) reserveLocked(n int) int {
 // The receiver gets a deep copy with the same ownership contract a decode
 // would produce, never the sender's envelope or its logged bytes; the
 // queued path still wire-round-trips every message.
-//
-//windar:hotpath
 func (l *link) tryInline(env *wire.Envelope) bool {
 	l.mu.Lock()
 	box := l.f.ranks[l.to].admit.Load()

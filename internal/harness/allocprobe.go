@@ -1,5 +1,5 @@
 // Allocation probes for the zero-alloc hot paths. Each probe drives one
-// //windar:hotpath-annotated path in a steady state and measures its
+// hot path in a steady state and measures its
 // allocations per operation with testing.AllocsPerRun; windar-bench
 // -fig alloc turns the results into BENCH_alloc.json and CI gates on
 // them. The probes live in this package because the delivery-scan probe

@@ -64,8 +64,6 @@ func (h protoHandler) Send(m *layer.Msg) {
 // Deliver folds the piggyback into protocol state (Algorithm 1 lines
 // 20-26) and stamps the trace demand. Runs under the rank lock once per
 // delivered message; must not heap-allocate.
-//
-//windar:hotpath
 func (h protoHandler) Deliver(m *layer.Msg) {
 	r := h.r
 	if err := r.prot.OnDeliver(r.delivEnv, m.DeliverIndex); err != nil {
@@ -143,8 +141,6 @@ func (c *Cluster) reportSend(rank, dest int, sendIndex int64, resent bool, span 
 // delivery, records the deliver latency (time since the application
 // entered Recv) and reports it. Hot path, under the rank lock: the clock
 // is read only when a histogram is attached.
-//
-//windar:hotpath
 func (h reportHandler) Deliver(m *layer.Msg) {
 	r := h.r
 	if m.Span.Span != 0 {
@@ -212,8 +208,6 @@ func (h coreHandler) Send(m *layer.Msg) {
 
 // Deliver implements layer.Handler: the message has arrived at the
 // application.
-//
-//windar:hotpath
 func (h coreHandler) Deliver(m *layer.Msg) {}
 
 // Checkpoint implements layer.Handler.

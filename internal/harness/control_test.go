@@ -75,3 +75,33 @@ func TestReceiverRecyclesControlEnvelopes(t *testing.T) {
 		}
 	}
 }
+
+// TestShortRollbackVectorsRejected: a ROLLBACK whose decoded vectors
+// are too short to hold the receiver's element — a corrupt or hostile
+// frame — is counted as rejected ingest, never indexed.
+func TestShortRollbackVectorsRejected(t *testing.T) {
+	c, err := NewCluster(Config{N: 3}, func(rank, n int) app.App { return probeApp{} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r, err := c.newRuntime(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := transport.NewQueue()
+	for _, payload := range [][]byte{
+		encodeRollback(0, vclock.Vec{1}, vclock.Vec{1, 2, 3}),
+		encodeRollback(0, vclock.Vec{1, 2, 3}, vclock.Vec{1}),
+	} {
+		env := wire.GetEnvelope()
+		env.Kind, env.From, env.To, env.Payload = wire.KindRollback, 1, 2, payload
+		in.Push(env)
+	}
+	in.Close()
+	r.senders.Add(1)
+	r.receiverLoop(in)
+	if got := c.coll.Rank(2).Snapshot().IngestRejected; got != 2 {
+		t.Errorf("IngestRejected = %d, want 2 (both short ROLLBACKs)", got)
+	}
+}

@@ -37,8 +37,6 @@ func slogStreams(rank, n int) []string {
 // slogAppend mirrors one just-logged record into its channel's stream.
 // Called under the rank lock on the send path; PutLazy never sleeps, so
 // the lock is safe to hold across it.
-//
-//windar:hotpath
 func (r *rankRuntime) slogAppend(dest int, rec []byte) {
 	if err := r.c.store.PutLazy(r.c.slogNames[r.id][dest], rec); err != nil {
 		panicSlog(r.id, "append", err)

@@ -35,8 +35,6 @@ type bareHandler struct {
 func (h bareHandler) Send(m *layer.Msg) { m.Payload = h.arena.Copy(m.Payload) }
 
 // Deliver implements layer.Handler.
-//
-//windar:hotpath
 func (bareHandler) Deliver(*layer.Msg) {}
 
 // Checkpoint implements layer.Handler.

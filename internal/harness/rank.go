@@ -239,8 +239,6 @@ func (sh *deliveryShard) highWater() int64 {
 }
 
 // pop removes the FIFO head.
-//
-//windar:hotpath
 func (sh *deliveryShard) pop() {
 	sh.q[sh.head] = nil // the array outlives the envelope
 	sh.head++
@@ -272,8 +270,6 @@ func (sh *deliveryShard) dropOrphans(upTo int64, inc int32) {
 // repetitive (false). When the array is full the FIFO slides down only
 // if the slack is at least half of it, and grows otherwise, so a slide's
 // copy is always paid for by as many pops.
-//
-//windar:hotpath
 func (sh *deliveryShard) insert(env *wire.Envelope) bool {
 	if env.SendIndex <= sh.delivered {
 		return false
@@ -288,7 +284,7 @@ func (sh *deliveryShard) insert(env *wire.Envelope) bool {
 		clear(sh.q[n:])
 		sh.q, sh.head = sh.q[:n], 0
 	}
-	sh.q = append(sh.q, nil) //windar:allow hotpath — amortised: grows to the channel's deepest backlog, then the array is kept
+	sh.q = append(sh.q, nil) // amortised: grows to the channel's deepest backlog, then the array is kept
 	q = sh.q[sh.head:]
 	copy(q[i+1:], q[i:])
 	q[i] = env
@@ -298,8 +294,6 @@ func (sh *deliveryShard) insert(env *wire.Envelope) bool {
 // lockShard acquires sh.mu, counting the acquisitions that actually
 // contended — the shard-contention rate is the direct measure of how
 // much serialization sharding removed from the old single-mutex design.
-//
-//windar:hotpath
 func (r *rankRuntime) lockShard(sh *deliveryShard) {
 	if sh.mu.TryLock() {
 		return
@@ -623,8 +617,6 @@ func (r *rankRuntime) Recv(source int, tag int32) ([]byte, int) {
 // after the last delivery — and wraps, so every source with a deliverable
 // head is reached within n deliveries regardless of how chatty the others
 // are.
-//
-//windar:hotpath
 func (r *rankRuntime) takeDeliverableLocked(source int, tag int32) *wire.Envelope {
 	if source != app.AnySource {
 		if source < 0 || source >= r.n {
@@ -649,8 +641,6 @@ func (r *rankRuntime) takeDeliverableLocked(source int, tag int32) *wire.Envelop
 // under the one shard-lock hold the head was read with, so a delivery
 // costs a single shard round. The FIFO, tag and protocol probes are
 // cheap and non-blocking; ingest from this source waits them out.
-//
-//windar:hotpath
 func (r *rankRuntime) takeShard(src int, tag int32) *wire.Envelope {
 	sh := &r.shards[src]
 	r.lockShard(sh)
@@ -691,9 +681,8 @@ func (r *rankRuntime) noteIngestErrLocked(src int, sendIndex int64, err error) {
 }
 
 // panicInvalidSource and panicDeliveryRejected format their messages
-// outside the annotated spans below: fmt boxing allocates, and both are
-// fatal programming-error paths. noinline keeps the boxing attributed
-// here under escape analysis.
+// out of line of the delivery scan: fmt boxing allocates, and both are
+// fatal programming-error paths.
 //
 //go:noinline
 func (r *rankRuntime) panicInvalidSource(source int) {
@@ -712,8 +701,6 @@ func (r *rankRuntime) panicDeliveryRejected(err error) {
 // the chain leaves in the Msg is what Recv hands the application. Like
 // the scan above it runs once per delivered message under the rank lock
 // and must not heap-allocate on the failure-free path.
-//
-//windar:hotpath
 func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 	src := env.From
 	r.lastDeliverIndex[src]++

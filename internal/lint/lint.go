@@ -1,59 +1,26 @@
 // Package lint is a protocol-aware static analysis suite for this
-// repository. It provides a small analyzer framework in the shape of
-// golang.org/x/tools/go/analysis (which is deliberately not imported:
-// the suite is self-contained and stdlib-only) plus the analyzers that
-// enforce the invariants TDI's correctness argument rests on but the Go
-// type system cannot see:
+// repository: a small analyzer framework in the shape of
+// golang.org/x/tools/go/analysis (deliberately not imported: the suite
+// is self-contained and stdlib-only) plus the analyzers that Analyzers
+// returns. An analyzer belongs here only while a bug class it targets
+// gets past every test and gate; DESIGN.md "Enforced invariants" lists
+// which gate catches what.
 //
-//   - directclock: all time must flow through the injectable clock.Clock
-//     so fault-injection timing stays reproducible;
-//   - errdrop: every error returned by a wire decode primitive must be
-//     consumed — the ingest path treats undecodable bytes as hostile;
-//   - goleak: goroutines spawned in the harness and transports must have
-//     a detectable stop path (done channel, WaitGroup, checked return);
-//   - hotpath: functions annotated //windar:hotpath must not heap-allocate,
-//     checked against the compiler's own escape analysis (-gcflags=-m);
-//   - lockorder: mutex acquisition order must be acyclic across the
-//     harness/fabric/transport/obs lock graph;
-//   - locksend: no blocking channel/fabric operation while a sync.Mutex
-//     is held (the classic harness/fabric deadlock shape);
-//   - nilmetrics: *metrics.Rank parameters are documented nilable and
-//     must be nil-checked before use;
-//   - piggyback: wire application envelopes must carry the protocol's
-//     piggyback; constructing one without it breaks delivery control;
-//   - pubapi: examples and embedder demos (examples/, cmd/windar-gateway)
-//     must import only the public windar surface, never windar/internal.
+// Run all analyzers over package patterns with Run, or chosen ones with
+// RunAnalyzers.
 //
-// Run all analyzers over package patterns with Run, or over a single
-// loaded package with RunPackage.
+// # Suppressions
 //
-// # Comment directives
-//
-// The suite understands three line directives, written with no space
-// after "//" (the Go pragma convention):
-//
-//	//windar:allow name[,name...] [— reason]
-//	//windar:hotpath
-//	//windar:pubapi
-//
-// An allow directive suppresses the named analyzers' diagnostics on its
-// own line; the trailing free-form reason is for the human reader and is
-// expected on every use. A hotpath directive on a function declaration's
-// doc comment marks the function as part of the zero-allocation hot path,
-// enrolling it in the hotpath analyzer's escape check. A pubapi directive
-// anywhere in a file opts the whole package into the pubapi analyzer's
-// public-surface rule (examples/ and cmd/windar-gateway are enrolled by
-// import path automatically):
+// A line directive, written with no space after "//" (the Go pragma
+// convention), suppresses the named analyzers' diagnostics on its own
+// line; the trailing free-form reason is for the human reader and is
+// expected on every use:
 //
 //	t := clk.Now() //windar:allow directclock — measuring real elapsed time
-//
-//	//windar:hotpath
-//	func (h *Hist) Record(v int64) { ... }
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"regexp"
 	"sort"
@@ -74,10 +41,6 @@ type Analyzer struct {
 	Run func(pass *Pass)
 	// RunModule inspects every package of the load at once.
 	RunModule func(mp *ModulePass)
-	// NeedsEscape marks analyzers that consume compiler escape-analysis
-	// diagnostics (Package.Escapes); Run attaches them via the escape
-	// driver before such an analyzer executes.
-	NeedsEscape bool
 }
 
 // Pass carries one analyzer's execution over one package.
@@ -90,16 +53,9 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportPosition(p.Pkg.Fset.Position(pos), format, args...)
-}
-
-// ReportPosition records a diagnostic at an already-resolved position
-// (used by the hotpath analyzer, whose findings originate in compiler
-// output rather than syntax).
-func (p *Pass) ReportPosition(pos token.Position, format string, args ...any) {
 	p.diags = append(p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Pos:      pos,
+		Pos:      p.Pkg.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
 }
@@ -124,14 +80,9 @@ func (mp *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args .
 
 // Diagnostic is one finding.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	Message  string         `json:"message"`
-
-	// File/Line/Col mirror Pos for the JSON encoding (-json output).
-	File string `json:"file"`
-	Line int    `json:"line"`
-	Col  int    `json:"col"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 // String formats the diagnostic as path:line:col: analyzer: message.
@@ -141,78 +92,34 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DirectClock, ErrDrop, GoLeak, HotPath, LockOrder, LockSend, NilMetrics, Piggyback, PubAPI}
+	return []*Analyzer{DirectClock, LockOrder, LockSend, PubAPI}
 }
 
-// directiveRe matches the suite's comment directives: //windar:allow
-// with its analyzer list, //windar:hotpath, and //windar:pubapi.
-var directiveRe = regexp.MustCompile(`^//windar:(allow|hotpath|pubapi)\b[ \t]*([a-z,]*)`)
+// allowRe matches a //windar:allow directive and its analyzer list.
+var allowRe = regexp.MustCompile(`^//windar:allow\b[ \t]*([a-z,]*)`)
 
-// directives is the parsed directive set of one package: allow maps
-// file:line to the analyzer names suppressed there, hotpath records the
-// file:line of every hotpath directive, pubapi the file:line of every
-// public-surface opt-in.
-type directives struct {
-	allow   map[string]map[string]bool
-	hotpath map[string]bool
-	pubapi  map[string]bool
-}
-
-// parseDirectives scans every comment of pkg once and returns the
-// directive set. It is the single implementation of the comment grammar
-// documented in the package doc; every analyzer and the suppression
-// filter share it.
-func parseDirectives(pkg *Package) directives {
-	d := directives{allow: map[string]map[string]bool{}, hotpath: map[string]bool{}, pubapi: map[string]bool{}}
-	for _, f := range pkg.Syntax {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := directiveRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-				switch m[1] {
-				case "allow":
-					if d.allow[key] == nil {
-						d.allow[key] = map[string]bool{}
+// allowed maps file:line to the analyzer names an allow directive
+// suppresses there, over every comment of pkgs.
+func allowed(pkgs []*Package) map[string]map[string]bool {
+	out := map[string]map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Syntax {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := allowRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
 					}
-					for _, name := range strings.Split(m[2], ",") {
+					pos := pkg.Fset.Position(c.Pos())
+					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+					if out[key] == nil {
+						out[key] = map[string]bool{}
+					}
+					for _, name := range strings.Split(m[1], ",") {
 						if name != "" {
-							d.allow[key][name] = true
+							out[key][name] = true
 						}
 					}
-				case "hotpath":
-					d.hotpath[key] = true
-				case "pubapi":
-					d.pubapi[key] = true
-				}
-			}
-		}
-	}
-	return d
-}
-
-// hotpathFuncs returns every function declaration in pkg annotated with
-// a //windar:hotpath directive in its doc comment.
-func hotpathFuncs(pkg *Package) []*ast.FuncDecl {
-	dirs := parseDirectives(pkg)
-	if len(dirs.hotpath) == 0 {
-		return nil
-	}
-	var out []*ast.FuncDecl
-	for _, f := range pkg.Syntax {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				pos := pkg.Fset.Position(c.Pos())
-				if dirs.hotpath[fmt.Sprintf("%s:%d", pos.Filename, pos.Line)] {
-					out = append(out, fd)
-					break
 				}
 			}
 		}
@@ -220,48 +127,31 @@ func hotpathFuncs(pkg *Package) []*ast.FuncDecl {
 	return out
 }
 
-// RunPackage executes the analyzers over one loaded package, applying
-// //windar:allow suppressions, and returns the surviving diagnostics
-// sorted by position. Module-level analyzers see just this package.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return RunPackages([]*Package{pkg}, analyzers)
-}
-
 // RunPackages executes the analyzers over every loaded package: Run
 // analyzers per package, RunModule analyzers once over the whole set.
 // //windar:allow suppressions are applied and the surviving diagnostics
 // returned sorted by position.
 func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	allowed := map[string]map[string]bool{}
-	for _, pkg := range pkgs {
-		for key, names := range parseDirectives(pkg).allow {
-			allowed[key] = names
-		}
-	}
+	allow := allowed(pkgs)
 	var diags []Diagnostic
-	keep := func(d Diagnostic) {
-		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
-		if allowed[key][d.Analyzer] {
-			return
+	keep := func(ds []Diagnostic) {
+		for _, d := range ds {
+			if !allow[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)][d.Analyzer] {
+				diags = append(diags, d)
+			}
 		}
-		d.File, d.Line, d.Col = d.Pos.Filename, d.Pos.Line, d.Pos.Column
-		diags = append(diags, d)
 	}
 	for _, a := range analyzers {
 		if a.RunModule != nil {
 			mp := &ModulePass{Analyzer: a, Pkgs: pkgs}
 			a.RunModule(mp)
-			for _, d := range mp.diags {
-				keep(d)
-			}
+			keep(mp.diags)
 			continue
 		}
 		for _, pkg := range pkgs {
 			pass := &Pass{Analyzer: a, Pkg: pkg}
 			a.Run(pass)
-			for _, d := range pass.diags {
-				keep(d)
-			}
+			keep(pass.diags)
 		}
 	}
 	sort.Slice(diags, func(i, j int) bool {
@@ -277,60 +167,17 @@ func RunPackages(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// Run loads the packages matching patterns and executes the full suite,
-// including the escape driver for the hotpath analyzer.
+// Run loads the packages matching patterns and executes the full suite.
 func Run(patterns []string) ([]Diagnostic, error) {
 	return RunAnalyzers(patterns, Analyzers())
 }
 
 // RunAnalyzers loads the packages matching patterns and executes the
-// given analyzers. When any analyzer needs escape diagnostics, the
-// compiler is invoked once (go build -gcflags=-m) over the loaded
-// non-main packages and its output attached before analysis.
+// given analyzers.
 func RunAnalyzers(patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pkgs, err := Load(patterns...)
 	if err != nil {
 		return nil, err
 	}
-	needEscape := false
-	for _, a := range analyzers {
-		if a.NeedsEscape {
-			needEscape = true
-		}
-	}
-	if needEscape {
-		var targets []string
-		for _, pkg := range pkgs {
-			// Main packages are excluded: `go build` would try to link
-			// them into executables; no hot path lives in a main anyway.
-			if pkg.Types.Name() != "main" {
-				targets = append(targets, pkg.Path)
-			}
-		}
-		if len(targets) > 0 {
-			escs, err := EscapeDiagnostics(".", modulePattern, targets...)
-			if err != nil {
-				return nil, err
-			}
-			AttachEscapes(pkgs, escs)
-		}
-	}
 	return RunPackages(pkgs, analyzers), nil
-}
-
-// funcsOf yields every function body in the file: declarations and
-// literals, each paired with its parameter list (nil for literals whose
-// type is unresolved).
-func funcsOf(f *ast.File, fn func(ftype *ast.FuncType, body *ast.BlockStmt)) {
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch d := n.(type) {
-		case *ast.FuncDecl:
-			if d.Body != nil {
-				fn(d.Type, d.Body)
-			}
-		case *ast.FuncLit:
-			fn(d.Type, d.Body)
-		}
-		return true
-	})
 }

@@ -1,36 +1,25 @@
 package lint
 
-import (
-	"go/token"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestDirectClockFixture(t *testing.T) { RunFixture(t, DirectClock, "directclock") }
-
-func TestErrDropFixture(t *testing.T) { RunFixture(t, ErrDrop, "errdrop") }
-
-func TestGoLeakFixture(t *testing.T) { RunFixture(t, GoLeak, "goleak") }
 
 func TestLockOrderFixture(t *testing.T) { RunFixture(t, LockOrder, "lockorder") }
 
 func TestLockSendFixture(t *testing.T) { RunFixture(t, LockSend, "locksend") }
 
-func TestNilMetricsFixture(t *testing.T) { RunFixture(t, NilMetrics, "nilmetrics") }
+// TestPubAPIFixture checks the fixture as if it lived under examples/,
+// where every package is held to the public surface.
+func TestPubAPIFixture(t *testing.T) {
+	runFixtureAs(t, PubAPI, "pubapi", "windar/examples/pubapi")
+}
 
-func TestNilObsFixture(t *testing.T) { RunFixture(t, NilMetrics, "nilobs") }
-
-func TestPiggybackFixture(t *testing.T) { RunFixture(t, Piggyback, "piggyback") }
-
-func TestPubAPIFixture(t *testing.T) { RunFixture(t, PubAPI, "pubapi") }
-
-// TestPubAPICleanFixture is the negative case: without the directive or
-// a public-only import path, internal imports are not flagged.
+// TestPubAPICleanFixture is the negative case: outside a public-only
+// import path, internal imports are not flagged.
 func TestPubAPICleanFixture(t *testing.T) { RunFixture(t, PubAPI, "pubapiclean") }
 
-// TestPubAPIEnrollsByPath pins the automatic enrollment list: the
-// packages modeling embedders are held to the rule without a directive.
+// TestPubAPIEnrollsByPath pins the enrollment list: the packages
+// modeling embedders are held to the rule.
 func TestPubAPIEnrollsByPath(t *testing.T) {
 	for path, want := range map[string]bool{
 		"windar/examples/quickstart":  true,
@@ -39,34 +28,9 @@ func TestPubAPIEnrollsByPath(t *testing.T) {
 		"windar/cmd/windar-run":       false,
 		"windar/internal/harness":     false,
 	} {
-		if got := publicOnly(&Package{Path: path}); got != want {
+		if got := publicOnly(path); got != want {
 			t.Errorf("publicOnly(%s) = %v, want %v", path, got, want)
 		}
-	}
-}
-
-// TestHotPathFixture exercises the hotpath analyzer with synthetic
-// escape diagnostics injected at the fixture's ESCAPE-HERE markers: the
-// one inside Annotated must be reported, the one outside any annotated
-// span ignored, and the one on a //windar:allow hotpath line suppressed.
-func TestHotPathFixture(t *testing.T) {
-	pkg, err := loadFixture("hotpath")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	src := filepath.Join("testdata", "src", "hotpath", "hotpath.go")
-	for _, line := range markerLines(t, src, "ESCAPE-HERE") {
-		pkg.Escapes = append(pkg.Escapes, EscapeDiag{
-			Pos:     token.Position{Filename: src, Line: line},
-			Message: "synthetic value escapes to heap",
-		})
-	}
-	diags := RunPackage(pkg, []*Analyzer{HotPath})
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics %v, want exactly 1 (inside Annotated)", len(diags), diags)
-	}
-	if msg := diags[0].Message; !strings.Contains(msg, "heap allocation on hot path Annotated") {
-		t.Errorf("diagnostic %q does not name the annotated function", msg)
 	}
 }
 

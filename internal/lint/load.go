@@ -29,10 +29,6 @@ type Package struct {
 	Types *types.Package
 	// TypesInfo records uses, selections and expression types.
 	TypesInfo *types.Info
-	// Escapes holds compiler escape-analysis diagnostics for this
-	// package's files, attached by AttachEscapes when the hotpath
-	// analyzer is in the run.
-	Escapes []EscapeDiag
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -130,12 +126,6 @@ func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, fil
 		syntax = append(syntax, f)
 	}
 	return typeCheck(fset, imp, path, dir, syntax)
-}
-
-// checkFixture type-checks already-parsed fixture syntax under a
-// synthetic import path, resolving imports from exports.
-func checkFixture(fset *token.FileSet, syntax []*ast.File, dir, path string, exports map[string]string) (*Package, error) {
-	return typeCheck(fset, exportImporter(fset, exports), path, dir, syntax)
 }
 
 // typeCheck runs the go/types checker over parsed syntax.

@@ -32,6 +32,11 @@ var LockOrder = &Analyzer{
 	RunModule: runLockOrder,
 }
 
+// fixturePathPrefix is the synthetic import path fixtures under
+// testdata/src are checked under. It lies outside every analyzer's
+// scope, so lockOrderScope names its fixture explicitly.
+const fixturePathPrefix = "windar/internal/lint/testdata/src/"
+
 // lockOrderScope lists the import path prefixes whose lock graph the
 // analyzer builds.
 var lockOrderScope = []string{

@@ -20,8 +20,16 @@ var LockSend = &Analyzer{
 
 func runLockSend(pass *Pass) {
 	for _, f := range pass.Pkg.Syntax {
-		funcsOf(f, func(_ *ast.FuncType, body *ast.BlockStmt) {
-			scanLockSend(pass, body)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil {
+					scanLockSend(pass, d.Body)
+				}
+			case *ast.FuncLit:
+				scanLockSend(pass, d.Body)
+			}
+			return true
 		})
 	}
 }

@@ -20,8 +20,7 @@ var publicOnlyPrefixes = []string{
 const internalPrefix = "windar/internal/"
 
 // PubAPI reports internal imports from packages that must stay on the
-// public windar surface: examples/, the gateway demo, and any package
-// opting in with a //windar:pubapi file directive.
+// public windar surface: examples/ and the gateway demo.
 var PubAPI = &Analyzer{
 	Name: "pubapi",
 	Doc:  "examples and embedder demos must import only the public windar surface, never windar/internal/...",
@@ -30,7 +29,7 @@ var PubAPI = &Analyzer{
 
 func runPubAPI(pass *Pass) {
 	pkg := pass.Pkg
-	if !publicOnly(pkg) {
+	if !publicOnly(pkg.Path) {
 		return
 	}
 	for _, f := range pkg.Syntax {
@@ -48,15 +47,13 @@ func runPubAPI(pass *Pass) {
 	}
 }
 
-// publicOnly reports whether pkg is held to the public-surface rule:
-// its import path sits under a public-only prefix, or one of its files
-// carries a //windar:pubapi directive (how fixtures and out-of-tree
-// embedder code opt in).
-func publicOnly(pkg *Package) bool {
+// publicOnly reports whether the package at path is held to the
+// public-surface rule: its import path sits under a public-only prefix.
+func publicOnly(path string) bool {
 	for _, p := range publicOnlyPrefixes {
-		if strings.HasPrefix(pkg.Path, p) {
+		if strings.HasPrefix(path, p) {
 			return true
 		}
 	}
-	return len(parseDirectives(pkg).pubapi) > 0
+	return false
 }

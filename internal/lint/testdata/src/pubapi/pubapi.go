@@ -1,9 +1,7 @@
 // Package pubapi is the analyzer fixture: a package enrolled in the
-// public-surface rule (here via the directive; examples/ and
-// cmd/windar-gateway enroll by import path) must compile against the
-// public windar API alone.
-//
-//windar:pubapi
+// public-surface rule (examples/ and cmd/windar-gateway enroll by import
+// path; the test checks this one as if it lived under examples/) must
+// compile against the public windar API alone.
 package pubapi
 
 import (

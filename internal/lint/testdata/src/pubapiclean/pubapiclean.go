@@ -1,7 +1,6 @@
 // Package pubapiclean is the pubapi analyzer's negative fixture: a
-// package with no //windar:pubapi directive and no public-only import
-// path may import internals freely — the rule binds only embedder-facing
-// code.
+// package outside the public-only import paths may import internals
+// freely — the rule binds only embedder-facing code.
 package pubapiclean
 
 import (

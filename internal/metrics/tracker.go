@@ -65,13 +65,9 @@ func NewTracker(m *Rank, clk clock.Clock) Tracker {
 // construction, graph increment computation); the caller closes it with
 // EndSend(start, weight). A zero weight means the operation is not
 // timed: no clock was read and EndSend will do nothing.
-//
-//windar:hotpath
 func (t *Tracker) BeginSend() (start time.Time, weight int64) { return t.begin(&t.send) }
 
 // BeginDeliver is BeginSend for the deliver side (the merge).
-//
-//windar:hotpath
 func (t *Tracker) BeginDeliver() (start time.Time, weight int64) { return t.begin(&t.deliver) }
 
 func (t *Tracker) begin(s *trackSide) (time.Time, int64) {
@@ -89,8 +85,6 @@ func (t *Tracker) begin(s *trackSide) (time.Time, int64) {
 
 // EndSend closes the send-side operation BeginSend opened. It inlines
 // to a test of weight at the call site.
-//
-//windar:hotpath
 func (t *Tracker) EndSend(start time.Time, weight int64) {
 	if weight != 0 {
 		t.endSend(start, weight)
@@ -98,8 +92,6 @@ func (t *Tracker) EndSend(start time.Time, weight int64) {
 }
 
 // EndDeliver closes the deliver-side operation BeginDeliver opened.
-//
-//windar:hotpath
 func (t *Tracker) EndDeliver(start time.Time, weight int64) {
 	if weight != 0 {
 		t.endDeliver(start, weight)

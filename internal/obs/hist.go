@@ -79,8 +79,6 @@ type Hist struct {
 // Record adds one observation. Negative values clamp to zero (durations
 // measured across a fake-clock step can come out zero, never negative,
 // but clamping keeps the bucket math total).
-//
-//windar:hotpath
 func (h *Hist) Record(v int64) {
 	if h == nil {
 		return
@@ -100,8 +98,6 @@ func (h *Hist) Record(v int64) {
 }
 
 // RecordDuration records d in nanoseconds.
-//
-//windar:hotpath
 func (h *Hist) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
 // Count returns the number of recorded observations.

@@ -69,8 +69,6 @@ func NewLog() *Log { return &Log{perDest: make(map[int][]LogRun)} }
 // Items for one destination must be appended in strictly increasing
 // send-index order; the protocol assigns indices sequentially so a
 // violation is a harness bug and panics.
-//
-//windar:hotpath
 func (l *Log) Append(item LogItem) []byte {
 	runs := l.perDest[item.Dest]
 	n := len(runs)
@@ -78,11 +76,11 @@ func (l *Log) Append(item LogItem) []byte {
 		panicAppendOrder(item.Dest, item.SendIndex, runs[n-1].Last)
 	}
 	if size := LogItemSize(&item); n == 0 || cap(runs[n-1].Recs)-len(runs[n-1].Recs) < size {
-		fresh := LogRun{Dest: item.Dest, Recs: make([]byte, 0, max(logChunkBytes, size))} //windar:allow hotpath — amortised: one chunk per ~800 flood-sized appends
+		fresh := LogRun{Dest: item.Dest, Recs: make([]byte, 0, max(logChunkBytes, size))} // amortised: one chunk per ~800 flood-sized appends
 		if n > 0 && runs[n-1].N == 0 {
 			runs[n-1] = fresh // an emptied chunk holds nothing to keep
 		} else {
-			runs = append(runs, fresh) //windar:allow hotpath — grows with the retained log, not per message
+			runs = append(runs, fresh) // grows with the retained log, not per message
 			l.perDest[item.Dest] = runs
 			n++
 		}

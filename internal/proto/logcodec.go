@@ -36,8 +36,6 @@ func LogItemSize(it *LogItem) int {
 
 // AppendLogItem appends it's encoding to buf and returns the extended
 // slice. With LogItemSize bytes of spare capacity it allocates nothing.
-//
-//windar:hotpath
 func AppendLogItem(buf []byte, it *LogItem) []byte {
 	buf = binary.AppendUvarint(buf, uint64(it.Dest))
 	buf = binary.AppendVarint(buf, it.SendIndex)

@@ -231,8 +231,6 @@ func (d *Disk) Stats() DiskStats {
 // shardFor hashes the name's rank-scoped prefix (up to the second '/',
 // e.g. "slog/003") so one rank's streams and keys land in one shard —
 // the per-rank parallel log layout.
-//
-//windar:hotpath
 func (d *Disk) shardFor(name string) *walShard {
 	scope := name
 	if i := strings.IndexByte(name, '/'); i >= 0 {
@@ -250,19 +248,15 @@ func (d *Disk) shardFor(name string) *walShard {
 // begin starts a record for (op, name) in the write buffer and returns
 // its offset; the caller appends the rest of the payload and calls end.
 // Caller holds s.mu.
-//
-//windar:hotpath
 func (s *walShard) begin(op byte, name string) int {
 	start := len(s.buf)
-	s.buf = appendRecordStart(s.buf, op, name) //windar:allow hotpath — the buffer keeps its capacity across flushes
+	s.buf = appendRecordStart(s.buf, op, name) // the buffer keeps its capacity across flushes
 	return start
 }
 
 // end frames the record begun at start — the checksum is taken over the
 // payload where it lies — and hands the buffer to the kernel once it is
 // full. Caller holds s.mu.
-//
-//windar:hotpath
 func (d *Disk) end(s *walShard, start int) error {
 	sealRecord(s.buf[start:])
 	n := int64(len(s.buf) - start)
@@ -290,34 +284,30 @@ func (s *walShard) flush() error {
 // recovery inside this process reads no file. Chunks are shared by the
 // shard's streams and freed by the collector when no live entry points
 // into them.
-//
-//windar:hotpath
 func (s *walShard) cache(data []byte) []byte {
 	if cap(s.arena)-len(s.arena) < len(data) {
-		s.arena = make([]byte, 0, max(arenaBytes, len(data))) //windar:allow hotpath — amortised: one chunk per arenaBytes of entries
+		s.arena = make([]byte, 0, max(arenaBytes, len(data))) // amortised: one chunk per arenaBytes of entries
 	}
 	n := len(s.arena)
-	s.arena = append(s.arena, data...) //windar:allow hotpath — capacity was reserved above
+	s.arena = append(s.arena, data...) // capacity was reserved above
 	return s.arena[n:len(s.arena):len(s.arena)]
 }
 
 // appendEntry is Put and PutLazy on a stream: one record in the buffer,
 // one cached entry, under the shard lock alone.
-//
-//windar:hotpath
 func (d *Disk) appendEntry(s *walShard, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return errClosed
 	}
-	st := s.streams.get(name) //windar:allow hotpath — once per stream, not per entry
+	st := s.streams.get(name) // once per stream, not per entry
 	seq := st.tail + 1
 	start := s.begin(opAppend, name)
-	s.buf = binary.AppendUvarint(s.buf, uint64(seq)) //windar:allow hotpath — the buffer keeps its capacity across flushes
-	s.buf = append(s.buf, data...)                   //windar:allow hotpath — the buffer keeps its capacity across flushes
+	s.buf = binary.AppendUvarint(s.buf, uint64(seq)) // the buffer keeps its capacity across flushes
+	s.buf = append(s.buf, data...)                   // the buffer keeps its capacity across flushes
 	if seq > st.lo {
-		st.push(seq, s.head, s.cache(data)) //windar:allow hotpath — amortised: the cache's next chunk
+		st.push(seq, s.head, s.cache(data)) // amortised: the cache's next chunk
 	} else {
 		st.tail = seq
 	}
@@ -370,8 +360,6 @@ func (d *Disk) put(name string, data []byte, durable bool) error {
 func (d *Disk) Put(key string, data []byte) error { return d.put(key, data, true) }
 
 // PutLazy implements Backend.
-//
-//windar:hotpath
 func (d *Disk) PutLazy(key string, data []byte) error { return d.put(key, data, false) }
 
 // Get implements Backend.
@@ -551,8 +539,6 @@ func (d *Disk) Scan(name string, fn func(seq int64, data []byte) error) error {
 // segmentBytes of records beyond what it was opened with — or, if more
 // than that was carried in, as much again, so that carrying stays under
 // half of all bytes written. Caller holds s.mu.
-//
-//windar:hotpath
 func (d *Disk) maybeRotate(s *walShard) error {
 	if s.headBytes-s.carried < max(segmentBytes, s.carried) {
 		return nil

@@ -430,7 +430,7 @@ func TestDiskGroupCommitBatchesFsyncs(t *testing.T) {
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func(i int) {
-			done <- d.Put(fmt.Sprintf("g/%d/k", i), []byte("v")) //windar:allow locksend (buffered to goroutine count)
+			done <- d.Put(fmt.Sprintf("g/%d/k", i), []byte("v")) // buffered to the goroutine count
 		}(i)
 	}
 	for i := 0; i < 8; i++ {

@@ -77,7 +77,7 @@ func (st *stream) push(seq int64, seg *segment, data []byte) bool {
 	if seq <= st.lo {
 		return false
 	}
-	st.entries = append(st.entries, streamEntry{seq: seq, seg: seg, data: data}) //windar:allow hotpath — amortised slice growth
+	st.entries = append(st.entries, streamEntry{seq: seq, seg: seg, data: data}) // amortised slice growth
 	if seg != nil {
 		seg.live++
 	}

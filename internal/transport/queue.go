@@ -35,13 +35,11 @@ func NewQueue() *Queue {
 }
 
 // Push appends env.
-//
-//windar:hotpath
 func (b *Queue) Push(env *wire.Envelope) {
 	b.mu.Lock()
 	if !b.closed {
 		b.makeRoom(1)
-		b.queue = append(b.queue, env) //windar:allow hotpath — amortised: grows to the deepest backlog, then is reused
+		b.queue = append(b.queue, env) // amortised: grows to the deepest backlog, then is reused
 		b.cond.Signal()
 	}
 	b.mu.Unlock()
@@ -49,8 +47,6 @@ func (b *Queue) Push(env *wire.Envelope) {
 
 // makeRoom slides the FIFO to the front of the array when n more would
 // not fit and the slack is at least half of it. Caller holds mu.
-//
-//windar:hotpath
 func (b *Queue) makeRoom(n int) {
 	if h := b.head; h > 0 && 2*h >= len(b.queue) && len(b.queue)+n > cap(b.queue) {
 		k := copy(b.queue, b.queue[h:])

@@ -480,8 +480,6 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 // the bytes those frames took; the rest of b is the prefix of a frame
 // still in the socket. A non-nil error means the stream is corrupt after
 // the frames returned.
-//
-//windar:hotpath
 func decodeFrames(batch []*wire.Envelope, b []byte, a *wire.Arena) ([]*wire.Envelope, int, error) {
 	used := 0
 	for used < len(b) {
@@ -491,7 +489,7 @@ func decodeFrames(batch []*wire.Envelope, b []byte, a *wire.Arena) ([]*wire.Enve
 			wire.Recycle(env)
 			return batch, used, err
 		}
-		batch = append(batch, env) //windar:allow hotpath (amortized: grows to the largest batch once, then reused)
+		batch = append(batch, env) // amortized: grows to the largest batch once, then reused
 		used += n
 	}
 	return batch, used, nil
@@ -596,21 +594,19 @@ func (l *link) hasRoomLocked(size int) bool {
 // and returns the chunk. The writer is woken only when the queue was
 // empty: otherwise it is mid-Write and will find the frame, or parked on
 // a dead destination, where no frame helps.
-//
-//windar:hotpath
 func (l *link) appendLocked(env *wire.Envelope, size int) *chunk {
 	var c *chunk
 	if n := len(l.queue); n > 0 && len(l.queue[n-1].buf)+size <= chunkCap {
 		c = l.queue[n-1]
 	} else {
 		c = l.newChunkLocked()
-		l.queue = append(l.queue, c) //windar:allow hotpath (amortized: a handful of chunk pointers, grown once)
+		l.queue = append(l.queue, c) // amortized: a handful of chunk pointers, grown once
 		if n == 0 {
 			l.work.Signal()
 		}
 	}
-	c.buf = wire.AppendFrame(slices.Grow(c.buf, size), env) //windar:allow hotpath (amortized: a chunk grows to its link's burst size once, then is reused)
-	c.ends = append(c.ends, len(c.buf))                     //windar:allow hotpath (amortized with buf)
+	c.buf = wire.AppendFrame(slices.Grow(c.buf, size), env) // amortized: a chunk grows to its link's burst size once, then is reused
+	c.ends = append(c.ends, len(c.buf))                     // amortized with buf
 	l.frames++
 	l.pendingBytes += int64(size)
 	return c

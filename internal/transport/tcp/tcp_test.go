@@ -398,3 +398,32 @@ func TestTrySendFullBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDecodeFramesReportsCorruption: the batch decoder tells a corrupt
+// stream (bad magic, bad version, a body that does not decode), which
+// ends the connection, from a frame still arriving, which waits for
+// more bytes — after returning every whole frame in front of either.
+func TestDecodeFramesReportsCorruption(t *testing.T) {
+	good := wire.AppendFrame(nil, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Payload: []byte("x")})
+	badBody := wire.AppendFrame(nil, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 2})
+	badBody[len(badBody)-1] = 0xFF // the body's last varint now runs past its end
+	for _, c := range []struct {
+		name    string
+		tail    []byte
+		corrupt bool
+	}{
+		{"magic", []byte{wire.FrameMagic + 1}, true},
+		{"version", []byte{wire.FrameMagic, wire.FrameVersion + 1}, true},
+		{"body", badBody, true},
+		{"prefix", good[:len(good)-1], false},
+	} {
+		b := append(append([]byte(nil), good...), c.tail...)
+		batch, used, err := decodeFrames(nil, b, nil)
+		if len(batch) != 1 || used != len(good) {
+			t.Errorf("%s: %d frames, %d bytes used; want the one whole frame, %d bytes", c.name, len(batch), used, len(good))
+		}
+		if (err != nil) != c.corrupt {
+			t.Errorf("%s: err = %v, want corrupt = %v", c.name, err, c.corrupt)
+		}
+	}
+}

@@ -15,10 +15,9 @@ type Vec []int64
 
 // New returns a zeroed vector for an n-process system.
 //
-// New and Clone are marked noinline so their allocation stays attributed
-// here under escape analysis: //windar:hotpath callers reach them only on
-// amortized resize/first-use paths, and inlining would charge the make to
-// the caller's zero-alloc span.
+// New and Clone are marked noinline: hot-path callers reach them only on
+// amortized resize/first-use paths, so their allocation stays out of
+// line of those callers.
 //
 //go:noinline
 func New(n int) Vec { return make(Vec, n) }

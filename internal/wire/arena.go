@@ -31,8 +31,6 @@ type Arena struct{ chunk []byte }
 // of the current chunk, or an allocation of its own when the arena is
 // nil or n exceeds ArenaMax. Append to it and hand the result to Commit;
 // nothing is claimed until then, so an abandoned Tail costs nothing.
-//
-//windar:hotpath
 func (a *Arena) Tail(n int) []byte {
 	if a != nil && n <= ArenaMax && n <= cap(a.chunk)-len(a.chunk) {
 		return a.chunk[len(a.chunk):]
@@ -42,17 +40,15 @@ func (a *Arena) Tail(n int) []byte {
 
 // grow is Tail and Copy off the fast path: a fresh chunk, or — for Tail
 // without an arena or over ArenaMax — an allocation of its own. It stays
-// out of line so that both allocations are attributed here, under escape
-// analysis and in profiles, rather than to whichever hot caller the
-// compiler inlined them into.
+// out of line so that both allocations are attributed here in profiles,
+// rather than to whichever hot caller the compiler inlined them into.
 //
-//windar:hotpath
 //go:noinline
 func (a *Arena) grow(n int) []byte {
 	if a == nil || n > ArenaMax {
-		return make([]byte, 0, n) //windar:allow hotpath — no arena, or oversize: the slice owns its allocation
+		return make([]byte, 0, n) // no arena, or oversize: the slice owns its allocation
 	}
-	a.chunk = make([]byte, 0, ArenaChunk) //windar:allow hotpath — amortised: one chunk per ArenaChunk bytes handed out
+	a.chunk = make([]byte, 0, ArenaChunk) // amortised: one chunk per ArenaChunk bytes handed out
 	return a.chunk
 }
 
@@ -60,8 +56,6 @@ func (a *Arena) grow(n int) []byte {
 // capacity-clipped. A b that is not the arena's tail (nil arena,
 // oversize, or an append that outgrew the chunk and moved) owns its
 // allocation already and is returned as is; empty is nil.
-//
-//windar:hotpath
 func (a *Arena) Commit(b []byte) []byte {
 	if len(b) == 0 {
 		return nil
@@ -77,15 +71,13 @@ func (a *Arena) Commit(b []byte) []byte {
 // Copy returns a copy of src that the caller owns (see Arena); empty
 // copies to nil. It is Commit(append(Tail(len(src)), src...)) written
 // out, because every payload of every message goes through it.
-//
-//windar:hotpath
 func (a *Arena) Copy(src []byte) []byte {
 	n := len(src)
 	if n == 0 {
 		return nil
 	}
 	if a == nil || n > ArenaMax {
-		b := make([]byte, n) //windar:allow hotpath — no arena, or oversize: the slice owns its allocation
+		b := make([]byte, n) // no arena, or oversize: the slice owns its allocation
 		copy(b, src)
 		return b
 	}

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"windar/internal/vclock"
@@ -136,20 +138,109 @@ func TestDecodeAllocRegression(t *testing.T) {
 	}
 }
 
+// vecForm is one of TDI's four piggyback forms (wire format v4) of an
+// n-element vector from sender 1: the arguments AppendVecSince takes,
+// and the channel base VecPairs.Reset reads it against.
+type vecForm struct {
+	name  string
+	v     vclock.Vec
+	ver   []uint64
+	since uint64
+	base  int64
+}
+
+// vecForms returns the own-only, delta (two pairs), relative full and
+// absolute full forms of one n-element vector, n >= 4.
+func vecForms(n int) []vecForm {
+	v := vclock.New(n)
+	for i := range v {
+		v[i] = int64(i*1000 + 7)
+	}
+	delta := make([]uint64, n)
+	delta[0], delta[n-1] = 2, 2
+	base := v[1] - 3
+	return []vecForm{
+		{"own", v, make([]uint64, n), 1, base},
+		{"delta", v, delta, 1, base},
+		{"relative", v, nil, 0, base},
+		{"absolute", v, nil, 0, -1},
+	}
+}
+
+// roundTrip encodes f into buf and walks it back through p, returning
+// the reused buffer.
+func (f vecForm) roundTrip(tb testing.TB, buf []byte, p *VecPairs) []byte {
+	buf = AppendVecSince(buf[:0], f.v, 1, f.ver, f.since, f.base)
+	p.Reset(buf, len(f.v), 1, f.base)
+	for _, _, ok := p.Next(); ok; _, _, ok = p.Next() {
+	}
+	if err := p.Err(); err != nil {
+		tb.Fatalf("%s: %v", f.name, err)
+	}
+	return buf
+}
+
+// BenchmarkVecCodec times TDI's piggyback codec, AppendVecSince into a
+// reused buffer and a VecPairs walk, on each of its four forms.
 func BenchmarkVecCodec(b *testing.B) {
 	for _, n := range []int{4, 32} {
-		b.Run(map[int]string{4: "n4", 32: "n32"}[n], func(b *testing.B) {
-			v := vclock.New(n)
-			for i := range v {
-				v[i] = int64(i * 1000)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				buf := AppendVec(nil, v)
-				if _, _, err := ReadVec(buf); err != nil {
-					b.Fatal(err)
+		for _, f := range vecForms(n) {
+			b.Run(fmt.Sprintf("n%d/%s", n, f.name), func(b *testing.B) {
+				var p VecPairs
+				buf := f.roundTrip(b, nil, &p)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					buf = f.roundTrip(b, buf, &p)
 				}
+			})
+		}
+	}
+}
+
+// allocWindow is how many calls allocFree makes, and windowMallocs how
+// many allocations it forgives: the window itself costs a constant
+// handful, however many calls it spans.
+const allocWindow, windowMallocs = 65536, 8
+
+// allocFree reports whether allocWindow calls of f allocate nothing,
+// counted exactly: testing.AllocsPerRun truncates, so it would read an
+// allocation amortised over a few calls as none, while here one every
+// 4 096 calls fails.
+func allocFree(f func()) (uint64, bool) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < allocWindow; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	return got, got <= windowMallocs
+}
+
+// TestVecCodecAllocFree holds the vector codecs to zero allocations into
+// warm buffers: BenchmarkVecCodec's four piggyback forms, and the
+// base-relative delta and plain vector readers.
+func TestVecCodecAllocFree(t *testing.T) {
+	for _, n := range []int{4, 32} {
+		for _, f := range vecForms(n) {
+			var p VecPairs
+			buf := f.roundTrip(t, nil, &p)
+			if got, ok := allocFree(func() { buf = f.roundTrip(t, buf, &p) }); !ok {
+				t.Errorf("n%d/%s: %d allocs in %d calls, want 0", n, f.name, got, allocWindow)
 			}
-		})
+		}
+		base, cur := vclock.New(n), vclock.New(n)
+		cur[0], cur[n-1] = 5, 9
+		delta := AppendVecDelta(nil, base, cur)
+		full := AppendVec(nil, cur)
+		dst := vclock.New(n)
+		if got, ok := allocFree(func() {
+			delta = AppendVecDelta(delta[:0], base, cur)
+			dst, _, _ = ReadVecDeltaInto(dst, delta, base)
+			full = AppendVec(full[:0], cur)
+			dst, _, _ = ReadVecInto(dst, full)
+		}); !ok {
+			t.Errorf("n%d: delta and plain vector codecs: %d allocs in %d calls, want 0", n, got, allocWindow)
+		}
 	}
 }

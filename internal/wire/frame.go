@@ -41,8 +41,6 @@ var (
 // AppendFrame appends the framed encoding of e to buf and returns the
 // extended slice. Like AppendEncode it allocates nothing once buf has
 // steady-state capacity.
-//
-//windar:hotpath
 func AppendFrame(buf []byte, e *Envelope) []byte {
 	buf = append(buf, FrameMagic, FrameVersion)
 	buf = binary.AppendUvarint(buf, uint64(EncodedSize(e)))
@@ -50,8 +48,6 @@ func AppendFrame(buf []byte, e *Envelope) []byte {
 }
 
 // FrameSize returns the number of bytes AppendFrame would append for e.
-//
-//windar:hotpath
 func FrameSize(e *Envelope) int {
 	n := EncodedSize(e)
 	return 2 + UvarintLen(uint64(n)) + n
@@ -94,8 +90,6 @@ func parseFrameHeader(b []byte) (hdr, body int, err error) {
 // caller keeps the bytes and reads more. An error means the stream is
 // corrupt — bad magic or version, a length over MaxFrameBody, or a
 // complete body that does not decode — and cannot be resynchronized.
-//
-//windar:hotpath
 func DecodeFrameInto(e *Envelope, b []byte, a *Arena) (n int, err error) {
 	hdr, body, err := parseFrameHeader(b)
 	if err != nil || hdr == 0 || len(b)-hdr < body {
@@ -141,8 +135,6 @@ func NewFrameReader(r io.Reader) *FrameReader {
 //
 // The decoded envelope itself is a fresh allocation by contract (the
 // inbox retains it past the next Read); only the body buffer is reused.
-//
-//windar:hotpath
 func (fr *FrameReader) Read() (*Envelope, error) {
 	// Peek the header one byte further at a time, so the reader never
 	// waits for bytes past the frame it is parsing.
@@ -162,7 +154,7 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 	}
 	_, _ = fr.r.Discard(hdr) // cannot fail: the bytes were just peeked
 	if cap(fr.buf) < l {
-		fr.buf = make([]byte, l) //windar:allow hotpath (amortized: grows to the stream's largest frame once, then reused)
+		fr.buf = make([]byte, l) // amortized: grows to the stream's largest frame once, then reused
 	}
 	body := fr.buf[:l]
 	if _, err := io.ReadFull(fr.r, body); err != nil {
@@ -171,10 +163,9 @@ func (fr *FrameReader) Read() (*Envelope, error) {
 	return Decode(body)
 }
 
-// errFrameVersion and errFrameTooLarge format their errors outside the
-// annotated span: fmt boxing allocates, and these paths only run on a
-// corrupt or incompatible stream. noinline keeps the boxing attributed
-// here under escape analysis.
+// errFrameVersion and errFrameTooLarge format their errors out of line
+// of the decoder: fmt boxing allocates, and these paths only run on a
+// corrupt or incompatible stream.
 //
 //go:noinline
 func errFrameVersion(version byte) error {

@@ -68,8 +68,6 @@ func CopyInto(dst, src *Envelope) { CopyIntoArena(dst, src, nil) }
 // inline-delivery equivalent of an encode/decode round trip, minus the
 // varint work; the queued fabric path and the TCP transport still
 // round-trip every message through the wire format.
-//
-//windar:hotpath
 func CopyIntoArena(dst, src *Envelope, a *Arena) {
 	pig, pooled := dst.pigBuf, dst.pooled
 	*dst = *src
@@ -122,8 +120,6 @@ func Recycle(e *Envelope) {
 // retaining it pins at most ArenaChunk bytes; every other payload, and
 // every payload over ArenaMax, is an allocation of its own. On error e's
 // contents are unspecified.
-//
-//windar:hotpath
 func DecodeInto(e *Envelope, b []byte, a *Arena) error {
 	if len(b) < 2 {
 		return ErrTruncated

@@ -54,8 +54,6 @@ var ErrBadDelta = errors.New("wire: malformed delta vector")
 // whose version ver[k] (at which it last changed) is above since (that
 // of the last send to the destination), own-only when no k qualifies —
 // and base must be the channel's, below v[s].
-//
-//windar:hotpath
 func AppendVecSince(buf []byte, v vclock.Vec, s int, ver []uint64, since uint64, base int64) []byte {
 	k := 0
 	for i, u := range ver {
@@ -102,8 +100,6 @@ func vecHeader(n int, own int64, delta bool, k int, base int64) (h, first uint64
 // and the number of integers it carries (the Fig. 5 unit: n for a full
 // vector, 1 own-only, 2+2k for a delta of k pairs), without allocating;
 // the sender uses it to pick the smaller encoding.
-//
-//windar:hotpath
 func VecSinceSize(v vclock.Vec, s int, ver []uint64, since uint64, base int64) (size, ids int) {
 	k, prev := 0, v[s]
 	for i, x := range v {
@@ -147,8 +143,6 @@ type VecPairs struct {
 // Reset starts p reading b as sender s's piggyback of an n-element
 // vector. base is the v[s] the previous piggyback on the channel
 // carried, negative when the reader holds none.
-//
-//windar:hotpath
 func (p *VecPairs) Reset(b []byte, n, s int, base int64) {
 	*p = VecPairs{b: b, n: n, s: s}
 	if len(b) == 0 {
@@ -196,8 +190,6 @@ func (p *VecPairs) uvarint() (uint64, bool) {
 }
 
 // Next returns the next pair.
-//
-//windar:hotpath
 func (p *VecPairs) Next() (idx int, val int64, ok bool) {
 	if p.own {
 		p.own = false
@@ -252,8 +244,6 @@ func (p *VecPairs) Err() error { return p.err }
 // index, varint value), the pairs where the two differ. It panics
 // on a length mismatch, because mixing vectors from systems of different
 // sizes is always a programming error (matching vclock's contract).
-//
-//windar:hotpath
 func AppendVecDelta(buf []byte, base, cur vclock.Vec) []byte {
 	if len(base) != len(cur) {
 		panicDeltaLen(len(base), len(cur))
@@ -275,10 +265,9 @@ func AppendVecDelta(buf []byte, base, cur vclock.Vec) []byte {
 	return buf
 }
 
-// panicDeltaLen lives outside the annotated spans: formatting the panic
-// message boxes its operands, an allocation the hot path never performs
-// but escape analysis would charge to the caller's line. noinline keeps
-// the attribution here.
+// panicDeltaLen keeps the panic message out of line of the encoder:
+// formatting it boxes its operands, an allocation the hot path never
+// performs.
 //
 //go:noinline
 func panicDeltaLen(base, cur int) {
@@ -286,8 +275,6 @@ func panicDeltaLen(base, cur int) {
 }
 
 // VecSize returns the number of bytes AppendVec would produce for v.
-//
-//windar:hotpath
 func VecSize(v vclock.Vec) int {
 	n := UvarintLen(uint64(len(v)))
 	for _, x := range v {
@@ -303,8 +290,6 @@ func VecSize(v vclock.Vec) int {
 // otherwise a fresh vector is allocated. dst must not alias base. A nil
 // base fails with ErrNoDeltaBase. On error dst's contents are
 // unspecified and the returned vector is nil.
-//
-//windar:hotpath
 func ReadVecDeltaInto(dst vclock.Vec, b []byte, base vclock.Vec) (vclock.Vec, int, error) {
 	if len(b) == 0 || b[0] != VecDeltaMarker {
 		return nil, 0, ErrBadDelta

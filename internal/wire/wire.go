@@ -120,8 +120,6 @@ func Encode(e *Envelope) []byte {
 // buffer (the framed stream writers, the fabric's per-link ring)
 // pay no per-message allocation once the buffer has grown to a steady
 // size.
-//
-//windar:hotpath
 func AppendEncode(buf []byte, e *Envelope) []byte {
 	buf = append(buf, byte(e.Kind))
 	var flags byte
@@ -167,8 +165,6 @@ func Decode(b []byte) (*Envelope, error) {
 // EncodedSize returns the number of bytes Encode would produce without
 // allocating the buffer. The fabric uses it for transmission-time and
 // bandwidth accounting.
-//
-//windar:hotpath
 func EncodedSize(e *Envelope) int {
 	n := 2
 	n += VarintLen(int64(e.From))
@@ -194,8 +190,6 @@ func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // AppendVec appends a length-prefixed varint encoding of v to buf and
 // returns the extended slice: the vector field of checkpoints, control
 // messages and snapshots. (TDI's piggyback has its own layout, v3.)
-//
-//windar:hotpath
 func AppendVec(buf []byte, v vclock.Vec) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(v)))
 	for _, x := range v {
@@ -214,8 +208,6 @@ func ReadVec(b []byte) (vclock.Vec, int, error) {
 // encoded length its storage is reused, making the steady-state decode
 // allocation-free; otherwise a fresh vector is allocated. On error dst's
 // contents are unspecified and the returned vector is nil.
-//
-//windar:hotpath
 func ReadVecInto(dst vclock.Vec, b []byte) (vclock.Vec, int, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 {
