@@ -34,13 +34,15 @@ race:
 # against a base a checkpoint restored or a replay regenerated.
 # TestCountersExactAtQuiescence holds the app goroutine's batched
 # counters exact at every publication point, across a kill;
-# TestInlineSendIsABufferedSend races the fabric's lock-free inline
+# TestNonBlockingSendWaitsAtFullLink kills a sender parked in Send at a
+# full link and recovers it;
+# TestBufferedSendOwnsTheFrame races the fabric's lock-free inline
 # admission against Kill/Stall/Revive/Unstall.
-RACE_STRESS = 'TestConcurrentKillRecover|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
+RACE_STRESS = 'TestConcurrentKillRecover|TestNonBlockingSendWaitsAtFullLink|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
-	$(GO) test -race -count=50 -run 'TestInlineSendIsABufferedSend' ./internal/transport/
+	$(GO) test -race -count=50 -run 'TestBufferedSendOwnsTheFrame' ./internal/transport/
 	$(GO) test -race -count=50 -run TestLineageAcrossRecovery ./internal/chaos/
 
 vet:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"windar/internal/transport"
 	"windar/internal/wire"
 )
 
@@ -16,7 +17,7 @@ func BenchmarkPingPong(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: int64(i + 1), Payload: payload}
-		if err := f.Send(env, SendOpts{}); err != nil {
+		if err := f.Send(env, transport.SendOpts{}); err != nil {
 			b.Fatal(err)
 		}
 		if _, ok := f.Recv(1); !ok {
@@ -47,7 +48,7 @@ func BenchmarkThroughputOneLink(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				env := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: int64(i + 1), Payload: payload}
-				if err := f.Send(env, SendOpts{}); err != nil {
+				if err := f.Send(env, transport.SendOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -74,7 +75,7 @@ func BenchmarkRendezvous(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		env := &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: int64(i + 1), Payload: payload}
-		if err := f.Send(env, SendOpts{Rendezvous: true}); err != nil {
+		if err := f.Send(env, transport.SendOpts{Rendezvous: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,12 @@
 // Package fabric simulates the cluster interconnect the paper's testbed
 // ran on (PCs on 100 Mb Ethernet under MPICH).
 //
-// The fabric provides, per ordered rank pair, a FIFO link with a latency
-// and bandwidth model and a bounded in-flight buffer; across links,
-// arrival order is unconstrained — exactly the non-determinism the TDI
-// protocol exploits. It also owns the failure semantics the rollback
-// recovery protocols are built against:
+// The fabric is the mem transport (*Fabric implements
+// transport.Transport). It provides, per ordered rank pair, a FIFO link
+// with a latency and bandwidth model and a bounded in-flight buffer;
+// across links, arrival order is unconstrained — exactly the
+// non-determinism the TDI protocol exploits. It also owns the failure
+// semantics the rollback recovery protocols are built against:
 //
 //   - Kill(rank) drops the rank's volatile state: everything sitting in
 //     its inbox is lost, and its receivers are unblocked with ok=false.
@@ -21,7 +22,6 @@
 package fabric
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -74,12 +74,8 @@ const (
 	ringMax   = ringChunk / 2
 )
 
-// ErrAborted is returned by Send when the caller's abort channel fires
-// while the send is blocked (its own rank was killed).
-var ErrAborted = errors.New("fabric: send aborted")
-
-// Fabric is the simulated interconnect. Create with New, release with
-// Close.
+// Fabric is the simulated interconnect, the mem transport
+// (transport.Mem). Create with New, release with Close.
 type Fabric struct {
 	cfg   Config
 	clk   clock.Clock
@@ -136,8 +132,13 @@ func New(cfg Config) *Fabric {
 	return f
 }
 
+var _ transport.Transport = (*Fabric)(nil)
+
 // N returns the number of ranks.
 func (f *Fabric) N() int { return f.cfg.N }
+
+// Kind implements transport.Transport.
+func (f *Fabric) Kind() transport.Kind { return transport.Mem }
 
 // Close stops all delivery goroutines. Pending messages are dropped.
 func (f *Fabric) Close() {
@@ -157,21 +158,12 @@ func (f *Fabric) Close() {
 	})
 }
 
-// SendOpts controls one Send call.
-type SendOpts struct {
-	// Rendezvous makes Send return only once the destination inbox has
-	// accepted the envelope (the synchronous MPI mode of Fig. 4(a)).
-	Rendezvous bool
-	// Abort unblocks a blocked Send with ErrAborted when it fires —
-	// used when the sending rank itself is killed.
-	Abort <-chan struct{}
-}
-
-// Send transmits env. The envelope is handed off as-is; the fabric
-// encodes it once for size accounting and transmission timing but the
-// receiver gets the decoded form, so wire round-tripping is exercised on
-// every message.
-func (f *Fabric) Send(env *wire.Envelope, opts SendOpts) error {
+// Send transmits env. On an instant fabric an idle link delivers it
+// inline (tryInline); otherwise the fabric encodes it into the link's
+// ring for size accounting and transmission timing and the receiver gets
+// the decoded form, so wire round-tripping is exercised on every queued
+// message. Either way env is not retained once Send returns.
+func (f *Fabric) Send(env *wire.Envelope, opts transport.SendOpts) error {
 	if env.From < 0 || env.From >= f.cfg.N || env.To < 0 || env.To >= f.cfg.N {
 		return fmt.Errorf("fabric: bad endpoints %d->%d", env.From, env.To)
 	}
@@ -192,22 +184,12 @@ func (f *Fabric) Send(env *wire.Envelope, opts SendOpts) error {
 		select {
 		case <-done:
 		case <-opts.Abort:
-			return ErrAborted
+			return transport.ErrAborted
 		case <-f.closed:
-			return ErrAborted
+			return transport.ErrAborted
 		}
 	}
 	return nil
-}
-
-// TrySend delivers env synchronously when the network model is instant
-// and the destination's link is idle and deliverable right now; false
-// means the caller must use Send, which owns blocking and parking.
-func (f *Fabric) TrySend(env *wire.Envelope) bool {
-	if !f.instant || env.From < 0 || env.From >= f.cfg.N || env.To < 0 || env.To >= f.cfg.N {
-		return false
-	}
-	return f.links[env.From*f.cfg.N+env.To].tryInline(env)
 }
 
 // Recv blocks until an envelope is available for rank, the rank is killed
@@ -225,7 +207,7 @@ func (f *Fabric) Recv(rank int) (*wire.Envelope, bool) {
 // Inbox returns a handle pinned to rank's current inbox: once the rank
 // is killed, the old handle returns ok=false forever and the incarnation
 // must obtain a fresh one.
-func (f *Fabric) Inbox(rank int) *transport.Queue {
+func (f *Fabric) Inbox(rank int) transport.Inbox {
 	return f.ranks[rank].inbox()
 }
 
@@ -403,10 +385,10 @@ func (l *link) enqueue(env *wire.Envelope, done chan struct{}, abort <-chan stru
 		select {
 		case <-abort:
 			l.mu.Unlock()
-			return ErrAborted
+			return transport.ErrAborted
 		case <-closed:
 			l.mu.Unlock()
-			return ErrAborted
+			return transport.ErrAborted
 		default:
 		}
 		l.cond.Wait()

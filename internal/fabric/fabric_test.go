@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"windar/internal/transport"
 	"windar/internal/wire"
 )
 
@@ -25,7 +26,7 @@ func appEnv(from, to int, idx int64, payload string) *wire.Envelope {
 	}
 }
 
-func mustSend(t *testing.T, f *Fabric, env *wire.Envelope, opts SendOpts) {
+func mustSend(t *testing.T, f *Fabric, env *wire.Envelope, opts transport.SendOpts) {
 	t.Helper()
 	if err := f.Send(env, opts); err != nil {
 		t.Fatalf("Send: %v", err)
@@ -57,7 +58,7 @@ func recvOne(t *testing.T, f *Fabric, rank int) *wire.Envelope {
 
 func TestSendRecvBasic(t *testing.T) {
 	f := newTestFabric(t, 2, Config{})
-	mustSend(t, f, appEnv(0, 1, 1, "hello"), SendOpts{})
+	mustSend(t, f, appEnv(0, 1, 1, "hello"), transport.SendOpts{})
 	got := recvOne(t, f, 1)
 	if got.From != 0 || got.To != 1 || string(got.Payload) != "hello" {
 		t.Fatalf("got %+v", got)
@@ -68,7 +69,7 @@ func TestPerLinkFIFO(t *testing.T) {
 	f := newTestFabric(t, 2, Config{JitterFraction: 0.5, BaseLatency: 100 * time.Microsecond, Seed: 7})
 	const n = 50
 	for i := int64(1); i <= n; i++ {
-		mustSend(t, f, appEnv(0, 1, i, "x"), SendOpts{})
+		mustSend(t, f, appEnv(0, 1, i, "x"), transport.SendOpts{})
 	}
 	for i := int64(1); i <= n; i++ {
 		got := recvOne(t, f, 1)
@@ -84,8 +85,8 @@ func TestCrossLinkInterleaving(t *testing.T) {
 	f := newTestFabric(t, 3, Config{BaseLatency: 50 * time.Microsecond, JitterFraction: 2, Seed: 3})
 	const per = 20
 	for i := int64(1); i <= per; i++ {
-		mustSend(t, f, appEnv(0, 2, i, "a"), SendOpts{})
-		mustSend(t, f, appEnv(1, 2, i, "b"), SendOpts{})
+		mustSend(t, f, appEnv(0, 2, i, "a"), transport.SendOpts{})
+		mustSend(t, f, appEnv(1, 2, i, "b"), transport.SendOpts{})
 	}
 	seen := map[int][]int64{}
 	for i := 0; i < 2*per; i++ {
@@ -111,13 +112,13 @@ func TestBandwidthDelaysDelivery(t *testing.T) {
 
 	slow := newTestFabric(t, 2, Config{BytesPerSecond: 10 << 20})
 	start := time.Now()
-	mustSend(t, slow, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, Payload: payload}, SendOpts{})
+	mustSend(t, slow, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, Payload: payload}, transport.SendOpts{})
 	recvOne(t, slow, 1)
 	slowDur := time.Since(start)
 
 	fast := newTestFabric(t, 2, Config{})
 	start = time.Now()
-	mustSend(t, fast, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, Payload: payload}, SendOpts{})
+	mustSend(t, fast, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, Payload: payload}, transport.SendOpts{})
 	recvOne(t, fast, 1)
 	fastDur := time.Since(start)
 
@@ -132,7 +133,7 @@ func TestBandwidthDelaysDelivery(t *testing.T) {
 func TestRendezvousWaitsForAcceptance(t *testing.T) {
 	f := newTestFabric(t, 2, Config{BaseLatency: 20 * time.Millisecond})
 	start := time.Now()
-	mustSend(t, f, appEnv(0, 1, 1, "x"), SendOpts{Rendezvous: true})
+	mustSend(t, f, appEnv(0, 1, 1, "x"), transport.SendOpts{Rendezvous: true})
 	if d := time.Since(start); d < 15*time.Millisecond {
 		t.Fatalf("rendezvous returned after %v, before latency elapsed", d)
 	}
@@ -144,7 +145,7 @@ func TestRendezvousBlocksOnDeadReceiverUntilRevive(t *testing.T) {
 	f.Kill(1)
 	done := make(chan error, 1)
 	go func() {
-		done <- f.Send(appEnv(0, 1, 1, "x"), SendOpts{Rendezvous: true})
+		done <- f.Send(appEnv(0, 1, 1, "x"), transport.SendOpts{Rendezvous: true})
 	}()
 	select {
 	case err := <-done:
@@ -172,13 +173,13 @@ func TestSendAbort(t *testing.T) {
 	abort := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- f.Send(appEnv(0, 1, 1, "x"), SendOpts{Rendezvous: true, Abort: abort})
+		done <- f.Send(appEnv(0, 1, 1, "x"), transport.SendOpts{Rendezvous: true, Abort: abort})
 	}()
 	time.Sleep(10 * time.Millisecond)
 	close(abort)
 	select {
 	case err := <-done:
-		if err != ErrAborted {
+		if err != transport.ErrAborted {
 			t.Fatalf("err = %v, want ErrAborted", err)
 		}
 	case <-time.After(10 * time.Second):
@@ -188,7 +189,7 @@ func TestSendAbort(t *testing.T) {
 
 func TestKillDropsInboxAndUnblocksReceivers(t *testing.T) {
 	f := newTestFabric(t, 2, Config{})
-	mustSend(t, f, appEnv(0, 1, 1, "lost"), SendOpts{Rendezvous: true})
+	mustSend(t, f, appEnv(0, 1, 1, "lost"), transport.SendOpts{Rendezvous: true})
 	// The message is now in rank 1's inbox. Kill drops it.
 	recvErr := make(chan bool, 1)
 	go func() {
@@ -211,7 +212,7 @@ func TestKillDropsInboxAndUnblocksReceivers(t *testing.T) {
 	}
 	// After revival, the dropped message must not reappear.
 	f.Revive(1)
-	mustSend(t, f, appEnv(0, 1, 2, "fresh"), SendOpts{})
+	mustSend(t, f, appEnv(0, 1, 2, "fresh"), transport.SendOpts{})
 	got := recvOne(t, f, 1)
 	if string(got.Payload) != "fresh" {
 		t.Fatalf("dropped message reappeared: %+v", got)
@@ -220,7 +221,7 @@ func TestKillDropsInboxAndUnblocksReceivers(t *testing.T) {
 
 func TestInFlightToDeadRankParksAndDelivers(t *testing.T) {
 	f := newTestFabric(t, 2, Config{BaseLatency: 30 * time.Millisecond})
-	mustSend(t, f, appEnv(0, 1, 1, "parked"), SendOpts{})
+	mustSend(t, f, appEnv(0, 1, 1, "parked"), transport.SendOpts{})
 	f.Kill(1) // message still in transit
 	time.Sleep(60 * time.Millisecond)
 	f.Revive(1)
@@ -238,10 +239,10 @@ func TestLinkBufferBackpressure(t *testing.T) {
 	big := make([]byte, 256)
 	// First send occupies the link (oversized messages are admitted when
 	// the buffer is empty).
-	mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Payload: big}, SendOpts{})
+	mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 1, Payload: big}, transport.SendOpts{})
 	done := make(chan error, 1)
 	go func() {
-		done <- f.Send(&wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 2, Payload: big}, SendOpts{})
+		done <- f.Send(&wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: 2, Payload: big}, transport.SendOpts{})
 	}()
 	select {
 	case <-done:
@@ -296,7 +297,7 @@ func TestCloseUnblocksEverything(t *testing.T) {
 	f.Kill(1)
 	go func() {
 		defer wg.Done()
-		f.Send(appEnv(0, 1, 1, "x"), SendOpts{Rendezvous: true})
+		f.Send(appEnv(0, 1, 1, "x"), transport.SendOpts{Rendezvous: true})
 	}()
 	time.Sleep(10 * time.Millisecond)
 	f.Close()
@@ -322,7 +323,7 @@ func TestManyRanksAllPairs(t *testing.T) {
 					continue
 				}
 				for k := int64(1); k <= 5; k++ {
-					if err := f.Send(appEnv(from, to, k, "m"), SendOpts{}); err != nil {
+					if err := f.Send(appEnv(from, to, k, "m"), transport.SendOpts{}); err != nil {
 						t.Errorf("send %d->%d: %v", from, to, err)
 						return
 					}
@@ -362,7 +363,7 @@ func TestManyRanksAllPairs(t *testing.T) {
 
 func TestSelfSend(t *testing.T) {
 	f := newTestFabric(t, 2, Config{})
-	mustSend(t, f, appEnv(0, 0, 1, "self"), SendOpts{})
+	mustSend(t, f, appEnv(0, 0, 1, "self"), transport.SendOpts{})
 	got := recvOne(t, f, 0)
 	if string(got.Payload) != "self" {
 		t.Fatalf("self send failed: %+v", got)
@@ -371,10 +372,10 @@ func TestSelfSend(t *testing.T) {
 
 func TestBadEndpointsRejected(t *testing.T) {
 	f := newTestFabric(t, 2, Config{})
-	if err := f.Send(appEnv(0, 5, 1, "x"), SendOpts{}); err == nil {
+	if err := f.Send(appEnv(0, 5, 1, "x"), transport.SendOpts{}); err == nil {
 		t.Fatal("out-of-range destination accepted")
 	}
-	if err := f.Send(appEnv(-1, 1, 1, "x"), SendOpts{}); err == nil {
+	if err := f.Send(appEnv(-1, 1, 1, "x"), transport.SendOpts{}); err == nil {
 		t.Fatal("negative source accepted")
 	}
 }
@@ -385,6 +386,32 @@ func ringBytes(f *Fabric, from, to int) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return cap(l.ring.buf)
+}
+
+// TestInstantSendDeliversInline: on an instant fabric a buffered Send to
+// a live destination over an idle link delivers before it returns and
+// never touches the link's encode memory; toward a stalled destination
+// the same Send takes the queued path and parks.
+func TestInstantSendDeliversInline(t *testing.T) {
+	f := newTestFabric(t, 2, Config{})
+	for i := int64(1); i <= 64; i++ {
+		mustSend(t, f, appEnv(0, 1, i, "inline"), transport.SendOpts{})
+		if got := recvOne(t, f, 1); got.SendIndex != i {
+			t.Fatalf("got index %d, want %d", got.SendIndex, i)
+		}
+	}
+	if n := ringBytes(f, 0, 1); n != 0 {
+		t.Fatalf("inline sends claimed %d bytes of encode memory", n)
+	}
+	f.Stall(1)
+	mustSend(t, f, appEnv(0, 1, 65, "queued"), transport.SendOpts{})
+	if ringBytes(f, 0, 1) == 0 || f.InFlight() != 1 {
+		t.Fatalf("send to a stalled rank: ring %d bytes, %d in flight; want it queued", ringBytes(f, 0, 1), f.InFlight())
+	}
+	f.Unstall(1)
+	if got := recvOne(t, f, 1); got.SendIndex != 65 {
+		t.Fatalf("after the stall: got index %d, want 65", got.SendIndex)
+	}
 }
 
 // TestQueuedPathFIFOAndBoundedMemory drives 10⁵ sustained sends of mixed
@@ -425,7 +452,7 @@ func TestQueuedPathFIFOAndBoundedMemory(t *testing.T) {
 	for i := int64(1); i <= msgs; i++ {
 		p := payload[:size(i)]
 		p[0], p[len(p)-1] = byte(i), byte(i>>8)
-		mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: i, Payload: p}, SendOpts{})
+		mustSend(t, f, &wire.Envelope{Kind: wire.KindApp, From: 0, To: 1, SendIndex: i, Payload: p}, transport.SendOpts{})
 		if i%64 == 0 {
 			peak = max(peak, ringBytes(f, 0, 1))
 		}
@@ -454,17 +481,17 @@ func TestQueuedPathKillParksInFIFOOrder(t *testing.T) {
 	const msgs = 400
 	f := newTestFabric(t, 2, Config{BaseLatency: 50 * time.Microsecond, LinkBufferBytes: 64 << 10})
 	for i := int64(1); i <= msgs/2; i++ {
-		mustSend(t, f, appEnv(0, 1, i, "backlog"), SendOpts{})
+		mustSend(t, f, appEnv(0, 1, i, "backlog"), transport.SendOpts{})
 	}
 	for i := 0; i < 10; i++ {
 		recvOne(t, f, 1)
 	}
 	f.Kill(1)
 	for i := int64(msgs/2 + 1); i < msgs; i++ {
-		mustSend(t, f, appEnv(0, 1, i, "dead window"), SendOpts{})
+		mustSend(t, f, appEnv(0, 1, i, "dead window"), transport.SendOpts{})
 	}
 	done := make(chan error, 1)
-	go func() { done <- f.Send(appEnv(0, 1, msgs, "rendezvous"), SendOpts{Rendezvous: true}) }()
+	go func() { done <- f.Send(appEnv(0, 1, msgs, "rendezvous"), transport.SendOpts{Rendezvous: true}) }()
 	select {
 	case err := <-done:
 		t.Fatalf("rendezvous to a dead rank returned before revival: %v", err)

@@ -24,7 +24,6 @@ import (
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/transport"
-	"windar/internal/transport/mem"
 	"windar/internal/transport/tcp"
 	"windar/internal/wire"
 	"windar/layer"
@@ -471,7 +470,7 @@ var _ io.Reader = (*loopReader)(nil)
 // probeTCPHop measures one message crossing the socket path, per
 // message: bursts of 16 flood-shaped envelopes go rank 0 → rank 1 over a
 // loopback tcp transport the way the harness sends and receives them
-// (TrySend, Send when refused; RecvBatch; Recycle). The budget is zero:
+// (a buffered Send; RecvBatch; Recycle). The budget is zero:
 // the chunk, the read buffer and the envelope are reused, and the
 // payload the receiver keeps is cut from the connection's arena (see
 // wire.DecodeInto).
@@ -487,13 +486,12 @@ func probeTCPHop() float64 {
 // probeMemHop is probeTCPHop over the instant mem fabric: the inline
 // delivery's deep copy (wire.CopyIntoArena into the link's arena).
 func probeMemHop() float64 {
-	tr := mem.New(fabric.Config{N: 2})
+	tr := fabric.New(fabric.Config{N: 2})
 	defer tr.Close()
 	return hopAllocs(tr)
 }
 
 func hopAllocs(tr transport.Transport) float64 {
-	inline := tr.(transport.InlineSender)
 	in := tr.Inbox(1).(transport.BatchInbox)
 	const burst = 16
 	buf := make([]*wire.Envelope, 0, 64)
@@ -505,10 +503,8 @@ func hopAllocs(tr transport.Transport) float64 {
 			env := wire.GetEnvelope()
 			env.Kind, env.From, env.To, env.SendIndex = wire.KindApp, 0, 1, idx
 			env.Piggyback, env.Payload = pig, payload
-			if !inline.TrySend(env) {
-				if err := tr.Send(env, transport.SendOpts{}); err != nil {
-					panic(err)
-				}
+			if err := tr.Send(env, transport.SendOpts{}); err != nil {
+				panic(err)
 			}
 			wire.Recycle(env)
 		}
@@ -536,7 +532,7 @@ func hopAllocs(tr transport.Transport) float64 {
 func probeFabricQueuedHop() float64 {
 	f := fabric.New(fabric.Config{N: 2})
 	defer f.Close()
-	in := f.Inbox(1)
+	in := f.Inbox(1).(transport.BatchInbox)
 	const burst = 16
 	buf := make([]*wire.Envelope, 0, 64)
 	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
@@ -548,7 +544,7 @@ func probeFabricQueuedHop() float64 {
 			env := wire.GetEnvelope()
 			env.Kind, env.From, env.To, env.SendIndex = wire.KindApp, 0, 1, idx
 			env.Piggyback, env.Payload = pig, payload
-			if err := f.Send(env, fabric.SendOpts{}); err != nil {
+			if err := f.Send(env, transport.SendOpts{}); err != nil {
 				panic(err)
 			}
 			wire.Recycle(env)

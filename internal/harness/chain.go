@@ -2,7 +2,6 @@ package harness
 
 import (
 	"windar/internal/proto"
-	"windar/internal/wire"
 	"windar/layer"
 )
 
@@ -24,15 +23,16 @@ import (
 //	user layers   – Config.Interceptors, in order
 //	coreHandler   – sender-log append + suppression; the application sink
 //
-// A None rank's chain has no protoHandler, and bareHandler stands in for
-// coreHandler: nothing is piggybacked or logged.
+// A None rank's chain has no protoHandler and ends in layer.Nop in place
+// of coreHandler: nothing is piggybacked or logged, and the transport
+// copies the application's payload before Send returns.
 
 // buildChain assembles r's handler chain around the user interceptors.
 func (r *rankRuntime) buildChain(user []layer.Interceptor) layer.Handler {
 	none := r.c.cfg.Protocol == None
 	var h layer.Handler = coreHandler{r: r}
 	if none {
-		h = bareHandler{arena: new(wire.Arena)}
+		h = layer.Nop{}
 	}
 	h = layer.Chain(h, user...)
 	h = reportHandler{r: r, tracing: r.c.cfg.SpanTracing, next: h}

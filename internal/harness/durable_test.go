@@ -10,7 +10,6 @@ import (
 	"windar/internal/proto"
 	"windar/internal/stable"
 	"windar/internal/trace"
-	"windar/internal/vclock"
 	"windar/layer"
 )
 
@@ -141,10 +140,10 @@ func TestStartFromStableFreshDir(t *testing.T) {
 }
 
 // TestDurableLogsBoundStore is the release soak: with DurableLogs on,
-// what the stable store holds (mirrored sender-log items, TEL
-// determinants, checkpoint blobs) must stay bounded by the checkpoint
-// interval — log release must truncate the slog/ streams and delete the
-// tel/ keys — rather than grow with run length. The store is measured
+// what the stable store holds (mirrored sender-log items and checkpoint
+// blobs) must stay bounded by the checkpoint interval — log release must
+// truncate the slog/ streams — rather than grow with run length, under
+// TDI and under TEL. The store is measured
 // once every release the final checkpoints owe has landed (see
 // settleReleases), so the bound does not depend on how many
 // CHECKPOINT_ADVANCEs were still in flight when Wait returned.
@@ -199,8 +198,7 @@ func TestDurableLogsBoundStore(t *testing.T) {
 // checkpoint is durable and every channel's slog/ stream is truncated to
 // what its destination's newest checkpoint covers — the last step of
 // handling a CHECKPOINT_ADVANCE, after the log release and the protocol's
-// pruning — and then until the TEL event logger has served every request
-// queued before, so no determinant lands after the count.
+// pruning.
 func settleReleases(t *testing.T, c *Cluster) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second) //windar:allow directclock — test deadline
@@ -209,11 +207,6 @@ func settleReleases(t *testing.T, c *Cluster) {
 			t.Fatal("checkpoint releases never settled")
 		}
 		time.Sleep(time.Millisecond) //windar:allow directclock — polling interval
-	}
-	if c.telLog != nil {
-		served := make(chan struct{})
-		c.telLog.LogAsync(nil, func(vclock.Vec) { close(served) })
-		<-served
 	}
 }
 

@@ -6,9 +6,11 @@
 //
 // Per rank it owns:
 //
-//   - queue A and a sender goroutine (non-blocking mode), or direct
-//     rendezvous sends (blocking mode) — the two communication
-//     architectures Fig. 8 compares;
+//   - the application goroutine's sends, buffered (non-blocking mode)
+//     or rendezvous (blocking mode) — the two communication
+//     architectures Fig. 8 compares. The transport's bounded per-link
+//     buffer is queue A: a buffered send returns once the link owns the
+//     frame and waits only while the link is full;
 //   - queue B (the receiving queue) and a receiver goroutine, plus the
 //     delivery manager that enforces duplicate suppression, per-channel
 //     FIFO order, and the protocol's delivery predicate (Algorithm 1
@@ -43,7 +45,6 @@ import (
 	"windar/internal/tag"
 	"windar/internal/tel"
 	"windar/internal/transport"
-	"windar/internal/transport/mem"
 	"windar/internal/transport/tcp"
 	"windar/layer"
 )
@@ -68,9 +69,10 @@ const (
 type Mode int
 
 const (
-	// NonBlocking is Fig. 4(b): sends are buffered in queue A and
-	// transmitted by a dedicated goroutine; the application never blocks
-	// on a peer's failure.
+	// NonBlocking is Fig. 4(b): sends are buffered in the transport's
+	// bounded per-link buffer (queue A) and transmitted by the link; the
+	// application never blocks on a peer's failure, only while its link
+	// to the peer already holds LinkBufferBytes.
 	NonBlocking Mode = iota
 	// Blocking is Fig. 4(a): the application thread performs rendezvous
 	// sends directly and stalls while the destination is dead or the
@@ -190,11 +192,10 @@ type Config struct {
 	Stable stable.Backend
 	// DurableLogs mirrors every sender-log append into the stable store,
 	// one slog/ stream per channel (truncated when CHECKPOINT_ADVANCE
-	// releases items) and, under TEL, every event-logger determinant
-	// under a tel/ key (deleted when the logger prunes). Checkpoints then
-	// become incremental: the blob omits the sender log (LogExternal) and
-	// recovery rebuilds it from the streams, so the checkpoint write is
-	// O(app state) instead of O(app state + retained log).
+	// releases items). Checkpoints then become incremental: the blob
+	// omits the sender log (LogExternal) and recovery rebuilds it from the
+	// streams, so the checkpoint write is O(app state) instead of
+	// O(app state + retained log).
 	DurableLogs bool
 	// Clock defaults to the real clock.
 	Clock clock.Clock
@@ -223,19 +224,14 @@ type Config struct {
 // Cluster is one n-rank run: transport, stable storage, protocol instances,
 // rank runtimes and the failure controller.
 type Cluster struct {
-	cfg Config
-	clk clock.Clock
-	tr  transport.Transport
-	// trInline is tr's InlineSender capability, nil when absent. The
-	// transmit path feature-tests it to hand a send the transport can
-	// accept without blocking straight to the link, without waking the
-	// sender goroutine.
-	trInline transport.InlineSender
-	store    stable.Backend
-	ckpts    *ckpt.Manager
-	coll     *metrics.Collector
-	telLog   *tel.Logger
-	factory  app.Factory
+	cfg     Config
+	clk     clock.Clock
+	tr      transport.Transport
+	store   stable.Backend
+	ckpts   *ckpt.Manager
+	coll    *metrics.Collector
+	telLog  *tel.Logger
+	factory app.Factory
 
 	// ckptPolicy is the resolved checkpoint policy (Config.CheckpointPolicy,
 	// or EveryKSteps derived from CheckpointEvery; nil disables periodic
@@ -320,7 +316,6 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 		ranks:   make([]*rankRuntime, cfg.N),
 		closed:  make(chan struct{}),
 	}
-	c.trInline, _ = tr.(transport.InlineSender)
 	c.ckptPolicy = cfg.CheckpointPolicy
 	if c.ckptPolicy == nil && cfg.CheckpointEvery > 0 {
 		c.ckptPolicy = layer.EveryKSteps(cfg.CheckpointEvery)
@@ -331,7 +326,7 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	c.recvBatchFam = cfg.Obs.Family("recv_batch_envelopes",
 		"Envelopes drained from the transport inbox per receiver wakeup.", "envelopes")
 	c.ckptStallFam = cfg.Obs.Family("ckpt_stall_ns",
-		"Time the application is blocked by a checkpoint (send drain + snapshot); the durable write and CHECKPOINT_ADVANCE fan-out run off the critical path.", "ns")
+		"Time the application is blocked by a checkpoint (the snapshot); the durable write and CHECKPOINT_ADVANCE fan-out run off the critical path.", "ns")
 	c.phaseFam = make(map[string]*obs.Family, len(RecoveryPhases))
 	for _, phase := range RecoveryPhases {
 		c.phaseFam[phase] = cfg.Obs.Family(PhaseFamilyName(phase),
@@ -353,11 +348,6 @@ func NewCluster(cfg Config, factory app.Factory) (*Cluster, error) {
 	c.waitCh = make(chan struct{}, 1)
 	if cfg.Protocol == TEL {
 		c.telLog = tel.NewLogger(cfg.N, cfg.Clock, cfg.EventLoggerLatency)
-		if c.durableLogs {
-			// Mirror determinants into the stable keyspace so the event
-			// log's durable footprint is bounded by the logger's pruning.
-			c.telLog.AttachStore(c.store)
-		}
 	}
 	// Observers that record run metadata (trace.Recorder) learn which
 	// transport carried the run without the harness importing them.
@@ -378,7 +368,7 @@ func newTransport(cfg Config) (transport.Transport, error) {
 		fcfg.N = cfg.N
 		fcfg.Clock = cfg.Clock
 		fcfg.Batch = batchFam
-		return mem.New(fcfg), nil
+		return fabric.New(fcfg), nil
 	case transport.TCP:
 		return tcp.New(tcp.Config{
 			N:               cfg.N,

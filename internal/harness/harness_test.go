@@ -494,23 +494,28 @@ func TestModeString(t *testing.T) {
 }
 
 // TestCloseStopsEveryGoroutine: once Close returns, every goroutine the
-// cluster started is gone — the receiver, sender and checkpoint-writer
-// loops of every incarnation, the stall watchdog, the mem fabric's link
-// loops, and on tcp the accept, serve, link and connection-watch loops —
-// across a kill and a recovery.
+// cluster started is gone — the receiver and checkpoint-writer loops of
+// every incarnation, the stall watchdog, the mem fabric's link loops, on
+// tcp the accept, serve, link and connection-watch loops, and under TEL
+// the event logger's server — across a kill and a recovery.
 // Goroutines that predate NewCluster (other tests' leftovers) are told
 // apart by id.
 func TestCloseStopsEveryGoroutine(t *testing.T) {
-	loops := map[transport.Kind][]string{
-		transport.Mem: {"receiverLoop", "senderLoop", "ckptWriterLoop", "stallWatchdog", "fabric.(*link).run"},
-		transport.TCP: {"receiverLoop", "senderLoop", "ckptWriterLoop", "stallWatchdog",
-			"acceptLoop", "serveConn", "tcp.(*link).run", "tcp.(*link).watch"},
-	}
-	for _, tr := range []transport.Kind{transport.Mem, transport.TCP} {
-		t.Run(tr, func(t *testing.T) {
+	rank := []string{"receiverLoop", "ckptWriterLoop", "stallWatchdog"}
+	for _, cell := range []struct {
+		name  string
+		tr    transport.Kind
+		p     ProtocolKind
+		loops []string
+	}{
+		{"mem", transport.Mem, TDI, append(rank, "fabric.(*link).run")},
+		{"tcp", transport.TCP, TDI, append(rank, "acceptLoop", "serveConn", "tcp.(*link).run", "tcp.(*link).watch")},
+		{"tel", transport.Mem, TEL, append(rank, "fabric.(*link).run", "tel.(*Logger).serve")},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
 			before := goroutines()
-			cfg := testConfig(3, TDI)
-			cfg.Transport, cfg.Mode = tr, NonBlocking
+			cfg := testConfig(3, cell.p)
+			cfg.Transport, cfg.Mode = cell.tr, NonBlocking
 			c, err := NewCluster(cfg, ringFactory(400))
 			if err != nil {
 				t.Fatal(err)
@@ -531,7 +536,7 @@ func TestCloseStopsEveryGoroutine(t *testing.T) {
 			for _, g := range goroutines() {
 				running.WriteString(g)
 			}
-			for _, fn := range loops[tr] {
+			for _, fn := range cell.loops {
 				if !strings.Contains(running.String(), fn) {
 					t.Errorf("no %s goroutine while the cluster runs", fn)
 				}

@@ -60,9 +60,8 @@ type rankRuntime struct {
 	// pushed through the chain (valid until the next Send).
 	sendSuppressed bool
 	// sendEnv is the envelope every Send hands the transport: both
-	// transports encode or copy it before Send or TrySend returns, so it
-	// is reused; only a message that must wait in queue A takes a pooled
-	// copy. Touched only by the app goroutine.
+	// transports encode or copy it before Send returns, so it is reused.
+	// Touched only by the app goroutine.
 	sendEnv wire.Envelope
 	// tally holds this incarnation's per-message counters until the app
 	// goroutine publishes them — before Recv parks, at each step
@@ -131,7 +130,7 @@ type rankRuntime struct {
 	// observability is off; checked before taking the extra clock read).
 	deliverLat *obs.Hist
 	// ckptStall records how long each checkpoint blocked the application
-	// (send drain + snapshot; the durable write runs concurrently).
+	// (the snapshot; the durable write runs concurrently).
 	ckptStall *obs.Hist
 
 	// Concurrent checkpointing: doCheckpoint stages the snapshot
@@ -152,17 +151,6 @@ type rankRuntime struct {
 	advEnv wire.Envelope
 	advBuf []byte
 
-	// Queue A (non-blocking mode). owed counts the messages queued or
-	// mid-hand-off to the transport: only the app goroutine raises it and
-	// senderLoop lowers it after each hand-off, so a zero the app reads
-	// stays zero until the app queues again — the inline path's FIFO check
-	// costs one atomic load and no lock. sendMu and sendCond serve the
-	// queued path and drainSends.
-	owed     atomic.Int32
-	sendMu   sync.Mutex
-	sendCond *sync.Cond
-	sendQ    []*wire.Envelope
-
 	// dead is set by kill just before it closes killed: isKilled, asked
 	// on every Send and Recv, is one atomic load. killed serves the
 	// select-based waits and aborts a blocked transport send.
@@ -170,8 +158,8 @@ type rankRuntime struct {
 	killed   chan struct{}
 	killOnce sync.Once
 	// senders counts this incarnation's goroutines that hand envelopes to
-	// the transport — receiver (RESPONSEs, resends), sender loop and
-	// application. restore and Close wait it out (see there).
+	// the transport — receiver (RESPONSEs, resends) and application.
+	// restore and Close wait it out (see there).
 	senders sync.WaitGroup
 
 	theApp    app.App
@@ -327,7 +315,6 @@ func (c *Cluster) newRuntime(rank int, incarnation int32) (*rankRuntime, error) 
 		r.lastPigErrIdx[i] = -1
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.sendCond = sync.NewCond(&r.sendMu)
 	r.ckptCond = sync.NewCond(&r.ckptMu)
 	p, err := c.newProtocol(r)
 	if err != nil {
@@ -353,10 +340,6 @@ func (r *rankRuntime) start(fromStep int) {
 	// Pin the inbox handle synchronously so this incarnation's receiver
 	// can never attach to a successor's queue.
 	go r.receiverLoop(r.c.tr.Inbox(r.id).(transport.BatchInbox))
-	if r.c.cfg.Mode == NonBlocking {
-		r.senders.Add(1)
-		go r.senderLoop()
-	}
 	r.c.ckptWG.Add(1)
 	go r.ckptWriterLoop()
 	if r.rollback != nil {
@@ -373,9 +356,6 @@ func (r *rankRuntime) kill() {
 		r.mu.Lock()
 		r.cond.Broadcast()
 		r.mu.Unlock()
-		r.sendMu.Lock()
-		r.sendCond.Broadcast()
-		r.sendMu.Unlock()
 		r.ckptMu.Lock()
 		r.ckptCond.Broadcast()
 		r.ckptMu.Unlock()
@@ -474,92 +454,24 @@ func (r *rankRuntime) Send(dest int, tag int32, data []byte) {
 	r.transmit(env)
 }
 
-// transmit hands the app goroutine's scratch envelope to the transport
-// according to the configured mode.
+// transmit hands the app goroutine's scratch envelope to the transport:
+// a rendezvous Send in blocking mode, a buffered one otherwise. The
+// buffered Send is queue A of Fig. 4(b) — it returns once the link owns
+// the frame, which survives this rank's kill, and waits only while the
+// link already holds its bound. Either wait aborts when the rank is
+// killed. No envelope outlives the call, and per-link FIFO holds because
+// the app goroutine is the only sender of application messages.
 func (r *rankRuntime) transmit(env *wire.Envelope) {
-	if r.c.cfg.Mode == Blocking {
-		start := r.c.clk.Now()
-		err := r.c.tr.Send(env, transportSendOpts(true, r.killed))
+	blocking := r.c.cfg.Mode == Blocking
+	var start time.Time
+	if blocking {
+		start = r.c.clk.Now()
+	}
+	err := r.c.tr.Send(env, transportSendOpts(blocking, r.killed))
+	if blocking {
 		r.c.coll.Rank(r.id).BlockedSend(r.c.clk.Now().Sub(start))
-		if err != nil {
-			panic(killedPanic{})
-		}
-		return
 	}
-	// Inline fast path: when nothing is owed to queue A, a TrySend the
-	// transport accepts (a buffered Send that did not have to block)
-	// skips the queue hand-off entirely — the link owns the frame, as
-	// after senderLoop's Send, which is all drainSends relies on. FIFO
-	// holds because owed only rises here: once one send is queued, every
-	// later send sees owed > 0 and queues behind it until senderLoop has
-	// handed the last of them to the transport.
-	if r.c.trInline != nil && r.owed.Load() == 0 && r.c.trInline.TrySend(env) {
-		return
-	}
-	// Pooled: senderLoop recycles it after the hand-off. Recycle leaves
-	// the logged slices it shares untouched — it only drops references.
-	q := wire.GetEnvelope()
-	q.Kind, q.From, q.To = env.Kind, env.From, env.To
-	q.Incarnation, q.Tag, q.SendIndex = env.Incarnation, env.Tag, env.SendIndex
-	q.Piggyback, q.Payload, q.Span = env.Piggyback, env.Payload, env.Span
-	r.owed.Add(1)
-	r.sendMu.Lock()
-	r.sendQ = append(r.sendQ, q)
-	// Broadcast, not Signal: both the sender loop and a checkpoint
-	// draining queue A may be waiting on this condition.
-	r.sendCond.Broadcast()
-	r.sendMu.Unlock()
-}
-
-// senderLoop drains queue A (non-blocking mode).
-func (r *rankRuntime) senderLoop() {
-	defer r.senders.Done()
-	for {
-		r.sendMu.Lock()
-		for len(r.sendQ) == 0 {
-			if r.isKilled() {
-				r.sendMu.Unlock()
-				return
-			}
-			r.sendCond.Wait()
-		}
-		env := r.sendQ[0]
-		r.sendQ = r.sendQ[1:]
-		r.sendMu.Unlock()
-
-		err := r.c.tr.Send(env, transportSendOpts(false, r.killed))
-		// Both transports encode synchronously inside Send, so the
-		// envelope is free for reuse here even when the send aborted.
-		wire.Recycle(env)
-
-		// Lowered before the broadcast, under whose lock drainSends
-		// re-reads it.
-		r.owed.Add(-1)
-		r.sendMu.Lock()
-		r.sendCond.Broadcast()
-		r.sendMu.Unlock()
-		if err != nil {
-			return
-		}
-	}
-}
-
-// drainSends blocks until queue A is empty and no message is mid-hand-off
-// to the transport. A checkpoint must not record log items for messages that
-// were never physically transmitted: if the rank then died, replay would
-// resume past the send and nothing would ever retransmit it. Draining
-// before the snapshot guarantees every checkpointed log item was on the
-// wire.
-func (r *rankRuntime) drainSends() {
-	if r.c.cfg.Mode != NonBlocking {
-		return
-	}
-	r.sendMu.Lock()
-	for r.owed.Load() > 0 && !r.isKilled() {
-		r.sendCond.Wait()
-	}
-	r.sendMu.Unlock()
-	if r.isKilled() {
+	if err != nil {
 		panic(killedPanic{})
 	}
 }
@@ -827,18 +739,18 @@ func (r *rankRuntime) insertShard(env *wire.Envelope) bool {
 
 // doCheckpoint snapshots the rank and queues the durable write
 // (Algorithm 1 lines 32-37). Runs on the app goroutine at a step
-// boundary, but only the drain + snapshot happens here: the snapshot is
-// staged with the checkpoint manager (a same-process recovery restores
-// it immediately) and the Save plus CHECKPOINT_ADVANCE fan-out run on
-// the rank's checkpoint writer goroutine, so delivery never stalls on
-// stable storage. The time the application *was* blocked is recorded in
+// boundary, but only the snapshot happens here: it is staged with the
+// checkpoint manager (a same-process recovery restores it immediately)
+// and the Save plus CHECKPOINT_ADVANCE fan-out run on the rank's
+// checkpoint writer goroutine, so delivery never stalls on stable
+// storage. Every log item the snapshot records is already on the wire:
+// the app goroutine's sends returned only once their links owned them. The time the application *was* blocked is recorded in
 // the ckpt_stall_ns family — the concurrent-checkpointing figure.
 func (r *rankRuntime) doCheckpoint(step int) {
 	start := r.c.clk.Now()
-	// Published before the drain may park, and so before the chain's
-	// checkpoint report below: observers of a checkpoint see exact counts.
+	// Published before the chain's checkpoint report below: observers of
+	// a checkpoint see exact counts.
 	r.tally.Publish()
-	r.drainSends()
 	r.mu.Lock()
 	// Stage and report in one critical section, behind the kill check:
 	// Kill marks the rank dead before it takes this lock, and Recover

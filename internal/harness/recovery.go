@@ -108,8 +108,8 @@ func (c *Cluster) restore(dead []int) error {
 				return fmt.Errorf("harness: rank %d is still alive", rank)
 			}
 			// The dead incarnation may still be inside a send it began
-			// before the kill, and its sender loop and resends may still
-			// be draining into links that have room. Wait them all out:
+			// before the kill, and its resends may still be draining
+			// into links that have room. Wait them all out:
 			// its last durable-log append must not land behind this
 			// incarnation's rewind, and nothing it sends may follow this
 			// incarnation's ROLLBACK, which a peer's resync floor

@@ -653,6 +653,15 @@ func (d *Disk) committer() {
 			return
 		case <-d.kick:
 		}
+		d.gmu.Lock()
+		owed := d.requested > d.committed
+		d.gmu.Unlock()
+		if !owed {
+			// The round that ran when this kick was sent covered its
+			// barrier: none is owed, so a committer that owes nothing
+			// is idle exactly when requested == committed.
+			continue
+		}
 		if d.interval > 0 {
 			d.timer.Reset(d.interval) // the previous round drained it
 			select {

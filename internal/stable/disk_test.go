@@ -444,15 +444,34 @@ func TestDiskGroupCommitBatchesFsyncs(t *testing.T) {
 		t.Fatalf("group commit never batched: %d commits for 8 puts", c)
 	}
 	// Lazy writes wait for somebody else's barrier: they start no round.
-	time.Sleep(10 * time.Millisecond) // let a round the puts left queued run
+	waitIdle(t, d)
 	settled := d.Commits()
 	for i := 0; i < 100; i++ {
 		d.PutLazy("g/0/", []byte("entry"))
 		d.PutLazy("g/0/lazy", []byte("v"))
 	}
-	time.Sleep(10 * time.Millisecond)
+	waitIdle(t, d)
 	if c := d.Commits(); c != settled {
 		t.Fatalf("lazy writes woke the committer: %d rounds", c-settled)
+	}
+}
+
+// waitIdle waits until the committer owes no barrier a round: every
+// ticket taken so far is committed.
+func waitIdle(t *testing.T, d *Disk) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		d.gmu.Lock()
+		idle := d.requested == d.committed
+		d.gmu.Unlock()
+		if idle {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the committer never caught up with its barriers")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -13,14 +13,12 @@
 package tel
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"windar/internal/clock"
 	"windar/internal/determinant"
-	"windar/internal/stable"
 	"windar/internal/vclock"
 )
 
@@ -42,7 +40,6 @@ type Logger struct {
 	byReceiver map[int]map[int64]determinant.D // receiver -> deliverIndex -> det
 	stableUpTo vclock.Vec                      // contiguous stable prefix per receiver
 	logged     int64
-	store      stable.Backend // optional durable mirror, see AttachStore
 
 	reqMu   sync.Mutex
 	reqCond *sync.Cond
@@ -50,6 +47,7 @@ type Logger struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
+	served    chan struct{} // closed when serve returns
 }
 
 type logReq struct {
@@ -70,13 +68,15 @@ func NewLogger(n int, clk clock.Clock, latency time.Duration) *Logger {
 		byReceiver: make(map[int]map[int64]determinant.D),
 		stableUpTo: vclock.New(n),
 		closed:     make(chan struct{}),
+		served:     make(chan struct{}),
 	}
 	lg.reqCond = sync.NewCond(&lg.reqMu)
 	go lg.serve()
 	return lg
 }
 
-// Close aborts in-flight log requests (their acks never fire).
+// Close aborts in-flight log requests (their acks never fire) and returns
+// once the server goroutine has: no commit or ack follows it.
 func (lg *Logger) Close() {
 	lg.closeOnce.Do(func() {
 		close(lg.closed)
@@ -84,26 +84,7 @@ func (lg *Logger) Close() {
 		lg.reqCond.Broadcast()
 		lg.reqMu.Unlock()
 	})
-}
-
-// AttachStore mirrors every determinant the logger records into store
-// under tel/<receiver>/<deliverIndex>, deleting mirrored keys as Prune
-// releases them — so a durable backend's footprint for the event log
-// stays bounded by the live (unpruned) determinant set. The mirror rides
-// the backend's lazy append path, off the logger's modelled service
-// latency. Mirrored determinants are not reloaded on process restart
-// (TEL recovery across a full restart is out of scope); the mirror
-// exists to bound and account the durable footprint. Call before the cluster starts.
-func (lg *Logger) AttachStore(store stable.Backend) {
-	lg.mu.Lock()
-	lg.store = store
-	lg.mu.Unlock()
-}
-
-// telKey is the mirror key for one determinant. The fixed-width hex
-// index keeps lexicographic key order equal to delivery order.
-func telKey(receiver int, deliverIndex int64) string {
-	return fmt.Sprintf("tel/%03d/%016x", receiver, uint64(deliverIndex))
+	<-lg.served
 }
 
 // LogAsync enqueues ds for durable recording; once the single logger
@@ -123,6 +104,7 @@ func (lg *Logger) LogAsync(ds []determinant.D, ack func(stable vclock.Vec)) {
 
 // serve is the single-server loop.
 func (lg *Logger) serve() {
+	defer close(lg.served)
 	for {
 		lg.reqMu.Lock()
 		for len(lg.queue) == 0 {
@@ -176,11 +158,6 @@ func (lg *Logger) commit(ds []determinant.D) vclock.Vec {
 		if _, ok := m[d.DeliverIndex]; !ok {
 			m[d.DeliverIndex] = d
 			lg.logged++
-			if lg.store != nil {
-				if err := lg.store.PutLazy(telKey(d.Receiver, d.DeliverIndex), d.Append(nil)); err != nil {
-					panic(fmt.Sprintf("tel: mirror determinant: %v", err))
-				}
-			}
 		}
 	}
 	// Advance each touched receiver's contiguous prefix.
@@ -246,11 +223,6 @@ func (lg *Logger) Prune(receiver int, upto int64) {
 	for idx := range m {
 		if idx <= upto {
 			delete(m, idx)
-			if lg.store != nil {
-				if err := lg.store.Delete(telKey(receiver, idx)); err != nil {
-					panic(fmt.Sprintf("tel: release determinant: %v", err))
-				}
-			}
 		}
 	}
 	if receiver >= 0 && receiver < len(lg.stableUpTo) && lg.stableUpTo[receiver] < upto {

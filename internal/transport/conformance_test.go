@@ -680,39 +680,36 @@ func TestRecvBatchKillUnblocks(t *testing.T) {
 	})
 }
 
-// --- inline send ---
+// --- buffered send on an instant fabric ---
 
-// eachInline runs fn on the transports that implement InlineSender, the
-// mem fabric configured instant (the only model it sends inline on).
-func eachInline(t *testing.T, n int, fn func(t *testing.T, tr transport.Transport, in transport.InlineSender)) {
+// eachInstant runs fn on the mem fabric configured instant — zero latency
+// and infinite bandwidth, the only model on which its Send delivers
+// inline while the link is idle — and on tcp.
+func eachInstant(t *testing.T, n int, fn func(t *testing.T, tr transport.Transport)) {
 	t.Run("mem", func(t *testing.T) {
 		tr := mem.New(fabric.Config{N: n, Seed: 7})
 		defer tr.Close()
-		fn(t, tr, tr)
+		fn(t, tr)
 	})
-	t.Run("tcp", func(t *testing.T) {
-		tr := newTCP(t, n)
-		fn(t, tr, tr)
-	})
+	t.Run("tcp", func(t *testing.T) { fn(t, newTCP(t, n)) })
 }
 
-// TestInlineSendKeepsFIFO: a stream sent the way the harness sends —
-// TrySend first, Send when it is refused, and every third message by
-// Send outright — arrives in per-pair order with nothing lost, and the
-// inline path is actually taken.
+// TestInlineSendKeepsFIFO: a stream of buffered Sends whose destination
+// is stalled for 30 of every 100 messages arrives in per-pair order with
+// nothing lost. On the instant mem fabric the stream alternates the
+// inline path (an idle link) with the queued path (a link parked behind
+// the stall, then draining behind the unstall).
 func TestInlineSendKeepsFIFO(t *testing.T) {
-	eachInline(t, 2, func(t *testing.T, tr transport.Transport, in transport.InlineSender) {
+	eachInstant(t, 2, func(t *testing.T, tr transport.Transport) {
 		const count = 600
-		inline := 0
 		for i := 0; i < count; i++ {
-			if i%3 != 0 && in.TrySend(appEnv(0, 1, i)) {
-				inline++
-				continue
+			switch i % 100 {
+			case 50:
+				tr.Stall(1)
+			case 80:
+				tr.Unstall(1)
 			}
 			mustSend(t, tr, appEnv(0, 1, i), transport.SendOpts{})
-		}
-		if inline == 0 {
-			t.Fatal("TrySend never accepted a message on an idle link")
 		}
 		box := tr.Inbox(1)
 		for i := 0; i < count; i++ {
@@ -724,19 +721,15 @@ func TestInlineSendKeepsFIFO(t *testing.T) {
 	})
 }
 
-// TestInlineSendIsABufferedSend: what TrySend accepts has a buffered
-// Send's guarantees. The link owns the message — the sender's kill right
-// after does not take it back — and toward a dead or stalled destination
-// TrySend either refuses (the caller's Send then parks it) or parks it
-// itself; both ways it reaches the destination once it is revived or
-// unstalled. The mem fabric refuses, since it only delivers inline;
-// either way TrySend succeeds again once the destination is back and
-// the link has drained.
-func TestInlineSendIsABufferedSend(t *testing.T) {
-	eachInline(t, 2, func(t *testing.T, tr transport.Transport, in transport.InlineSender) {
-		if !in.TrySend(appEnv(0, 1, 0)) {
-			t.Fatal("TrySend refused on an idle link to a live rank")
-		}
+// TestBufferedSendOwnsTheFrame: once a buffered Send returns, the link
+// owns the message. The sender's kill right after does not take it back,
+// and toward a dead or stalled destination the message parks and reaches
+// the destination once it is revived or unstalled, ahead of the next
+// Send. On the instant mem fabric this races the inline path's lock-free
+// admission against each Kill, Revive, Stall and Unstall.
+func TestBufferedSendOwnsTheFrame(t *testing.T) {
+	eachInstant(t, 2, func(t *testing.T, tr transport.Transport) {
+		mustSend(t, tr, appEnv(0, 1, 0), transport.SendOpts{})
 		tr.Kill(0)
 		if env, ok := tr.Inbox(1).Recv(); !ok || env.SendIndex != 0 {
 			t.Fatalf("message accepted before the sender's kill not delivered: ok=%v env=%+v", ok, env)
@@ -749,21 +742,13 @@ func TestInlineSendIsABufferedSend(t *testing.T) {
 		}{{"dead", tr.Kill, tr.Revive}, {"stalled", tr.Stall, tr.Unstall}} {
 			idx := 1 + 2*i
 			c.stop(1)
-			accepted := in.TrySend(appEnv(0, 1, idx))
-			if accepted && tr.Kind() == transport.Mem {
-				t.Fatalf("TrySend delivered inline to a %s rank", c.down)
-			}
-			if !accepted {
-				mustSend(t, tr, appEnv(0, 1, idx), transport.SendOpts{})
-			}
+			mustSend(t, tr, appEnv(0, 1, idx), transport.SendOpts{})
 			if n := tr.InFlight(); n != 1 {
 				t.Fatalf("%d messages in flight toward the %s rank, want 1", n, c.down)
 			}
 			c.start(1)
 			waitDrained(t, tr)
-			if !in.TrySend(appEnv(0, 1, idx+1)) {
-				t.Fatalf("TrySend refused on an idle link once the %s rank was back", c.down)
-			}
+			mustSend(t, tr, appEnv(0, 1, idx+1), transport.SendOpts{})
 			box := tr.Inbox(1)
 			for want := idx; want <= idx+1; want++ {
 				if env, ok := box.Recv(); !ok || env.SendIndex != int64(want) {

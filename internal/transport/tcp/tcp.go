@@ -125,10 +125,7 @@ type Transport struct {
 	closed    chan struct{}
 }
 
-var (
-	_ transport.Transport    = (*Transport)(nil)
-	_ transport.InlineSender = (*Transport)(nil)
-)
+var _ transport.Transport = (*Transport)(nil)
 
 // New builds the transport: one loopback listener per rank, links
 // created eagerly but dialed lazily on first use.
@@ -247,24 +244,6 @@ func (t *Transport) Send(env *wire.Envelope, opts transport.SendOpts) error {
 		}
 	}
 	return nil
-}
-
-// TrySend implements transport.InlineSender as a buffered Send that
-// never blocks: false when the link's bounded buffer has no room (or the
-// endpoints are bad — Send reports that).
-func (t *Transport) TrySend(env *wire.Envelope) bool {
-	l := t.linkFor(env)
-	if l == nil {
-		return false
-	}
-	size := wire.FrameSize(env)
-	l.mu.Lock()
-	ok := l.hasRoomLocked(size)
-	if ok {
-		l.appendLocked(env, size)
-	}
-	l.mu.Unlock()
-	return ok
 }
 
 // Inbox implements transport.Transport.

@@ -63,6 +63,46 @@ func TestBoundedBufferBackpressure(t *testing.T) {
 	}
 }
 
+// TestTrySendFullBuffer: at a link holding data toward a dead rank, the
+// bound applies per frame — a send that would overflow LinkBufferBytes
+// waits, while one that still fits is admitted at once — and the
+// waiting send is ordered after the frames already accepted.
+func TestTrySendFullBuffer(t *testing.T) {
+	tr := newT(t, Config{N: 2, LinkBufferBytes: 4096})
+	tr.Kill(1)
+
+	send := func(env *wire.Envelope) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- tr.Send(env, transport.SendOpts{}) }()
+		return done
+	}
+	admitted := func(what string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked", what)
+		}
+	}
+	// An empty link admits a frame regardless of size, and 500 more
+	// bytes still fit; a second 3000-byte frame overflows the bound.
+	admitted("send on an empty link", send(sized(0, 3000)))
+	admitted("a frame that fits", send(sized(1, 500)))
+	done := send(sized(2, 3000))
+	select {
+	case err := <-done:
+		t.Fatalf("overflowing send returned early: %v", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	tr.Revive(1)
+	recvInOrder(t, tr.Inbox(1), 0, 2)
+	admitted("blocked send after revive", done)
+}
+
 // TestAbortUnblocksBufferedSend: a send blocked on the bounded buffer
 // observes its abort channel. As in the fabric, the abort channel is
 // the sending rank's own kill: it is polled at wakeups, and Kill
@@ -368,35 +408,6 @@ func TestFrameLargerThanChunk(t *testing.T) {
 		t.Fatalf("1 MiB frame did not round-trip: ok=%v index=%d len=%d", ok, env.SendIndex, len(env.Payload))
 	}
 	recvInOrder(t, in, 2, 2)
-}
-
-// TestTrySendFullBuffer: TrySend refuses at a full bounded buffer
-// instead of blocking, and the Send the caller falls back to is ordered
-// after the frames already accepted.
-func TestTrySendFullBuffer(t *testing.T) {
-	tr := newT(t, Config{N: 2, LinkBufferBytes: 4096})
-	tr.Kill(1)
-	if !tr.TrySend(sized(0, 3000)) {
-		t.Fatal("TrySend refused on an empty link")
-	}
-	if tr.TrySend(sized(1, 3000)) {
-		t.Fatal("TrySend accepted a frame past LinkBufferBytes")
-	}
-	if !tr.TrySend(sized(1, 500)) {
-		t.Fatal("TrySend refused a frame that fits")
-	}
-	done := make(chan error, 1)
-	go func() { done <- tr.Send(sized(2, 3000), transport.SendOpts{}) }()
-	select {
-	case err := <-done:
-		t.Fatalf("overflowing Send returned early: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	tr.Revive(1)
-	recvInOrder(t, tr.Inbox(1), 0, 2)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDecodeFramesReportsCorruption: the batch decoder tells a corrupt

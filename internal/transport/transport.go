@@ -97,14 +97,12 @@ type BatchInbox interface {
 	RecvBatch(buf []*wire.Envelope) ([]*wire.Envelope, bool)
 }
 
-// InlineSender is an optional Transport capability: a buffered send
-// that never blocks. TrySend returns true only when the envelope was
-// accepted now under the guarantees of a buffered Send (the link owns
-// the frame; it survives the sender's kill); on an instant fabric (the
-// in-memory one with zero latency and infinite bandwidth) acceptance is
-// also delivery. ok=false carries no verdict about the destination; the
-// caller falls back to Send, which owns the blocking, parking, and abort
-// semantics, and whose message is ordered after every accepted one.
+// InlineSender is a buffered send that never blocks: TrySend accepts env
+// now, with a buffered Send's guarantees, or not at all. No transport in
+// this repository implements it — a buffered Send already is that append,
+// and waits only at a full link buffer — and nothing in the module calls
+// it; the declaration remains because the repository benchmark's hop
+// probe feature-tests it before falling back to Send.
 type InlineSender interface {
 	// TrySend accepts env now or not at all.
 	TrySend(env *wire.Envelope) bool

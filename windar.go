@@ -85,8 +85,9 @@ const (
 type Mode int
 
 const (
-	// NonBlocking buffers sends in queue A with a dedicated sender
-	// goroutine (Fig. 4b).
+	// NonBlocking buffers sends in the transport's bounded per-link
+	// buffer, queue A of Fig. 4b: a send returns once the link owns the
+	// message and waits only while that link is full.
 	NonBlocking Mode = iota
 	// Blocking performs rendezvous sends from the application thread
 	// (Fig. 4a).
