@@ -6,7 +6,9 @@
 //	go run ./cmd/windar-lint -only directclock ./internal/...
 //
 // -list names each analyzer and what it enforces; -only runs the named
-// ones (comma-separated) instead of all.
+// ones (comma-separated) instead of all. The locks analyzer builds its
+// lock graph and function summaries over every package loaded, so a
+// narrower pattern can hide a cycle or a lock a callee returns holding.
 //
 // Exit status 1 when any diagnostic is reported, 2 on loading errors.
 // Suppress a single line with `//windar:allow <analyzer>` plus a

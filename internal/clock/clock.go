@@ -75,7 +75,7 @@ func (f *Fake) After(d time.Duration) <-chan time.Time {
 	defer f.mu.Unlock()
 	w := &fakeWaiter{deadline: f.now.Add(d), ch: make(chan time.Time, 1)}
 	if !w.deadline.After(f.now) {
-		w.ch <- f.now //windar:allow locksend (fresh 1-buffered channel, cannot block)
+		w.ch <- f.now //windar:allow locks (fresh 1-buffered channel, cannot block)
 		return w.ch
 	}
 	f.waiters = append(f.waiters, w)

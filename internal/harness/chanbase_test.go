@@ -196,13 +196,7 @@ func TestRestartResendsRelativePiggybacks(t *testing.T) {
 			if err := c2.StartFromStable(); err != nil {
 				t.Fatalf("StartFromStable: %v", err)
 			}
-			done := make(chan struct{})
-			go func() { c2.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatal("resumed cluster did not complete")
-			}
+			await(t, c2, "resumed cluster")
 			for rank := 0; rank < n; rank++ {
 				if got := c2.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 					t.Errorf("rank %d: resumed state %x, fault-free %x", rank, got, want[rank])

@@ -10,11 +10,6 @@ import (
 	"windar/internal/wire"
 )
 
-// transportSendOpts builds the send options used by harness transmissions.
-func transportSendOpts(rendezvous bool, abort <-chan struct{}) transport.SendOpts {
-	return transport.SendOpts{Rendezvous: rendezvous, Abort: abort}
-}
-
 // encodeRollback packs a ROLLBACK payload: the failed rank's checkpointed
 // delivered count and last_deliver_index vector (Algorithm 1 line 46),
 // and its restored last_send_index vector, the send frontier above which
@@ -236,7 +231,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 		Incarnation: r.incarnation,
 		Payload:     encodeResponse(ans),
 	}
-	if err := r.c.tr.Send(resp, transportSendOpts(false, r.killed)); err != nil {
+	if err := r.c.tr.Send(resp, transport.SendOpts{Abort: r.killed}); err != nil {
 		return
 	}
 	m.ControlMsg()
@@ -253,7 +248,7 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 			// send replayed, not a new causal event.
 			Piggyback: it.Piggyback, Payload: it.Payload, Span: it.Span,
 		}
-		if err := r.c.tr.Send(renv, transportSendOpts(false, r.killed)); err != nil {
+		if err := r.c.tr.Send(renv, transport.SendOpts{Abort: r.killed}); err != nil {
 			return false
 		}
 		m.Resent()
@@ -336,7 +331,7 @@ func (r *rankRuntime) broadcastRollback() {
 			Kind: wire.KindRollback, From: r.id, To: dest,
 			Incarnation: r.incarnation, Payload: r.rollback,
 		}
-		if err := r.c.tr.Send(env, transportSendOpts(false, r.killed)); err != nil {
+		if err := r.c.tr.Send(env, transport.SendOpts{Abort: r.killed}); err != nil {
 			return
 		}
 		m.ControlMsg()

@@ -170,6 +170,8 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
+	held := holdWatch(t, c, "cluster")
+	defer held()
 	deadline := time.Now().Add(30 * time.Second) //windar:allow directclock — test deadline
 
 	// Parked: rank 1 has sent its burst and waits on rank 0, which has
@@ -194,12 +196,21 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 		if time.Now().After(deadline) { //windar:allow directclock — test deadline
 			t.Fatal("rank 1 never parked at the park step")
 		}
+		select {
+		case <-c.closed:
+			t.FailNow() // holdWatch closed the cluster
+		default:
+		}
 		time.Sleep(100 * time.Microsecond) //windar:allow directclock — polling interval
 	}
 	close(x.release)
 
 	// Killed: the victim has sent its burst and is still running.
-	<-x.atHold
+	select {
+	case <-x.atHold:
+	case <-c.closed:
+		t.FailNow() // holdWatch closed the cluster
+	}
 	c.ranksMu.Lock()
 	dead := c.ranks[exactVictim]
 	c.ranksMu.Unlock()
@@ -213,7 +224,10 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 		t.Fatalf("Recover: %v", err)
 	}
 
-	c.Wait()
+	if held() {
+		t.FailNow()
+	}
+	await(t, c, "cluster")
 	for rank := 0; rank < exactRanks; rank++ {
 		x.check(rank, "after Wait")
 	}

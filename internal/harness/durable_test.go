@@ -90,13 +90,7 @@ func TestStartFromStableResumesAfterAbruptStop(t *testing.T) {
 			if err := c2.StartFromStable(); err != nil {
 				t.Fatalf("StartFromStable: %v", err)
 			}
-			done := make(chan struct{})
-			go func() { c2.Wait(); close(done) }()
-			select {
-			case <-done:
-			case <-time.After(60 * time.Second):
-				t.Fatal("resumed cluster did not complete")
-			}
+			await(t, c2, "resumed cluster")
 			for rank := 0; rank < n; rank++ {
 				if got := c2.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 					t.Errorf("rank %d: resumed state %x, fault-free %x", rank, got, want[rank])
@@ -125,13 +119,7 @@ func TestStartFromStableFreshDir(t *testing.T) {
 	if err := c.StartFromStable(); err != nil {
 		t.Fatalf("StartFromStable: %v", err)
 	}
-	done := make(chan struct{})
-	go func() { c.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cluster did not complete")
-	}
+	await(t, c, "cluster")
 	for rank := 0; rank < n; rank++ {
 		if got := c.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 			t.Errorf("rank %d: state %x, want %x", rank, got, want[rank])
@@ -161,13 +149,7 @@ func TestDurableLogsBoundStore(t *testing.T) {
 				if err := c.Start(); err != nil {
 					t.Fatalf("Start: %v", err)
 				}
-				done := make(chan struct{})
-				go func() { c.Wait(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(60 * time.Second):
-					t.Fatal("cluster did not complete")
-				}
+				await(t, c, "cluster")
 				settleReleases(t, c)
 				lens[steps] = c.Store().Len()
 				for _, names := range c.slogNames {
@@ -275,7 +257,7 @@ func durableLogsFollowRollbacks(t *testing.T, backend stable.Backend, want [][]b
 			t.Fatalf("KillAndRecover(%d): %v", victim, err)
 		}
 	}
-	c.Wait()
+	await(t, c, "cluster")
 	for rank := 0; rank < n; rank++ {
 		if got := c.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 			t.Errorf("rank %d: state %x, fault-free %x", rank, got, want[rank])
@@ -382,13 +364,7 @@ func TestRestartResendKeepsCausalIdentity(t *testing.T) {
 		if err := start(); err != nil {
 			t.Fatalf("start (resume=%v): %v", resume, err)
 		}
-		done := make(chan struct{})
-		go func() { c.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("cluster (resume=%v) did not complete", resume)
-		}
+		await(t, c, fmt.Sprintf("cluster (resume=%v)", resume))
 		for rank := 0; rank < n; rank++ {
 			if got := c.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 				t.Errorf("resume=%v rank %d: state %x, fault-free %x", resume, rank, got, want[rank])

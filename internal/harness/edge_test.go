@@ -104,17 +104,11 @@ func TestKillFinishedRank(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait() // everything finished
+	await(t, c, "cluster") // everything finished
 	if err := c.KillAndRecover(1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() { c.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cluster never re-finished after post-completion kill")
-	}
+	await(t, c, "cluster after a post-completion kill")
 	for r := 0; r < 3; r++ {
 		if string(c.AppSnapshot(r)) != string(clean[r]) {
 			t.Fatalf("rank %d state changed after post-completion recovery", r)
@@ -135,7 +129,7 @@ func TestCheckpointContents(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
+	await(t, c, "cluster")
 
 	mgr := ckpt.NewManager(c.Store())
 	cp, ok, err := mgr.Load(1)
@@ -233,7 +227,7 @@ func TestRepetitiveSuppressionObservable(t *testing.T) {
 	if err := c.KillAndRecover(2, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
+	await(t, c, "cluster")
 	tot := c.Metrics().Total()
 	if tot.ResentMsgs == 0 {
 		t.Error("no log resends observed during recovery")

@@ -513,9 +513,6 @@ func (c *Cluster) AppSnapshot(rank int) []byte {
 // Store exposes the stable-storage backend (tests, diagnostics).
 func (c *Cluster) Store() stable.Backend { return c.store }
 
-// EventLogger returns the TEL event logger, or nil for other protocols.
-func (c *Cluster) EventLogger() *tel.Logger { return c.telLog }
-
 // LogItemsLive reports the current total sender-log population across
 // live ranks (the memory the CHECKPOINT_ADVANCE rule bounds).
 func (c *Cluster) LogItemsLive() int {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,21 +165,70 @@ func run(t *testing.T, cfg Config, factory app.Factory, chaos func(c *Cluster)) 
 		t.Fatalf("Start: %v", err)
 	}
 	if chaos != nil {
+		held := holdWatch(t, c, "cluster")
 		chaos(c)
+		if held() {
+			t.FailNow()
+		}
 	}
-	done := make(chan struct{})
-	go func() { c.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("cluster did not complete")
-	}
+	await(t, c, "cluster")
 	out := make([][]byte, cfg.N)
 	for i := range out {
 		out[i] = c.AppSnapshot(i)
 	}
 	assertNoLiveHolds(t, c)
 	return out
+}
+
+// await waits up to a minute for c's applications to complete, under
+// holdWatch: a TDI live hold fails t at once instead of parking a Recv
+// until the stall timeout panics and takes the test binary down.
+func await(t *testing.T, c *Cluster, what string) {
+	t.Helper()
+	held := holdWatch(t, c, what)
+	done := make(chan struct{})
+	go func() { c.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		held()
+		c.Close()
+		t.Fatalf("%s did not complete", what)
+	}
+	if held() {
+		t.FailNow()
+	}
+}
+
+// holdWatch polls TDI cluster c's live-hold count until the returned
+// stop function is called. TDI never holds an in-order head outside a
+// roll-forward, so a count fails t and closes c, which unparks every
+// Recv. stop reports whether that happened; call it before c's deferred
+// Close, and stop one watch before starting the next.
+func holdWatch(t *testing.T, c *Cluster, what string) (stop func() bool) {
+	if c.cfg.Protocol != TDI {
+		return func() bool { return false }
+	}
+	quit, fired := make(chan struct{}), make(chan bool, 1)
+	go func() {
+		poll := time.NewTicker(5 * time.Millisecond)
+		defer poll.Stop()
+		for {
+			select {
+			case <-quit:
+				fired <- false
+				return
+			case <-poll.C:
+				if h := c.Metrics().Total().LiveHolds; h != 0 {
+					t.Errorf("%s: TDI held an in-order head %d times outside a roll-forward", what, h)
+					c.Close()
+					fired <- true
+					return
+				}
+			}
+		}
+	}()
+	return sync.OnceValue(func() bool { close(quit); return <-fired })
 }
 
 // assertNoLiveHolds fails t when a rank of a TDI cluster held an
@@ -398,7 +448,7 @@ func TestRecoveryMetricsRecorded(t *testing.T) {
 	if err := c.KillAndRecover(1, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
+	await(t, c, "cluster")
 	snap := c.Metrics().Rank(1).Snapshot()
 	if snap.Recoveries != 1 {
 		t.Fatalf("Recoveries = %d, want 1", snap.Recoveries)
@@ -422,7 +472,7 @@ func TestLogReleaseBoundsMemory(t *testing.T) {
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
+	await(t, c, "cluster")
 	time.Sleep(5 * time.Millisecond) // let trailing CKPT_ADVANCE arrive
 	total := c.Metrics().Total()
 	live := c.LogItemsLive()
@@ -464,7 +514,7 @@ func TestKillErrors(t *testing.T) {
 	if err := c.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	c.Wait()
+	await(t, c, "cluster")
 }
 
 func TestNewClusterValidation(t *testing.T) {
@@ -541,7 +591,7 @@ func TestCloseStopsEveryGoroutine(t *testing.T) {
 					t.Errorf("no %s goroutine while the cluster runs", fn)
 				}
 			}
-			c.Wait()
+			await(t, c, "cluster")
 			c.Close()
 			deadline := time.Now().Add(10 * time.Second)
 			for {

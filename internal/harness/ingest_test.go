@@ -127,13 +127,7 @@ func TestCorruptPiggybackHeldNotPanic(t *testing.T) {
 						t.Fatalf("inject valid %d: %v", i, err)
 					}
 				}
-				done := make(chan struct{})
-				go func() { c.Wait(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(60 * time.Second):
-					t.Fatal("cluster did not complete with a corrupt head queued")
-				}
+				await(t, c, "cluster with a corrupt head queued")
 				if got := c.Metrics().Total().MsgsDelivered; got != recvs {
 					t.Fatalf("MsgsDelivered = %d, want %d (the corrupt head must stay held)", got, recvs)
 				}
@@ -180,13 +174,7 @@ func TestKillCapturesPostStopDeliveredCount(t *testing.T) {
 			c.Close()
 			t.Fatalf("Recover: %v", err)
 		}
-		done := make(chan struct{})
-		go func() { c.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(60 * time.Second):
-			t.Fatal("cluster did not complete after recovery")
-		}
+		await(t, c, "cluster after recovery")
 		c.Close()
 	}
 }

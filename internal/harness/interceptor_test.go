@@ -64,7 +64,7 @@ func TestChainCountsMatchMetrics(t *testing.T) {
 			if err := c.Start(); err != nil {
 				t.Fatalf("Start: %v", err)
 			}
-			c.Wait()
+			await(t, c, "cluster")
 			s := c.Metrics().Total()
 			if got := counter.sends.Load(); got != s.MsgsSent {
 				t.Errorf("interceptor counted %d sends, metrics %d", got, s.MsgsSent)

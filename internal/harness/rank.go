@@ -467,7 +467,7 @@ func (r *rankRuntime) transmit(env *wire.Envelope) {
 	if blocking {
 		start = r.c.clk.Now()
 	}
-	err := r.c.tr.Send(env, transportSendOpts(blocking, r.killed))
+	err := r.c.tr.Send(env, transport.SendOpts{Rendezvous: blocking, Abort: r.killed})
 	if blocking {
 		r.c.coll.Rank(r.id).BlockedSend(r.c.clk.Now().Sub(start))
 	}
@@ -908,7 +908,7 @@ func (r *rankRuntime) saveCheckpoint(job *ckptJob) {
 			Kind: wire.KindCkptAdvance, From: r.id, To: a.dest,
 			Incarnation: r.incarnation, Payload: r.advBuf,
 		}
-		if err := r.c.tr.Send(env, transportSendOpts(false, r.killed)); err != nil {
+		if err := r.c.tr.Send(env, transport.SendOpts{Abort: r.killed}); err != nil {
 			// Killed mid-fan-out: the unreached peers simply retain their
 			// logs until this rank's next incarnation re-advertises.
 			return

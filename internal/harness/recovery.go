@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"windar/internal/ckpt"
+	"windar/internal/transport"
 	"windar/internal/wire"
 	"windar/layer"
 )
@@ -219,7 +220,7 @@ func (c *Cluster) sendOwedRollbacks(revived []*rankRuntime) {
 			}
 			env := &wire.Envelope{Kind: wire.KindRollback, From: o.id, To: p.id,
 				Incarnation: o.incarnation, Payload: o.rollback}
-			if c.tr.Send(env, transportSendOpts(false, o.killed)) == nil {
+			if c.tr.Send(env, transport.SendOpts{Abort: o.killed}) == nil {
 				c.coll.Rank(o.id).ControlMsg()
 			}
 		}

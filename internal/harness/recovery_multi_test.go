@@ -197,7 +197,7 @@ func TestCorruptControlRejected(t *testing.T) {
 			t.Fatalf("inject valid %d: %v", i, err)
 		}
 	}
-	c.Wait()
+	await(t, c, "cluster")
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
 	if obs.rejected["rollback"] != 1 {

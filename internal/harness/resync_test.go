@@ -586,17 +586,6 @@ func TestRestartAfterReorderedReplayKeepsFloors(t *testing.T) {
 				return cfg
 			}
 			want := run(t, config(""), factory(nil), nil)
-			await := func(c *Cluster, what string) {
-				t.Helper()
-				done := make(chan struct{})
-				go func() { c.Wait(); close(done) }()
-				select {
-				case <-done:
-				case <-time.After(30 * time.Second):
-					t.Fatalf("%s did not complete", what)
-				}
-			}
-
 			dir := t.TempDir()
 			cfg := config(dir)
 			obs := &evenStepObs{from: ckptStep + 4, trigger: make(chan struct{})}
@@ -615,7 +604,7 @@ func TestRestartAfterReorderedReplayKeepsFloors(t *testing.T) {
 			if err := c.Recover(0); err != nil {
 				t.Fatalf("Recover(0): %v", err)
 			}
-			await(c, "the first process")
+			await(t, c, "the first process")
 			deadline := time.Now().Add(30 * time.Second)
 			for rank, step := range ckpts {
 				for {
@@ -658,7 +647,7 @@ func TestRestartAfterReorderedReplayKeepsFloors(t *testing.T) {
 			if err := c2.StartFromStable(); err != nil {
 				t.Fatalf("StartFromStable: %v", err)
 			}
-			await(c2, "the resumed cluster")
+			await(t, c2, "the resumed cluster")
 			for rank := 0; rank < n; rank++ {
 				if got := c2.AppSnapshot(rank); !bytes.Equal(got, want[rank]) {
 					t.Errorf("rank %d: resumed state %x, fault-free %x", rank, got, want[rank])

@@ -92,7 +92,7 @@ func (d Diagnostic) String() string {
 
 // Analyzers returns the full suite in a stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DirectClock, LockOrder, LockSend, PubAPI}
+	return []*Analyzer{DirectClock, Locks, PubAPI}
 }
 
 // allowRe matches a //windar:allow directive and its analyzer list.

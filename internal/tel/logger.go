@@ -139,13 +139,6 @@ func (lg *Logger) serve() {
 	}
 }
 
-// QueueLen reports the number of pending log requests (diagnostics).
-func (lg *Logger) QueueLen() int {
-	lg.reqMu.Lock()
-	defer lg.reqMu.Unlock()
-	return len(lg.queue)
-}
-
 func (lg *Logger) commit(ds []determinant.D) vclock.Vec {
 	lg.mu.Lock()
 	defer lg.mu.Unlock()
