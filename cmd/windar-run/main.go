@@ -40,7 +40,7 @@ func main() {
 		traceCap  = flag.Int("trace-cap", 0, "retain at most this many raw trace events (0 = unbounded); validation stays exact")
 		tracing   = flag.Bool("tracing", false, "stamp causal span contexts on every message (reconstruct lineage with windar-trace)")
 		flightDir = flag.String("flight-dir", "", "arm the crash flight recorder: dump the trace ring there on SIGINT/SIGTERM or a failed run")
-		serve     = flag.String("serve", "", "serve live telemetry on this address (/metrics, /debug/vars, /healthz, /cluster, /debug/flight, /debug/pprof)")
+		serve     = flag.String("serve", "", "serve live telemetry on this address (/metrics, /debug/vars, /healthz, /debug/flight, /debug/pprof)")
 		linger    = flag.Duration("serve-linger", 0, "keep the telemetry server up this long after the run completes")
 		stableK   = flag.String("stable", "sim", "stable-storage backend: sim (in-memory; survives rank kills), disk (parallel WAL in -stable-dir; state survives SIGKILL)")
 		stableDir = flag.String("stable-dir", "", "disk backend directory (required with -stable disk)")
@@ -141,7 +141,7 @@ func main() {
 			fatal("serve: %v", err)
 		}
 		defer dbg.Close()
-		fmt.Printf("telemetry: http://%s/debug/vars (also /metrics, /healthz, /debug/pprof)\n", dbg.Addr())
+		fmt.Printf("telemetry: http://%s/debug/vars (also /metrics, /healthz, /debug/flight, /debug/pprof)\n", dbg.Addr())
 		if *linger > 0 {
 			defer clk.Sleep(*linger)
 		}

@@ -1,10 +1,11 @@
-// Command windar-top polls a windar-run -serve telemetry endpoint and
-// renders a live per-rank table: liveness/incarnation, message and log
-// counters, aggregate message rate, and histogram quantiles.
+// Command windar-top polls a windar-run -serve telemetry endpoint's
+// /debug/vars and renders a live per-rank table: liveness/incarnation,
+// message and log counters, the aggregate message rate between polls,
+// and each histogram family's cross-rank quantiles.
 //
 //	windar-run -app lu -procs 8 -serve 127.0.0.1:8077 &
 //	windar-top -addr 127.0.0.1:8077
-//	windar-top -addr 127.0.0.1:8077 -once   # one snapshot, no screen control
+//	windar-top -addr 127.0.0.1:8077 -once   # one frame (two polls one -interval apart), no screen control
 package main
 
 import (
@@ -28,24 +29,30 @@ func main() {
 	)
 	flag.Parse()
 
-	base := "http://" + *addr
+	url := "http://" + *addr + "/debug/vars"
 	client := &http.Client{Timeout: 5 * time.Second}
 	clk := clock.Real{}
-	seen := false
+	var prev *obs.VarsSnapshot
 	for {
-		v, err := fetch(client, base+"/debug/vars")
+		v, err := fetch(client, url)
 		if err != nil {
 			// With -once an unreachable endpoint is a hard failure (exit
 			// non-zero) — scripts poll it; interactively, an endpoint that
 			// served at least once vanishing just means the run ended.
-			if seen && !*once {
+			if prev != nil && !*once {
 				fmt.Println("windar-top: endpoint gone (run finished?)")
 				return
 			}
 			fatal("%v", err)
 		}
-		seen = true
-		out := render(v, fetchCluster(client, base+"/cluster"))
+		if *once && prev == nil {
+			// The rate needs two polls: -once takes its frame one interval
+			// after the first.
+			prev = v
+			clk.Sleep(*interval)
+			continue
+		}
+		out := render(prev, v)
 		if *once {
 			fmt.Print(out)
 			return
@@ -56,27 +63,9 @@ func main() {
 			fmt.Println("\nrun finished")
 			return
 		}
+		prev = v
 		clk.Sleep(*interval)
 	}
-}
-
-// fetchCluster polls the exact cross-rank aggregate; nil when the
-// endpoint is missing (older server) or unreadable — the vars view still
-// renders.
-func fetchCluster(client *http.Client, url string) *obs.ClusterSnapshot {
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var cl obs.ClusterSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&cl); err != nil {
-		return nil
-	}
-	return &cl
 }
 
 func fetch(client *http.Client, url string) (*obs.VarsSnapshot, error) {
@@ -95,11 +84,19 @@ func fetch(client *http.Client, url string) (*obs.VarsSnapshot, error) {
 	return &v, nil
 }
 
-func render(v *obs.VarsSnapshot, cl *obs.ClusterSnapshot) string {
+// phasePrefix marks the histogram families holding recovery-phase span
+// durations (harness.PhaseFamily naming).
+const phasePrefix = "recovery_phase_"
+
+// render draws snapshot v; prev, the previous poll or nil, supplies the
+// message rate. Every histogram family is one row: the recovery-phase
+// span quantiles first (the numbers an operator reads after a failure),
+// then the remaining families, each from its exact cross-rank Total.
+func render(prev, v *obs.VarsSnapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "windar-top  %s  uptime=%v",
 		metaLine(v.Meta), time.Duration(v.UptimeNS).Round(time.Millisecond))
-	if rate, ok := msgRate(v.Samples); ok {
+	if rate, ok := msgRate(prev, v); ok {
 		fmt.Fprintf(&b, "  msgs/s=%.0f", rate)
 	}
 	b.WriteString("\n\n")
@@ -120,60 +117,31 @@ func render(v *obs.VarsSnapshot, cl *obs.ClusterSnapshot) string {
 			cval(rc.Counters, "recoveries"))
 	}
 
-	if len(v.Hists) > 0 {
-		fmt.Fprintf(&b, "\n%-32s %8s %10s %10s %10s %10s\n",
-			"histogram", "count", "p50", "p95", "p99", "max")
-		for _, h := range v.Hists {
-			fmt.Fprintf(&b, "%-32s %8d %10s %10s %10s %10s\n",
-				h.Name, h.Total.Count,
-				fmtVal(h.Total.P50, h.Unit), fmtVal(h.Total.P95, h.Unit),
-				fmtVal(h.Total.P99, h.Unit), fmtVal(h.Total.Max, h.Unit))
+	var phases, rest []obs.HistVars
+	for _, h := range v.Hists {
+		if strings.HasPrefix(h.Name, phasePrefix) {
+			h.Name = strings.ReplaceAll(strings.TrimSuffix(strings.TrimPrefix(h.Name, phasePrefix), "_ns"), "_", "-")
+			phases = append(phases, h)
+		} else {
+			rest = append(rest, h)
 		}
 	}
-	if cl != nil {
-		renderCluster(&b, cl)
-	}
+	histTable(&b, fmt.Sprintf("recovery phases (%d ranks):", v.N), "phase", "spans", phases)
+	histTable(&b, fmt.Sprintf("aggregate (%d ranks):", v.N), "family", "count", rest)
 	return b.String()
 }
 
-// phasePrefix marks the histogram families holding recovery-phase span
-// durations (harness.PhaseFamily naming).
-const phasePrefix = "recovery_phase_"
-
-// renderCluster appends the /cluster exact aggregate: the recovery-phase
-// span quantiles first (the numbers an operator reads after a failure),
-// then the remaining families.
-func renderCluster(b *strings.Builder, cl *obs.ClusterSnapshot) {
-	var phases, rest []obs.ClusterHist
-	for _, f := range cl.Families {
-		if strings.HasPrefix(f.Name, phasePrefix) {
-			phases = append(phases, f)
-		} else {
-			rest = append(rest, f)
-		}
+// histTable appends one row per family's cross-rank Total; nothing when
+// hs is empty.
+func histTable(b *strings.Builder, title, name, count string, hs []obs.HistVars) {
+	if len(hs) == 0 {
+		return
 	}
-	if len(phases) > 0 {
-		fmt.Fprintf(b, "\ncluster recovery phases (exact merge, %d ranks):\n", cl.N)
-		fmt.Fprintf(b, "%-20s %8s %10s %10s %10s %10s\n",
-			"phase", "spans", "p50", "p95", "p99", "max")
-		for _, f := range phases {
-			name := strings.ReplaceAll(strings.TrimSuffix(strings.TrimPrefix(f.Name, phasePrefix), "_ns"), "_", "-")
-			fmt.Fprintf(b, "%-20s %8d %10s %10s %10s %10s\n",
-				name, f.Stat.Count,
-				fmtVal(f.Stat.P50, f.Unit), fmtVal(f.Stat.P95, f.Unit),
-				fmtVal(f.Stat.P99, f.Unit), fmtVal(f.Stat.Max, f.Unit))
-		}
-	}
-	if len(rest) > 0 {
-		fmt.Fprintf(b, "\ncluster aggregate (exact merge, %d ranks):\n", cl.N)
-		fmt.Fprintf(b, "%-32s %8s %10s %10s %10s %10s\n",
-			"family", "count", "p50", "p95", "p99", "max")
-		for _, f := range rest {
-			fmt.Fprintf(b, "%-32s %8d %10s %10s %10s %10s\n",
-				f.Name, f.Stat.Count,
-				fmtVal(f.Stat.P50, f.Unit), fmtVal(f.Stat.P95, f.Unit),
-				fmtVal(f.Stat.P99, f.Unit), fmtVal(f.Stat.Max, f.Unit))
-		}
+	fmt.Fprintf(b, "\n%s\n%-32s %8s %10s %10s %10s %10s\n", title, name, count, "p50", "p95", "p99", "max")
+	for _, h := range hs {
+		t := h.Total
+		fmt.Fprintf(b, "%-32s %8d %10s %10s %10s %10s\n", h.Name, t.Count,
+			fmtVal(t.P50, h.Unit), fmtVal(t.P95, h.Unit), fmtVal(t.P99, h.Unit), fmtVal(t.Max, h.Unit))
 	}
 }
 
@@ -188,19 +156,23 @@ func metaLine(meta map[string]string) string {
 	return strings.Join(parts, " ")
 }
 
-// msgRate derives the aggregate message rate from the sampler's two
-// most recent readings.
-func msgRate(samples []obs.Sample) (float64, bool) {
-	if len(samples) < 2 {
+// msgRate derives the aggregate message rate from two consecutive
+// polls: the change in the ranks' summed msgs_sent over the change in
+// uptime. ok is false without an earlier poll.
+func msgRate(prev, v *obs.VarsSnapshot) (rate float64, ok bool) {
+	if prev == nil || v.UptimeNS <= prev.UptimeNS {
 		return 0, false
 	}
-	a, z := samples[len(samples)-2], samples[len(samples)-1]
-	dt := z.AtNS - a.AtNS
-	if dt <= 0 {
-		return 0, false
+	dm := sentTotal(v) - sentTotal(prev)
+	return float64(dm) / (float64(v.UptimeNS-prev.UptimeNS) / 1e9), true
+}
+
+func sentTotal(v *obs.VarsSnapshot) int64 {
+	var n int64
+	for _, rc := range v.Ranks {
+		n += cval(rc.Counters, "msgs_sent")
 	}
-	dm := cval(z.Values, "msgs_sent") - cval(a.Values, "msgs_sent")
-	return float64(dm) / (float64(dt) / 1e9), true
+	return n
 }
 
 func cval(cs []obs.Counter, name string) int64 {

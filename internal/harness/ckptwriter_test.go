@@ -216,14 +216,28 @@ func TestDeliveryNeverWaitsOnCheckpointSave(t *testing.T) {
 		c.Wait()
 		close(done)
 	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatalf("run did not finish with every checkpoint Save held: delivery waits on stable storage")
+	// A live hold (TDI waiting on a dependency, not a roll-forward) also
+	// stalls the ring; name it rather than blame the held store. Failing
+	// here cannot hang: the deferred lift runs before Close.
+	deadline := time.After(10 * time.Second)
+	poll := time.NewTicker(10 * time.Millisecond)
+	defer poll.Stop()
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		case <-deadline:
+			t.Fatalf("run did not finish with every checkpoint Save held: delivery waits on stable storage")
+		case <-poll.C:
+			if h := c.Metrics().Total().LiveHolds; h != 0 {
+				t.Fatalf("%d live holds: a rank held an in-order head outside a roll-forward", h)
+			}
+		}
 	}
 	if h := c.Health(); !h.Finished {
 		t.Fatalf("Wait returned with unfinished ranks: %+v", h)
 	}
+	assertNoLiveHolds(t, c)
 	gate.mu.Lock()
 	for key, puts := range gate.putsPer {
 		if puts > 1 {

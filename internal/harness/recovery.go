@@ -17,11 +17,15 @@ import (
 var errNoRecovery = errors.New("harness: protocol none cannot kill, recover or restart a rank")
 
 // Kill injects a failure: rank's volatile state (receiving queue, sender
-// log, protocol state, unsent queue-A messages, application memory) is
-// lost; its goroutines unwind; messages already in its inbox are dropped;
-// in-flight messages park at the transport until an incarnation revives the
-// rank. Other ranks' collections keep counting it: it answers their
-// ROLLBACKs once it revives (see restore).
+// log, protocol state, application memory) is lost; its goroutines
+// unwind; messages already in its inbox are dropped; in-flight messages
+// park at the transport until an incarnation revives the rank. Its
+// queue A is not lost: a buffered Send returns only once the link owns
+// the frame, and the link delivers it across the sender's kill. The
+// copies the new incarnation regenerates while rolling forward are
+// discarded as repetitive: suppressed at the send, or dropped by the
+// receiver's duplicate check. Other ranks' collections keep counting
+// it: it answers their ROLLBACKs once it revives (see restore).
 func (c *Cluster) Kill(rank int) error {
 	if c.cfg.Protocol == None {
 		return errNoRecovery

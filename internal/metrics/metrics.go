@@ -335,36 +335,30 @@ func (c *Collector) AttachObs(reg *obs.Registry) {
 	}
 }
 
-// Var is one named counter value in Vars' fixed order.
-type Var struct {
-	Name  string
-	Value int64
-}
-
 // Vars flattens the snapshot into an ordered name/value list — the
 // counter schema the debug endpoints and Prometheus exposition share.
-func (s Snapshot) Vars() []Var {
-	return []Var{
-		{"msgs_sent", s.MsgsSent},
-		{"msgs_delivered", s.MsgsDelivered},
-		{"piggyback_ids", s.PiggybackIDs},
-		{"piggyback_bytes", s.PiggybackBytes},
-		{"payload_bytes", s.PayloadBytes},
-		{"send_tracking_ns", s.SendTrackNanos},
-		{"deliver_tracking_ns", s.DeliverTrackNanos},
-		{"control_msgs", s.ControlMsgs},
-		{"repetitive_discarded", s.RepetitiveDiscarded},
-		{"shard_contended", s.ShardContended},
-		{"resent_msgs", s.ResentMsgs},
-		{"log_items_appended", s.LogItemsAppended},
-		{"log_items_released", s.LogItemsReleased},
-		{"recoveries", s.Recoveries},
-		{"recovery_ns", s.RecoveryNanos},
-		{"blocked_send_ns", s.BlockedSendNanos},
-		{"pig_delta_msgs", s.PigDeltaMsgs},
-		{"pig_full_msgs", s.PigFullMsgs},
-		{"pig_floor_full_msgs", s.PigFloorFullMsgs},
-		{"ingest_rejected", s.IngestRejected},
-		{"live_holds", s.LiveHolds},
+func (s Snapshot) Vars() []obs.Counter {
+	return []obs.Counter{
+		{Name: "msgs_sent", Value: s.MsgsSent},
+		{Name: "msgs_delivered", Value: s.MsgsDelivered},
+		{Name: "piggyback_ids", Value: s.PiggybackIDs},
+		{Name: "piggyback_bytes", Value: s.PiggybackBytes},
+		{Name: "payload_bytes", Value: s.PayloadBytes},
+		{Name: "send_tracking_ns", Value: s.SendTrackNanos},
+		{Name: "deliver_tracking_ns", Value: s.DeliverTrackNanos},
+		{Name: "control_msgs", Value: s.ControlMsgs},
+		{Name: "repetitive_discarded", Value: s.RepetitiveDiscarded},
+		{Name: "shard_contended", Value: s.ShardContended},
+		{Name: "resent_msgs", Value: s.ResentMsgs},
+		{Name: "log_items_appended", Value: s.LogItemsAppended},
+		{Name: "log_items_released", Value: s.LogItemsReleased},
+		{Name: "recoveries", Value: s.Recoveries},
+		{Name: "recovery_ns", Value: s.RecoveryNanos},
+		{Name: "blocked_send_ns", Value: s.BlockedSendNanos},
+		{Name: "pig_delta_msgs", Value: s.PigDeltaMsgs},
+		{Name: "pig_full_msgs", Value: s.PigFullMsgs},
+		{Name: "pig_floor_full_msgs", Value: s.PigFloorFullMsgs},
+		{Name: "ingest_rejected", Value: s.IngestRejected},
+		{Name: "live_holds", Value: s.LiveHolds},
 	}
 }

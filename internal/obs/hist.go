@@ -1,6 +1,6 @@
 // Package obs is the observability layer: lock-free log-bucketed
-// histograms, a per-rank snapshot registry, a periodic sampler, and the
-// debug HTTP server (/metrics, /debug/vars, /debug/pprof, /healthz).
+// histograms, a per-rank snapshot registry, and the debug HTTP server
+// (/metrics, /debug/vars, /healthz, /debug/flight, /debug/pprof).
 //
 // The package is a leaf: it imports only the standard library and
 // internal/clock, so metrics, harness and the transports can all feed it

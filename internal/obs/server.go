@@ -54,8 +54,9 @@ type HistVars struct {
 }
 
 // VarsSnapshot is the /debug/vars payload: run metadata, per-rank
-// counters, histogram statistics, health, and the sampler's recent
-// history. windar-top decodes this type directly.
+// counters, histogram statistics (each family's exact cross-rank Total
+// beside its per-rank figures) and health. windar-top decodes this type
+// directly and derives rates from consecutive polls.
 type VarsSnapshot struct {
 	Meta     map[string]string `json:"meta,omitempty"`
 	N        int               `json:"n"`
@@ -63,7 +64,6 @@ type VarsSnapshot struct {
 	Health   *Health           `json:"health,omitempty"`
 	Ranks    []RankCounters    `json:"ranks,omitempty"`
 	Hists    []HistVars        `json:"hists,omitempty"`
-	Samples  []Sample          `json:"samples,omitempty"`
 }
 
 // Source wires the debug server to a running cluster without obs
@@ -77,8 +77,6 @@ type Source struct {
 	Counters func() []RankCounters
 	// Health supplies per-rank liveness/incarnation for /healthz.
 	Health func() Health
-	// Sampler, if non-nil, contributes its history to /debug/vars.
-	Sampler *Sampler
 	// Meta is static run metadata (app, protocol, transport...).
 	Meta map[string]string
 	// Clock times uptime; defaults to the real clock.
@@ -110,7 +108,6 @@ func NewServer(src Source) *Server {
 	s := &Server{src: src, clk: src.Clock, start: src.Clock.Now(), mux: http.NewServeMux()}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/debug/vars", s.handleVars)
-	s.mux.HandleFunc("/cluster", s.handleCluster)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/debug/flight", s.handleFlight)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -175,7 +172,6 @@ func (s *Server) Vars() VarsSnapshot {
 		N:        s.src.Registry.N(),
 		UptimeNS: int64(s.clk.Now().Sub(s.start)),
 		Ranks:    s.counters(),
-		Samples:  s.src.Sampler.Samples(),
 	}
 	if s.src.Health != nil {
 		h := s.src.Health()
@@ -199,14 +195,6 @@ func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(s.Vars())
-}
-
-// handleCluster serves the exact cross-rank histogram aggregate.
-func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(s.src.Registry.Cluster())
 }
 
 // handleFlight streams the trace recorder's current window as a JSONL

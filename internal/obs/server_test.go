@@ -77,8 +77,10 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &v); err != nil {
 		t.Fatalf("/debug/vars decode: %v", err)
 	}
-	if v.N != 2 || len(v.Hists) != 1 || v.Hists[0].Total.Count != 2 {
+	if v.N != 2 || len(v.Hists) != 1 || len(v.Hists[0].Ranks) != 2 {
 		t.Errorf("/debug/vars unexpected payload: %+v", v)
+	} else if tot := v.Hists[0].Total; tot.Count != 2 || tot.Sum != 4000 || tot.Max != 3000 {
+		t.Errorf("/debug/vars cross-rank total = %+v, want both ranks' records", tot)
 	}
 	if v.Meta["protocol"] != "tdi" {
 		t.Errorf("/debug/vars meta = %v", v.Meta)
@@ -135,13 +137,13 @@ func TestServeListens(t *testing.T) {
 	}
 }
 
-// TestEmptySource exercises every endpoint with no registry, counters,
-// health or sampler wired: the nil-receiver contract must hold end to
+// TestEmptySource exercises every endpoint with no registry, counters
+// or health wired: the nil-receiver contract must hold end to
 // end.
 func TestEmptySource(t *testing.T) {
 	ts := httptest.NewServer(NewServer(Source{Clock: clock.NewFake(time.Unix(0, 0))}).Handler())
 	defer ts.Close()
-	for _, path := range []string{"/metrics", "/debug/vars", "/healthz", "/cluster"} {
+	for _, path := range []string{"/metrics", "/debug/vars", "/healthz"} {
 		if code, _ := get(t, ts, path); code != http.StatusOK {
 			t.Errorf("%s on empty source: status %d", path, code)
 		}
@@ -150,34 +152,6 @@ func TestEmptySource(t *testing.T) {
 	// an empty trace.
 	if code, _ := get(t, ts, "/debug/flight"); code != http.StatusNotFound {
 		t.Errorf("/debug/flight without a recorder: status %d, want 404", code)
-	}
-}
-
-// TestServerClusterEndpoint checks /cluster serves the exact cross-rank
-// aggregate of the registry's families.
-func TestServerClusterEndpoint(t *testing.T) {
-	ts := httptest.NewServer(NewServer(testSource(false)).Handler())
-	defer ts.Close()
-	code, body := get(t, ts, "/cluster")
-	if code != http.StatusOK {
-		t.Fatalf("/cluster status %d", code)
-	}
-	var cl ClusterSnapshot
-	if err := json.Unmarshal([]byte(body), &cl); err != nil {
-		t.Fatalf("/cluster decode: %v", err)
-	}
-	if cl.N != 2 || len(cl.Families) != 1 {
-		t.Fatalf("/cluster payload: %+v", cl)
-	}
-	f := cl.Families[0]
-	if f.Name != "deliver_latency_ns" || f.Merged.Count != 2 || f.Merged.Sum != 4000 {
-		t.Errorf("/cluster merge wrong: %+v", f)
-	}
-	if f.Stat.Count != 2 || f.Stat.Max != 3000 {
-		t.Errorf("/cluster stat wrong: %+v", f.Stat)
-	}
-	if len(f.Merged.Buckets) == 0 {
-		t.Error("/cluster lost the sparse bucket list (downstream re-merge impossible)")
 	}
 }
 

@@ -38,8 +38,9 @@
 //
 // The symbols exported here are the supported surface. Several are type
 // aliases that intentionally re-export an internal type wholesale —
-// Stats, TraceRecorder, ObsRegistry and Clock below — because their full
-// method sets are the product (counter snapshots, trace validation,
+// Env, App, Factory, Stats, TraceRecorder, ObsRegistry and Clock below —
+// because their full method sets are the product (the application
+// model the harness runs, counter snapshots, trace validation,
 // histogram export, the time source). Each alias documents its own
 // stability boundary: what embedders may rely on, and what is an
 // implementation detail that can change between minor versions.
@@ -130,26 +131,16 @@ const AnySource = iapp.AnySource
 
 // Env is the communication interface handed to applications. Delivery is
 // strictly FIFO per sender channel.
-type Env interface {
-	Rank() int
-	N() int
-	Send(dest int, tag int32, data []byte)
-	Recv(source int, tag int32) (data []byte, from int)
-}
+type Env = iapp.Env
 
 // App is a deterministic step-structured application; see the paper's
 // execution model discussion (Section II). Apps using AnySource must be
 // insensitive to the matched arrival order.
-type App interface {
-	Steps() int
-	Step(env Env, s int)
-	Snapshot() []byte
-	Restore(data []byte) error
-}
+type App = iapp.App
 
 // Factory creates the rank-th application instance; called again for
 // every incarnation after a failure.
-type Factory func(rank, n int) App
+type Factory = iapp.Factory
 
 // Handler is the app-facing chain surface: the Send/Deliver/
 // Checkpoint/Restore verbs interceptors wrap. Alias of layer.Handler —
@@ -344,14 +335,6 @@ func (c Config) internal() harness.Config {
 	return cfg
 }
 
-// appAdapter bridges the public App to the internal application model.
-type appAdapter struct{ inner App }
-
-func (a appAdapter) Steps() int               { return a.inner.Steps() }
-func (a appAdapter) Step(env iapp.Env, s int) { a.inner.Step(env, s) }
-func (a appAdapter) Snapshot() []byte         { return a.inner.Snapshot() }
-func (a appAdapter) Restore(b []byte) error   { return a.inner.Restore(b) }
-
 // Cluster is a running n-rank system with failure injection.
 type Cluster struct {
 	inner *harness.Cluster
@@ -381,13 +364,7 @@ func NewCluster(cfg Config, factory Factory) (*Cluster, error) {
 		return nil, fmt.Errorf("windar: unknown stable backend %q", cfg.Stable)
 	}
 	icfg.DurableLogs = cfg.DurableLogs
-	inner, err := harness.NewCluster(icfg, func(rank, n int) iapp.App {
-		a := factory(rank, n)
-		if a == nil {
-			return nil
-		}
-		return appAdapter{inner: a}
-	})
+	inner, err := harness.NewCluster(icfg, factory)
 	if err != nil {
 		if icfg.Stable != nil {
 			icfg.Stable.Close()
@@ -460,46 +437,35 @@ func (c *Cluster) LogItemsLive() int { return c.inner.LogItemsLive() }
 
 // DebugServer is a live debug/telemetry endpoint set for one cluster:
 // /metrics (Prometheus text), /debug/vars (JSON snapshot polled by
-// windar-top), /healthz (per-rank liveness and incarnations) and
-// /debug/pprof/*. Close it before the cluster.
-type DebugServer struct {
-	srv *obs.Server
-	smp *obs.Sampler
-}
+// windar-top), /healthz (per-rank liveness and incarnations),
+// /debug/flight and /debug/pprof/*. Close it before the cluster.
+type DebugServer struct{ srv *obs.Server }
 
 // Addr returns the bound listen address (useful with port 0).
 func (d *DebugServer) Addr() string { return d.srv.Addr() }
 
-// Close stops the sampler and the HTTP listener.
-func (d *DebugServer) Close() error {
-	d.smp.Stop()
-	return d.srv.Close()
-}
+// Close stops the HTTP listener.
+func (d *DebugServer) Close() error { return d.srv.Close() }
 
 // ServeDebug starts the debug HTTP server on addr (e.g.
 // "127.0.0.1:8077"; port 0 picks a free one — read it back from Addr).
 // The endpoints expose the cluster's counters, the Config.Obs histogram
-// families when a registry was attached, per-rank health, a short
-// sampled history of the aggregate counters for rate computation, and
-// the Config.Trace recorder's current window at /debug/flight (404 when
+// families when a registry was attached, per-rank health, and the
+// Config.Trace recorder's current window at /debug/flight (404 when
 // Trace is nil).
 func (c *Cluster) ServeDebug(addr string) (*DebugServer, error) {
 	counters := func() []obs.RankCounters {
 		per := c.inner.Metrics().PerRank()
 		out := make([]obs.RankCounters, len(per))
 		for i, s := range per {
-			out[i] = obs.RankCounters{Rank: i, Counters: countersOf(s)}
+			out[i] = obs.RankCounters{Rank: i, Counters: s.Vars()}
 		}
 		return out
 	}
-	smp := obs.NewSampler(c.inner.Clock(), 250*time.Millisecond, 240, func() []obs.Counter {
-		return countersOf(c.inner.Metrics().Total())
-	})
 	src := obs.Source{
 		Registry: c.obs,
 		Counters: counters,
 		Health:   c.inner.Health,
-		Sampler:  smp,
 		Meta:     c.meta,
 		Clock:    c.inner.Clock(),
 	}
@@ -510,52 +476,17 @@ func (c *Cluster) ServeDebug(addr string) (*DebugServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	smp.Start()
-	return &DebugServer{srv: srv, smp: smp}, nil
-}
-
-// countersOf flattens a metrics snapshot into the obs counter schema.
-func countersOf(s metrics.Snapshot) []obs.Counter {
-	vars := s.Vars()
-	out := make([]obs.Counter, len(vars))
-	for i, v := range vars {
-		out[i] = obs.Counter{Name: v.Name, Value: v.Value}
-	}
-	return out
+	return &DebugServer{srv: srv}, nil
 }
 
 // NPBFactory returns one of the paper's benchmarks: "lu", "bt" or "sp",
 // on an N^3 domain for the given iteration count.
 func NPBFactory(name string, n, iterations int) (Factory, error) {
-	inner, err := npb.Benchmark(name, npb.Params{N: n, Iterations: iterations, NormEvery: 4})
-	if err != nil {
-		return nil, err
-	}
-	return wrapFactory(inner), nil
+	return npb.Benchmark(name, npb.Params{N: n, Iterations: iterations, NormEvery: 4})
 }
 
 // WorkloadFactory returns a synthetic workload: "ring", "halo",
 // "masterworker" or "pairs".
 func WorkloadFactory(name string, steps int) (Factory, error) {
-	inner, err := workload.ByName(name, steps)
-	if err != nil {
-		return nil, err
-	}
-	return wrapFactory(inner), nil
+	return workload.ByName(name, steps)
 }
-
-// wrapFactory adapts an internal factory to the public Factory type.
-func wrapFactory(inner iapp.Factory) Factory {
-	return func(rank, n int) App {
-		a := inner(rank, n)
-		return publicApp{inner: a}
-	}
-}
-
-// publicApp bridges internal apps back out through the public interface.
-type publicApp struct{ inner iapp.App }
-
-func (p publicApp) Steps() int             { return p.inner.Steps() }
-func (p publicApp) Step(env Env, s int)    { p.inner.Step(env, s) }
-func (p publicApp) Snapshot() []byte       { return p.inner.Snapshot() }
-func (p publicApp) Restore(b []byte) error { return p.inner.Restore(b) }
