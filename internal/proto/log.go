@@ -32,15 +32,20 @@ const logChunkBytes = 16 << 10
 
 // LogRun is N back-to-back AppendLogItem records to Dest in send-index
 // order, the last with SendIndex Last: one chunk of the log, or one run of
-// a LogView. Bytes below len(Recs) are never rewritten — Append writes
-// only into a destination's last chunk's spare capacity, Release only
-// reslices a chunk from the front or drops it, and a run in a view has no
-// spare capacity — so a run stays as it was for as long as anyone holds it.
+// a LogView. Bytes of a viewed or adopted run below len(Recs) are never
+// rewritten — Append writes only into a destination's last chunk's spare
+// capacity and into released memory nothing viewed, Release only reslices
+// a chunk from the front or drops it, and a run in a view has no spare
+// capacity — so such a run stays as it was for as long as anyone holds it.
 type LogRun struct {
 	Dest int
 	N    int
 	Last int64
 	Recs []byte
+	// mem, in a log's chunk, is the chunk's whole allocation while the log
+	// may write it again once it is released; nil in a view, an adopted
+	// run, an oversize chunk and a chunk a view or ItemsFor included.
+	mem []byte
 }
 
 // LogView is an immutable view of Count logged records in (Dest,
@@ -58,14 +63,21 @@ type Log struct {
 	// perDest holds each destination's chunks. Only the last may have
 	// spare capacity or hold no record (Release keeps it for appends).
 	perDest map[int][]LogRun
+	// free holds released chunks' memory for the next fresh chunk. One
+	// joins only as a chunk leaves the log and one is allocated only when
+	// free is empty, so free plus live chunks stay within the log's
+	// high-water of live chunks.
+	free [][]byte
 }
 
 // NewLog returns an empty log.
 func NewLog() *Log { return &Log{perDest: make(map[int][]LogRun)} }
 
 // Append adds item as one record at the end of its destination's log and
-// returns the record: the log's only copy of the item, which never
-// changes, so the caller may hand out views of it (see RecordBytes).
+// returns the record: the log's only copy of the item, which no Append
+// rewrites before its release, so the caller may hand out views of it
+// (see RecordBytes) until the send returns. Once released, its chunk is
+// reused unless a view or an ItemsFor result included it.
 // Items for one destination must be appended in strictly increasing
 // send-index order; the protocol assigns indices sequentially so a
 // violation is a harness bug and panics.
@@ -76,11 +88,11 @@ func (l *Log) Append(item LogItem) []byte {
 		panicAppendOrder(item.Dest, item.SendIndex, runs[n-1].Last)
 	}
 	if size := LogItemSize(&item); n == 0 || cap(runs[n-1].Recs)-len(runs[n-1].Recs) < size {
-		fresh := LogRun{Dest: item.Dest, Recs: make([]byte, 0, max(logChunkBytes, size))} // amortised: one chunk per ~800 flood-sized appends
 		if n > 0 && runs[n-1].N == 0 {
-			runs[n-1] = fresh // an emptied chunk holds nothing to keep
+			l.retire(&runs[n-1]) // an emptied chunk holds nothing to keep
+			runs[n-1] = l.fresh(item.Dest, size)
 		} else {
-			runs = append(runs, fresh) // grows with the retained log, not per message
+			runs = append(runs, l.fresh(item.Dest, size)) // grows with the retained log, not per message
 			l.perDest[item.Dest] = runs
 			n++
 		}
@@ -89,6 +101,30 @@ func (l *Log) Append(item LogItem) []byte {
 	start := len(c.Recs)
 	c.Recs, c.N, c.Last = AppendLogItem(c.Recs, &item), c.N+1, item.SendIndex
 	return c.Recs[start:len(c.Recs):len(c.Recs)]
+}
+
+// fresh returns an empty chunk for dest with room for a size-byte record:
+// released memory when there is some and the record fits a standard chunk.
+func (l *Log) fresh(dest, size int) LogRun {
+	if size > logChunkBytes {
+		return LogRun{Dest: dest, Recs: make([]byte, 0, size)}
+	}
+	var mem []byte
+	if n := len(l.free); n > 0 {
+		mem, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+	} else {
+		mem = make([]byte, 0, logChunkBytes) // amortised: only while the log grows past its high-water
+	}
+	return LogRun{Dest: dest, Recs: mem, mem: mem}
+}
+
+// retire drops c, keeping its memory for fresh if the log may write it
+// again.
+func (l *Log) retire(c *LogRun) {
+	if c.mem != nil {
+		l.free = append(l.free, c.mem) // grows to the high-water, not per chunk
+	}
+	*c = LogRun{}
 }
 
 // panicAppendOrder keeps the fmt boxing out of Append's hot span.
@@ -105,16 +141,20 @@ func panicAppendOrder(dest int, idx, prev int64) {
 // message, it can never be replayed and its log is dead weight. Chunks go
 // whole by their last index; only the one the cut falls in is walked.
 func (l *Log) Release(dest int, upto int64) int {
-	runs, released := l.perDest[dest], 0
-	for len(runs) > 0 && runs[0].Last <= upto {
-		c := &runs[0]
+	runs, released, k := l.perDest[dest], 0, 0
+	for ; k < len(runs) && runs[k].Last <= upto; k++ {
+		c := &runs[k]
 		released += c.N
-		if len(runs) == 1 && len(c.Recs) < cap(c.Recs) {
+		if k == len(runs)-1 && len(c.Recs) < cap(c.Recs) {
 			c.Recs, c.N = c.Recs[len(c.Recs):], 0
 			break
 		}
-		runs[0] = LogRun{}
-		runs = runs[1:]
+		l.retire(c)
+	}
+	if k > 0 { // the survivors slide down, so the list keeps its capacity
+		n := copy(runs, runs[k:])
+		clear(runs[n:])
+		runs = runs[:n]
 		l.perDest[dest] = runs
 	}
 	if len(runs) == 0 || runs[0].Last <= upto {
@@ -140,12 +180,13 @@ func (l *Log) Release(dest int, upto int64) int {
 // send-index order. This is the resend set for a ROLLBACK whose
 // last_deliver_index entry for this rank is after (Algorithm 1 lines
 // 49-51). The slice is fresh and allocated once; each item's Piggyback
-// and Payload are views of its record, which nothing disturbs.
+// and Payload are views of its record, which the chunks it pins keep.
 func (l *Log) ItemsFor(dest int, after int64) []LogItem {
 	v, n := LogView{Runs: l.perDest[dest]}, 0
-	for _, r := range v.Runs {
-		if r.Last > after {
+	for i := range v.Runs {
+		if r := &v.Runs[i]; r.Last > after && r.N > 0 {
 			n += r.N
+			r.mem = nil
 		}
 	}
 	out := make([]LogItem, 0, n)
@@ -172,12 +213,21 @@ func (v LogView) Each(dest int, after int64, f func(*LogItem) bool) {
 	}
 }
 
-// Len returns the total number of retained items.
-func (l *Log) Len() int { return l.View().Count }
+// Len returns the total number of retained items. It pins nothing.
+func (l *Log) Len() int {
+	n := 0
+	for _, chunks := range l.perDest {
+		for _, c := range chunks {
+			n += c.N
+		}
+	}
+	return n
+}
 
 // View returns every retained record, ordered by (Dest, SendIndex), for
-// checkpointing: one capacity-clipped run per non-empty chunk. It copies
-// no record; the run list is its only allocation up to 16 destinations.
+// checkpointing: one capacity-clipped run per non-empty chunk, each
+// chunk pinned. It copies no record; the run list is its only
+// allocation up to 16 destinations.
 func (l *Log) View() LogView { return l.AppendView(nil) }
 
 // AppendView is View with the run list appended to runs[:0], so a
@@ -194,10 +244,12 @@ func (l *Log) AppendView(runs []LogRun) LogView {
 	}
 	v := LogView{Runs: runs[:0]}
 	for _, dest := range dests {
-		for _, c := range l.perDest[dest] {
-			if c.N > 0 {
-				c.Recs, v.Count = slices.Clip(c.Recs), v.Count+c.N
-				v.Runs = append(v.Runs, c)
+		chunks := l.perDest[dest]
+		for i := range chunks {
+			if c := &chunks[i]; c.N > 0 {
+				c.mem = nil
+				v.Runs = append(v.Runs, *c)
+				v.Runs[len(v.Runs)-1].Recs, v.Count = slices.Clip(c.Recs), v.Count+c.N
 			}
 		}
 	}
@@ -211,12 +263,13 @@ func (l *Log) AppendView(runs []LogRun) LogView {
 // any number of logs, as a staged checkpoint restored repeatedly does.
 func (l *Log) Adopt(v LogView) {
 	clear(l.perDest)
+	l.free = nil
 	for runs := v.Runs; len(runs) > 0; {
 		n := 1
 		for n < len(runs) && runs[n].Dest == runs[0].Dest {
 			n++
 		}
-		l.perDest[runs[0].Dest] = slices.Clone(runs[:n])
+		l.perDest[runs[0].Dest] = slices.Clone(runs[:n]) // a view's runs have no mem
 		runs = runs[n:]
 	}
 }

@@ -427,3 +427,160 @@ func TestVerdictString(t *testing.T) {
 		t.Fatal("unknown verdict string wrong")
 	}
 }
+
+// liveChunks counts the chunks l holds, emptied ones included.
+func liveChunks(l *Log) int {
+	n := 0
+	for _, chunks := range l.perDest {
+		n += len(chunks)
+	}
+	return n
+}
+
+// cloneItems deep-copies items, byte fields included.
+func cloneItems(items []LogItem) []LogItem {
+	out := append(make([]LogItem, 0, len(items)), items...)
+	for i := range out {
+		out[i].Piggyback, out[i].Payload = bytes.Clone(out[i].Piggyback), bytes.Clone(out[i].Payload)
+	}
+	return out
+}
+
+// Property: chunk reuse never writes a byte anyone can still read. Random
+// sequences of appends, releases, views (View and AppendView), ItemsFor
+// results and adoptions — of the log's own views and of parsed ones —
+// over several destinations keep every view and every ItemsFor result
+// byte for byte as it was when it was made, however far the log has
+// moved on; an adopted view stays untouched too. The log always holds
+// what a plain model holds, and its free chunks plus its live ones never
+// exceed the most it ever held live.
+func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	reused := 0
+	for round := 0; round < 150; round++ {
+		l := NewLog()
+		model := map[int][]LogItem{}
+		next := map[int]int64{}
+		type heldView struct {
+			v, want LogView
+			model   map[int][]LogItem
+		}
+		var views []heldView
+		type heldItems struct{ got, want []LogItem }
+		var results []heldItems
+		highWater := 0
+		for step := 0; step < 400; step++ {
+			dest := r.Intn(4)
+			switch k := r.Intn(40); {
+			case k < 5:
+				upto := next[dest] - int64(r.Intn(30))
+				kept := []LogItem(nil)
+				for _, it := range model[dest] {
+					if it.SendIndex > upto {
+						kept = append(kept, it)
+					}
+				}
+				model[dest] = kept
+				free := len(l.free)
+				l.Release(dest, upto)
+				if len(l.free) > free {
+					reused++
+				}
+			case k == 5 || k == 6:
+				var v LogView
+				if k == 5 {
+					v = l.View()
+				} else {
+					v = l.AppendView(make([]LogRun, 0, r.Intn(4)))
+				}
+				snap := map[int][]LogItem{}
+				for d, items := range model {
+					snap[d] = append([]LogItem(nil), items...)
+				}
+				views = append(views, heldView{v: v, want: cloneView(v), model: snap})
+			case k == 7:
+				got := l.ItemsFor(dest, next[dest]-int64(r.Intn(60)))
+				results = append(results, heldItems{got: got, want: cloneItems(got)})
+			case k == 8 && len(views) > 0:
+				h := views[r.Intn(len(views))]
+				v := h.v
+				if r.Intn(2) == 0 {
+					var err error
+					if v, err = ParseLogView(encodeItems(viewItems(t, h.v)), h.v.Count); err != nil {
+						t.Fatal(err)
+					}
+					views = append(views, heldView{v: v, want: cloneView(v), model: h.model})
+				}
+				l.Adopt(v)
+				model = map[int][]LogItem{}
+				for d, items := range h.model {
+					model[d] = append([]LogItem(nil), items...)
+				}
+			default:
+				next[dest] += 1 + int64(r.Intn(2))
+				size := 1 + r.Intn(40)
+				if r.Intn(50) == 0 {
+					size = logChunkBytes + r.Intn(100)
+				}
+				it := LogItem{Dest: dest, SendIndex: next[dest], Tag: int32(step), Piggyback: []byte{byte(step)}, Payload: make([]byte, size)}
+				r.Read(it.Payload)
+				model[dest] = append(model[dest], cloneItems([]LogItem{it})[0])
+				l.Append(it)
+			}
+			highWater = max(highWater, liveChunks(l))
+			if n := len(l.free) + liveChunks(l); n > highWater {
+				t.Fatalf("round %d step %d: %d free and live chunks, high-water %d", round, step, n, highWater)
+			}
+		}
+		for i, h := range views {
+			if h.v.Count != h.want.Count || len(h.v.Runs) != len(h.want.Runs) ||
+				(len(h.v.Runs) > 0 && !reflect.DeepEqual(h.v.Runs, h.want.Runs)) {
+				t.Fatalf("round %d: view %d changed after it was taken", round, i)
+			}
+		}
+		for i, h := range results {
+			if !reflect.DeepEqual(h.got, h.want) {
+				t.Fatalf("round %d: ItemsFor result %d changed after it was taken", round, i)
+			}
+		}
+		total := 0
+		for dest := 0; dest < 4; dest++ {
+			total += len(model[dest])
+			if got := l.ItemsFor(dest, -1); len(got)+len(model[dest]) > 0 && !reflect.DeepEqual(got, model[dest]) {
+				t.Fatalf("round %d: dest %d holds %d items, model %d", round, dest, len(got), len(model[dest]))
+			}
+		}
+		if l.Len() != total {
+			t.Fatalf("round %d: Len %d, model %d", round, l.Len(), total)
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no released chunk ever joined the free list: the reuse path was never reached")
+	}
+}
+
+// A warm log appending and releasing with no views allocates nothing:
+// released chunks come back as fresh ones, the run list keeps its
+// capacity, and Len neither allocates nor pins.
+func TestWarmAppendReleaseAllocatesNothing(t *testing.T) {
+	l := NewLog()
+	pig, payload := []byte{1, 0}, make([]byte, 8)
+	idx := [2]int64{}
+	cycle := func() {
+		for k := 0; k < 3000; k++ {
+			dest := k % 2
+			idx[dest]++
+			l.Append(LogItem{Dest: dest, SendIndex: idx[dest], Tag: 6, Piggyback: pig, Payload: payload})
+			if k%500 == 0 && l.Len() == 0 {
+				t.Fatal("Len reads an empty log")
+			}
+		}
+		l.Release(0, idx[0]-300) // mid-chunk
+		l.Release(1, idx[1])     // every record
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("warm append/release cycle: %.1f allocations, want 0", n)
+	}
+}
