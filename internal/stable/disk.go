@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -122,8 +123,6 @@ const (
 	// flushBytes is the write-buffer fill at which a shard hands its
 	// records to the kernel: one write per ~190 LU-line log items.
 	flushBytes = 64 << 10
-	// arenaBytes sizes the chunks cached stream entries are cut from.
-	arenaBytes = 64 << 10
 )
 
 var errClosed = errors.New("stable: disk backend is closed")
@@ -131,7 +130,7 @@ var errClosed = errors.New("stable: disk backend is closed")
 // segment is one file of a shard's log.
 type segment struct {
 	path string
-	live int // cached stream entries whose record is in this file
+	live int // live stream entries whose record is in this file
 }
 
 type walShard struct {
@@ -150,7 +149,6 @@ type walShard struct {
 	// backend); the log copy exists so a restarted process can rebuild it.
 	index   map[string][]byte
 	streams streamSet
-	arena   []byte // tail of the chunk new stream entries are cached in
 
 	// Work for the next commit round, which takes it under mu and does
 	// it after unlocking.
@@ -280,21 +278,9 @@ func (s *walShard) flush() error {
 	return err
 }
 
-// cache copies data into the shard's arena and returns the copy, so that
-// recovery inside this process reads no file. Chunks are shared by the
-// shard's streams and freed by the collector when no live entry points
-// into them.
-func (s *walShard) cache(data []byte) []byte {
-	if cap(s.arena)-len(s.arena) < len(data) {
-		s.arena = make([]byte, 0, max(arenaBytes, len(data))) // amortised: one chunk per arenaBytes of entries
-	}
-	n := len(s.arena)
-	s.arena = append(s.arena, data...) // capacity was reserved above
-	return s.arena[n:len(s.arena):len(s.arena)]
-}
-
 // appendEntry is Put and PutLazy on a stream: one record in the buffer,
-// one cached entry, under the shard lock alone.
+// and the entry's location in the head segment, under the shard lock
+// alone. The data itself is kept only in the record.
 func (d *Disk) appendEntry(s *walShard, name string, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -305,12 +291,9 @@ func (d *Disk) appendEntry(s *walShard, name string, data []byte) error {
 	seq := st.tail + 1
 	start := s.begin(opAppend, name)
 	s.buf = binary.AppendUvarint(s.buf, uint64(seq)) // the buffer keeps its capacity across flushes
+	off := s.headBytes + int64(len(s.buf)-start)     // headBytes is where the record starts in the head
 	s.buf = append(s.buf, data...)                   // the buffer keeps its capacity across flushes
-	if seq > st.lo {
-		st.push(seq, s.head, s.cache(data)) // amortised: the cache's next chunk
-	} else {
-		st.tail = seq
-	}
+	st.push(streamEntry{seq: seq, seg: s.head, off: off, size: int64(len(data))})
 	if err := d.end(s, start); err != nil {
 		return err
 	}
@@ -521,7 +504,8 @@ func (s *walShard) sweep() {
 	s.sealed = kept
 }
 
-// Scan implements Backend.
+// Scan implements Backend. It hands the shard's buffered records to the
+// kernel, then reads the live entries back from their segment files.
 func (d *Disk) Scan(name string, fn func(seq int64, data []byte) error) error {
 	if err := checkStream(name); err != nil {
 		return err
@@ -529,8 +513,43 @@ func (d *Disk) Scan(name string, fn func(seq int64, data []byte) error) error {
 	s := d.shardFor(name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if st := s.streams[name]; st != nil {
-		return st.scan(fn)
+	st := s.streams[name]
+	if st == nil {
+		return nil
+	}
+	if s.f != nil {
+		if err := s.flush(); err != nil {
+			return err
+		}
+	}
+	return readEntries(st.live(), fn)
+}
+
+// readEntries calls fn with each entry's data, read from its segment:
+// one read per run of entries in one file, into one reused buffer.
+func readEntries(entries []streamEntry, fn func(seq int64, data []byte) error) error {
+	var buf []byte
+	for len(entries) > 0 {
+		n, lo, hi := 1, entries[0].off, entries[0].off+entries[0].size
+		for ; n < len(entries) && entries[n].seg == entries[0].seg; n++ {
+			lo, hi = min(lo, entries[n].off), max(hi, entries[n].off+entries[n].size)
+		}
+		f, err := os.Open(entries[0].seg.path)
+		if err != nil {
+			return err
+		}
+		buf = slices.Grow(buf[:0], int(hi-lo))[:hi-lo] // one buffer for the whole scan
+		_, err = f.ReadAt(buf, lo)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		for _, e := range entries[:n] {
+			if err := fn(e.seq, buf[e.off-lo:e.off-lo+e.size]); err != nil {
+				return err
+			}
+		}
+		entries = entries[n:]
 	}
 	return nil
 }
@@ -944,9 +963,7 @@ func (s *walShard) replay() error {
 			if st == nil {
 				st = s.streams.get(string(r.name))
 			}
-			if st.push(r.a, seg, nil) {
-				st.entries[len(st.entries)-1].data = s.cache(r.rest)
-			}
+			st.push(streamEntry{seq: r.a, seg: seg, off: int64(r.at), size: int64(len(r.rest))})
 		case opTrim:
 			s.streams.get(string(r.name)).trim(r.a, r.b)
 		}

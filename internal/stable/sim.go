@@ -29,7 +29,7 @@ func (s *Sim) Put(key string, data []byte) error {
 	s.mu.Lock()
 	if IsStream(key) {
 		st := s.streams.get(key)
-		st.push(st.tail+1, nil, append([]byte(nil), data...))
+		st.push(streamEntry{seq: st.tail + 1, data: append([]byte(nil), data...)})
 	} else {
 		s.objects[key] = append(s.objects[key][:0], data...)
 	}

@@ -14,10 +14,10 @@ func checkStream(name string) error {
 }
 
 // stream is the in-memory state of one stream, shared by both backends:
-// the window (lo, tail] of entry numbers that can be live and the cached
-// live entries in ascending order. The disk backend also notes which
-// segment file holds each entry's record, so a segment nothing live
-// points at any more can be unlinked.
+// the window (lo, tail] of entry numbers that can be live and the live
+// entries in ascending order. The sim backend holds each entry's data;
+// the disk backend holds only where it lies in which segment file, so a
+// segment nothing live points at any more can be unlinked.
 type stream struct {
 	lo, tail int64
 	// entries[off:] are the live entries; the slots before off were
@@ -27,9 +27,11 @@ type stream struct {
 }
 
 type streamEntry struct {
-	seq  int64
-	seg  *segment // nil on the sim backend
-	data []byte
+	seq int64
+	// On the disk backend the data is size bytes at off in seg's file.
+	seg       *segment
+	off, size int64
+	data      []byte // the data itself, on the sim backend
 }
 
 // streamSet holds a backend's (or a shard's) streams by name.
@@ -64,24 +66,23 @@ func (st *stream) rewind(name string, tail int64) (changed bool, err error) {
 // live returns the live entries in ascending order.
 func (st *stream) live() []streamEntry { return st.entries[st.off:] }
 
-// push records the entry numbered seq, which becomes the tail. It keeps
-// the entry only if it lies above the truncation point, and reports
-// whether it did. A number at or below the tail supersedes the entries
-// from it upward: replay meets that when a segment holding the Rewind
-// record between two generations of a number has been unlinked.
-func (st *stream) push(seq int64, seg *segment, data []byte) bool {
-	if seq <= st.tail {
-		st.dropAbove(seq - 1)
+// push records entry e, whose number becomes the tail. It keeps the
+// entry only if it lies above the truncation point. A number at or below
+// the tail supersedes the entries from it upward: replay meets that when
+// a segment holding the Rewind record between two generations of a
+// number has been unlinked.
+func (st *stream) push(e streamEntry) {
+	if e.seq <= st.tail {
+		st.dropAbove(e.seq - 1)
 	}
-	st.tail = seq
-	if seq <= st.lo {
-		return false
+	st.tail = e.seq
+	if e.seq <= st.lo {
+		return
 	}
-	st.entries = append(st.entries, streamEntry{seq: seq, seg: seg, data: data}) // amortised slice growth
-	if seg != nil {
-		seg.live++
+	st.entries = append(st.entries, e) // amortised slice growth
+	if e.seg != nil {
+		e.seg.live++
 	}
-	return true
 }
 
 // trim narrows the window to (lo, tail]: it releases the entries at or
@@ -125,7 +126,7 @@ func (st *stream) dropAbove(tail int64) {
 }
 
 // forget drops slot i's references: the entry no longer pins its segment
-// or its bytes.
+// or its data.
 func (st *stream) forget(i int) {
 	if seg := st.entries[i].seg; seg != nil {
 		seg.live--

@@ -22,13 +22,14 @@ const (
 const walRecordHeader = 8
 
 // walRecord is one decoded record. name and rest alias the bytes it was
-// decoded from; a and b are opAppend's entry number, opTrim's window and
-// opCarry's count.
+// decoded from, and at is where rest starts in them; a and b are
+// opAppend's entry number, opTrim's window and opCarry's count.
 type walRecord struct {
 	op   byte
 	name []byte
 	a, b int64
 	rest []byte
+	at   int
 }
 
 // appendRecordStart appends a zeroed header and the common payload prefix
@@ -74,6 +75,7 @@ func replayRecords(data []byte, fn func(walRecord)) (good int) {
 		if !ok {
 			break
 		}
+		r.at = end - len(r.rest) // rest runs to the end of the payload
 		fn(r)
 		good = end
 	}
