@@ -113,7 +113,7 @@ func render(prev, v *obs.VarsSnapshot) string {
 			rc.Rank, alive, inc, done,
 			cval(rc.Counters, "msgs_sent"), cval(rc.Counters, "msgs_delivered"),
 			cval(rc.Counters, "resent_msgs"),
-			cval(rc.Counters, "log_items_appended")-cval(rc.Counters, "log_items_released"),
+			cval(rc.Counters, "log_items_live"),
 			cval(rc.Counters, "recoveries"))
 	}
 

@@ -231,8 +231,39 @@ func countersExactAtQuiescence(t *testing.T, tk transport.Kind) {
 	for rank := 0; rank < exactRanks; rank++ {
 		x.check(rank, "after Wait")
 	}
+	assertServedLogLive(t, c)
 	assertNoLiveHolds(t, c)
 	if x.checks.Load() < 3*exactSteps {
 		t.Fatalf("only %d exactness checks ran", x.checks.Load())
+	}
+}
+
+// assertServedLogLive checks the served log_items_live gauge against each
+// rank's log, read under its lock, and their sum against
+// Cluster.LogItemsLive: a gauge read from the state stays exact across a
+// kill and recovery, where a count of appends minus releases does not.
+func assertServedLogLive(t *testing.T, c *Cluster) {
+	t.Helper()
+	total := int64(0)
+	for rank, s := range c.RankSnapshots() {
+		served := int64(-1)
+		for _, v := range s.Vars() {
+			if v.Name == "log_items_live" {
+				served = v.Value
+			}
+		}
+		c.ranksMu.Lock()
+		r := c.ranks[rank]
+		c.ranksMu.Unlock()
+		r.mu.Lock()
+		n := r.log.Len()
+		r.mu.Unlock()
+		if served != int64(n) {
+			t.Errorf("rank %d serves log_items_live %d; its log holds %d items", rank, served, n)
+		}
+		total += served
+	}
+	if live := c.LogItemsLive(); total != int64(live) {
+		t.Errorf("served log_items_live sums to %d; Cluster.LogItemsLive is %d", total, live)
 	}
 }

@@ -530,6 +530,23 @@ func (c *Cluster) LogItemsLive() int {
 	return total
 }
 
+// RankSnapshots returns each rank's counters with the LogItemsLive gauge
+// read, as LogItemsLive reads it, from the rank's current log under its
+// lock: the per-rank counters the debug endpoint serves.
+func (c *Cluster) RankSnapshots() []metrics.Snapshot {
+	out := c.coll.PerRank()
+	c.ranksMu.Lock()
+	defer c.ranksMu.Unlock()
+	for i, r := range c.ranks {
+		if r != nil {
+			r.mu.Lock()
+			out[i].LogItemsLive = int64(r.log.Len())
+			r.mu.Unlock()
+		}
+	}
+	return out
+}
+
 // Close tears the cluster down: all rank goroutines exit, queued
 // checkpoint saves are flushed, and the stable backend is released.
 func (c *Cluster) Close() {

@@ -153,8 +153,7 @@ func (r *Rank) ShardContended() { r.shardContended.Add(1) }
 // Resent records a logged message retransmitted for a peer's recovery.
 func (r *Rank) Resent() { r.resentMsgs.Add(1) }
 
-// LogReleased tracks sender-log retention: n items released. Every sent
-// message is appended to the log, so appends are the sent count.
+// LogReleased counts n sender-log items released, by any incarnation.
 func (r *Rank) LogReleased(n int) { r.logItemsReleased.Add(int64(n)) }
 
 // RecoveryDone records one completed recovery taking d.
@@ -183,7 +182,6 @@ func (r *Rank) Snapshot() Snapshot {
 		RepetitiveDiscarded: r.repetitiveDiscarded.Load(),
 		ShardContended:      r.shardContended.Load(),
 		ResentMsgs:          r.resentMsgs.Load(),
-		LogItemsAppended:    sent,
 		LogItemsReleased:    r.logItemsReleased.Load(),
 		Recoveries:          r.recoveries.Load(),
 		RecoveryNanos:       r.recoveryNanos.Load(),
@@ -210,16 +208,19 @@ type Snapshot struct {
 	RepetitiveDiscarded int64
 	ShardContended      int64
 	ResentMsgs          int64
-	LogItemsAppended    int64
 	LogItemsReleased    int64
-	Recoveries          int64
-	RecoveryNanos       int64
-	BlockedSendNanos    int64
-	PigDeltaMsgs        int64
-	PigFullMsgs         int64
-	PigFloorFullMsgs    int64
-	IngestRejected      int64
-	LiveHolds           int64
+	// LogItemsLive is a gauge, not a count: the current incarnation's
+	// sender-log length, read from the log under the rank lock
+	// (harness.Cluster.RankSnapshots); Rank.Snapshot leaves it zero.
+	LogItemsLive     int64
+	Recoveries       int64
+	RecoveryNanos    int64
+	BlockedSendNanos int64
+	PigDeltaMsgs     int64
+	PigFullMsgs      int64
+	PigFloorFullMsgs int64
+	IngestRejected   int64
+	LiveHolds        int64
 }
 
 // Add returns the elementwise sum of s and o.
@@ -235,8 +236,8 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.RepetitiveDiscarded += o.RepetitiveDiscarded
 	s.ShardContended += o.ShardContended
 	s.ResentMsgs += o.ResentMsgs
-	s.LogItemsAppended += o.LogItemsAppended
 	s.LogItemsReleased += o.LogItemsReleased
+	s.LogItemsLive += o.LogItemsLive
 	s.Recoveries += o.Recoveries
 	s.RecoveryNanos += o.RecoveryNanos
 	s.BlockedSendNanos += o.BlockedSendNanos
@@ -270,9 +271,6 @@ func (s Snapshot) AvgPiggybackBytes() float64 {
 func (s Snapshot) TrackingTime() time.Duration {
 	return time.Duration(s.SendTrackNanos + s.DeliverTrackNanos)
 }
-
-// LogItemsLive is the current sender-log population.
-func (s Snapshot) LogItemsLive() int64 { return s.LogItemsAppended - s.LogItemsReleased }
 
 // Collector owns one Rank accumulator per process.
 type Collector struct {
@@ -350,8 +348,8 @@ func (s Snapshot) Vars() []obs.Counter {
 		{Name: "repetitive_discarded", Value: s.RepetitiveDiscarded},
 		{Name: "shard_contended", Value: s.ShardContended},
 		{Name: "resent_msgs", Value: s.ResentMsgs},
-		{Name: "log_items_appended", Value: s.LogItemsAppended},
 		{Name: "log_items_released", Value: s.LogItemsReleased},
+		{Name: "log_items_live", Value: s.LogItemsLive},
 		{Name: "recoveries", Value: s.Recoveries},
 		{Name: "recovery_ns", Value: s.RecoveryNanos},
 		{Name: "blocked_send_ns", Value: s.BlockedSendNanos},

@@ -37,8 +37,8 @@ func TestRankCountersAccumulate(t *testing.T) {
 	if s.TrackingTime() != 5*time.Microsecond {
 		t.Fatalf("TrackingTime = %v", s.TrackingTime())
 	}
-	if s.LogItemsAppended != 2 || s.LogItemsLive() != 1 {
-		t.Fatalf("LogItemsLive = %d", s.LogItemsLive())
+	if s.LogItemsReleased != 1 || s.LogItemsLive != 0 {
+		t.Fatalf("log counters: released %d, live %d (a gauge Rank.Snapshot cannot read)", s.LogItemsReleased, s.LogItemsLive)
 	}
 	if s.Recoveries != 1 || time.Duration(s.RecoveryNanos) != time.Millisecond {
 		t.Fatalf("recovery counters wrong: %+v", s)

@@ -455,7 +455,7 @@ func (d *DebugServer) Close() error { return d.srv.Close() }
 // Trace is nil).
 func (c *Cluster) ServeDebug(addr string) (*DebugServer, error) {
 	counters := func() []obs.RankCounters {
-		per := c.inner.Metrics().PerRank()
+		per := c.inner.RankSnapshots()
 		out := make([]obs.RankCounters, len(per))
 		for i, s := range per {
 			out[i] = obs.RankCounters{Rank: i, Counters: s.Vars()}
