@@ -38,7 +38,9 @@ race:
 # full link and recovers it;
 # TestBufferedSendOwnsTheFrame races the fabric's lock-free inline
 # admission against Kill/Stall/Revive/Unstall.
-RACE_STRESS = 'TestConcurrentKillRecover|TestNonBlockingSendWaitsAtFullLink|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
+# TestDeliveredPayloadOwnership races ingest against a lent payload and
+# the pool's reuse of a recycled envelope against a kill and its resends.
+RACE_STRESS = 'TestDeliveredPayloadOwnership|TestConcurrentKillRecover|TestNonBlockingSendWaitsAtFullLink|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/

@@ -59,7 +59,7 @@ func (a *fanApp) Step(env windar.Env, s int) {
 		parts := make([][]byte, a.n)
 		for w := 1; w < a.n; w++ {
 			data, from := env.Recv(windar.AnySource, 0)
-			parts[from] = data
+			parts[from] = bytes.Clone(data) // data is lent only until the next Recv
 		}
 		var buf bytes.Buffer
 		for w := 1; w < a.n; w++ {

@@ -52,14 +52,15 @@ type Env interface {
 	// its payload and actual source. source may be AnySource, tag may be
 	// AnyTag.
 	//
-	// data is the receiver's own deep copy — it never aliases the
-	// sender's logged bytes or any other delivery — so the application
-	// may keep it, overwrite it or append to it (its capacity is clipped
-	// to its length, so an append copies out). It is not necessarily an
-	// allocation of its own: payloads up to wire.ArenaMax are cut from a
-	// chunk shared with neighbouring deliveries that is never rewritten,
-	// so holding on to one small payload keeps up to wire.ArenaChunk
-	// bytes reachable. Copy what must outlive the step by much.
+	// data is lent until the application's next Recv, as the buffer of
+	// an MPI_Recv is the caller's: until then it is the receiver's alone
+	// — it never aliases the sender's logged bytes or any other delivery —
+	// and the application may overwrite it or append to it (its capacity
+	// is clipped to its length, so an append copies out). The next Recv
+	// takes it back for a later message, so whoever keeps the bytes past
+	// that copies them, just as Send copies the application's buffer.
+	// A payload kept anyway reads wire.Poison until the memory carries a
+	// later message.
 	Recv(source int, tag int32) (data []byte, from int)
 }
 
@@ -72,7 +73,9 @@ type App interface {
 	Steps() int
 	// Step executes step s (0-based), exchanging messages via env.
 	Step(env Env, s int)
-	// Snapshot serializes the application state between steps.
+	// Snapshot serializes the application state between steps. The
+	// harness reads the result only before the application's next Step,
+	// so the application may reuse one buffer for every snapshot.
 	Snapshot() []byte
 	// Restore replaces the application state with a prior Snapshot.
 	Restore(data []byte) error

@@ -360,13 +360,6 @@ type link struct {
 	busy   int   // messages in service (0 or 1)
 	rng    *rand.Rand
 	batch  *obs.Hist // occupancy of each serviced transfer (nil-safe)
-
-	// payloads backs the receiver's deep copy of every application
-	// payload this link delivers. It belongs to the link's delivery turn:
-	// tryInline copies with mu held and the link idle, run's deliver
-	// while busy — which mu orders against each other — so the two never
-	// touch it at once.
-	payloads wire.Arena
 }
 
 // pending is the number of queued messages. Callers hold l.mu.
@@ -454,10 +447,10 @@ func (l *link) reserveLocked(n int) int {
 // the admission read and the push loses the message with the dropped
 // inbox, exactly as a kill right after the push would. l.mu is held
 // across the inbox push so a racing send on the same link cannot
-// overtake the delivery — and so the link's payload arena has one user.
-// The receiver gets a deep copy with the same ownership contract a decode
-// would produce, never the sender's envelope or its logged bytes; the
-// queued path still wire-round-trips every message.
+// overtake the delivery. The receiver gets a deep copy with the same
+// ownership contract a decode would produce, never the sender's envelope
+// or its logged bytes; the queued path still wire-round-trips every
+// message.
 func (l *link) tryInline(env *wire.Envelope) bool {
 	l.mu.Lock()
 	box := l.f.ranks[l.to].admit.Load()
@@ -466,7 +459,7 @@ func (l *link) tryInline(env *wire.Envelope) bool {
 		return false
 	}
 	denv := wire.GetEnvelope()
-	wire.CopyIntoArena(denv, env, &l.payloads)
+	wire.CopyInto(denv, env)
 	l.batch.Record(1)
 	box.Push(denv)
 	l.mu.Unlock()
@@ -555,7 +548,7 @@ func (l *link) deliver(b []byte, done chan struct{}) bool {
 	r.mu.Unlock()
 
 	env := wire.GetEnvelope()
-	if err := wire.DecodeInto(env, b, &l.payloads); err != nil {
+	if err := wire.DecodeInto(env, b); err != nil {
 		// An encode/decode mismatch is a bug in this repository, not a
 		// runtime condition: fail loudly.
 		panic(fmt.Sprintf("fabric: corrupt envelope on link to %d: %v", l.to, err))

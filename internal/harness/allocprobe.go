@@ -39,8 +39,8 @@ type AllocProbe struct {
 	// Max, when positive, is an absolute budget the gate holds the
 	// measurement to instead of baseline plus tolerance. The end-to-end
 	// probes use it: their figure is a fraction — the amortised chunks of
-	// the arenas and the sender log — so a whole-allocation tolerance
-	// would hide a regression of the very thing they gate.
+	// TDI's piggyback arena and the sender log — so a whole-allocation
+	// tolerance would hide a regression of the very thing they gate.
 	Max float64
 }
 
@@ -332,7 +332,7 @@ func probeCkptEncode() float64 {
 }
 
 // ckptCycleMax is ckpt_cycle's budget, allocations per checkpoint
-// besides the application's Snapshot.
+// besides any the application's Snapshot makes itself.
 const ckptCycleMax = 1
 
 // probeCkptCycle measures the steady checkpoint cycle on the end-to-end
@@ -491,8 +491,7 @@ var _ io.Reader = (*loopReader)(nil)
 // loopback tcp transport the way the harness sends and receives them
 // (a buffered Send; RecvBatch; Recycle). The budget is zero:
 // the chunk, the read buffer and the envelope are reused, and the
-// payload the receiver keeps is cut from the connection's arena (see
-// wire.DecodeInto).
+// payload is lent from the envelope's own scratch (see wire.DecodeInto).
 func probeTCPHop() float64 {
 	tr, err := tcp.New(tcp.Config{N: 2})
 	if err != nil {
@@ -503,7 +502,7 @@ func probeTCPHop() float64 {
 }
 
 // probeMemHop is probeTCPHop over the instant mem fabric: the inline
-// delivery's deep copy (wire.CopyIntoArena into the link's arena).
+// delivery's deep copy (wire.CopyInto into the envelope's scratch).
 func probeMemHop() float64 {
 	tr := fabric.New(fabric.Config{N: 2})
 	defer tr.Close()
@@ -624,7 +623,7 @@ func probeShardFIFO() float64 {
 
 // msgRoundtripMax is the end-to-end budget, allocations per delivered
 // message. What is left under it is amortised: an arena chunk per ~2 000
-// payloads or piggybacks, a sender-log chunk per ~800 records.
+// piggybacks, a sender-log chunk per ~800 records.
 const msgRoundtripMax = 0.05
 
 // pingApp is the end-to-end probe's application: ranks 0 and 1 bounce an

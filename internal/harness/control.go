@@ -153,8 +153,9 @@ func (r *rankRuntime) receiverLoop(in transport.BatchInbox) {
 				r.rejectEnvelope(env)
 				continue
 			}
-			// A control handler keeps at most payload slices, and those
-			// are never pool memory (see wire.DecodeInto).
+			// A control handler keeps at most slices of ROLLBACK and
+			// RESPONSE payloads, which are never envelope scratch (see
+			// wire.DecodeInto); an advance's payload is read and dropped.
 			wire.Recycle(env)
 		}
 		if woke {

@@ -27,6 +27,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -495,9 +496,9 @@ func (c *Cluster) Wait() {
 // Metrics returns the per-rank overhead counters.
 func (c *Cluster) Metrics() *metrics.Collector { return c.coll }
 
-// AppSnapshot returns the current application snapshot for rank. Call it
-// after Wait: while the application goroutine is running, the snapshot
-// may be mid-step.
+// AppSnapshot returns a copy of the current application snapshot for
+// rank. Call it after Wait: while the application goroutine is running,
+// the snapshot may be mid-step.
 func (c *Cluster) AppSnapshot(rank int) []byte {
 	c.ranksMu.Lock()
 	r := c.ranks[rank]
@@ -507,7 +508,7 @@ func (c *Cluster) AppSnapshot(rank int) []byte {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.theApp.Snapshot()
+	return bytes.Clone(r.theApp.Snapshot())
 }
 
 // Store exposes the stable-storage backend (tests, diagnostics).

@@ -50,11 +50,15 @@ type rankRuntime struct {
 	replayer proto.Replayer
 
 	// Per-message chain scratch. sendMsg is touched only by the app
-	// goroutine inside Send; delivMsg, delivEnv and recvStart only under
-	// mu on the deliver path. Reusing them keeps the chain allocation-free.
+	// goroutine inside Send; delivMsg, delivEnv, lent and recvStart only
+	// under mu on the deliver path. Reusing them keeps the chain
+	// allocation-free. lent is the last delivered envelope: the payload
+	// Recv returned lives in its scratch, so it goes back to the pool at
+	// the next delivery, not before.
 	sendMsg   layer.Msg
 	delivMsg  layer.Msg
 	delivEnv  *wire.Envelope
+	lent      *wire.Envelope
 	recvStart time.Time
 	// sendSuppressed is coreHandler.Send's verdict for the message just
 	// pushed through the chain (valid until the next Send).
@@ -138,7 +142,8 @@ type rankRuntime struct {
 	// CHECKPOINT_ADVANCE fan-out in ckptNext; ckptWriterLoop does them off
 	// the application's critical path. ckptFree holds the jobs the writer
 	// is done with and no longer staged, which doCheckpoint refills, so a
-	// steady checkpoint cycle allocates only the application's snapshot.
+	// steady checkpoint cycle allocates nothing of its own: the job keeps
+	// its buffers, and the application's snapshot is copied into one.
 	// ckptMu is a leaf lock.
 	ckptMu   sync.Mutex
 	ckptCond *sync.Cond
@@ -503,10 +508,7 @@ func (r *rankRuntime) Recv(source int, tag int32) ([]byte, int) {
 			panic(killedPanic{})
 		}
 		if env := r.takeDeliverableLocked(source, tag); env != nil {
-			// Capture the source first: deliverLocked recycles pooled
-			// envelopes, after which env's fields are no longer ours.
-			src := env.From
-			return r.deliverLocked(env), src
+			return r.deliverLocked(env), env.From
 		}
 		now := r.c.clk.Now()
 		if start.IsZero() {
@@ -665,11 +667,12 @@ func (r *rankRuntime) deliverLocked(env *wire.Envelope) []byte {
 		}
 	}
 	// The delivery is committed and every reader of the envelope — the
-	// chain, the recovery bookkeeping above — is done with it. Pooled
-	// envelopes (transport decode scratch) go back for reuse; the
-	// payload survives because its bytes are the receiver's own copy,
-	// never part of the scratch.
-	wire.Recycle(env)
+	// chain, the recovery bookkeeping above — is done with it, but the
+	// payload may live in its scratch: it is lent to the application
+	// until its next Recv, so the envelope lent before goes back to the
+	// pool now, and this one with the next delivery.
+	wire.Recycle(r.lent)
+	r.lent = env
 	return payload
 }
 
@@ -772,7 +775,7 @@ func (r *rankRuntime) doCheckpoint(step int) {
 	r.ckptMu.Unlock()
 	cp := &job.cp
 	cp.Rank, cp.Step, cp.DeliveredCount = r.id, step, r.deliveredCount
-	cp.AppImage = r.theApp.Snapshot()
+	cp.AppImage = append(cp.AppImage[:0], r.theApp.Snapshot()...) // the app may reuse its snapshot at its next Step
 	cp.ProtoState = r.prot.AppendSnapshot(cp.ProtoState[:0])
 	cp.LastSendIndex = append(cp.LastSendIndex[:0], r.lastSendIndex...)
 	cp.LastDeliverIndex = append(cp.LastDeliverIndex[:0], r.lastDeliverIndex...)
@@ -860,10 +863,8 @@ func (r *rankRuntime) ckptWriterLoop() {
 }
 
 // freeCkptJob returns job to the free list, dropping its references to
-// the application's image and to log records that may since have been
-// released. Caller holds ckptMu.
+// log records that may since have been released. Caller holds ckptMu.
 func (r *rankRuntime) freeCkptJob(job *ckptJob) {
-	job.cp.AppImage = nil
 	clear(job.cp.LogView.Runs)
 	r.ckptFree = append(r.ckptFree, job)
 }

@@ -21,7 +21,8 @@ import (
 )
 
 // Bcast distributes root's data to every rank over a binomial tree and
-// returns the received copy (root returns data itself).
+// returns the received copy (root returns data itself), lent like any
+// payload Env.Recv returns: valid until the caller's next Recv.
 func Bcast(env app.Env, root int, tag int32, data []byte) []byte {
 	n := env.N()
 	if n == 1 {

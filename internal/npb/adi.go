@@ -77,13 +77,7 @@ func Benchmark(name string, p Params) (app.Factory, error) {
 func (a *adiApp) Steps() int { return a.p.Iterations }
 
 // Snapshot implements app.App: u, plus rhs for SP.
-func (a *adiApp) Snapshot() []byte {
-	out := a.snapshot()
-	if a.rhs != nil {
-		out = append(out, encodeF64s(a.rhs)...)
-	}
-	return out
-}
+func (a *adiApp) Snapshot() []byte { return a.snapshot(a.u, a.rhs) }
 
 // Restore implements app.App.
 func (a *adiApp) Restore(b []byte) error {

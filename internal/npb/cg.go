@@ -145,13 +145,7 @@ func (a *cgApp) globalDot(env app.Env, u, v []float64) float64 {
 
 // Snapshot implements app.App: x, r, p and rho.
 func (a *cgApp) Snapshot() []byte {
-	out := make([]byte, 0, 8*(3*a.m+1))
-	out = append(out, encodeF64s(a.x)...)
-	out = append(out, encodeF64s(a.r)...)
-	out = append(out, encodeF64s(a.pv)...)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(a.rho))
-	return append(out, b[:]...)
+	return a.snapshot(a.x, a.r, a.pv, []float64{a.rho})
 }
 
 // Restore implements app.App.

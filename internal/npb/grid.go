@@ -143,15 +143,6 @@ func (g *grid) neighbour(dix, diy int) int {
 	return nix*g.py + niy
 }
 
-// snapshot serializes the field.
-func (g *grid) snapshot() []byte {
-	out := make([]byte, 8*len(g.u))
-	for i, v := range g.u {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
-	}
-	return out
-}
-
 // restore replaces the field from a snapshot.
 func (g *grid) restore(b []byte) error {
 	if len(b) != 8*len(g.u) {
@@ -173,9 +164,7 @@ func (g *grid) localNormSq() float64 {
 	return s
 }
 
-// encodeF64s / decodeF64s are the payload and snapshot codecs.
-func encodeF64s(v []float64) []byte { return mpi.EncodeF64s(nil, v) }
-
+// decodeF64s is the snapshot decoder.
 func decodeF64s(b []byte) []float64 { return mpi.DecodeF64s(nil, b) }
 
 // grow returns s resized to n, reallocated only when its capacity is short.
@@ -186,16 +175,30 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// msgBufs are a kernel's message scratch, reused across steps and never
-// part of its state: the outgoing line and its encoding (Send copies the
-// payload before it returns) and the received lines, decoded into place.
-// A sweep holds at most two received lines at once, one per slot. coll
-// is the collectives' scratch.
+// msgBufs are a kernel's message and snapshot scratch, reused across
+// steps and never part of its state: the outgoing line and its encoding
+// (Send copies the payload before it returns), the received lines,
+// decoded into place, and the snapshot (the harness reads it before the
+// next Step). A sweep holds at most two received lines at once, one per
+// slot. coll is the collectives' scratch.
 type msgBufs struct {
 	line []float64
 	enc  []byte
 	in   [2][]float64
+	snap []byte
 	coll mpi.Buffers
+}
+
+// snapshot returns the encodings of vs, back to back, in the reused
+// snapshot buffer.
+func (m *msgBufs) snapshot(vs ...[]float64) []byte {
+	m.snap = m.snap[:0]
+	for _, v := range vs {
+		for _, x := range v {
+			m.snap = binary.LittleEndian.AppendUint64(m.snap, math.Float64bits(x)) // amortised: grows to the snapshot's size once
+		}
+	}
+	return m.snap
 }
 
 // lineBuf returns the outgoing-line scratch resized to n values.

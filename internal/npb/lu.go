@@ -36,7 +36,7 @@ func LU(p Params) (app.Factory, error) {
 func (a *luApp) Steps() int { return a.p.Iterations }
 
 // Snapshot implements app.App.
-func (a *luApp) Snapshot() []byte { return a.snapshot() }
+func (a *luApp) Snapshot() []byte { return a.snapshot(a.u) }
 
 // Restore implements app.App.
 func (a *luApp) Restore(b []byte) error { return a.restore(b) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"windar/internal/mpi"
 )
 
 func TestProcGrid(t *testing.T) {
@@ -102,7 +104,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	for i := range g.u {
 		g.u[i] = float64(i) * 1.5
 	}
-	snap := g.snapshot()
+	snap := g.snapshot(g.u)
 	g2 := newGrid(1, 2, Params{N: 5, Iterations: 1}, 3)
 	if err := g2.restore(snap); err != nil {
 		t.Fatal(err)
@@ -181,7 +183,7 @@ func TestLocalNormSqPositiveFinite(t *testing.T) {
 
 func TestEncodeDecodeF64s(t *testing.T) {
 	v := []float64{0, 1.5, -2.25, math.Pi}
-	got := decodeF64s(encodeF64s(v))
+	got := decodeF64s(mpi.EncodeF64s(nil, v))
 	for i := range v {
 		if got[i] != v[i] {
 			t.Fatalf("round trip: %v vs %v", got, v)

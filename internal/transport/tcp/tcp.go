@@ -104,6 +104,9 @@ const (
 	chunkCap = 64 << 10
 	// readBufMin is a connection's first read buffer; it doubles while
 	// reads fill it, up to chunkCap, and beyond only to fit one frame.
+	// A fresh send chunk starts with as much room, and with room for the
+	// ends of 128 frames (readBufMin/32), so a burst of sends grows
+	// neither slice from empty.
 	readBufMin = 4 << 10
 )
 
@@ -407,7 +410,6 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 		filled bool             // the last read filled buf: more was waiting in the socket
 		batch  []*wire.Envelope // decoded from the last read
 		count  int64            // frames pushed over this connection
-		arena  wire.Arena       // backs the application payloads decoded here
 	)
 	for {
 		// Grow when the frame at the front does not fit, and — up to
@@ -422,7 +424,7 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 		filled = have == len(buf)
 		var used int
 		var derr error
-		batch, used, derr = decodeFrames(batch[:0], buf[:have], &arena)
+		batch, used, derr = decodeFrames(batch[:0], buf[:have])
 		have = copy(buf, buf[used:have])
 		if len(batch) > 0 {
 			r.mu.Lock()
@@ -455,15 +457,14 @@ func (t *Transport) serveConn(rank int, conn net.Conn) {
 }
 
 // decodeFrames decodes every complete frame in b into a pooled envelope
-// appended to batch (application payloads copied into a), and returns
-// the bytes those frames took; the rest of b is the prefix of a frame
-// still in the socket. A non-nil error means the stream is corrupt after
-// the frames returned.
-func decodeFrames(batch []*wire.Envelope, b []byte, a *wire.Arena) ([]*wire.Envelope, int, error) {
+// appended to batch, and returns the bytes those frames took; the rest of
+// b is the prefix of a frame still in the socket. A non-nil error means
+// the stream is corrupt after the frames returned.
+func decodeFrames(batch []*wire.Envelope, b []byte) ([]*wire.Envelope, int, error) {
 	used := 0
 	for used < len(b) {
 		env := wire.GetEnvelope()
-		n, err := wire.DecodeFrameInto(env, b[used:], a)
+		n, err := wire.DecodeFrameInto(env, b[used:])
 		if n == 0 {
 			wire.Recycle(env)
 			return batch, used, err
@@ -604,7 +605,7 @@ func (l *link) newChunkLocked() *chunk {
 		l.free = l.free[:n-1]
 		return c
 	}
-	return new(chunk)
+	return &chunk{buf: make([]byte, 0, readBufMin), ends: make([]int, 0, readBufMin/32)}
 }
 
 // wake makes the link's writer and its blocked senders re-check the

@@ -429,7 +429,7 @@ func TestDecodeFramesReportsCorruption(t *testing.T) {
 		{"prefix", good[:len(good)-1], false},
 	} {
 		b := append(append([]byte(nil), good...), c.tail...)
-		batch, used, err := decodeFrames(nil, b, nil)
+		batch, used, err := decodeFrames(nil, b)
 		if len(batch) != 1 || used != len(good) {
 			t.Errorf("%s: %d frames, %d bytes used; want the one whole frame, %d bytes", c.name, len(batch), used, len(good))
 		}

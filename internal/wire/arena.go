@@ -1,19 +1,20 @@
 package wire
 
-// ArenaChunk is the size of every Arena chunk. Small payloads dominate
-// the workloads this repository runs, so one chunk serves thousands of
-// messages.
+// ArenaChunk is the size of every Arena chunk. Piggybacks are small, so
+// one chunk serves thousands of sends.
 const ArenaChunk = 16 << 10
 
-// ArenaMax is the largest slice an Arena cuts from a chunk. Anything
-// bigger keeps its own allocation, which bounds both the tail a chunk
-// rollover abandons and what a single retained slice can pin to one
-// chunk's worth of small neighbours — never a neighbour's megabyte.
+// ArenaMax is the largest slice an Arena cuts from a chunk, and the
+// largest payload a pooled receive envelope lends from its own scratch
+// (see setPayload). Anything bigger keeps its own allocation, which
+// bounds the tail a chunk rollover abandons, what a single retained
+// slice can pin to one chunk's worth of small neighbours — never a
+// neighbour's megabyte — and what a pooled envelope keeps.
 const ArenaMax = ArenaChunk / 4
 
-// Arena is the append-only allocator behind the byte copies a message
-// leaves behind: the sender's logged payload, TDI's retained piggyback,
-// the receiver's deep copy. Bytes are handed out front to back from a
+// Arena is the append-only allocator behind TDI's piggybacks
+// (core.TDI.PiggybackForSend), whose callers may keep a returned slice
+// across calls. Bytes are handed out front to back from a
 // chunk that is never rewritten or reused — a full chunk is dropped for a
 // fresh one and the garbage collector frees it once the last slice cut
 // from it is gone — so a slice, once returned, is immutable storage owned
@@ -38,10 +39,10 @@ func (a *Arena) Tail(n int) []byte {
 	return a.grow(n)
 }
 
-// grow is Tail and Copy off the fast path: a fresh chunk, or — for Tail
-// without an arena or over ArenaMax — an allocation of its own. It stays
-// out of line so that both allocations are attributed here in profiles,
-// rather than to whichever hot caller the compiler inlined them into.
+// grow is Tail off the fast path: a fresh chunk, or — without an arena
+// or over ArenaMax — an allocation of its own. It stays out of line so
+// that both allocations are attributed here in profiles, rather than to
+// whichever hot caller the compiler inlined them into.
 //
 //go:noinline
 func (a *Arena) grow(n int) []byte {
@@ -66,25 +67,4 @@ func (a *Arena) Commit(b []byte) []byte {
 		}
 	}
 	return b[:len(b):len(b)]
-}
-
-// Copy returns a copy of src that the caller owns (see Arena); empty
-// copies to nil. It is Commit(append(Tail(len(src)), src...)) written
-// out, because every payload of every message goes through it.
-func (a *Arena) Copy(src []byte) []byte {
-	n := len(src)
-	if n == 0 {
-		return nil
-	}
-	if a == nil || n > ArenaMax {
-		b := make([]byte, n) // no arena, or oversize: the slice owns its allocation
-		copy(b, src)
-		return b
-	}
-	if n > cap(a.chunk)-len(a.chunk) {
-		a.grow(n)
-	}
-	off := len(a.chunk)
-	a.chunk = append(a.chunk, src...)
-	return a.chunk[off : off+n : off+n]
 }

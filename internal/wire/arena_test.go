@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"runtime"
 	"testing"
 	"unsafe"
 )
+
+// copyIn is the Tail/Commit round a caller makes to copy src into a.
+func copyIn(a *Arena, src []byte) []byte { return a.Commit(append(a.Tail(len(src)), src...)) }
 
 // inArena reports whether b's bytes lie inside a's current chunk.
 func inArena(a *Arena, b []byte) bool {
@@ -20,8 +22,8 @@ func inArena(a *Arena, b []byte) bool {
 
 func TestArenaCopyIsClippedAndPacked(t *testing.T) {
 	var a Arena
-	x := a.Copy([]byte("hello"))
-	y := a.Copy([]byte("world"))
+	x := copyIn(&a, []byte("hello"))
+	y := copyIn(&a, []byte("world"))
 	if string(x) != "hello" || string(y) != "world" {
 		t.Fatalf("copies read %q, %q", x, y)
 	}
@@ -41,17 +43,17 @@ func TestArenaCopyIsClippedAndPacked(t *testing.T) {
 	}
 	// Mutation in place stays inside the slice.
 	y[0] = 'W'
-	if z := a.Copy([]byte("next")); string(z) != "next" || string(x[:5]) != "hello" {
+	if z := copyIn(&a, []byte("next")); string(z) != "next" || string(x[:5]) != "hello" {
 		t.Fatalf("mutation leaked: %q %q", z, x)
 	}
 }
 
 func TestArenaZeroLengthAndNil(t *testing.T) {
 	var a Arena
-	if got := a.Copy(nil); got != nil {
+	if got := copyIn(&a, nil); got != nil {
 		t.Fatalf("Copy(nil) = %v, want nil", got)
 	}
-	if got := a.Copy([]byte{}); got != nil {
+	if got := copyIn(&a, []byte{}); got != nil {
 		t.Fatalf("Copy(empty) = %v, want nil", got)
 	}
 	if got := a.Commit(a.Tail(8)); got != nil {
@@ -62,7 +64,7 @@ func TestArenaZeroLengthAndNil(t *testing.T) {
 	}
 	var none *Arena
 	src := []byte("own allocation")
-	got := none.Copy(src)
+	got := copyIn(none, src)
 	if !bytes.Equal(got, src) || &got[0] == &src[0] || cap(got) != len(got) {
 		t.Fatalf("nil arena Copy = %q (cap %d)", got, cap(got))
 	}
@@ -74,7 +76,7 @@ func TestArenaRolloverNeverRewrites(t *testing.T) {
 	var all [][]byte
 	for i := 0; i < 5*ArenaChunk/size; i++ {
 		src := bytes.Repeat([]byte{byte(i)}, size)
-		all = append(all, a.Copy(src))
+		all = append(all, copyIn(&a, src))
 	}
 	chunks := map[*byte]bool{}
 	for i, b := range all {
@@ -93,9 +95,9 @@ func TestArenaRolloverNeverRewrites(t *testing.T) {
 
 func TestArenaOversizeOwnsItsAllocation(t *testing.T) {
 	var a Arena
-	small := a.Copy(make([]byte, ArenaMax))
+	small := copyIn(&a, make([]byte, ArenaMax))
 	used := len(a.chunk)
-	big := a.Copy(make([]byte, ArenaMax+1))
+	big := copyIn(&a, make([]byte, ArenaMax+1))
 	if !inArena(&a, small) {
 		t.Fatal("a payload of exactly ArenaMax was not arena-backed")
 	}
@@ -110,7 +112,7 @@ func TestArenaOversizeOwnsItsAllocation(t *testing.T) {
 func TestArenaCommitOfMovedAppend(t *testing.T) {
 	var a Arena
 	for i := 0; i < 3; i++ {
-		a.Copy(make([]byte, ArenaMax)) // leaves exactly ArenaMax free
+		copyIn(&a, make([]byte, ArenaMax)) // leaves exactly ArenaMax free
 	}
 	b := a.Tail(16)
 	used := len(a.chunk)
@@ -124,16 +126,21 @@ func TestArenaCommitOfMovedAppend(t *testing.T) {
 	}
 }
 
+// lent reports whether e's payload is lent from e's own scratch.
+func lent(e *Envelope) bool {
+	return len(e.Payload) > 0 && cap(e.payBuf) > 0 && &e.Payload[0] == &e.payBuf[:1][0]
+}
+
 // TestDecodeAndCopyOwnership: only application and CHECKPOINT_ADVANCE
-// payloads within ArenaMax are cut from the arena; other control payloads
-// and oversize payloads own their allocation, and no path aliases its
-// input.
+// payloads within ArenaMax are lent from the envelope's scratch; other
+// control payloads and oversize payloads own their allocation. No path
+// aliases its input, and Recycle poisons exactly the bytes it lent.
 func TestDecodeAndCopyOwnership(t *testing.T) {
 	cases := []struct {
-		name    string
-		kind    Kind
-		size    int
-		inArena bool
+		name string
+		kind Kind
+		size int
+		lent bool
 	}{
 		{"app", KindApp, 64, true},
 		{"app at the limit", KindApp, ArenaMax, true},
@@ -150,21 +157,21 @@ func TestDecodeAndCopyOwnership(t *testing.T) {
 				Piggyback: []byte{1, 2, 3}, Payload: bytes.Repeat([]byte{0xAB}, tc.size)}
 			enc := Encode(src)
 			frame := AppendFrame(nil, src)
-			var a Arena
-			var viaCopy, viaDecode, viaFrame Envelope
-			CopyIntoArena(&viaCopy, src, &a)
-			if err := DecodeInto(&viaDecode, enc, &a); err != nil {
+			viaCopy, viaDecode, viaFrame := GetEnvelope(), GetEnvelope(), GetEnvelope()
+			CopyInto(viaCopy, src)
+			if err := DecodeInto(viaDecode, enc); err != nil {
 				t.Fatal(err)
 			}
-			if n, err := DecodeFrameInto(&viaFrame, frame, &a); err != nil || n != len(frame) {
+			if n, err := DecodeFrameInto(viaFrame, frame); err != nil || n != len(frame) {
 				t.Fatalf("DecodeFrameInto = %d, %v", n, err)
 			}
-			for path, e := range map[string]*Envelope{"copy": &viaCopy, "decode": &viaDecode, "frame": &viaFrame} {
+			paths := map[string]*Envelope{"copy": viaCopy, "decode": viaDecode, "frame": viaFrame}
+			for path, e := range paths {
 				if !bytes.Equal(e.Payload, src.Payload) || e.Kind != tc.kind || e.SendIndex != 9 {
 					t.Fatalf("%s: wrong envelope %+v", path, e)
 				}
-				if got := inArena(&a, e.Payload); got != tc.inArena {
-					t.Errorf("%s: payload arena-backed = %v, want %v", path, got, tc.inArena)
+				if got := lent(e); got != tc.lent {
+					t.Errorf("%s: payload lent = %v, want %v", path, got, tc.lent)
 				}
 				if cap(e.Payload) != len(e.Payload) {
 					t.Errorf("%s: payload cap %d over len %d", path, cap(e.Payload), len(e.Payload))
@@ -174,46 +181,54 @@ func TestDecodeAndCopyOwnership(t *testing.T) {
 			clear(src.Payload)
 			clear(enc)
 			clear(frame)
-			for path, e := range map[string]*Envelope{"copy": &viaCopy, "decode": &viaDecode, "frame": &viaFrame} {
+			for path, e := range paths {
 				if e.Payload[0] != 0xAB || e.Payload[tc.size-1] != 0xAB {
 					t.Errorf("%s: payload aliases its source", path)
 				}
 			}
-			// The nil-arena entry points never touch an arena.
-			var plain Envelope
-			CopyInto(&plain, &viaCopy)
-			if inArena(&a, plain.Payload) || !bytes.Equal(plain.Payload, viaCopy.Payload) {
-				t.Error("two-argument CopyInto used an arena")
+			// Recycle poisons a lent payload and leaves an owned one alone.
+			for path, e := range paths {
+				p := e.Payload
+				Recycle(e)
+				want := byte(0xAB)
+				if tc.lent {
+					want = Poison
+				}
+				if !bytes.Equal(p, bytes.Repeat([]byte{want}, tc.size)) {
+					t.Errorf("%s: payload after Recycle reads % x..., want %#x", path, p[:4], want)
+				}
+			}
+			// A payload the caller set, not lent, is never poisoned.
+			own := bytes.Repeat([]byte{0xAB}, tc.size)
+			e := GetEnvelope()
+			e.Kind, e.Payload = tc.kind, own
+			Recycle(e)
+			if own[0] != 0xAB || own[tc.size-1] != 0xAB {
+				t.Error("Recycle poisoned a payload the envelope did not lend")
 			}
 		})
 	}
 }
 
-// TestArenaSteadyStateAllocs: the arena-backed copy and decode amortise
-// to one chunk per ArenaChunk bytes.
+// TestArenaSteadyStateAllocs: a warm receive envelope copies and decodes
+// without allocating — a flood-sized payload fits its inline scratch, a
+// larger one grows the scratch once and keeps it.
 func TestArenaSteadyStateAllocs(t *testing.T) {
-	src := &Envelope{Kind: KindApp, From: 1, To: 0, SendIndex: 1,
-		Piggyback: []byte{VecDeltaMarker, 0}, Payload: make([]byte, 8)}
-	enc := Encode(src)
-	var a Arena
-	dst := GetEnvelope()
-	defer Recycle(dst)
-	CopyIntoArena(dst, src, &a)
-	// testing.AllocsPerRun truncates to whole allocations per run; the
-	// amortised chunk is a fraction, so count mallocs directly.
-	const runs = 100_000
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		CopyIntoArena(dst, src, &a)
-		if err := DecodeInto(dst, enc, &a); err != nil {
-			t.Fatal(err)
+	for _, size := range []int{8, 300} {
+		src := &Envelope{Kind: KindApp, From: 1, To: 0, SendIndex: 1,
+			Piggyback: []byte{VecDeltaMarker, 0}, Payload: make([]byte, size)}
+		enc := Encode(src)
+		dst := GetEnvelope()
+		CopyInto(dst, src)
+		allocs := testing.AllocsPerRun(1000, func() {
+			CopyInto(dst, src)
+			if err := DecodeInto(dst, enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		Recycle(dst)
+		if allocs != 0 {
+			t.Errorf("%d-byte payload: copy+decode allocate %.2f/op, want 0", size, allocs)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	perMsg := float64(after.Mallocs-before.Mallocs) / runs
-	// Two 8-byte copies per round: one chunk per ~1000 rounds.
-	if perMsg > 0.005 {
-		t.Errorf("copy+decode allocate %.5f/op, want the chunk amortisation only (~0.001)", perMsg)
 	}
 }

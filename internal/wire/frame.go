@@ -85,17 +85,17 @@ func parseFrameHeader(b []byte) (hdr, body int, err error) {
 // DecodeFrameInto is the incremental frame decoder: b is whatever a
 // byte stream has delivered so far and may end anywhere. A complete
 // frame at the front of b is decoded into e (see DecodeInto for the
-// ownership of its slices, and for a) and its length returned. n == 0 with a nil
+// ownership of its slices) and its length returned. n == 0 with a nil
 // error means b holds only a prefix of a frame: e is untouched, and the
 // caller keeps the bytes and reads more. An error means the stream is
 // corrupt — bad magic or version, a length over MaxFrameBody, or a
 // complete body that does not decode — and cannot be resynchronized.
-func DecodeFrameInto(e *Envelope, b []byte, a *Arena) (n int, err error) {
+func DecodeFrameInto(e *Envelope, b []byte) (n int, err error) {
 	hdr, body, err := parseFrameHeader(b)
 	if err != nil || hdr == 0 || len(b)-hdr < body {
 		return 0, err
 	}
-	if err := DecodeInto(e, b[hdr:hdr+body], a); err != nil {
+	if err := DecodeInto(e, b[hdr:hdr+body]); err != nil {
 		return 0, err
 	}
 	return hdr + body, nil
@@ -106,14 +106,14 @@ func DecodeFrameInto(e *Envelope, b []byte, a *Arena) (n int, err error) {
 // the whole frame: a prefix is ErrTruncated.
 func DecodeFrame(b []byte) (*Envelope, int, error) {
 	e := new(Envelope)
-	n, err := DecodeFrameInto(e, b, nil)
+	n, err := DecodeFrameInto(e, b)
 	if err != nil {
 		return nil, 0, err
 	}
 	if n == 0 {
 		return nil, 0, ErrTruncated
 	}
-	e.pigBuf = nil
+	e.pigBuf, e.payBuf = nil, nil
 	return e, n, nil
 }
 

@@ -9,11 +9,11 @@ import (
 // FuzzDecode feeds arbitrary bytes to the envelope decoder. Decode must
 // never panic, and any envelope it accepts must re-encode to a form that
 // decodes to the identical envelope (the codec is stable after one
-// round). The arena-backed DecodeInto — one arena across every input, as
-// on a connection — must accept exactly what Decode accepts and yield
-// the same envelope.
+// round). DecodeInto into one reused envelope across every input — its
+// scratch lending each payload, as on a connection — must accept exactly
+// what Decode accepts and yield the same envelope.
 func FuzzDecode(f *testing.F) {
-	var arena Arena
+	var reused Envelope
 	for _, env := range frameCorpus() {
 		f.Add(Encode(env))
 	}
@@ -22,16 +22,16 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		env, err := Decode(b)
-		var inArena Envelope
-		if aerr := DecodeInto(&inArena, b, &arena); (aerr == nil) != (err == nil) {
-			t.Fatalf("Decode said %v, arena-backed DecodeInto %v", err, aerr)
+		if rerr := DecodeInto(&reused, b); (rerr == nil) != (err == nil) {
+			t.Fatalf("Decode said %v, DecodeInto into a reused envelope %v", err, rerr)
 		}
 		if err != nil {
 			return
 		}
-		inArena.pigBuf = nil
-		if !reflect.DeepEqual(&inArena, env) {
-			t.Fatalf("arena-backed decode differs:\narena %+v\nplain %+v", &inArena, env)
+		got := reused
+		got.pigBuf, got.payBuf = nil, nil
+		if !reflect.DeepEqual(&got, env) {
+			t.Fatalf("decode into a reused envelope differs:\nreused %+v\nfresh  %+v", &got, env)
 		}
 		re := Encode(env)
 		env2, err := Decode(re)

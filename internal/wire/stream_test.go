@@ -28,20 +28,19 @@ func decodeStream(b []byte) ([]*Envelope, error) {
 // stream arrives in pieces of cut() bytes, every complete frame is
 // decoded as soon as it is there, the tail is kept. It returns the
 // frames, the undecoded tail and the corruption error, if any. Like a
-// transport's connection it decodes application payloads into one arena,
-// so the differential below also holds DecodeFrame (own allocations)
-// against the arena-backed path.
+// transport's connection it decodes into pooled envelopes, recycled
+// frame after frame, so the differential below also holds DecodeFrame
+// (own allocations) against payloads lent from reused scratch.
 func decodePieces(b []byte, cut func() int) ([]*Envelope, []byte, error) {
 	var out []*Envelope
 	var buf []byte
-	var arena Arena
 	for len(b) > 0 {
 		k := min(max(cut(), 1), len(b))
 		buf = append(buf, b[:k]...)
 		b = b[k:]
 		for {
 			env := GetEnvelope()
-			n, err := DecodeFrameInto(env, buf, &arena)
+			n, err := DecodeFrameInto(env, buf)
 			if err != nil {
 				return out, buf, err
 			}
@@ -49,12 +48,13 @@ func decodePieces(b []byte, cut func() int) ([]*Envelope, []byte, error) {
 				Recycle(env)
 				break
 			}
-			// Copy out of the pooled envelope, as DecodeFrame's fresh
-			// one would hold it, so the two sequences compare equal.
+			// Copy out of the pooled envelope before Recycle poisons
+			// its lent payload, as DecodeFrame's fresh one would hold
+			// it, so the two sequences compare equal.
 			out = append(out, &Envelope{
 				Kind: env.Kind, From: env.From, To: env.To, Incarnation: env.Incarnation,
 				Tag: env.Tag, SendIndex: env.SendIndex, Resent: env.Resent, Span: env.Span,
-				Piggyback: bytes.Clone(env.Piggyback), Payload: env.Payload,
+				Piggyback: bytes.Clone(env.Piggyback), Payload: bytes.Clone(env.Payload),
 			})
 			Recycle(env)
 			buf = buf[n:]

@@ -90,11 +90,13 @@ type Envelope struct {
 	// untraced peers interoperate and old traces decode unchanged.
 	Span layer.SpanContext
 
-	// pigBuf is DecodeInto's piggyback scratch: Piggyback aliases it
-	// after a pooled decode, so the storage survives Recycle and the
-	// next decode reuses it. pooled marks an envelope obtained from
-	// GetEnvelope as eligible for Recycle (see pool.go).
+	// pigBuf and payBuf are DecodeInto's piggyback and payload scratch:
+	// Piggyback, and a lent Payload, alias them after a pooled decode,
+	// so the storage survives Recycle and the next decode reuses it.
+	// pooled marks an envelope obtained from GetEnvelope as eligible for
+	// Recycle (see pool.go).
 	pigBuf []byte
+	payBuf []byte
 	pooled bool
 }
 
@@ -155,10 +157,10 @@ var ErrTruncated = errors.New("wire: truncated envelope")
 // payloads decode to nil.
 func Decode(b []byte) (*Envelope, error) {
 	e := new(Envelope)
-	if err := DecodeInto(e, b, nil); err != nil {
+	if err := DecodeInto(e, b); err != nil {
 		return nil, err
 	}
-	e.pigBuf = nil // never recycled: Piggyback alone keeps the bytes
+	e.pigBuf, e.payBuf = nil, nil // never recycled: Piggyback and Payload alone keep the bytes
 	return e, nil
 }
 

@@ -130,7 +130,8 @@ const (
 const AnySource = iapp.AnySource
 
 // Env is the communication interface handed to applications. Delivery is
-// strictly FIFO per sender channel.
+// strictly FIFO per sender channel. A payload Recv returns is lent until
+// the application's next Recv: copy what must outlive it.
 type Env = iapp.Env
 
 // App is a deterministic step-structured application; see the paper's
@@ -428,8 +429,8 @@ func (c *Cluster) KillAndRecover(rank int, detectDelay time.Duration) error {
 // Stats returns the aggregated overhead counters.
 func (c *Cluster) Stats() Stats { return c.inner.Metrics().Total() }
 
-// AppSnapshot returns rank's current application snapshot (call after
-// Wait).
+// AppSnapshot returns a copy of rank's current application snapshot
+// (call after Wait).
 func (c *Cluster) AppSnapshot(rank int) []byte { return c.inner.AppSnapshot(rank) }
 
 // LogItemsLive reports the retained sender-log population across ranks.
