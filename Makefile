@@ -40,7 +40,10 @@ race:
 # admission against Kill/Stall/Revive/Unstall.
 # TestDeliveredPayloadOwnership races ingest against a lent payload and
 # the pool's reuse of a recycled envelope against a kill and its resends.
-RACE_STRESS = 'TestDeliveredPayloadOwnership|TestConcurrentKillRecover|TestNonBlockingSendWaitsAtFullLink|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
+# TestChunkLeasesSurviveKillRecover races the sender log's reuse of
+# released chunks against checkpoint writers, views and repeated
+# kill/recover cycles.
+RACE_STRESS = 'TestDeliveredPayloadOwnership|TestChunkLeasesSurviveKillRecover|TestConcurrentKillRecover|TestNonBlockingSendWaitsAtFullLink|TestKillRace|TestKillPeerDuringCollect|TestKillRecovererMidRecovery|TestMasterRecoveryResync|TestCountersExactAtQuiescence|TestRecoverAwaitsDownHolder|TestRestartWithoutCheckpointRollsBack|TestDeterministicReplayResendsDeltas|TestReorderedReplayKeepsFloors|TestRestartAfterReorderedReplayKeepsFloors|TestKilledChannelEndsKeepTheBase|TestRestartResendsRelativePiggybacks'
 race-stress:
 	$(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/
 	WINDAR_TRANSPORT=tcp $(GO) test -race -count=50 -run $(RACE_STRESS) ./internal/harness/

@@ -43,6 +43,26 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
+// sameCheckpoint reports whether got holds checkpoint want: every field
+// alike, and of the sender log the count and each run's destination,
+// record count, last index and record bytes. A live view's runs also
+// lease the log's chunks, which no decoded view does, so the runs are
+// compared field by field rather than deeply.
+func sameCheckpoint(want, got *Checkpoint) bool {
+	w, g := *want, *got
+	w.LogView, g.LogView = proto.LogView{}, proto.LogView{}
+	if !reflect.DeepEqual(w, g) || want.LogView.Count != got.LogView.Count || len(want.LogView.Runs) != len(got.LogView.Runs) {
+		return false
+	}
+	for i, r := range want.LogView.Runs {
+		s := got.LogView.Runs[i]
+		if r.Dest != s.Dest || r.N != s.N || r.Last != s.Last || !bytes.Equal(r.Recs, s.Recs) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := sampleCheckpoint()
 	data, err := Encode(c)
@@ -53,7 +73,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if !reflect.DeepEqual(c, got) {
+	if !sameCheckpoint(c, got) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 	}
 	// Loose items, the encode-side input, make the same blob as the
@@ -81,7 +101,7 @@ func TestManagerSaveLoad(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Load = %v, %v", ok, err)
 	}
-	if !reflect.DeepEqual(c, got) {
+	if !sameCheckpoint(c, got) {
 		t.Fatalf("load mismatch: %+v", got)
 	}
 }
@@ -158,7 +178,7 @@ func TestSaveTornBlobAtEveryOffset(t *testing.T) {
 	// The full frame still round-trips.
 	store.Put(key(2), framed)
 	got, ok, err := m.Load(2)
-	if err != nil || !ok || !reflect.DeepEqual(c, got) {
+	if err != nil || !ok || !sameCheckpoint(c, got) {
 		t.Fatalf("full frame rejected: %v %v %+v", ok, err, got)
 	}
 }
@@ -233,13 +253,13 @@ func TestDecodeDoesNotAliasItsInput(t *testing.T) {
 	for i := range data {
 		data[i] = 0xAA // the store reuses its buffer
 	}
-	if !reflect.DeepEqual(c, got) {
+	if !sameCheckpoint(c, got) {
 		t.Fatalf("decoded checkpoint changed with its input:\n got %+v\nwant %+v", got, c)
 	}
 	// Its byte fields are views into one shared copy; growing one must
 	// not write into its neighbour.
 	_ = append(got.LogView.Runs[0].Recs, 0xEE)
-	if !reflect.DeepEqual(c, got) {
+	if !sameCheckpoint(c, got) {
 		t.Fatalf("append to a decoded field scribbled on another:\n got %+v\nwant %+v", got, c)
 	}
 }

@@ -266,23 +266,32 @@ func probeLog(items, dests int) *proto.Log {
 }
 
 // logAppendMax is log_append's budget, allocations per append. Released
-// chunks come back as fresh ones, so what remains is the warm-up: the
-// log's first chunks and the growth of its free and run lists.
+// chunks come back as fresh ones once unleased, so what remains is the
+// warm-up: the first chunks and the growth of the log's and views' lists.
+// A log pinning every viewed chunk would allocate one per ~800 appends.
 const logAppendMax = 1.0 / 4096
 
 // probeLogAppend measures the sender log on the flood's send path:
-// flood-shaped appends to one destination, cut mid-chunk every 1 000 by
-// a release, reported as a fraction so that amortised chunks count.
+// flood-shaped appends to one destination, each 1 000 a checkpoint's view
+// into a kept run list, released one interval later as freeCkptJob does,
+// and a release cut mid-chunk; a fraction, so amortised chunks count.
 func probeLogAppend() float64 {
 	const appends, releaseEvery = 256 * 400, 1000
 	l := proto.NewLog()
 	pig, payload := []byte{wire.VecDeltaMarker, 0}, make([]byte, 8)
+	var runs [2][]proto.LogRun
+	var held proto.LogView
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := int64(1); i <= appends; i++ {
 		l.Append(proto.LogItem{Dest: 1, SendIndex: i, Tag: 6, Piggyback: pig, Payload: payload})
 		if i%releaseEvery == 0 {
+			k := i / releaseEvery % 2
+			v := l.AppendView(runs[k])
+			runs[k] = v.Runs
 			l.Release(1, i-releaseEvery/2)
+			held.Release()
+			held = v
 		}
 	}
 	runtime.ReadMemStats(&after)

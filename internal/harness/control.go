@@ -222,9 +222,11 @@ func (r *rankRuntime) handleRollback(env *wire.Envelope) {
 		ans.data = r.replayer.RecoveryData(failed, ckptDelivered)
 	}
 	// The resend walks the log's records unlocked and after the RESPONSE
-	// is out: they never change, and the view holds what it needs.
+	// is out: they never change while the view's lease holds them, and
+	// both transports copy in Send, so the walk's end releases it.
 	resend := r.log.View()
 	r.mu.Unlock()
+	defer resend.Release()
 
 	m := r.c.coll.Rank(r.id)
 	resp := &wire.Envelope{

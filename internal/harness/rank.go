@@ -862,9 +862,12 @@ func (r *rankRuntime) ckptWriterLoop() {
 	}
 }
 
-// freeCkptJob returns job to the free list, dropping its references to
-// log records that may since have been released. Caller holds ckptMu.
+// freeCkptJob returns job to the free list, neither staged nor being
+// saved: it ends the job's lease on the log's chunks (see Log.View) and
+// drops its references to records that may since have been released.
+// Caller holds ckptMu.
 func (r *rankRuntime) freeCkptJob(job *ckptJob) {
+	job.cp.LogView.Release()
 	clear(job.cp.LogView.Runs)
 	r.ckptFree = append(r.ckptFree, job)
 }

@@ -3,6 +3,7 @@ package proto
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"windar/layer"
 )
@@ -25,27 +26,34 @@ type LogItem struct {
 	Span      layer.SpanContext
 }
 
-// logChunkBytes is the capacity of a fresh record chunk: ~800 flood-sized
+// logChunkBytes is the size of a fresh record chunk: ~800 flood-sized
 // records, no pointers for the collector to scan, and under the large
 // allocation threshold. A larger record gets a chunk of its own size.
 const logChunkBytes = 16 << 10
+
+// logChunk is a standard chunk: the count of views leasing it (View,
+// LogView.Release) and its records, one allocation of the 16 KiB class.
+type logChunk struct {
+	views atomic.Int32
+	b     [logChunkBytes - 8]byte
+}
 
 // LogRun is N back-to-back AppendLogItem records to Dest in send-index
 // order, the last with SendIndex Last: one chunk of the log, or one run of
 // a LogView. Bytes of a viewed or adopted run below len(Recs) are never
 // rewritten — Append writes only into a destination's last chunk's spare
-// capacity and into released memory nothing viewed, Release only reslices
+// capacity and into released chunks no view holds, Release only reslices
 // a chunk from the front or drops it, and a run in a view has no spare
-// capacity — so such a run stays as it was for as long as anyone holds it.
+// capacity — so such a run stays as it was until its view is released.
 type LogRun struct {
 	Dest int
 	N    int
 	Last int64
 	Recs []byte
-	// mem, in a log's chunk, is the chunk's whole allocation while the log
-	// may write it again once it is released; nil in a view, an adopted
-	// run, an oversize chunk and a chunk a view or ItemsFor included.
-	mem []byte
+	// mem is the standard chunk Recs lies in, which the log may write again
+	// once it is released and unleased, and which a view leases; nil in an
+	// adopted or parsed run, an oversize chunk and one ItemsFor included.
+	mem *logChunk
 }
 
 // LogView is an immutable view of Count logged records in (Dest,
@@ -63,11 +71,11 @@ type Log struct {
 	// perDest holds each destination's chunks. Only the last may have
 	// spare capacity or hold no record (Release keeps it for appends).
 	perDest map[int][]LogRun
-	// free holds released chunks' memory for the next fresh chunk. One
-	// joins only as a chunk leaves the log and one is allocated only when
-	// free is empty, so free plus live chunks stay within the log's
-	// high-water of live chunks.
-	free [][]byte
+	// free and lent hold released chunks for fresh: lent those a view
+	// still leases. One joins only as a chunk leaves the log and one is
+	// allocated only when neither holds an unleased chunk, so free, lent
+	// and live chunks stay within the high-water of lent and live ones.
+	free, lent []*logChunk
 }
 
 // NewLog returns an empty log.
@@ -77,7 +85,7 @@ func NewLog() *Log { return &Log{perDest: make(map[int][]LogRun)} }
 // returns the record: the log's only copy of the item, which no Append
 // rewrites before its release, so the caller may hand out views of it
 // (see RecordBytes) until the send returns. Once released, its chunk is
-// reused unless a view or an ItemsFor result included it.
+// reused when no view holds it and no ItemsFor result included it.
 // Items for one destination must be appended in strictly increasing
 // send-index order; the protocol assigns indices sequentially so a
 // violation is a harness bug and panics.
@@ -104,25 +112,34 @@ func (l *Log) Append(item LogItem) []byte {
 }
 
 // fresh returns an empty chunk for dest with room for a size-byte record:
-// released memory when there is some and the record fits a standard chunk.
+// a released chunk no view holds when there is one and the record fits a
+// standard chunk.
 func (l *Log) fresh(dest, size int) LogRun {
-	if size > logChunkBytes {
+	if size > len(logChunk{}.b) {
 		return LogRun{Dest: dest, Recs: make([]byte, 0, size)}
 	}
-	var mem []byte
+	var c *logChunk
 	if n := len(l.free); n > 0 {
-		mem, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+		c, l.free[n-1], l.free = l.free[n-1], nil, l.free[:n-1]
+	} else if i := slices.IndexFunc(l.lent, unleased); i >= 0 {
+		c = l.lent[i]
+		l.lent = slices.Delete(l.lent, i, i+1)
 	} else {
-		mem = make([]byte, 0, logChunkBytes) // amortised: only while the log grows past its high-water
+		c = new(logChunk) // amortised: only while the log and its views grow past their high-water
 	}
-	return LogRun{Dest: dest, Recs: mem, mem: mem}
+	return LogRun{Dest: dest, Recs: c.b[:0], mem: c}
 }
 
-// retire drops c, keeping its memory for fresh if the log may write it
-// again.
+// unleased reports that no view holds c, nor will read it again.
+func unleased(c *logChunk) bool { return c.views.Load() == 0 }
+
+// retire drops c, keeping its chunk for fresh if the log may write it
+// again: free now, or lent until its views are released.
 func (l *Log) retire(c *LogRun) {
-	if c.mem != nil {
+	if c.mem != nil && unleased(c.mem) {
 		l.free = append(l.free, c.mem) // grows to the high-water, not per chunk
+	} else if c.mem != nil {
+		l.lent = append(l.lent, c.mem)
 	}
 	*c = LogRun{}
 }
@@ -180,7 +197,9 @@ func (l *Log) Release(dest int, upto int64) int {
 // send-index order. This is the resend set for a ROLLBACK whose
 // last_deliver_index entry for this rank is after (Algorithm 1 lines
 // 49-51). The slice is fresh and allocated once; each item's Piggyback
-// and Payload are views of its record, which the chunks it pins keep.
+// and Payload are views of its record. Nothing releases the items, so
+// the log never reuses their chunks: only a bench probe and tests call
+// it, and a resend walks a View it releases instead.
 func (l *Log) ItemsFor(dest int, after int64) []LogItem {
 	v, n := LogView{Runs: l.perDest[dest]}, 0
 	for i := range v.Runs {
@@ -226,8 +245,8 @@ func (l *Log) Len() int {
 
 // View returns every retained record, ordered by (Dest, SendIndex), for
 // checkpointing: one capacity-clipped run per non-empty chunk, each
-// chunk pinned. It copies no record; the run list is its only
-// allocation up to 16 destinations.
+// standard chunk leased until the view's Release. It copies no record;
+// the run list is its only allocation up to 16 destinations.
 func (l *Log) View() LogView { return l.AppendView(nil) }
 
 // AppendView is View with the run list appended to runs[:0], so a
@@ -247,13 +266,25 @@ func (l *Log) AppendView(runs []LogRun) LogView {
 		chunks := l.perDest[dest]
 		for i := range chunks {
 			if c := &chunks[i]; c.N > 0 {
-				c.mem = nil
+				if c.mem != nil {
+					c.mem.views.Add(1)
+				}
 				v.Runs = append(v.Runs, *c)
 				v.Runs[len(v.Runs)-1].Recs, v.Count = slices.Clip(c.Recs), v.Count+c.N
 			}
 		}
 	}
 	return v
+}
+
+// Release ends v's leases, once, after the holder's last read of v's
+// records: the log may then reuse them.
+func (v LogView) Release() {
+	for _, r := range v.Runs {
+		if r.mem != nil {
+			r.mem.views.Add(-1)
+		}
+	}
 }
 
 // Adopt replaces the log contents with v, as View and ParseLogView make
@@ -263,13 +294,17 @@ func (l *Log) AppendView(runs []LogRun) LogView {
 // any number of logs, as a staged checkpoint restored repeatedly does.
 func (l *Log) Adopt(v LogView) {
 	clear(l.perDest)
-	l.free = nil
+	l.free, l.lent = nil, nil
 	for runs := v.Runs; len(runs) > 0; {
 		n := 1
 		for n < len(runs) && runs[n].Dest == runs[0].Dest {
 			n++
 		}
-		l.perDest[runs[0].Dest] = slices.Clone(runs[:n]) // a view's runs have no mem
+		chunks := slices.Clone(runs[:n])
+		for i := range chunks {
+			chunks[i].mem = nil // the view's lease stays its holder's; this log never writes it
+		}
+		l.perDest[runs[0].Dest] = chunks
 		runs = runs[n:]
 	}
 }

@@ -428,11 +428,17 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-// liveChunks counts the chunks l holds, emptied ones included.
+// liveChunks counts the standard chunks l holds and may write again,
+// emptied ones included: not oversize, adopted or pinned ones, which
+// never join free or lent.
 func liveChunks(l *Log) int {
 	n := 0
 	for _, chunks := range l.perDest {
-		n += len(chunks)
+		for _, c := range chunks {
+			if c.mem != nil {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -446,17 +452,35 @@ func cloneItems(items []LogItem) []LogItem {
 	return out
 }
 
+// sameView reports whether v still holds what its deep copy want held:
+// the count and each run's destination, record count, last index and
+// record bytes.
+func sameView(v, want LogView) bool {
+	if v.Count != want.Count || len(v.Runs) != len(want.Runs) {
+		return false
+	}
+	for i, r := range v.Runs {
+		w := want.Runs[i]
+		if r.Dest != w.Dest || r.N != w.N || r.Last != w.Last || !bytes.Equal(r.Recs, w.Recs) {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: chunk reuse never writes a byte anyone can still read. Random
-// sequences of appends, releases, views (View and AppendView), ItemsFor
-// results and adoptions — of the log's own views and of parsed ones —
-// over several destinations keep every view and every ItemsFor result
-// byte for byte as it was when it was made, however far the log has
-// moved on; an adopted view stays untouched too. The log always holds
-// what a plain model holds, and its free chunks plus its live ones never
-// exceed the most it ever held live.
+// sequences of appends, releases, views (View and AppendView), view
+// releases in random order, ItemsFor results and adoptions — of the log's
+// own views and of parsed ones — over several destinations keep every
+// view byte for byte as it was when it was made until its release,
+// however far the log has moved on, and every ItemsFor result for good;
+// an adopted view stays untouched too. The log always holds what a plain
+// model holds, and its free, lent and live chunks never exceed the most
+// it ever held lent and live. Released views' chunks do come back from
+// lent.
 func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
-	reused := 0
+	reused, reclaimed := 0, 0
 	for round := 0; round < 150; round++ {
 		l := NewLog()
 		model := map[int][]LogItem{}
@@ -468,10 +492,18 @@ func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
 		var views []heldView
 		type heldItems struct{ got, want []LogItem }
 		var results []heldItems
+		checkHeld := func(step int) {
+			for i, h := range views {
+				if !sameView(h.v, h.want) {
+					t.Fatalf("round %d step %d: held view %d changed after it was taken", round, step, i)
+				}
+			}
+		}
 		highWater := 0
 		for step := 0; step < 400; step++ {
 			dest := r.Intn(4)
-			switch k := r.Intn(40); {
+			lent := len(l.lent)
+			switch k := r.Intn(44); {
 			case k < 5:
 				upto := next[dest] - int64(r.Intn(30))
 				kept := []LogItem(nil)
@@ -512,10 +544,18 @@ func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
 					views = append(views, heldView{v: v, want: cloneView(v), model: h.model})
 				}
 				l.Adopt(v)
+				lent = 0
 				model = map[int][]LogItem{}
 				for d, items := range h.model {
 					model[d] = append([]LogItem(nil), items...)
 				}
+			case k >= 9 && k < 13 && len(views) > 0:
+				i := r.Intn(len(views))
+				if !sameView(views[i].v, views[i].want) {
+					t.Fatalf("round %d step %d: view changed before its release", round, step)
+				}
+				views[i].v.Release()
+				views = append(views[:i], views[i+1:]...)
 			default:
 				next[dest] += 1 + int64(r.Intn(2))
 				size := 1 + r.Intn(40)
@@ -527,16 +567,17 @@ func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
 				model[dest] = append(model[dest], cloneItems([]LogItem{it})[0])
 				l.Append(it)
 			}
-			highWater = max(highWater, liveChunks(l))
-			if n := len(l.free) + liveChunks(l); n > highWater {
-				t.Fatalf("round %d step %d: %d free and live chunks, high-water %d", round, step, n, highWater)
+			if len(l.lent) < lent {
+				reclaimed++
+			}
+			checkHeld(step)
+			highWater = max(highWater, len(l.lent)+liveChunks(l))
+			if n := len(l.free) + len(l.lent) + liveChunks(l); n > highWater {
+				t.Fatalf("round %d step %d: %d free, lent and live chunks, high-water of lent and live %d", round, step, n, highWater)
 			}
 		}
-		for i, h := range views {
-			if h.v.Count != h.want.Count || len(h.v.Runs) != len(h.want.Runs) ||
-				(len(h.v.Runs) > 0 && !reflect.DeepEqual(h.v.Runs, h.want.Runs)) {
-				t.Fatalf("round %d: view %d changed after it was taken", round, i)
-			}
+		for _, h := range views {
+			h.v.Release()
 		}
 		for i, h := range results {
 			if !reflect.DeepEqual(h.got, h.want) {
@@ -556,6 +597,9 @@ func TestChunkReuseLeavesViewsUntouched(t *testing.T) {
 	}
 	if reused == 0 {
 		t.Fatal("no released chunk ever joined the free list: the reuse path was never reached")
+	}
+	if reclaimed == 0 {
+		t.Fatal("no lent chunk ever came back once its views were released")
 	}
 }
 
@@ -582,5 +626,42 @@ func TestWarmAppendReleaseAllocatesNothing(t *testing.T) {
 	cycle()
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Fatalf("warm append/release cycle: %.1f allocations, want 0", n)
+	}
+}
+
+// A warm checkpoint cycle allocates nothing: the log appends, a
+// checkpoint takes its view into the run list it keeps, the log
+// releases, and the view is released one interval later, as a
+// checkpoint job is once the next one is saved. The chunks it held while
+// the log released them come back from lent as fresh ones.
+func TestWarmCheckpointCycleAllocatesNothing(t *testing.T) {
+	l := NewLog()
+	pig, payload := []byte{1, 0}, make([]byte, 8)
+	idx := [2]int64{}
+	var lists [2][]LogRun
+	var held LogView
+	interval := 0
+	cycle := func() {
+		for k := 0; k < 3000; k++ {
+			dest := k % 2
+			idx[dest]++
+			l.Append(LogItem{Dest: dest, SendIndex: idx[dest], Tag: 6, Piggyback: pig, Payload: payload})
+		}
+		v := l.AppendView(lists[interval%2])
+		lists[interval%2] = v.Runs
+		l.Release(0, idx[0]-300) // mid-chunk
+		l.Release(1, idx[1])     // every record
+		held.Release()
+		held = v
+		interval++
+	}
+	for range 3 {
+		cycle()
+	}
+	if n := testing.AllocsPerRun(20, cycle); n != 0 {
+		t.Fatalf("warm checkpoint cycle: %.1f allocations, want 0", n)
+	}
+	if len(l.lent)+len(l.free) == 0 {
+		t.Fatal("the cycle retired no chunk")
 	}
 }

@@ -47,6 +47,10 @@ type Disk struct {
 	dir      string
 	interval time.Duration
 	shards   []*walShard
+	// segPrefix is filepath.Join(dir, "wal-"), every segment path's start.
+	// dirf is the directory, open from the first syncDir to closeFiles.
+	segPrefix string
+	dirf      *os.File
 
 	// Group commit: a barrier takes the next ticket and waits until the
 	// committer has finished a round that began after the ticket was
@@ -185,11 +189,12 @@ func OpenDisk(opts DiskOptions) (*Disk, error) {
 		return nil, err
 	}
 	d := &Disk{
-		dir:      opts.Dir,
-		interval: opts.FsyncInterval,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		timer:    time.NewTimer(time.Hour), //windar:allow directclock — the window paces real fsyncs, which share only the wall clock
+		dir:       opts.Dir,
+		segPrefix: filepath.Join(opts.Dir, "wal-"),
+		interval:  opts.FsyncInterval,
+		kick:      make(chan struct{}, 1),
+		done:      make(chan struct{}),
+		timer:     time.NewTimer(time.Hour), //windar:allow directclock — the window paces real fsyncs, which share only the wall clock
 	}
 	d.timer.Stop()
 	d.gcond = sync.NewCond(&d.gmu)
@@ -579,9 +584,9 @@ func (d *Disk) rotate(s *walShard) error {
 		s.sealed = append(s.sealed, s.head)
 		d.rotations.Add(1)
 	}
-	seg := &segment{path: filepath.Join(d.dir, segmentName(s.id, s.nextSeg))}
+	seg := &segment{path: segmentPath(d.segPrefix, s.id, s.nextSeg)}
 	s.nextSeg++
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666)
+	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o666) // 2 allocations of its own: the *os.File and its state
 	if err != nil {
 		s.f = nil
 		return err
@@ -611,11 +616,26 @@ func (d *Disk) rotate(s *walShard) error {
 	return nil
 }
 
-func segmentName(shard int, n uint64) string {
-	return fmt.Sprintf("wal-%03d-%010d.seg", shard, n)
+// segmentPath is prefix + "<shard, 3+ digits>-<n, 10+ digits>.seg" in one
+// allocation: with prefix "wal-" a segment's name, and with the cleaned
+// filepath.Join(dir, "wal-") filepath.Join(dir, name).
+func segmentPath(prefix string, shard int, n uint64) string {
+	var b [48]byte
+	t := append(appendPadded(b[:0], uint64(shard), 3), '-')
+	return prefix + string(append(appendPadded(t, n, 10), ".seg"...))
 }
 
-// parseSegmentName is segmentName's inverse.
+// appendPadded appends v in decimal, zero-padded to width digits.
+func appendPadded(b []byte, v uint64, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], v, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// parseSegmentName is segmentPath("wal-", ...)'s inverse.
 func parseSegmentName(base string) (shard int, n uint64, ok bool) {
 	rest, found := strings.CutPrefix(base, "wal-")
 	rest, isSeg := strings.CutSuffix(rest, ".seg")
@@ -830,6 +850,9 @@ func (d *Disk) closeFiles() error {
 		s.f, s.retired = nil, nil
 		s.mu.Unlock()
 	}
+	if d.dirf != nil {
+		err = errors.Join(err, d.dirf.Close())
+	}
 	return err
 }
 
@@ -845,14 +868,16 @@ func (d *Disk) fsync(f *os.File) error {
 	return f.Sync()
 }
 
+// syncDir fsyncs the directory through the handle it opens on first use.
 func (d *Disk) syncDir() error {
-	f, err := os.Open(d.dir)
-	if err != nil {
-		return err
+	if d.dirf == nil {
+		f, err := os.Open(d.dir)
+		if err != nil {
+			return err
+		}
+		d.dirf = f
 	}
-	err = d.fsync(f)
-	f.Close()
-	return err
+	return d.fsync(d.dirf)
 }
 
 // publish writes the meta file crash-atomically: temp file, fsync, rename

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -594,4 +596,73 @@ func TestDiskScanReadsEntriesBack(t *testing.T) {
 	check("after reopen")
 	appendTo(streams[1], 3)
 	check("appended after reopen")
+}
+
+// segmentPathSink makes a measured segment path escape, as a segment's does.
+var segmentPathSink string
+
+// A segment's path is filepath.Join(dir, name), built in one allocation,
+// whatever the directory's spelling, the shard's width and the sequence
+// number's; the name keeps the directory format's spelling and
+// parseSegmentName reads it back.
+func TestSegmentPathMatchesJoin(t *testing.T) {
+	for _, dir := range []string{"/var/w", "/var/w/", "rel/./w", "a/../b", ".", "/"} {
+		prefix := filepath.Join(dir, "wal-")
+		for _, shard := range []int{0, 7, 42, 999} {
+			for _, n := range []uint64{0, 1, 9_999_999_999, 10_000_000_000, 123_456_789_012, math.MaxUint64} {
+				name := segmentPath("wal-", shard, n)
+				if want := fmt.Sprintf("wal-%03d-%010d.seg", shard, n); name != want {
+					t.Fatalf("segment name (%d, %d) = %q, want %q", shard, n, name, want)
+				}
+				if got, want := segmentPath(prefix, shard, n), filepath.Join(dir, name); got != want {
+					t.Fatalf("dir %q: segmentPath(%d, %d) = %q, want %q", dir, shard, n, got, want)
+				}
+				if s, m, ok := parseSegmentName(name); !ok || s != shard || m != n {
+					t.Fatalf("parseSegmentName(%q) = %d, %d, %v", name, s, m, ok)
+				}
+			}
+		}
+		if a := testing.AllocsPerRun(20, func() { segmentPathSink = segmentPath(prefix, 3, 10_000_000_001) }); a != 1 {
+			t.Fatalf("segmentPath: %.1f allocations, want 1", a)
+		}
+	}
+}
+
+// Rounds that create files fsync the directory through one handle, kept
+// from the first round to Close, and the hook still sees every fsync.
+func TestDiskSyncsDirectoryThroughOneHandle(t *testing.T) {
+	d := openDisk(t, t.TempDir())
+	var hooked atomic.Int64
+	d.ioHook = func(op string) {
+		if op == "fsync" {
+			hooked.Add(1)
+		}
+	}
+	before := d.Stats().Fsyncs
+	const st = "slog/000/001/"
+	fillSegments(t, d, st, 400, 2)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	dirf := d.dirf
+	if dirf == nil {
+		t.Fatal("no round fsynced the directory")
+	}
+	fillSegments(t, d, st, 400, 2)
+	if err := d.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if d.dirf != dirf {
+		t.Fatal("a later round reopened the directory")
+	}
+	if got, want := hooked.Load(), d.Stats().Fsyncs-before; got != want {
+		t.Fatalf("hook saw %d fsyncs, the counter %d", got, want)
+	}
+	d.ioHook = nil
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if dirf.Close() == nil {
+		t.Fatal("Close left the directory handle open")
+	}
 }

@@ -7,6 +7,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 )
@@ -84,6 +85,10 @@ func CopyInto(dst, src *Envelope) {
 // Poison is the byte Recycle writes over every payload byte it lent.
 const Poison byte = 0xA5
 
+// poison is what Recycle copies over a lent payload, which never
+// exceeds ArenaMax (see setPayload).
+var poison = bytes.Repeat([]byte{Poison}, ArenaMax)
+
 // setPayload gives e a copy of src, and is the one place the
 // payload-ownership rule is decided. Application and CHECKPOINT_ADVANCE
 // payloads up to ArenaMax are copied into e's payload scratch: they are
@@ -121,9 +126,7 @@ func Recycle(e *Envelope) {
 		return
 	}
 	pay := e.payBuf
-	for i := range pay {
-		pay[i] = Poison
-	}
+	copy(pay, poison)
 	*e = Envelope{pigBuf: e.pigBuf[:0], payBuf: pay[:0]}
 	envPool.Put(e)
 }

@@ -159,3 +159,21 @@ func TestPairsNonPowerOfTwo(t *testing.T) {
 		}
 	}
 }
+
+// Every workload's Snapshot encodes into a buffer the app keeps, so a
+// checkpoint allocates nothing for it, and the bytes restore the state.
+func TestSnapshotReusesItsBuffer(t *testing.T) {
+	for name, f := range map[string]app.Factory{
+		"ring": workload.NewRing(4), "halo": workload.NewHalo(4), "masterworker": workload.NewMasterWorker(4),
+		"pairs": workload.NewPairs(4), "flood": workload.NewFlood(4, 2),
+	} {
+		a := f(1, 4)
+		if n := testing.AllocsPerRun(20, func() { _ = a.Snapshot() }); n != 0 {
+			t.Errorf("%s: Snapshot allocates %.1f times, want 0", name, n)
+		}
+		img := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+		if err := a.Restore(img); err != nil || !bytes.Equal(a.Snapshot(), img) {
+			t.Errorf("%s: snapshot after Restore(%x) = %x, %v", name, img, a.Snapshot(), err)
+		}
+	}
+}
